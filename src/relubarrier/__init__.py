@@ -29,11 +29,9 @@ from .network import (ActivationIndicator, CandidateIndicator, RegionAffine,
                       network_from_json, network_to_json)
 from .geometry import (Polyhedron, SlicePolyhedron, bounding_box, dimension,
                        hyperplane_slice, implicit_equalities, remove_redundant)
-from .regions import (EnumerationResult, RegionValidity, ValidRegion,
-                      boundary_is_connected, boundary_propagation,
+from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       brute_force_valid_regions, build_valid_region,
-                      find_initial_region, set_guided_sampler,
-                      slices_intersect, valid_test)
+                      find_initial_region, set_guided_sampler, valid_test)
 from .conditions import (FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict,
                          ConditionResult, RegionVerdict, check_initial_condition,
                          check_invariance, check_region_affine,
@@ -63,10 +61,9 @@ __all__ = [
     "expand_candidate", "network_from_json", "network_to_json", "load_network",
     "Polyhedron", "SlicePolyhedron", "hyperplane_slice",
     "implicit_equalities", "dimension", "remove_redundant", "bounding_box",
-    "valid_test", "build_valid_region", "ValidRegion", "RegionValidity",
+    "valid_test", "build_valid_region", "ValidRegion",
     "EnumerationResult", "set_guided_sampler", "find_initial_region",
-    "boundary_propagation", "brute_force_valid_regions", "slices_intersect",
-    "boundary_is_connected",
+    "boundary_propagation", "brute_force_valid_regions",
     "VERIFIED", "FALSIFIED", "UNKNOWN", "RegionVerdict", "ConditionResult",
     "CertificateVerdict", "check_invariance", "check_initial_condition",
     "check_unsafe_condition", "check_region_affine", "falsify_region",

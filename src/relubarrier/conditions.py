@@ -7,11 +7,17 @@ level-set patch >= -tol_margin?":
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
 * unsafe set:   g = -h_U
 
-Affine objectives are decided exactly by one LP.  Nonlinear ones run a
-derivative-free falsification search first (cheap witnesses), then an
-interval branch-and-bound over the patch's bounding box for verification.
-Set conditions additionally probe one sample of the set against the sign
-of h (membership side of the containment/disjointness arguments).
+All three go through one ladder, `_decide`: an affine objective is decided
+exactly by one LP; otherwise a derivative-free falsification search looks
+for cheap witnesses first, then interval branch-and-bound over the patch's
+bounding box verifies.  Every witness, whichever route produced it (the LP
+optimum, a point of an unbounded LP, a search point, a BaB point), passes
+the one check `_checked_witness`: it lies on the slice within tol_feas and
+g evaluated there directly is below -max(tol_margin, falsify_gate).  An LP
+point that fails the check yields `unknown`, never an unchecked
+`falsified`.  Set conditions additionally probe one sample of the set
+against the sign of h (membership side of the containment/disjointness
+arguments).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +34,8 @@ from .config import DEFAULT_CONFIG, VerifierConfig
 from .errors import NoRegions, SamplerExhausted, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           is_affine, _linear_form)
-from .geometry import bounding_box
-from .linprog import LpProblem, lp_solve, INFEASIBLE, OPTIMAL, UNBOUNDED
+from .geometry import SlicePolyhedron, bounding_box
+from .linprog import LpProblem, lp_solve, INFEASIBLE, UNBOUNDED
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       find_initial_region, set_guided_sampler)
 
@@ -85,7 +92,15 @@ class CertificateVerdict:
 
 # -- objective plumbing ----------------------------------------------------------
 
-def _weighted_objective(coefs, exprs):
+class _Objective(NamedTuple):
+    """g over a patch: direct and interval evaluation, and (coeffs, const)
+    when g(x) = coeffs.x + const is affine."""
+    point: Callable
+    interval: Callable | None
+    affine: tuple | None = None
+
+
+def _weighted_objective(coefs, exprs, affine=None) -> _Objective:
     """g(x) = sum_i coefs[i] * exprs[i](x) as point and interval callables."""
     coefs = np.asarray(coefs, dtype=float)
 
@@ -102,7 +117,21 @@ def _weighted_objective(coefs, exprs):
             hi += max(c * iv.lo, c * iv.hi)
         return lo, hi
 
-    return g_point, g_interval
+    return _Objective(g_point, g_interval, affine)
+
+
+def _invariance_objective(w, sys: DynamicsSystem | None, aff=None) -> _Objective:
+    """g = w.f for the flow sys; aff = (F, c) when f(x) = F x + c.
+
+    Without sys (only F and c known), g is evaluated as w.(F x + c).
+    """
+    if aff is None:
+        return _weighted_objective(w, sys.exprs)
+    F, c = np.asarray(aff[0], dtype=float), np.asarray(aff[1], dtype=float)
+    affine = (F.T @ w, float(w @ c))
+    if sys is None:
+        return _Objective(lambda x: float(w @ (F @ x + c)), None, affine)
+    return _weighted_objective(w, sys.exprs, affine)
 
 
 def _status_from_value(value, cfg):
@@ -114,45 +143,66 @@ def _status_from_value(value, cfg):
     return UNKNOWN  # inside the float-noise band
 
 
+class _Checked(NamedTuple):
+    x: np.ndarray
+    value: float      # g(x), evaluated directly
+    witness: bool     # value < -max(tol_margin, falsify_gate)
+
+
+def _checked_witness(sl, x, g_point, cfg) -> _Checked | None:
+    """Check a candidate point; None when it is not on the slice.
+
+    Every route takes its witnesses from here: a witness lies on the slice
+    within tol_feas, and g evaluated at it directly (not the value a solver
+    or a bound reports) is below -max(tol_margin, falsify_gate).
+    """
+    if x is None or not sl.contains(x, cfg.tol_feas):
+        return None
+    x = np.array(x, dtype=float)
+    value = g_point(x)
+    return _Checked(x, value, _status_from_value(value, cfg) == FALSIFIED)
+
+
 # -- LP route (affine objectives) --------------------------------------------------
 
-def _decide_affine(region: ValidRegion, coeffs, const, cfg) -> RegionVerdict:
+def _decide_affine(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     """Exact decision of min (coeffs.x + const) over the slice by one LP."""
     sl = region.slice
-    outcome = sl.minimize(np.asarray(coeffs, dtype=float), cfg.tol_feas)
+    coeffs, const = objective.affine
+    coeffs = np.asarray(coeffs, dtype=float)
+    outcome = sl.minimize(coeffs, cfg.tol_feas)
     if outcome.status == INFEASIBLE:
         return RegionVerdict(region.indicator, VERIFIED, "lp", vacuous=True,
                              note="slice empty")
     if outcome.status == UNBOUNDED:
-        # objective decreases without bound along the slice; exhibit a point
-        big = 1e6
-        boxed = LpProblem(np.asarray(coeffs, dtype=float),
-                          np.vstack([sl.base.A, np.eye(sl.base.dim), -np.eye(sl.base.dim)]),
-                          np.concatenate([sl.base.d, np.full(sl.base.dim, big),
-                                          np.full(sl.base.dim, big)]),
-                          sl.w[None, :], np.array([-sl.b]))
-        inner = lp_solve(boxed, tol_feas=cfg.tol_feas)
-        witness = inner.point if inner.optimal else None
-        value = (float(np.asarray(coeffs) @ witness) + const) if witness is not None else None
-        return RegionVerdict(region.indicator, FALSIFIED, "lp", witness=witness,
-                             witness_value=value, note="objective unbounded below")
-    value = outcome.value + const
-    status = _status_from_value(value, cfg)
-    verdict = RegionVerdict(region.indicator, status, "lp", bound=value)
-    if status == FALSIFIED:
-        verdict.witness = outcome.point
-        verdict.witness_value = value
-    elif status == UNKNOWN:
-        verdict.note = "optimum inside the float-noise band"
+        # g decreases without bound along the slice; exhibit a point in a big box
+        n = sl.base.dim
+        boxed = SlicePolyhedron(sl.base.with_rows(np.vstack([np.eye(n), -np.eye(n)]),
+                                                  np.full(2 * n, 1e6)), sl.w, sl.b)
+        outcome = boxed.minimize(coeffs, cfg.tol_feas)
+        verdict = RegionVerdict(region.indicator, FALSIFIED, "lp",
+                                note="objective unbounded below")
+    else:
+        value = outcome.value + const
+        verdict = RegionVerdict(region.indicator, _status_from_value(value, cfg), "lp",
+                                bound=value)
+        if verdict.status == UNKNOWN:
+            verdict.note = "optimum inside the float-noise band"
+    if verdict.status == FALSIFIED:
+        hit = _checked_witness(sl, outcome.point, objective.point, cfg)
+        if hit is not None and hit.witness:
+            verdict.witness, verdict.witness_value = hit.x, hit.value
+        else:
+            verdict.status = UNKNOWN
+            verdict.note = "; ".join(filter(None, [verdict.note,
+                                                   "LP point failed the witness check"]))
     return verdict
 
 
 def check_region_affine(region: ValidRegion, F, c,
                         cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionVerdict:
     """Invariance of one region for affine dynamics f(x) = F x + c."""
-    w = region.affine.w
-    return _decide_affine(region, np.asarray(F, dtype=float).T @ w,
-                          float(w @ np.asarray(c, dtype=float)), cfg)
+    return _decide_affine(region, _invariance_objective(region.affine.w, None, (F, c)), cfg)
 
 
 # -- falsification search ----------------------------------------------------------
@@ -176,36 +226,39 @@ def _repair_onto_slice(sl, target, cfg):
     return out.point[:n] if out.optimal else None
 
 
-def _falsify(region: ValidRegion, g_point, cfg, rng, budget) -> tuple | None:
+def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
+             budget) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, falsify_gate).
 
     Three stages: vertices of the patch from random-objective LPs, random
     convex combinations of those, and a coordinate pattern search projected
     back onto the hyperplane (with an LP repair step when a move leaves the
-    region).  Returns (witness, value) or None.
+    region).  Returns a falsified verdict, or None when the search found
+    nothing (which proves nothing).
     """
     sl = region.slice
     n = sl.base.dim
     w, b = sl.w, sl.b
     wnorm2 = float(w @ w)
-    threshold = -max(cfg.tol_margin, cfg.falsify_gate)
-
-    best = {"x": None, "val": np.inf}
+    best = None   # the lowest checked point so far
 
     def consider(x):
-        if x is None or not sl.contains(x, cfg.tol_feas):
-            return None
-        v = g_point(x)
-        if v < best["val"]:
-            best["x"], best["val"] = np.array(x), v
-        return (np.array(x), v) if v < threshold else None
+        nonlocal best
+        checked = _checked_witness(sl, x, objective.point, cfg)
+        if checked is not None and (best is None or checked.value < best.value):
+            best = checked
+        return checked
+
+    def found(hit):
+        return RegionVerdict(region.indicator, FALSIFIED, "search",
+                             witness=hit.x, witness_value=hit.value)
 
     base = sl.feasible_point(cfg.tol_feas)
     if base is None:
         return None
     hit = consider(base)
-    if hit:
-        return hit
+    if hit and hit.witness:
+        return found(hit)
 
     points = [base]
     for _ in range(max(4, budget // 5)):
@@ -214,20 +267,20 @@ def _falsify(region: ValidRegion, g_point, cfg, rng, budget) -> tuple | None:
         if out.optimal:
             points.append(out.point)
             hit = consider(out.point)
-            if hit:
-                return hit
+            if hit and hit.witness:
+                return found(hit)
 
     arr = np.array(points)
     for _ in range(max(4, budget // 3)):
         weights = rng.random(len(points))
         weights /= weights.sum()
         hit = consider(weights @ arr)
-        if hit:
-            return hit
+        if hit and hit.witness:
+            return found(hit)
 
-    if best["x"] is None:
+    if best is None:
         return None
-    x = best["x"].copy()
+    x, gx = best.x, best.value
     spread = float(np.max(np.ptp(arr, axis=0))) if len(points) > 1 else 1.0
     step = max(spread / 4.0, 1e-3)
     for _ in range(budget):
@@ -248,10 +301,12 @@ def _falsify(region: ValidRegion, g_point, cfg, rng, budget) -> tuple | None:
                     if y is None:
                         continue
                 hit = consider(y)
-                if hit:
-                    return hit
-                if g_point(y) < g_point(x) - 1e-15 and sl.contains(y, cfg.tol_feas):
-                    x = np.array(y)
+                if hit is None:
+                    continue
+                if hit.witness:
+                    return found(hit)
+                if hit.value < gx - 1e-15:
+                    x, gx = hit.x, hit.value
                     improved = True
         if not improved:
             step /= 2.0
@@ -269,31 +324,34 @@ def falsify_region(region: ValidRegion, sys: DynamicsSystem,
     Returns a falsified RegionVerdict with a re-validated witness, or None
     when the search found nothing (which proves nothing).
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    g_point, _ = _weighted_objective(region.affine.w, sys.exprs)
-    hit = _falsify(region, g_point, cfg, rng, budget or cfg.falsify_budget)
-    if hit is None:
-        return None
-    x, v = hit
-    return RegionVerdict(region.indicator, FALSIFIED, "search",
-                         witness=x, witness_value=v)
+    return _falsify(region, _invariance_objective(region.affine.w, sys), cfg,
+                    rng if rng is not None else np.random.default_rng(cfg.seed),
+                    budget or cfg.falsify_budget)
 
 
 # -- interval branch-and-bound ------------------------------------------------------
 
-def _bab(region: ValidRegion, g_point, g_interval, cfg, domain) -> RegionVerdict:
+def _first_witness(sl, points, g_point, cfg) -> _Checked | None:
+    """The first of points that passes the witness check, or None."""
+    for x in points:
+        hit = _checked_witness(sl, x, g_point, cfg)
+        if hit and hit.witness:
+            return hit
+    return None
+
+
+def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     """Certify min g >= -tol_margin over the patch, or find a witness.
 
     Boxes are contracted to the patch's bounding box (2n LPs) before the
     interval enclosure is taken; boxes without slice points are pruned.
+    Unbounded coordinates of the patch are clamped to the domain box.
     """
     sl = region.slice
     n = sl.base.dim
-    threshold = -max(cfg.tol_margin, cfg.falsify_gate)
 
     root = bounding_box(sl.base.A, sl.base.d, sl.w[None, :], np.array([-sl.b]),
-                        dim=n, domain=domain, tol_feas=cfg.tol_feas)
+                        dim=n, domain=cfg.domain(n), tol_feas=cfg.tol_feas)
     if root is None:
         return RegionVerdict(region.indicator, VERIFIED, "interval", vacuous=True,
                              note="slice empty")
@@ -303,24 +361,12 @@ def _bab(region: ValidRegion, g_point, g_interval, cfg, domain) -> RegionVerdict
                              domain_restricted=True,
                              note="slice leaves the domain box entirely")
 
-    def witness_check(x):
-        if x is None or not sl.contains(x, cfg.tol_feas):
-            return None
-        v = g_point(x)
-        return (x, v) if v < threshold else None
-
-    for x in seeds:
-        hit = witness_check(x)
-        if hit:
-            return RegionVerdict(region.indicator, FALSIFIED, "interval",
-                                 witness=hit[0], witness_value=hit[1],
-                                 domain_restricted=restricted)
-
+    hit = _first_witness(sl, seeds, objective.point, cfg)
     queue = deque([box0])
     certified = np.inf
     stalled = False
     processed = 0
-    while queue:
+    while queue and hit is None:
         processed += 1
         if processed > cfg.bab_max_boxes:
             return RegionVerdict(region.indicator, UNKNOWN, "interval",
@@ -335,13 +381,10 @@ def _bab(region: ValidRegion, g_point, g_interval, cfg, domain) -> RegionVerdict
         if sub is None:
             continue  # the patch does not enter this box
         cbox, cpts, _ = sub
-        for x in cpts:
-            hit = witness_check(x)
-            if hit:
-                return RegionVerdict(region.indicator, FALSIFIED, "interval",
-                                     witness=hit[0], witness_value=hit[1],
-                                     domain_restricted=restricted)
-        lo, _ = g_interval(cbox)
+        hit = _first_witness(sl, cpts, objective.point, cfg)
+        if hit is not None:
+            break
+        lo, _ = objective.interval(cbox)
         if lo >= -cfg.tol_margin:
             certified = min(certified, lo)
             continue
@@ -358,6 +401,10 @@ def _bab(region: ValidRegion, g_point, g_interval, cfg, domain) -> RegionVerdict
         queue.append(left)
         queue.append(right)
 
+    if hit is not None:
+        return RegionVerdict(region.indicator, FALSIFIED, "interval",
+                             witness=hit.x, witness_value=hit.value,
+                             domain_restricted=restricted)
     if stalled:
         return RegionVerdict(region.indicator, UNKNOWN, "interval",
                              domain_restricted=restricted,
@@ -370,19 +417,32 @@ def _bab(region: ValidRegion, g_point, g_interval, cfg, domain) -> RegionVerdict
 def verify_region_bab(region: ValidRegion, sys: DynamicsSystem,
                       cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionVerdict:
     """Interval branch-and-bound for the invariance objective w.f."""
-    g_point, g_interval = _weighted_objective(region.affine.w, sys.exprs)
-    domain = cfg.domain(region.constraints.dim)
-    return _bab(region, g_point, g_interval, cfg, domain)
+    return _bab(region, _invariance_objective(region.affine.w, sys), cfg)
 
 
-# -- assembling the three conditions -------------------------------------------------
+# -- the ladder, and assembling the three conditions ---------------------------------
 
-def _map_regions(fn, regions, threads):
+def _decide(region: ValidRegion, objective: _Objective, cfg,
+            rng: np.random.Generator) -> RegionVerdict:
+    """One region's verdict: one LP for an affine g, else search then BaB."""
+    if objective.affine is not None:
+        return _decide_affine(region, objective, cfg)
+    found = _falsify(region, objective, cfg, rng, cfg.falsify_budget)
+    return found if found is not None else _bab(region, objective, cfg)
+
+
+def _decide_regions(regions, objective_of, cfg, salt: int) -> list[RegionVerdict]:
+    """`_decide` on every region; region i searches with rng (seed, salt, i)."""
+    def decide(item):
+        i, region = item
+        return _decide(region, objective_of(region), cfg,
+                       np.random.default_rng([cfg.seed, salt, i]))
+
     items = list(enumerate(regions))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
+    if cfg.threads and cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            return list(pool.map(decide, items))
+    return [decide(it) for it in items]
 
 
 def _aggregate(verdicts, extra_falsified=False, extra_ok=True):
@@ -400,21 +460,8 @@ def check_invariance(net, regions, sys: DynamicsSystem,
     if not regions:
         raise NoRegions("invariance check over an empty region list")
     aff = is_affine(sys)
-    domain = cfg.domain(net.input_dim)
-
-    def decide(item):
-        i, region = item
-        rng = np.random.default_rng([cfg.seed, 101, i])
-        if aff is not None:
-            return check_region_affine(region, aff[0], aff[1], cfg)
-        g_point, g_interval = _weighted_objective(region.affine.w, sys.exprs)
-        hit = _falsify(region, g_point, cfg, rng, cfg.falsify_budget)
-        if hit is not None:
-            return RegionVerdict(region.indicator, FALSIFIED, "search",
-                                 witness=hit[0], witness_value=hit[1])
-        return _bab(region, g_point, g_interval, cfg, domain)
-
-    verdicts = _map_regions(decide, regions, cfg.threads)
+    verdicts = _decide_regions(
+        regions, lambda region: _invariance_objective(region.affine.w, sys, aff), cfg, salt=101)
     return ConditionResult(_aggregate(verdicts), verdicts)
 
 
@@ -472,22 +519,10 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
     """
     if not regions:
         raise NoRegions("set condition over an empty region list")
-    domain = cfg.domain(net.input_dim)
     lin = _linear_form(set_expr, net.input_dim)
-
-    def decide(item):
-        i, region = item
-        rng = np.random.default_rng([cfg.seed, salt, i])
-        if lin is not None:
-            return _decide_affine(region, -lin[0], -lin[1], cfg)
-        g_point, g_interval = _weighted_objective([-1.0], [set_expr])
-        hit = _falsify(region, g_point, cfg, rng, cfg.falsify_budget)
-        if hit is not None:
-            return RegionVerdict(region.indicator, FALSIFIED, "search",
-                                 witness=hit[0], witness_value=hit[1])
-        return _bab(region, g_point, g_interval, cfg, domain)
-
-    verdicts = _map_regions(decide, regions, cfg.threads)
+    objective = _weighted_objective([-1.0], [set_expr],
+                                    None if lin is None else (-lin[0], -lin[1]))
+    verdicts = _decide_regions(regions, lambda _region: objective, cfg, salt)
     rng = np.random.default_rng([cfg.seed, salt, 7919])
     probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
     status = _aggregate(verdicts, extra_falsified=not probe.ok, extra_ok=probe.ok)
@@ -538,54 +573,37 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
     if enum.partial:
         caveats.append("enumeration returned partial results: " + "; ".join(enum.errors))
 
-    t2 = time.perf_counter()
-    inv = check_invariance(net, enum.regions, sys, cfg)
-    timings["invariance_s"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
-    if h_init is None:
-        init_res = ConditionResult(VERIFIED, [],
-                                   note="no initial set given; condition vacuous")
-    else:
-        try:
-            init_res = check_initial_condition(net, enum.regions, h_init, cfg)
-        except SamplerExhausted as exc:
-            init_res = ConditionResult(UNKNOWN, [], note=str(exc))
-            caveats.append(f"initial-set sampling exhausted: {exc}")
-    timings["initial_s"] = time.perf_counter() - t3
-
-    t4 = time.perf_counter()
-    if h_unsafe is None:
-        unsafe_res = ConditionResult(VERIFIED, [],
-                                     note="no unsafe set given; condition vacuous")
-    else:
-        try:
-            unsafe_res = check_unsafe_condition(net, enum.regions, h_unsafe, cfg)
-        except SamplerExhausted as exc:
-            unsafe_res = ConditionResult(UNKNOWN, [], note=str(exc))
-            caveats.append(f"unsafe-set sampling exhausted: {exc}")
-    timings["unsafe_s"] = time.perf_counter() - t4
+    # the checks are looked up here, at call time, so that rebinding them
+    # (as instrumentation does) takes effect
+    results = {}
+    for label, check, target in (("invariance", check_invariance, sys),
+                                 ("initial", check_initial_condition, h_init),
+                                 ("unsafe", check_unsafe_condition, h_unsafe)):
+        t = time.perf_counter()
+        if target is None and label != "invariance":
+            results[label] = ConditionResult(
+                VERIFIED, [], note=f"no {label} set given; condition vacuous")
+        else:
+            try:
+                results[label] = check(net, enum.regions, target, cfg)
+            except SamplerExhausted as exc:
+                results[label] = ConditionResult(UNKNOWN, [], note=str(exc))
+                caveats.append(f"{label}-set sampling exhausted: {exc}")
+        timings[f"{label}_s"] = time.perf_counter() - t
     timings["total_s"] = time.perf_counter() - t0
 
-    for res in (inv, init_res, unsafe_res):
-        if any(v.domain_restricted for v in res.region_verdicts):
-            caveats.append("some patches were analyzed within the domain box only")
-            break
-    for res in (inv, init_res, unsafe_res):
-        if any(v.bound is not None and abs(v.bound) <= 10 * cfg.tol_feas
-               for v in res.region_verdicts):
-            caveats.append("a certified bound lies within tolerance noise of zero")
-            break
+    verdicts = [v for res in results.values() for v in res.region_verdicts]
+    if any(v.domain_restricted for v in verdicts):
+        caveats.append("some patches were analyzed within the domain box only")
+    if any(v.bound is not None and abs(v.bound) <= 10 * cfg.tol_feas for v in verdicts):
+        caveats.append("a certified bound lies within tolerance noise of zero")
+    inv, init_res, unsafe_res = results.values()
     if init_res.probe is not None or unsafe_res.probe is not None:
         caveats.append("set membership is probed at one sample point; full-set "
                        "containment in this component is not separately certified")
 
-    statuses = (inv.status, init_res.status, unsafe_res.status)
-    overall = (FALSIFIED if FALSIFIED in statuses
-               else VERIFIED if all(s == VERIFIED for s in statuses)
-               else UNKNOWN)
     return CertificateVerdict(
         invariance=inv.status, initial_condition=init_res.status,
-        unsafe_condition=unsafe_res.status, overall=overall,
+        unsafe_condition=unsafe_res.status, overall=_aggregate(results.values()),
         invariance_result=inv, initial_result=init_res, unsafe_result=unsafe_res,
         enumeration=enum, search_meta=search_meta, caveats=caveats, timings=timings)

@@ -68,9 +68,6 @@ class CandidateIndicator:
     def num_unknown(self) -> int:
         return sum(v == -1 for layer in self.bits for v in layer)
 
-    def is_complete(self) -> bool:
-        return self.num_unknown == 0
-
 
 @dataclass(frozen=True)
 class RegionAffine:

@@ -26,15 +26,6 @@ from .network import (ActivationIndicator, RegionAffine, ReluNetwork,
                       expand_candidate)
 
 
-@dataclass(frozen=True)
-class RegionValidity:
-    valid: bool
-    degenerate: bool = False  # the piece is identically zero on the region
-
-    def __bool__(self):
-        return self.valid
-
-
 @dataclass
 class ValidRegion:
     """A valid region with its affine piece and reduced constraint system."""
@@ -43,7 +34,7 @@ class ValidRegion:
     affine: RegionAffine
     constraints: Polyhedron        # irredundant region inequalities
     slice: SlicePolyhedron         # constraints meet {w.x + b = 0}
-    degenerate: bool = False
+    degenerate: bool = False       # the piece is identically zero (w = 0, b = 0)
 
     def key(self):
         return self.indicator.key()
@@ -58,13 +49,9 @@ class EnumerationResult:
     errors: list[str] = field(default_factory=list)
     seed_indicator: ActivationIndicator | None = None
 
-    @property
-    def indicators(self) -> list[ActivationIndicator]:
-        return [r.indicator for r in self.regions]
-
 
 def valid_test(net: ReluNetwork, ind: ActivationIndicator,
-               cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionValidity:
+               cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
     """Decide whether ind names a valid region.
 
     Checks, in order: the region is nonempty and full-dimensional; the
@@ -76,39 +63,36 @@ def valid_test(net: ReluNetwork, ind: ActivationIndicator,
     region = net.region_constraints(ind)
     x0 = region.feasible_point(cfg.tol_feas)
     if x0 is None:
-        return RegionValidity(False)
+        return False
     region_implicit = implicit_equalities(region, tol_eq=cfg.tol_eq,
                                           tol_feas=cfg.tol_feas, witnesses=[x0])
     if region_implicit and matrix_rank(region.A[region_implicit], cfg.tol_rank) > 0:
-        return RegionValidity(False)  # not full-dimensional
+        return False  # not full-dimensional
 
     aff = net.affine_map(ind)
     if not aff.w.any():
-        return RegionValidity(aff.b == 0.0, degenerate=aff.b == 0.0)
+        return bool(aff.b == 0.0)
 
     sliced = hyperplane_slice(region, aff.w, aff.b).full()
     x1 = sliced.feasible_point(cfg.tol_feas)
     if x1 is None:
-        return RegionValidity(False)
+        return False
     slice_implicit = implicit_equalities(sliced, tol_eq=cfg.tol_eq,
                                          tol_feas=cfg.tol_feas, witnesses=[x1])
     rank = matrix_rank(sliced.A[slice_implicit], cfg.tol_rank)
-    return RegionValidity(rank == 1)
+    return rank == 1
 
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
-                       cfg: VerifierConfig = DEFAULT_CONFIG,
-                       validity: RegionValidity | None = None):
-    """Construct the ValidRegion for ind, or None when it is not valid."""
-    if validity is None:
-        validity = valid_test(net, ind, cfg)
-    if not validity:
+                       cfg: VerifierConfig = DEFAULT_CONFIG) -> ValidRegion | None:
+    """Validate ind and construct its ValidRegion, or None when it is not valid."""
+    if not valid_test(net, ind, cfg):
         return None
     aff = net.affine_map(ind)
     reduced = remove_redundant(net.region_constraints(ind), tol_feas=cfg.tol_feas)
     return ValidRegion(indicator=ind, affine=aff, constraints=reduced,
                        slice=hyperplane_slice(reduced, aff.w, aff.b),
-                       degenerate=validity.degenerate)
+                       degenerate=not aff.w.any())
 
 
 # -- initial region search -------------------------------------------------------
@@ -193,9 +177,8 @@ def find_initial_region(net: ReluNetwork, sampler, cfg: VerifierConfig = DEFAULT
                 eps /= 10.0
                 continue
             for ind in expand_candidate(cand, cfg.branch_cap):
-                validity = valid_test(net, ind, cfg)
-                if validity:
-                    region = build_valid_region(net, ind, cfg, validity)
+                region = build_valid_region(net, ind, cfg)
+                if region is not None:
                     meta = {"attempts": attempt, "eps": eps,
                             "pair_tags": (tag_neg, tag_pos),
                             "mode": ("set-guided" if "domain" not in (tag_neg, tag_pos)
@@ -264,14 +247,14 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                     cap_hit = True
                     break
                 try:
-                    validity = valid_test(net, ind, cfg)
+                    neighbour = build_valid_region(net, ind, cfg)
                 except NumericalFailure as exc:
                     errors.append(f"candidate {ind.compact()}: {exc}")
                     partial = True
                     rejected.add(k)
                     continue
-                if validity:
-                    regions[k] = build_valid_region(net, ind, cfg, validity)
+                if neighbour is not None:
+                    regions[k] = neighbour
                     queue.append(k)
                 else:
                     rejected.add(k)
@@ -312,28 +295,3 @@ def brute_force_valid_regions(net: ReluNetwork,
             out.append(ind)
     return out
 
-
-def slices_intersect(r1: ValidRegion, r2: ValidRegion, tol_feas: float = 1e-7) -> bool:
-    """Do two regions' level-set patches share a point?"""
-    a_ub = np.vstack([r1.constraints.A, r2.constraints.A])
-    b_ub = np.concatenate([r1.constraints.d, r2.constraints.d])
-    a_eq = np.vstack([r1.affine.w[None, :], r2.affine.w[None, :]])
-    b_eq = np.array([-r1.affine.b, -r2.affine.b])
-    return lp_feasible(a_ub, b_ub, a_eq, b_eq, num_vars=r1.constraints.dim,
-                       tol_feas=tol_feas) is not None
-
-
-def boundary_is_connected(regions: list[ValidRegion], tol_feas: float = 1e-7) -> bool:
-    """Connectivity of the region-adjacency graph (shared slice points)."""
-    if len(regions) <= 1:
-        return True
-    n = len(regions)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and slices_intersect(regions[i], regions[j], tol_feas):
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n

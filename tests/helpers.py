@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from relubarrier import UNBOUNDED, LpProblem, lp_solve, network_to_json
+from relubarrier import UNBOUNDED, LpProblem, lp_feasible, lp_solve, network_to_json
 from relubarrier.network import ReluNetwork
 
 
@@ -119,6 +119,35 @@ def vertex_minimum(c, a_ub, b_ub, a_eq=None, b_eq=None, tol=1e-9):
         if best is None or v < best[0]:
             best = (v, x)
     return best
+
+
+def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:
+    """Do two regions' level-set patches share a point?"""
+    a_ub = np.vstack([r1.constraints.A, r2.constraints.A])
+    b_ub = np.concatenate([r1.constraints.d, r2.constraints.d])
+    a_eq = np.vstack([r1.affine.w[None, :], r2.affine.w[None, :]])
+    b_eq = np.array([-r1.affine.b, -r2.affine.b])
+    return lp_feasible(a_ub, b_ub, a_eq, b_eq, num_vars=r1.constraints.dim,
+                       tol_feas=tol_feas) is not None
+
+
+def boundary_is_connected(regions, tol_feas: float = 1e-7) -> bool:
+    """Connectivity of the region-adjacency graph (shared slice points).
+
+    O(R^2) LPs: an oracle for small region lists only.
+    """
+    if len(regions) <= 1:
+        return True
+    n = len(regions)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if j not in seen and slices_intersect(regions[i], regions[j], tol_feas):
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == n
 
 
 def slice_grid(region, k: int = 10_000) -> np.ndarray:

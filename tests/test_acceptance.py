@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, VERIFIED,
-                         boundary_is_connected, boundary_propagation,
+                         boundary_propagation,
                          brute_force_valid_regions, build_report,
                          build_valid_region, check_region_affine, evaluate,
                          interval_evaluate, is_affine, load_problem,
                          parse_expression, report_bytes_without_timings,
                          verify_certificate, DynamicsSystem)
 
-from helpers import (ALL_SYSTEMS, diamond_net, random_hidden_net,
-                     scaled_output, slice_grid, strip_net, write_problem)
+from helpers import (ALL_SYSTEMS, boundary_is_connected, diamond_net,
+                     random_hidden_net, scaled_output, slice_grid, strip_net,
+                     write_problem)
 from test_smtlib import query_holds_at
 
 

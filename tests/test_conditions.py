@@ -6,13 +6,15 @@ import pytest
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ActivationIndicator, DynamicsSystem, NoRegions,
-                         boundary_propagation, build_valid_region,
+                         ReluNetwork, SlicePolyhedron, boundary_propagation,
+                         brute_force_valid_regions, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_region_affine, check_unsafe_condition,
-                         falsify_region, is_affine, parse_expression,
+                         evaluate, falsify_region, is_affine, parse_expression,
                          verify_certificate, verify_region_bab)
+from relubarrier import conditions
 
-from helpers import diamond_net, slice_grid, CUBIC2D
+from helpers import diamond_net, random_hidden_net, slice_grid, CUBIC2D
 
 
 def ind(*bits):
@@ -227,6 +229,104 @@ def test_witness_revalidation_on_nonlinear_falsified():
             direct = region.affine.w @ sys(np.asarray(v.witness))
             assert direct < -1e-9
             assert direct == pytest.approx(v.witness_value, rel=1e-9, abs=1e-12)
+
+
+# -- LP-route witnesses ------------------------------------------------------------------
+
+def line_net():
+    """h(x) = relu(x1) - relu(-x1) = x1: each valid region's patch is the
+    whole line x1 = 0, so a nonconstant affine objective along x2 is
+    unbounded below on it."""
+    return ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0]])], [np.zeros(2)],
+                       np.array([1.0, -1.0]), 0.0)
+
+
+def assert_checked_witness(region, v, g):
+    """v's witness lies on the slice, and g evaluated there directly is its
+    witness_value, below the falsification gate."""
+    cfg = DEFAULT_CONFIG
+    assert region.slice.contains(v.witness, tol=cfg.tol_feas)
+    direct = g(np.asarray(v.witness))
+    assert v.witness_value == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    assert direct < -max(cfg.tol_margin, cfg.falsify_gate)
+
+
+def test_lp_unbounded_objective_falsified_with_checked_witness():
+    net = line_net()
+    regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    assert regions
+    sys = DynamicsSystem.parse(["x2", "0"], dim=2)
+    h_unsafe = parse_expression("x2", 2)
+    invariance = check_invariance(net, regions, sys).region_verdicts
+    unsafe = check_unsafe_condition(net, regions, h_unsafe).region_verdicts
+    single = [check_region_affine(r, *is_affine(sys)) for r in regions]
+    for region, v_inv, v_unsafe, v_single in zip(regions, invariance, unsafe, single):
+        checks = ((v_inv, lambda x: region.affine.w @ sys(x)),
+                  (v_single, lambda x: region.affine.w @ sys(x)),
+                  (v_unsafe, lambda x: -evaluate(h_unsafe, x)))
+        for v, g in checks:
+            assert (v.status, v.method) == (FALSIFIED, "lp")
+            assert v.note == "objective unbounded below"
+            assert_checked_witness(region, v, g)
+            assert v.witness_value == g(np.asarray(v.witness))
+
+
+def test_lp_witnesses_of_affine_drift_pass_the_check():
+    sys = DynamicsSystem.parse(["-x1 + 0.8", "-x2 - 0.5"], dim=2)
+    h_init = parse_expression("x1 - 0.3", 2)
+    h_unsafe = parse_expression("0.2 - x2", 2)
+    nets = [diamond_net()] + [random_hidden_net(np.random.default_rng(s), neurons=5)
+                              for s in range(4)]
+    checked = 0
+    for net in nets:
+        verdict = verify_certificate(net, sys, h_init, h_unsafe)
+        if verdict.enumeration is None:
+            continue
+        for result, g_of in ((verdict.invariance_result,
+                              lambda r: (lambda x: r.affine.w @ sys(x))),
+                             (verdict.initial_result,
+                              lambda r: (lambda x: -evaluate(h_init, x))),
+                             (verdict.unsafe_result,
+                              lambda r: (lambda x: -evaluate(h_unsafe, x)))):
+            for region, v in zip(verdict.enumeration.regions, result.region_verdicts):
+                assert v.method == "lp"
+                if v.status == FALSIFIED:
+                    assert_checked_witness(region, v, g_of(region))
+                    checked += 1
+    assert checked > 0
+
+
+def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
+    """No falsified verdict without a witness that passed the check."""
+    net, region = first_quadrant_region()
+    line = line_net()
+    line_region = build_valid_region(line, brute_force_valid_regions(line)[0])
+    monkeypatch.setattr(SlicePolyhedron, "contains", lambda self, x, tol=1e-7: False)
+    bounded = check_region_affine(region, *is_affine(DynamicsSystem.parse(["1", "0"], dim=2)))
+    unbounded = check_region_affine(line_region,
+                                    *is_affine(DynamicsSystem.parse(["x2", "0"], dim=2)))
+    assert (bounded.status, bounded.witness) == (UNKNOWN, None)
+    assert bounded.note == "LP point failed the witness check"
+    assert (unbounded.status, unbounded.witness) == (UNKNOWN, None)
+    assert unbounded.note == "objective unbounded below; LP point failed the witness check"
+
+
+def test_verify_certificate_looks_up_the_checks_when_called(monkeypatch):
+    calls = []
+    for name in ("check_invariance", "check_initial_condition", "check_unsafe_condition"):
+        original = getattr(conditions, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, name, counted)
+    net = diamond_net()
+    verify_certificate(net, DynamicsSystem.parse(["-x1", "-x2"], dim=2),
+                       parse_expression("0.04 - x1^2 - x2^2", 2),
+                       parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
+    assert calls == ["check_invariance", "check_initial_condition",
+                     "check_unsafe_condition"]
 
 
 # -- set conditions ---------------------------------------------------------------------

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from relubarrier import (ActivationIndicator, OracleTooLarge, ReluNetwork,
-                         SearchExhausted, boundary_is_connected,
-                         boundary_propagation, brute_force_valid_regions,
-                         build_valid_region, find_initial_region,
-                         set_guided_sampler, valid_test, DEFAULT_CONFIG,
-                         parse_expression)
+                         SearchExhausted, boundary_propagation,
+                         brute_force_valid_regions, build_valid_region,
+                         find_initial_region, set_guided_sampler, valid_test,
+                         DEFAULT_CONFIG, parse_expression)
 
-from helpers import (all_dead_net, diamond_net, one_d_ramp_net,
-                     random_hidden_net, scaled_output, strip_net)
+from helpers import (all_dead_net, boundary_is_connected, diamond_net,
+                     one_d_ramp_net, random_hidden_net, scaled_output, strip_net)
 
 
 def ind(*bits):
@@ -55,9 +54,8 @@ def test_zero_piece_with_zero_bias_valid_degenerate():
     # h = relu(x1) - relu(x1) is 0 on x1 >= 0: w = 0, b = 0 there
     net = ReluNetwork([np.array([[1.0], [1.0]])], [np.zeros(2)],
                       np.array([1.0, -1.0]), 0.0)
-    validity = valid_test(net, ind(1, 1))
-    assert validity
-    assert validity.degenerate
+    assert valid_test(net, ind(1, 1))
+    assert build_valid_region(net, ind(1, 1)).degenerate
 
 
 def test_validity_scale_invariant():
