@@ -28,7 +28,7 @@ from .network import (ActivationIndicator, CandidateIndicator, RegionAffine,
                       ReluNetwork, expand_candidate, load_network,
                       network_from_json, network_to_json)
 from .geometry import (Polyhedron, SlicePolyhedron, bounding_box, dimension,
-                       hyperplane_slice, implicit_equalities, remove_redundant)
+                       implicit_equalities, inscribed_radius, remove_redundant)
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       brute_force_valid_regions, build_valid_region,
                       find_initial_region, set_guided_sampler, valid_test)
@@ -59,7 +59,7 @@ __all__ = [
     "to_text", "DynamicsSystem", "is_affine",
     "ReluNetwork", "ActivationIndicator", "CandidateIndicator", "RegionAffine",
     "expand_candidate", "network_from_json", "network_to_json", "load_network",
-    "Polyhedron", "SlicePolyhedron", "hyperplane_slice",
+    "Polyhedron", "SlicePolyhedron", "inscribed_radius",
     "implicit_equalities", "dimension", "remove_redundant", "bounding_box",
     "valid_test", "build_valid_region", "ValidRegion",
     "EnumerationResult", "set_guided_sampler", "find_initial_region",

@@ -81,6 +81,15 @@ def run_verify(args: argparse.Namespace) -> int:
     return exit_code(report)
 
 
+def _enumerate(problem):
+    """Seed search then boundary propagation over the problem's domain box."""
+    cfg, net = problem.config, problem.network
+    sampler = set_guided_sampler(net, problem.h_init, problem.h_unsafe,
+                                 cfg.domain(net.input_dim))
+    seed_region, _meta = find_initial_region(net, sampler, cfg)
+    return boundary_propagation(net, seed_region, cfg)
+
+
 def _invoke_solver(template: str, path: str, timeout_s: float) -> dict:
     """Best-effort bridge to an external SMT solver binary."""
     cmd = template.replace("{file}", str(path))
@@ -112,15 +121,10 @@ def run_export_smt(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem, overrides=_merge_overrides(args))
     cfg = problem.config
     net = problem.network
-    domain = cfg.domain(net.input_dim)
-
-    sampler = set_guided_sampler(net, problem.h_init, problem.h_unsafe, domain)
-    seed_region, _meta = find_initial_region(net, sampler, cfg)
-    enumeration = boundary_propagation(net, seed_region, cfg)
-    regions = enumeration.regions
+    regions = _enumerate(problem).regions
 
     mode = "monolithic" if args.monolithic else "per-region"
-    domain_box = domain if args.include_domain_box else None
+    domain_box = cfg.domain(net.input_dim) if args.include_domain_box else None
     wanted = args.condition
     queries = []
     if wanted in ("invariance", "all"):
@@ -178,9 +182,7 @@ def run_plot(args: argparse.Namespace) -> int:
     from .svgplot import render_plot
 
     problem = load_problem(args.problem, overrides=_merge_overrides(args))
-    cfg = problem.config
     net = problem.network
-    domain = cfg.domain(net.input_dim)
 
     witnesses = []
     if args.report:
@@ -188,12 +190,9 @@ def run_plot(args: argparse.Namespace) -> int:
             report = json.load(fh)
         witnesses = report.get("witnesses", [])
 
-    sampler = set_guided_sampler(net, problem.h_init, problem.h_unsafe, domain)
-    seed_region, _meta = find_initial_region(net, sampler, cfg)
-    enumeration = boundary_propagation(net, seed_region, cfg)
-
-    svg = render_plot(net, enumeration.regions, problem.h_init,
-                      problem.h_unsafe, witnesses, domain=domain)
+    svg = render_plot(net, _enumerate(problem).regions, problem.h_init,
+                      problem.h_unsafe, witnesses,
+                      domain=problem.config.domain(net.input_dim))
     with open(args.out, "w") as fh:
         fh.write(svg)
     print(f"plot written to {args.out}")

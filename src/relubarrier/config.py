@@ -17,9 +17,8 @@ class VerifierConfig:
     # -- tolerances ------------------------------------------------------
     #: feasibility slack accepted when checking points against constraints
     tol_feas: float = 1e-7
-    #: pivot threshold for numerical matrix rank
-    tol_rank: float = 1e-8
-    #: two LP optima closer than this are considered equal (implicit equalities)
+    #: a region (or its level-set slice) is full-dimensional when its largest
+    #: inscribed ball has a diameter above this
     tol_eq: float = 1e-7
     #: pre-activations within this of zero branch both ways
     tol_zero: float = 1e-9

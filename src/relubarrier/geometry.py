@@ -1,8 +1,9 @@
 """Polyhedra in inequality form and the operations the region tests need.
 
-A polyhedron is ``{x : A x <= d}``.  Slicing by a hyperplane ``w.x + b = 0``
-appends the row pair ``w.x <= -b`` / ``-w.x <= b`` so that downstream
-implicit-equality analysis sees one homogeneous inequality system.
+A polyhedron is ``{x : A x <= d}``.  The region test measures dimension by
+the largest inscribed ball (``inscribed_radius``); the implicit-equality
+analysis (``implicit_equalities``, ``dimension``) is now only a reference
+for it, reading a slice through ``SlicePolyhedron.full``.
 """
 
 from __future__ import annotations
@@ -90,43 +91,47 @@ class SlicePolyhedron:
         return lp_solve(problem, tol_feas=tol_feas)
 
 
-def hyperplane_slice(p: Polyhedron, w, b) -> SlicePolyhedron:
-    return SlicePolyhedron(p, w, b)
+def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
+                     tol_feas: float = 1e-7) -> float | None:
+    """Radius (capped at 1) of the largest ball inside p; None when p is empty.
+
+    Given a hyperplane ``w.x + b = 0``, the ball is centred on it and only
+    its part within the hyperplane must fit, so each unit row normal is
+    charged just its component along the hyperplane.  One Chebyshev-centre
+    LP over (x, r): max r s.t. ``(a_i/|a_i|).x + c_i r <= d_i/|a_i|``, 0 <= r <= 1.
+    """
+    norms = np.linalg.norm(p.A, axis=1)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    rows = p.A / scale[:, None]
+    c, eq_a, eq_d = (norms > 0.0).astype(float), None, None
+    if w is not None:
+        u = np.asarray(w, dtype=float) / np.linalg.norm(w)
+        c = np.linalg.norm(rows - np.outer(rows @ u, u), axis=1)
+        eq_a, eq_d = np.append(w, 0.0)[None, :], np.array([-float(b)])
+    e_r = np.eye(p.dim + 1)[-1]
+    a_ub = np.vstack([np.column_stack([rows, c]), e_r, -e_r])
+    b_ub = np.concatenate([p.d / scale, [1.0, 0.0]])
+    outcome = lp_solve(LpProblem(e_r, a_ub, b_ub, eq_a, eq_d, sense="max"),
+                       tol_feas=tol_feas)
+    return outcome.value if outcome.optimal else None
 
 
 def implicit_equalities(p: Polyhedron, tol_eq: float = 1e-7,
-                        tol_feas: float = 1e-7, witnesses=None) -> list[int]:
+                        tol_feas: float = 1e-7) -> list[int]:
     """Indices of rows j where A(j).x is constant over p.
 
-    Decided by the min/max LP pair per row; a row is implicit when the two
-    optima coincide within tol_eq (relative to the row's magnitude).  Known
-    feasible points, including those produced by earlier LPs in the scan,
-    prune rows whose value demonstrably varies.
+    Decided by the min/max LP pair per row; a row is implicit when both
+    optima exist and coincide within tol_eq (relative to the row's magnitude).
     """
-    x0 = p.feasible_point(tol_feas)
-    if x0 is None:
+    if p.feasible_point(tol_feas) is None:
         raise InfeasiblePolyhedron("implicit equalities of an empty polyhedron")
-    points = [x0]
-    if witnesses:
-        points.extend(np.asarray(w, dtype=float) for w in witnesses)
     implicit = []
     for j in range(p.num_rows):
         row = p.A[j]
-        scale = max(1.0, float(np.max(np.abs(row))))
-        vals = [float(row @ x) for x in points]
-        if max(vals) - min(vals) > tol_eq * scale:
-            continue
         lo = lp_solve(LpProblem(row, p.A, p.d, sense="min"), tol_feas=tol_feas)
-        if lo.status == UNBOUNDED:
-            continue
         hi = lp_solve(LpProblem(row, p.A, p.d, sense="max"), tol_feas=tol_feas)
-        if lo.status == OPTIMAL:
-            points.append(lo.point)
-        if hi.status == OPTIMAL:
-            points.append(hi.point)
-        if hi.status == UNBOUNDED:
-            continue
-        if hi.value - lo.value <= tol_eq * scale:
+        scale = max(1.0, float(np.max(np.abs(row))))
+        if lo.optimal and hi.optimal and hi.value - lo.value <= tol_eq * scale:
             implicit.append(j)
     return implicit
 

@@ -3,6 +3,7 @@
 A region is *valid* when it is full-dimensional and its intersection with
 the hyperplane of its own affine piece has dimension n-1 (the intersection
 actually carries a patch of the level set, rather than grazing a corner).
+Each dimension is one inscribed-ball LP: the ball's diameter must exceed tol_eq.
 
 Enumeration starts from one valid region found by sampling/bisection and
 propagates across facets: wherever the level set meets a facet of a known
@@ -19,9 +20,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
-from .geometry import (Polyhedron, SlicePolyhedron, hyperplane_slice,
-                       implicit_equalities, remove_redundant)
-from .linprog import lp_feasible, matrix_rank
+from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius, remove_redundant
+from .linprog import lp_feasible
 from .network import (ActivationIndicator, RegionAffine, ReluNetwork,
                       expand_candidate)
 
@@ -52,35 +52,22 @@ class EnumerationResult:
 
 def valid_test(net: ReluNetwork, ind: ActivationIndicator,
                cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
-    """Decide whether ind names a valid region.
+    """Decide whether ind names a valid region, with at most two LPs.
 
-    Checks, in order: the region is nonempty and full-dimensional; the
-    affine piece is not identically zero (w = 0, b = 0 counts as valid but
-    degenerate, w = 0 with b != 0 has an empty slice); the sliced system's
-    implicit equalities have rank exactly one, i.e. the only equality
-    forced on the slice is the hyperplane itself.
+    Checks, in order: the region's largest inscribed ball has diameter
+    > tol_eq; the affine piece is not identically zero (w = 0, b = 0 counts
+    as valid but degenerate, w = 0 with b != 0 has an empty slice); the
+    largest such ball within the hyperplane w.x + b = 0 has diameter > tol_eq.
     """
     region = net.region_constraints(ind)
-    x0 = region.feasible_point(cfg.tol_feas)
-    if x0 is None:
+    radius = inscribed_radius(region, tol_feas=cfg.tol_feas)
+    if radius is None or 2.0 * radius <= cfg.tol_eq:
         return False
-    region_implicit = implicit_equalities(region, tol_eq=cfg.tol_eq,
-                                          tol_feas=cfg.tol_feas, witnesses=[x0])
-    if region_implicit and matrix_rank(region.A[region_implicit], cfg.tol_rank) > 0:
-        return False  # not full-dimensional
-
     aff = net.affine_map(ind)
     if not aff.w.any():
         return bool(aff.b == 0.0)
-
-    sliced = hyperplane_slice(region, aff.w, aff.b).full()
-    x1 = sliced.feasible_point(cfg.tol_feas)
-    if x1 is None:
-        return False
-    slice_implicit = implicit_equalities(sliced, tol_eq=cfg.tol_eq,
-                                         tol_feas=cfg.tol_feas, witnesses=[x1])
-    rank = matrix_rank(sliced.A[slice_implicit], cfg.tol_rank)
-    return rank == 1
+    radius = inscribed_radius(region, aff.w, aff.b, tol_feas=cfg.tol_feas)
+    return radius is not None and 2.0 * radius > cfg.tol_eq
 
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
@@ -91,7 +78,7 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     aff = net.affine_map(ind)
     reduced = remove_redundant(net.region_constraints(ind), tol_feas=cfg.tol_feas)
     return ValidRegion(indicator=ind, affine=aff, constraints=reduced,
-                       slice=hyperplane_slice(reduced, aff.w, aff.b),
+                       slice=SlicePolyhedron(reduced, aff.w, aff.b),
                        degenerate=not aff.w.any())
 
 

@@ -119,7 +119,7 @@ def _header(kind, mode, region_label, transcendental, cfg, domain_flag):
         f"; mode: {mode}",
         f"; regions: {region_label}",
         f"; tolerances: tol_feas={cfg.tol_feas:g} tol_eq={cfg.tol_eq:g} "
-        f"tol_rank={cfg.tol_rank:g} tol_margin={cfg.tol_margin:g}",
+        f"tol_margin={cfg.tol_margin:g}",
     ]
     if domain_flag:
         lines.append("; domain box asserted as additional constraints")

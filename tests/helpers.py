@@ -13,7 +13,8 @@ import os
 
 import numpy as np
 
-from relubarrier import UNBOUNDED, LpProblem, lp_feasible, lp_solve, network_to_json
+from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, SlicePolyhedron,
+                         dimension, lp_feasible, lp_solve, network_to_json)
 from relubarrier.network import ReluNetwork
 
 
@@ -119,6 +120,26 @@ def vertex_minimum(c, a_ub, b_ub, a_eq=None, b_eq=None, tol=1e-9):
         if best is None or v < best[0]:
             best = (v, x)
     return best
+
+
+def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
+    """Region validity by implicit equalities and numerical rank.
+
+    The region is nonempty and full-dimensional; w = 0 makes it valid
+    exactly when b = 0; otherwise the slice is nonempty with dimension n-1.
+    """
+    region = net.region_constraints(ind)
+    if region.feasible_point(cfg.tol_feas) is None:
+        return False
+    if dimension(region, tol_eq=cfg.tol_eq, tol_feas=cfg.tol_feas) < region.dim:
+        return False
+    aff = net.affine_map(ind)
+    if not aff.w.any():
+        return bool(aff.b == 0.0)
+    sliced = SlicePolyhedron(region, aff.w, aff.b).full()
+    if sliced.feasible_point(cfg.tol_feas) is None:
+        return False
+    return dimension(sliced, tol_eq=cfg.tol_eq, tol_feas=cfg.tol_feas) == region.dim - 1
 
 
 def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relubarrier import InfeasiblePolyhedron
-from relubarrier.geometry import (Polyhedron, bounding_box, dimension,
-                                  hyperplane_slice, implicit_equalities,
-                                  remove_redundant)
+from relubarrier.geometry import (Polyhedron, SlicePolyhedron, bounding_box,
+                                  dimension, implicit_equalities,
+                                  inscribed_radius, remove_redundant)
 
 QUADRANT = Polyhedron(-np.eye(2), np.zeros(2))
 DIAMOND_SLICE = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0],
@@ -92,8 +92,21 @@ def test_remove_redundant_keeps_unbounded_rows():
     assert reduced.num_rows == 1
 
 
+def test_inscribed_radius_region_and_slice():
+    square = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([2.0, 2.0, 0.0, 0.0]))
+    assert inscribed_radius(square) == pytest.approx(1.0)      # capped at 1
+    assert inscribed_radius(Polyhedron(2 * square.A, square.d)) == pytest.approx(0.5)
+    assert inscribed_radius(QUADRANT) == pytest.approx(1.0)    # unbounded
+    # the segment x1 + x2 = 1 in the quadrant has length sqrt(2)
+    assert inscribed_radius(QUADRANT, np.array([-1.0, -1.0]), 1.0) == pytest.approx(0.5 ** 0.5)
+    # a row parallel to the hyperplane carries no radius term
+    assert inscribed_radius(DIAMOND_SLICE, np.array([1.0, 1.0]), -1.0) == pytest.approx(0.5 ** 0.5)
+    assert inscribed_radius(Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                                       np.array([0.0, -1.0]))) is None
+
+
 def test_slice_of_diamond_quadrant():
-    sl = hyperplane_slice(QUADRANT, np.array([-1.0, -1.0]), 1.0)
+    sl = SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0)
     full = sl.full()
     assert full.num_rows == 4
     assert implicit_equalities(full) == [2, 3]
@@ -101,7 +114,7 @@ def test_slice_of_diamond_quadrant():
 
 
 def test_slice_of_whole_space_is_axis():
-    sl = hyperplane_slice(Polyhedron.whole_space(2), np.array([1.0, 0.0]), 0.0)
+    sl = SlicePolyhedron(Polyhedron.whole_space(2), np.array([1.0, 0.0]), 0.0)
     assert dimension(sl.full()) == 1
     x = sl.feasible_point()
     assert x is not None
@@ -110,12 +123,12 @@ def test_slice_of_whole_space_is_axis():
 
 def test_slice_of_empty_base_infeasible():
     base = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
-    sl = hyperplane_slice(base, np.array([0.0, 1.0]), 0.0)
+    sl = SlicePolyhedron(base, np.array([0.0, 1.0]), 0.0)
     assert sl.feasible_point() is None
 
 
 def test_slice_minimize():
-    sl = hyperplane_slice(QUADRANT, np.array([-1.0, -1.0]), 1.0)
+    sl = SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0)
     out = sl.minimize(np.array([1.0, 0.0]))
     assert out.status == "optimal"
     assert out.value == pytest.approx(0.0, abs=1e-9)

@@ -100,7 +100,7 @@ def test_tolerances_and_budgets_merge(tmp_path):
     assert lp.config.bab_max_boxes == 99
     assert lp.config.seed == 7
     # untouched settings keep their defaults
-    assert lp.config.tol_rank == 1e-8
+    assert lp.config.tol_eq == 1e-7
     assert lp.config.bab_min_width == 1e-5
 
 

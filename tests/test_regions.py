@@ -1,5 +1,7 @@
 """Valid-region test, initial region search, and boundary propagation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from relubarrier import (ActivationIndicator, OracleTooLarge, ReluNetwork,
                          DEFAULT_CONFIG, parse_expression)
 
 from helpers import (all_dead_net, boundary_is_connected, diamond_net,
-                     one_d_ramp_net, random_hidden_net, scaled_output, strip_net)
+                     one_d_ramp_net, random_hidden_net, reference_valid,
+                     scaled_output, strip_net)
 
 
 def ind(*bits):
@@ -70,6 +73,49 @@ def test_validity_scale_invariant():
 
 
 # -- brute-force oracle -----------------------------------------------------------------
+
+def _all_indicators(net):
+    for flat in itertools.product((0, 1), repeat=net.num_neurons):
+        it = iter(flat)
+        yield ActivationIndicator(tuple(tuple(next(it) for _ in range(m))
+                                        for m in net.layer_sizes))
+
+
+def test_valid_test_matches_reference_on_random_nets():
+    rng = np.random.default_rng(11)
+    nets = [random_hidden_net(rng, n_in=n, neurons=m)
+            for n, m in [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5)] * 3]
+    for _ in range(5):
+        w1, w2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 3))
+        nets.append(ReluNetwork([w1, w2], [rng.normal(size=3), rng.normal(size=3)],
+                                rng.normal(size=3), float(rng.normal())))
+    valid = 0
+    for net in nets:
+        for indicator in _all_indicators(net):
+            expected = reference_valid(net, indicator)
+            assert valid_test(net, indicator) == expected, indicator.compact()
+            valid += expected
+    assert valid > 50
+
+
+@pytest.mark.parametrize("width, expected", [(5e-8, False), (9e-8, False),
+                                             (1.1e-7, True), (1e-6, True)])
+def test_strip_sliver_valid_iff_wider_than_tol_eq(width, expected):
+    # h = x1 - width/2 on the strip 0 <= x1 <= width (both units active)
+    net = ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0]])], [np.array([0.0, width])],
+                      np.array([1.0, 0.0]), -width / 2)
+    indicator = ind(1, 1)
+    assert valid_test(net, indicator) is expected
+    assert reference_valid(net, indicator) is expected
+
+
+def test_slice_on_a_facet_stays_valid():
+    # h = relu(-x1): on the region x1 <= 0 the level set x1 = 0 is its facet
+    net = ReluNetwork([np.array([[-1.0, 0.0]])], [np.array([0.0])],
+                      np.array([1.0]), 0.0)
+    assert valid_test(net, ind(1))
+    assert reference_valid(net, ind(1))
+
 
 def test_brute_force_diamond():
     assert brute_force_valid_regions(diamond_net()) == DIAMOND_INDICATORS
