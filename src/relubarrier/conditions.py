@@ -7,17 +7,20 @@ level-set patch >= -tol_margin?":
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
 * unsafe set:   g = -h_U
 
-All three go through one ladder, `_decide`: an affine objective is decided
-exactly by one LP; otherwise a derivative-free falsification search looks
-for cheap witnesses first, then interval branch-and-bound over the patch's
-bounding box verifies.  Every witness, whichever route produced it (the LP
-optimum, a point of an unbounded LP, a search point, a BaB point), passes
-the one check `_checked_witness`: it lies on the slice within tol_feas and
-g evaluated there directly is below -max(tol_margin, falsify_gate).  An LP
-point that fails the check yields `unknown`, never an unchecked
-`falsified`.  Set conditions additionally probe one sample of the set
-against the sign of h (membership side of the containment/disjointness
-arguments).
+All three go through one ladder, `_decide`, cheapest sound rung first: an
+affine objective is decided exactly by one LP; otherwise interval
+branch-and-bound (BaB) over the patch's bounding box verifies or finds a
+witness, and a derivative-free falsification search runs only when BaB
+leaves the patch undecided (`unknown`, or an unbounded patch seen only
+inside the domain box).  Each BaB box costs one batched LP: its 2n
+coordinate bounds share one phase one.  Every witness, whichever route
+produced it (the LP optimum, a point of an unbounded LP, a search point, a
+BaB point), passes the one check `_checked_witness`: it lies on the slice
+within tol_feas and g evaluated there directly is below
+-max(tol_margin, falsify_gate).  An LP point that fails the check yields
+`unknown`, never an unchecked `falsified`.  Set conditions additionally
+probe one sample of the set against the sign of h (membership side of the
+containment/disjointness arguments).
 """
 
 from __future__ import annotations
@@ -340,12 +343,37 @@ def _first_witness(sl, points, g_point, cfg) -> _Checked | None:
     return None
 
 
+def _axis_bounds(p) -> np.ndarray:
+    """(n, 2) bounds that rows with a single nonzero coefficient put on their
+    coordinate; every point of p obeys them exactly (quotients are rounded
+    outward).  Coordinates without such a row are unbounded."""
+    bounds = np.tile([-np.inf, np.inf], (p.dim, 1))
+    for a, d in zip(p.A, p.d):
+        nonzero = np.flatnonzero(a)
+        if nonzero.size != 1:
+            continue
+        j = int(nonzero[0])
+        q = d / a[j]
+        if a[j] > 0.0:
+            bounds[j, 1] = min(bounds[j, 1], q if d == 0.0 else np.nextafter(q, np.inf))
+        else:
+            bounds[j, 0] = max(bounds[j, 0], q if d == 0.0 else np.nextafter(q, -np.inf))
+    return bounds
+
+
 def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     """Certify min g >= -tol_margin over the patch, or find a witness.
 
-    Boxes are contracted to the patch's bounding box (2n LPs) before the
-    interval enclosure is taken; boxes without slice points are pruned.
-    Unbounded coordinates of the patch are clamped to the domain box.
+    Each box is contracted to the bounding box of the patch inside it (one
+    batched LP over 2n coordinate objectives, sharing one phase one); boxes
+    without slice points are pruned, and the contracted box's LP optima are
+    witness candidates.  LP optima are only accurate to tol_feas, and a
+    witness may sit tol_feas off the slice, so the interval enclosure is
+    taken over the contracted box widened by tol_feas on every side, but
+    not past a bound that a single-coordinate row of the region puts on its
+    coordinate exactly (`_axis_bounds`).  Unbounded coordinates of the
+    patch are clamped to the domain box; the verdict then speaks for the
+    part of the patch inside it only (``domain_restricted``).
     """
     sl = region.slice
     n = sl.base.dim
@@ -362,6 +390,8 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
                              note="slice leaves the domain box entirely")
 
     hit = _first_witness(sl, seeds, objective.point, cfg)
+    pad = np.array([-cfg.tol_feas, cfg.tol_feas])
+    exact = _axis_bounds(sl.base)
     queue = deque([box0])
     certified = np.inf
     stalled = False
@@ -384,7 +414,7 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
         hit = _first_witness(sl, cpts, objective.point, cfg)
         if hit is not None:
             break
-        lo, _ = objective.interval(cbox)
+        lo, _ = objective.interval(np.clip(cbox + pad, exact[:, :1], exact[:, 1:]))
         if lo >= -cfg.tol_margin:
             certified = min(certified, lo)
             continue
@@ -424,11 +454,23 @@ def verify_region_bab(region: ValidRegion, sys: DynamicsSystem,
 
 def _decide(region: ValidRegion, objective: _Objective, cfg,
             rng: np.random.Generator) -> RegionVerdict:
-    """One region's verdict: one LP for an affine g, else search then BaB."""
+    """One region's verdict: one LP for an affine g, else BaB, then the
+    falsification search only when BaB leaves the patch undecided.
+
+    BaB decides both ways and is the cheaper rung on almost every patch.
+    It leaves the patch undecided when it ends `unknown` (box budget spent,
+    or the width floor reached), and when the patch is unbounded, since it
+    then looks only inside the domain box and the search does not.  A
+    witness the search finds replaces BaB's verdict; otherwise BaB's
+    verdict and its note stand.
+    """
     if objective.affine is not None:
         return _decide_affine(region, objective, cfg)
+    verdict = _bab(region, objective, cfg)
+    if verdict.status != UNKNOWN and not verdict.domain_restricted:
+        return verdict
     found = _falsify(region, objective, cfg, rng, cfg.falsify_budget)
-    return found if found is not None else _bab(region, objective, cfg)
+    return found if found is not None else verdict
 
 
 def _decide_regions(regions, objective_of, cfg, salt: int) -> list[RegionVerdict]:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasiblePolyhedron
-from .linprog import LpProblem, lp_feasible, lp_solve, matrix_rank, OPTIMAL, UNBOUNDED
+from .linprog import (LpProblem, lp_feasible, lp_solve, matrix_rank, INFEASIBLE, OPTIMAL,
+                      UNBOUNDED)
 
 
 @dataclass
@@ -171,31 +172,32 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
 
 def bounding_box(region_a, region_d, eq_a=None, eq_d=None, *, dim: int,
                  domain: np.ndarray | None = None, tol_feas: float = 1e-7):
-    """Coordinate-wise bounds of a constraint system via 2n LPs.
+    """Coordinate-wise bounds of a constraint system: the min and max of each
+    coordinate, 2n objectives solved by one batched `lp_solve` (one phase
+    one, each phase two warm-started from the previous optimum).
 
     Returns (box (n,2), sample points, restricted) or None when infeasible;
     ``restricted`` is set when an unbounded coordinate was clamped to the
     supplied domain box.
     """
+    # objectives x1, -x1, x2, -x2, ...: minimising -x_i gives max x_i
+    signs = np.tile([1.0, -1.0], dim)
+    objectives = np.repeat(np.eye(dim), 2, axis=0) * signs[:, None]
+    outcomes = lp_solve(LpProblem(objectives, region_a, region_d, eq_a, eq_d),
+                        tol_feas=tol_feas)
+    if outcomes.status == INFEASIBLE:
+        return None
     box = np.empty((dim, 2))
     points = []
     restricted = False
-    unit = np.zeros(dim)
-    for i in range(dim):
-        unit[:] = 0.0
-        unit[i] = 1.0
-        for side, sense in ((0, "min"), (1, "max")):
-            outcome = lp_solve(LpProblem(unit.copy(), region_a, region_d, eq_a, eq_d,
-                                         sense=sense), tol_feas=tol_feas)
-            if outcome.status == OPTIMAL:
-                box[i, side] = outcome.value
-                points.append(outcome.point)
-            elif outcome.status == UNBOUNDED:
-                if domain is None:
-                    raise InfeasiblePolyhedron(
-                        "unbounded slice and no domain box to restrict to")
-                box[i, side] = domain[i, side]
-                restricted = True
-            else:
-                return None
+    for k, outcome in enumerate(outcomes):
+        i, side = divmod(k, 2)
+        if outcome.optimal:
+            box[i, side] = signs[k] * outcome.value
+            points.append(outcome.point)
+        elif domain is None:
+            raise InfeasiblePolyhedron("unbounded slice and no domain box to restrict to")
+        else:
+            box[i, side] = domain[i, side]
+            restricted = True
     return box, points, restricted

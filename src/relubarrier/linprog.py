@@ -11,6 +11,10 @@ slacks, and phase one introduces artificial variables for rows without an
 obvious basic column.  Pivoting uses Dantzig's rule until a run of
 degenerate pivots is detected, then falls back to Bland's rule, which
 guarantees termination.
+
+Several objectives over one feasible set (a ``(k, n)`` objective) share one
+tableau and one phase one; each phase two starts from the basis the previous
+one ended in.  A single objective is the k = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ _MAX_ITER = 20_000
 class LpProblem:
     """min/max ``objective . x`` s.t. ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
-    Variables are free (the solver handles the sign split internally).
+    Variables are free (the solver handles the sign split internally).  A
+    ``(k, n)`` objective stands for k problems over the same constraints.
     """
 
     objective: np.ndarray
@@ -50,9 +55,9 @@ class LpProblem:
 
     def __post_init__(self):
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = self.objective.shape[0]
-        if self.objective.ndim != 1:
-            raise MalformedProblem("objective must be a vector")
+        n = self.objective.shape[-1]
+        if self.objective.ndim > 2:
+            raise MalformedProblem("objective must be a vector or a matrix of row vectors")
         if self.sense not in ("min", "max"):
             raise MalformedProblem(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.a_ub, self.b_ub = _normalize_system(self.a_ub, self.b_ub, n, "ub")
@@ -63,7 +68,7 @@ class LpProblem:
 
     @property
     def num_vars(self) -> int:
-        return self.objective.shape[0]
+        return self.objective.shape[-1]
 
 
 @dataclass
@@ -78,6 +83,20 @@ class LpOutcome:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
+
+
+class LpOutcomes(list):
+    """The outcomes of one solve over several objectives, in objective order."""
+
+    @property
+    def status(self) -> str:
+        """INFEASIBLE when the shared feasible set is empty, UNBOUNDED when
+        some objective is unbounded, OPTIMAL when every optimum exists."""
+        statuses = {o.status for o in self}
+        for status in (INFEASIBLE, UNBOUNDED):
+            if status in statuses:
+                return status
+        return OPTIMAL
 
 
 def _normalize_system(a, b, n, tag):
@@ -231,19 +250,36 @@ def _phase_one(T, basis, art_cols, tol_feas):
     return True, T, basis
 
 
-def lp_solve(problem: LpProblem, tol_feas: float = 1e-7) -> LpOutcome:
+def lp_solve(problem: LpProblem, tol_feas: float = 1e-7) -> LpOutcome | LpOutcomes:
     """Solve a small dense LP; unboundedness and infeasibility are ordinary
-    outcomes, not errors."""
-    n = problem.num_vars
-    c = problem.objective if problem.sense == "min" else -problem.objective
+    outcomes, not errors.
+
+    A ``(k, n)`` objective is solved as k LPs over one feasible set: one
+    tableau and one phase one, then one phase two per objective, each
+    starting from the basis the previous one ended in (optimal, or still
+    feasible where it proved unboundedness).  It returns LpOutcomes, one per
+    row; a vector objective returns its single LpOutcome.
+    """
+    objectives = np.atleast_2d(problem.objective)
+    sign = 1.0 if problem.sense == "min" else -1.0
 
     T, basis, _, n_struct, art_cols = _build_tableau(problem)
     feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
     if not feasible:
-        return LpOutcome(INFEASIBLE)
-    # drop artificial columns (they sit at the end, so basis indices survive)
-    T = np.delete(T, np.s_[n_struct:-1], axis=1)
+        outcomes = [LpOutcome(INFEASIBLE) for _ in objectives]
+    else:
+        # drop artificial columns (they sit at the end, so basis indices survive)
+        T = np.delete(T, np.s_[n_struct:-1], axis=1)
+        outcomes = [_phase_two(problem, T, basis, objective, sign, n_struct, tol_feas)
+                    for objective in objectives]
+    return outcomes[0] if problem.objective.ndim == 1 else LpOutcomes(outcomes)
 
+
+def _phase_two(problem, T, basis, objective, sign, n_struct, tol_feas) -> LpOutcome:
+    """min ``sign * objective . x`` from the feasible basis in (T, basis),
+    pivoting T and basis in place."""
+    n = problem.num_vars
+    c = sign * objective
     c_std = np.zeros(n_struct)
     c_std[:n] = c
     c_std[n:2 * n] = -c
@@ -260,7 +296,7 @@ def lp_solve(problem: LpProblem, tol_feas: float = 1e-7) -> LpOutcome:
     x_std = np.zeros(n_struct)
     x_std[basis] = T[:-1, -1]
     x = x_std[:n] - x_std[n:2 * n]
-    value = float(problem.objective @ x)
+    value = float(objective @ x)
     _check_feasible(problem, x, tol_feas)
     return LpOutcome(OPTIMAL, value=value, point=x)
 

@@ -51,19 +51,24 @@ class EnumerationResult:
 
 
 def valid_test(net: ReluNetwork, ind: ActivationIndicator,
-               cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
+               cfg: VerifierConfig = DEFAULT_CONFIG, region: Polyhedron | None = None,
+               aff: RegionAffine | None = None) -> bool:
     """Decide whether ind names a valid region, with at most two LPs.
 
     Checks, in order: the region's largest inscribed ball has diameter
     > tol_eq; the affine piece is not identically zero (w = 0, b = 0 counts
     as valid but degenerate, w = 0 with b != 0 has an empty slice); the
     largest such ball within the hyperplane w.x + b = 0 has diameter > tol_eq.
+    region and aff, when given, must be net's constraints and affine piece
+    for ind; otherwise they are computed here.
     """
-    region = net.region_constraints(ind)
+    if region is None:
+        region = net.region_constraints(ind)
     radius = inscribed_radius(region, tol_feas=cfg.tol_feas)
     if radius is None or 2.0 * radius <= cfg.tol_eq:
         return False
-    aff = net.affine_map(ind)
+    if aff is None:
+        aff = net.affine_map(ind)
     if not aff.w.any():
         return bool(aff.b == 0.0)
     radius = inscribed_radius(region, aff.w, aff.b, tol_feas=cfg.tol_feas)
@@ -73,10 +78,10 @@ def valid_test(net: ReluNetwork, ind: ActivationIndicator,
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
                        cfg: VerifierConfig = DEFAULT_CONFIG) -> ValidRegion | None:
     """Validate ind and construct its ValidRegion, or None when it is not valid."""
-    if not valid_test(net, ind, cfg):
+    region, aff = net.region_constraints(ind), net.affine_map(ind)
+    if not valid_test(net, ind, cfg, region, aff):
         return None
-    aff = net.affine_map(ind)
-    reduced = remove_redundant(net.region_constraints(ind), tol_feas=cfg.tol_feas)
+    reduced = remove_redundant(region, tol_feas=cfg.tol_feas)
     return ValidRegion(indicator=ind, affine=aff, constraints=reduced,
                        slice=SlicePolyhedron(reduced, aff.w, aff.b),
                        degenerate=not aff.w.any())

@@ -186,6 +186,138 @@ def test_margin_monotonicity_never_flips_verified_to_falsified():
             assert large.status == VERIFIED
 
 
+def record_bab_boxes(monkeypatch, objective):
+    """Run-time log of _bab: ("box", contracted box) for every bounding_box
+    result and ("enclose", box) for every box the interval callable sees."""
+    events = []
+    original = conditions.bounding_box
+
+    def logged_bounding_box(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if out is not None:
+            events.append(("box", out[0].copy()))
+        return out
+
+    def logged_interval(box):
+        events.append(("enclose", np.array(box, dtype=float)))
+        return objective.interval(box)
+
+    monkeypatch.setattr(conditions, "bounding_box", logged_bounding_box)
+    return events, objective._replace(interval=logged_interval)
+
+
+def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
+    """LP-contracted boxes are only accurate to tol_feas, so the enclosure
+    covers each one widened by tol_feas on every side."""
+    net = random_hidden_net(np.random.default_rng(0), neurons=6)
+    regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
+    tol = DEFAULT_CONFIG.tol_feas
+    enclosed = 0
+    for region in regions:
+        events, objective = record_bab_boxes(
+            monkeypatch, conditions._invariance_objective(region.affine.w, sys))
+        conditions._bab(region, objective, DEFAULT_CONFIG)
+        for (kind, cbox), (next_kind, box) in zip(events, events[1:]):
+            if next_kind != "enclose":
+                continue
+            assert kind == "box"
+            assert np.all(box[:, 0] <= cbox[:, 0] - tol)
+            assert np.all(box[:, 1] >= cbox[:, 1] + tol)
+            enclosed += 1
+    assert enclosed >= 20
+
+
+def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
+    """The diamond's rows x1 >= 0 and x2 >= 0 bound their coordinate exactly,
+    so a minimum of exactly 0 on that bound (w.f = 2 x2^3 on the patch of
+    x1 <= 0 <= x2) stays verified."""
+    net, regions = diamond_regions()
+    region = next(r for r in regions if r.indicator == ind(0, 1, 1, 0))
+    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
+    events, objective = record_bab_boxes(
+        monkeypatch, conditions._invariance_objective(region.affine.w, sys))
+    verdict = conditions._bab(region, objective, DEFAULT_CONFIG)
+    assert (verdict.status, verdict.bound) == (VERIFIED, 0.0)
+    boxes = [box for kind, box in events if kind == "enclose"]
+    assert boxes and all(box[0, 1] == 0.0 and box[1, 0] == 0.0 for box in boxes)
+
+
+def counted_search(monkeypatch):
+    calls = []
+    original = conditions._falsify
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "_falsify", counted)
+    return calls
+
+
+def test_search_skipped_where_bab_verifies(monkeypatch):
+    """Decay flow on the diamond's bounded patches: w.f = 1 + |x|^2 there."""
+    calls = counted_search(monkeypatch)
+    net, regions = diamond_regions()
+    sys = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
+    result = check_invariance(net, regions, sys)
+    assert result.status == VERIFIED
+    assert all((v.method, v.domain_restricted) == ("interval", False)
+               for v in result.region_verdicts)
+    assert calls == []
+
+
+def test_search_runs_once_when_bab_runs_out_of_boxes(monkeypatch):
+    calls = counted_search(monkeypatch)
+    net, region = first_quadrant_region()
+    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)   # w.f = 0 on the patch
+    cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
+    verdict = conditions._decide(region, conditions._invariance_objective(region.affine.w, sys),
+                                 cfg, np.random.default_rng(0))
+    assert len(calls) == 1
+    assert (verdict.status, verdict.method) == (UNKNOWN, "interval")
+    assert verdict.note == "box budget 5 exhausted"
+
+
+def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
+    """Decay flow plus a drift d = (2t(1 + t^2) + 1) u: at x = t u on the
+    diamond's first-quadrant patch (t = 1 / (u1 + u2)), w.f < 0."""
+    calls = counted_search(monkeypatch)
+    u = np.array([0.6, 0.8])
+    t = 1.0 / u.sum()
+    d = (2.0 * t * (1.0 + t * t) + 1.0) * u
+    sys = DynamicsSystem.parse([f"-x1*(1 + x1^2 + x2^2) + {float(d[0])!r}",
+                                f"-x2*(1 + x1^2 + x2^2) + {float(d[1])!r}"], dim=2)
+    net, regions = diamond_regions()
+    region = next(r for r in regions if r.indicator == ind(1, 0, 1, 0))
+    g = conditions._invariance_objective(region.affine.w, sys).point
+    assert region.slice.contains(t * u) and g(t * u) < 0.0
+    result = check_invariance(net, regions, sys)
+    v = next(v for v in result.region_verdicts if v.indicator == region.indicator)
+    assert (v.status, v.method) == (FALSIFIED, "interval")
+    hit = conditions._checked_witness(region.slice, v.witness, g, DEFAULT_CONFIG)
+    assert hit is not None and hit.witness and hit.value == v.witness_value
+    assert calls == []
+
+
+def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(monkeypatch):
+    """On the line x1 = 0, w.f = 16 - x2^2 is positive inside the default
+    [-3, 3]^2 domain box and negative for |x2| > 4: BaB verifies inside the
+    box, and the search, not bound to the box, finds the witness outside."""
+    calls = counted_search(monkeypatch)
+    net = line_net()
+    region = build_valid_region(net, brute_force_valid_regions(net)[0])
+    sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
+    objective = conditions._invariance_objective(region.affine.w, sys)
+    inside = conditions._bab(region, objective, DEFAULT_CONFIG)
+    assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
+    verdict = conditions._decide(region, objective, DEFAULT_CONFIG, np.random.default_rng(0))
+    assert len(calls) == 1
+    assert (verdict.status, verdict.method) == (FALSIFIED, "search")
+    assert abs(verdict.witness[1]) > 4.0
+    assert_checked_witness(region, verdict, objective.point)
+
+
 # -- invariance aggregation ----------------------------------------------------------
 
 def test_invariance_diamond_stable_all_verified():

@@ -9,6 +9,7 @@ from relubarrier import InfeasiblePolyhedron
 from relubarrier.geometry import (Polyhedron, SlicePolyhedron, bounding_box,
                                   dimension, implicit_equalities,
                                   inscribed_radius, remove_redundant)
+from relubarrier.linprog import INFEASIBLE, OPTIMAL, LpProblem, lp_solve
 
 QUADRANT = Polyhedron(-np.eye(2), np.zeros(2))
 DIAMOND_SLICE = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0],
@@ -173,6 +174,39 @@ def test_bounded_sides_never_clamped():
         dim=2, domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert box[0, 0] == pytest.approx(5.0, abs=1e-7)
     assert box[0, 1] == pytest.approx(7.0, abs=1e-7)
+
+
+def test_bounding_box_matches_per_coordinate_lps():
+    """One batched solve per box gives the optima of 2n separate LPs, on
+    random bounded, unbounded (clamped to the domain) and empty slices."""
+    rng = np.random.default_rng(31)
+    domain = np.array([[-9.0, 9.0]] * 3)
+    outcomes = set()
+    for trial in range(60):
+        n = int(rng.integers(2, 4))
+        a = rng.normal(size=(int(rng.integers(2, 8)), n))
+        d = rng.normal(size=a.shape[0]) + (1.0 if trial % 4 else -1.0)
+        w = rng.normal(size=(1, n))
+        b = rng.normal(size=1)
+        out = bounding_box(a, d, w, b, dim=n, domain=domain[:n])
+        singles = [lp_solve(LpProblem(unit, a, d, w, b, sense=sense))
+                   for unit in np.eye(n) for sense in ("min", "max")]
+        if out is None:
+            assert all(o.status == INFEASIBLE for o in singles)
+            outcomes.add("empty")
+            continue
+        box, points, restricted = out
+        optima = [o for o in singles if o.status == OPTIMAL]
+        assert restricted == (len(optima) < 2 * n)
+        assert len(points) == len(optima)
+        for k, single in enumerate(singles):
+            i, side = divmod(k, 2)
+            want = single.value if single.status == OPTIMAL else domain[i, side]
+            assert box[i, side] == pytest.approx(want, abs=1e-7)
+        for x in points:
+            assert SlicePolyhedron(Polyhedron(a, d), w[0], -b[0]).contains(x, 1e-7)
+        outcomes.add("clamped" if restricted else "bounded")
+    assert outcomes == {"empty", "clamped", "bounded"}
 
 
 @st.composite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relubarrier import NumericalFailure
-from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
+from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcomes, LpProblem,
                                  lp_feasible, lp_solve, matrix_rank)
 
 from helpers import vertex_minimum
@@ -127,6 +127,55 @@ def test_degenerate_lp_terminates():
                              a_ub=np.vstack([a, -np.eye(n)]),
                              b_ub=np.concatenate([d, np.ones(n)])))
     assert out.status in (OPTIMAL, UNBOUNDED)
+
+
+# -- several objectives over one feasible set -----------------------------------------
+
+def assert_batch_matches_single(objectives, a_ub, b_ub, a_eq=None, b_eq=None, sense="min"):
+    """Each objective of one batched solve agrees with its own lp_solve."""
+    batch = lp_solve(LpProblem(objectives, a_ub, b_ub, a_eq, b_eq, sense=sense))
+    assert isinstance(batch, LpOutcomes) and len(batch) == len(objectives)
+    for c, got in zip(objectives, batch):
+        want = lp_solve(LpProblem(c, a_ub, b_ub, a_eq, b_eq, sense=sense))
+        assert got.status == want.status
+        if want.optimal:
+            assert got.value == pytest.approx(want.value, abs=1e-7)
+            assert got.value == pytest.approx(c @ got.point, abs=1e-12)
+            assert (a_ub @ got.point - b_ub).max() <= 1e-7
+    return batch
+
+
+def test_batched_objectives_match_single_solves():
+    """Random systems, bounded or not, feasible or not, with and without an
+    equality row: every status occurs, and each batched objective agrees
+    with a one-at-a-time solve."""
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for trial in range(120):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 7))
+        a = rng.normal(size=(m, n))
+        d = rng.normal(size=m)
+        eq = (rng.normal(size=(1, n)), rng.normal(size=1)) if trial % 3 == 0 else (None, None)
+        objectives = rng.normal(size=(int(rng.integers(1, 6)), n))
+        batch = assert_batch_matches_single(objectives, a, d, *eq,
+                                            sense="max" if trial % 2 else "min")
+        statuses = {o.status for o in batch}
+        assert batch.status == next(st for st in (INFEASIBLE, UNBOUNDED, OPTIMAL)
+                                    if st in statuses)
+        seen |= statuses
+    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
+
+def test_batched_solve_warm_starts_after_an_unbounded_objective():
+    # x1 <= 0, 0 <= x2 <= 1: min x1 is unbounded, the rest are attained
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    d = np.array([0.0, 1.0, 0.0])
+    objectives = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+    batch = assert_batch_matches_single(objectives, a, d)
+    assert [o.status for o in batch] == [UNBOUNDED, OPTIMAL, OPTIMAL, OPTIMAL, UNBOUNDED]
+    assert [o.value for o in batch[1:4]] == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
+    assert batch.status == UNBOUNDED
 
 
 def test_lp_feasible_segment():
