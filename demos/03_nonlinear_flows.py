@@ -3,8 +3,8 @@
 For affine flows one LP per region settles inf w.f exactly.  Anything
 nonlinear runs through two complementary engines instead:
 
-  * a local falsification search (sample the slice, walk downhill, repair
-    back onto the patch) that can only ever prove a violation, and
+  * a local falsification search (sample the slice, walk downhill within
+    the patch) that can only ever prove a violation, and
   * interval branch-and-bound over the patch's bounding box, which can
     certify the infimum from below -- or report Unknown when the enclosure
     never clears the margin.

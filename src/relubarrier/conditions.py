@@ -38,7 +38,7 @@ from .errors import NoRegions, SamplerExhausted, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           is_affine, _linear_form)
 from .geometry import SlicePolyhedron, bounding_box
-from .linprog import LpProblem, lp_solve, INFEASIBLE, UNBOUNDED
+from .linprog import INFEASIBLE, UNBOUNDED
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       find_initial_region, set_guided_sampler)
 
@@ -210,34 +210,15 @@ def check_region_affine(region: ValidRegion, F, c,
 
 # -- falsification search ----------------------------------------------------------
 
-def _repair_onto_slice(sl, target, cfg):
-    """Closest (Chebyshev) slice point to target, via one LP."""
-    n = sl.base.dim
-    m = sl.base.num_rows
-    a_ub = np.zeros((m + 2 * n, n + 1))
-    a_ub[:m, :n] = sl.base.A
-    a_ub[m:m + n, :n] = np.eye(n)
-    a_ub[m:m + n, n] = -1.0
-    a_ub[m + n:, :n] = -np.eye(n)
-    a_ub[m + n:, n] = -1.0
-    b_ub = np.concatenate([sl.base.d, target, -target])
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = sl.w
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    out = lp_solve(LpProblem(c, a_ub, b_ub, a_eq, np.array([-sl.b])), tol_feas=cfg.tol_feas)
-    return out.point[:n] if out.optimal else None
-
-
 def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
              budget) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, falsify_gate).
 
     Three stages: vertices of the patch from random-objective LPs, random
     convex combinations of those, and a coordinate pattern search projected
-    back onto the hyperplane (with an LP repair step when a move leaves the
-    region).  Returns a falsified verdict, or None when the search found
-    nothing (which proves nothing).
+    back onto the hyperplane; a move that leaves the region is dropped, so
+    only the vertex stage solves LPs.  Returns a falsified verdict, or None
+    when the search found nothing (which proves nothing).
     """
     sl = region.slice
     n = sl.base.dim
@@ -299,13 +280,9 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
                 y = x + step * d
                 if wnorm2 > 0.0:
                     y = y - w * ((w @ y) + b) / wnorm2   # exact projection back
-                if not sl.base.contains(y, cfg.tol_feas):
-                    y = _repair_onto_slice(sl, y, cfg)
-                    if y is None:
-                        continue
                 hit = consider(y)
                 if hit is None:
-                    continue
+                    continue   # the move left the region
                 if hit.witness:
                     return found(hit)
                 if hit.value < gx - 1e-15:
@@ -392,7 +369,9 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     hit = _first_witness(sl, seeds, objective.point, cfg)
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     exact = _axis_bounds(sl.base)
-    queue = deque([box0])
+    # (box, contracted): a bounded root is already the patch's bounding box;
+    # a domain-clamped one is contracted inside the domain box first
+    queue = deque([(box0, not restricted)])
     certified = np.inf
     stalled = False
     processed = 0
@@ -402,18 +381,19 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
             return RegionVerdict(region.indicator, UNKNOWN, "interval",
                                  domain_restricted=restricted,
                                  note=f"box budget {cfg.bab_max_boxes} exhausted")
-        box = queue.popleft()
-        sub = bounding_box(
-            np.vstack([sl.base.A, np.eye(n), -np.eye(n)]),
-            np.concatenate([sl.base.d, box[:, 1], -box[:, 0]]),
-            sl.w[None, :], np.array([-sl.b]),
-            dim=n, domain=None, tol_feas=cfg.tol_feas)
-        if sub is None:
-            continue  # the patch does not enter this box
-        cbox, cpts, _ = sub
-        hit = _first_witness(sl, cpts, objective.point, cfg)
-        if hit is not None:
-            break
+        cbox, contracted = queue.popleft()
+        if not contracted:
+            sub = bounding_box(
+                np.vstack([sl.base.A, np.eye(n), -np.eye(n)]),
+                np.concatenate([sl.base.d, cbox[:, 1], -cbox[:, 0]]),
+                sl.w[None, :], np.array([-sl.b]),
+                dim=n, domain=None, tol_feas=cfg.tol_feas)
+            if sub is None:
+                continue  # the patch does not enter this box
+            cbox, cpts, _ = sub
+            hit = _first_witness(sl, cpts, objective.point, cfg)
+            if hit is not None:
+                break
         lo, _ = objective.interval(np.clip(cbox + pad, exact[:, :1], exact[:, 1:]))
         if lo >= -cfg.tol_margin:
             certified = min(certified, lo)
@@ -428,8 +408,8 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
         left[widest, 1] = mid
         right = cbox.copy()
         right[widest, 0] = mid
-        queue.append(left)
-        queue.append(right)
+        queue.append((left, False))
+        queue.append((right, False))
 
     if hit is not None:
         return RegionVerdict(region.indicator, FALSIFIED, "interval",

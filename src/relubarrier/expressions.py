@@ -473,14 +473,6 @@ class DynamicsSystem:
     def __call__(self, x) -> np.ndarray:
         return np.array([evaluate(e, x) for e in self.exprs])
 
-    def eval_interval(self, box) -> np.ndarray:
-        """(len(exprs), 2) array of component enclosures."""
-        out = np.empty((len(self.exprs), 2))
-        for i, e in enumerate(self.exprs):
-            iv = interval_evaluate(e, box)
-            out[i] = (iv.lo, iv.hi)
-        return out
-
 
 def is_affine(sys: DynamicsSystem):
     """(F, c) with f(x) = F x + c when every component is degree <= 1,

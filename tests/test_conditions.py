@@ -12,7 +12,7 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          check_region_affine, check_unsafe_condition,
                          evaluate, falsify_region, is_affine, parse_expression,
                          verify_certificate, verify_region_bab)
-from relubarrier import conditions
+from relubarrier import conditions, geometry, linprog
 
 from helpers import diamond_net, random_hidden_net, slice_grid, CUBIC2D
 
@@ -118,6 +118,35 @@ def test_falsify_sign_change_matches_grid_oracle():
         assert hit.witness_value == pytest.approx(direct, rel=1e-9, abs=1e-12)
     else:
         assert hit is None
+
+
+def counted_lp_solves(monkeypatch):
+    """Count lp_solve calls from every package module that holds it."""
+    calls = []
+    original = linprog.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (linprog, geometry, conditions):
+        if hasattr(module, "lp_solve"):
+            monkeypatch.setattr(module, "lp_solve", counted)
+    return calls
+
+
+def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
+    """w.f = 0 on the flat patch, so the search walks its whole budget:
+    one feasible point plus max(4, budget // 5) vertex LPs, and no LP for
+    the pattern moves that leave the patch."""
+    net, region = first_quadrant_region()
+    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
+    objective = conditions._invariance_objective(region.affine.w, sys)
+    calls = counted_lp_solves(monkeypatch)
+    found = conditions._falsify(region, objective, DEFAULT_CONFIG,
+                                np.random.default_rng(0), 100)
+    assert found is None
+    assert 0 < len(calls) <= 21
 
 
 # -- branch and bound ------------------------------------------------------------------
@@ -226,6 +255,18 @@ def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
             assert np.all(box[:, 1] >= cbox[:, 1] + tol)
             enclosed += 1
     assert enclosed >= 20
+
+
+def test_bab_contracts_a_bounded_root_once(monkeypatch):
+    """The decay flow is certified on the first-quadrant patch at the root
+    box: one bounding_box call, which the root box is taken from."""
+    net, region = first_quadrant_region()
+    sys = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
+    events, objective = record_bab_boxes(
+        monkeypatch, conditions._invariance_objective(region.affine.w, sys))
+    verdict = conditions._bab(region, objective, DEFAULT_CONFIG)
+    assert (verdict.status, verdict.domain_restricted) == (VERIFIED, False)
+    assert [kind for kind, _box in events] == ["box", "enclose"]
 
 
 def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):

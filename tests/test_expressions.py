@@ -254,7 +254,3 @@ def test_dynamics_system_shape_checks():
     val = sys(np.array([1.0, 1.0]))
     assert val.shape == (2,)
     assert val[0] == pytest.approx(0.0)
-    box = np.array([[0.0, 1.0], [0.0, 1.0]])
-    ivs = sys.eval_interval(box)
-    assert ivs.shape == (2, 2)
-    assert (ivs[:, 0] <= ivs[:, 1]).all()
