@@ -266,6 +266,8 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
         return None
     x, gx = best.x, best.value
     spread = float(np.max(np.ptp(arr, axis=0))) if len(points) > 1 else 1.0
+    if spread == 0.0:   # every vertex LP ended at one point, such as a ray's apex
+        spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
     step = max(spread / 4.0, 1e-3)
     for _ in range(budget):
         improved = False
@@ -576,8 +578,14 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
         "enumeration is complete only if the level set is connected (assumed, not verified)",
     ]
     t0 = time.perf_counter()
-    sampler = set_guided_sampler(net, h_init, h_unsafe, cfg.domain(net.input_dim))
+    domain = cfg.domain(net.input_dim)
+    sampler = set_guided_sampler(net, h_init, h_unsafe, domain)
     try:
+        lo, hi = net.ibp_candidate(domain).output
+        if lo > cfg.tol_feas or hi < -cfg.tol_feas:
+            # the sampler draws from this box, so no sign change can turn up
+            raise SearchExhausted(f"h keeps one sign on the domain box: interval bound "
+                                  f"propagation encloses it in [{lo:.6g}, {hi:.6g}]")
         seed_region, search_meta = find_initial_region(
             net, sampler, cfg, np.random.default_rng(cfg.seed))
     except SearchExhausted as exc:

@@ -1,9 +1,10 @@
 """Polyhedra in inequality form and the operations the region tests need.
 
 A polyhedron is ``{x : A x <= d}``.  The region test measures dimension by
-the largest inscribed ball (``inscribed_radius``); the implicit-equality
-analysis (``implicit_equalities``, ``dimension``) is now only a reference
-for it, reading a slice through ``SlicePolyhedron.full``.
+the largest inscribed ball (``inscribed_radius``), and enumeration finds the
+rows touching a slice with one batched `lp_solve` (`regions`); the
+implicit-equality analysis (``implicit_equalities``, ``dimension``,
+``SlicePolyhedron.full``) and ``remove_redundant`` are references for them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasiblePolyhedron
-from .linprog import (LpProblem, lp_feasible, lp_solve, matrix_rank, INFEASIBLE, OPTIMAL,
-                      UNBOUNDED)
+from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_feasible, lp_solve, matrix_rank
 
 
 @dataclass
@@ -149,7 +149,7 @@ def dimension(p: Polyhedron, tol_eq: float = 1e-7, tol_rank: float = 1e-8,
 
 def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     """Drop rows that cannot be active: row j goes when max A(j).x over the
-    remaining rows stays below d(j).
+    remaining rows stays below d(j).  One LP per row; a reference only.
 
     Rows are scanned in ascending index order against the shrinking system,
     so of k duplicate rows exactly one (the last) survives.
@@ -158,14 +158,12 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
         raise InfeasiblePolyhedron("cannot reduce an empty polyhedron")
     keep = list(range(p.num_rows))
     for j in range(p.num_rows):
-        if j not in keep:
-            continue
         others = [k for k in keep if k != j]
         outcome = lp_solve(LpProblem(p.A[j], p.A[others], p.d[others], sense="max"),
                            tol_feas=tol_feas)
         if outcome.status == UNBOUNDED:
             continue
-        if outcome.status != OPTIMAL or outcome.value <= p.d[j] + tol_feas:
+        if not outcome.optimal or outcome.value <= p.d[j] + tol_feas:
             keep.remove(j)
     return Polyhedron(p.A[keep], p.d[keep])
 

@@ -52,9 +52,11 @@ class ActivationIndicator:
 
 @dataclass(frozen=True)
 class CandidateIndicator:
-    """Like an indicator but with -1 marking undetermined neurons."""
+    """Like an indicator but with -1 marking undetermined neurons; output,
+    when given, is an enclosure (lo, hi) of h over the box it came from."""
 
     bits: tuple[tuple[int, ...], ...]
+    output: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bits",
@@ -189,7 +191,7 @@ class ReluNetwork:
 
         One row per neuron in layer order: active neurons contribute
         ``-a.x <= c`` (pre-activation >= 0), inactive ones ``a.x <= -c``.
-        Duplicate rows are kept; redundancy removal is a separate concern.
+        Duplicate rows are kept; `regions.build_valid_region` drops them.
         """
         rows, consts, _, _ = self._affine_pass(ind)
         a_rows, d_vals = [], []
@@ -243,7 +245,8 @@ class ReluNetwork:
         """Interval bound propagation over an input box.
 
         Entries: 1 where the pre-activation interval is strictly positive,
-        0 where strictly negative, -1 otherwise.
+        0 where strictly negative, -1 otherwise; the output layer's interval
+        is the candidate's enclosure of h over the box.
         """
         box = np.asarray(box, dtype=float)
         if box.shape != (self.input_dim, 2):
@@ -251,15 +254,20 @@ class ReluNetwork:
         lo, hi = box[:, 0].copy(), box[:, 1].copy()
         layers = []
         for w, b in zip(self.weights, self.biases):
-            w_pos = np.maximum(w, 0.0)
-            w_neg = np.minimum(w, 0.0)
-            pre_lo = w_pos @ lo + w_neg @ hi + b
-            pre_hi = w_pos @ hi + w_neg @ lo + b
+            pre_lo, pre_hi = _affine_bounds(w, b, lo, hi)
             bits = np.where(pre_lo > 0.0, 1, np.where(pre_hi < 0.0, 0, -1))
             layers.append(tuple(int(v) for v in bits))
             lo = np.maximum(pre_lo, 0.0)
             hi = np.maximum(pre_hi, 0.0)
-        return CandidateIndicator(tuple(layers))
+        out_lo, out_hi = _affine_bounds(self.output_weights[None, :],
+                                        np.array([self.output_bias]), lo, hi)
+        return CandidateIndicator(tuple(layers), (float(out_lo[0]), float(out_hi[0])))
+
+
+def _affine_bounds(w, b, lo, hi):
+    """Bounds of w z + b over the box lo <= z <= hi."""
+    w_pos, w_neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+    return w_pos @ lo + w_neg @ hi + b, w_pos @ hi + w_neg @ lo + b
 
 
 def expand_candidate(cand: CandidateIndicator,

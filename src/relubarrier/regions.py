@@ -1,13 +1,15 @@
 """Enumerating the linear regions that carry the zero level set.
 
 A region is *valid* when it is full-dimensional and its intersection with
-the hyperplane of its own affine piece has dimension n-1 (the intersection
-actually carries a patch of the level set, rather than grazing a corner).
-Each dimension is one inscribed-ball LP: the ball's diameter must exceed tol_eq.
-
-Enumeration starts from one valid region found by sampling/bisection and
-propagates across facets: wherever the level set meets a facet of a known
-region, the indicators feasible at that point name the neighbours.
+the hyperplane of its own affine piece (its *slice*) has dimension n-1;
+each dimension is one inscribed-ball LP whose diameter must exceed tol_eq.
+A valid region then costs one batched LP, max A_j.x over the slice for each
+distinct row j: a row whose maximum reaches d_j - tol_feas touches the slice
+and its optimum is a facet point; the other rows are redundant on the slice.
+`constraints` keeps the distinct nonzero rows (the exact region), the slice
+the touching rows, which the deciders and the SMT export read.  Enumeration
+starts from one valid region found by sampling/bisection and propagates
+across facets: the indicators feasible at each facet point name neighbours.
 """
 
 from __future__ import annotations
@@ -20,24 +22,22 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
-from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius, remove_redundant
-from .linprog import lp_feasible
+from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius
+from .linprog import INFEASIBLE, LpProblem, lp_solve
 from .network import (ActivationIndicator, RegionAffine, ReluNetwork,
                       expand_candidate)
 
 
 @dataclass
 class ValidRegion:
-    """A valid region with its affine piece and reduced constraint system."""
+    """A valid region with its affine piece, its rows and its facet points."""
 
     indicator: ActivationIndicator
     affine: RegionAffine
-    constraints: Polyhedron        # irredundant region inequalities
-    slice: SlicePolyhedron         # constraints meet {w.x + b = 0}
+    constraints: Polyhedron        # the region's distinct nonzero rows
+    slice: SlicePolyhedron         # the rows touching {w.x + b = 0}, on that hyperplane
+    facet_points: list[np.ndarray] = field(default_factory=list)  # one per touching row
     degenerate: bool = False       # the piece is identically zero (w = 0, b = 0)
-
-    def key(self):
-        return self.indicator.key()
 
 
 @dataclass
@@ -59,8 +59,7 @@ def valid_test(net: ReluNetwork, ind: ActivationIndicator,
     > tol_eq; the affine piece is not identically zero (w = 0, b = 0 counts
     as valid but degenerate, w = 0 with b != 0 has an empty slice); the
     largest such ball within the hyperplane w.x + b = 0 has diameter > tol_eq.
-    region and aff, when given, must be net's constraints and affine piece
-    for ind; otherwise they are computed here.
+    region and aff, when given, are ind's constraints and affine piece.
     """
     if region is None:
         region = net.region_constraints(ind)
@@ -77,14 +76,27 @@ def valid_test(net: ReluNetwork, ind: ActivationIndicator,
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
                        cfg: VerifierConfig = DEFAULT_CONFIG) -> ValidRegion | None:
-    """Validate ind and construct its ValidRegion, or None when it is not valid."""
+    """Validate ind and construct its ValidRegion, or None when it is not valid.
+    A degenerate piece (w = 0) has no hyperplane: it keeps every row and
+    has no facet points."""
     region, aff = net.region_constraints(ind), net.affine_map(ind)
     if not valid_test(net, ind, cfg, region, aff):
         return None
-    reduced = remove_redundant(region, tol_feas=cfg.tol_feas)
-    return ValidRegion(indicator=ind, affine=aff, constraints=reduced,
-                       slice=SlicePolyhedron(reduced, aff.w, aff.b),
-                       degenerate=not aff.w.any())
+    _, first = np.unique(np.column_stack([region.A, region.d]), axis=0, return_index=True)
+    keep = [j for j in sorted(first) if region.A[j].any()]
+    exact = Polyhedron(region.A[keep], region.d[keep])
+    if not aff.w.any():
+        return ValidRegion(ind, aff, exact, SlicePolyhedron(exact, aff.w, aff.b),
+                           degenerate=True)
+    tops = lp_solve(LpProblem(exact.A, exact.A, exact.d, aff.w[None, :], np.array([-aff.b]),
+                              sense="max"), tol_feas=cfg.tol_feas)
+    if tops.status == INFEASIBLE:
+        raise NumericalFailure(f"valid region {ind.compact()} has an empty slice")
+    touching = [j for j, top in enumerate(tops)
+                if top.optimal and top.value >= exact.d[j] - cfg.tol_feas]
+    rows = Polyhedron(exact.A[touching], exact.d[touching])
+    return ValidRegion(ind, aff, exact, SlicePolyhedron(rows, aff.w, aff.b),
+                       facet_points=[tops[j].point for j in touching])
 
 
 # -- initial region search -------------------------------------------------------
@@ -186,15 +198,15 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                          cfg: VerifierConfig = DEFAULT_CONFIG) -> EnumerationResult:
     """Grow the set of valid regions across shared facets from a seed.
 
-    FIFO worklist; every facet of a known region that meets the level set
-    yields a point whose feasible indicators are validity-tested.  Output
+    FIFO worklist; at each facet point of a known region (one per row
+    touching its slice) the feasible indicators are validity-tested.  Output
     is sorted by indicator key, so the result does not depend on worklist
     scheduling.  Completeness rests on the level set being connected,
     which is assumed, not verified.
     """
-    regions: dict[tuple, ValidRegion] = {seed.key(): seed}
+    regions: dict[tuple, ValidRegion] = {seed.indicator.key(): seed}
     rejected: set[tuple] = set()
-    queue: deque[tuple] = deque([seed.key()])
+    queue: deque[tuple] = deque([seed.indicator.key()])
     visited: set[tuple] = set()
     errors: list[str] = []
     partial = False
@@ -210,20 +222,7 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                           "facet propagation skipped")
             partial = True
             continue
-        A, d = region.constraints.A, region.constraints.d
-        w, b = region.affine.w, region.affine.b
-        facet_hits = 0
-        for j in range(region.constraints.num_rows):
-            if net.input_dim == 2 and facet_hits >= 4:
-                break  # a line meets at most 4 facet-bearing edges in the plane
-            others = [k for k in range(region.constraints.num_rows) if k != j]
-            point = lp_feasible(A[others], d[others],
-                                np.vstack([w[None, :], A[j][None, :]]),
-                                np.array([-b, d[j]]),
-                                num_vars=net.input_dim, tol_feas=cfg.tol_feas)
-            if point is None:
-                continue
-            facet_hits += 1
+        for j, point in enumerate(region.facet_points):
             try:
                 neighbours = net.feasible_indicators(point, cfg.tol_zero, cfg.branch_cap)
             except CombinatorialBlowup as exc:

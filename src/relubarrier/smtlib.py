@@ -85,9 +85,9 @@ def _affine_terms(coeffs, const) -> str:
 def _region_conjuncts(region, domain_box=None) -> list[str]:
     w, b = region.affine.w, region.affine.b
     conj = [f"(= {_affine_terms(w, b)} 0)"]
-    A, d = region.constraints.A, region.constraints.d
-    for j in range(region.constraints.num_rows):
-        conj.append(f"(<= {_affine_terms(A[j], 0.0)} {format_number(d[j])})")
+    rows = region.slice.base   # the region's rows that touch the slice
+    for a, d in zip(rows.A, rows.d):
+        conj.append(f"(<= {_affine_terms(a, 0.0)} {format_number(d)})")
     if domain_box is not None:
         for i, (lo, hi) in enumerate(domain_box):
             conj.append(f"(<= x{i + 1} {format_number(hi)})")

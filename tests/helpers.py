@@ -7,15 +7,45 @@ direct evaluation, so agreement is meaningful.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import os
+import sys
 
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, SlicePolyhedron,
                          dimension, lp_feasible, lp_solve, network_to_json)
+from relubarrier import conditions, geometry, linprog, regions
 from relubarrier.network import ReluNetwork
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+
+
+def load_bench_module(name):
+    """A module of the benchmark directory, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def counted_lp_solves(monkeypatch):
+    """Count lp_solve calls from every package module that holds it."""
+    calls = []
+    original = linprog.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (linprog, geometry, regions, conditions):
+        if hasattr(module, "lp_solve"):
+            monkeypatch.setattr(module, "lp_solve", counted)
+    return calls
 
 
 # -- hand-built fixture networks ---------------------------------------------------

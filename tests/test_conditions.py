@@ -10,11 +10,12 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          brute_force_valid_regions, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_region_affine, check_unsafe_condition,
-                         evaluate, falsify_region, is_affine, parse_expression,
-                         verify_certificate, verify_region_bab)
-from relubarrier import conditions, geometry, linprog
+                         evaluate, falsify_region, is_affine, load_problem,
+                         parse_expression, verify_certificate, verify_region_bab)
+from relubarrier import conditions
 
-from helpers import diamond_net, random_hidden_net, slice_grid, CUBIC2D
+from helpers import (counted_lp_solves, diamond_net, load_bench_module,
+                     random_hidden_net, slice_grid, CUBIC2D)
 
 
 def ind(*bits):
@@ -118,21 +119,6 @@ def test_falsify_sign_change_matches_grid_oracle():
         assert hit.witness_value == pytest.approx(direct, rel=1e-9, abs=1e-12)
     else:
         assert hit is None
-
-
-def counted_lp_solves(monkeypatch):
-    """Count lp_solve calls from every package module that holds it."""
-    calls = []
-    original = linprog.lp_solve
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (linprog, geometry, conditions):
-        if hasattr(module, "lp_solve"):
-            monkeypatch.setattr(module, "lp_solve", counted)
-    return calls
 
 
 def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
@@ -356,6 +342,21 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert abs(verdict.witness[1]) > 4.0
+    assert_checked_witness(region, verdict, objective.point)
+
+
+def test_search_reaches_far_along_a_ray_shaped_patch():
+    """h = x1 from hidden units x1, -x1, x2: with the third unit off the
+    patch is the ray x1 = 0, x2 <= 0, so every vertex LP ends at its apex.
+    w.f = 16 - x2^2 is negative only for x2 < -4, beyond the domain box."""
+    net = ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])], [np.zeros(3)],
+                      np.array([1.0, -1.0, 0.0]), 0.0)
+    region = build_valid_region(net, ind(1, 0, 0))
+    sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
+    objective = conditions._invariance_objective(region.affine.w, sys)
+    verdict = conditions._decide(region, objective, DEFAULT_CONFIG, np.random.default_rng(0))
+    assert (verdict.status, verdict.method) == (FALSIFIED, "search")
+    assert verdict.witness[1] < -4.0
     assert_checked_witness(region, verdict, objective.point)
 
 
@@ -611,6 +612,27 @@ def test_verify_certificate_constant_network_structured_failure():
     assert verdict.failure is not None
     assert verdict.failure["kind"] == "search-exhausted"
     assert verdict.overall == UNKNOWN
+
+
+def test_verify_certificate_stops_when_ibp_shows_h_has_one_sign(tmp_path, monkeypatch):
+    """The benchmark's no-level-set network is negative on the whole domain
+    box; interval bound propagation shows it before any point is drawn."""
+    problems = load_bench_module("problems")
+    spec = [p for p in problems.build_workload("budget-exhaustion", 0)
+            if p.family == "no-level-set"]
+    problems.write_workload(spec, str(tmp_path))
+    problem = load_problem(spec[0].path)
+    calls, forward = [], ReluNetwork.forward
+    monkeypatch.setattr(ReluNetwork, "forward",
+                        lambda net, x: calls.append(1) or forward(net, x))
+    verdict = verify_certificate(problem.network, problem.system, problem.h_init,
+                                 problem.h_unsafe, problem.config)
+    assert verdict.failure["kind"] == "search-exhausted"
+    lo, hi = problem.network.ibp_candidate(problem.config.domain(2)).output
+    assert hi < 0.0
+    assert verdict.failure["detail"] == ("h keeps one sign on the domain box: interval "
+                                         f"bound propagation encloses it in [{lo:.6g}, {hi:.6g}]")
+    assert calls == []
 
 
 def test_verify_certificate_empty_set_reports_sampler_exhaustion():

@@ -213,6 +213,27 @@ def test_ibp_soundness_on_samples():
                         assert v <= 1e-9
 
 
+def test_ibp_output_encloses_h_on_samples():
+    rng = np.random.default_rng(23)
+    nets = [random_hidden_net(np.random.default_rng(seed)) for seed in range(6)]
+    nets += [ReluNetwork([rng.normal(size=(3, 2)), rng.normal(size=(3, 3))],
+                         [rng.normal(size=3), rng.normal(size=3)],
+                         rng.normal(size=3), float(rng.normal())) for _ in range(4)]
+    for net in nets:
+        lo = rng.uniform(-2, 1, size=2)
+        box = np.stack([lo, lo + rng.uniform(0, 1, size=2)], axis=1)
+        out_lo, out_hi = net.ibp_candidate(box).output
+        values = net.forward_many(rng.uniform(box[:, 0], box[:, 1], size=(200, 2)))
+        assert out_lo <= values.min() and values.max() <= out_hi
+
+
+def test_ibp_output_of_a_point_box_is_h():
+    net = diamond_net()
+    x = np.array([0.3, -1.2])
+    lo, hi = net.ibp_candidate(np.stack([x, x], axis=1)).output
+    assert lo == hi == pytest.approx(net.forward(x))
+
+
 # -- candidate expansion ----------------------------------------------------------------
 
 def test_expand_complete_candidate_identity():

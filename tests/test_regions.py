@@ -5,15 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from relubarrier import (ActivationIndicator, OracleTooLarge, ReluNetwork,
-                         SearchExhausted, boundary_propagation,
+from relubarrier import (ActivationIndicator, LpProblem, OracleTooLarge, ReluNetwork,
+                         SearchExhausted, SlicePolyhedron, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
-                         find_initial_region, set_guided_sampler, valid_test,
-                         DEFAULT_CONFIG, parse_expression)
+                         find_initial_region, lp_solve, remove_redundant,
+                         set_guided_sampler, valid_test, DEFAULT_CONFIG,
+                         parse_expression)
 
-from helpers import (all_dead_net, boundary_is_connected, diamond_net,
-                     one_d_ramp_net, random_hidden_net, reference_valid,
-                     scaled_output, strip_net)
+from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
+                     diamond_net, one_d_ramp_net, random_hidden_net,
+                     reference_valid, scaled_output, strip_net)
 
 
 def ind(*bits):
@@ -81,14 +82,19 @@ def _all_indicators(net):
                                         for m in net.layer_sizes))
 
 
-def test_valid_test_matches_reference_on_random_nets():
-    rng = np.random.default_rng(11)
+def random_nets(rng):
+    """20 nets: one hidden layer on 2-D and 3-D inputs, and two-layer 2-D nets."""
     nets = [random_hidden_net(rng, n_in=n, neurons=m)
             for n, m in [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5)] * 3]
     for _ in range(5):
         w1, w2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 3))
         nets.append(ReluNetwork([w1, w2], [rng.normal(size=3), rng.normal(size=3)],
                                 rng.normal(size=3), float(rng.normal())))
+    return nets
+
+
+def test_valid_test_matches_reference_on_random_nets():
+    nets = random_nets(np.random.default_rng(11))
     valid = 0
     for net in nets:
         for indicator in _all_indicators(net):
@@ -136,6 +142,86 @@ def test_brute_force_cap():
     cfg = DEFAULT_CONFIG.updated(oracle_cap=4)
     with pytest.raises(OracleTooLarge):
         brute_force_valid_regions(net, cfg)
+
+
+# -- the batched slice LP ---------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def random_regions():
+    """Every non-degenerate valid region of 20 random nets."""
+    out = []
+    for net in random_nets(np.random.default_rng(29)):
+        for indicator in _all_indicators(net):
+            region = build_valid_region(net, indicator)
+            if region is not None and not region.degenerate:
+                out.append(region)
+    assert len(out) > 50
+    return out
+
+
+def _row_set(p):
+    return {tuple(row) for row in np.column_stack([p.A, p.d])}
+
+
+def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
+    tol = DEFAULT_CONFIG.tol_feas
+    dropped = 0
+    for region in random_regions:
+        full, touching = region.constraints, _row_set(region.slice.base)
+        w, b = region.affine.w, region.affine.b
+        for a, d in zip(full.A, full.d):
+            if tuple(np.append(a, d)) in touching:
+                continue
+            top = lp_solve(LpProblem(a, full.A, full.d, w[None, :], np.array([-b]),
+                                     sense="max"))
+            assert top.optimal and top.value < d - tol
+            dropped += 1
+        # the rows of an irredundant system of the full slice all touch it
+        reference = remove_redundant(SlicePolyhedron(full, w, b).full())
+        hyperplane = {tuple(np.append(w, -b)), tuple(np.append(-w, b))}
+        assert _row_set(reference) <= touching | hyperplane
+    assert dropped > 0
+
+
+def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
+    tol = DEFAULT_CONFIG.tol_feas
+    for region in random_regions:
+        full = SlicePolyhedron(region.constraints, region.affine.w, region.affine.b)
+        rows = region.slice.base
+        assert len(region.facet_points) == rows.num_rows
+        for point, a, d in zip(region.facet_points, rows.A, rows.d):
+            assert full.contains(point, tol=tol)
+            assert abs(a @ point - d) <= tol
+
+
+def test_touching_rows_cut_out_the_same_slice(random_regions):
+    rng = np.random.default_rng(31)
+    tol = DEFAULT_CONFIG.tol_feas
+    hits = 0
+    for region in random_regions:
+        full, rows = region.constraints, region.slice.base
+        w, b = region.affine.w, region.affine.b
+        xs = rng.uniform(-3.0, 3.0, size=(400, full.dim))
+        xs -= np.outer(xs @ w + b, w) / (w @ w)   # onto the hyperplane
+        in_full = np.all(xs @ full.A.T <= full.d, axis=1)
+        in_rows = np.all(xs @ rows.A.T <= rows.d, axis=1)
+        assert np.all(in_rows[in_full])
+        assert np.all(xs[in_rows] @ full.A.T <= full.d + tol)
+        hits += int(in_full.sum())
+    assert hits > 1000
+
+
+def test_build_valid_region_solves_at_most_three_lps(monkeypatch):
+    """Two validity LPs and one batched LP over the slice."""
+    nets = [diamond_net(), random_hidden_net(np.random.default_rng(3), n_in=3, neurons=5)]
+    calls = counted_lp_solves(monkeypatch)
+    built = 0
+    for net in nets:
+        for indicator in _all_indicators(net):
+            calls.clear()
+            built += build_valid_region(net, indicator) is not None
+            assert len(calls) <= 3
+    assert built >= 4
 
 
 # -- initial region search ---------------------------------------------------------------

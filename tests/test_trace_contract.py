@@ -3,22 +3,10 @@ rebinds package functions by name, and a traced run raises when a required
 target is missing; its problem files (bench/problems.py) must load."""
 
 import importlib
-import importlib.util
-import os
-import sys
 
 from relubarrier import load_problem
 
-BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
-
-
-def load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                  os.path.join(BENCH, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_bench_module
 
 
 def test_every_required_trace_target_resolves():
