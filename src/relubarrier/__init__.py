@@ -20,18 +20,18 @@ from .errors import (CombinatorialBlowup, DimensionMismatch, DomainError,
                      SearchExhausted, UnknownIdentifier, UnsupportedDimension,
                      VariableOutOfRange)
 from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                      lp_feasible, lp_solve, matrix_rank)
+                      lp_feasible, lp_solve)
 from .expressions import (DynamicsSystem, Interval, evaluate,
                           interval_evaluate, is_affine, parse_expression,
                           to_text)
 from .network import (ActivationIndicator, CandidateIndicator, RegionAffine,
                       ReluNetwork, expand_candidate, load_network,
                       network_from_json, network_to_json)
-from .geometry import (Polyhedron, SlicePolyhedron, bounding_box, dimension,
+from .geometry import (Polyhedron, SlicePolyhedron, bounding_box,
                        implicit_equalities, inscribed_radius, remove_redundant)
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       brute_force_valid_regions, build_valid_region,
-                      find_initial_region, set_guided_sampler, valid_test)
+                      enumerate_level_set, find_initial_region, valid_test)
 from .conditions import (FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict,
                          ConditionResult, RegionVerdict, check_initial_condition,
                          check_invariance, check_region_affine,
@@ -53,16 +53,16 @@ __all__ = [
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifier",
     "VariableOutOfRange", "DomainError", "ProblemFormatError", "MissingField",
     "UnsupportedDimension",
-    "LpProblem", "LpOutcome", "lp_solve", "lp_feasible", "matrix_rank",
+    "LpProblem", "LpOutcome", "lp_solve", "lp_feasible",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "parse_expression", "evaluate", "interval_evaluate", "Interval",
     "to_text", "DynamicsSystem", "is_affine",
     "ReluNetwork", "ActivationIndicator", "CandidateIndicator", "RegionAffine",
     "expand_candidate", "network_from_json", "network_to_json", "load_network",
     "Polyhedron", "SlicePolyhedron", "inscribed_radius",
-    "implicit_equalities", "dimension", "remove_redundant", "bounding_box",
+    "implicit_equalities", "remove_redundant", "bounding_box",
     "valid_test", "build_valid_region", "ValidRegion",
-    "EnumerationResult", "set_guided_sampler", "find_initial_region",
+    "EnumerationResult", "enumerate_level_set", "find_initial_region",
     "boundary_propagation", "brute_force_valid_regions",
     "VERIFIED", "FALSIFIED", "UNKNOWN", "RegionVerdict", "ConditionResult",
     "CertificateVerdict", "check_invariance", "check_initial_condition",

@@ -19,7 +19,7 @@ from .conditions import verify_certificate
 from .errors import RelubarrierError
 from .problem import (EXIT_FAILURE, build_report, exit_code, load_problem,
                       write_report)
-from .regions import boundary_propagation, find_initial_region, set_guided_sampler
+from .regions import enumerate_level_set
 from .smtlib import export_invariance, export_set_condition
 
 _ENV_PREFIX = "RELUBARRIER_"
@@ -49,7 +49,7 @@ def _env_overrides() -> dict:
 
 def _merge_overrides(args: argparse.Namespace) -> dict:
     merged = _env_overrides()
-    for key in ("tol_feas", "tol_margin", "seed", "threads", "max_regions"):
+    for key, _cast in _ENV_KEYS.values():
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -79,15 +79,6 @@ def run_verify(args: argparse.Namespace) -> int:
         print(f"caveat: {caveat}")
     print(f"report written to {args.out}")
     return exit_code(report)
-
-
-def _enumerate(problem):
-    """Seed search then boundary propagation over the problem's domain box."""
-    cfg, net = problem.config, problem.network
-    sampler = set_guided_sampler(net, problem.h_init, problem.h_unsafe,
-                                 cfg.domain(net.input_dim))
-    seed_region, _meta = find_initial_region(net, sampler, cfg)
-    return boundary_propagation(net, seed_region, cfg)
 
 
 def _invoke_solver(template: str, path: str, timeout_s: float) -> dict:
@@ -121,7 +112,7 @@ def run_export_smt(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem, overrides=_merge_overrides(args))
     cfg = problem.config
     net = problem.network
-    regions = _enumerate(problem).regions
+    regions = enumerate_level_set(net, cfg)[0].regions
 
     mode = "monolithic" if args.monolithic else "per-region"
     domain_box = cfg.domain(net.input_dim) if args.include_domain_box else None
@@ -190,8 +181,8 @@ def run_plot(args: argparse.Namespace) -> int:
             report = json.load(fh)
         witnesses = report.get("witnesses", [])
 
-    svg = render_plot(net, _enumerate(problem).regions, problem.h_init,
-                      problem.h_unsafe, witnesses,
+    regions = enumerate_level_set(net, problem.config)[0].regions
+    svg = render_plot(net, regions, problem.h_init, problem.h_unsafe, witnesses,
                       domain=problem.config.domain(net.input_dim))
     with open(args.out, "w") as fh:
         fh.write(svg)

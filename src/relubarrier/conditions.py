@@ -13,7 +13,10 @@ branch-and-bound (BaB) over the patch's bounding box verifies or finds a
 witness, and a derivative-free falsification search runs only when BaB
 leaves the patch undecided (`unknown`, or an unbounded patch seen only
 inside the domain box).  Each BaB box costs one batched LP: its 2n
-coordinate bounds share one phase one.  Every witness, whichever route
+coordinate bounds share one phase one; each search solves one batched LP
+too.  `verify_certificate` takes its regions from
+`regions.enumerate_level_set`, the route the SMT export and the plots
+take as well.  Every witness, whichever route
 produced it (the LP optimum, a point of an unbounded LP, a search point, a
 BaB point), passes the one check `_checked_witness`: it lies on the slice
 within tol_feas and g evaluated there directly is below
@@ -39,8 +42,7 @@ from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           is_affine, _linear_form)
 from .geometry import SlicePolyhedron, bounding_box
 from .linprog import INFEASIBLE, UNBOUNDED
-from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
-                      find_initial_region, set_guided_sampler)
+from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -214,10 +216,11 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
              budget) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, falsify_gate).
 
-    Three stages: vertices of the patch from random-objective LPs, random
-    convex combinations of those, and a coordinate pattern search projected
-    back onto the hyperplane; a move that leaves the region is dropped, so
-    only the vertex stage solves LPs.  Returns a falsified verdict, or None
+    Three stages: a point of the patch and vertices from random objectives,
+    all from one batched LP (one phase one); random convex combinations of
+    those; and a coordinate pattern search projected back onto the
+    hyperplane, where a move that leaves the region is dropped, so the
+    vertex stage's LP is the only one.  Returns a falsified verdict, or None
     when the search found nothing (which proves nothing).
     """
     sl = region.slice
@@ -237,17 +240,13 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
         return RegionVerdict(region.indicator, FALSIFIED, "search",
                              witness=hit.x, witness_value=hit.value)
 
-    base = sl.feasible_point(cfg.tol_feas)
-    if base is None:
-        return None
-    hit = consider(base)
-    if hit and hit.witness:
-        return found(hit)
-
-    points = [base]
-    for _ in range(max(4, budget // 5)):
-        direction = rng.standard_normal(n)
-        out = sl.minimize(direction, cfg.tol_feas)
+    # one batched LP: row 0 (zeros) gives the phase-one point, the others vertices
+    directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, budget // 5), n))])
+    outcomes = sl.minimize(directions, cfg.tol_feas)
+    if not outcomes[0].optimal:
+        return None   # the slice is empty
+    points = []
+    for out in outcomes:
         if out.optimal:
             points.append(out.point)
             hit = consider(out.point)
@@ -578,28 +577,15 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
         "enumeration is complete only if the level set is connected (assumed, not verified)",
     ]
     t0 = time.perf_counter()
-    domain = cfg.domain(net.input_dim)
-    sampler = set_guided_sampler(net, h_init, h_unsafe, domain)
     try:
-        lo, hi = net.ibp_candidate(domain).output
-        if lo > cfg.tol_feas or hi < -cfg.tol_feas:
-            # the sampler draws from this box, so no sign change can turn up
-            raise SearchExhausted(f"h keeps one sign on the domain box: interval bound "
-                                  f"propagation encloses it in [{lo:.6g}, {hi:.6g}]")
-        seed_region, search_meta = find_initial_region(
-            net, sampler, cfg, np.random.default_rng(cfg.seed))
+        enum, search_meta = enumerate_level_set(net, cfg)
     except SearchExhausted as exc:
-        timings["search_s"] = time.perf_counter() - t0
-        timings["total_s"] = timings["search_s"]
+        timings["enumeration_s"] = timings["total_s"] = time.perf_counter() - t0
         return CertificateVerdict(
             invariance=UNKNOWN, initial_condition=UNKNOWN, unsafe_condition=UNKNOWN,
             overall=UNKNOWN, caveats=caveats,
             failure={"kind": "search-exhausted", "detail": str(exc)}, timings=timings)
-    timings["search_s"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    enum = boundary_propagation(net, seed_region, cfg)
-    timings["enumeration_s"] = time.perf_counter() - t1
+    timings["enumeration_s"] = time.perf_counter() - t0
     if enum.partial:
         caveats.append("enumeration returned partial results: " + "; ".join(enum.errors))
 

@@ -2,9 +2,8 @@
 
 A polyhedron is ``{x : A x <= d}``.  The region test measures dimension by
 the largest inscribed ball (``inscribed_radius``), and enumeration finds the
-rows touching a slice with one batched `lp_solve` (`regions`); the
-implicit-equality analysis (``implicit_equalities``, ``dimension``,
-``SlicePolyhedron.full``) and ``remove_redundant`` are references for them.
+rows touching a slice with one batched `lp_solve` (`regions`);
+``implicit_equalities`` and ``remove_redundant`` are references for them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasiblePolyhedron
-from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_feasible, lp_solve, matrix_rank
+from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_feasible, lp_solve
 
 
 @dataclass
@@ -71,16 +70,6 @@ class SlicePolyhedron:
         if self.w.shape[0] != self.base.dim:
             raise ValueError("hyperplane normal does not match the polyhedron dimension")
 
-    def full(self) -> Polyhedron:
-        """Pure-inequality form: base rows then ``w.x <= -b`` then ``-w.x <= b``."""
-        return self.base.with_rows(np.vstack([self.w, -self.w]),
-                                   np.array([-self.b, self.b]))
-
-    def feasible_point(self, tol_feas: float = 1e-7):
-        return lp_feasible(self.base.A, self.base.d,
-                           self.w[None, :], np.array([-self.b]),
-                           num_vars=self.base.dim, tol_feas=tol_feas)
-
     def contains(self, x, tol: float = 1e-7) -> bool:
         x = np.asarray(x, dtype=float)
         return self.base.contains(x, tol) and abs(float(self.w @ x) + self.b) <= tol
@@ -135,16 +124,6 @@ def implicit_equalities(p: Polyhedron, tol_eq: float = 1e-7,
         if lo.optimal and hi.optimal and hi.value - lo.value <= tol_eq * scale:
             implicit.append(j)
     return implicit
-
-
-def dimension(p: Polyhedron, tol_eq: float = 1e-7, tol_rank: float = 1e-8,
-              tol_feas: float = 1e-7) -> int:
-    """Affine dimension of a nonempty polyhedron: n minus the rank of its
-    implicit-equality rows."""
-    implicit = implicit_equalities(p, tol_eq=tol_eq, tol_feas=tol_feas)
-    if not implicit:
-        return p.dim
-    return p.dim - matrix_rank(p.A[implicit], tol_rank=tol_rank)
 
 
 def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:

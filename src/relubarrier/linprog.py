@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex and numerical rank.
+"""Dense two-phase primal simplex.
 
 The solver is deliberately self-contained: the rest of the toolkit leans on
 linear programs whose outcomes (including legitimate unboundedness and
@@ -329,31 +329,3 @@ def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, num_vars=None,
     problem = LpProblem(np.zeros(num_vars), a_ub, b_ub, a_eq, b_eq)
     outcome = lp_solve(problem, tol_feas=tol_feas)
     return outcome.point if outcome.optimal else None
-
-
-def matrix_rank(mat, tol_rank: float = 1e-8) -> int:
-    """Numerical rank by row reduction with a pivot threshold.
-
-    Rows are pre-normalized by their largest entry so the result is
-    invariant under row scaling.
-    """
-    a = np.atleast_2d(np.asarray(mat, dtype=float)).copy()
-    if a.size == 0:
-        return 0
-    norms = np.max(np.abs(a), axis=1)
-    nonzero = norms > 0.0
-    a[nonzero] = a[nonzero] / norms[nonzero, None]
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[piv, col]) <= tol_rank:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] / a[rank, col]
-        below = a[rank + 1:, col].copy()
-        a[rank + 1:] -= np.outer(below, a[rank])
-        rank += 1
-    return rank

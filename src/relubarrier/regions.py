@@ -7,9 +7,11 @@ A valid region then costs one batched LP, max A_j.x over the slice for each
 distinct row j: a row whose maximum reaches d_j - tol_feas touches the slice
 and its optimum is a facet point; the other rows are redundant on the slice.
 `constraints` keeps the distinct nonzero rows (the exact region), the slice
-the touching rows, which the deciders and the SMT export read.  Enumeration
-starts from one valid region found by sampling/bisection and propagates
-across facets: the indicators feasible at each facet point name neighbours.
+the touching rows, which the deciders and the SMT export read.
+`enumerate_level_set` is the one enumeration route: unless interval bounds
+show that h keeps one sign on the domain box, it finds one valid region by
+batched sampling and bisection and propagates across facets from it (the
+indicators feasible at each facet point name neighbours).
 """
 
 from __future__ import annotations
@@ -101,35 +103,6 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
 
 # -- initial region search -------------------------------------------------------
 
-def set_guided_sampler(net: ReluNetwork, h_init=None, h_unsafe=None,
-                       domain: np.ndarray | None = None):
-    """Point source for the initial search.
-
-    Draws uniformly from the domain box and tags each point by the first
-    set whose describing function is positive there, so the search can
-    report whether the seeding pair came from the given sets or from plain
-    domain sampling.
-    """
-    from .expressions import evaluate  # local import to avoid a cycle at import time
-
-    if domain is None:
-        domain = DEFAULT_CONFIG.domain(net.input_dim)
-
-    def draw(rng):
-        x = rng.uniform(domain[:, 0], domain[:, 1])
-        tag = "domain"
-        try:
-            if h_init is not None and evaluate(h_init, x) > 0.0:
-                tag = "initial-set"
-            elif h_unsafe is not None and evaluate(h_unsafe, x) > 0.0:
-                tag = "unsafe-set"
-        except Exception:
-            tag = "domain"
-        return x, tag
-
-    return draw
-
-
 def _bisect_to(net, x_neg, x_pos, eps):
     """Shrink a sign-bracketing pair to distance <= eps by midpoint steps."""
     x_neg = np.array(x_neg, dtype=float)
@@ -143,38 +116,31 @@ def _bisect_to(net, x_neg, x_pos, eps):
     return x_neg, x_pos
 
 
-def find_initial_region(net: ReluNetwork, sampler, cfg: VerifierConfig = DEFAULT_CONFIG,
+def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
                         rng: np.random.Generator | None = None):
     """Locate one valid region by sampling a sign change and bisecting.
 
-    Returns (ValidRegion, metadata).  Each attempt samples a pair with
-    h(x1)h(x2) < 0, bisects until the pair is eps-close, wraps it in its
-    interval hull, propagates bounds to get a candidate indicator, and runs
-    the validity test over the candidate's completions.  If interval
-    propagation leaves too many neurons undetermined, eps shrinks tenfold
-    and the bisection continues.
+    Returns (ValidRegion, {"attempts", "eps"}).  Each attempt draws 2000
+    points uniformly from the domain box as one batch, takes the first with
+    h < 0 and the first with h > 0, bisects until the pair is eps-close,
+    wraps it in its interval hull, propagates bounds to get a candidate
+    indicator, and runs the validity test over the candidate's completions.
+    If interval propagation leaves too many neurons undetermined, eps
+    shrinks tenfold and the bisection continues.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    draw_budget = 2000
+    domain = cfg.domain(net.input_dim)
     for attempt in range(1, cfg.max_attempts + 1):
-        x_neg = x_pos = None
-        tag_neg = tag_pos = None
-        for _ in range(draw_budget):
-            x, tag = sampler(rng)
-            h = net.forward(x)
-            if h < 0.0 and x_neg is None:
-                x_neg, tag_neg = x, tag
-            elif h > 0.0 and x_pos is None:
-                x_pos, tag_pos = x, tag
-            if x_neg is not None and x_pos is not None:
-                break
-        if x_neg is None or x_pos is None:
+        xs = rng.uniform(domain[:, 0], domain[:, 1], size=(2000, net.input_dim))
+        h = net.forward_many(xs)
+        neg, pos = np.flatnonzero(h < 0.0), np.flatnonzero(h > 0.0)
+        if not (neg.size and pos.size):
             continue  # no sign change found this attempt
 
         eps = cfg.bisect_eps
         while eps > 1e-13:
-            a, b = _bisect_to(net, x_neg, x_pos, eps)
+            a, b = _bisect_to(net, xs[neg[0]], xs[pos[0]], eps)
             hull = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
             cand = net.ibp_candidate(hull)
             if cand.num_unknown > cfg.branch_cap:
@@ -183,11 +149,7 @@ def find_initial_region(net: ReluNetwork, sampler, cfg: VerifierConfig = DEFAULT
             for ind in expand_candidate(cand, cfg.branch_cap):
                 region = build_valid_region(net, ind, cfg)
                 if region is not None:
-                    meta = {"attempts": attempt, "eps": eps,
-                            "pair_tags": (tag_neg, tag_pos),
-                            "mode": ("set-guided" if "domain" not in (tag_neg, tag_pos)
-                                     else "domain-uniform")}
-                    return region, meta
+                    return region, {"attempts": attempt, "eps": eps}
             break  # candidates all invalid: resample a fresh pair
     raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts")
 
@@ -259,6 +221,23 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     return EnumerationResult(regions=ordered, visited_count=len(visited),
                              connectivity_assumed=True, partial=partial,
                              errors=errors, seed_indicator=seed.indicator)
+
+
+def enumerate_level_set(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG
+                        ) -> tuple[EnumerationResult, dict]:
+    """The valid regions of one level-set component: the seed search, then
+    boundary propagation.  Returns (EnumerationResult, seed search metadata).
+
+    Raises SearchExhausted at once when interval bound propagation shows
+    that h keeps one sign on the domain box the seed search draws from,
+    since no sign change can turn up there; also when the search fails.
+    """
+    lo, hi = net.ibp_candidate(cfg.domain(net.input_dim)).output
+    if lo > cfg.tol_feas or hi < -cfg.tol_feas:
+        raise SearchExhausted(f"h keeps one sign on the domain box: interval bound "
+                              f"propagation encloses it in [{lo:.6g}, {hi:.6g}]")
+    seed, meta = find_initial_region(net, cfg)
+    return boundary_propagation(net, seed, cfg), meta
 
 
 # -- exhaustive oracle ------------------------------------------------------------

@@ -15,8 +15,9 @@ import sys
 
 import numpy as np
 
-from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, SlicePolyhedron,
-                         dimension, lp_feasible, lp_solve, network_to_json)
+from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, Polyhedron,
+                         SlicePolyhedron, implicit_equalities, lp_feasible, lp_solve,
+                         network_to_json)
 from relubarrier import conditions, geometry, linprog, regions
 from relubarrier.network import ReluNetwork
 
@@ -152,6 +153,58 @@ def vertex_minimum(c, a_ub, b_ub, a_eq=None, b_eq=None, tol=1e-9):
     return best
 
 
+# -- reference geometry: implicit equalities and numerical rank ---------------------
+
+def matrix_rank(mat, tol_rank: float = 1e-8) -> int:
+    """Numerical rank by row reduction with a pivot threshold.
+
+    Rows are pre-normalized by their largest entry so the result is
+    invariant under row scaling.
+    """
+    a = np.atleast_2d(np.asarray(mat, dtype=float)).copy()
+    if a.size == 0:
+        return 0
+    norms = np.max(np.abs(a), axis=1)
+    nonzero = norms > 0.0
+    a[nonzero] = a[nonzero] / norms[nonzero, None]
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
+        if abs(a[piv, col]) <= tol_rank:
+            continue
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] / a[rank, col]
+        below = a[rank + 1:, col].copy()
+        a[rank + 1:] -= np.outer(below, a[rank])
+        rank += 1
+    return rank
+
+
+def dimension(p: Polyhedron, tol_eq: float = 1e-7, tol_rank: float = 1e-8,
+              tol_feas: float = 1e-7) -> int:
+    """Affine dimension of a nonempty polyhedron: n minus the rank of its
+    implicit-equality rows."""
+    implicit = implicit_equalities(p, tol_eq=tol_eq, tol_feas=tol_feas)
+    if not implicit:
+        return p.dim
+    return p.dim - matrix_rank(p.A[implicit], tol_rank=tol_rank)
+
+
+def slice_full(sl) -> Polyhedron:
+    """A SlicePolyhedron in pure-inequality form: base rows, then
+    ``w.x <= -b``, then ``-w.x <= b``."""
+    return sl.base.with_rows(np.vstack([sl.w, -sl.w]), np.array([-sl.b, sl.b]))
+
+
+def slice_feasible_point(sl, tol_feas: float = 1e-7):
+    """A point of a SlicePolyhedron, or None when it is empty."""
+    return lp_feasible(sl.base.A, sl.base.d, sl.w[None, :], np.array([-sl.b]),
+                       num_vars=sl.base.dim, tol_feas=tol_feas)
+
+
 def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     """Region validity by implicit equalities and numerical rank.
 
@@ -166,7 +219,7 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     aff = net.affine_map(ind)
     if not aff.w.any():
         return bool(aff.b == 0.0)
-    sliced = SlicePolyhedron(region, aff.w, aff.b).full()
+    sliced = slice_full(SlicePolyhedron(region, aff.w, aff.b))
     if sliced.feasible_point(cfg.tol_feas) is None:
         return False
     return dimension(sliced, tol_eq=cfg.tol_eq, tol_feas=cfg.tol_feas) == region.dim - 1

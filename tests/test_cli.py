@@ -6,9 +6,11 @@ import os
 import stat
 
 import jsonschema
+import numpy as np
 import pytest
 
 from relubarrier.cli import main
+from relubarrier.network import ReluNetwork
 
 from helpers import all_dead_net, diamond_net, write_problem
 
@@ -60,6 +62,17 @@ def test_exit_three_on_structured_failure(tmp_path, capsys):
     assert code == 3
     assert report["failure"]["kind"] == "search-exhausted"
     assert "search-exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["export-smt", "plot"])
+def test_export_and_plot_exit_three_when_h_keeps_one_sign(tmp_path, capsys, command):
+    # h = -1 - relu(x1) - relu(x2) <= -1: no level set to enumerate
+    net = ReluNetwork([np.eye(2)], [np.zeros(2)], -np.ones(2), -1.0)
+    problem = write_problem(tmp_path, net, ["-x1", "-x2"], INIT, UNSAFE)
+    out = (["--out-dir", str(tmp_path / "smt")] if command == "export-smt"
+           else ["--out", str(tmp_path / "p.svg")])
+    assert main([command, "--problem", str(problem)] + out) == 3
+    assert "h keeps one sign" in capsys.readouterr().err
 
 
 def test_exit_three_on_unreadable_problem(tmp_path, capsys):
@@ -237,8 +250,6 @@ def test_plot_marks_witnesses_from_report(tmp_path):
 
 
 def test_plot_rejects_higher_dimensions(tmp_path, capsys):
-    import numpy as np
-    from relubarrier.network import ReluNetwork
     net = ReluNetwork([np.eye(4)], [np.zeros(4)], -np.ones(4), 1.0)
     problem = write_problem(tmp_path, net, ["-x1", "-x2", "-x3", "-x4"],
                             "0.04 - x1^2 - x2^2 - x3^2 - x4^2",

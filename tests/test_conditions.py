@@ -123,8 +123,8 @@ def test_falsify_sign_change_matches_grid_oracle():
 
 def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
     """w.f = 0 on the flat patch, so the search walks its whole budget:
-    one feasible point plus max(4, budget // 5) vertex LPs, and no LP for
-    the pattern moves that leave the patch."""
+    its feasible point and max(4, budget // 5) vertices come from one
+    batched LP, and the pattern moves that leave the patch solve none."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     objective = conditions._invariance_objective(region.affine.w, sys)
@@ -132,7 +132,7 @@ def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
     found = conditions._falsify(region, objective, DEFAULT_CONFIG,
                                 np.random.default_rng(0), 100)
     assert found is None
-    assert 0 < len(calls) <= 21
+    assert len(calls) == 1
 
 
 # -- branch and bound ------------------------------------------------------------------
@@ -670,7 +670,7 @@ def test_verify_certificate_timings_and_seeds_stable():
                       b.invariance_result.region_verdicts):
         assert va.status == vb.status
         assert va.bound == vb.bound
-    assert set(a.timings) >= {"search_s", "enumeration_s", "invariance_s",
+    assert set(a.timings) >= {"enumeration_s", "invariance_s",
                               "initial_s", "unsafe_s", "total_s"}
 
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from relubarrier import InfeasiblePolyhedron
 from relubarrier.geometry import (Polyhedron, SlicePolyhedron, bounding_box,
-                                  dimension, implicit_equalities,
-                                  inscribed_radius, remove_redundant)
+                                  implicit_equalities, inscribed_radius,
+                                  remove_redundant)
 from relubarrier.linprog import INFEASIBLE, OPTIMAL, LpProblem, lp_solve
+
+from helpers import dimension, slice_feasible_point, slice_full
 
 QUADRANT = Polyhedron(-np.eye(2), np.zeros(2))
 DIAMOND_SLICE = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0],
@@ -108,7 +110,7 @@ def test_inscribed_radius_region_and_slice():
 
 def test_slice_of_diamond_quadrant():
     sl = SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0)
-    full = sl.full()
+    full = slice_full(sl)
     assert full.num_rows == 4
     assert implicit_equalities(full) == [2, 3]
     assert dimension(full) == 1
@@ -116,8 +118,8 @@ def test_slice_of_diamond_quadrant():
 
 def test_slice_of_whole_space_is_axis():
     sl = SlicePolyhedron(Polyhedron.whole_space(2), np.array([1.0, 0.0]), 0.0)
-    assert dimension(sl.full()) == 1
-    x = sl.feasible_point()
+    assert dimension(slice_full(sl)) == 1
+    x = slice_feasible_point(sl)
     assert x is not None
     assert x[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -125,7 +127,7 @@ def test_slice_of_whole_space_is_axis():
 def test_slice_of_empty_base_infeasible():
     base = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
     sl = SlicePolyhedron(base, np.array([0.0, 1.0]), 0.0)
-    assert sl.feasible_point() is None
+    assert slice_feasible_point(sl) is None
 
 
 def test_slice_minimize():

@@ -5,9 +5,9 @@ import pytest
 
 from relubarrier import NumericalFailure
 from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcomes, LpProblem,
-                                 lp_feasible, lp_solve, matrix_rank)
+                                 lp_feasible, lp_solve)
 
-from helpers import vertex_minimum
+from helpers import matrix_rank, vertex_minimum
 
 
 def test_box_minimum():

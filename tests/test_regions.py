@@ -9,12 +9,12 @@ from relubarrier import (ActivationIndicator, LpProblem, OracleTooLarge, ReluNet
                          SearchExhausted, SlicePolyhedron, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
                          find_initial_region, lp_solve, remove_redundant,
-                         set_guided_sampler, valid_test, DEFAULT_CONFIG,
-                         parse_expression)
+                         valid_test, DEFAULT_CONFIG)
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
                      diamond_net, one_d_ramp_net, random_hidden_net,
-                     reference_valid, scaled_output, strip_net)
+                     reference_valid, scaled_output, slice_feasible_point,
+                     slice_full, strip_net)
 
 
 def ind(*bits):
@@ -177,7 +177,7 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
             assert top.optimal and top.value < d - tol
             dropped += 1
         # the rows of an irredundant system of the full slice all touch it
-        reference = remove_redundant(SlicePolyhedron(full, w, b).full())
+        reference = remove_redundant(slice_full(SlicePolyhedron(full, w, b)))
         hyperplane = {tuple(np.append(w, -b)), tuple(np.append(-w, b))}
         assert _row_set(reference) <= touching | hyperplane
     assert dropped > 0
@@ -226,33 +226,29 @@ def test_build_valid_region_solves_at_most_three_lps(monkeypatch):
 
 # -- initial region search ---------------------------------------------------------------
 
+class ScriptedRng:
+    """An rng whose one uniform batch is the scripted rows."""
+
+    def __init__(self, *rows):
+        self.batch = np.array(rows)
+
+    def uniform(self, low, high, size):
+        return self.batch
+
+
 def test_find_initial_region_diamond():
     net = diamond_net()
-    sampler = set_guided_sampler(net, domain=DEFAULT_CONFIG.domain(2))
-    region, meta = find_initial_region(net, sampler)
+    region, meta = find_initial_region(net)
     assert region.indicator in DIAMOND_INDICATORS
     assert meta["attempts"] >= 1
-    assert meta["mode"] in ("set-guided", "domain-uniform")
-
-
-def test_find_initial_region_set_guided_tags():
-    net = diamond_net()
-    h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
-    h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
-    sampler = set_guided_sampler(net, h_init, h_unsafe, DEFAULT_CONFIG.domain(2))
-    region, meta = find_initial_region(net, sampler)
-    assert region.indicator in DIAMOND_INDICATORS
+    assert set(meta) == {"attempts", "eps"}
 
 
 def test_bisection_pair_from_spec_lands_in_first_quadrant():
     """Deterministic bracketing pair (3,3)/(0,0) converges near (0.5, 0.5)."""
     net = diamond_net()
-    calls = iter([(np.array([3.0, 3.0]), "domain"), (np.array([0.0, 0.0]), "domain")])
-
-    def scripted_sampler(rng):
-        return next(calls)
-
-    region, meta = find_initial_region(net, scripted_sampler)
+    rng = ScriptedRng([3.0, 3.0], [0.0, 0.0])
+    region, meta = find_initial_region(net, rng=rng)
     assert region.indicator == ind(1, 0, 1, 0)
     assert meta["attempts"] == 1
 
@@ -261,21 +257,16 @@ def test_vertex_straddling_pair_expands_candidates():
     """A pair bracketing the vertex (1,0) forces unknown slots; expansion
     still finds a valid region."""
     net = diamond_net()
-    calls = iter([(np.array([2.0, 0.0]), "domain"), (np.array([0.5, 0.0]), "domain")])
-
-    def scripted_sampler(rng):
-        return next(calls)
-
-    region, _meta = find_initial_region(net, scripted_sampler)
+    rng = ScriptedRng([2.0, 0.0], [0.5, 0.0])
+    region, _meta = find_initial_region(net, rng=rng)
     assert region.indicator in DIAMOND_INDICATORS
 
 
 def test_search_exhausted_on_constant_network():
     net = all_dead_net()
-    sampler = set_guided_sampler(net, domain=DEFAULT_CONFIG.domain(2))
     cfg = DEFAULT_CONFIG.updated(max_attempts=3)
     with pytest.raises(SearchExhausted):
-        find_initial_region(net, sampler, cfg)
+        find_initial_region(net, cfg)
 
 
 # -- boundary propagation ------------------------------------------------------------------
@@ -378,6 +369,6 @@ def test_valid_region_slice_dimension():
     region = build_valid_region(net, ind(1, 0, 1, 0))
     assert region.constraints.num_rows == 2  # duplicates removed
     assert not region.degenerate
-    point = region.slice.feasible_point()
+    point = slice_feasible_point(region.slice)
     assert point is not None
     assert abs(region.affine.w @ point + region.affine.b) <= 1e-7

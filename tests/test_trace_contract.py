@@ -4,9 +4,9 @@ target is missing; its problem files (bench/problems.py) must load."""
 
 import importlib
 
-from relubarrier import load_problem
+from relubarrier import DynamicsSystem, conditions, load_problem, parse_expression
 
-from helpers import load_bench_module
+from helpers import diamond_net, load_bench_module
 
 
 def test_every_required_trace_target_resolves():
@@ -28,3 +28,22 @@ def test_every_bench_problem_file_loads(tmp_path):
         problems.write_workload(suite, str(tmp_path / name))
         for p in suite:
             assert load_problem(p.path).network.input_dim == p.dim
+
+
+def test_bench_tracer_reads_a_verify_pass():
+    """The tracer's wrappers bind the traced functions' arguments and read
+    their results, so a traced pass breaks when a signature drifts."""
+    tracing = load_bench_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        conditions.verify_certificate(
+            diamond_net(), DynamicsSystem.parse(["-x1", "-x2"], dim=2),
+            parse_expression("0.04 - x1^2 - x2^2", 2),
+            parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
+    finally:
+        tracer.uninstall()
+    metrics = {name: metric(tracer) for name, (_unit, metric) in tracing.LAYER_METRICS.items()}
+    assert metrics["regions.find_initial_region.attempts"] >= 1
+    assert metrics["regions.regions_found"] == 4
+    assert all(isinstance(value, (int, float)) for value in metrics.values())
