@@ -170,10 +170,11 @@ def run_export_smt(args: argparse.Namespace) -> int:
 
 
 def run_plot(args: argparse.Namespace) -> int:
-    from .svgplot import render_plot
+    from .svgplot import check_plane, render_plot
 
     problem = load_problem(args.problem, overrides=_merge_overrides(args))
     net = problem.network
+    check_plane(net)   # before enumerating regions that could not be drawn
 
     witnesses = []
     if args.report:

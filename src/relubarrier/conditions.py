@@ -20,7 +20,7 @@ take as well.  Every witness, whichever route
 produced it (the LP optimum, a point of an unbounded LP, a search point, a
 BaB point), passes the one check `_checked_witness`: it lies on the slice
 within tol_feas and g evaluated there directly is below
--max(tol_margin, falsify_gate).  An LP point that fails the check yields
+-max(tol_margin, FALSIFY_GATE).  An LP point that fails the check yields
 `unknown`, never an unchecked `falsified`.  Set conditions additionally
 probe one sample of the set against the sign of h (membership side of the
 containment/disjointness arguments).
@@ -36,11 +36,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, VerifierConfig
-from .errors import NoRegions, SamplerExhausted, SearchExhausted
+from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE,
+                     VerifierConfig)
+from .errors import DomainError, NoRegions, SamplerExhausted, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           is_affine, _linear_form)
-from .geometry import SlicePolyhedron, bounding_box
+from .geometry import bounding_box
 from .linprog import INFEASIBLE, UNBOUNDED
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
@@ -143,7 +144,7 @@ def _status_from_value(value, cfg):
     """Margin semantics shared by every route."""
     if value >= -cfg.tol_margin:
         return VERIFIED
-    if value < -max(cfg.tol_margin, cfg.falsify_gate):
+    if value < -max(cfg.tol_margin, FALSIFY_GATE):
         return FALSIFIED
     return UNKNOWN  # inside the float-noise band
 
@@ -151,20 +152,24 @@ def _status_from_value(value, cfg):
 class _Checked(NamedTuple):
     x: np.ndarray
     value: float      # g(x), evaluated directly
-    witness: bool     # value < -max(tol_margin, falsify_gate)
+    witness: bool     # value < -max(tol_margin, FALSIFY_GATE)
 
 
 def _checked_witness(sl, x, g_point, cfg) -> _Checked | None:
-    """Check a candidate point; None when it is not on the slice.
+    """Check a candidate point; None when it is not on the slice or g is
+    undefined there.
 
     Every route takes its witnesses from here: a witness lies on the slice
     within tol_feas, and g evaluated at it directly (not the value a solver
-    or a bound reports) is below -max(tol_margin, falsify_gate).
+    or a bound reports) is below -max(tol_margin, FALSIFY_GATE).
     """
     if x is None or not sl.contains(x, cfg.tol_feas):
         return None
     x = np.array(x, dtype=float)
-    value = g_point(x)
+    try:
+        value = g_point(x)
+    except DomainError:
+        return None
     return _Checked(x, value, _status_from_value(value, cfg) == FALSIFIED)
 
 
@@ -181,10 +186,8 @@ def _decide_affine(region: ValidRegion, objective: _Objective, cfg) -> RegionVer
                              note="slice empty")
     if outcome.status == UNBOUNDED:
         # g decreases without bound along the slice; exhibit a point in a big box
-        n = sl.base.dim
-        boxed = SlicePolyhedron(sl.base.with_rows(np.vstack([np.eye(n), -np.eye(n)]),
-                                                  np.full(2 * n, 1e6)), sl.w, sl.b)
-        outcome = boxed.minimize(coeffs, cfg.tol_feas)
+        big = np.tile([-1e6, 1e6], (sl.base.dim, 1))
+        outcome = sl.within(big).minimize(coeffs, cfg.tol_feas)
         verdict = RegionVerdict(region.indicator, FALSIFIED, "lp",
                                 note="objective unbounded below")
     else:
@@ -212,9 +215,8 @@ def check_region_affine(region: ValidRegion, F, c,
 
 # -- falsification search ----------------------------------------------------------
 
-def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
-             budget) -> RegionVerdict | None:
-    """Hunt for a slice point with g < -max(tol_margin, falsify_gate).
+def _falsify(region: ValidRegion, objective: _Objective, cfg, rng) -> RegionVerdict | None:
+    """Hunt for a slice point with g < -max(tol_margin, FALSIFY_GATE).
 
     Three stages: a point of the patch and vertices from random objectives,
     all from one batched LP (one phase one); random convex combinations of
@@ -241,7 +243,7 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
                              witness=hit.x, witness_value=hit.value)
 
     # one batched LP: row 0 (zeros) gives the phase-one point, the others vertices
-    directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, budget // 5), n))])
+    directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, FALSIFY_BUDGET // 5), n))])
     outcomes = sl.minimize(directions, cfg.tol_feas)
     if not outcomes[0].optimal:
         return None   # the slice is empty
@@ -254,7 +256,7 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
                 return found(hit)
 
     arr = np.array(points)
-    for _ in range(max(4, budget // 3)):
+    for _ in range(max(4, FALSIFY_BUDGET // 3)):
         weights = rng.random(len(points))
         weights /= weights.sum()
         hit = consider(weights @ arr)
@@ -268,7 +270,7 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
     if spread == 0.0:   # every vertex LP ended at one point, such as a ray's apex
         spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
     step = max(spread / 4.0, 1e-3)
-    for _ in range(budget):
+    for _ in range(FALSIFY_BUDGET):
         improved = False
         for i in range(n):
             for sign in (1.0, -1.0):
@@ -298,16 +300,14 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng,
 
 def falsify_region(region: ValidRegion, sys: DynamicsSystem,
                    cfg: VerifierConfig = DEFAULT_CONFIG,
-                   rng: np.random.Generator | None = None,
-                   budget: int | None = None) -> RegionVerdict | None:
+                   rng: np.random.Generator | None = None) -> RegionVerdict | None:
     """Search for an invariance counterexample on one region.
 
     Returns a falsified RegionVerdict with a re-validated witness, or None
     when the search found nothing (which proves nothing).
     """
     return _falsify(region, _invariance_objective(region.affine.w, sys), cfg,
-                    rng if rng is not None else np.random.default_rng(cfg.seed),
-                    budget or cfg.falsify_budget)
+                    rng if rng is not None else np.random.default_rng(cfg.seed))
 
 
 # -- interval branch-and-bound ------------------------------------------------------
@@ -356,8 +356,7 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     sl = region.slice
     n = sl.base.dim
 
-    root = bounding_box(sl.base.A, sl.base.d, sl.w[None, :], np.array([-sl.b]),
-                        dim=n, domain=cfg.domain(n), tol_feas=cfg.tol_feas)
+    root = bounding_box(sl, cfg.domain(n), cfg.tol_feas)
     if root is None:
         return RegionVerdict(region.indicator, VERIFIED, "interval", vacuous=True,
                              note="slice empty")
@@ -384,11 +383,7 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
                                  note=f"box budget {cfg.bab_max_boxes} exhausted")
         cbox, contracted = queue.popleft()
         if not contracted:
-            sub = bounding_box(
-                np.vstack([sl.base.A, np.eye(n), -np.eye(n)]),
-                np.concatenate([sl.base.d, cbox[:, 1], -cbox[:, 0]]),
-                sl.w[None, :], np.array([-sl.b]),
-                dim=n, domain=None, tol_feas=cfg.tol_feas)
+            sub = bounding_box(sl.within(cbox), tol_feas=cfg.tol_feas)
             if sub is None:
                 continue  # the patch does not enter this box
             cbox, cpts, _ = sub
@@ -401,7 +396,7 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
             continue
         widths = cbox[:, 1] - cbox[:, 0]
         widest = int(np.argmax(widths))
-        if widths[widest] < cfg.bab_min_width:
+        if widths[widest] < BAB_MIN_WIDTH:
             stalled = True
             continue
         mid = 0.5 * (cbox[widest, 0] + cbox[widest, 1])
@@ -440,17 +435,22 @@ def _decide(region: ValidRegion, objective: _Objective, cfg,
 
     BaB decides both ways and is the cheaper rung on almost every patch.
     It leaves the patch undecided when it ends `unknown` (box budget spent,
-    or the width floor reached), and when the patch is unbounded, since it
-    then looks only inside the domain box and the search does not.  A
-    witness the search finds replaces BaB's verdict; otherwise BaB's
-    verdict and its note stand.
+    the width floor reached, or g undefined somewhere in a box it
+    encloses), and when the patch is unbounded, since it then looks only
+    inside the domain box and the search does not.  A witness the search
+    finds replaces BaB's verdict; otherwise BaB's verdict and its note
+    stand.
     """
     if objective.affine is not None:
         return _decide_affine(region, objective, cfg)
-    verdict = _bab(region, objective, cfg)
+    try:
+        verdict = _bab(region, objective, cfg)
+    except DomainError as exc:
+        verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
+                                note=f"interval enclosure failed: {exc}")
     if verdict.status != UNKNOWN and not verdict.domain_restricted:
         return verdict
-    found = _falsify(region, objective, cfg, rng, cfg.falsify_budget)
+    found = _falsify(region, objective, cfg, rng)
     return found if found is not None else verdict
 
 
@@ -492,12 +492,12 @@ def _eval_positive_mask(expr, xs):
     """Boolean mask of rows where expr > 0, tolerating domain errors."""
     try:
         return np.asarray(evaluate(expr, xs)) > 0.0
-    except Exception:
+    except DomainError:
         mask = np.zeros(len(xs), dtype=bool)
         for i, x in enumerate(xs):
             try:
                 mask[i] = evaluate(expr, x) > 0.0
-            except Exception:
+            except DomainError:
                 mask[i] = False
         return mask
 

@@ -1,15 +1,26 @@
 """Tolerances, budgets and run configuration.
 
-All numerical decisions in the toolkit flow through a single
-:class:`VerifierConfig` so that reports can echo the exact settings a
-verdict was produced under.
+Every number a verdict depends on is defined here: the fields of
+:class:`VerifierConfig`, which inputs may set and reports echo, and the
+fixed module constants, which the package version pins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+
+# -- fixed numbers ---------------------------------------------------------
+TOL_EQ = 1e-7         # full-dimensional: the largest inscribed ball is wider than this
+TOL_ZERO = 1e-9       # pre-activations this close to zero branch both ways
+FALSIFY_GATE = 1e-9   # a witness needs g < -max(tol_margin, FALSIFY_GATE) (float noise)
+BRANCH_CAP = 20       # max simultaneously-ambiguous neurons before expansion refuses
+ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
+BISECT_EPS = 1e-3     # seed-search bisection stops once the pair is this close
+FALSIFY_BUDGET = 100  # falsification-search budget per patch
+BAB_MIN_WIDTH = 1e-5  # BaB stops splitting boxes narrower than this in every coordinate
 
 
 @dataclass(frozen=True)
@@ -17,32 +28,15 @@ class VerifierConfig:
     # -- tolerances ------------------------------------------------------
     #: feasibility slack accepted when checking points against constraints
     tol_feas: float = 1e-7
-    #: a region (or its level-set slice) is full-dimensional when its largest
-    #: inscribed ball has a diameter above this
-    tol_eq: float = 1e-7
-    #: pre-activations within this of zero branch both ways
-    tol_zero: float = 1e-9
     #: verification margin: a region passes when its certified lower bound
     #: is >= -tol_margin
     tol_margin: float = 0.0
-    #: falsification witnesses must beat this strictly (float-noise gate)
-    falsify_gate: float = 1e-9
 
     # -- budgets ---------------------------------------------------------
-    #: max simultaneously-ambiguous neurons before expansion refuses
-    branch_cap: int = 20
-    #: max total neuron count accepted by the exhaustive oracle
-    oracle_cap: int = 16
-    #: bisection stops once the bracketing pair is this close
-    bisect_eps: float = 1e-3
     #: attempts of the sample/bisect/expand loop before giving up
     max_attempts: int = 50
-    #: candidate evaluations per region during falsification
-    falsify_budget: int = 100
     #: boxes processed per region by branch-and-bound before Unknown
     bab_max_boxes: int = 4000
-    #: boxes narrower than this in every coordinate stop splitting
-    bab_min_width: float = 1e-5
     #: rejection-sampling budget for set-membership probes
     membership_samples: int = 100_000
     #: cap on enumerated regions (None = unlimited)

@@ -1,6 +1,7 @@
 """Polyhedra in inequality form and the operations the region tests need.
 
-A polyhedron is ``{x : A x <= d}``.  The region test measures dimension by
+A polyhedron is ``{x : A x <= d}``; `SlicePolyhedron.minimize` is where a
+level-set slice becomes an LP.  The region test measures dimension by
 the largest inscribed ball (``inscribed_radius``), and enumeration finds the
 rows touching a slice with one batched `lp_solve` (`regions`);
 ``implicit_equalities`` and ``remove_redundant`` are references for them.
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TOL_EQ
 from .errors import InfeasiblePolyhedron
 from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_feasible, lp_solve
 
@@ -55,6 +57,11 @@ class Polyhedron:
         extra_d = np.atleast_1d(np.asarray(extra_d, dtype=float))
         return Polyhedron(np.vstack([self.A, extra_a]), np.concatenate([self.d, extra_d]))
 
+    def within(self, box) -> "Polyhedron":
+        """The polyhedron cut to an (n, 2) box: rows ``x <= hi``, then ``-x <= -lo``."""
+        return self.with_rows(np.vstack([np.eye(self.dim), -np.eye(self.dim)]),
+                              np.concatenate([box[:, 1], -box[:, 0]]))
+
 
 @dataclass
 class SlicePolyhedron:
@@ -74,8 +81,13 @@ class SlicePolyhedron:
         x = np.asarray(x, dtype=float)
         return self.base.contains(x, tol) and abs(float(self.w @ x) + self.b) <= tol
 
+    def within(self, box) -> "SlicePolyhedron":
+        """The slice cut to an (n, 2) box (see `Polyhedron.within`)."""
+        return SlicePolyhedron(self.base.within(box), self.w, self.b)
+
     def minimize(self, objective, tol_feas: float = 1e-7):
-        """min objective.x over the slice (equality handled natively)."""
+        """min objective.x over the slice (equality handled natively); a
+        ``(k, n)`` objective is k LPs sharing one phase one."""
         problem = LpProblem(objective, self.base.A, self.base.d,
                             self.w[None, :], np.array([-self.b]))
         return lp_solve(problem, tol_feas=tol_feas)
@@ -106,7 +118,7 @@ def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
     return outcome.value if outcome.optimal else None
 
 
-def implicit_equalities(p: Polyhedron, tol_eq: float = 1e-7,
+def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
                         tol_feas: float = 1e-7) -> list[int]:
     """Indices of rows j where A(j).x is constant over p.
 
@@ -147,9 +159,9 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     return Polyhedron(p.A[keep], p.d[keep])
 
 
-def bounding_box(region_a, region_d, eq_a=None, eq_d=None, *, dim: int,
-                 domain: np.ndarray | None = None, tol_feas: float = 1e-7):
-    """Coordinate-wise bounds of a constraint system: the min and max of each
+def bounding_box(sl: SlicePolyhedron, domain: np.ndarray | None = None,
+                 tol_feas: float = 1e-7):
+    """Coordinate-wise bounds of a slice: the min and max of each
     coordinate, 2n objectives solved by one batched `lp_solve` (one phase
     one, each phase two warm-started from the previous optimum).
 
@@ -157,11 +169,10 @@ def bounding_box(region_a, region_d, eq_a=None, eq_d=None, *, dim: int,
     ``restricted`` is set when an unbounded coordinate was clamped to the
     supplied domain box.
     """
+    dim = sl.base.dim
     # objectives x1, -x1, x2, -x2, ...: minimising -x_i gives max x_i
     signs = np.tile([1.0, -1.0], dim)
-    objectives = np.repeat(np.eye(dim), 2, axis=0) * signs[:, None]
-    outcomes = lp_solve(LpProblem(objectives, region_a, region_d, eq_a, eq_d),
-                        tol_feas=tol_feas)
+    outcomes = sl.minimize(np.repeat(np.eye(dim), 2, axis=0) * signs[:, None], tol_feas)
     if outcomes.status == INFEASIBLE:
         return None
     box = np.empty((dim, 2))

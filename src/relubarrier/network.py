@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BRANCH_CAP, TOL_ZERO
 from .errors import (CombinatorialBlowup, DimensionMismatch, MissingField,
                      ProblemFormatError)
 from .geometry import Polyhedron
@@ -207,8 +208,8 @@ class ReluNetwork:
 
     # -- indicators from points and boxes --------------------------------------
 
-    def feasible_indicators(self, x, tol_zero: float = 1e-9,
-                            branch_cap: int = 20) -> list[ActivationIndicator]:
+    def feasible_indicators(self, x, tol_zero: float = TOL_ZERO,
+                            branch_cap: int = BRANCH_CAP) -> list[ActivationIndicator]:
         """All indicators whose region contains x.
 
         Neurons with |pre-activation| <= tol_zero are branched both ways,
@@ -271,7 +272,7 @@ def _affine_bounds(w, b, lo, hi):
 
 
 def expand_candidate(cand: CandidateIndicator,
-                     branch_cap: int = 20) -> list[ActivationIndicator]:
+                     branch_cap: int = BRANCH_CAP) -> list[ActivationIndicator]:
     """All completions of a candidate's -1 slots, in lexicographic order
     (slots enumerated layer-major, 0 before 1)."""
     slots = [(i, j) for i, layer in enumerate(cand.bits)

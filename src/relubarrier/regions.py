@@ -2,7 +2,7 @@
 
 A region is *valid* when it is full-dimensional and its intersection with
 the hyperplane of its own affine piece (its *slice*) has dimension n-1;
-each dimension is one inscribed-ball LP whose diameter must exceed tol_eq.
+each dimension is one inscribed-ball LP whose diameter must exceed TOL_EQ.
 A valid region then costs one batched LP, max A_j.x over the slice for each
 distinct row j: a row whose maximum reaches d_j - tol_feas touches the slice
 and its optimum is a facet point; the other rows are redundant on the slice.
@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, VerifierConfig
+from .config import (BISECT_EPS, BRANCH_CAP, DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ,
+                     VerifierConfig)
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
 from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius
-from .linprog import INFEASIBLE, LpProblem, lp_solve
+from .linprog import INFEASIBLE
 from .network import (ActivationIndicator, RegionAffine, ReluNetwork,
                       expand_candidate)
 
@@ -58,22 +59,22 @@ def valid_test(net: ReluNetwork, ind: ActivationIndicator,
     """Decide whether ind names a valid region, with at most two LPs.
 
     Checks, in order: the region's largest inscribed ball has diameter
-    > tol_eq; the affine piece is not identically zero (w = 0, b = 0 counts
+    > TOL_EQ; the affine piece is not identically zero (w = 0, b = 0 counts
     as valid but degenerate, w = 0 with b != 0 has an empty slice); the
-    largest such ball within the hyperplane w.x + b = 0 has diameter > tol_eq.
+    largest such ball within the hyperplane w.x + b = 0 has diameter > TOL_EQ.
     region and aff, when given, are ind's constraints and affine piece.
     """
     if region is None:
         region = net.region_constraints(ind)
     radius = inscribed_radius(region, tol_feas=cfg.tol_feas)
-    if radius is None or 2.0 * radius <= cfg.tol_eq:
+    if radius is None or 2.0 * radius <= TOL_EQ:
         return False
     if aff is None:
         aff = net.affine_map(ind)
     if not aff.w.any():
         return bool(aff.b == 0.0)
     radius = inscribed_radius(region, aff.w, aff.b, tol_feas=cfg.tol_feas)
-    return radius is not None and 2.0 * radius > cfg.tol_eq
+    return radius is not None and 2.0 * radius > TOL_EQ
 
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
@@ -90,12 +91,11 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     if not aff.w.any():
         return ValidRegion(ind, aff, exact, SlicePolyhedron(exact, aff.w, aff.b),
                            degenerate=True)
-    tops = lp_solve(LpProblem(exact.A, exact.A, exact.d, aff.w[None, :], np.array([-aff.b]),
-                              sense="max"), tol_feas=cfg.tol_feas)
+    tops = SlicePolyhedron(exact, aff.w, aff.b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
     if tops.status == INFEASIBLE:
         raise NumericalFailure(f"valid region {ind.compact()} has an empty slice")
     touching = [j for j, top in enumerate(tops)
-                if top.optimal and top.value >= exact.d[j] - cfg.tol_feas]
+                if top.optimal and -top.value >= exact.d[j] - cfg.tol_feas]
     rows = Polyhedron(exact.A[touching], exact.d[touching])
     return ValidRegion(ind, aff, exact, SlicePolyhedron(rows, aff.w, aff.b),
                        facet_points=[tops[j].point for j in touching])
@@ -138,15 +138,15 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
         if not (neg.size and pos.size):
             continue  # no sign change found this attempt
 
-        eps = cfg.bisect_eps
+        eps = BISECT_EPS
         while eps > 1e-13:
             a, b = _bisect_to(net, xs[neg[0]], xs[pos[0]], eps)
             hull = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
             cand = net.ibp_candidate(hull)
-            if cand.num_unknown > cfg.branch_cap:
+            if cand.num_unknown > BRANCH_CAP:
                 eps /= 10.0
                 continue
-            for ind in expand_candidate(cand, cfg.branch_cap):
+            for ind in expand_candidate(cand):
                 region = build_valid_region(net, ind, cfg)
                 if region is not None:
                     return region, {"attempts": attempt, "eps": eps}
@@ -186,7 +186,7 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
             continue
         for j, point in enumerate(region.facet_points):
             try:
-                neighbours = net.feasible_indicators(point, cfg.tol_zero, cfg.branch_cap)
+                neighbours = net.feasible_indicators(point)
             except CombinatorialBlowup as exc:
                 errors.append(f"region {region.indicator.compact()} facet {j}: {exc}")
                 partial = True
@@ -247,11 +247,11 @@ def brute_force_valid_regions(net: ReluNetwork,
                               ) -> list[ActivationIndicator]:
     """Every valid indicator by exhaustive enumeration, in canonical order.
 
-    Exponential in the neuron count; refuses networks above cfg.oracle_cap.
+    Exponential in the neuron count; refuses networks above ORACLE_CAP neurons.
     """
     total = net.num_neurons
-    if total > cfg.oracle_cap:
-        raise OracleTooLarge(f"{total} neurons exceed the oracle cap {cfg.oracle_cap}")
+    if total > ORACLE_CAP:
+        raise OracleTooLarge(f"{total} neurons exceed the oracle cap {ORACLE_CAP}")
     sizes = net.layer_sizes
     out = []
     for flat in itertools.product((0, 1), repeat=total):

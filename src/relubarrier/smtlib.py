@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_CONFIG, VerifierConfig
+from .config import DEFAULT_CONFIG, TOL_EQ, VerifierConfig
 from .expressions import (Add, Const, Div, DynamicsSystem, Expr, Func, Mul,
                           Neg, Pow, Sub, Var)
 
@@ -118,7 +118,7 @@ def _header(kind, mode, region_label, transcendental, cfg, domain_flag):
         f"; relubarrier {__version__} {kind} query",
         f"; mode: {mode}",
         f"; regions: {region_label}",
-        f"; tolerances: tol_feas={cfg.tol_feas:g} tol_eq={cfg.tol_eq:g} "
+        f"; tolerances: tol_feas={cfg.tol_feas:g} tol_eq={TOL_EQ:g} "
         f"tol_margin={cfg.tol_margin:g}",
     ]
     if domain_flag:

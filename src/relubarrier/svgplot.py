@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import UnsupportedDimension
+from .errors import DomainError, UnsupportedDimension
 from .expressions import evaluate
-from .linprog import LpProblem, lp_solve
+from .geometry import SlicePolyhedron
 
 _SIZE = 640.0
 _MARGIN = 48.0
@@ -75,29 +75,16 @@ def _clip_vertices(A, d, tol=1e-7):
     return uniq
 
 
-def _box_rows(domain):
-    a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    d = np.array([domain[0, 1], -domain[0, 0], domain[1, 1], -domain[1, 0]])
-    return a, d
-
-
 def _slice_segment(region, domain, tol=1e-7):
-    """Endpoints of the level-set segment inside the domain box (LP pair)."""
+    """Endpoints of the level-set segment inside the domain box: min and
+    max of the direction along it, one batched LP."""
     w, b = region.affine.w, region.affine.b
     t = np.array([-w[1], w[0]])
     if not t.any():
         return None
-    box_a, box_d = _box_rows(domain)
-    a_ub = np.vstack([region.constraints.A, box_a])
-    b_ub = np.concatenate([region.constraints.d, box_d])
-    ends = []
-    for sense in ("min", "max"):
-        out = lp_solve(LpProblem(t, a_ub, b_ub, w[None, :], np.array([-b]),
-                                 sense=sense), tol_feas=tol)
-        if not out.optimal:
-            return None
-        ends.append(out.point)
-    return ends
+    ends = SlicePolyhedron(region.constraints, w, b).within(domain).minimize(
+        np.array([t, -t]), tol)
+    return [out.point for out in ends] if all(out.optimal for out in ends) else None
 
 
 def _marching_squares(expr, domain, grid=_GRID):
@@ -108,13 +95,13 @@ def _marching_squares(expr, domain, grid=_GRID):
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     try:
         vals = np.asarray(evaluate(expr, pts), dtype=float).reshape(grid, grid)
-    except Exception:
+    except DomainError:
         vals = np.full((grid, grid), np.nan)
         for i in range(grid):
             for j in range(grid):
                 try:
                     vals[i, j] = evaluate(expr, np.array([xs[i], ys[j]]))
-                except Exception:
+                except DomainError:
                     pass
 
     segments = []
@@ -142,17 +129,21 @@ def _marching_squares(expr, domain, grid=_GRID):
     return segments
 
 
-def render_plot(network, regions, h_init, h_unsafe, witnesses,
-                domain=None) -> str:
-    """SVG text for one run; regions in canonical order fix the palette."""
+def check_plane(network) -> None:
+    """Raise UnsupportedDimension unless the network has a 2-D input space."""
     if network.input_dim != 2:
         raise UnsupportedDimension(f"plotting needs a 2-D input space, "
                                    f"got {network.input_dim}")
+
+
+def render_plot(network, regions, h_init, h_unsafe, witnesses,
+                domain=None) -> str:
+    """SVG text for one run; regions in canonical order fix the palette."""
+    check_plane(network)
     if domain is None:
         domain = DEFAULT_CONFIG.domain(2)
     domain = np.asarray(domain, dtype=float)
     frame = _Frame(domain)
-    box_a, box_d = _box_rows(domain)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -163,9 +154,8 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
 
     # region polygons clipped to the domain box
     for idx, region in enumerate(regions):
-        A = np.vstack([region.constraints.A, box_a])
-        d = np.concatenate([region.constraints.d, box_d])
-        verts = _clip_vertices(A, d)
+        clipped = region.constraints.within(domain)
+        verts = _clip_vertices(clipped.A, clipped.d)
         if len(verts) < 3:
             continue
         points = " ".join(frame.pt(p[0], p[1]) for p in verts)

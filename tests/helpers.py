@@ -19,6 +19,7 @@ from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, Polyhedron,
                          SlicePolyhedron, implicit_equalities, lp_feasible, lp_solve,
                          network_to_json)
 from relubarrier import conditions, geometry, linprog, regions
+from relubarrier.config import TOL_EQ
 from relubarrier.network import ReluNetwork
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
@@ -183,7 +184,7 @@ def matrix_rank(mat, tol_rank: float = 1e-8) -> int:
     return rank
 
 
-def dimension(p: Polyhedron, tol_eq: float = 1e-7, tol_rank: float = 1e-8,
+def dimension(p: Polyhedron, tol_eq: float = TOL_EQ, tol_rank: float = 1e-8,
               tol_feas: float = 1e-7) -> int:
     """Affine dimension of a nonempty polyhedron: n minus the rank of its
     implicit-equality rows."""
@@ -214,7 +215,7 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     region = net.region_constraints(ind)
     if region.feasible_point(cfg.tol_feas) is None:
         return False
-    if dimension(region, tol_eq=cfg.tol_eq, tol_feas=cfg.tol_feas) < region.dim:
+    if dimension(region, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) < region.dim:
         return False
     aff = net.affine_map(ind)
     if not aff.w.any():
@@ -222,7 +223,7 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     sliced = slice_full(SlicePolyhedron(region, aff.w, aff.b))
     if sliced.feasible_point(cfg.tol_feas) is None:
         return False
-    return dimension(sliced, tol_eq=cfg.tol_eq, tol_feas=cfg.tol_feas) == region.dim - 1
+    return dimension(sliced, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) == region.dim - 1
 
 
 def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from relubarrier import cli
 from relubarrier.cli import main
 from relubarrier.network import ReluNetwork
 
@@ -249,7 +250,11 @@ def test_plot_marks_witnesses_from_report(tmp_path):
     assert out.read_text().count('class="witness-marker"') == witness_count
 
 
-def test_plot_rejects_higher_dimensions(tmp_path, capsys):
+def test_plot_rejects_higher_dimensions(tmp_path, capsys, monkeypatch):
+    """The dimension is checked before any region is enumerated."""
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_level_set",
+                        lambda *args, **kwargs: enumerated.append(args))
     net = ReluNetwork([np.eye(4)], [np.zeros(4)], -np.ones(4), 1.0)
     problem = write_problem(tmp_path, net, ["-x1", "-x2", "-x3", "-x4"],
                             "0.04 - x1^2 - x2^2 - x3^2 - x4^2",
@@ -259,3 +264,4 @@ def test_plot_rejects_higher_dimensions(tmp_path, capsys):
                  "--out", str(tmp_path / "p.svg")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+    assert enumerated == []

@@ -13,6 +13,8 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          evaluate, falsify_region, is_affine, load_problem,
                          parse_expression, verify_certificate, verify_region_bab)
 from relubarrier import conditions
+from relubarrier.config import FALSIFY_GATE
+from relubarrier.geometry import bounding_box
 
 from helpers import (counted_lp_solves, diamond_net, load_bench_module,
                      random_hidden_net, slice_grid, CUBIC2D)
@@ -91,7 +93,7 @@ def test_affine_route_completeness_against_grid():
 def test_falsify_finds_witness_for_constant_negative():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    hit = falsify_region(region, sys, budget=100)
+    hit = falsify_region(region, sys)
     assert hit is not None
     assert hit.status == FALSIFIED
     assert region.slice.contains(hit.witness, tol=1e-6)
@@ -101,7 +103,7 @@ def test_falsify_finds_witness_for_constant_negative():
 def test_falsify_absent_for_stable_flow():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    assert falsify_region(region, sys, budget=100) is None
+    assert falsify_region(region, sys) is None
 
 
 def test_falsify_sign_change_matches_grid_oracle():
@@ -111,7 +113,7 @@ def test_falsify_sign_change_matches_grid_oracle():
     pts = slice_grid(region, 10_000)
     w = region.affine.w
     grid_vals = np.array([w @ sys(p) for p in pts[::10]])
-    hit = falsify_region(region, sys, budget=100)
+    hit = falsify_region(region, sys)
     if grid_vals.min() < -1e-6:
         assert hit is not None
         assert hit.witness_value < -1e-9
@@ -123,14 +125,13 @@ def test_falsify_sign_change_matches_grid_oracle():
 
 def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
     """w.f = 0 on the flat patch, so the search walks its whole budget:
-    its feasible point and max(4, budget // 5) vertices come from one
+    its feasible point and max(4, FALSIFY_BUDGET // 5) vertices come from one
     batched LP, and the pattern moves that leave the patch solve none."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     objective = conditions._invariance_objective(region.affine.w, sys)
     calls = counted_lp_solves(monkeypatch)
-    found = conditions._falsify(region, objective, DEFAULT_CONFIG,
-                                np.random.default_rng(0), 100)
+    found = conditions._falsify(region, objective, DEFAULT_CONFIG, np.random.default_rng(0))
     assert found is None
     assert len(calls) == 1
 
@@ -422,7 +423,7 @@ def assert_checked_witness(region, v, g):
     assert region.slice.contains(v.witness, tol=cfg.tol_feas)
     direct = g(np.asarray(v.witness))
     assert v.witness_value == pytest.approx(direct, rel=1e-12, abs=1e-12)
-    assert direct < -max(cfg.tol_margin, cfg.falsify_gate)
+    assert direct < -max(cfg.tol_margin, FALSIFY_GATE)
 
 
 def test_lp_unbounded_objective_falsified_with_checked_witness():
@@ -642,6 +643,33 @@ def test_verify_certificate_empty_set_reports_sampler_exhaustion():
     verdict = verify_certificate(net, sys, h_init, None)
     assert verdict.initial_condition == UNKNOWN
     assert any("sampling exhausted" in c for c in verdict.caveats)
+
+
+@pytest.mark.parametrize("flow, h_init, condition, axis, undefined", [
+    # ln(x1 + 0.5) is undefined where x1 <= -0.5
+    (["-x1", "-x2"], "ln(x1 + 0.5) - 0.5", "initial_result", 0,
+     lambda lo, hi: lo <= -0.5),
+    # -x1/(x2 + 0.5) is undefined at x2 = -0.5
+    (["-x1/(x2+0.5)", "-x2"], "0.04 - x1^2 - x2^2", "invariance_result", 1,
+     lambda lo, hi: lo <= -0.5 <= hi),
+], ids=["initial-ln", "flow-division"])
+def test_verify_certificate_where_g_is_undefined_on_a_patch(flow, h_init, condition,
+                                                            axis, undefined):
+    """A domain error in a condition's objective leaves the patch undecided
+    or falsified by a checked witness; it never fails the run and never
+    lets the patch pass."""
+    verdict = verify_certificate(diamond_net(), DynamicsSystem.parse(flow, dim=2),
+                                 parse_expression(h_init, 2),
+                                 parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
+    assert verdict.failure is None
+    rows = getattr(verdict, condition).region_verdicts
+    touched = 0
+    for region, row in zip(verdict.enumeration.regions, rows):
+        box, _points, _restricted = bounding_box(region.slice)
+        if undefined(*box[axis]):
+            touched += 1
+            assert row.status != VERIFIED
+    assert touched == 2
 
 
 def test_verify_certificate_unknown_flat_case():

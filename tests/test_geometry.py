@@ -139,9 +139,8 @@ def test_slice_minimize():
 
 def test_bounding_box_segment():
     box, samples, restricted = bounding_box(
-        QUADRANT.A, QUADRANT.d,
-        np.array([[-1.0, -1.0]]), np.array([-1.0]),
-        dim=2, domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+        SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0),
+        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert not restricted
     assert box[:, 0] == pytest.approx([0.0, 0.0], abs=1e-7)
     assert box[:, 1] == pytest.approx([1.0, 1.0], abs=1e-7)
@@ -149,10 +148,11 @@ def test_bounding_box_segment():
 
 
 def test_bounding_box_unbounded_sides_clamp_to_domain():
-    # half-plane x1 <= 0 with no other bounds: x2 sides come from the domain
+    # half-plane x1 <= 0 with no other bounds (a zero hyperplane normal cuts
+    # nothing): x2 sides come from the domain
     box, _samples, restricted = bounding_box(
-        np.array([[1.0, 0.0]]), np.array([0.0]),
-        dim=2, domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+        SlicePolyhedron(Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0])), np.zeros(2), 0.0),
+        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert restricted
     assert box[0, 0] == pytest.approx(-3.0)
     assert box[0, 1] == pytest.approx(0.0, abs=1e-7)
@@ -160,9 +160,9 @@ def test_bounding_box_unbounded_sides_clamp_to_domain():
 
 
 def test_bounding_box_infeasible_returns_none():
-    out = bounding_box(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                       np.array([0.0, -1.0]),
-                       dim=2, domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+    empty = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
+    out = bounding_box(SlicePolyhedron(empty, np.zeros(2), 0.0),
+                       domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert out is None
 
 
@@ -172,8 +172,8 @@ def test_bounded_sides_never_clamped():
     a = np.array([[1.0, 0.0], [-1.0, 0.0]])
     d = np.array([7.0, -5.0])
     box, _samples, _restricted = bounding_box(
-        a, d, np.array([[0.0, 1.0]]), np.array([0.0]),
-        dim=2, domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+        SlicePolyhedron(Polyhedron(a, d), np.array([0.0, 1.0]), 0.0),
+        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert box[0, 0] == pytest.approx(5.0, abs=1e-7)
     assert box[0, 1] == pytest.approx(7.0, abs=1e-7)
 
@@ -190,7 +190,7 @@ def test_bounding_box_matches_per_coordinate_lps():
         d = rng.normal(size=a.shape[0]) + (1.0 if trial % 4 else -1.0)
         w = rng.normal(size=(1, n))
         b = rng.normal(size=1)
-        out = bounding_box(a, d, w, b, dim=n, domain=domain[:n])
+        out = bounding_box(SlicePolyhedron(Polyhedron(a, d), w[0], -b[0]), domain=domain[:n])
         singles = [lp_solve(LpProblem(unit, a, d, w, b, sense=sense))
                    for unit in np.eye(n) for sense in ("min", "max")]
         if out is None:

@@ -92,16 +92,16 @@ def test_tolerances_and_budgets_merge(tmp_path):
     path = write_problem(tmp_path, diamond_net(), CUBIC2D, INIT, UNSAFE,
                          seed=7, tolerances={"tol_feas": 1e-6,
                                              "tol_margin": 1e-4},
-                         budgets={"falsify_budget": 17, "bab_max_boxes": 99})
+                         budgets={"max_attempts": 17, "bab_max_boxes": 99})
     lp = load_problem(path)
     assert lp.config.tol_feas == 1e-6
     assert lp.config.tol_margin == 1e-4
-    assert lp.config.falsify_budget == 17
+    assert lp.config.max_attempts == 17
     assert lp.config.bab_max_boxes == 99
     assert lp.config.seed == 7
     # untouched settings keep their defaults
-    assert lp.config.tol_eq == 1e-7
-    assert lp.config.bab_min_width == 1e-5
+    assert lp.config.membership_samples == 100_000
+    assert lp.config.max_regions is None
 
 
 def test_overrides_beat_file_values(tmp_path):
@@ -116,10 +116,15 @@ def test_overrides_beat_file_values(tmp_path):
     assert lp.config.tol_margin == 0.0
 
 
-def test_unknown_configuration_key_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["tol_typo",
+                                 # fixed numbers, no longer settable
+                                 "tol_eq", "tol_zero", "falsify_gate", "branch_cap",
+                                 "oracle_cap", "bisect_eps", "falsify_budget",
+                                 "bab_min_width"])
+def test_unknown_configuration_key_rejected(tmp_path, key):
     path = write_problem(tmp_path, diamond_net(), CUBIC2D, INIT, UNSAFE,
-                         tolerances={"tol_typo": 1.0})
-    with pytest.raises(ValueError):
+                         tolerances={key: 1.0})
+    with pytest.raises(ValueError, match="unknown configuration key"):
         load_problem(path)
 
 

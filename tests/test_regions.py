@@ -138,10 +138,9 @@ def test_brute_force_all_dead_empty():
 
 def test_brute_force_cap():
     rng = np.random.default_rng(0)
-    net = random_hidden_net(rng, neurons=8)
-    cfg = DEFAULT_CONFIG.updated(oracle_cap=4)
+    net = random_hidden_net(rng, neurons=17)   # one above ORACLE_CAP
     with pytest.raises(OracleTooLarge):
-        brute_force_valid_regions(net, cfg)
+        brute_force_valid_regions(net)
 
 
 # -- the batched slice LP ---------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The benchmark's contract with the package: its tracer (bench/tracing.py)
 rebinds package functions by name, and a traced run raises when a required
-target is missing; its problem files (bench/problems.py) must load."""
+target is missing; its problem files (bench/problems.py) must load; and
+every configuration knob is one that some input actually sets."""
 
+import dataclasses
 import importlib
 
-from relubarrier import DynamicsSystem, conditions, load_problem, parse_expression
+from relubarrier import (DynamicsSystem, VerifierConfig, cli, conditions, load_problem,
+                         parse_expression)
 
 from helpers import diamond_net, load_bench_module
 
@@ -47,3 +50,16 @@ def test_bench_tracer_reads_a_verify_pass():
     assert metrics["regions.find_initial_region.attempts"] >= 1
     assert metrics["regions.regions_found"] == 4
     assert all(isinstance(value, (int, float)) for value in metrics.values())
+
+
+def test_every_configuration_field_is_set_by_some_input():
+    """A knob earns its place when the command line / environment or a bench
+    problem file sets it; domain_box and seed frame every problem.  Fixed
+    numbers are constants in config.py instead."""
+    problems = load_bench_module("problems")
+    suites = [problems.build_workload(w, 0) for w in problems.WORKLOADS]
+    bench_keys = {k for suite in suites for p in suite for k in p.budgets}
+    override_keys = {key for key, _cast in cli._ENV_KEYS.values()}
+    allowed = override_keys | bench_keys | {"domain_box", "seed"}
+    unset = [f.name for f in dataclasses.fields(VerifierConfig) if f.name not in allowed]
+    assert unset == []
