@@ -12,13 +12,14 @@ affine objective is decided exactly by one LP; otherwise interval
 branch-and-bound (BaB) over the patch's bounding box verifies or finds a
 witness, and a derivative-free falsification search runs only when BaB
 leaves the patch undecided (`unknown`, or an unbounded patch seen only
-inside the domain box).  Each BaB box costs one batched LP: its 2n
-coordinate bounds share one phase one; each search solves one batched LP
-too.  `verify_certificate` takes its regions from
-`regions.enumerate_level_set`, the route the SMT export and the plots
-take as well.  Every witness, whichever route
-produced it (the LP optimum, a point of an unbounded LP, a search point, a
-BaB point), passes the one check `_checked_witness`: it lies on the slice
+inside the domain box).  A BaB box that may miss the patch costs one
+batched LP (its 2n coordinate bounds share one phase one); the two halves
+of an LP-contracted box both meet the patch and are only tightened by the
+hyperplane equation.  Each search solves one batched LP too.
+`verify_certificate` takes its regions from `regions.enumerate_level_set`,
+the route the SMT export and the plots take as well.  Every witness,
+whichever route produced it (the LP optimum, a point of an unbounded LP, a
+search point, a BaB point), passes the one check `_checked_witness`: it lies on the slice
 within tol_feas and g evaluated there directly is below
 -max(tol_margin, FALSIFY_GATE).  An LP point that fails the check yields
 `unknown`, never an unchecked `falsified`.  Set conditions additionally
@@ -339,19 +340,43 @@ def _axis_bounds(p) -> np.ndarray:
     return bounds
 
 
+def _tighten(box, w, b) -> np.ndarray:
+    """The box cut down by one interval propagation of ``w.x + b = 0``:
+    coordinate j (w_j != 0) keeps only -(b + sum_{k != j} w_k x_k) / w_j
+    over the box.  Every point of the box on the hyperplane stays inside
+    (the sums are widened by their rounding-error bound and the quotients
+    rounded outward), and the result is never empty; in 2-D it is the
+    bounding box of the line cut to the box."""
+    terms = np.sort(w[:, None] * box, axis=1)            # w_k x_k over [lo_k, hi_k]
+    err = (w.size + 2) * np.finfo(float).eps * (abs(b) + np.abs(terms).sum())
+    rest = b + terms.sum(axis=0) - terms                 # b + sum over k != j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.sort(-(rest + [-err, err]) / w[:, None], axis=1)
+    q = np.where(w[:, None] != 0.0, np.nextafter(q, [-np.inf, np.inf]), [-np.inf, np.inf])
+    out = np.column_stack([np.maximum(box[:, 0], q[:, 0]), np.minimum(box[:, 1], q[:, 1])])
+    # a box that misses the hyperplane (a half of an LP-contracted box can,
+    # by the LP's rounding only) is kept whole rather than emptied
+    return box if np.any(out[:, 0] > out[:, 1]) else out
+
+
 def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     """Certify min g >= -tol_margin over the patch, or find a witness.
 
-    Each box is contracted to the bounding box of the patch inside it (one
-    batched LP over 2n coordinate objectives, sharing one phase one); boxes
-    without slice points are pruned, and the contracted box's LP optima are
-    witness candidates.  LP optima are only accurate to tol_feas, and a
-    witness may sit tol_feas off the slice, so the interval enclosure is
-    taken over the contracted box widened by tol_feas on every side, but
-    not past a bound that a single-coordinate row of the region puts on its
-    coordinate exactly (`_axis_bounds`).  Unbounded coordinates of the
-    patch are clamped to the domain box; the verdict then speaks for the
-    part of the patch inside it only (``domain_restricted``).
+    A box is contracted to the bounding box of the patch inside it by one
+    batched LP over 2n coordinate objectives, sharing one phase one; boxes
+    without slice points are pruned, and the LP optima are witness
+    candidates.  The patch is convex and reaches both ends of such a box's
+    split coordinate, so both halves meet it: an LP could shrink a half but
+    never prune it, and a half is only tightened by interval propagation of
+    the hyperplane equation (`_tighten`; in 2-D that is the LP's box).  Its
+    own halves may miss the patch and take the LP again.  LP optima are
+    only accurate to tol_feas, and a witness may sit tol_feas off the
+    slice, so the interval enclosure is taken over the contracted box
+    widened by tol_feas on every side, but not past a bound that a
+    single-coordinate row of the region puts on its coordinate exactly
+    (`_axis_bounds`).  Unbounded coordinates of the patch are clamped to
+    the domain box; the verdict then speaks for the part of the patch
+    inside it only (``domain_restricted``).
     """
     sl = region.slice
     n = sl.base.dim
@@ -369,9 +394,10 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
     hit = _first_witness(sl, seeds, objective.point, cfg)
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     exact = _axis_bounds(sl.base)
-    # (box, contracted): a bounded root is already the patch's bounding box;
-    # a domain-clamped one is contracted inside the domain box first
-    queue = deque([(box0, not restricted)])
+    # (box, how it is contracted): "lp" by the batched LP, "tighten" by the
+    # hyperplane equation, None when it already is the patch's bounding box
+    # (a bounded root; a domain-clamped one takes the LP inside the domain box)
+    queue = deque([(box0, "lp" if restricted else None)])
     certified = np.inf
     stalled = False
     processed = 0
@@ -381,8 +407,8 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
             return RegionVerdict(region.indicator, UNKNOWN, "interval",
                                  domain_restricted=restricted,
                                  note=f"box budget {cfg.bab_max_boxes} exhausted")
-        cbox, contracted = queue.popleft()
-        if not contracted:
+        cbox, how = queue.popleft()
+        if how == "lp":
             sub = bounding_box(sl.within(cbox), tol_feas=cfg.tol_feas)
             if sub is None:
                 continue  # the patch does not enter this box
@@ -390,6 +416,8 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
             hit = _first_witness(sl, cpts, objective.point, cfg)
             if hit is not None:
                 break
+        elif how == "tighten":
+            cbox = _tighten(cbox, sl.w, sl.b)
         lo, _ = objective.interval(np.clip(cbox + pad, exact[:, :1], exact[:, 1:]))
         if lo >= -cfg.tol_margin:
             certified = min(certified, lo)
@@ -404,8 +432,11 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
         left[widest, 1] = mid
         right = cbox.copy()
         right[widest, 0] = mid
-        queue.append((left, False))
-        queue.append((right, False))
+        # the patch spans an LP-contracted box, so both its halves meet the
+        # patch and need no LP; their own halves may miss it
+        child = "lp" if how == "tighten" else "tighten"
+        queue.append((left, child))
+        queue.append((right, child))
 
     if hit is not None:
         return RegionVerdict(region.indicator, FALSIFIED, "interval",

@@ -63,7 +63,7 @@ class LpProblem:
         self.a_ub, self.b_ub = _normalize_system(self.a_ub, self.b_ub, n, "ub")
         self.a_eq, self.b_eq = _normalize_system(self.a_eq, self.b_eq, n, "eq")
         for arr in (self.objective, self.a_ub, self.b_ub, self.a_eq, self.b_eq):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise MalformedProblem("problem data must be finite")
 
     @property
@@ -113,11 +113,11 @@ def _normalize_system(a, b, n, tag):
 
 
 def _pivot(T, basis, row, col):
-    piv = T[row, col]
-    T[row] = T[row] / piv
+    prow = T[row]
+    prow /= prow[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * prow
     # remove roundoff drift in the pivot column
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -137,22 +137,24 @@ def _run_simplex(T, basis, max_iter=None):
     for _ in range(max_iter):
         costs = T[-1, :-1]
         if bland:
-            candidates = np.flatnonzero(costs < -_COST_TOL)
+            candidates = (costs < -_COST_TOL).nonzero()[0]
             if candidates.size == 0:
                 return OPTIMAL
             col = int(candidates[0])
         else:
-            col = int(np.argmin(costs))
+            col = int(costs.argmin())
             if costs[col] >= -_COST_TOL:
                 return OPTIMAL
         column = T[:-1, col]
-        eligible = np.flatnonzero(column > _PIVOT_TOL)
+        eligible = (column > _PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return UNBOUNDED
         ratios = T[:-1, -1][eligible] / column[eligible]
-        best = np.min(ratios)
+        best = ratios.min()
         ties = eligible[ratios <= best + 1e-9 * max(1.0, abs(best))]
-        if bland:
+        if ties.size == 1:
+            row = int(ties[0])
+        elif bland:
             # smallest basis index among ties (termination guarantee)
             row = int(ties[np.argmin(basis[ties])])
         else:
@@ -192,23 +194,16 @@ def _build_tableau(problem):
     T = np.zeros((m + 1, n_struct + n_art + 1))
     T[:m, :n] = a
     T[:m, n:n_split] = -a
-    for i in range(m_ub):
-        T[i, n_split + i] = slack_sign[i]
-    for k, i in enumerate(art_rows):
-        T[i, n_struct + k] = 1.0
+    ub_rows = np.arange(m_ub)
+    T[ub_rows, n_split + ub_rows] = slack_sign
+    art_cols = n_struct + np.arange(n_art)
+    T[art_rows, art_cols] = 1.0
     T[:m, -1] = b
 
-    basis = np.empty(m, dtype=int)
-    art_cols = []
-    k = 0
-    for i in range(m):
-        if need_art[i]:
-            basis[i] = n_struct + k
-            art_cols.append(n_struct + k)
-            k += 1
-        else:
-            basis[i] = n_split + i
-    return T, basis, n, n_struct, np.array(art_cols, dtype=int)
+    # a row's slack is basic, or its artificial where it needs one
+    basis = n_split + np.arange(m)
+    basis[art_rows] = art_cols
+    return T, basis, n, n_struct, art_cols
 
 
 def _phase_one(T, basis, art_cols, tol_feas):
@@ -302,13 +297,13 @@ def _phase_two(problem, T, basis, objective, sign, n_struct, tol_feas) -> LpOutc
 
 
 def _check_feasible(problem, x, tol_feas):
-    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
     if problem.a_ub.shape[0]:
-        viol = float(np.max(problem.a_ub @ x - problem.b_ub))
+        viol = float((problem.a_ub @ x - problem.b_ub).max())
         if viol > 100 * tol_feas * scale:
             raise NumericalFailure(f"solver returned infeasible point (ub slack {viol:.3g})")
     if problem.a_eq.shape[0]:
-        viol = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
+        viol = float(np.abs(problem.a_eq @ x - problem.b_eq).max())
         if viol > 100 * tol_feas * scale:
             raise NumericalFailure(f"solver returned infeasible point (eq residual {viol:.3g})")
 

@@ -87,8 +87,9 @@ def _slice_segment(region, domain, tol=1e-7):
     return [out.point for out in ends] if all(out.optimal for out in ends) else None
 
 
-def _marching_squares(expr, domain, grid=_GRID):
-    """Zero-level segments of expr over the domain box."""
+def _grid_values(expr, domain, grid):
+    """(xs, ys, vals) with vals[i, j] = expr at (xs[i], ys[j]); NaN where
+    expr is undefined."""
     xs = np.linspace(domain[0, 0], domain[0, 1], grid)
     ys = np.linspace(domain[1, 0], domain[1, 1], grid)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -103,30 +104,33 @@ def _marching_squares(expr, domain, grid=_GRID):
                     vals[i, j] = evaluate(expr, np.array([xs[i], ys[j]]))
                 except DomainError:
                     pass
+    return xs, ys, vals
 
-    segments = []
 
-    def interp(pa, va, pb, vb):
-        t = va / (va - vb)
-        return pa + t * (pb - pa)
+def _marching_squares(expr, domain, grid=_GRID):
+    """Zero-level segments of expr over the domain box, an (s, 2, 2) array.
 
-    for i in range(grid - 1):
-        for j in range(grid - 1):
-            corner_vals = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
-            if any(np.isnan(v) for v in corner_vals):
-                continue
-            corners = (np.array([xs[i], ys[j]]), np.array([xs[i + 1], ys[j]]),
-                       np.array([xs[i + 1], ys[j + 1]]), np.array([xs[i], ys[j + 1]]))
-            crossings = []
-            for k in range(4):
-                va, vb = corner_vals[k], corner_vals[(k + 1) % 4]
-                if (va > 0) != (vb > 0):
-                    crossings.append(interp(corners[k], va, corners[(k + 1) % 4], vb))
-            if len(crossings) >= 2:
-                segments.append((crossings[0], crossings[1]))
-            if len(crossings) == 4:  # saddle cell: join the second pair too
-                segments.append((crossings[2], crossings[3]))
-    return segments
+    Cells come in row-major order; a cell's crossings come in edge order,
+    the first two joined, then (a saddle cell) the other two.  Cells with
+    a NaN corner are skipped.
+    """
+    xs, ys, vals = _grid_values(expr, domain, grid)
+    # corner k of cell (i, j) is grid point (i + di[k], j + dj[k]); edge k
+    # runs from corner k to corner k + 1 (mod 4)
+    di, dj = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+    m = grid - 1
+    corners = np.stack([vals[a:a + m, b:b + m] for a, b in zip(di, dj)], axis=-1)
+    positive = corners > 0
+    crosses = positive != np.roll(positive, -1, axis=-1)
+    crosses &= ~np.isnan(corners).any(axis=-1, keepdims=True)
+    i, j, k = crosses.nonzero()
+    k1 = (k + 1) % 4
+    va, vb = corners[i, j, k], corners[i, j, k1]
+    t = va / (va - vb)
+    xa, xb = xs[i + di[k]], xs[i + di[k1]]
+    ya, yb = ys[j + dj[k]], ys[j + dj[k1]]
+    # every cell crosses 0, 2 or 4 edges, so consecutive crossings pair up
+    return np.column_stack([xa + t * (xb - xa), ya + t * (yb - ya)]).reshape(-1, 2, 2)
 
 
 def check_plane(network) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, Polyhedron,
                          SlicePolyhedron, implicit_equalities, lp_feasible, lp_solve,
                          network_to_json)
-from relubarrier import conditions, geometry, linprog, regions
+from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import TOL_EQ
 from relubarrier.network import ReluNetwork
 
@@ -285,6 +285,35 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
         ends.append(out.point)
     ts = np.linspace(0.0, 1.0, k)[:, None]
     return ends[0][None, :] * (1 - ts) + ends[1][None, :] * ts
+
+
+def marching_squares_reference(expr, domain, grid=256):
+    """Zero-level segments of expr over the domain box, one grid cell at a
+    time: the reference for `svgplot._marching_squares`."""
+    xs, ys, vals = svgplot._grid_values(expr, domain, grid)
+    segments = []
+
+    def interp(pa, va, pb, vb):
+        t = va / (va - vb)
+        return pa + t * (pb - pa)
+
+    for i in range(grid - 1):
+        for j in range(grid - 1):
+            corner_vals = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
+            if any(np.isnan(v) for v in corner_vals):
+                continue
+            corners = (np.array([xs[i], ys[j]]), np.array([xs[i + 1], ys[j]]),
+                       np.array([xs[i + 1], ys[j + 1]]), np.array([xs[i], ys[j + 1]]))
+            crossings = []
+            for k in range(4):
+                va, vb = corner_vals[k], corner_vals[(k + 1) % 4]
+                if (va > 0) != (vb > 0):
+                    crossings.append(interp(corners[k], va, corners[(k + 1) % 4], vb))
+            if len(crossings) >= 2:
+                segments.append((crossings[0], crossings[1]))
+            if len(crossings) == 4:  # saddle cell: join the second pair too
+                segments.append((crossings[2], crossings[3]))
+    return segments
 
 
 def write_problem(dirpath, net: ReluNetwork, dynamics, initial_set, unsafe_set,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
-                         ActivationIndicator, DynamicsSystem, NoRegions,
+                         ActivationIndicator, DynamicsSystem, NoRegions, Polyhedron,
                          ReluNetwork, SlicePolyhedron, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
                          check_initial_condition, check_invariance,
@@ -204,14 +204,20 @@ def test_margin_monotonicity_never_flips_verified_to_falsified():
 
 def record_bab_boxes(monkeypatch, objective):
     """Run-time log of _bab: ("box", contracted box) for every bounding_box
-    result and ("enclose", box) for every box the interval callable sees."""
+    result, ("tighten", (half, tightened half)) for every `_tighten` call and
+    ("enclose", box) for every box the interval callable sees."""
     events = []
-    original = conditions.bounding_box
+    original_bounding_box, original_tighten = conditions.bounding_box, conditions._tighten
 
     def logged_bounding_box(*args, **kwargs):
-        out = original(*args, **kwargs)
+        out = original_bounding_box(*args, **kwargs)
         if out is not None:
             events.append(("box", out[0].copy()))
+        return out
+
+    def logged_tighten(box, w, b):
+        out = original_tighten(box, w, b)
+        events.append(("tighten", (box.copy(), out.copy())))
         return out
 
     def logged_interval(box):
@@ -219,29 +225,156 @@ def record_bab_boxes(monkeypatch, objective):
         return objective.interval(box)
 
     monkeypatch.setattr(conditions, "bounding_box", logged_bounding_box)
+    monkeypatch.setattr(conditions, "_tighten", logged_tighten)
     return events, objective._replace(interval=logged_interval)
 
 
 def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
     """LP-contracted boxes are only accurate to tol_feas, so the enclosure
-    covers each one widened by tol_feas on every side."""
+    covers each one widened by tol_feas on every side.  A half of such a
+    box is tightened by the hyperplane equation instead of an LP: the
+    enclosure covers the tightened half widened alike (not past an exact
+    axis bound), and the tightened half keeps every slice-grid point of
+    the half."""
     net = random_hidden_net(np.random.default_rng(0), neurons=6)
     regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     tol = DEFAULT_CONFIG.tol_feas
-    enclosed = 0
+    enclosed = tightened = kept = 0
     for region in regions:
         events, objective = record_bab_boxes(
             monkeypatch, conditions._invariance_objective(region.affine.w, sys))
         conditions._bab(region, objective, DEFAULT_CONFIG)
+        exact = conditions._axis_bounds(region.slice.base)
+        pts = slice_grid(region, 2000)
         for (kind, cbox), (next_kind, box) in zip(events, events[1:]):
             if next_kind != "enclose":
                 continue
-            assert kind == "box"
-            assert np.all(box[:, 0] <= cbox[:, 0] - tol)
-            assert np.all(box[:, 1] >= cbox[:, 1] + tol)
-            enclosed += 1
-    assert enclosed >= 20
+            if kind == "box":
+                assert np.all(box[:, 0] <= cbox[:, 0] - tol)
+                assert np.all(box[:, 1] >= cbox[:, 1] + tol)
+                enclosed += 1
+                continue
+            assert kind == "tighten"
+            half, tbox = cbox
+            assert np.all(box[:, 0] <= np.maximum(tbox[:, 0] - tol, exact[:, 0]))
+            assert np.all(box[:, 1] >= np.minimum(tbox[:, 1] + tol, exact[:, 1]))
+            inside = pts[np.all((pts >= half[:, 0]) & (pts <= half[:, 1]), axis=1)]
+            assert np.all((inside >= tbox[:, 0]) & (inside <= tbox[:, 1]))
+            tightened += 1
+            kept += len(inside)
+    assert enclosed >= 20 and tightened >= 20 and kept >= 1000
+
+
+def test_tighten_keeps_every_hyperplane_point_of_the_box():
+    """Seeded boxes and hyperplanes that meet them, in 2-D and 3-D (some
+    parallel to an axis): sampled points of box and hyperplane lie in the
+    tightened box, and in 2-D it is the LP bounding box of the line cut to
+    the box, within tol_feas."""
+    rng = np.random.default_rng(5)
+    tol = DEFAULT_CONFIG.tol_feas
+    checked = 0
+    for n in (2, 3):
+        for trial in range(200):
+            lo = rng.uniform(-3.0, 2.0, n)
+            box = np.column_stack([lo, lo + rng.uniform(0.01, 2.0, n)])
+            w = rng.normal(size=n)
+            if trial % 5 == 0:
+                w[rng.integers(n)] = 0.0
+            b = -float(w @ rng.uniform(box[:, 0], box[:, 1]))
+            tight = conditions._tighten(box, w, b)
+            assert np.all(tight[:, 0] <= tight[:, 1])
+            # points of the box solved onto the hyperplane along its largest |w_j|
+            j = int(np.argmax(np.abs(w)))
+            rest = np.delete(np.arange(n), j)
+            xs = rng.uniform(box[:, 0], box[:, 1], size=(500, n))
+            xs[:, j] = -(b + xs[:, rest] @ w[rest]) / w[j]
+            xs = xs[np.all((xs >= box[:, 0]) & (xs <= box[:, 1]), axis=1)]
+            assert np.all((xs >= tight[:, 0]) & (xs <= tight[:, 1]))
+            checked += len(xs)
+            if n == 2:
+                line = SlicePolyhedron(Polyhedron.whole_space(2), w, b).within(box)
+                lp_box, _points, _restricted = bounding_box(line, tol_feas=tol)
+                np.testing.assert_allclose(tight, lp_box, rtol=0.0, atol=tol)
+    assert checked >= 20_000
+    # a box the hyperplane misses comes back whole, never empty
+    box = np.array([[0.0, 1.0], [1.0 + 1e-12, 1.0 + 1e-12]])
+    assert np.array_equal(conditions._tighten(box, np.array([0.0, 1.0]), -1.0), box)
+
+
+def test_bab_certified_boxes_cover_every_verified_patch():
+    """Each slice-grid point of a patch that BaB verifies lies in some
+    enclosed box whose lower bound certified: no part of the patch escapes
+    the proof, on the diamond's patches and those of random nets."""
+    flows = [DynamicsSystem.parse(flow, dim=2) for flow in (
+        ["-x1^3", "-x2^3"], ["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], CUBIC2D)]
+    _net, patches = diamond_regions()
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        net = random_hidden_net(rng, neurons=5)
+        patches += [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    verified = 0
+    for region in patches:
+        pts = slice_grid(region, 1000)
+        for sys in flows:
+            objective = conditions._invariance_objective(region.affine.w, sys)
+            certified = []
+
+            def logged(box, interval=objective.interval):
+                lo, hi = interval(box)
+                if lo >= -DEFAULT_CONFIG.tol_margin:
+                    certified.append(np.array(box, dtype=float))
+                return lo, hi
+
+            verdict = conditions._bab(region, objective._replace(interval=logged), DEFAULT_CONFIG)
+            if verdict.status != VERIFIED or verdict.vacuous:
+                continue
+            boxes = np.array(certified)
+            inside = np.all((pts[:, None] >= boxes[None, :, :, 0])
+                            & (pts[:, None] <= boxes[None, :, :, 1]), axis=2)
+            assert inside.any(axis=1).all()
+            verified += 1
+    assert verified >= 20
+
+
+def test_bab_lp_count_on_the_flat_patch(monkeypatch):
+    """w.f = 0 on the flat first-quadrant patch, so BaB splits until its
+    budget or the margin stops it.  No bounding_box call receives a half of
+    a contracted box (both halves meet the patch; they are tightened by the
+    hyperplane equation instead), which caps the LPs: at most 330 of 500
+    boxes, and at most 1,600 where tol_margin = 1e-3 verifies the patch
+    (2,959 when every box took an LP, for the same bound)."""
+    net, region = first_quadrant_region()
+    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
+    calls = []   # (the box a call is cut to, or None at the root; contracted box)
+    original = conditions.bounding_box
+
+    def logged(sl, domain=None, tol_feas=DEFAULT_CONFIG.tol_feas):
+        out = original(sl, domain, tol_feas)
+        n = sl.base.dim
+        given = None if domain is not None else np.column_stack(
+            [-sl.base.d[-n:], sl.base.d[-2 * n:-n]])   # rows x <= hi, then -x <= -lo
+        calls.append((given, None if out is None else out[0]))
+        return out
+
+    monkeypatch.setattr(conditions, "bounding_box", logged)
+    for cfg, cap in ((DEFAULT_CONFIG.updated(bab_max_boxes=500), 330),
+                     (DEFAULT_CONFIG.updated(tol_margin=1e-3), 1600)):
+        calls.clear()
+        verdict = verify_region_bab(region, sys, cfg)
+        assert len(calls) <= cap
+        halves = set()
+        for _given, box in calls:
+            if box is None:
+                continue
+            widest = int(np.argmax(box[:, 1] - box[:, 0]))
+            mid = 0.5 * (box[widest, 0] + box[widest, 1])
+            left, right = box.copy(), box.copy()
+            left[widest, 1] = right[widest, 0] = mid
+            halves.update((left.tobytes(), right.tobytes()))
+        assert not any(given is not None and given.tobytes() in halves for given, _box in calls)
+    assert (verdict.status, verdict.bound) == (VERIFIED, pytest.approx(-9.999479489327e-4,
+                                                                      rel=1e-12))
 
 
 def test_bab_contracts_a_bounded_root_once(monkeypatch):
