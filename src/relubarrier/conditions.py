@@ -1,30 +1,35 @@
 """Deciding the certificate conditions region by region.
 
 Every per-region question is phrased as "is min g(x) over the region's
-level-set patch >= -tol_margin?":
+level-set patch >= -tol_margin?", with g one expression built by
+`expressions.weighted_sum`:
 
 * invariance: g = w . f   (the piece's gradient against the field)
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
 * unsafe set:   g = -h_U
 
-All three go through one ladder, `_decide`, cheapest sound rung first: an
-affine objective is decided exactly by one LP; otherwise interval
-branch-and-bound (BaB) over the patch's bounding box verifies or finds a
-witness, and a derivative-free falsification search runs only when BaB
-leaves the patch undecided (`unknown`, or an unbounded patch seen only
-inside the domain box).  A BaB box that may miss the patch costs one
-batched LP (its 2n coordinate bounds share one phase one); the two halves
-of an LP-contracted box both meet the patch and are only tightened by the
-hyperplane equation.  Each search solves one batched LP too.
-`verify_certificate` takes its regions from `regions.enumerate_level_set`,
-the route the SMT export and the plots take as well.  Every witness,
-whichever route produced it (the LP optimum, a point of an unbounded LP, a
-search point, a BaB point), passes the one check `_checked_witness`: it lies on the slice
-within tol_feas and g evaluated there directly is below
+All three go through one ladder, `_decide`, cheapest sound rung first, and
+every rung reads g with the expression module's own routes: a g with an
+affine form (`_linear_form`) is decided exactly by one LP; otherwise
+interval branch-and-bound (BaB) over the patch's bounding box, enclosing g
+with `interval_evaluate`, verifies or finds a witness, and a
+derivative-free falsification search runs only when BaB leaves the patch
+undecided (`unknown`, or an unbounded patch seen only inside the domain
+box).  A BaB box that may miss the patch costs one batched LP (its 2n
+coordinate bounds share one phase one); the two halves of an LP-contracted
+box both meet the patch and are only tightened by the hyperplane equation.
+Each search solves one batched LP too.  `verify_certificate` takes its
+regions from `regions.enumerate_level_set`, the route the SMT export and
+the plots take as well.  Every witness, whichever route produced it (the LP
+optimum, a point of an unbounded LP, a search point, a BaB point), passes
+the one check `_checked_witness`: it lies on the slice within tol_feas and
+g evaluated there directly (`evaluate`) is below
 -max(tol_margin, FALSIFY_GATE).  An LP point that fails the check yields
 `unknown`, never an unchecked `falsified`.  Set conditions additionally
 probe one sample of the set against the sign of h (membership side of the
-containment/disjointness arguments).
+containment/disjointness arguments).  The single-rung wrappers
+`check_region_affine`, `verify_region_bab` and `falsify_region` all take
+(region, sys, cfg) and decide one region's invariance.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE
                      VerifierConfig)
 from .errors import DomainError, NoRegions, SamplerExhausted, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
-                          is_affine, _linear_form)
+                          weighted_sum, _linear_form)
 from .geometry import bounding_box
 from .linprog import INFEASIBLE, UNBOUNDED
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
@@ -97,49 +102,7 @@ class CertificateVerdict:
     timings: dict = field(default_factory=dict)
 
 
-# -- objective plumbing ----------------------------------------------------------
-
-class _Objective(NamedTuple):
-    """g over a patch: direct and interval evaluation, and (coeffs, const)
-    when g(x) = coeffs.x + const is affine."""
-    point: Callable
-    interval: Callable | None
-    affine: tuple | None = None
-
-
-def _weighted_objective(coefs, exprs, affine=None) -> _Objective:
-    """g(x) = sum_i coefs[i] * exprs[i](x) as point and interval callables."""
-    coefs = np.asarray(coefs, dtype=float)
-
-    def g_point(x):
-        return float(sum(c * evaluate(e, x) for c, e in zip(coefs, exprs) if c != 0.0))
-
-    def g_interval(box):
-        lo = hi = 0.0
-        for c, e in zip(coefs, exprs):
-            if c == 0.0:
-                continue
-            iv = interval_evaluate(e, box)
-            lo += min(c * iv.lo, c * iv.hi)
-            hi += max(c * iv.lo, c * iv.hi)
-        return lo, hi
-
-    return _Objective(g_point, g_interval, affine)
-
-
-def _invariance_objective(w, sys: DynamicsSystem | None, aff=None) -> _Objective:
-    """g = w.f for the flow sys; aff = (F, c) when f(x) = F x + c.
-
-    Without sys (only F and c known), g is evaluated as w.(F x + c).
-    """
-    if aff is None:
-        return _weighted_objective(w, sys.exprs)
-    F, c = np.asarray(aff[0], dtype=float), np.asarray(aff[1], dtype=float)
-    affine = (F.T @ w, float(w @ c))
-    if sys is None:
-        return _Objective(lambda x: float(w @ (F @ x + c)), None, affine)
-    return _weighted_objective(w, sys.exprs, affine)
-
+# -- shared by every route ------------------------------------------------------
 
 def _status_from_value(value, cfg):
     """Margin semantics shared by every route."""
@@ -156,7 +119,7 @@ class _Checked(NamedTuple):
     witness: bool     # value < -max(tol_margin, FALSIFY_GATE)
 
 
-def _checked_witness(sl, x, g_point, cfg) -> _Checked | None:
+def _checked_witness(sl, x, g: Expr, cfg) -> _Checked | None:
     """Check a candidate point; None when it is not on the slice or g is
     undefined there.
 
@@ -168,7 +131,7 @@ def _checked_witness(sl, x, g_point, cfg) -> _Checked | None:
         return None
     x = np.array(x, dtype=float)
     try:
-        value = g_point(x)
+        value = evaluate(g, x)
     except DomainError:
         return None
     return _Checked(x, value, _status_from_value(value, cfg) == FALSIFIED)
@@ -176,11 +139,11 @@ def _checked_witness(sl, x, g_point, cfg) -> _Checked | None:
 
 # -- LP route (affine objectives) --------------------------------------------------
 
-def _decide_affine(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
-    """Exact decision of min (coeffs.x + const) over the slice by one LP."""
+def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
+    """Exact decision of min g over the slice by one LP, where
+    form = (coeffs, const) is g's affine form coeffs.x + const."""
     sl = region.slice
-    coeffs, const = objective.affine
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs, const = form
     outcome = sl.minimize(coeffs, cfg.tol_feas)
     if outcome.status == INFEASIBLE:
         return RegionVerdict(region.indicator, VERIFIED, "lp", vacuous=True,
@@ -198,7 +161,7 @@ def _decide_affine(region: ValidRegion, objective: _Objective, cfg) -> RegionVer
         if verdict.status == UNKNOWN:
             verdict.note = "optimum inside the float-noise band"
     if verdict.status == FALSIFIED:
-        hit = _checked_witness(sl, outcome.point, objective.point, cfg)
+        hit = _checked_witness(sl, outcome.point, g, cfg)
         if hit is not None and hit.witness:
             verdict.witness, verdict.witness_value = hit.x, hit.value
         else:
@@ -208,15 +171,19 @@ def _decide_affine(region: ValidRegion, objective: _Objective, cfg) -> RegionVer
     return verdict
 
 
-def check_region_affine(region: ValidRegion, F, c,
+def check_region_affine(region: ValidRegion, sys: DynamicsSystem,
                         cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionVerdict:
-    """Invariance of one region for affine dynamics f(x) = F x + c."""
-    return _decide_affine(region, _invariance_objective(region.affine.w, None, (F, c)), cfg)
+    """Invariance of one region by one LP; ValueError unless w.f is affine."""
+    g = weighted_sum(region.affine.w, sys.exprs)
+    form = _linear_form(g, sys.dim)
+    if form is None:
+        raise ValueError("w.f is not affine on this region")
+    return _decide_affine(region, g, form, cfg)
 
 
 # -- falsification search ----------------------------------------------------------
 
-def _falsify(region: ValidRegion, objective: _Objective, cfg, rng) -> RegionVerdict | None:
+def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, FALSIFY_GATE).
 
     Three stages: a point of the patch and vertices from random objectives,
@@ -234,7 +201,7 @@ def _falsify(region: ValidRegion, objective: _Objective, cfg, rng) -> RegionVerd
 
     def consider(x):
         nonlocal best
-        checked = _checked_witness(sl, x, objective.point, cfg)
+        checked = _checked_witness(sl, x, g, cfg)
         if checked is not None and (best is None or checked.value < best.value):
             best = checked
         return checked
@@ -307,16 +274,16 @@ def falsify_region(region: ValidRegion, sys: DynamicsSystem,
     Returns a falsified RegionVerdict with a re-validated witness, or None
     when the search found nothing (which proves nothing).
     """
-    return _falsify(region, _invariance_objective(region.affine.w, sys), cfg,
+    return _falsify(region, weighted_sum(region.affine.w, sys.exprs), cfg,
                     rng if rng is not None else np.random.default_rng(cfg.seed))
 
 
 # -- interval branch-and-bound ------------------------------------------------------
 
-def _first_witness(sl, points, g_point, cfg) -> _Checked | None:
+def _first_witness(sl, points, g: Expr, cfg) -> _Checked | None:
     """The first of points that passes the witness check, or None."""
     for x in points:
-        hit = _checked_witness(sl, x, g_point, cfg)
+        hit = _checked_witness(sl, x, g, cfg)
         if hit and hit.witness:
             return hit
     return None
@@ -359,7 +326,7 @@ def _tighten(box, w, b) -> np.ndarray:
     return box if np.any(out[:, 0] > out[:, 1]) else out
 
 
-def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
+def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
     """Certify min g >= -tol_margin over the patch, or find a witness.
 
     A box is contracted to the bounding box of the patch inside it by one
@@ -391,7 +358,7 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
                              domain_restricted=True,
                              note="slice leaves the domain box entirely")
 
-    hit = _first_witness(sl, seeds, objective.point, cfg)
+    hit = _first_witness(sl, seeds, g, cfg)
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     exact = _axis_bounds(sl.base)
     # (box, how it is contracted): "lp" by the batched LP, "tighten" by the
@@ -413,12 +380,12 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
             if sub is None:
                 continue  # the patch does not enter this box
             cbox, cpts, _ = sub
-            hit = _first_witness(sl, cpts, objective.point, cfg)
+            hit = _first_witness(sl, cpts, g, cfg)
             if hit is not None:
                 break
         elif how == "tighten":
             cbox = _tighten(cbox, sl.w, sl.b)
-        lo, _ = objective.interval(np.clip(cbox + pad, exact[:, :1], exact[:, 1:]))
+        lo = interval_evaluate(g, np.clip(cbox + pad, exact[:, :1], exact[:, 1:])).lo
         if lo >= -cfg.tol_margin:
             certified = min(certified, lo)
             continue
@@ -454,13 +421,12 @@ def _bab(region: ValidRegion, objective: _Objective, cfg) -> RegionVerdict:
 def verify_region_bab(region: ValidRegion, sys: DynamicsSystem,
                       cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionVerdict:
     """Interval branch-and-bound for the invariance objective w.f."""
-    return _bab(region, _invariance_objective(region.affine.w, sys), cfg)
+    return _bab(region, weighted_sum(region.affine.w, sys.exprs), cfg)
 
 
 # -- the ladder, and assembling the three conditions ---------------------------------
 
-def _decide(region: ValidRegion, objective: _Objective, cfg,
-            rng: np.random.Generator) -> RegionVerdict:
+def _decide(region: ValidRegion, g: Expr, cfg, rng: np.random.Generator) -> RegionVerdict:
     """One region's verdict: one LP for an affine g, else BaB, then the
     falsification search only when BaB leaves the patch undecided.
 
@@ -472,24 +438,26 @@ def _decide(region: ValidRegion, objective: _Objective, cfg,
     finds replaces BaB's verdict; otherwise BaB's verdict and its note
     stand.
     """
-    if objective.affine is not None:
-        return _decide_affine(region, objective, cfg)
+    form = _linear_form(g, region.slice.base.dim)
+    if form is not None:
+        return _decide_affine(region, g, form, cfg)
     try:
-        verdict = _bab(region, objective, cfg)
+        verdict = _bab(region, g, cfg)
     except DomainError as exc:
         verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
                                 note=f"interval enclosure failed: {exc}")
     if verdict.status != UNKNOWN and not verdict.domain_restricted:
         return verdict
-    found = _falsify(region, objective, cfg, rng)
+    found = _falsify(region, g, cfg, rng)
     return found if found is not None else verdict
 
 
-def _decide_regions(regions, objective_of, cfg, salt: int) -> list[RegionVerdict]:
-    """`_decide` on every region; region i searches with rng (seed, salt, i)."""
+def _decide_regions(regions, g_of, cfg, salt: int) -> list[RegionVerdict]:
+    """`_decide` on every region, with g = g_of(region); region i searches
+    with rng (seed, salt, i)."""
     def decide(item):
         i, region = item
-        return _decide(region, objective_of(region), cfg,
+        return _decide(region, g_of(region), cfg,
                        np.random.default_rng([cfg.seed, salt, i]))
 
     items = list(enumerate(regions))
@@ -513,24 +481,9 @@ def check_invariance(net, regions, sys: DynamicsSystem,
     """Positive invariance over every enumerated region."""
     if not regions:
         raise NoRegions("invariance check over an empty region list")
-    aff = is_affine(sys)
     verdicts = _decide_regions(
-        regions, lambda region: _invariance_objective(region.affine.w, sys, aff), cfg, salt=101)
+        regions, lambda region: weighted_sum(region.affine.w, sys.exprs), cfg, salt=101)
     return ConditionResult(_aggregate(verdicts), verdicts)
-
-
-def _eval_positive_mask(expr, xs):
-    """Boolean mask of rows where expr > 0, tolerating domain errors."""
-    try:
-        return np.asarray(evaluate(expr, xs)) > 0.0
-    except DomainError:
-        mask = np.zeros(len(xs), dtype=bool)
-        for i, x in enumerate(xs):
-            try:
-                mask[i] = evaluate(expr, x) > 0.0
-            except DomainError:
-                mask[i] = False
-        return mask
 
 
 def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipProbe:
@@ -547,13 +500,13 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
     while seen < cfg.membership_samples:
         k = min(batch, cfg.membership_samples - seen)
         xs = rng.uniform(domain[:, 0], domain[:, 1], size=(k, n))
-        mask = _eval_positive_mask(set_expr, xs)
-        idx = np.flatnonzero(mask)
+        values = evaluate(set_expr, xs)   # NaN where set_expr is undefined
+        idx = np.flatnonzero(values > 0.0)
         if idx.size:
             x = xs[idx[0]]
             h = net.forward(x)
             ok = h > 0.0 if want_inside else h < 0.0
-            return MembershipProbe(point=x, set_value=float(evaluate(set_expr, x)),
+            return MembershipProbe(point=x, set_value=float(values[idx[0]]),
                                    h_value=h, ok=ok, samples=seen + int(idx[0]) + 1)
         seen += k
     raise SamplerExhausted(
@@ -573,10 +526,8 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
     """
     if not regions:
         raise NoRegions("set condition over an empty region list")
-    lin = _linear_form(set_expr, net.input_dim)
-    objective = _weighted_objective([-1.0], [set_expr],
-                                    None if lin is None else (-lin[0], -lin[1]))
-    verdicts = _decide_regions(regions, lambda _region: objective, cfg, salt)
+    g = weighted_sum([-1.0], [set_expr])
+    verdicts = _decide_regions(regions, lambda _region: g, cfg, salt)
     rng = np.random.default_rng([cfg.seed, salt, 7919])
     probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
     status = _aggregate(verdicts, extra_falsified=not probe.ok, extra_ok=probe.ok)

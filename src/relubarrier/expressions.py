@@ -8,6 +8,7 @@ exponent of ^ must be a non-negative integer literal.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -208,7 +209,11 @@ def parse_expression(text: str, dim: int) -> Expr:
 # -- evaluation ----------------------------------------------------------------
 
 def evaluate(e: Expr, x):
-    """Evaluate at a point (n,) -> float, or at rows of (m, n) -> (m,)."""
+    """Evaluate at a point (n,) -> float, or at rows of (m, n) -> (m,).
+
+    A point where e is undefined (division by zero, ln of a non-positive
+    value) raises DomainError; in a batch, such rows are NaN.
+    """
     x = np.asarray(x, dtype=float)
     batched = x.ndim == 2
     val = _eval(e, x, batched)
@@ -231,15 +236,22 @@ def _eval(e, x, batched):
     if isinstance(e, Div):
         num = _eval(e.left, x, batched)
         den = _eval(e.right, x, batched)
-        if np.any(np.asarray(den) == 0.0):
+        if batched:
+            return np.divide(num, den, out=np.full(len(den), np.nan), where=den != 0.0)
+        if den == 0.0:
             raise DomainError("division by zero")
         return num / den
     if isinstance(e, Pow):
-        return _eval(e.base, x, batched) ** e.exponent
+        base = _eval(e.base, x, batched)
+        if batched and e.exponent == 0:
+            return np.where(np.isnan(base), np.nan, 1.0)   # NaN**0 is 1
+        return base ** e.exponent
     if isinstance(e, Func):
         v = _eval(e.arg, x, batched)
         if e.name == "ln":
-            if np.any(np.asarray(v) <= 0.0):
+            if batched:
+                return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
+            if v <= 0.0:
                 raise DomainError("ln of a non-positive value")
             return np.log(v)
         return {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp}[e.name](v)
@@ -348,10 +360,17 @@ def interval_evaluate(e: Expr, box) -> Interval:
     """Natural interval extension of e over a box given as an (n, 2) array.
 
     Monotone functions use exact endpoint images; sin/cos detect interior
-    extrema; even powers account for the minimum at zero.
+    extrema; even powers account for the minimum at zero.  An enclosure
+    that overflows or turns NaN (inf - inf, 0 * inf) raises DomainError.
     """
     box = np.asarray(box, dtype=float)
-    lo, hi = _iv(e, box)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lo, hi = _iv(e, box)
+    except (OverflowError, FloatingPointError, ValueError) as exc:
+        raise DomainError(f"overflow or NaN in the enclosure ({exc})") from None
+    if not lo <= hi:
+        raise DomainError(f"overflow or NaN in the enclosure ([{lo}, {hi}])")
     return Interval(float(lo), float(hi))
 
 
@@ -373,16 +392,19 @@ def _linear_form(e, dim):
         b = _linear_form(e.right, dim)
         if a is None or b is None:
             return None
-        sign = 1.0 if isinstance(e, Add) else -1.0
-        return a[0] + sign * b[0], a[1] + sign * b[1]
+        if isinstance(e, Add):
+            return a[0] + b[0], a[1] + b[1]
+        return a[0] - b[0], a[1] - b[1]
     if isinstance(e, Mul):
         a = _linear_form(e.left, dim)
         b = _linear_form(e.right, dim)
         if a is None or b is None:
             return None
-        if not a[0].any():
+        # count_nonzero: ndarray.any() costs several times more on short rows,
+        # and this runs once per region and condition
+        if not np.count_nonzero(a[0]):
             return a[1] * b[0], a[1] * b[1]
-        if not b[0].any():
+        if not np.count_nonzero(b[0]):
             return b[1] * a[0], b[1] * a[1]
         return None
     if isinstance(e, Div):
@@ -410,6 +432,14 @@ def _linear_form(e, dim):
             return None
         return np.zeros(dim), value
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def weighted_sum(coefs, exprs) -> Expr:
+    """sum_i coefs[i] * exprs[i] as one expression: Mul(Const(c), e) terms
+    joined by Add from the left.  Zero coefficients are left out; an empty
+    sum is Const(0.0)."""
+    terms = [Mul(Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
+    return functools.reduce(Add, terms) if terms else Const(0.0)
 
 
 def to_text(e: Expr) -> str:

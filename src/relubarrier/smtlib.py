@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_CONFIG, TOL_EQ, VerifierConfig
 from .expressions import (Add, Const, Div, DynamicsSystem, Expr, Func, Mul,
-                          Neg, Pow, Sub, Var)
+                          Neg, Pow, Sub, Var, weighted_sum)
 
 
 @dataclass
@@ -96,17 +96,7 @@ def _region_conjuncts(region, domain_box=None) -> list[str]:
 
 
 def _violation_invariance(region, sys: DynamicsSystem) -> str:
-    terms = []
-    for wi, e in zip(region.affine.w, sys.exprs):
-        if wi != 0.0:
-            terms.append(f"(* {format_number(wi)} {expr_to_smt(e)})")
-    if not terms:
-        body = "0"
-    elif len(terms) == 1:
-        body = terms[0]
-    else:
-        body = f"(+ {' '.join(terms)})"
-    return f"(< {body} 0)"
+    return f"(< {expr_to_smt(weighted_sum(region.affine.w, sys.exprs))} 0)"
 
 
 def _violation_set(set_expr: Expr) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import DomainError, UnsupportedDimension
+from .errors import UnsupportedDimension
 from .expressions import evaluate
 from .geometry import SlicePolyhedron
 
@@ -94,17 +94,7 @@ def _grid_values(expr, domain, grid):
     ys = np.linspace(domain[1, 0], domain[1, 1], grid)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    try:
-        vals = np.asarray(evaluate(expr, pts), dtype=float).reshape(grid, grid)
-    except DomainError:
-        vals = np.full((grid, grid), np.nan)
-        for i in range(grid):
-            for j in range(grid):
-                try:
-                    vals[i, j] = evaluate(expr, np.array([xs[i], ys[j]]))
-                except DomainError:
-                    pass
-    return xs, ys, vals
+    return xs, ys, evaluate(expr, pts).reshape(grid, grid)
 
 
 def _marching_squares(expr, domain, grid=_GRID):

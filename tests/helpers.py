@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, LpProblem, Polyhedron,
-                         SlicePolyhedron, implicit_equalities, lp_feasible, lp_solve,
-                         network_to_json)
+from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, LpProblem,
+                         Polyhedron, SlicePolyhedron, implicit_equalities, lp_feasible,
+                         lp_solve, network_to_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import TOL_EQ
 from relubarrier.network import ReluNetwork
@@ -340,6 +340,16 @@ def write_problem(dirpath, net: ReluNetwork, dynamics, initial_set, unsafe_set,
     with open(problem_path, "w") as fh:
         json.dump(spec, fh, indent=2)
     return problem_path
+
+
+def affine_system(F, c) -> DynamicsSystem:
+    """The flow f(x) = F x + c, written with repr coefficients so that the
+    parsed system holds F and c exactly."""
+    F, c = np.asarray(F, dtype=float), np.asarray(c, dtype=float)
+    n = F.shape[1]
+    return DynamicsSystem.parse(
+        [" + ".join([f"{float(a)!r}*x{j + 1}" for j, a in enumerate(row)] + [repr(float(ci))])
+         for row, ci in zip(F, c)], dim=n)
 
 
 # -- dynamics strings for the four reference systems --------------------------------

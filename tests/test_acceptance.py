@@ -16,11 +16,11 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, VERIFIED,
                          boundary_propagation,
                          brute_force_valid_regions, build_report,
                          build_valid_region, check_region_affine, evaluate,
-                         interval_evaluate, is_affine, load_problem,
+                         interval_evaluate, load_problem,
                          parse_expression, report_bytes_without_timings,
                          verify_certificate, DynamicsSystem)
 
-from helpers import (ALL_SYSTEMS, boundary_is_connected, diamond_net,
+from helpers import (ALL_SYSTEMS, affine_system, boundary_is_connected, diamond_net,
                      random_hidden_net, scaled_output, slice_grid, strip_net,
                      write_problem)
 from test_smtlib import query_holds_at
@@ -128,8 +128,9 @@ def test_acceptance_4_affine_lp_agrees_with_dense_grid():
             pairs += 1
             F = rng.normal(size=(2, 2))
             c = rng.normal(size=2)
+            sys = affine_system(F, c)
             for region in regions:
-                verdict = check_region_affine(region, F, c)
+                verdict = check_region_affine(region, sys)
                 if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                     continue
                 pts = slice_grid(region, 10_000)
@@ -215,18 +216,16 @@ def test_acceptance_7_smt_queries_cross_checked_against_lp():
 
         # contracting flow: every query must reject every slice sample
         stable = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-        F, c = is_affine(stable)
         for q, region in zip(export_invariance(regions, stable), regions):
-            assert check_region_affine(region, F, c).status == VERIFIED
+            assert check_region_affine(region, stable).status == VERIFIED
             for point in slice_grid(region, 300):
                 assert not query_holds_at(q, point)
 
         # constant drift: the LP witness must satisfy the question text
         drift = DynamicsSystem.parse(["1", "0"], dim=2)
-        F, c = is_affine(drift)
         falsified = 0
         for q, region in zip(export_invariance(regions, drift), regions):
-            verdict = check_region_affine(region, F, c)
+            verdict = check_region_affine(region, drift)
             if verdict.status == FALSIFIED:
                 falsified += 1
                 assert query_holds_at(q, verdict.witness)
@@ -242,14 +241,9 @@ def test_acceptance_7_smt_queries_cross_checked_against_lp():
             rregions = [r for r in rregions if not r.degenerate]
             if not rregions:
                 continue
-            F = rng.normal(size=(2, 2))
-            c = rng.normal(size=2)
-            sysr = DynamicsSystem.parse(
-                [f"{float(F[0, 0])!r}*x1 + {float(F[0, 1])!r}*x2 + {float(c[0])!r}",
-                 f"{float(F[1, 0])!r}*x1 + {float(F[1, 1])!r}*x2 + {float(c[1])!r}"],
-                dim=2)
+            sysr = affine_system(rng.normal(size=(2, 2)), rng.normal(size=2))
             for q, region in zip(export_invariance(rregions, sysr), rregions):
-                verdict = check_region_affine(region, F, c)
+                verdict = check_region_affine(region, sysr)
                 if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                     continue
                 agreements += 1

@@ -57,6 +57,15 @@ def test_exit_two_on_unknown(tmp_path):
     assert report["verdicts"]["overall"] == "unknown"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")   # search points overflow too
+def test_exit_two_when_the_enclosure_overflows(tmp_path, capsys):
+    code, report = run_verify(tmp_path, ["-x1*exp(1000*x1)", "-x2"])
+    assert code == 2
+    assert report["verdicts"]["invariance"] == "unknown"
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_exit_three_on_structured_failure(tmp_path, capsys):
     code, report = run_verify(tmp_path, ["-x1", "-x2"], net=all_dead_net(),
                               name="dead")

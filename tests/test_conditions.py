@@ -10,14 +10,15 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          brute_force_valid_regions, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_region_affine, check_unsafe_condition,
-                         evaluate, falsify_region, is_affine, load_problem,
+                         evaluate, falsify_region, load_problem,
                          parse_expression, verify_certificate, verify_region_bab)
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
+from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box
 
-from helpers import (counted_lp_solves, diamond_net, load_bench_module,
-                     random_hidden_net, slice_grid, CUBIC2D)
+from helpers import (affine_system, counted_lp_solves, diamond_net, load_bench_module,
+                     random_hidden_net, slice_grid, strip_net, CUBIC2D)
 
 
 def ind(*bits):
@@ -41,8 +42,7 @@ def test_affine_route_stable_flow_bound_one():
     _net, region = first_quadrant_region()[0], None
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    F, c = is_affine(sys)
-    verdict = check_region_affine(region, F, c)
+    verdict = check_region_affine(region, sys)
     assert verdict.status == VERIFIED
     assert verdict.bound == pytest.approx(1.0, abs=1e-9)
     assert verdict.method == "lp"
@@ -51,8 +51,7 @@ def test_affine_route_stable_flow_bound_one():
 def test_affine_route_constant_negative_falsifies():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    F, c = is_affine(sys)
-    verdict = check_region_affine(region, F, c)
+    verdict = check_region_affine(region, sys)
     assert verdict.status == FALSIFIED
     assert verdict.witness is not None
     # witness on the slice segment with value exactly -1
@@ -63,8 +62,7 @@ def test_affine_route_constant_negative_falsifies():
 def test_affine_route_zero_field_verified():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["0", "0"], dim=2)
-    F, c = is_affine(sys)
-    verdict = check_region_affine(region, F, c)
+    verdict = check_region_affine(region, sys)
     assert verdict.status == VERIFIED
     assert verdict.bound == pytest.approx(0.0, abs=1e-12)
 
@@ -75,8 +73,9 @@ def test_affine_route_completeness_against_grid():
     for _ in range(20):
         F = rng.normal(size=(2, 2))
         c = rng.normal(size=2)
+        sys = affine_system(F, c)
         for region in regions:
-            verdict = check_region_affine(region, F, c)
+            verdict = check_region_affine(region, sys)
             pts = slice_grid(region, 2000)
             vals = (pts @ F.T + c) @ region.affine.w
             grid_min = vals.min()
@@ -86,6 +85,36 @@ def test_affine_route_completeness_against_grid():
                 assert grid_min >= -1e-5
             elif verdict.status == FALSIFIED:
                 assert grid_min <= 1e-5
+
+
+def test_affine_route_rejects_a_nonaffine_weighted_flow():
+    net, region = first_quadrant_region()
+    with pytest.raises(ValueError):
+        check_region_affine(region, DynamicsSystem.parse(CUBIC2D, dim=2))
+
+
+@pytest.mark.parametrize("flow, status", [
+    (["-x1", "sin(x2)"], VERIFIED),                # w.f = 1 on both lines
+    (["x1", "x2^3 - x2"], FALSIFIED),              # w.f = -1 on both lines
+    (["0.5 - x2 / 4", "x1*sin(x2)"], FALSIFIED),   # unbounded below along them
+])
+def test_weighted_flow_affine_where_the_flow_is_not_is_decided_by_lp(flow, status):
+    """h = 1 - |x1| has w = (-+1, 0) on its two patches, the lines x1 = +-1:
+    the nonlinear second component carries weight 0, so w.f is affine there
+    and one LP decides the patch exactly, in agreement with a slice grid."""
+    net = strip_net()
+    regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    sys = DynamicsSystem.parse(flow, dim=2)
+    result = check_invariance(net, regions, sys)
+    assert len(regions) == 2 and all(r.affine.w[1] == 0.0 for r in regions)
+    for region, v in zip(regions, result.region_verdicts):
+        assert (v.method, v.status, v.domain_restricted) == ("lp", status, False)
+        grid_min = min(region.affine.w @ sys(p) for p in slice_grid(region, 2000))
+        if status == VERIFIED:
+            assert v.bound == pytest.approx(grid_min, abs=1e-9)
+        else:
+            assert grid_min < 0.0
+            assert_checked_witness(region, v, lambda x: region.affine.w @ sys(x))
 
 
 # -- falsification search ---------------------------------------------------------------
@@ -129,9 +158,9 @@ def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
     batched LP, and the pattern moves that leave the patch solve none."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    objective = conditions._invariance_objective(region.affine.w, sys)
+    g = weighted_sum(region.affine.w, sys.exprs)
     calls = counted_lp_solves(monkeypatch)
-    found = conditions._falsify(region, objective, DEFAULT_CONFIG, np.random.default_rng(0))
+    found = conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
     assert found is None
     assert len(calls) == 1
 
@@ -202,12 +231,13 @@ def test_margin_monotonicity_never_flips_verified_to_falsified():
             assert large.status == VERIFIED
 
 
-def record_bab_boxes(monkeypatch, objective):
+def record_bab_boxes(monkeypatch):
     """Run-time log of _bab: ("box", contracted box) for every bounding_box
     result, ("tighten", (half, tightened half)) for every `_tighten` call and
-    ("enclose", box) for every box the interval callable sees."""
+    ("enclose", box) for every box `interval_evaluate` sees."""
     events = []
     original_bounding_box, original_tighten = conditions.bounding_box, conditions._tighten
+    original_interval = conditions.interval_evaluate
 
     def logged_bounding_box(*args, **kwargs):
         out = original_bounding_box(*args, **kwargs)
@@ -220,13 +250,14 @@ def record_bab_boxes(monkeypatch, objective):
         events.append(("tighten", (box.copy(), out.copy())))
         return out
 
-    def logged_interval(box):
+    def logged_interval(g, box):
         events.append(("enclose", np.array(box, dtype=float)))
-        return objective.interval(box)
+        return original_interval(g, box)
 
     monkeypatch.setattr(conditions, "bounding_box", logged_bounding_box)
     monkeypatch.setattr(conditions, "_tighten", logged_tighten)
-    return events, objective._replace(interval=logged_interval)
+    monkeypatch.setattr(conditions, "interval_evaluate", logged_interval)
+    return events
 
 
 def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
@@ -241,10 +272,10 @@ def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     tol = DEFAULT_CONFIG.tol_feas
     enclosed = tightened = kept = 0
+    events = record_bab_boxes(monkeypatch)
     for region in regions:
-        events, objective = record_bab_boxes(
-            monkeypatch, conditions._invariance_objective(region.affine.w, sys))
-        conditions._bab(region, objective, DEFAULT_CONFIG)
+        events.clear()
+        conditions._bab(region, weighted_sum(region.affine.w, sys.exprs), DEFAULT_CONFIG)
         exact = conditions._axis_bounds(region.slice.base)
         pts = slice_grid(region, 2000)
         for (kind, cbox), (next_kind, box) in zip(events, events[1:]):
@@ -302,7 +333,7 @@ def test_tighten_keeps_every_hyperplane_point_of_the_box():
     assert np.array_equal(conditions._tighten(box, np.array([0.0, 1.0]), -1.0), box)
 
 
-def test_bab_certified_boxes_cover_every_verified_patch():
+def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
     """Each slice-grid point of a patch that BaB verifies lies in some
     enclosed box whose lower bound certified: no part of the patch escapes
     the proof, on the diamond's patches and those of random nets."""
@@ -313,20 +344,23 @@ def test_bab_certified_boxes_cover_every_verified_patch():
     for _ in range(3):
         net = random_hidden_net(rng, neurons=5)
         patches += [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    certified = []
+    original = conditions.interval_evaluate
+
+    def logged(g, box):
+        iv = original(g, box)
+        if iv.lo >= -DEFAULT_CONFIG.tol_margin:
+            certified.append(np.array(box, dtype=float))
+        return iv
+
+    monkeypatch.setattr(conditions, "interval_evaluate", logged)
     verified = 0
     for region in patches:
         pts = slice_grid(region, 1000)
         for sys in flows:
-            objective = conditions._invariance_objective(region.affine.w, sys)
-            certified = []
-
-            def logged(box, interval=objective.interval):
-                lo, hi = interval(box)
-                if lo >= -DEFAULT_CONFIG.tol_margin:
-                    certified.append(np.array(box, dtype=float))
-                return lo, hi
-
-            verdict = conditions._bab(region, objective._replace(interval=logged), DEFAULT_CONFIG)
+            certified.clear()
+            verdict = conditions._bab(region, weighted_sum(region.affine.w, sys.exprs),
+                                      DEFAULT_CONFIG)
             if verdict.status != VERIFIED or verdict.vacuous:
                 continue
             boxes = np.array(certified)
@@ -382,9 +416,8 @@ def test_bab_contracts_a_bounded_root_once(monkeypatch):
     box: one bounding_box call, which the root box is taken from."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
-    events, objective = record_bab_boxes(
-        monkeypatch, conditions._invariance_objective(region.affine.w, sys))
-    verdict = conditions._bab(region, objective, DEFAULT_CONFIG)
+    events = record_bab_boxes(monkeypatch)
+    verdict = conditions._bab(region, weighted_sum(region.affine.w, sys.exprs), DEFAULT_CONFIG)
     assert (verdict.status, verdict.domain_restricted) == (VERIFIED, False)
     assert [kind for kind, _box in events] == ["box", "enclose"]
 
@@ -396,9 +429,8 @@ def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
     net, regions = diamond_regions()
     region = next(r for r in regions if r.indicator == ind(0, 1, 1, 0))
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    events, objective = record_bab_boxes(
-        monkeypatch, conditions._invariance_objective(region.affine.w, sys))
-    verdict = conditions._bab(region, objective, DEFAULT_CONFIG)
+    events = record_bab_boxes(monkeypatch)
+    verdict = conditions._bab(region, weighted_sum(region.affine.w, sys.exprs), DEFAULT_CONFIG)
     assert (verdict.status, verdict.bound) == (VERIFIED, 0.0)
     boxes = [box for kind, box in events if kind == "enclose"]
     assert boxes and all(box[0, 1] == 0.0 and box[1, 0] == 0.0 for box in boxes)
@@ -433,7 +465,7 @@ def test_search_runs_once_when_bab_runs_out_of_boxes(monkeypatch):
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)   # w.f = 0 on the patch
     cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
-    verdict = conditions._decide(region, conditions._invariance_objective(region.affine.w, sys),
+    verdict = conditions._decide(region, weighted_sum(region.affine.w, sys.exprs),
                                  cfg, np.random.default_rng(0))
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (UNKNOWN, "interval")
@@ -451,8 +483,8 @@ def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
                                 f"-x2*(1 + x1^2 + x2^2) + {float(d[1])!r}"], dim=2)
     net, regions = diamond_regions()
     region = next(r for r in regions if r.indicator == ind(1, 0, 1, 0))
-    g = conditions._invariance_objective(region.affine.w, sys).point
-    assert region.slice.contains(t * u) and g(t * u) < 0.0
+    g = weighted_sum(region.affine.w, sys.exprs)
+    assert region.slice.contains(t * u) and evaluate(g, t * u) < 0.0
     result = check_invariance(net, regions, sys)
     v = next(v for v in result.region_verdicts if v.indicator == region.indicator)
     assert (v.status, v.method) == (FALSIFIED, "interval")
@@ -469,14 +501,14 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     net = line_net()
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
-    objective = conditions._invariance_objective(region.affine.w, sys)
-    inside = conditions._bab(region, objective, DEFAULT_CONFIG)
+    g = weighted_sum(region.affine.w, sys.exprs)
+    inside = conditions._bab(region, g, DEFAULT_CONFIG)
     assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
-    verdict = conditions._decide(region, objective, DEFAULT_CONFIG, np.random.default_rng(0))
+    verdict = conditions._decide(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert abs(verdict.witness[1]) > 4.0
-    assert_checked_witness(region, verdict, objective.point)
+    assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
 
 def test_search_reaches_far_along_a_ray_shaped_patch():
@@ -487,11 +519,11 @@ def test_search_reaches_far_along_a_ray_shaped_patch():
                       np.array([1.0, -1.0, 0.0]), 0.0)
     region = build_valid_region(net, ind(1, 0, 0))
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
-    objective = conditions._invariance_objective(region.affine.w, sys)
-    verdict = conditions._decide(region, objective, DEFAULT_CONFIG, np.random.default_rng(0))
+    g = weighted_sum(region.affine.w, sys.exprs)
+    verdict = conditions._decide(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert verdict.witness[1] < -4.0
-    assert_checked_witness(region, verdict, objective.point)
+    assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
 
 # -- invariance aggregation ----------------------------------------------------------
@@ -567,7 +599,7 @@ def test_lp_unbounded_objective_falsified_with_checked_witness():
     h_unsafe = parse_expression("x2", 2)
     invariance = check_invariance(net, regions, sys).region_verdicts
     unsafe = check_unsafe_condition(net, regions, h_unsafe).region_verdicts
-    single = [check_region_affine(r, *is_affine(sys)) for r in regions]
+    single = [check_region_affine(r, sys) for r in regions]
     for region, v_inv, v_unsafe, v_single in zip(regions, invariance, unsafe, single):
         checks = ((v_inv, lambda x: region.affine.w @ sys(x)),
                   (v_single, lambda x: region.affine.w @ sys(x)),
@@ -610,9 +642,8 @@ def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
     line = line_net()
     line_region = build_valid_region(line, brute_force_valid_regions(line)[0])
     monkeypatch.setattr(SlicePolyhedron, "contains", lambda self, x, tol=1e-7: False)
-    bounded = check_region_affine(region, *is_affine(DynamicsSystem.parse(["1", "0"], dim=2)))
-    unbounded = check_region_affine(line_region,
-                                    *is_affine(DynamicsSystem.parse(["x2", "0"], dim=2)))
+    bounded = check_region_affine(region, DynamicsSystem.parse(["1", "0"], dim=2))
+    unbounded = check_region_affine(line_region, DynamicsSystem.parse(["x2", "0"], dim=2))
     assert (bounded.status, bounded.witness) == (UNKNOWN, None)
     assert bounded.note == "LP point failed the witness check"
     assert (unbounded.status, unbounded.witness) == (UNKNOWN, None)
@@ -803,6 +834,23 @@ def test_verify_certificate_where_g_is_undefined_on_a_patch(flow, h_init, condit
             touched += 1
             assert row.status != VERIFIED
     assert touched == 2
+
+
+@pytest.mark.parametrize("f1", [
+    "-x1*exp(1000*x1)",                                       # math.exp overflows
+    "-x1 + 1e200*x1*x1*x2*1e200 - 1e200*x1*x1*x2*1e200",      # inf - inf is NaN
+])
+def test_verify_certificate_where_the_enclosure_overflows(f1):
+    """An enclosure that overflows leaves its patch unknown with a note; it
+    never fails the run."""
+    with np.errstate(all="ignore"):   # point evaluation of the search overflows too
+        verdict = verify_certificate(diamond_net(), DynamicsSystem.parse([f1, "-x2"], dim=2),
+                                     parse_expression("0.04 - x1^2 - x2^2", 2),
+                                     parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
+    assert verdict.failure is None and verdict.invariance == UNKNOWN
+    notes = [v.note for v in verdict.invariance_result.region_verdicts if v.status == UNKNOWN]
+    assert notes and all(n.startswith("interval enclosure failed: overflow or NaN")
+                         for n in notes)
 
 
 def test_verify_certificate_unknown_flat_case():

@@ -1,5 +1,7 @@
 """Expression grammar, evaluation, interval enclosure, and affine detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from relubarrier import (DomainError, DynamicsSystem, ExpressionSyntaxError,
                          UnknownIdentifier, VariableOutOfRange, evaluate,
                          interval_evaluate, is_affine, parse_expression,
                          to_text)
+from relubarrier.expressions import Add, Const, Mul, weighted_sum
 
 from helpers import CUBIC2D, TRANSCENDENTAL3D, DECAY6D, CASCADE4D, ALL_SYSTEMS
 
@@ -104,7 +107,38 @@ def test_log_domain_error():
         evaluate(e, np.array([0.0]))
 
 
+@pytest.mark.parametrize("text", ["1/x1", "ln(x1)", "1/ln(x1)", "ln(x1)^0"])
+def test_batch_is_nan_exactly_where_a_point_raises(text):
+    """Undefined rows of a batch are NaN, with no RuntimeWarning; the others
+    equal point evaluation.  ln(x1)^0 is the trap: NaN**0 is 1."""
+    e = parse_expression(text, 2)
+    xs = np.column_stack([[-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], np.ones(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = evaluate(e, xs)
+    raised = 0
+    for x, value in zip(xs, batch):
+        try:
+            expected = evaluate(e, x)
+        except DomainError:
+            raised += 1
+            assert np.isnan(value)
+        else:
+            assert value == expected
+    assert 0 < raised < len(xs)
+
+
 # -- interval enclosure ---------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "-x1*exp(1000*x1)",                                       # math.exp overflows
+    "-x1 + 1e200*x1*x1*x2*1e200 - 1e200*x1*x1*x2*1e200",      # inf - inf is NaN
+])
+def test_interval_overflow_raises_domain_error(text):
+    box = np.array([[0.5, 1.0], [0.5, 1.0]])
+    with pytest.raises(DomainError):
+        interval_evaluate(parse_expression(text, 2), box)
+
 
 def test_interval_even_power_straddle():
     iv = interval_evaluate(parse_expression("x1^2", 1), np.array([[-1.0, 2.0]]))
@@ -198,6 +232,16 @@ def test_enclosure_width_shrinks_towards_zero():
 
 
 # -- affine detection -----------------------------------------------------------------
+
+def test_weighted_sum_drops_zero_weights_and_nests_from_the_left():
+    f = [parse_expression(t, 2) for t in ("x1", "x2^3", "sin(x1)")]
+    g = weighted_sum([2.0, 0.0, -1.0], f)
+    assert g == Add(Mul(Const(2.0), f[0]), Mul(Const(-1.0), f[2]))
+    assert weighted_sum(np.array([1.0, 0.5, 3.0]), f) == Add(
+        Add(Mul(Const(1.0), f[0]), Mul(Const(0.5), f[1])), Mul(Const(3.0), f[2]))
+    assert weighted_sum([0.0, 0.0], f[:2]) == Const(0.0)
+    assert weighted_sum([], []) == Const(0.0)
+
 
 def test_is_affine_linear_system():
     sys = DynamicsSystem.parse(CASCADE4D, dim=4)

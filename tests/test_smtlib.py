@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from relubarrier import (ActivationIndicator, DynamicsSystem,
                          boundary_propagation, build_valid_region,
                          check_region_affine, export_invariance,
-                         export_set_condition, format_number, is_affine,
+                         export_set_condition, format_number,
                          parse_expression, FALSIFIED, VERIFIED)
 
-from helpers import all_dead_net, diamond_net, random_hidden_net, slice_grid, strip_net
+from helpers import affine_system, diamond_net, random_hidden_net, slice_grid, strip_net
 
 
 def diamond_regions():
@@ -261,11 +261,10 @@ def test_format_number_round_trips_exactly(v):
 
 def test_falsified_query_holds_at_lp_witness():
     regions = diamond_regions()
-    F, c = is_affine(DRIFT)
     queries = export_invariance(regions, DRIFT)
     hit_any = False
     for q, region in zip(queries, regions):
-        verdict = check_region_affine(region, F, c)
+        verdict = check_region_affine(region, DRIFT)
         if verdict.status == FALSIFIED:
             hit_any = True
             assert query_holds_at(q, verdict.witness)
@@ -274,10 +273,9 @@ def test_falsified_query_holds_at_lp_witness():
 
 def test_verified_query_fails_at_every_slice_sample():
     regions = diamond_regions()
-    F, c = is_affine(MINUS_X)
     queries = export_invariance(regions, MINUS_X)
     for q, region in zip(queries, regions):
-        verdict = check_region_affine(region, F, c)
+        verdict = check_region_affine(region, MINUS_X)
         assert verdict.status == VERIFIED
         for point in slice_grid(region, 500):
             assert not query_holds_at(q, point)
@@ -304,15 +302,10 @@ def test_lp_cross_validation_random_affine_systems():
         regions = [r for r in regions if not r.degenerate]
         if not regions:
             continue
-        F = rng.normal(size=(2, 2))
-        c = rng.normal(size=2)
-        sys = DynamicsSystem.parse(
-            [f"{float(F[0, 0])!r}*x1 + {float(F[0, 1])!r}*x2 + {float(c[0])!r}",
-             f"{float(F[1, 0])!r}*x1 + {float(F[1, 1])!r}*x2 + {float(c[1])!r}"],
-            dim=2)
+        sys = affine_system(rng.normal(size=(2, 2)), rng.normal(size=2))
         queries = export_invariance(regions, sys)
         for q, region in zip(queries, regions):
-            verdict = check_region_affine(region, F, c)
+            verdict = check_region_affine(region, sys)
             if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                 continue
             checked += 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relubarrier import parse_expression
+from relubarrier import evaluate, parse_expression, svgplot
 from relubarrier.svgplot import _grid_values, _marching_squares
 
 from helpers import marching_squares_reference
@@ -33,3 +33,14 @@ def test_marching_squares_cases_cover_a_saddle_and_nan_cells():
     assert middle.sum() == 2
     _xs, _ys, vals = _grid_values(parse_expression("ln(x1 + 0.5) - 0.5", 2), DOMAIN, 64)
     assert np.isnan(vals).any() and not np.isnan(vals).all()
+
+
+def test_grid_values_evaluate_the_grid_once(monkeypatch):
+    """Undefined grid points come back NaN from one batched evaluation,
+    not from a per-point fallback."""
+    calls = []
+    monkeypatch.setattr(svgplot, "evaluate", lambda e, x: calls.append(1) or evaluate(e, x))
+    xs, _ys, vals = _grid_values(parse_expression("ln(x1 + 0.5) - 0.5", 2), DOMAIN, 256)
+    assert calls == [1]
+    assert np.array_equal(np.isnan(vals).any(axis=1), xs <= -0.5)
+    assert np.array_equal(np.isnan(vals).all(axis=1), xs <= -0.5)
