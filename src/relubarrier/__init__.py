@@ -16,14 +16,11 @@ from .errors import (CombinatorialBlowup, DimensionMismatch, DomainError,
                      ExpressionError, ExpressionSyntaxError,
                      InfeasiblePolyhedron, MalformedProblem, MissingField,
                      NoRegions, NumericalFailure, OracleTooLarge,
-                     ProblemFormatError, RelubarrierError, SamplerExhausted,
-                     SearchExhausted, UnknownIdentifier, UnsupportedDimension,
-                     VariableOutOfRange)
-from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                      lp_feasible, lp_solve)
-from .expressions import (DynamicsSystem, Interval, evaluate,
-                          interval_evaluate, is_affine, parse_expression,
-                          to_text)
+                     ProblemFormatError, RelubarrierError, SearchExhausted,
+                     UnknownIdentifier, UnsupportedDimension, VariableOutOfRange)
+from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, lp_solve
+from .expressions import (DynamicsSystem, Interval, evaluate, interval_evaluate,
+                          parse_expression)
 from .network import (ActivationIndicator, CandidateIndicator, RegionAffine,
                       ReluNetwork, expand_candidate, load_network,
                       network_from_json, network_to_json)
@@ -49,14 +46,14 @@ __all__ = [
     "VerifierConfig", "DEFAULT_CONFIG",
     "RelubarrierError", "MalformedProblem", "NumericalFailure",
     "DimensionMismatch", "CombinatorialBlowup", "InfeasiblePolyhedron",
-    "OracleTooLarge", "SearchExhausted", "NoRegions", "SamplerExhausted",
+    "OracleTooLarge", "SearchExhausted", "NoRegions",
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifier",
     "VariableOutOfRange", "DomainError", "ProblemFormatError", "MissingField",
     "UnsupportedDimension",
-    "LpProblem", "LpOutcome", "lp_solve", "lp_feasible",
+    "LpProblem", "LpOutcome", "lp_solve",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "parse_expression", "evaluate", "interval_evaluate", "Interval",
-    "to_text", "DynamicsSystem", "is_affine",
+    "DynamicsSystem",
     "ReluNetwork", "ActivationIndicator", "CandidateIndicator", "RegionAffine",
     "expand_candidate", "network_from_json", "network_to_json", "load_network",
     "Polyhedron", "SlicePolyhedron", "inscribed_radius",

@@ -26,8 +26,10 @@ the one check `_checked_witness`: it lies on the slice within tol_feas and
 g evaluated there directly (`evaluate`) is below
 -max(tol_margin, FALSIFY_GATE).  An LP point that fails the check yields
 `unknown`, never an unchecked `falsified`.  Set conditions additionally
-probe one sample of the set against the sign of h (membership side of the
-containment/disjointness arguments).  The single-rung wrappers
+probe sampled points of the set against the sign of h (membership side of
+the containment/disjointness arguments); the probe is one more status in
+the same aggregation as the region verdicts, `unknown` when its draws run
+out.  The single-rung wrappers
 `check_region_affine`, `verify_region_bab` and `falsify_region` all take
 (region, sys, cfg) and decide one region's invariance.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE,
                      VerifierConfig)
-from .errors import DomainError, NoRegions, SamplerExhausted, SearchExhausted
+from .errors import DomainError, NoRegions, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           weighted_sum, _linear_form)
 from .geometry import bounding_box
@@ -121,11 +123,11 @@ class _Checked(NamedTuple):
 
 def _checked_witness(sl, x, g: Expr, cfg) -> _Checked | None:
     """Check a candidate point; None when it is not on the slice or g is
-    undefined there.
+    undefined or not finite there.
 
     Every route takes its witnesses from here: a witness lies on the slice
     within tol_feas, and g evaluated at it directly (not the value a solver
-    or a bound reports) is below -max(tol_margin, FALSIFY_GATE).
+    or a bound reports) is finite and below -max(tol_margin, FALSIFY_GATE).
     """
     if x is None or not sl.contains(x, cfg.tol_feas):
         return None
@@ -134,6 +136,8 @@ def _checked_witness(sl, x, g: Expr, cfg) -> _Checked | None:
         value = evaluate(g, x)
     except DomainError:
         return None
+    if not np.isfinite(value):
+        return None   # overflow: a value no report can carry
     return _Checked(x, value, _status_from_value(value, cfg) == FALSIFIED)
 
 
@@ -467,11 +471,11 @@ def _decide_regions(regions, g_of, cfg, salt: int) -> list[RegionVerdict]:
     return [decide(it) for it in items]
 
 
-def _aggregate(verdicts, extra_falsified=False, extra_ok=True):
-    statuses = [v.status for v in verdicts]
-    if extra_falsified or FALSIFIED in statuses:
+def _aggregate(statuses) -> str:
+    """falsified when any status is, verified when all are, else unknown."""
+    if FALSIFIED in statuses:
         return FALSIFIED
-    if all(s == VERIFIED for s in statuses) and extra_ok:
+    if all(s == VERIFIED for s in statuses):
         return VERIFIED
     return UNKNOWN
 
@@ -483,15 +487,18 @@ def check_invariance(net, regions, sys: DynamicsSystem,
         raise NoRegions("invariance check over an empty region list")
     verdicts = _decide_regions(
         regions, lambda region: weighted_sum(region.affine.w, sys.exprs), cfg, salt=101)
-    return ConditionResult(_aggregate(verdicts), verdicts)
+    return ConditionResult(_aggregate([v.status for v in verdicts]), verdicts)
 
 
-def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipProbe:
-    """One rejection-sampled point of {set_expr > 0}, checked against sign(h).
+def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipProbe | None:
+    """Rejection-sampled points of {set_expr > 0}, checked against sign(h);
+    None when no draw lands in the set.
 
-    want_inside demands h > 0 strictly at the sample; otherwise h < 0
-    strictly.  Equality with zero never passes: a sample on the boundary is
-    evidence against the condition, not for it.
+    Every set point of the first batch that holds any is checked.
+    want_inside demands h > 0 strictly at each; otherwise h < 0 strictly.
+    Equality with zero never passes: a sample on the boundary is evidence
+    against the condition, not for it.  The probe reports the first failing
+    point, or else the first set point.
     """
     domain = cfg.domain(net.input_dim)
     n = net.input_dim
@@ -503,15 +510,15 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
         values = evaluate(set_expr, xs)   # NaN where set_expr is undefined
         idx = np.flatnonzero(values > 0.0)
         if idx.size:
-            x = xs[idx[0]]
-            h = net.forward(x)
-            ok = h > 0.0 if want_inside else h < 0.0
-            return MembershipProbe(point=x, set_value=float(values[idx[0]]),
-                                   h_value=h, ok=ok, samples=seen + int(idx[0]) + 1)
+            h = net.forward_many(xs[idx])
+            good = h > 0.0 if want_inside else h < 0.0
+            j = int(np.argmin(good))      # the first failing point, else 0
+            i = int(idx[j])
+            return MembershipProbe(point=xs[i], set_value=float(values[i]),
+                                   h_value=float(h[j]), ok=bool(good.all()),
+                                   samples=seen + i + 1)
         seen += k
-    raise SamplerExhausted(
-        f"no point with a positive set function in {cfg.membership_samples} draws; "
-        "the set may be empty or outside the domain box")
+    return None
 
 
 def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
@@ -520,9 +527,11 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
 
     Part one: the set must not meet any level-set patch (sup of the set
     function over each patch <= 0, decided like an invariance objective
-    with g = -set_expr).  Part two: one sampled set point must land
-    strictly inside (initial) or strictly outside (unsafe) the sublevel
-    region of h.
+    with g = -set_expr).  Part two: sampled set points must land strictly
+    inside (initial) or strictly outside (unsafe) the sublevel region of h.
+    The probe's status joins the region verdicts' in `_aggregate`: verified,
+    falsified, or unknown when its draws run out (the reason goes in the
+    note).
     """
     if not regions:
         raise NoRegions("set condition over an empty region list")
@@ -530,8 +539,14 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
     verdicts = _decide_regions(regions, lambda _region: g, cfg, salt)
     rng = np.random.default_rng([cfg.seed, salt, 7919])
     probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
-    status = _aggregate(verdicts, extra_falsified=not probe.ok, extra_ok=probe.ok)
-    return ConditionResult(status, verdicts, probe=probe)
+    if probe is None:
+        probe_status = UNKNOWN
+        note = (f"no point with a positive set function in {cfg.membership_samples} "
+                "draws; the set may be empty or outside the domain box")
+    else:
+        probe_status, note = (VERIFIED if probe.ok else FALSIFIED), ""
+    status = _aggregate([v.status for v in verdicts] + [probe_status])
+    return ConditionResult(status, verdicts, probe=probe, note=note)
 
 
 def check_initial_condition(net, regions, h_init: Expr,
@@ -582,11 +597,9 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
             results[label] = ConditionResult(
                 VERIFIED, [], note=f"no {label} set given; condition vacuous")
         else:
-            try:
-                results[label] = check(net, enum.regions, target, cfg)
-            except SamplerExhausted as exc:
-                results[label] = ConditionResult(UNKNOWN, [], note=str(exc))
-                caveats.append(f"{label}-set sampling exhausted: {exc}")
+            results[label] = check(net, enum.regions, target, cfg)
+            if label != "invariance" and results[label].probe is None:
+                caveats.append(f"{label}-set sampling exhausted: {results[label].note}")
         timings[f"{label}_s"] = time.perf_counter() - t
     timings["total_s"] = time.perf_counter() - t0
 
@@ -597,11 +610,12 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
         caveats.append("a certified bound lies within tolerance noise of zero")
     inv, init_res, unsafe_res = results.values()
     if init_res.probe is not None or unsafe_res.probe is not None:
-        caveats.append("set membership is probed at one sample point; full-set "
+        caveats.append("set membership is probed at sampled points; full-set "
                        "containment in this component is not separately certified")
 
     return CertificateVerdict(
         invariance=inv.status, initial_condition=init_res.status,
-        unsafe_condition=unsafe_res.status, overall=_aggregate(results.values()),
+        unsafe_condition=unsafe_res.status,
+        overall=_aggregate([r.status for r in results.values()]),
         invariance_result=inv, initial_result=init_res, unsafe_result=unsafe_res,
         enumeration=enum, search_meta=search_meta, caveats=caveats, timings=timings)

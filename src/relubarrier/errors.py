@@ -37,10 +37,6 @@ class NoRegions(RelubarrierError):
     """A certificate check was asked to run over an empty region list."""
 
 
-class SamplerExhausted(RelubarrierError):
-    """Rejection sampling failed to produce a point within its budget."""
-
-
 class ExpressionError(RelubarrierError):
     """Base class for expression parsing/evaluation errors."""
 

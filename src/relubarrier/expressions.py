@@ -442,46 +442,6 @@ def weighted_sum(coefs, exprs) -> Expr:
     return functools.reduce(Add, terms) if terms else Const(0.0)
 
 
-def to_text(e: Expr) -> str:
-    """Canonical text that reparses to a structurally identical tree."""
-    return _print(e)
-
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-
-
-def _prec(e):
-    return _PREC.get(type(e), 5)
-
-
-def _print(e):
-    if isinstance(e, Var):
-        return f"x{e.index + 1}"
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Neg):
-        inner = _print(e.arg)
-        return f"-({inner})" if _prec(e.arg) < 3 else f"-{inner}"
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-        mine = _prec(e)
-        left = _print(e.left)
-        if _prec(e.left) < mine:
-            left = f"({left})"
-        right = _print(e.right)
-        if _prec(e.right) <= mine:
-            right = f"({right})"
-        return f"{left} {op} {right}"
-    if isinstance(e, Pow):
-        base = _print(e.base)
-        if _prec(e.base) < 4:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Func):
-        return f"{e.name}({_print(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # -- systems -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -502,16 +462,3 @@ class DynamicsSystem:
 
     def __call__(self, x) -> np.ndarray:
         return np.array([evaluate(e, x) for e in self.exprs])
-
-
-def is_affine(sys: DynamicsSystem):
-    """(F, c) with f(x) = F x + c when every component is degree <= 1,
-    otherwise None."""
-    rows, consts = [], []
-    for e in sys.exprs:
-        f = _linear_form(e, sys.dim)
-        if f is None:
-            return None
-        rows.append(f[0])
-        consts.append(f[1])
-    return np.array(rows), np.array(consts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL_EQ
 from .errors import InfeasiblePolyhedron
-from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_feasible, lp_solve
+from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_solve
 
 
 @dataclass
@@ -47,10 +47,6 @@ class Polyhedron:
         if self.num_rows == 0:
             return True
         return bool(np.all(self.A @ np.asarray(x, dtype=float) <= self.d + tol))
-
-    def feasible_point(self, tol_feas: float = 1e-7):
-        """A point of the polyhedron, or None when it is empty."""
-        return lp_feasible(self.A, self.d, num_vars=self.dim, tol_feas=tol_feas)
 
     def with_rows(self, extra_a, extra_d) -> "Polyhedron":
         extra_a = np.atleast_2d(np.asarray(extra_a, dtype=float))
@@ -125,7 +121,7 @@ def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
     Decided by the min/max LP pair per row; a row is implicit when both
     optima exist and coincide within tol_eq (relative to the row's magnitude).
     """
-    if p.feasible_point(tol_feas) is None:
+    if not lp_solve(LpProblem(np.zeros(p.dim), p.A, p.d), tol_feas=tol_feas).optimal:
         raise InfeasiblePolyhedron("implicit equalities of an empty polyhedron")
     implicit = []
     for j in range(p.num_rows):
@@ -145,7 +141,7 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     Rows are scanned in ascending index order against the shrinking system,
     so of k duplicate rows exactly one (the last) survives.
     """
-    if p.feasible_point(tol_feas) is None:
+    if not lp_solve(LpProblem(np.zeros(p.dim), p.A, p.d), tol_feas=tol_feas).optimal:
         raise InfeasiblePolyhedron("cannot reduce an empty polyhedron")
     keep = list(range(p.num_rows))
     for j in range(p.num_rows):

@@ -306,21 +306,3 @@ def _check_feasible(problem, x, tol_feas):
         viol = float(np.abs(problem.a_eq @ x - problem.b_eq).max())
         if viol > 100 * tol_feas * scale:
             raise NumericalFailure(f"solver returned infeasible point (eq residual {viol:.3g})")
-
-
-def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, num_vars=None,
-                tol_feas: float = 1e-7):
-    """Phase-one feasibility check.
-
-    Returns a feasible point, or None when the system is infeasible.
-    """
-    if num_vars is None:
-        if a_ub is not None:
-            num_vars = np.atleast_2d(np.asarray(a_ub)).shape[1]
-        elif a_eq is not None:
-            num_vars = np.atleast_2d(np.asarray(a_eq)).shape[1]
-        else:
-            raise MalformedProblem("cannot infer the number of variables")
-    problem = LpProblem(np.zeros(num_vars), a_ub, b_ub, a_eq, b_eq)
-    outcome = lp_solve(problem, tol_feas=tol_feas)
-    return outcome.point if outcome.optimal else None

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, LpProblem,
-                         Polyhedron, SlicePolyhedron, implicit_equalities, lp_feasible,
-                         lp_solve, network_to_json)
+                         Polyhedron, SlicePolyhedron, implicit_equalities, lp_solve,
+                         network_to_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import TOL_EQ
 from relubarrier.network import ReluNetwork
@@ -200,10 +200,17 @@ def slice_full(sl) -> Polyhedron:
     return sl.base.with_rows(np.vstack([sl.w, -sl.w]), np.array([-sl.b, sl.b]))
 
 
+def feasible_point(a_ub, b_ub, a_eq=None, b_eq=None, tol_feas: float = 1e-7):
+    """A point of {a_ub x <= b_ub, a_eq x = b_eq} by a zero-objective LP, or
+    None when the system is empty."""
+    out = lp_solve(LpProblem(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq),
+                   tol_feas=tol_feas)
+    return out.point if out.optimal else None
+
+
 def slice_feasible_point(sl, tol_feas: float = 1e-7):
     """A point of a SlicePolyhedron, or None when it is empty."""
-    return lp_feasible(sl.base.A, sl.base.d, sl.w[None, :], np.array([-sl.b]),
-                       num_vars=sl.base.dim, tol_feas=tol_feas)
+    return feasible_point(sl.base.A, sl.base.d, sl.w[None, :], np.array([-sl.b]), tol_feas)
 
 
 def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
@@ -213,7 +220,7 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     exactly when b = 0; otherwise the slice is nonempty with dimension n-1.
     """
     region = net.region_constraints(ind)
-    if region.feasible_point(cfg.tol_feas) is None:
+    if feasible_point(region.A, region.d, tol_feas=cfg.tol_feas) is None:
         return False
     if dimension(region, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) < region.dim:
         return False
@@ -221,7 +228,7 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     if not aff.w.any():
         return bool(aff.b == 0.0)
     sliced = slice_full(SlicePolyhedron(region, aff.w, aff.b))
-    if sliced.feasible_point(cfg.tol_feas) is None:
+    if feasible_point(sliced.A, sliced.d, tol_feas=cfg.tol_feas) is None:
         return False
     return dimension(sliced, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) == region.dim - 1
 
@@ -232,8 +239,7 @@ def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:
     b_ub = np.concatenate([r1.constraints.d, r2.constraints.d])
     a_eq = np.vstack([r1.affine.w[None, :], r2.affine.w[None, :]])
     b_eq = np.array([-r1.affine.b, -r2.affine.b])
-    return lp_feasible(a_ub, b_ub, a_eq, b_eq, num_vars=r1.constraints.dim,
-                       tol_feas=tol_feas) is not None
+    return feasible_point(a_ub, b_ub, a_eq, b_eq, tol_feas) is not None
 
 
 def boundary_is_connected(regions, tol_feas: float = 1e-7) -> bool:

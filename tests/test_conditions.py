@@ -1,13 +1,15 @@
 """Per-region condition checks: LP route, falsification, branch-and-bound,
 set conditions, and the end-to-end certificate pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ActivationIndicator, DynamicsSystem, NoRegions, Polyhedron,
                          ReluNetwork, SlicePolyhedron, boundary_propagation,
-                         brute_force_valid_regions, build_valid_region,
+                         brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_region_affine, check_unsafe_condition,
                          evaluate, falsify_region, load_problem,
@@ -18,7 +20,7 @@ from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box
 
 from helpers import (affine_system, counted_lp_solves, diamond_net, load_bench_module,
-                     random_hidden_net, slice_grid, strip_net, CUBIC2D)
+                     random_hidden_net, slice_grid, strip_net, write_problem, CUBIC2D)
 
 
 def ind(*bits):
@@ -730,6 +732,25 @@ def test_membership_asymmetry_unsafe_needs_strict_outside():
     assert result.probe.h_value > 0
 
 
+def test_probe_checks_every_sampled_set_point(tmp_path):
+    """On the benchmark's affine-2d-16-0 the first sampled initial-set point
+    has h > 0, but part of the set lies where h <= 0 (a level-set component
+    that propagation never reaches); a later sample in the same batch shows
+    it."""
+    problems = load_bench_module("problems")
+    spec = [p for p in problems.build_workload("enum-affine", 3) if p.name == "affine-2d-16-0"]
+    problems.write_workload(spec, str(tmp_path))
+    problem = load_problem(spec[0].path)
+    verdict = verify_certificate(problem.network, problem.system, problem.h_init,
+                                 problem.h_unsafe, problem.config)
+    assert verdict.initial_condition == FALSIFIED
+    probe = verdict.initial_result.probe
+    assert not probe.ok
+    x = np.asarray(probe.point)
+    assert spec[0].g_init(x[None, :])[0] > 0.0
+    assert problems.net_forward(spec[0].net, x)[0] <= 0.0
+
+
 def test_affine_set_expression_uses_lp_route():
     net, regions = diamond_regions()
     # half-plane x1 >= 2 misses the diamond; affine handling is exact
@@ -801,12 +822,42 @@ def test_verify_certificate_stops_when_ibp_shows_h_has_one_sign(tmp_path, monkey
 
 
 def test_verify_certificate_empty_set_reports_sampler_exhaustion():
+    """Draws that never land in the set leave the condition unknown, and the
+    region verdicts already decided stay in the result."""
     net = diamond_net()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0 - 1 - x1^2", 2)  # empty in any domain
     verdict = verify_certificate(net, sys, h_init, None)
     assert verdict.initial_condition == UNKNOWN
-    assert any("sampling exhausted" in c for c in verdict.caveats)
+    result = verdict.initial_result
+    assert result.probe is None
+    assert len(result.region_verdicts) == len(verdict.enumeration.regions) == 4
+    assert all(v.status == VERIFIED for v in result.region_verdicts)
+    assert result.note.startswith("no point with a positive set function in "
+                                  f"{DEFAULT_CONFIG.membership_samples} draws")
+    assert f"initial-set sampling exhausted: {result.note}" in verdict.caveats
+
+
+def test_patch_witnesses_stand_when_sampling_runs_out():
+    """A ball of radius 1e-4 about the vertex (1, 0) is missed by 1000 draws,
+    but the patches through the vertex carry checked witnesses, so the
+    condition is falsified rather than unknown."""
+    net = diamond_net()
+    h_init = parse_expression("0.00000001 - (x1 - 1)^2 - x2^2", 2)
+    cfg = DEFAULT_CONFIG.updated(membership_samples=1000)
+    verdict = verify_certificate(net, DynamicsSystem.parse(["-x1", "-x2"], dim=2), h_init,
+                                 parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2), cfg)
+    assert verdict.initial_condition == FALSIFIED
+    assert verdict.initial_result.probe is None
+    assert any(c.startswith("initial-set sampling exhausted: no point with a positive "
+                            "set function in 1000 draws") for c in verdict.caveats)
+    falsified = [(r, v) for r, v in zip(verdict.enumeration.regions,
+                                        verdict.initial_result.region_verdicts)
+                 if v.status == FALSIFIED]
+    assert falsified
+    for region, v in falsified:
+        assert region.slice.contains(v.witness, cfg.tol_feas)
+        assert evaluate(h_init, v.witness) == -v.witness_value > FALSIFY_GATE
 
 
 @pytest.mark.parametrize("flow, h_init, condition, axis, undefined", [
@@ -851,6 +902,26 @@ def test_verify_certificate_where_the_enclosure_overflows(f1):
     notes = [v.note for v in verdict.invariance_result.region_verdicts if v.status == UNKNOWN]
     assert notes and all(n.startswith("interval enclosure failed: overflow or NaN")
                          for n in notes)
+
+
+def test_overflowing_witness_value_is_no_witness(tmp_path):
+    """Under (exp(1000 x1), exp(1000 x2)) the point value of w.f on patch
+    1010 overflows; the patch stays unknown with the enclosure's note, and
+    the report is strict JSON."""
+    path = write_problem(tmp_path, diamond_net(), ["exp(1000*x1)", "exp(1000*x2)"],
+                         "0.04 - x1^2 - x2^2", "1 - (x1 - 3)^2 - (x2 - 3)^2")
+    problem = load_problem(path)
+    with np.errstate(all="ignore"):
+        verdict = verify_certificate(problem.network, problem.system, problem.h_init,
+                                     problem.h_unsafe, problem.config)
+    rows = {r.indicator.compact(): v for r, v in zip(verdict.enumeration.regions,
+                                                      verdict.invariance_result.region_verdicts)}
+    assert rows["1010"].status == UNKNOWN
+    assert rows["1010"].witness is None
+    assert rows["1010"].note.startswith("interval enclosure failed: overflow or NaN")
+    assert all(np.isfinite(v.witness_value) for v in rows.values()
+               if v.witness_value is not None)
+    json.dumps(build_report(problem, verdict), allow_nan=False)
 
 
 def test_verify_certificate_unknown_flat_case():

@@ -1,4 +1,4 @@
-"""Expression grammar, evaluation, interval enclosure, and affine detection."""
+"""Expression grammar, evaluation, interval enclosure, and affine forms."""
 
 import warnings
 
@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from relubarrier import (DomainError, DynamicsSystem, ExpressionSyntaxError,
                          UnknownIdentifier, VariableOutOfRange, evaluate,
-                         interval_evaluate, is_affine, parse_expression,
-                         to_text)
-from relubarrier.expressions import Add, Const, Mul, weighted_sum
+                         interval_evaluate, parse_expression)
+from relubarrier.expressions import Add, Const, Mul, weighted_sum, _linear_form
 
 from helpers import CUBIC2D, TRANSCENDENTAL3D, DECAY6D, CASCADE4D, ALL_SYSTEMS
 
@@ -243,53 +242,22 @@ def test_weighted_sum_drops_zero_weights_and_nests_from_the_left():
     assert weighted_sum([], []) == Const(0.0)
 
 
-def test_is_affine_linear_system():
-    sys = DynamicsSystem.parse(CASCADE4D, dim=4)
-    out = is_affine(sys)
-    assert out is not None
-    F, c = out
-    expected = np.array([[-1.0, 0, 0, 0],
-                         [1.0, -2.0, 0, 0],
-                         [1.0, 0, -4.0, 0],
-                         [1.0, 0, 0, -3.0]])
-    assert np.allclose(F, expected)
-    assert np.allclose(c, 0.0)
-
-
-def test_is_affine_rejects_cubic():
-    assert is_affine(DynamicsSystem.parse(CUBIC2D, dim=2)) is None
-
-
-def test_is_affine_scalar_offset():
-    sys = DynamicsSystem.parse(["x1 + 1"], dim=1)
-    F, c = is_affine(sys)
-    assert np.allclose(F, [[1.0]])
-    assert np.allclose(c, [1.0])
-
-
-def test_is_affine_folds_constant_calls():
-    sys = DynamicsSystem.parse(["sin(2) * x1"], dim=1)
-    out = is_affine(sys)
-    assert out is not None
-    assert out[0][0, 0] == pytest.approx(np.sin(2.0))
-
-
-# -- canonical printing ----------------------------------------------------------------
-
-@pytest.mark.parametrize("text,dim", [
-    (CUBIC2D[0], 2), (CUBIC2D[1], 2),
-    (TRANSCENDENTAL3D[0], 3), (TRANSCENDENTAL3D[1], 3), (TRANSCENDENTAL3D[2], 3),
-    (CASCADE4D[2], 4), (DECAY6D[0], 6),
-    ("-x1^2 - (x1 - x2)^3", 2),
-    ("1 / (x1 + 2) - 4 * x2 / 7", 2),
-    ("exp(-x1^2) * sin(x2)^2", 2),
-])
-def test_print_parse_round_trip(text, dim):
-    e = parse_expression(text, dim)
-    printed = to_text(e)
-    again = parse_expression(printed, dim)
-    assert again == e
-    assert to_text(again) == printed
+@pytest.mark.parametrize("flow, dim, F, c", [
+    (CASCADE4D, 4, [[-1.0, 0, 0, 0], [1.0, -2.0, 0, 0], [1.0, 0, -4.0, 0], [1.0, 0, 0, -3.0]],
+     [0.0, 0.0, 0.0, 0.0]),
+    (CUBIC2D, 2, None, None),
+    (["x1 + 1"], 1, [[1.0]], [1.0]),
+    (["sin(2) * x1"], 1, [[np.sin(2.0)]], [0.0]),
+], ids=["linear-system", "cubic", "scalar-offset", "constant-call"])
+def test_linear_form_of_flow_components(flow, dim, F, c):
+    """Each component's affine form (coeffs, const), or None for the cubic
+    system, where some component is not affine; sin(2) folds to a constant."""
+    forms = [_linear_form(e, dim) for e in DynamicsSystem.parse(flow, dim=dim).exprs]
+    if F is None:
+        assert None in forms
+        return
+    assert np.allclose([f[0] for f in forms], F)
+    assert np.allclose([f[1] for f in forms], c)
 
 
 def test_dynamics_system_shape_checks():

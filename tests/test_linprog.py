@@ -5,7 +5,7 @@ import pytest
 
 from relubarrier import NumericalFailure
 from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcomes, LpProblem,
-                                 lp_feasible, lp_solve)
+                                 lp_solve)
 
 from helpers import matrix_rank, vertex_minimum
 
@@ -178,23 +178,23 @@ def test_batched_solve_warm_starts_after_an_unbounded_objective():
     assert batch.status == UNBOUNDED
 
 
-def test_lp_feasible_segment():
-    x = lp_feasible(a_ub=-np.eye(2), b_ub=np.zeros(2),
-                    a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
-    assert x is not None
-    assert x.min() >= -1e-9
-    assert x.sum() == pytest.approx(1.0, abs=1e-9)
+def test_zero_objective_lp_finds_a_segment_point():
+    out = lp_solve(LpProblem(np.zeros(2), -np.eye(2), np.zeros(2),
+                             np.array([[1.0, 1.0]]), np.array([1.0])))
+    assert out.optimal
+    assert out.point.min() >= -1e-9
+    assert out.point.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_lp_feasible_contradiction():
-    x = lp_feasible(a_ub=np.array([[1.0]]), b_ub=np.array([0.0]),
-                    a_eq=np.array([[1.0]]), b_eq=np.array([1.0]))
-    assert x is None
+def test_zero_objective_lp_detects_a_contradiction():
+    out = lp_solve(LpProblem(np.zeros(1), np.array([[1.0]]), np.array([0.0]),
+                             np.array([[1.0]]), np.array([1.0])))
+    assert out.status == INFEASIBLE
 
 
-def test_lp_feasible_unconstrained():
-    x = lp_feasible(num_vars=2)
-    assert x is not None and x.shape == (2,)
+def test_zero_objective_lp_unconstrained():
+    out = lp_solve(LpProblem(np.zeros(2)))
+    assert out.optimal and out.point.shape == (2,)
 
 
 def test_rank_identity():

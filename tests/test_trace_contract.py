@@ -1,15 +1,17 @@
 """The benchmark's contract with the package: its tracer (bench/tracing.py)
 rebinds package functions by name, and a traced run raises when a required
-target is missing; its problem files (bench/problems.py) must load; and
-every configuration knob is one that some input actually sets."""
+target is missing; its problem files (bench/problems.py) must load, and
+every report made from them must pass its checker (bench/checker.py),
+known answers included; and every configuration knob is one that some
+input actually sets."""
 
 import dataclasses
 import importlib
 
-from relubarrier import (DynamicsSystem, VerifierConfig, cli, conditions, load_problem,
-                         parse_expression)
+from relubarrier import (DynamicsSystem, VerifierConfig, build_report, cli, conditions,
+                         load_problem, parse_expression)
 
-from helpers import diamond_net, load_bench_module
+from helpers import BENCH, diamond_net, load_bench_module
 
 
 def test_every_required_trace_target_resolves():
@@ -63,3 +65,26 @@ def test_every_configuration_field_is_set_by_some_input():
     allowed = override_keys | bench_keys | {"domain_box", "seed"}
     unset = [f.name for f in dataclasses.fields(VerifierConfig) if f.name not in allowed]
     assert unset == []
+
+
+def test_every_bench_report_passes_the_checker(tmp_path, monkeypatch):
+    """Every workload at seed 0, through the verify path and the benchmark's
+    independent checker: witnesses re-check, no verified patch is
+    contradicted, and verdicts, failures and caveat prefixes match the known
+    answers."""
+    monkeypatch.syspath_prepend(BENCH)   # the checker imports `problems`
+    checker = importlib.import_module("checker")
+    problems = importlib.import_module("problems")
+    failures = []
+    for workload in problems.WORKLOADS:
+        suite = problems.build_workload(workload, 0)
+        problems.write_workload(suite, str(tmp_path / workload))
+        for spec in suite:
+            problem = load_problem(spec.path)
+            verdict = conditions.verify_certificate(problem.network, problem.system,
+                                                    problem.h_init, problem.h_unsafe,
+                                                    problem.config)
+            result = checker.check_report(spec, build_report(problem, verdict))
+            if not result.ok:
+                failures.extend(result.problems)
+    assert failures == []
