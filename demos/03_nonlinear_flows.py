@@ -1,20 +1,23 @@
 """Deciding the flow condition when the dynamics are not affine.
 
 For affine flows one LP per region settles inf w.f exactly.  Anything
-nonlinear runs through two complementary engines instead:
+nonlinear climbs the rest of the same ladder, cheapest sound rung first:
 
-  * a local falsification search (sample the slice, walk downhill within
-    the patch) that can only ever prove a violation, and
   * interval branch-and-bound over the patch's bounding box, which can
-    certify the infimum from below -- or report Unknown when the enclosure
-    never clears the margin.
+    certify the infimum from below or find a checked witness, and
+  * only where branch-and-bound leaves the patch undecided, a local
+    falsification search (sample the slice, walk downhill within the
+    patch) that can only ever prove a violation.
 
-The cubic system here is a classic benchmark flow -- and the unit diamond
-turns out not to be a barrier for it: the search engine exhibits outward
-crossings at the corners.  The second example is engineered so that w.f is
-identically zero on the slice, which leaves interval arithmetic stuck at
-[-eps, +eps] forever: the honest answer at zero margin is Unknown, and a
-small tolerance turns it into Verified.
+`check_invariance` runs that ladder per region; each verdict names the rung
+that decided it (`method`: lp, interval or search).  The cubic system here
+is a classic benchmark flow, and the unit diamond turns out not to be a
+barrier for it: branch-and-bound exhibits outward crossings at the
+corners.  The second example is engineered so that w.f is identically zero
+on the slice, which leaves interval arithmetic stuck at [-eps, +eps]
+forever: the honest answer at zero margin is Unknown (and the search,
+which then runs, finds nothing), and a small tolerance turns it into
+Verified.
 
 Run:  python3 demos/03_nonlinear_flows.py
 """
@@ -22,8 +25,7 @@ Run:  python3 demos/03_nonlinear_flows.py
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, ActivationIndicator, DynamicsSystem,
-                         boundary_propagation, build_valid_region,
-                         falsify_region, verify_region_bab)
+                         boundary_propagation, build_valid_region, check_invariance)
 from relubarrier.network import ReluNetwork
 
 
@@ -31,35 +33,36 @@ def diamond_regions():
     w1 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     net = ReluNetwork([w1], [np.zeros(4)], -np.ones(4), 1.0)
     seed = build_valid_region(net, ActivationIndicator(((1, 0, 1, 0),)))
-    return boundary_propagation(net, seed).regions
+    return net, boundary_propagation(net, seed).regions
+
+
+def describe(verdict) -> str:
+    if verdict.witness is not None:
+        detail = f"w.f = {verdict.witness_value:+.6f} at {np.round(verdict.witness, 4)}"
+    elif verdict.bound is not None:
+        detail = f"bound {verdict.bound:+.2e}"
+    else:
+        detail = verdict.note
+    return f"{verdict.status:<9} by {verdict.method:<8} {detail}"
 
 
 def main():
-    regions = diamond_regions()
+    net, regions = diamond_regions()
     cubic = DynamicsSystem.parse(
         ["x1 - x1^3 + x2 - x1*x2^2", "-x1 + x2 - x1^2*x2 - x2^3"], dim=2)
 
     print("cubic benchmark flow, per region:")
     for region in regions:
-        hit = falsify_region(region, cubic)
-        if hit is not None:
-            print(f"  {region.indicator.compact()}  falsified by search: "
-                  f"w.f = {hit.witness_value:+.6f} at {np.round(hit.witness, 4)}")
-            continue
-        verdict = verify_region_bab(region, cubic)
-        bound = ("" if verdict.bound is None
-                 else f" (bound {verdict.bound:+.6f})")
-        print(f"  {region.indicator.compact()}  search found nothing; "
-              f"branch-and-bound says {verdict.status}{bound}")
+        verdict = check_invariance(net, [region], cubic).region_verdicts[0]
+        print(f"  {region.indicator.compact()}  {describe(verdict)}")
 
     flat = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     region = regions[-1]  # w = (-1,-1): the two cubes cancel exactly
     print("\nflow engineered so w.f == 0 on the slice:")
-    v0 = verify_region_bab(region, flat)
-    print(f"  margin 0:      {v0.status}   (enclosure cannot reach zero width)")
-    v1 = verify_region_bab(region, flat,
-                           DEFAULT_CONFIG.updated(tol_margin=1e-3))
-    print(f"  margin 1e-3:   {v1.status}   (bound {v1.bound:+.2e})")
+    for margin in (0.0, 1e-3):
+        cfg = DEFAULT_CONFIG.updated(tol_margin=margin)
+        verdict = check_invariance(net, [region], flat, cfg).region_verdicts[0]
+        print(f"  margin {margin:<6g}  {describe(verdict)}")
 
 
 if __name__ == "__main__":

@@ -31,9 +31,8 @@ from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       enumerate_level_set, find_initial_region, valid_test)
 from .conditions import (FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict,
                          ConditionResult, RegionVerdict, check_initial_condition,
-                         check_invariance, check_region_affine,
-                         check_unsafe_condition, falsify_region,
-                         verify_certificate, verify_region_bab)
+                         check_invariance, check_unsafe_condition,
+                         verify_certificate)
 from .smtlib import (SmtQuery, export_invariance, export_set_condition,
                      expr_to_smt, format_number)
 from .problem import (EXIT_FAILURE, EXIT_FALSIFIED, EXIT_UNKNOWN,
@@ -63,8 +62,7 @@ __all__ = [
     "boundary_propagation", "brute_force_valid_regions",
     "VERIFIED", "FALSIFIED", "UNKNOWN", "RegionVerdict", "ConditionResult",
     "CertificateVerdict", "check_invariance", "check_initial_condition",
-    "check_unsafe_condition", "check_region_affine", "falsify_region",
-    "verify_region_bab", "verify_certificate",
+    "check_unsafe_condition", "verify_certificate",
     "SmtQuery", "export_invariance", "export_set_condition",
     "expr_to_smt",
     "format_number",

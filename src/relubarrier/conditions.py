@@ -9,10 +9,13 @@ level-set patch >= -tol_margin?", with g one expression built by
 * unsafe set:   g = -h_U
 
 All three go through one ladder, `_decide`, cheapest sound rung first, and
-every rung reads g with the expression module's own routes: a g with an
-affine form (`_linear_form`) is decided exactly by one LP; otherwise
-interval branch-and-bound (BaB) over the patch's bounding box, enclosing g
-with `interval_evaluate`, verifies or finds a witness, and a
+every rung reads g with the expression module's own routes.  Whether g is
+affine depends on the flow and the set function, never on the region, so
+each check takes the affine forms (`_linear_form`) once: of each flow
+component (w.f is affine where every component of nonzero weight is) or of
+the set function.  A g with an affine form is decided exactly by one LP;
+otherwise interval branch-and-bound (BaB) over the patch's bounding box,
+enclosing g with `interval_evaluate`, verifies or finds a witness, and a
 derivative-free falsification search runs only when BaB leaves the patch
 undecided (`unknown`, or an unbounded patch seen only inside the domain
 box).  A BaB box that may miss the patch costs one batched LP (its 2n
@@ -28,10 +31,7 @@ g evaluated there directly (`evaluate`) is below
 `unknown`, never an unchecked `falsified`.  Set conditions additionally
 probe sampled points of the set against the sign of h (membership side of
 the containment/disjointness arguments); the probe is one more status in
-the same aggregation as the region verdicts, `unknown` when its draws run
-out.  The single-rung wrappers
-`check_region_affine`, `verify_region_bab` and `falsify_region` all take
-(region, sys, cfg) and decide one region's invariance.
+the same aggregation as the region verdicts, `unknown` when its draws run out.
 """
 
 from __future__ import annotations
@@ -175,16 +175,6 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
     return verdict
 
 
-def check_region_affine(region: ValidRegion, sys: DynamicsSystem,
-                        cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionVerdict:
-    """Invariance of one region by one LP; ValueError unless w.f is affine."""
-    g = weighted_sum(region.affine.w, sys.exprs)
-    form = _linear_form(g, sys.dim)
-    if form is None:
-        raise ValueError("w.f is not affine on this region")
-    return _decide_affine(region, g, form, cfg)
-
-
 # -- falsification search ----------------------------------------------------------
 
 def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
@@ -268,18 +258,6 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
             if step < 1e-9:
                 break
     return None
-
-
-def falsify_region(region: ValidRegion, sys: DynamicsSystem,
-                   cfg: VerifierConfig = DEFAULT_CONFIG,
-                   rng: np.random.Generator | None = None) -> RegionVerdict | None:
-    """Search for an invariance counterexample on one region.
-
-    Returns a falsified RegionVerdict with a re-validated witness, or None
-    when the search found nothing (which proves nothing).
-    """
-    return _falsify(region, weighted_sum(region.affine.w, sys.exprs), cfg,
-                    rng if rng is not None else np.random.default_rng(cfg.seed))
 
 
 # -- interval branch-and-bound ------------------------------------------------------
@@ -422,17 +400,12 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
                          domain_restricted=restricted)
 
 
-def verify_region_bab(region: ValidRegion, sys: DynamicsSystem,
-                      cfg: VerifierConfig = DEFAULT_CONFIG) -> RegionVerdict:
-    """Interval branch-and-bound for the invariance objective w.f."""
-    return _bab(region, weighted_sum(region.affine.w, sys.exprs), cfg)
-
-
 # -- the ladder, and assembling the three conditions ---------------------------------
 
-def _decide(region: ValidRegion, g: Expr, cfg, rng: np.random.Generator) -> RegionVerdict:
-    """One region's verdict: one LP for an affine g, else BaB, then the
-    falsification search only when BaB leaves the patch undecided.
+def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
+    """One region's verdict: one LP when the caller hands over g's affine
+    form = (coeffs, const), else BaB, then the falsification search (rng
+    ``default_rng(seed)``) only when BaB leaves the patch undecided.
 
     BaB decides both ways and is the cheaper rung on almost every patch.
     It leaves the patch undecided when it ends `unknown` (box budget spent,
@@ -442,7 +415,6 @@ def _decide(region: ValidRegion, g: Expr, cfg, rng: np.random.Generator) -> Regi
     finds replaces BaB's verdict; otherwise BaB's verdict and its note
     stand.
     """
-    form = _linear_form(g, region.slice.base.dim)
     if form is not None:
         return _decide_affine(region, g, form, cfg)
     try:
@@ -452,17 +424,16 @@ def _decide(region: ValidRegion, g: Expr, cfg, rng: np.random.Generator) -> Regi
                                 note=f"interval enclosure failed: {exc}")
     if verdict.status != UNKNOWN and not verdict.domain_restricted:
         return verdict
-    found = _falsify(region, g, cfg, rng)
+    found = _falsify(region, g, cfg, np.random.default_rng(seed))
     return found if found is not None else verdict
 
 
-def _decide_regions(regions, g_of, cfg, salt: int) -> list[RegionVerdict]:
-    """`_decide` on every region, with g = g_of(region); region i searches
-    with rng (seed, salt, i)."""
+def _decide_regions(regions, objective_of, cfg, salt: int) -> list[RegionVerdict]:
+    """`_decide` on every region, with (g, form) = objective_of(region);
+    region i searches with seed (cfg.seed, salt, i)."""
     def decide(item):
         i, region = item
-        return _decide(region, g_of(region), cfg,
-                       np.random.default_rng([cfg.seed, salt, i]))
+        return _decide(region, *objective_of(region), cfg, [cfg.seed, salt, i])
 
     items = list(enumerate(regions))
     if cfg.threads and cfg.threads > 1:
@@ -482,11 +453,21 @@ def _aggregate(statuses) -> str:
 
 def check_invariance(net, regions, sys: DynamicsSystem,
                      cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
-    """Positive invariance over every enumerated region."""
+    """Positive invariance over every enumerated region: g = w.f, affine
+    with form (w F, w c) where every component f_i with w_i != 0 is."""
     if not regions:
         raise NoRegions("invariance check over an empty region list")
-    verdicts = _decide_regions(
-        regions, lambda region: weighted_sum(region.affine.w, sys.exprs), cfg, salt=101)
+    forms = [_linear_form(e, sys.dim) for e in sys.exprs]
+    affine = np.array([f is not None for f in forms])
+    F = np.array([np.zeros(sys.dim) if f is None else f[0] for f in forms])
+    c = np.array([0.0 if f is None else f[1] for f in forms])
+
+    def objective(region):
+        w = region.affine.w
+        form = (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None
+        return weighted_sum(w, sys.exprs), form
+
+    verdicts = _decide_regions(regions, objective, cfg, salt=101)
     return ConditionResult(_aggregate([v.status for v in verdicts]), verdicts)
 
 
@@ -536,7 +517,8 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
     if not regions:
         raise NoRegions("set condition over an empty region list")
     g = weighted_sum([-1.0], [set_expr])
-    verdicts = _decide_regions(regions, lambda _region: g, cfg, salt)
+    objective = (g, _linear_form(g, net.input_dim))
+    verdicts = _decide_regions(regions, lambda _region: objective, cfg, salt)
     rng = np.random.default_rng([cfg.seed, salt, 7919])
     probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
     if probe is None:

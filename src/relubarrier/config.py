@@ -7,9 +7,12 @@ fixed module constants, which the package version pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from .errors import ProblemFormatError
 
 
 # -- fixed numbers ---------------------------------------------------------
@@ -73,18 +76,42 @@ class VerifierConfig:
     @classmethod
     def from_dicts(cls, tolerances: dict | None = None, budgets: dict | None = None,
                    **extra) -> "VerifierConfig":
-        """Build a config from the ``tolerances``/``budgets`` problem-file blocks."""
+        """Build a config from the ``tolerances``/``budgets`` problem-file
+        blocks; ProblemFormatError on an unknown key or an invalid value."""
         known = {f.name for f in fields(cls)}
         merged: dict = {}
         for block in (tolerances or {}), (budgets or {}), extra:
             for k, v in block.items():
                 if k not in known:
-                    raise ValueError(f"unknown configuration key: {k!r}")
+                    raise ProblemFormatError(f"unknown configuration key: {k!r}")
+                if not _valid(k, v):
+                    raise ProblemFormatError(f"invalid value for {k}: {v!r}")
                 merged[k] = v
         if "domain_box" in merged and merged["domain_box"] is not None:
             merged["domain_box"] = tuple(tuple(float(x) for x in pair)
                                          for pair in merged["domain_box"])
         return cls(**merged)
+
+
+def _finite(v) -> bool:
+    try:   # math.isfinite overflows on an integer beyond the float range
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _valid(key: str, v) -> bool:
+    """Tolerances are finite numbers >= 0, the domain box finite [lo, hi]
+    pairs, the seed an integer >= 0 and the counts integers >= 1; only the
+    domain box and max_regions may be None, and a bool is no number."""
+    if key in ("tol_feas", "tol_margin"):
+        return _finite(v) and v >= 0
+    if v is None:
+        return key in ("domain_box", "max_regions")
+    if key == "domain_box":
+        return isinstance(v, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p)) for p in v)
+    return isinstance(v, int) and not isinstance(v, bool) and v >= (0 if key == "seed" else 1)
 
 
 DEFAULT_CONFIG = VerifierConfig()

@@ -61,8 +61,9 @@ class DomainError(ExpressionError):
     """Evaluation outside a function's domain (log of non-positive, division by zero)."""
 
 
-class ProblemFormatError(RelubarrierError):
-    """A problem or network file failed to parse or validate."""
+class ProblemFormatError(RelubarrierError, ValueError):
+    """A problem or network file failed to parse or validate (a ValueError,
+    as ``json.JSONDecodeError`` is)."""
 
 
 class MissingField(ProblemFormatError):

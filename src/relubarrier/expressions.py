@@ -400,11 +400,9 @@ def _linear_form(e, dim):
         b = _linear_form(e.right, dim)
         if a is None or b is None:
             return None
-        # count_nonzero: ndarray.any() costs several times more on short rows,
-        # and this runs once per region and condition
-        if not np.count_nonzero(a[0]):
+        if not a[0].any():
             return a[1] * b[0], a[1] * b[1]
-        if not np.count_nonzero(b[0]):
+        if not b[0].any():
             return b[1] * a[0], b[1] * a[1]
         return None
     if isinstance(e, Div):

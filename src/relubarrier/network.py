@@ -297,6 +297,8 @@ def network_from_json(data: dict) -> ReluNetwork:
     Format: {"input_dim": n, "layers": [{"weights": [[...]], "bias": [...]},
     ...], "output_weights": [...], "output_bias": f}
     """
+    if not isinstance(data, dict):
+        raise ProblemFormatError("network file must hold a JSON object")
     for key in ("input_dim", "layers", "output_weights", "output_bias"):
         if key not in data:
             raise MissingField(f"network description lacks {key!r}")
@@ -305,12 +307,19 @@ def network_from_json(data: dict) -> ReluNetwork:
         raise ProblemFormatError("'layers' must be a nonempty list")
     weights, biases = [], []
     for i, layer in enumerate(layers):
-        if "weights" not in layer or "bias" not in layer:
+        if not isinstance(layer, dict) or "weights" not in layer or "bias" not in layer:
             raise MissingField(f"layer {i} lacks 'weights' or 'bias'")
         weights.append(layer["weights"])
         biases.append(layer["bias"])
-    net = ReluNetwork(weights, biases, data["output_weights"], data["output_bias"])
-    if net.input_dim != int(data["input_dim"]):
+    try:
+        net = ReluNetwork(weights, biases, data["output_weights"], data["output_bias"])
+        declared = int(data["input_dim"])
+    except ProblemFormatError:
+        raise
+    except (TypeError, ValueError) as exc:   # from numpy: not numeric, or ragged
+        raise ProblemFormatError(
+            f"network arrays must be numeric and rectangular ({exc})") from exc
+    if net.input_dim != declared:
         raise DimensionMismatch(
             f"declared input_dim {data['input_dim']} but first layer takes {net.input_dim}")
     return net

@@ -74,15 +74,22 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
 
     spec = ProblemSpec(
         network_path=_require(data, "network_path", path),
-        dynamics=list(_require(data, "dynamics", path)),
+        dynamics=_require(data, "dynamics", path),
         initial_set=_require(data, "initial_set", path),
         unsafe_set=_require(data, "unsafe_set", path),
         domain_box=data.get("domain_box"),
-        tolerances=dict(data.get("tolerances", {})),
-        budgets=dict(data.get("budgets", {})),
-        seed=int(data.get("seed", 0)),
+        tolerances=data.get("tolerances", {}),
+        budgets=data.get("budgets", {}),
+        seed=data.get("seed", 0),
         path=str(path),
     )
+    texts = [spec.network_path, spec.initial_set, spec.unsafe_set]
+    if not (isinstance(spec.dynamics, list) and all(isinstance(t, str)
+                                                    for t in texts + spec.dynamics)):
+        raise ProblemFormatError(f"{path}: network_path, each dynamics entry and "
+                                 "each set function must be a string")
+    if not (isinstance(spec.tolerances, dict) and isinstance(spec.budgets, dict)):
+        raise ProblemFormatError(f"{path}: tolerances and budgets must be JSON objects")
 
     net_path = spec.network_path
     if not os.path.isabs(net_path):
@@ -98,16 +105,15 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
     h_init = parse_expression(spec.initial_set, n)
     h_unsafe = parse_expression(spec.unsafe_set, n)
 
-    if spec.domain_box is not None:
-        box = np.asarray(spec.domain_box, dtype=float)
+    extra: dict = {"seed": spec.seed, "domain_box": spec.domain_box}
+    extra.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    cfg = VerifierConfig.from_dicts(spec.tolerances, spec.budgets, **extra)
+    if cfg.domain_box is not None:
+        box = np.asarray(cfg.domain_box)
         if box.shape != (n, 2):
             raise DimensionMismatch(f"{path}: domain_box must hold {n} [lo,hi] pairs")
         if np.any(box[:, 0] >= box[:, 1]):
             raise ProblemFormatError(f"{path}: domain_box needs lo < hi per coordinate")
-
-    extra: dict = {"seed": spec.seed, "domain_box": spec.domain_box}
-    extra.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    cfg = VerifierConfig.from_dicts(spec.tolerances, spec.budgets, **extra)
     return LoadedProblem(spec=spec, network=network, system=system,
                          h_init=h_init, h_unsafe=h_unsafe, config=cfg)
 

@@ -15,7 +15,7 @@ import pytest
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, VERIFIED,
                          boundary_propagation,
                          brute_force_valid_regions, build_report,
-                         build_valid_region, check_region_affine, evaluate,
+                         build_valid_region, check_invariance, evaluate,
                          interval_evaluate, load_problem,
                          parse_expression, report_bytes_without_timings,
                          verify_certificate, DynamicsSystem)
@@ -130,7 +130,7 @@ def test_acceptance_4_affine_lp_agrees_with_dense_grid():
             c = rng.normal(size=2)
             sys = affine_system(F, c)
             for region in regions:
-                verdict = check_region_affine(region, sys)
+                verdict = check_invariance(net, [region], sys).region_verdicts[0]
                 if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                     continue
                 pts = slice_grid(region, 10_000)
@@ -217,7 +217,8 @@ def test_acceptance_7_smt_queries_cross_checked_against_lp():
         # contracting flow: every query must reject every slice sample
         stable = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
         for q, region in zip(export_invariance(regions, stable), regions):
-            assert check_region_affine(region, stable).status == VERIFIED
+            verdict = check_invariance(net, [region], stable).region_verdicts[0]
+            assert verdict.status == VERIFIED
             for point in slice_grid(region, 300):
                 assert not query_holds_at(q, point)
 
@@ -225,7 +226,7 @@ def test_acceptance_7_smt_queries_cross_checked_against_lp():
         drift = DynamicsSystem.parse(["1", "0"], dim=2)
         falsified = 0
         for q, region in zip(export_invariance(regions, drift), regions):
-            verdict = check_region_affine(region, drift)
+            verdict = check_invariance(net, [region], drift).region_verdicts[0]
             if verdict.status == FALSIFIED:
                 falsified += 1
                 assert query_holds_at(q, verdict.witness)
@@ -243,7 +244,7 @@ def test_acceptance_7_smt_queries_cross_checked_against_lp():
                 continue
             sysr = affine_system(rng.normal(size=(2, 2)), rng.normal(size=2))
             for q, region in zip(export_invariance(rregions, sysr), rregions):
-                verdict = check_region_affine(region, sysr)
+                verdict = check_invariance(rnet, [region], sysr).region_verdicts[0]
                 if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                     continue
                 agreements += 1

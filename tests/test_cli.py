@@ -92,6 +92,52 @@ def test_exit_three_on_unreadable_problem(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def first_weights(rows):
+    """A network-file edit: the first layer's weights become rows."""
+    def edit(net):
+        net["layers"][0]["weights"] = rows
+        return net
+    return edit
+
+
+# (id, fields replaced in the diamond problem file, network-file edit or None)
+MALFORMED = [
+    ("unknown-key", {"budgets": {"bogus": 1}}, None),
+    ("string-tolerance", {"tolerances": {"tol_feas": "1e-7"}}, None),
+    ("negative-tolerance", {"tolerances": {"tol_margin": -1.0}}, None),
+    ("fractional-count", {"budgets": {"max_attempts": 2.5}}, None),
+    ("string-count", {"budgets": {"membership_samples": "10"}}, None),
+    ("bool-count", {"budgets": {"bab_max_boxes": True}}, None),
+    ("zero-max-regions", {"budgets": {"max_regions": 0}}, None),
+    ("string-seed", {"seed": "abc"}, None),
+    ("negative-seed", {"seed": -1}, None),
+    ("string-in-domain-box", {"domain_box": [["x", 3], [-3, 3]]}, None),
+    ("nan-in-domain-box", {"domain_box": [[-3, float("nan")], [-3, 3]]}, None),
+    ("tolerances-not-an-object", {"tolerances": "x"}, None),
+    ("set-function-not-a-string", {"initial_set": 5}, None),
+    ("dynamics-entry-not-a-string", {"dynamics": ["-x1", 2]}, None),
+    ("string-weight", {}, first_weights([["a", 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])),
+    ("ragged-weights", {}, first_weights([[1.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])),
+    ("network-not-an-object", {}, lambda net: 5),
+]
+
+
+@pytest.mark.parametrize("fields, net_edit", [pytest.param(f, e, id=name)
+                                              for name, f, e in MALFORMED])
+def test_exit_three_on_malformed_input(tmp_path, capsys, fields, net_edit):
+    """Malformed values are bad input (exit 3 with an error line), not a
+    traceback with exit 1, the code for falsified."""
+    problem = write_problem(tmp_path, diamond_net(), ["-x1", "-x2"], INIT, UNSAFE)
+    data = json.loads(open(problem).read())
+    data.update(fields)
+    open(problem, "w").write(json.dumps(data))
+    if net_edit is not None:
+        net_path = tmp_path / data["network_path"]
+        net_path.write_text(json.dumps(net_edit(json.loads(net_path.read_text()))))
+    assert main(["verify", "--problem", problem, "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- report contract ---------------------------------------------------------------
 
 @pytest.mark.parametrize("dynamics", [("-x1", "-x2"), ("1", "0"),

@@ -11,9 +11,8 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ReluNetwork, SlicePolyhedron, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
-                         check_region_affine, check_unsafe_condition,
-                         evaluate, falsify_region, load_problem,
-                         parse_expression, verify_certificate, verify_region_bab)
+                         check_unsafe_condition, evaluate, load_problem,
+                         parse_expression, verify_certificate)
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
@@ -38,13 +37,18 @@ def first_quadrant_region():
     return net, build_valid_region(net, ind(1, 0, 1, 0))
 
 
+def w_dot_f(region, sys):
+    """The region's invariance objective g = w.f."""
+    return weighted_sum(region.affine.w, sys.exprs)
+
+
 # -- affine route ------------------------------------------------------------------
 
 def test_affine_route_stable_flow_bound_one():
     _net, region = first_quadrant_region()[0], None
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    verdict = check_region_affine(region, sys)
+    verdict = check_invariance(net, [region], sys).region_verdicts[0]
     assert verdict.status == VERIFIED
     assert verdict.bound == pytest.approx(1.0, abs=1e-9)
     assert verdict.method == "lp"
@@ -53,7 +57,7 @@ def test_affine_route_stable_flow_bound_one():
 def test_affine_route_constant_negative_falsifies():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    verdict = check_region_affine(region, sys)
+    verdict = check_invariance(net, [region], sys).region_verdicts[0]
     assert verdict.status == FALSIFIED
     assert verdict.witness is not None
     # witness on the slice segment with value exactly -1
@@ -64,7 +68,7 @@ def test_affine_route_constant_negative_falsifies():
 def test_affine_route_zero_field_verified():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["0", "0"], dim=2)
-    verdict = check_region_affine(region, sys)
+    verdict = check_invariance(net, [region], sys).region_verdicts[0]
     assert verdict.status == VERIFIED
     assert verdict.bound == pytest.approx(0.0, abs=1e-12)
 
@@ -77,7 +81,7 @@ def test_affine_route_completeness_against_grid():
         c = rng.normal(size=2)
         sys = affine_system(F, c)
         for region in regions:
-            verdict = check_region_affine(region, sys)
+            verdict = check_invariance(net, [region], sys).region_verdicts[0]
             pts = slice_grid(region, 2000)
             vals = (pts @ F.T + c) @ region.affine.w
             grid_min = vals.min()
@@ -91,8 +95,8 @@ def test_affine_route_completeness_against_grid():
 
 def test_affine_route_rejects_a_nonaffine_weighted_flow():
     net, region = first_quadrant_region()
-    with pytest.raises(ValueError):
-        check_region_affine(region, DynamicsSystem.parse(CUBIC2D, dim=2))
+    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
+    assert check_invariance(net, [region], sys).region_verdicts[0].method != "lp"
 
 
 @pytest.mark.parametrize("flow, status", [
@@ -119,12 +123,31 @@ def test_weighted_flow_affine_where_the_flow_is_not_is_decided_by_lp(flow, statu
             assert_checked_witness(region, v, lambda x: region.affine.w @ sys(x))
 
 
+def test_affine_forms_are_taken_once_per_flow_component_or_set_function(monkeypatch):
+    """Whether g is affine depends on the flow or the set function, not on
+    the region: one `_linear_form` per flow component, one per set function."""
+    calls = []
+    original = conditions._linear_form
+    monkeypatch.setattr(conditions, "_linear_form",
+                        lambda e, dim: calls.append(e) or original(e, dim))
+    net, regions = diamond_regions()
+    assert len(regions) == 4
+    result = check_invariance(net, regions, DynamicsSystem.parse(["-x1", "-x2"], dim=2))
+    assert len(calls) == 2
+    assert all(v.method == "lp" for v in result.region_verdicts)
+    calls.clear()
+    result = check_initial_condition(net, regions, parse_expression("0.04 - x1^2 - x2^2", 2))
+    assert len(calls) == 1
+    assert all(v.method != "lp" for v in result.region_verdicts)
+
+
 # -- falsification search ---------------------------------------------------------------
 
 def test_falsify_finds_witness_for_constant_negative():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    hit = falsify_region(region, sys)
+    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
+                              np.random.default_rng(0))
     assert hit is not None
     assert hit.status == FALSIFIED
     assert region.slice.contains(hit.witness, tol=1e-6)
@@ -134,7 +157,8 @@ def test_falsify_finds_witness_for_constant_negative():
 def test_falsify_absent_for_stable_flow():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    assert falsify_region(region, sys) is None
+    assert conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
+                               np.random.default_rng(0)) is None
 
 
 def test_falsify_sign_change_matches_grid_oracle():
@@ -144,7 +168,8 @@ def test_falsify_sign_change_matches_grid_oracle():
     pts = slice_grid(region, 10_000)
     w = region.affine.w
     grid_vals = np.array([w @ sys(p) for p in pts[::10]])
-    hit = falsify_region(region, sys)
+    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
+                              np.random.default_rng(0))
     if grid_vals.min() < -1e-6:
         assert hit is not None
         assert hit.witness_value < -1e-9
@@ -172,7 +197,7 @@ def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
 def test_bab_certifies_stable_flow():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    verdict = verify_region_bab(region, sys)
+    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
     assert verdict.status == VERIFIED
     assert verdict.bound is not None and verdict.bound >= -1e-9
 
@@ -180,7 +205,7 @@ def test_bab_certifies_stable_flow():
 def test_bab_falsifies_constant_negative():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    verdict = verify_region_bab(region, sys)
+    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
     assert verdict.status == FALSIFIED
     assert verdict.witness is not None
     assert region.slice.contains(verdict.witness, tol=1e-6)
@@ -189,7 +214,7 @@ def test_bab_falsifies_constant_negative():
 def test_bab_cubic_inward_verified():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1^3", "-x2^3"], dim=2)
-    verdict = verify_region_bab(region, sys)
+    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
     assert verdict.status == VERIFIED
 
 
@@ -200,11 +225,11 @@ def test_bab_flat_case_margin_semantics():
     # w = (-1,-1): w.f = -(x2^3) - (-x2^3) = 0 pointwise, but the interval
     # enclosure of the difference never collapses
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    verdict = verify_region_bab(region, sys)
+    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
     assert verdict.status == UNKNOWN
     # a margin above the residual enclosure width at the minimum box size
     cfg = DEFAULT_CONFIG.updated(tol_margin=1e-3)
-    verdict = verify_region_bab(region, sys, cfg)
+    verdict = conditions._bab(region, w_dot_f(region, sys), cfg)
     assert verdict.status == VERIFIED
 
 
@@ -215,7 +240,7 @@ def test_bab_verified_never_contradicted_by_sampling():
                DynamicsSystem.parse(CUBIC2D, dim=2)]
     for sys in systems:
         for region in regions:
-            verdict = verify_region_bab(region, sys)
+            verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
             if verdict.status != VERIFIED:
                 continue
             pts = slice_grid(region, 10_000)
@@ -227,8 +252,9 @@ def test_margin_monotonicity_never_flips_verified_to_falsified():
     net, regions = diamond_regions()
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     for region in regions:
-        small = verify_region_bab(region, sys, DEFAULT_CONFIG.updated(tol_margin=0.0))
-        large = verify_region_bab(region, sys, DEFAULT_CONFIG.updated(tol_margin=0.5))
+        g = w_dot_f(region, sys)
+        small = conditions._bab(region, g, DEFAULT_CONFIG.updated(tol_margin=0.0))
+        large = conditions._bab(region, g, DEFAULT_CONFIG.updated(tol_margin=0.5))
         if small.status == VERIFIED:
             assert large.status == VERIFIED
 
@@ -397,7 +423,7 @@ def test_bab_lp_count_on_the_flat_patch(monkeypatch):
     for cfg, cap in ((DEFAULT_CONFIG.updated(bab_max_boxes=500), 330),
                      (DEFAULT_CONFIG.updated(tol_margin=1e-3), 1600)):
         calls.clear()
-        verdict = verify_region_bab(region, sys, cfg)
+        verdict = conditions._bab(region, w_dot_f(region, sys), cfg)
         assert len(calls) <= cap
         halves = set()
         for _given, box in calls:
@@ -467,8 +493,7 @@ def test_search_runs_once_when_bab_runs_out_of_boxes(monkeypatch):
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)   # w.f = 0 on the patch
     cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
-    verdict = conditions._decide(region, weighted_sum(region.affine.w, sys.exprs),
-                                 cfg, np.random.default_rng(0))
+    verdict = conditions._decide(region, w_dot_f(region, sys), None, cfg, 0)
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (UNKNOWN, "interval")
     assert verdict.note == "box budget 5 exhausted"
@@ -506,7 +531,7 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     g = weighted_sum(region.affine.w, sys.exprs)
     inside = conditions._bab(region, g, DEFAULT_CONFIG)
     assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
-    verdict = conditions._decide(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
+    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert abs(verdict.witness[1]) > 4.0
@@ -522,7 +547,7 @@ def test_search_reaches_far_along_a_ray_shaped_patch():
     region = build_valid_region(net, ind(1, 0, 0))
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
     g = weighted_sum(region.affine.w, sys.exprs)
-    verdict = conditions._decide(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
+    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert verdict.witness[1] < -4.0
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
@@ -601,7 +626,7 @@ def test_lp_unbounded_objective_falsified_with_checked_witness():
     h_unsafe = parse_expression("x2", 2)
     invariance = check_invariance(net, regions, sys).region_verdicts
     unsafe = check_unsafe_condition(net, regions, h_unsafe).region_verdicts
-    single = [check_region_affine(r, sys) for r in regions]
+    single = [check_invariance(net, [r], sys).region_verdicts[0] for r in regions]
     for region, v_inv, v_unsafe, v_single in zip(regions, invariance, unsafe, single):
         checks = ((v_inv, lambda x: region.affine.w @ sys(x)),
                   (v_single, lambda x: region.affine.w @ sys(x)),
@@ -644,8 +669,10 @@ def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
     line = line_net()
     line_region = build_valid_region(line, brute_force_valid_regions(line)[0])
     monkeypatch.setattr(SlicePolyhedron, "contains", lambda self, x, tol=1e-7: False)
-    bounded = check_region_affine(region, DynamicsSystem.parse(["1", "0"], dim=2))
-    unbounded = check_region_affine(line_region, DynamicsSystem.parse(["x2", "0"], dim=2))
+    bounded = check_invariance(net, [region], DynamicsSystem.parse(["1", "0"], dim=2))
+    unbounded = check_invariance(line, [line_region],
+                                 DynamicsSystem.parse(["x2", "0"], dim=2))
+    bounded, unbounded = bounded.region_verdicts[0], unbounded.region_verdicts[0]
     assert (bounded.status, bounded.witness) == (UNKNOWN, None)
     assert bounded.note == "LP point failed the witness check"
     assert (unbounded.status, unbounded.witness) == (UNKNOWN, None)

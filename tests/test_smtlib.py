@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from relubarrier import (ActivationIndicator, DynamicsSystem,
                          boundary_propagation, build_valid_region,
-                         check_region_affine, export_invariance,
+                         check_invariance, export_invariance,
                          export_set_condition, format_number,
                          parse_expression, FALSIFIED, VERIFIED)
 
@@ -264,7 +264,7 @@ def test_falsified_query_holds_at_lp_witness():
     queries = export_invariance(regions, DRIFT)
     hit_any = False
     for q, region in zip(queries, regions):
-        verdict = check_region_affine(region, DRIFT)
+        verdict = check_invariance(diamond_net(), [region], DRIFT).region_verdicts[0]
         if verdict.status == FALSIFIED:
             hit_any = True
             assert query_holds_at(q, verdict.witness)
@@ -275,7 +275,7 @@ def test_verified_query_fails_at_every_slice_sample():
     regions = diamond_regions()
     queries = export_invariance(regions, MINUS_X)
     for q, region in zip(queries, regions):
-        verdict = check_region_affine(region, MINUS_X)
+        verdict = check_invariance(diamond_net(), [region], MINUS_X).region_verdicts[0]
         assert verdict.status == VERIFIED
         for point in slice_grid(region, 500):
             assert not query_holds_at(q, point)
@@ -305,7 +305,7 @@ def test_lp_cross_validation_random_affine_systems():
         sys = affine_system(rng.normal(size=(2, 2)), rng.normal(size=2))
         queries = export_invariance(regions, sys)
         for q, region in zip(queries, regions):
-            verdict = check_region_affine(region, sys)
+            verdict = check_invariance(net, [region], sys).region_verdicts[0]
             if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                 continue
             checked += 1

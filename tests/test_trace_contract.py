@@ -2,16 +2,21 @@
 rebinds package functions by name, and a traced run raises when a required
 target is missing; its problem files (bench/problems.py) must load, and
 every report made from them must pass its checker (bench/checker.py),
-known answers included; and every configuration knob is one that some
-input actually sets."""
+known answers included; every configuration knob is one that some input
+actually sets; and every public name has a caller outside the tests."""
 
+import ast
 import dataclasses
 import importlib
+import pathlib
 
+import relubarrier
 from relubarrier import (DynamicsSystem, VerifierConfig, build_report, cli, conditions,
                          load_problem, parse_expression)
 
 from helpers import BENCH, diamond_net, load_bench_module
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_required_trace_target_resolves():
@@ -88,3 +93,27 @@ def test_every_bench_report_passes_the_checker(tmp_path, monkeypatch):
             if not result.ok:
                 failures.extend(result.problems)
     assert failures == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A name in `relubarrier.__all__` that only the tests read is a wrapper
+    duplicating an internal route, or dead: every one must be referenced (as
+    a name or an attribute) in src/ outside __init__.py, demos/ or bench/."""
+    allowed = {
+        # the tracer names them by string; ROADMAP item 1 moves them into the tests
+        "implicit_equalities", "remove_redundant",
+        # the test fixtures write networks with it
+        "network_to_json",
+    }
+    files = [p for p in (ROOT / "src" / "relubarrier").glob("*.py") if p.name != "__init__.py"]
+    files += list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+    referenced = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = [name for name in relubarrier.__all__
+                if name != "__version__" and name not in referenced | allowed]
+    assert uncalled == []
