@@ -25,8 +25,8 @@ def show(verdict, title):
     print(f"regions enumerated: {len(verdict.enumeration.regions)}")
     for region, v in zip(verdict.enumeration.regions,
                          verdict.invariance_result.region_verdicts):
-        line = (f"  region {region.indicator.compact()}  w={region.affine.w}"
-                f"  b={region.affine.b:+.1f}  ->  {v.status}")
+        line = (f"  region {region.indicator.compact()}  w={region.slice.w}"
+                f"  b={region.slice.b:+.1f}  ->  {v.status}")
         if v.bound is not None:
             line += f"  (inf w.f = {v.bound:+.6f})"
         if v.witness is not None:

@@ -38,7 +38,7 @@ def main():
     print(f"exhaustive oracle: {len(oracle)} valid regions")
     for ind in oracle:
         region = build_valid_region(net, ind)
-        print(f"  {ind.compact()}  w={np.round(region.affine.w, 3)}")
+        print(f"  {ind.compact()}  w={np.round(region.slice.w, 3)}")
 
     start = build_valid_region(net, oracle[0])
     result = boundary_propagation(net, start)

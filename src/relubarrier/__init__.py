@@ -21,9 +21,9 @@ from .errors import (CombinatorialBlowup, DimensionMismatch, DomainError,
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, lp_solve
 from .expressions import (DynamicsSystem, Interval, evaluate, interval_evaluate,
                           parse_expression)
-from .network import (ActivationIndicator, CandidateIndicator, RegionAffine,
-                      ReluNetwork, expand_candidate, load_network,
-                      network_from_json, network_to_json)
+from .network import (ActivationIndicator, CandidateIndicator, ReluNetwork,
+                      expand_candidate, load_network, network_from_json,
+                      network_to_json)
 from .geometry import (Polyhedron, SlicePolyhedron, bounding_box,
                        implicit_equalities, inscribed_radius, remove_redundant)
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
@@ -53,7 +53,7 @@ __all__ = [
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "parse_expression", "evaluate", "interval_evaluate", "Interval",
     "DynamicsSystem",
-    "ReluNetwork", "ActivationIndicator", "CandidateIndicator", "RegionAffine",
+    "ReluNetwork", "ActivationIndicator", "CandidateIndicator",
     "expand_candidate", "network_from_json", "network_to_json", "load_network",
     "Polyhedron", "SlicePolyhedron", "inscribed_radius",
     "implicit_equalities", "remove_redundant", "bounding_box",

@@ -27,7 +27,6 @@ _ENV_KEYS = {
     "TOL_FEAS": ("tol_feas", float),
     "TOL_MARGIN": ("tol_margin", float),
     "SEED": ("seed", int),
-    "THREADS": ("threads", int),
     "MAX_REGIONS": ("max_regions", int),
 }
 
@@ -213,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "pipeline and write a JSON report")
     p_verify.add_argument("--problem", required=True, help="problem JSON file")
     p_verify.add_argument("--out", required=True, help="report JSON path")
-    p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker threads for per-region checks")
     _add_common_overrides(p_verify)
     p_verify.set_defaults(func=run_verify)
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -431,15 +430,8 @@ def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
 def _decide_regions(regions, objective_of, cfg, salt: int) -> list[RegionVerdict]:
     """`_decide` on every region, with (g, form) = objective_of(region);
     region i searches with seed (cfg.seed, salt, i)."""
-    def decide(item):
-        i, region = item
-        return _decide(region, *objective_of(region), cfg, [cfg.seed, salt, i])
-
-    items = list(enumerate(regions))
-    if cfg.threads and cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(decide, items))
-    return [decide(it) for it in items]
+    return [_decide(region, *objective_of(region), cfg, [cfg.seed, salt, i])
+            for i, region in enumerate(regions)]
 
 
 def _aggregate(statuses) -> str:
@@ -463,7 +455,7 @@ def check_invariance(net, regions, sys: DynamicsSystem,
     c = np.array([0.0 if f is None else f[1] for f in forms])
 
     def objective(region):
-        w = region.affine.w
+        w = region.slice.w
         form = (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None
         return weighted_sum(w, sys.exprs), form
 

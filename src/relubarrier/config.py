@@ -24,6 +24,8 @@ ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
 BISECT_EPS = 1e-3     # seed-search bisection stops once the pair is this close
 FALSIFY_BUDGET = 100  # falsification-search budget per patch
 BAB_MIN_WIDTH = 1e-5  # BaB stops splitting boxes narrower than this in every coordinate
+TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent
+                      # checker (bench/checker.py, _PATCH_TOL) allows 1e-6 there
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class VerifierConfig:
     membership_samples: int = 100_000
     #: cap on enumerated regions (None = unlimited)
     max_regions: int | None = None
-    #: worker threads for the per-region verdict phase
+    #: fixed at 1: the per-region verdicts run serially
     threads: int = 1
 
     # -- problem frame ---------------------------------------------------
@@ -101,17 +103,20 @@ def _finite(v) -> bool:
 
 
 def _valid(key: str, v) -> bool:
-    """Tolerances are finite numbers >= 0, the domain box finite [lo, hi]
-    pairs, the seed an integer >= 0 and the counts integers >= 1; only the
-    domain box and max_regions may be None, and a bool is no number."""
+    """Tolerances are finite numbers >= 0 (tol_feas at most TOL_FEAS_MAX),
+    the domain box finite [lo, hi] pairs, the seed an integer >= 0, threads
+    the integer 1 and the other counts integers >= 1; only the domain box
+    and max_regions may be None, and a bool is no number."""
     if key in ("tol_feas", "tol_margin"):
-        return _finite(v) and v >= 0
+        return _finite(v) and 0 <= v <= (TOL_FEAS_MAX if key == "tol_feas" else math.inf)
     if v is None:
         return key in ("domain_box", "max_regions")
     if key == "domain_box":
         return isinstance(v, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p)) for p in v)
-    return isinstance(v, int) and not isinstance(v, bool) and v >= (0 if key == "seed" else 1)
+    if not isinstance(v, int) or isinstance(v, bool):
+        return False
+    return v == 1 if key == "threads" else v >= (0 if key == "seed" else 1)
 
 
 DEFAULT_CONFIG = VerifierConfig()

@@ -72,15 +72,6 @@ class CandidateIndicator:
         return sum(v == -1 for layer in self.bits for v in layer)
 
 
-@dataclass(frozen=True)
-class RegionAffine:
-    """The affine piece ``h(x) = w.x + b`` selected by an indicator."""
-
-    w: np.ndarray
-    b: float
-    indicator: ActivationIndicator
-
-
 class ReluNetwork:
     """Immutable scalar-output ReLU network.
 
@@ -158,53 +149,33 @@ class ReluNetwork:
 
     # -- the affine piece of one indicator ------------------------------------
 
-    def _affine_pass(self, ind: ActivationIndicator):
-        """Pull every neuron's pre-activation back to input space under ind.
+    def piece(self, ind: ActivationIndicator) -> tuple[Polyhedron, np.ndarray, float]:
+        """(region, w, b): the polyhedron on which the network realizes ind
+        and the affine piece ``h(x) = w.x + b`` it computes there, from one
+        pass over the layers.
 
-        Returns (rows, consts, wbar, bbar): rows[i] is (M_i, n) of unmasked
-        pullback rows, consts[i] the matching offsets; wbar/bbar describe the
-        masked affine image of the last hidden layer.
+        The region has one row per neuron in layer order: active neurons
+        contribute ``-a.x <= c`` (pre-activation >= 0), inactive ones
+        ``a.x <= -c``.  Duplicate rows are kept; `regions.build_valid_region`
+        drops them.
         """
         self._check_indicator(ind)
         n = self.input_dim
         wbar = np.eye(n)          # (n, M_prev), columns = masked pullbacks
         bbar = np.zeros(n)
-        rows, consts = [], []
+        rows, rhs = [], []
         for w, b, layer_bits in zip(self.weights, self.biases, ind.bits):
             mask = np.asarray(layer_bits, dtype=float)
             a = w @ wbar.T                       # (M_i, n) unmasked pullback rows
             c = w @ bbar + b                     # (M_i,)
-            rows.append(a)
-            consts.append(c)
+            sign = np.where(mask == 1.0, -1.0, 1.0)
+            rows.append(sign[:, None] * a)
+            rhs.append(-sign * c)
             wbar = a.T * mask                    # zero the inactive columns
             bbar = c * mask
-        return rows, consts, wbar, bbar
-
-    def affine_map(self, ind: ActivationIndicator) -> RegionAffine:
-        """The affine function the network computes on the region of ind."""
-        _, _, wbar, bbar = self._affine_pass(ind)
         w = wbar @ self.output_weights
         b = float(self.output_weights @ bbar + self.output_bias)
-        return RegionAffine(w=w, b=b, indicator=ind)
-
-    def region_constraints(self, ind: ActivationIndicator) -> Polyhedron:
-        """The polyhedron on which the network realizes ind.
-
-        One row per neuron in layer order: active neurons contribute
-        ``-a.x <= c`` (pre-activation >= 0), inactive ones ``a.x <= -c``.
-        Duplicate rows are kept; `regions.build_valid_region` drops them.
-        """
-        rows, consts, _, _ = self._affine_pass(ind)
-        a_rows, d_vals = [], []
-        for a, c, layer_bits in zip(rows, consts, ind.bits):
-            for j, s in enumerate(layer_bits):
-                if s == 1:
-                    a_rows.append(-a[j])
-                    d_vals.append(c[j])
-                else:
-                    a_rows.append(a[j])
-                    d_vals.append(-c[j])
-        return Polyhedron(np.array(a_rows), np.array(d_vals))
+        return Polyhedron(np.vstack(rows), np.concatenate(rhs)), w, b
 
     # -- indicators from points and boxes --------------------------------------
 
@@ -302,6 +273,9 @@ def network_from_json(data: dict) -> ReluNetwork:
     for key in ("input_dim", "layers", "output_weights", "output_bias"):
         if key not in data:
             raise MissingField(f"network description lacks {key!r}")
+    declared = data["input_dim"]
+    if not isinstance(declared, int) or isinstance(declared, bool):
+        raise ProblemFormatError(f"'input_dim' must be an integer, got {declared!r}")
     layers = data["layers"]
     if not isinstance(layers, list) or not layers:
         raise ProblemFormatError("'layers' must be a nonempty list")
@@ -313,7 +287,6 @@ def network_from_json(data: dict) -> ReluNetwork:
         biases.append(layer["bias"])
     try:
         net = ReluNetwork(weights, biases, data["output_weights"], data["output_bias"])
-        declared = int(data["input_dim"])
     except ProblemFormatError:
         raise
     except (TypeError, ValueError) as exc:   # from numpy: not numeric, or ragged
@@ -321,7 +294,7 @@ def network_from_json(data: dict) -> ReluNetwork:
             f"network arrays must be numeric and rectangular ({exc})") from exc
     if net.input_dim != declared:
         raise DimensionMismatch(
-            f"declared input_dim {data['input_dim']} but first layer takes {net.input_dim}")
+            f"declared input_dim {declared} but first layer takes {net.input_dim}")
     return net
 
 

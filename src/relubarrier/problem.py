@@ -189,8 +189,8 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
         region_rows.append({
             "index": i,
             "indicator": r.indicator.compact(),
-            "w": _jsonable(r.affine.w),
-            "b": _jsonable(r.affine.b),
+            "w": _jsonable(r.slice.w),
+            "b": _jsonable(r.slice.b),
             "slice_dimension": n if r.degenerate else n - 1,
             "degenerate": r.degenerate,
             "invariance": condition_of(verdict.invariance_result, i),

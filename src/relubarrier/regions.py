@@ -27,16 +27,15 @@ from .config import (BISECT_EPS, BRANCH_CAP, DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ,
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
 from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius
 from .linprog import INFEASIBLE
-from .network import (ActivationIndicator, RegionAffine, ReluNetwork,
-                      expand_candidate)
+from .network import ActivationIndicator, ReluNetwork, expand_candidate
 
 
 @dataclass
 class ValidRegion:
-    """A valid region with its affine piece, its rows and its facet points."""
+    """A valid region with its rows, its slice and its facet points; the
+    slice's w and b are the region's affine piece h(x) = w.x + b."""
 
     indicator: ActivationIndicator
-    affine: RegionAffine
     constraints: Polyhedron        # the region's distinct nonzero rows
     slice: SlicePolyhedron         # the rows touching {w.x + b = 0}, on that hyperplane
     facet_points: list[np.ndarray] = field(default_factory=list)  # one per touching row
@@ -53,27 +52,22 @@ class EnumerationResult:
     seed_indicator: ActivationIndicator | None = None
 
 
-def valid_test(net: ReluNetwork, ind: ActivationIndicator,
-               cfg: VerifierConfig = DEFAULT_CONFIG, region: Polyhedron | None = None,
-               aff: RegionAffine | None = None) -> bool:
-    """Decide whether ind names a valid region, with at most two LPs.
+def valid_test(region: Polyhedron, w: np.ndarray, b: float,
+               cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
+    """Decide whether the piece w.x + b on region (`ReluNetwork.piece`)
+    makes a valid region, with at most two LPs.
 
     Checks, in order: the region's largest inscribed ball has diameter
     > TOL_EQ; the affine piece is not identically zero (w = 0, b = 0 counts
     as valid but degenerate, w = 0 with b != 0 has an empty slice); the
     largest such ball within the hyperplane w.x + b = 0 has diameter > TOL_EQ.
-    region and aff, when given, are ind's constraints and affine piece.
     """
-    if region is None:
-        region = net.region_constraints(ind)
     radius = inscribed_radius(region, tol_feas=cfg.tol_feas)
     if radius is None or 2.0 * radius <= TOL_EQ:
         return False
-    if aff is None:
-        aff = net.affine_map(ind)
-    if not aff.w.any():
-        return bool(aff.b == 0.0)
-    radius = inscribed_radius(region, aff.w, aff.b, tol_feas=cfg.tol_feas)
+    if not w.any():
+        return bool(b == 0.0)
+    radius = inscribed_radius(region, w, b, tol_feas=cfg.tol_feas)
     return radius is not None and 2.0 * radius > TOL_EQ
 
 
@@ -82,22 +76,21 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     """Validate ind and construct its ValidRegion, or None when it is not valid.
     A degenerate piece (w = 0) has no hyperplane: it keeps every row and
     has no facet points."""
-    region, aff = net.region_constraints(ind), net.affine_map(ind)
-    if not valid_test(net, ind, cfg, region, aff):
+    region, w, b = net.piece(ind)
+    if not valid_test(region, w, b, cfg):
         return None
     _, first = np.unique(np.column_stack([region.A, region.d]), axis=0, return_index=True)
     keep = [j for j in sorted(first) if region.A[j].any()]
     exact = Polyhedron(region.A[keep], region.d[keep])
-    if not aff.w.any():
-        return ValidRegion(ind, aff, exact, SlicePolyhedron(exact, aff.w, aff.b),
-                           degenerate=True)
-    tops = SlicePolyhedron(exact, aff.w, aff.b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
+    if not w.any():
+        return ValidRegion(ind, exact, SlicePolyhedron(exact, w, b), degenerate=True)
+    tops = SlicePolyhedron(exact, w, b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
     if tops.status == INFEASIBLE:
         raise NumericalFailure(f"valid region {ind.compact()} has an empty slice")
     touching = [j for j, top in enumerate(tops)
                 if top.optimal and -top.value >= exact.d[j] - cfg.tol_feas]
     rows = Polyhedron(exact.A[touching], exact.d[touching])
-    return ValidRegion(ind, aff, exact, SlicePolyhedron(rows, aff.w, aff.b),
+    return ValidRegion(ind, exact, SlicePolyhedron(rows, w, b),
                        facet_points=[tops[j].point for j in touching])
 
 
@@ -261,7 +254,7 @@ def brute_force_valid_regions(net: ReluNetwork,
             layers.append(tuple(flat[pos:pos + m]))
             pos += m
         ind = ActivationIndicator(tuple(layers))
-        if valid_test(net, ind, cfg):
+        if valid_test(*net.piece(ind), cfg):
             out.append(ind)
     return out
 

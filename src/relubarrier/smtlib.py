@@ -83,7 +83,7 @@ def _affine_terms(coeffs, const) -> str:
 
 
 def _region_conjuncts(region, domain_box=None) -> list[str]:
-    w, b = region.affine.w, region.affine.b
+    w, b = region.slice.w, region.slice.b
     conj = [f"(= {_affine_terms(w, b)} 0)"]
     rows = region.slice.base   # the region's rows that touch the slice
     for a, d in zip(rows.A, rows.d):
@@ -96,7 +96,7 @@ def _region_conjuncts(region, domain_box=None) -> list[str]:
 
 
 def _violation_invariance(region, sys: DynamicsSystem) -> str:
-    return f"(< {expr_to_smt(weighted_sum(region.affine.w, sys.exprs))} 0)"
+    return f"(< {expr_to_smt(weighted_sum(region.slice.w, sys.exprs))} 0)"
 
 
 def _violation_set(set_expr: Expr) -> str:

@@ -78,7 +78,7 @@ def _clip_vertices(A, d, tol=1e-7):
 def _slice_segment(region, domain, tol=1e-7):
     """Endpoints of the level-set segment inside the domain box: min and
     max of the direction along it, one batched LP."""
-    w, b = region.affine.w, region.affine.b
+    w, b = region.slice.w, region.slice.b
     t = np.array([-w[1], w[0]])
     if not t.any():
         return None

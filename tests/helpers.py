@@ -219,15 +219,14 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     The region is nonempty and full-dimensional; w = 0 makes it valid
     exactly when b = 0; otherwise the slice is nonempty with dimension n-1.
     """
-    region = net.region_constraints(ind)
+    region, w, b = net.piece(ind)
     if feasible_point(region.A, region.d, tol_feas=cfg.tol_feas) is None:
         return False
     if dimension(region, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) < region.dim:
         return False
-    aff = net.affine_map(ind)
-    if not aff.w.any():
-        return bool(aff.b == 0.0)
-    sliced = slice_full(SlicePolyhedron(region, aff.w, aff.b))
+    if not w.any():
+        return bool(b == 0.0)
+    sliced = slice_full(SlicePolyhedron(region, w, b))
     if feasible_point(sliced.A, sliced.d, tol_feas=cfg.tol_feas) is None:
         return False
     return dimension(sliced, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) == region.dim - 1
@@ -237,8 +236,8 @@ def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:
     """Do two regions' level-set patches share a point?"""
     a_ub = np.vstack([r1.constraints.A, r2.constraints.A])
     b_ub = np.concatenate([r1.constraints.d, r2.constraints.d])
-    a_eq = np.vstack([r1.affine.w[None, :], r2.affine.w[None, :]])
-    b_eq = np.array([-r1.affine.b, -r2.affine.b])
+    a_eq = np.vstack([r1.slice.w[None, :], r2.slice.w[None, :]])
+    b_eq = np.array([-r1.slice.b, -r2.slice.b])
     return feasible_point(a_ub, b_ub, a_eq, b_eq, tol_feas) is not None
 
 
@@ -268,7 +267,7 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
     polytope), but the grid itself and any evaluation on it are
     library-free.
     """
-    w, b = region.affine.w, region.affine.b
+    w, b = region.slice.w, region.slice.b
     t = np.array([-w[1], w[0]])
     a_rows, d_vals = region.constraints.A, region.constraints.d
     ends = []

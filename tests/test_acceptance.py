@@ -134,8 +134,8 @@ def test_acceptance_4_affine_lp_agrees_with_dense_grid():
                 if verdict.bound is None or abs(verdict.bound) <= 1e-5:
                     continue
                 pts = slice_grid(region, 10_000)
-                grid_min = float((pts @ (F.T @ region.affine.w)
-                                  + region.affine.w @ c).min())
+                grid_min = float((pts @ (F.T @ region.slice.w)
+                                  + region.slice.w @ c).min())
                 compared += 1
                 if verdict.status == VERIFIED:
                     assert grid_min >= -1e-5, \
@@ -283,8 +283,8 @@ def test_acceptance_8_determinism_and_output_scaling(tmp_path):
         assert [r.indicator for r in base_regions] == \
             [r.indicator for r in scaled_regions]
         for rb, rs in zip(base_regions, scaled_regions):
-            assert np.allclose(rs.affine.w, 7.0 * rb.affine.w)
-            assert rs.affine.b == pytest.approx(7.0 * rb.affine.b)
+            assert np.allclose(rs.slice.w, 7.0 * rb.slice.w)
+            assert rs.slice.b == pytest.approx(7.0 * rb.slice.b)
         for vb, vs in zip(base.invariance_result.region_verdicts,
                           scaled.invariance_result.region_verdicts):
             assert vb.status == vs.status

@@ -119,6 +119,10 @@ MALFORMED = [
     ("string-weight", {}, first_weights([["a", 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])),
     ("ragged-weights", {}, first_weights([[1.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])),
     ("network-not-an-object", {}, lambda net: 5),
+    ("threads-above-one", {"budgets": {"threads": 2}}, None),
+    ("fractional-input-dim", {}, lambda net: {**net, "input_dim": 2.5}),
+    ("string-input-dim", {}, lambda net: {**net, "input_dim": "2"}),
+    ("huge-tol-feas", {"tolerances": {"tol_feas": 1e300}}, None),
 ]
 
 
@@ -185,15 +189,6 @@ def test_max_regions_env_flags_partial(tmp_path, monkeypatch):
     assert report["configuration"]["max_regions"] == 2
     assert report["enumeration"]["partial"] is True
     assert report["enumeration"]["region_count"] <= 2
-
-
-def test_threads_flag_does_not_change_verdicts(tmp_path):
-    _, serial = run_verify(tmp_path, ["1", "0"], name="s")
-    _, threaded = run_verify(tmp_path, ["1", "0"], name="t",
-                             extra=["--threads", "4"])
-    assert serial["verdicts"] == threaded["verdicts"]
-    assert [r["invariance"]["status"] for r in serial["regions"]] == \
-        [r["invariance"]["status"] for r in threaded["regions"]]
 
 
 # -- export-smt --------------------------------------------------------------------

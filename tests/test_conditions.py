@@ -39,7 +39,7 @@ def first_quadrant_region():
 
 def w_dot_f(region, sys):
     """The region's invariance objective g = w.f."""
-    return weighted_sum(region.affine.w, sys.exprs)
+    return weighted_sum(region.slice.w, sys.exprs)
 
 
 # -- affine route ------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_affine_route_completeness_against_grid():
         for region in regions:
             verdict = check_invariance(net, [region], sys).region_verdicts[0]
             pts = slice_grid(region, 2000)
-            vals = (pts @ F.T + c) @ region.affine.w
+            vals = (pts @ F.T + c) @ region.slice.w
             grid_min = vals.min()
             if abs(verdict.bound if verdict.bound is not None else grid_min) <= 1e-5:
                 continue  # too marginal for a grid comparison
@@ -112,15 +112,15 @@ def test_weighted_flow_affine_where_the_flow_is_not_is_decided_by_lp(flow, statu
     regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
     sys = DynamicsSystem.parse(flow, dim=2)
     result = check_invariance(net, regions, sys)
-    assert len(regions) == 2 and all(r.affine.w[1] == 0.0 for r in regions)
+    assert len(regions) == 2 and all(r.slice.w[1] == 0.0 for r in regions)
     for region, v in zip(regions, result.region_verdicts):
         assert (v.method, v.status, v.domain_restricted) == ("lp", status, False)
-        grid_min = min(region.affine.w @ sys(p) for p in slice_grid(region, 2000))
+        grid_min = min(region.slice.w @ sys(p) for p in slice_grid(region, 2000))
         if status == VERIFIED:
             assert v.bound == pytest.approx(grid_min, abs=1e-9)
         else:
             assert grid_min < 0.0
-            assert_checked_witness(region, v, lambda x: region.affine.w @ sys(x))
+            assert_checked_witness(region, v, lambda x: region.slice.w @ sys(x))
 
 
 def test_affine_forms_are_taken_once_per_flow_component_or_set_function(monkeypatch):
@@ -166,7 +166,7 @@ def test_falsify_sign_change_matches_grid_oracle():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     pts = slice_grid(region, 10_000)
-    w = region.affine.w
+    w = region.slice.w
     grid_vals = np.array([w @ sys(p) for p in pts[::10]])
     hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
                               np.random.default_rng(0))
@@ -185,7 +185,7 @@ def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
     batched LP, and the pattern moves that leave the patch solve none."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    g = weighted_sum(region.affine.w, sys.exprs)
+    g = weighted_sum(region.slice.w, sys.exprs)
     calls = counted_lp_solves(monkeypatch)
     found = conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
     assert found is None
@@ -244,7 +244,7 @@ def test_bab_verified_never_contradicted_by_sampling():
             if verdict.status != VERIFIED:
                 continue
             pts = slice_grid(region, 10_000)
-            vals = np.array([region.affine.w @ sys(p) for p in pts[::7]])
+            vals = np.array([region.slice.w @ sys(p) for p in pts[::7]])
             assert vals.min() >= -DEFAULT_CONFIG.tol_margin - 1e-9
 
 
@@ -303,7 +303,7 @@ def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
     events = record_bab_boxes(monkeypatch)
     for region in regions:
         events.clear()
-        conditions._bab(region, weighted_sum(region.affine.w, sys.exprs), DEFAULT_CONFIG)
+        conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
         exact = conditions._axis_bounds(region.slice.base)
         pts = slice_grid(region, 2000)
         for (kind, cbox), (next_kind, box) in zip(events, events[1:]):
@@ -387,7 +387,7 @@ def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
         pts = slice_grid(region, 1000)
         for sys in flows:
             certified.clear()
-            verdict = conditions._bab(region, weighted_sum(region.affine.w, sys.exprs),
+            verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs),
                                       DEFAULT_CONFIG)
             if verdict.status != VERIFIED or verdict.vacuous:
                 continue
@@ -445,7 +445,7 @@ def test_bab_contracts_a_bounded_root_once(monkeypatch):
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
     events = record_bab_boxes(monkeypatch)
-    verdict = conditions._bab(region, weighted_sum(region.affine.w, sys.exprs), DEFAULT_CONFIG)
+    verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
     assert (verdict.status, verdict.domain_restricted) == (VERIFIED, False)
     assert [kind for kind, _box in events] == ["box", "enclose"]
 
@@ -458,7 +458,7 @@ def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
     region = next(r for r in regions if r.indicator == ind(0, 1, 1, 0))
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     events = record_bab_boxes(monkeypatch)
-    verdict = conditions._bab(region, weighted_sum(region.affine.w, sys.exprs), DEFAULT_CONFIG)
+    verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
     assert (verdict.status, verdict.bound) == (VERIFIED, 0.0)
     boxes = [box for kind, box in events if kind == "enclose"]
     assert boxes and all(box[0, 1] == 0.0 and box[1, 0] == 0.0 for box in boxes)
@@ -510,7 +510,7 @@ def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
                                 f"-x2*(1 + x1^2 + x2^2) + {float(d[1])!r}"], dim=2)
     net, regions = diamond_regions()
     region = next(r for r in regions if r.indicator == ind(1, 0, 1, 0))
-    g = weighted_sum(region.affine.w, sys.exprs)
+    g = weighted_sum(region.slice.w, sys.exprs)
     assert region.slice.contains(t * u) and evaluate(g, t * u) < 0.0
     result = check_invariance(net, regions, sys)
     v = next(v for v in result.region_verdicts if v.indicator == region.indicator)
@@ -528,7 +528,7 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     net = line_net()
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
-    g = weighted_sum(region.affine.w, sys.exprs)
+    g = weighted_sum(region.slice.w, sys.exprs)
     inside = conditions._bab(region, g, DEFAULT_CONFIG)
     assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
     verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
@@ -546,7 +546,7 @@ def test_search_reaches_far_along_a_ray_shaped_patch():
                       np.array([1.0, -1.0, 0.0]), 0.0)
     region = build_valid_region(net, ind(1, 0, 0))
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
-    g = weighted_sum(region.affine.w, sys.exprs)
+    g = weighted_sum(region.slice.w, sys.exprs)
     verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert verdict.witness[1] < -4.0
@@ -593,7 +593,7 @@ def test_witness_revalidation_on_nonlinear_falsified():
         if v.status == FALSIFIED:
             region = next(r for r in regions if r.indicator == v.indicator)
             assert region.slice.contains(v.witness, tol=1e-6)
-            direct = region.affine.w @ sys(np.asarray(v.witness))
+            direct = region.slice.w @ sys(np.asarray(v.witness))
             assert direct < -1e-9
             assert direct == pytest.approx(v.witness_value, rel=1e-9, abs=1e-12)
 
@@ -628,8 +628,8 @@ def test_lp_unbounded_objective_falsified_with_checked_witness():
     unsafe = check_unsafe_condition(net, regions, h_unsafe).region_verdicts
     single = [check_invariance(net, [r], sys).region_verdicts[0] for r in regions]
     for region, v_inv, v_unsafe, v_single in zip(regions, invariance, unsafe, single):
-        checks = ((v_inv, lambda x: region.affine.w @ sys(x)),
-                  (v_single, lambda x: region.affine.w @ sys(x)),
+        checks = ((v_inv, lambda x: region.slice.w @ sys(x)),
+                  (v_single, lambda x: region.slice.w @ sys(x)),
                   (v_unsafe, lambda x: -evaluate(h_unsafe, x)))
         for v, g in checks:
             assert (v.status, v.method) == (FALSIFIED, "lp")
@@ -650,7 +650,7 @@ def test_lp_witnesses_of_affine_drift_pass_the_check():
         if verdict.enumeration is None:
             continue
         for result, g_of in ((verdict.invariance_result,
-                              lambda r: (lambda x: r.affine.w @ sys(x))),
+                              lambda r: (lambda x: r.slice.w @ sys(x))),
                              (verdict.initial_result,
                               lambda r: (lambda x: -evaluate(h_init, x))),
                              (verdict.unsafe_result,
@@ -980,18 +980,3 @@ def test_verify_certificate_timings_and_seeds_stable():
     assert set(a.timings) >= {"enumeration_s", "invariance_s",
                               "initial_s", "unsafe_s", "total_s"}
 
-
-def test_threaded_run_matches_serial():
-    net = diamond_net()
-    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
-    h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
-    h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
-    serial = verify_certificate(net, sys, h_init, h_unsafe)
-    threaded = verify_certificate(net, sys, h_init, h_unsafe,
-                                  DEFAULT_CONFIG.updated(threads=4))
-    assert serial.invariance == threaded.invariance
-    assert serial.initial_condition == threaded.initial_condition
-    assert serial.unsafe_condition == threaded.unsafe_condition
-    for va, vb in zip(serial.invariance_result.region_verdicts,
-                      threaded.invariance_result.region_verdicts):
-        assert va.status == vb.status

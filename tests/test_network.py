@@ -48,28 +48,28 @@ def test_preactivations_frozen_values():
 
 def test_affine_map_first_quadrant():
     net = diamond_net()
-    aff = net.affine_map(ind(1, 0, 1, 0))
-    assert np.allclose(aff.w, [-1.0, -1.0])
-    assert aff.b == pytest.approx(1.0)
+    _, w, b = net.piece(ind(1, 0, 1, 0))
+    assert np.allclose(w, [-1.0, -1.0])
+    assert b == pytest.approx(1.0)
 
 
 def test_affine_map_opposite_quadrant():
     net = diamond_net()
-    aff = net.affine_map(ind(0, 1, 0, 1))
-    assert np.allclose(aff.w, [1.0, 1.0])
-    assert aff.b == pytest.approx(1.0)
+    _, w, b = net.piece(ind(0, 1, 0, 1))
+    assert np.allclose(w, [1.0, 1.0])
+    assert b == pytest.approx(1.0)
 
 
 def test_affine_map_all_masked():
     net = diamond_net()
-    aff = net.affine_map(ind(0, 0, 0, 0))
-    assert np.allclose(aff.w, 0.0)
-    assert aff.b == pytest.approx(net.output_bias)
+    _, w, b = net.piece(ind(0, 0, 0, 0))
+    assert np.allclose(w, 0.0)
+    assert b == pytest.approx(net.output_bias)
 
 
 def test_region_constraints_first_quadrant():
     net = diamond_net()
-    region = net.region_constraints(ind(1, 0, 1, 0))
+    region = net.piece(ind(1, 0, 1, 0))[0]
     # one row per neuron, duplicates kept
     assert region.num_rows == 4
     expected_a = np.array([[-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, -1.0]])
@@ -80,14 +80,14 @@ def test_region_constraints_first_quadrant():
 def test_region_constraints_single_neuron():
     net = ReluNetwork([np.array([[1.0]])], [np.array([-1.0])],
                       np.array([1.0]), 0.0)
-    region = net.region_constraints(ActivationIndicator(((1,),)))
+    region = net.piece(ActivationIndicator(((1,),)))[0]
     assert np.allclose(region.A, [[-1.0]])
     assert np.allclose(region.d, [-1.0])
 
 
 def test_region_constraints_degenerate_region():
     net = diamond_net()
-    region = net.region_constraints(ind(1, 1, 1, 0))
+    region = net.piece(ind(1, 1, 1, 0))[0]
     # contains x1 >= 0 and x1 <= 0 simultaneously
     x_axis_point = np.array([0.0, 2.0])
     assert region.contains(x_axis_point)
@@ -100,9 +100,9 @@ def test_piecewise_affine_consistency_on_fixture():
     rng = np.random.default_rng(3)
     for x in rng.uniform(-3, 3, size=(200, 2)):
         for c in net.feasible_indicators(x):
-            aff = net.affine_map(c)
-            assert net.forward(x) == pytest.approx(aff.w @ x + aff.b, abs=1e-6)
-            assert net.region_constraints(c).contains(x, tol=1e-7)
+            region, w, b = net.piece(c)
+            assert net.forward(x) == pytest.approx(w @ x + b, abs=1e-6)
+            assert region.contains(x, tol=1e-7)
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,9 +112,9 @@ def test_piecewise_affine_consistency_random_nets(seed):
     net = random_hidden_net(rng)
     for x in rng.uniform(-3, 3, size=(30, 2)):
         for c in net.feasible_indicators(x):
-            aff = net.affine_map(c)
-            assert abs(net.forward(x) - (aff.w @ x + aff.b)) <= 1e-6
-            assert net.region_constraints(c).contains(x, tol=1e-6)
+            region, w, b = net.piece(c)
+            assert abs(net.forward(x) - (w @ x + b)) <= 1e-6
+            assert region.contains(x, tol=1e-6)
 
 
 # -- feasible indicators -----------------------------------------------------------
@@ -270,11 +270,10 @@ def test_positive_scaling_preserves_indicators_and_regions():
         b = scaled.feasible_indicators(x)
         assert a == b
         for c in a:
-            ra, rb = net.region_constraints(c), scaled.region_constraints(c)
+            (ra, wa, ba), (rb, wb, bb) = net.piece(c), scaled.piece(c)
             assert np.allclose(ra.A, rb.A) and np.allclose(ra.d, rb.d)
-            wa, wb = net.affine_map(c), scaled.affine_map(c)
-            assert np.allclose(7.0 * wa.w, wb.w)
-            assert 7.0 * wa.b == pytest.approx(wb.b)
+            assert np.allclose(7.0 * wa, wb)
+            assert 7.0 * ba == pytest.approx(bb)
 
 
 # -- serialization ------------------------------------------------------------------
@@ -306,4 +305,4 @@ def test_layer_shape_mismatch_raises():
 def test_indicator_layout_mismatch_raises():
     net = diamond_net()
     with pytest.raises(DimensionMismatch):
-        net.affine_map(ActivationIndicator(((1, 0),)))
+        net.piece(ActivationIndicator(((1, 0),)))

@@ -1,6 +1,7 @@
 """Valid-region test, initial region search, and boundary propagation."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from relubarrier import (ActivationIndicator, LpProblem, OracleTooLarge, ReluNetwork,
                          SearchExhausted, SlicePolyhedron, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
-                         find_initial_region, lp_solve, remove_redundant,
-                         valid_test, DEFAULT_CONFIG)
+                         enumerate_level_set, find_initial_region, lp_solve,
+                         remove_redundant, valid_test, DEFAULT_CONFIG)
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
                      diamond_net, one_d_ramp_net, random_hidden_net,
@@ -28,38 +29,56 @@ DIAMOND_INDICATORS = [ind(0, 1, 0, 1), ind(0, 1, 1, 0),
 # -- valid test -----------------------------------------------------------------------
 
 def test_diamond_quadrant_is_valid():
-    assert valid_test(diamond_net(), ind(1, 0, 1, 0))
+    assert valid_test(*diamond_net().piece(ind(1, 0, 1, 0)))
 
 
 def test_diamond_degenerate_indicator_invalid():
     # region is the ray x1 = 0, x2 >= 0: not full-dimensional
-    assert not valid_test(diamond_net(), ind(1, 1, 1, 0))
+    assert not valid_test(*diamond_net().piece(ind(1, 1, 1, 0)))
 
 
 def test_positive_network_slice_infeasible():
     # h = relu(x1) + 1 >= 1: the active region's hyperplane misses it
     net = ReluNetwork([np.array([[1.0]])], [np.array([0.0])],
                       np.array([1.0]), 1.0)
-    assert not valid_test(net, ActivationIndicator(((1,),)))
+    assert not valid_test(*net.piece(ActivationIndicator(((1,),))))
 
 
 def test_empty_region_invalid():
     # indicator (1, 1) for the strip net needs x1 >= 0 and -x1 >= 0 ... both
     # rows of the strip net are +-x1, so (1,1) pins x1 = 0: lower-dimensional
-    assert not valid_test(strip_net(), ind(1, 1))
+    assert not valid_test(*strip_net().piece(ind(1, 1)))
 
 
 def test_zero_piece_with_nonzero_bias_invalid():
     # all-masked indicator on the diamond: w = 0, b = 1 means no zero set
-    assert not valid_test(diamond_net(), ind(0, 0, 0, 0))
+    assert not valid_test(*diamond_net().piece(ind(0, 0, 0, 0)))
 
 
 def test_zero_piece_with_zero_bias_valid_degenerate():
     # h = relu(x1) - relu(x1) is 0 on x1 >= 0: w = 0, b = 0 there
     net = ReluNetwork([np.array([[1.0], [1.0]])], [np.zeros(2)],
                       np.array([1.0, -1.0]), 0.0)
-    assert valid_test(net, ind(1, 1))
+    assert valid_test(*net.piece(ind(1, 1)))
     assert build_valid_region(net, ind(1, 1)).degenerate
+
+
+def test_each_candidate_costs_one_network_pass(monkeypatch):
+    """Enumeration pulls each candidate indicator back through the network
+    once: as many `ReluNetwork.piece` calls as validity tests."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ReluNetwork, "piece", counted("piece", ReluNetwork.piece))
+    monkeypatch.setattr("relubarrier.regions.valid_test", counted("valid_test", valid_test))
+    enumerate_level_set(diamond_net())
+    assert calls["valid_test"] >= 4
+    assert calls["piece"] == calls["valid_test"]
 
 
 def test_validity_scale_invariant():
@@ -70,7 +89,7 @@ def test_validity_scale_invariant():
         import itertools
         for bits in itertools.product((0, 1), repeat=4):
             c = ind(*bits)
-            assert bool(valid_test(net, c)) == bool(valid_test(scaled, c))
+            assert bool(valid_test(*net.piece(c))) == bool(valid_test(*scaled.piece(c)))
 
 
 # -- brute-force oracle -----------------------------------------------------------------
@@ -99,7 +118,7 @@ def test_valid_test_matches_reference_on_random_nets():
     for net in nets:
         for indicator in _all_indicators(net):
             expected = reference_valid(net, indicator)
-            assert valid_test(net, indicator) == expected, indicator.compact()
+            assert valid_test(*net.piece(indicator)) == expected, indicator.compact()
             valid += expected
     assert valid > 50
 
@@ -111,7 +130,7 @@ def test_strip_sliver_valid_iff_wider_than_tol_eq(width, expected):
     net = ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0]])], [np.array([0.0, width])],
                       np.array([1.0, 0.0]), -width / 2)
     indicator = ind(1, 1)
-    assert valid_test(net, indicator) is expected
+    assert valid_test(*net.piece(indicator)) is expected
     assert reference_valid(net, indicator) is expected
 
 
@@ -119,7 +138,7 @@ def test_slice_on_a_facet_stays_valid():
     # h = relu(-x1): on the region x1 <= 0 the level set x1 = 0 is its facet
     net = ReluNetwork([np.array([[-1.0, 0.0]])], [np.array([0.0])],
                       np.array([1.0]), 0.0)
-    assert valid_test(net, ind(1))
+    assert valid_test(*net.piece(ind(1)))
     assert reference_valid(net, ind(1))
 
 
@@ -167,7 +186,7 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
     dropped = 0
     for region in random_regions:
         full, touching = region.constraints, _row_set(region.slice.base)
-        w, b = region.affine.w, region.affine.b
+        w, b = region.slice.w, region.slice.b
         for a, d in zip(full.A, full.d):
             if tuple(np.append(a, d)) in touching:
                 continue
@@ -185,7 +204,7 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
 def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
     tol = DEFAULT_CONFIG.tol_feas
     for region in random_regions:
-        full = SlicePolyhedron(region.constraints, region.affine.w, region.affine.b)
+        full = SlicePolyhedron(region.constraints, region.slice.w, region.slice.b)
         rows = region.slice.base
         assert len(region.facet_points) == rows.num_rows
         for point, a, d in zip(region.facet_points, rows.A, rows.d):
@@ -199,7 +218,7 @@ def test_touching_rows_cut_out_the_same_slice(random_regions):
     hits = 0
     for region in random_regions:
         full, rows = region.constraints, region.slice.base
-        w, b = region.affine.w, region.affine.b
+        w, b = region.slice.w, region.slice.b
         xs = rng.uniform(-3.0, 3.0, size=(400, full.dim))
         xs -= np.outer(xs @ w + b, w) / (w @ w)   # onto the hyperplane
         in_full = np.all(xs @ full.A.T <= full.d, axis=1)
@@ -297,7 +316,7 @@ def test_propagation_strip_stops_at_disconnection():
 def test_propagation_one_dimensional_base_case():
     net = one_d_ramp_net()
     seed_ind = ActivationIndicator(((1,),))
-    assert valid_test(net, seed_ind)
+    assert valid_test(*net.piece(seed_ind))
     seed = build_valid_region(net, seed_ind)
     result = boundary_propagation(net, seed)
     assert [r.indicator for r in result.regions] == [seed_ind]
@@ -370,4 +389,4 @@ def test_valid_region_slice_dimension():
     assert not region.degenerate
     point = slice_feasible_point(region.slice)
     assert point is not None
-    assert abs(region.affine.w @ point + region.affine.b) <= 1e-7
+    assert abs(region.slice.w @ point + region.slice.b) <= 1e-7

@@ -3,8 +3,10 @@ rebinds package functions by name, and a traced run raises when a required
 target is missing; its problem files (bench/problems.py) must load, and
 every report made from them must pass its checker (bench/checker.py),
 known answers included; every configuration knob is one that some input
-actually sets; and every public name has a caller outside the tests."""
+actually sets, and each command's override flags match the RELUBARRIER_*
+variables; and every public name has a caller outside the tests."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -70,6 +72,20 @@ def test_every_configuration_field_is_set_by_some_input():
     allowed = override_keys | bench_keys | {"domain_box", "seed"}
     unset = [f.name for f in dataclasses.fields(VerifierConfig) if f.name not in allowed]
     assert unset == []
+
+
+def test_override_flags_and_environment_cover_the_same_keys():
+    """Every command takes a flag for exactly the configuration keys that a
+    RELUBARRIER_* variable sets, so neither route reaches a knob the other
+    cannot."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    fields = {f.name for f in dataclasses.fields(VerifierConfig)}
+    env_keys = {key for key, _cast in cli._ENV_KEYS.values()}
+    for name in ("verify", "export-smt", "plot"):
+        flags = {a.dest for a in commands[name]._actions if a.dest in fields}
+        assert flags == env_keys, name
 
 
 def test_every_bench_report_passes_the_checker(tmp_path, monkeypatch):
