@@ -54,6 +54,15 @@ class VerifierConfig:
     domain_box: tuple[tuple[float, float], ...] | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        """Check every value (`_valid`), `updated` included; store the box as floats."""
+        for f in fields(self):
+            if not _valid(f.name, v := getattr(self, f.name)):
+                raise ProblemFormatError(f"invalid value for {f.name}: {v!r}")
+        if self.domain_box is not None:
+            object.__setattr__(self, "domain_box", tuple(
+                tuple(float(x) for x in pair) for pair in self.domain_box))
+
     def domain(self, dim: int) -> np.ndarray:
         """The domain box as a (dim, 2) array, defaulting to [-3, 3]^n."""
         if self.domain_box is None:
@@ -80,18 +89,10 @@ class VerifierConfig:
                    **extra) -> "VerifierConfig":
         """Build a config from the ``tolerances``/``budgets`` problem-file
         blocks; ProblemFormatError on an unknown key or an invalid value."""
-        known = {f.name for f in fields(cls)}
-        merged: dict = {}
-        for block in (tolerances or {}), (budgets or {}), extra:
-            for k, v in block.items():
-                if k not in known:
-                    raise ProblemFormatError(f"unknown configuration key: {k!r}")
-                if not _valid(k, v):
-                    raise ProblemFormatError(f"invalid value for {k}: {v!r}")
-                merged[k] = v
-        if "domain_box" in merged and merged["domain_box"] is not None:
-            merged["domain_box"] = tuple(tuple(float(x) for x in pair)
-                                         for pair in merged["domain_box"])
+        merged = {**(tolerances or {}), **(budgets or {}), **extra}
+        for k in merged:
+            if k not in {f.name for f in fields(cls)}:
+                raise ProblemFormatError(f"unknown configuration key: {k!r}")
         return cls(**merged)
 
 

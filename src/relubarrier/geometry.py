@@ -1,9 +1,9 @@
 """Polyhedra in inequality form and the operations the region tests need.
 
 A polyhedron is ``{x : A x <= d}``; `SlicePolyhedron.minimize` is where a
-level-set slice becomes an LP.  The region test measures dimension by
-the largest inscribed ball (``inscribed_radius``), and enumeration finds the
-rows touching a slice with one batched `lp_solve` (`regions`);
+level-set slice becomes an LP, all on one phase one.  The region test measures
+dimension by the largest inscribed ball (``inscribed_radius``), and enumeration
+finds the rows touching a slice with one batched `lp_solve` (`regions`);
 ``implicit_equalities`` and ``remove_redundant`` are references for them.
 """
 
@@ -61,11 +61,12 @@ class Polyhedron:
 
 @dataclass
 class SlicePolyhedron:
-    """A polyhedron intersected with the hyperplane ``w.x + b = 0``."""
+    """A polyhedron on the hyperplane ``w.x + b = 0``; its LPs share a phase one (``memo``)."""
 
     base: Polyhedron
     w: np.ndarray
     b: float
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
@@ -86,7 +87,16 @@ class SlicePolyhedron:
         ``(k, n)`` objective is k LPs sharing one phase one."""
         problem = LpProblem(objective, self.base.A, self.base.d,
                             self.w[None, :], np.array([-self.b]))
-        return lp_solve(problem, tol_feas=tol_feas)
+        return lp_solve(problem, tol_feas=tol_feas, memo=self.memo)
+
+
+def slice_charges(A: np.ndarray, w) -> np.ndarray:
+    """Per row, the norm of its unit normal's component along ``w.x = 0`` (0
+    for a zero row): what a ball centred on that hyperplane is charged."""
+    norms = np.linalg.norm(A, axis=1)
+    rows = A / np.where(norms > 0.0, norms, 1.0)[:, None]
+    u = np.asarray(w, dtype=float) / np.linalg.norm(w)
+    return np.linalg.norm(rows - np.outer(rows @ u, u), axis=1)
 
 
 def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
@@ -94,8 +104,8 @@ def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
     """Radius (capped at 1) of the largest ball inside p; None when p is empty.
 
     Given a hyperplane ``w.x + b = 0``, the ball is centred on it and only
-    its part within the hyperplane must fit, so each unit row normal is
-    charged just its component along the hyperplane.  One Chebyshev-centre
+    its part within the hyperplane must fit, so each unit row normal is charged
+    just its component along the hyperplane (`slice_charges`).  One Chebyshev-centre
     LP over (x, r): max r s.t. ``(a_i/|a_i|).x + c_i r <= d_i/|a_i|``, 0 <= r <= 1.
     """
     norms = np.linalg.norm(p.A, axis=1)
@@ -103,8 +113,7 @@ def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
     rows = p.A / scale[:, None]
     c, eq_a, eq_d = (norms > 0.0).astype(float), None, None
     if w is not None:
-        u = np.asarray(w, dtype=float) / np.linalg.norm(w)
-        c = np.linalg.norm(rows - np.outer(rows @ u, u), axis=1)
+        c = slice_charges(p.A, w)
         eq_a, eq_d = np.append(w, 0.0)[None, :], np.array([-float(b)])
     e_r = np.eye(p.dim + 1)[-1]
     a_ub = np.vstack([np.column_stack([rows, c]), e_r, -e_r])

@@ -14,7 +14,8 @@ guarantees termination.
 
 Several objectives over one feasible set (a ``(k, n)`` objective) share one
 tableau and one phase one; each phase two starts from the basis the previous
-one ended in.  A single objective is the k = 1 case of the same code.
+one ended in.  A single objective is the k = 1 case of the same code.  A
+memo keeps the phase one for later calls, each of which pivots a copy.
 """
 
 from __future__ import annotations
@@ -216,9 +217,8 @@ def _phase_one(T, basis, art_cols, tol_feas):
         return True, T, basis
     T[-1, :] = 0.0
     T[-1, art_cols] = 1.0
-    for i in range(len(basis)):
-        if T[-1, basis[i]] != 0.0:
-            T[-1] -= T[i] * T[-1, basis[i]]
+    for i in np.flatnonzero(T[-1, basis]):
+        T[-1] -= T[i] * T[-1, basis[i]]
     status = _run_simplex(T, basis)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
         raise NumericalFailure("phase one terminated abnormally")
@@ -245,7 +245,8 @@ def _phase_one(T, basis, art_cols, tol_feas):
     return True, T, basis
 
 
-def lp_solve(problem: LpProblem, tol_feas: float = 1e-7) -> LpOutcome | LpOutcomes:
+def lp_solve(problem: LpProblem, tol_feas: float = 1e-7,
+             memo: dict | None = None) -> LpOutcome | LpOutcomes:
     """Solve a small dense LP; unboundedness and infeasibility are ordinary
     outcomes, not errors.
 
@@ -254,17 +255,24 @@ def lp_solve(problem: LpProblem, tol_feas: float = 1e-7) -> LpOutcome | LpOutcom
     starting from the basis the previous one ended in (optimal, or still
     feasible where it proved unboundedness).  It returns LpOutcomes, one per
     row; a vector objective returns its single LpOutcome.
+
+    ``memo``, a dict owned by one fixed feasible set, keeps the phase-one
+    state per tol_feas; phase two pivots a copy, as if solved cold.
     """
     objectives = np.atleast_2d(problem.objective)
     sign = 1.0 if problem.sense == "min" else -1.0
 
-    T, basis, _, n_struct, art_cols = _build_tableau(problem)
-    feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
+    memo = {} if memo is None else memo
+    if tol_feas not in memo:
+        T, basis, _, n_struct, art_cols = _build_tableau(problem)
+        feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
+        # drop artificial columns (they sit at the end, so basis indices survive)
+        memo[tol_feas] = feasible, np.delete(T, np.s_[n_struct:-1], axis=1), basis, n_struct
+    feasible, T, basis, n_struct = memo[tol_feas]
     if not feasible:
         outcomes = [LpOutcome(INFEASIBLE) for _ in objectives]
     else:
-        # drop artificial columns (they sit at the end, so basis indices survive)
-        T = np.delete(T, np.s_[n_struct:-1], axis=1)
+        T, basis = T.copy(), basis.copy()
         outcomes = [_phase_two(problem, T, basis, objective, sign, n_struct, tol_feas)
                     for objective in objectives]
     return outcomes[0] if problem.objective.ndim == 1 else LpOutcomes(outcomes)
@@ -280,10 +288,8 @@ def _phase_two(problem, T, basis, objective, sign, n_struct, tol_feas) -> LpOutc
     c_std[n:2 * n] = -c
     T[-1, :] = 0.0
     T[-1, :n_struct] = c_std
-    for i in range(len(basis)):
-        coef = T[-1, basis[i]]
-        if coef != 0.0:
-            T[-1] -= T[i] * coef
+    for i in np.flatnonzero(T[-1, basis]):
+        T[-1] -= T[i] * T[-1, basis[i]]
     status = _run_simplex(T, basis)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)

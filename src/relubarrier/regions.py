@@ -1,8 +1,8 @@
 """Enumerating the linear regions that carry the zero level set.
 
 A region is *valid* when it is full-dimensional and its intersection with
-the hyperplane of its own affine piece (its *slice*) has dimension n-1;
-each dimension is one inscribed-ball LP whose diameter must exceed TOL_EQ.
+the hyperplane of its own affine piece (its *slice*) has dimension n-1:
+inscribed balls wider than TOL_EQ, mostly settled by the slice's LP alone.
 A valid region then costs one batched LP, max A_j.x over the slice for each
 distinct row j: a row whose maximum reaches d_j - tol_feas touches the slice
 and its optimum is a facet point; the other rows are redundant on the slice.
@@ -25,7 +25,7 @@ import numpy as np
 from .config import (BISECT_EPS, BRANCH_CAP, DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ,
                      VerifierConfig)
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
-from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius
+from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius, slice_charges
 from .linprog import INFEASIBLE
 from .network import ActivationIndicator, ReluNetwork, expand_candidate
 
@@ -55,20 +55,22 @@ class EnumerationResult:
 def valid_test(region: Polyhedron, w: np.ndarray, b: float,
                cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
     """Decide whether the piece w.x + b on region (`ReluNetwork.piece`)
-    makes a valid region, with at most two LPs.
+    makes a valid region, mostly with one LP.
 
-    Checks, in order: the region's largest inscribed ball has diameter
-    > TOL_EQ; the affine piece is not identically zero (w = 0, b = 0 counts
-    as valid but degenerate, w = 0 with b != 0 has an empty slice); the
-    largest such ball within the hyperplane w.x + b = 0 has diameter > TOL_EQ.
-    """
+    The largest balls in the region and in its slice on w.x + b = 0 have
+    diameter > TOL_EQ (w = 0: valid but degenerate if b = 0, else no slice).
+    A slice ball of radius r holds a region ball of radius c r, c the least
+    charge of a nonzero row (`slice_charges`), so the region's LP runs only
+    for w = 0 or where c r is within tol_feas of TOL_EQ / 2."""
+    if w.any():
+        radius = inscribed_radius(region, w, b, tol_feas=cfg.tol_feas)
+        if radius is None or 2.0 * radius <= TOL_EQ:
+            return False
+        charge = slice_charges(region.A[region.A.any(axis=1)], w).min(initial=1.0)
+        if charge * radius > TOL_EQ / 2.0 + cfg.tol_feas:
+            return True
     radius = inscribed_radius(region, tol_feas=cfg.tol_feas)
-    if radius is None or 2.0 * radius <= TOL_EQ:
-        return False
-    if not w.any():
-        return bool(b == 0.0)
-    radius = inscribed_radius(region, w, b, tol_feas=cfg.tol_feas)
-    return radius is not None and 2.0 * radius > TOL_EQ
+    return radius is not None and 2.0 * radius > TOL_EQ and bool(w.any() or b == 0.0)
 
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,

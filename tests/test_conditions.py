@@ -11,7 +11,7 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ReluNetwork, SlicePolyhedron, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
-                         check_unsafe_condition, evaluate, load_problem,
+                         check_unsafe_condition, enumerate_level_set, evaluate, load_problem,
                          parse_expression, verify_certificate)
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
@@ -785,6 +785,33 @@ def test_affine_set_expression_uses_lp_route():
     result = check_initial_condition(net, regions, h_init)
     for v in result.region_verdicts:
         assert v.method == "lp"
+
+
+# -- the slice's shared phase one --------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_condition_order_does_not_change_verdicts(seed):
+    """A region's slice keeps its phase one across the conditions' LPs (the
+    LP route here, the search and BaB under the cubic flow).  Unsafe then
+    invariance on one region list gives the verdicts of invariance then
+    unsafe on a fresh enumeration: same route, bound and witness."""
+    net = random_hidden_net(np.random.default_rng(seed), n_in=2, neurons=6)
+    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
+    unsafe = parse_expression("x1 - 1", 2)
+    regions = enumerate_level_set(net)[0].regions
+    unsafe_first = check_unsafe_condition(net, regions, unsafe)
+    inv_second = check_invariance(net, regions, sys)
+    fresh = enumerate_level_set(net)[0].regions
+    assert all(r.slice.memo == {} for r in fresh) and all(r.slice.memo for r in regions)
+    inv_first = check_invariance(net, fresh, sys)
+    unsafe_second = check_unsafe_condition(net, fresh, unsafe)
+    pairs = list(zip(inv_second.region_verdicts + unsafe_first.region_verdicts,
+                     inv_first.region_verdicts + unsafe_second.region_verdicts))
+    assert {a.method for a, _ in pairs} == {"lp", "search", "interval"}
+    for a, b in pairs:
+        assert (a.status, a.method, a.bound, a.witness_value, a.note) == \
+            (b.status, b.method, b.bound, b.witness_value, b.note)
+        assert (a.witness is None and b.witness is None) or np.array_equal(a.witness, b.witness)
 
 
 # -- end-to-end --------------------------------------------------------------------------

@@ -178,6 +178,45 @@ def test_batched_solve_warm_starts_after_an_unbounded_objective():
     assert batch.status == UNBOUNDED
 
 
+def assert_same_outcome(got, want):
+    """Bit for bit: status, value and point."""
+    assert got.status == want.status
+    assert got.value == want.value
+    assert (got.point is None) == (want.point is None)
+    if want.point is not None:
+        assert np.array_equal(got.point, want.point)
+
+
+def test_memo_backed_solves_equal_cold_solves_in_any_order():
+    """A memo carries one feasible set's phase one from call to call; each
+    memo-backed solve still gives exactly the cold solve's status, value and
+    point, whatever was solved with the memo before it.  Random systems,
+    empty ones among them, vector and (k, n) objectives, some unbounded,
+    under two tol_feas keys."""
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 7))
+        a, d = rng.normal(size=(m, n)), rng.normal(size=m)
+        eq = (rng.normal(size=(1, n)), rng.normal(size=1)) if trial % 3 == 0 else (None, None)
+        calls = [(rng.normal(size=(int(rng.integers(1, 4)), n)) if k % 2 else rng.normal(size=n),
+                  "max" if rng.random() < 0.5 else "min", (1e-7, 1e-9)[k % 3 == 0])
+                 for k in range(6)]
+        problems = [LpProblem(c, a, d, *eq, sense=sense) for c, sense, _ in calls]
+        cold = [lp_solve(p, tol_feas=tol) for p, (_, _, tol) in zip(problems, calls)]
+        for order in (range(6), range(5, -1, -1), rng.permutation(6)):
+            memo = {}
+            for k in order:
+                got = lp_solve(problems[k], tol_feas=calls[k][2], memo=memo)
+                batch = isinstance(cold[k], LpOutcomes)
+                for g, w in zip(got if batch else [got], cold[k] if batch else [cold[k]]):
+                    assert_same_outcome(g, w)
+                    seen.add(w.status)
+            assert set(memo) == {1e-7, 1e-9}
+    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
+
 def test_zero_objective_lp_finds_a_segment_point():
     out = lp_solve(LpProblem(np.zeros(2), -np.eye(2), np.zeros(2),
                              np.array([[1.0, 1.0]]), np.array([1.0])))

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from relubarrier import (DimensionMismatch, MissingField, ProblemFormatError,
+from relubarrier import (DEFAULT_CONFIG, DimensionMismatch, MissingField, ProblemFormatError,
+                         VerifierConfig,
                          build_report, evaluate, exit_code, load_problem,
                          report_bytes_without_timings, verify_certificate,
                          write_report, EXIT_FALSIFIED, EXIT_FAILURE,
@@ -126,6 +127,26 @@ def test_unknown_configuration_key_rejected(tmp_path, key):
                          tolerances={key: 1.0})
     with pytest.raises(ValueError, match="unknown configuration key"):
         load_problem(path)
+
+
+@pytest.mark.parametrize("key, value", [("tol_feas", 1e300), ("tol_margin", -1.0),
+                                        ("threads", 2), ("max_attempts", 2.5),
+                                        ("max_regions", 0), ("seed", -1),
+                                        ("domain_box", [["x", 3], [-3, 3]])])
+def test_config_built_in_code_is_validated(key, value):
+    """Direct construction and `updated` check every value as a problem
+    file's values are checked (a tol_feas of 1e300 once falsified a true
+    barrier)."""
+    with pytest.raises(ProblemFormatError, match=f"invalid value for {key}"):
+        VerifierConfig(**{key: value})
+    with pytest.raises(ProblemFormatError, match=f"invalid value for {key}"):
+        DEFAULT_CONFIG.updated(**{key: value})
+
+
+def test_config_domain_box_stored_as_float_pairs():
+    cfg = DEFAULT_CONFIG.updated(domain_box=[[-1, 1], [0, 2]])
+    assert cfg.domain_box == ((-1.0, 1.0), (0.0, 2.0))
+    assert cfg.updated(seed=3).domain_box == cfg.domain_box
 
 
 # -- reports ----------------------------------------------------------------------

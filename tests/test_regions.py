@@ -11,6 +11,7 @@ from relubarrier import (ActivationIndicator, LpProblem, OracleTooLarge, ReluNet
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region, lp_solve,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
+from relubarrier import regions
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
                      diamond_net, one_d_ramp_net, random_hidden_net,
@@ -132,6 +133,34 @@ def test_strip_sliver_valid_iff_wider_than_tol_eq(width, expected):
     indicator = ind(1, 1)
     assert valid_test(*net.piece(indicator)) is expected
     assert reference_valid(net, indicator) is expected
+
+
+def test_slice_ball_settles_the_region_ball_unless_rows_run_along_w(monkeypatch):
+    """A slice ball clear of TOL_EQ shows that the region's ball is too, so
+    most valid regions of the random nets skip the region-ball LP; the strip
+    slivers, whose rows are parallel to w (charge 0), still take it."""
+    region_balls = []
+    original = regions.inscribed_radius
+
+    def logged(p, w=None, *args, **kwargs):
+        region_balls.append(w is None)
+        return original(p, w, *args, **kwargs)
+
+    monkeypatch.setattr(regions, "inscribed_radius", logged)
+    valid = skipped = 0
+    for net in random_nets(np.random.default_rng(11)):
+        for indicator in _all_indicators(net):
+            region_balls.clear()
+            if valid_test(*net.piece(indicator)):
+                valid += 1
+                skipped += region_balls == [False]
+    assert skipped > 0.75 * valid   # 107 of 131
+    for width in (5e-8, 1.1e-7, 1e-6):
+        net = ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0]])], [np.array([0.0, width])],
+                          np.array([1.0, 0.0]), -width / 2)
+        region_balls.clear()
+        valid_test(*net.piece(ind(1, 1)))
+        assert region_balls == [False, True]
 
 
 def test_slice_on_a_facet_stays_valid():
