@@ -111,7 +111,7 @@ def run_export_smt(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem, overrides=_merge_overrides(args))
     cfg = problem.config
     net = problem.network
-    regions = enumerate_level_set(net, cfg)[0].regions
+    regions = enumerate_level_set(net, cfg).regions
 
     mode = "monolithic" if args.monolithic else "per-region"
     domain_box = cfg.domain(net.input_dim) if args.include_domain_box else None
@@ -181,7 +181,7 @@ def run_plot(args: argparse.Namespace) -> int:
             report = json.load(fh)
         witnesses = report.get("witnesses", [])
 
-    regions = enumerate_level_set(net, problem.config)[0].regions
+    regions = enumerate_level_set(net, problem.config).regions
     svg = render_plot(net, regions, problem.h_init, problem.h_unsafe, witnesses,
                       domain=problem.config.domain(net.input_dim))
     with open(args.out, "w") as fh:
@@ -191,14 +191,10 @@ def run_plot(args: argparse.Namespace) -> int:
 
 
 def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-feas", dest="tol_feas", type=float, default=None,
-                        help="LP feasibility tolerance")
-    parser.add_argument("--tol-margin", dest="tol_margin", type=float,
-                        default=None, help="acceptance margin for bounds")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="root random seed")
-    parser.add_argument("--max-regions", dest="max_regions", type=int,
-                        default=None, help="cap on enumerated regions")
+    """One flag per RELUBARRIER_* variable, taking precedence over it."""
+    for suffix, (key, cast) in _ENV_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None,
+                            help=f"configuration {key}; overrides {_ENV_PREFIX}{suffix}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,18 +89,33 @@ class ConditionResult:
 
 @dataclass
 class CertificateVerdict:
-    invariance: str
-    initial_condition: str
-    unsafe_condition: str
-    overall: str
+    """The three condition results (None after a failure, read as
+    `unknown`), the enumeration they ran over, caveats, the failure record
+    and timings; the statuses and the overall verdict derive from the results."""
+
     invariance_result: ConditionResult | None = None
     initial_result: ConditionResult | None = None
     unsafe_result: ConditionResult | None = None
     enumeration: EnumerationResult | None = None
-    search_meta: dict = field(default_factory=dict)
     caveats: list[str] = field(default_factory=list)
     failure: dict | None = None
     timings: dict = field(default_factory=dict)
+
+    @property
+    def invariance(self) -> str:
+        return getattr(self.invariance_result, "status", UNKNOWN)
+
+    @property
+    def initial_condition(self) -> str:
+        return getattr(self.initial_result, "status", UNKNOWN)
+
+    @property
+    def unsafe_condition(self) -> str:
+        return getattr(self.unsafe_result, "status", UNKNOWN)
+
+    @property
+    def overall(self) -> str:
+        return _aggregate([self.invariance, self.initial_condition, self.unsafe_condition])
 
 
 # -- shared by every route ------------------------------------------------------
@@ -231,27 +246,24 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     if spread == 0.0:   # every vertex LP ended at one point, such as a ray's apex
         spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
     step = max(spread / 4.0, 1e-3)
+    moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0   # e_1, -e_1, ...; + 0.0 clears -0.0
+    if wnorm2 > 0.0:
+        moves -= np.outer(moves @ w, w) / wnorm2   # within the hyperplane
+    moves = [d for d in moves if d.any()]
     for _ in range(FALSIFY_BUDGET):
         improved = False
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                d = np.zeros(n)
-                d[i] = sign
-                if wnorm2 > 0.0:
-                    d -= w * (w @ d) / wnorm2      # move within the hyperplane
-                if not d.any():
-                    continue
-                y = x + step * d
-                if wnorm2 > 0.0:
-                    y = y - w * ((w @ y) + b) / wnorm2   # exact projection back
-                hit = consider(y)
-                if hit is None:
-                    continue   # the move left the region
-                if hit.witness:
-                    return found(hit)
-                if hit.value < gx - 1e-15:
-                    x, gx = hit.x, hit.value
-                    improved = True
+        for d in moves:
+            y = x + step * d
+            if wnorm2 > 0.0:
+                y = y - w * ((w @ y) + b) / wnorm2   # exact projection back
+            hit = consider(y)
+            if hit is None:
+                continue   # the move left the region
+            if hit.witness:
+                return found(hit)
+            if hit.value < gx - 1e-15:
+                x, gx = hit.x, hit.value
+                improved = True
         if not improved:
             step /= 2.0
             if step < 1e-9:
@@ -549,13 +561,12 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
     ]
     t0 = time.perf_counter()
     try:
-        enum, search_meta = enumerate_level_set(net, cfg)
+        enum = enumerate_level_set(net, cfg)
     except SearchExhausted as exc:
         timings["enumeration_s"] = timings["total_s"] = time.perf_counter() - t0
         return CertificateVerdict(
-            invariance=UNKNOWN, initial_condition=UNKNOWN, unsafe_condition=UNKNOWN,
-            overall=UNKNOWN, caveats=caveats,
-            failure={"kind": "search-exhausted", "detail": str(exc)}, timings=timings)
+            caveats=caveats, failure={"kind": "search-exhausted", "detail": str(exc)},
+            timings=timings)
     timings["enumeration_s"] = time.perf_counter() - t0
     if enum.partial:
         caveats.append("enumeration returned partial results: " + "; ".join(enum.errors))
@@ -582,14 +593,9 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
         caveats.append("some patches were analyzed within the domain box only")
     if any(v.bound is not None and abs(v.bound) <= 10 * cfg.tol_feas for v in verdicts):
         caveats.append("a certified bound lies within tolerance noise of zero")
-    inv, init_res, unsafe_res = results.values()
-    if init_res.probe is not None or unsafe_res.probe is not None:
+    if any(res.probe is not None for res in results.values()):
         caveats.append("set membership is probed at sampled points; full-set "
                        "containment in this component is not separately certified")
 
-    return CertificateVerdict(
-        invariance=inv.status, initial_condition=init_res.status,
-        unsafe_condition=unsafe_res.status,
-        overall=_aggregate([r.status for r in results.values()]),
-        invariance_result=inv, initial_result=init_res, unsafe_result=unsafe_res,
-        enumeration=enum, search_meta=search_meta, caveats=caveats, timings=timings)
+    return CertificateVerdict(*results.values(), enumeration=enum, caveats=caveats,
+                              timings=timings)

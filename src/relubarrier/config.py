@@ -105,16 +105,17 @@ def _finite(v) -> bool:
 
 def _valid(key: str, v) -> bool:
     """Tolerances are finite numbers >= 0 (tol_feas at most TOL_FEAS_MAX),
-    the domain box finite [lo, hi] pairs, the seed an integer >= 0, threads
-    the integer 1 and the other counts integers >= 1; only the domain box
-    and max_regions may be None, and a bool is no number."""
+    the domain box finite [lo, hi] pairs with lo < hi, the seed an integer
+    >= 0, threads the integer 1 and the other counts integers >= 1; only
+    the domain box and max_regions may be None, and a bool is no number."""
     if key in ("tol_feas", "tol_margin"):
         return _finite(v) and 0 <= v <= (TOL_FEAS_MAX if key == "tol_feas" else math.inf)
     if v is None:
         return key in ("domain_box", "max_regions")
     if key == "domain_box":
         return isinstance(v, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p)) for p in v)
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p))
+            and p[0] < p[1] for p in v)
     if not isinstance(v, int) or isinstance(v, bool):
         return False
     return v == 1 if key == "threads" else v >= (0 if key == "seed" else 1)

@@ -448,7 +448,6 @@ class DynamicsSystem:
 
     exprs: tuple[Expr, ...]
     dim: int
-    texts: tuple[str, ...]
 
     @classmethod
     def parse(cls, components, dim: int | None = None) -> "DynamicsSystem":
@@ -456,7 +455,7 @@ class DynamicsSystem:
         if dim is None:
             dim = len(components)
         exprs = tuple(parse_expression(t, dim) for t in components)
-        return cls(exprs=exprs, dim=dim, texts=tuple(components))
+        return cls(exprs=exprs, dim=dim)
 
     def __call__(self, x) -> np.ndarray:
         return np.array([evaluate(e, x) for e in self.exprs])

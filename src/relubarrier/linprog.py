@@ -125,17 +125,15 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, max_iter=None):
+def _run_simplex(T, basis):
     """Minimize the objective encoded in the last tableau row.
 
     Returns "optimal" or "unbounded"; raises NumericalFailure if the
     iteration budget is exhausted even under Bland's rule.
     """
-    if max_iter is None:
-        max_iter = _MAX_ITER
     bland = False
     degenerate_streak = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         costs = T[-1, :-1]
         if bland:
             candidates = (costs < -_COST_TOL).nonzero()[0]
@@ -204,7 +202,7 @@ def _build_tableau(problem):
     # a row's slack is basic, or its artificial where it needs one
     basis = n_split + np.arange(m)
     basis[art_rows] = art_cols
-    return T, basis, n, n_struct, art_cols
+    return T, basis, n_struct, art_cols
 
 
 def _phase_one(T, basis, art_cols, tol_feas):
@@ -264,7 +262,7 @@ def lp_solve(problem: LpProblem, tol_feas: float = 1e-7,
 
     memo = {} if memo is None else memo
     if tol_feas not in memo:
-        T, basis, _, n_struct, art_cols = _build_tableau(problem)
+        T, basis, n_struct, art_cols = _build_tableau(problem)
         feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
         # drop artificial columns (they sit at the end, so basis indices survive)
         memo[tol_feas] = feasible, np.delete(T, np.s_[n_struct:-1], axis=1), basis, n_struct

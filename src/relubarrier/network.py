@@ -185,16 +185,17 @@ class ReluNetwork:
 
         Neurons with |pre-activation| <= tol_zero are branched both ways,
         recomputing downstream pre-activations per branch since the mask
-        changes what later layers see.  Raises CombinatorialBlowup when more
-        than branch_cap neurons along one branch are ambiguous.
+        changes what later layers see.  The depth-first walk branches in bit
+        order, so the indicators come out distinct and in key order.  Raises
+        CombinatorialBlowup when more than branch_cap neurons along one
+        branch are ambiguous.
         """
         x = np.asarray(x, dtype=float)
-        results: dict[tuple, ActivationIndicator] = {}
+        results: list[ActivationIndicator] = []
 
         def descend(layer, z, prefix, branched):
             if layer == len(self.weights):
-                ind = ActivationIndicator(prefix)
-                results[ind.key()] = ind
+                results.append(ActivationIndicator(prefix))
                 return
             pre = self.weights[layer] @ z + self.biases[layer]
             ambiguous = np.flatnonzero(np.abs(pre) <= tol_zero)
@@ -211,7 +212,7 @@ class ReluNetwork:
                         branched + ambiguous.size)
 
         descend(0, x, (), 0)
-        return [results[k] for k in sorted(results)]
+        return results
 
     def ibp_candidate(self, box) -> CandidateIndicator:
         """Interval bound propagation over an input box.

@@ -31,14 +31,12 @@ EXIT_FAILURE = 3
 
 @dataclass
 class ProblemSpec:
+    """The problem texts a report echoes; the settings are `LoadedProblem.config`."""
+
     network_path: str
     dynamics: list[str]
     initial_set: str
     unsafe_set: str
-    domain_box: list | None
-    tolerances: dict
-    budgets: dict
-    seed: int
     path: str | None = None
 
 
@@ -77,10 +75,6 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
         dynamics=_require(data, "dynamics", path),
         initial_set=_require(data, "initial_set", path),
         unsafe_set=_require(data, "unsafe_set", path),
-        domain_box=data.get("domain_box"),
-        tolerances=data.get("tolerances", {}),
-        budgets=data.get("budgets", {}),
-        seed=data.get("seed", 0),
         path=str(path),
     )
     texts = [spec.network_path, spec.initial_set, spec.unsafe_set]
@@ -88,7 +82,8 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
                                                     for t in texts + spec.dynamics)):
         raise ProblemFormatError(f"{path}: network_path, each dynamics entry and "
                                  "each set function must be a string")
-    if not (isinstance(spec.tolerances, dict) and isinstance(spec.budgets, dict)):
+    tolerances, budgets = data.get("tolerances", {}), data.get("budgets", {})
+    if not (isinstance(tolerances, dict) and isinstance(budgets, dict)):
         raise ProblemFormatError(f"{path}: tolerances and budgets must be JSON objects")
 
     net_path = spec.network_path
@@ -105,15 +100,11 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
     h_init = parse_expression(spec.initial_set, n)
     h_unsafe = parse_expression(spec.unsafe_set, n)
 
-    extra: dict = {"seed": spec.seed, "domain_box": spec.domain_box}
+    extra: dict = {"seed": data.get("seed", 0), "domain_box": data.get("domain_box")}
     extra.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    cfg = VerifierConfig.from_dicts(spec.tolerances, spec.budgets, **extra)
-    if cfg.domain_box is not None:
-        box = np.asarray(cfg.domain_box)
-        if box.shape != (n, 2):
-            raise DimensionMismatch(f"{path}: domain_box must hold {n} [lo,hi] pairs")
-        if np.any(box[:, 0] >= box[:, 1]):
-            raise ProblemFormatError(f"{path}: domain_box needs lo < hi per coordinate")
+    cfg = VerifierConfig.from_dicts(tolerances, budgets, **extra)
+    if cfg.domain_box is not None and len(cfg.domain_box) != n:
+        raise DimensionMismatch(f"{path}: domain_box must hold {n} [lo,hi] pairs")
     return LoadedProblem(spec=spec, network=network, system=system,
                          h_init=h_init, h_unsafe=h_unsafe, config=cfg)
 
@@ -222,9 +213,8 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
             "connectivity_assumed": verdict.enumeration.connectivity_assumed,
             "partial": verdict.enumeration.partial,
             "errors": list(verdict.enumeration.errors),
-            "seed_indicator": (verdict.enumeration.seed_indicator.compact()
-                               if verdict.enumeration.seed_indicator else None),
-            "search": verdict.search_meta,
+            "seed_indicator": verdict.enumeration.seed_indicator.compact(),
+            "search": verdict.enumeration.search,
         },
         "regions": region_rows,
         "membership": {

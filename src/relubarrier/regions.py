@@ -39,17 +39,33 @@ class ValidRegion:
     constraints: Polyhedron        # the region's distinct nonzero rows
     slice: SlicePolyhedron         # the rows touching {w.x + b = 0}, on that hyperplane
     facet_points: list[np.ndarray] = field(default_factory=list)  # one per touching row
-    degenerate: bool = False       # the piece is identically zero (w = 0, b = 0)
+
+    @property
+    def degenerate(self) -> bool:
+        """The piece is identically zero: a valid piece with w = 0 has b = 0."""
+        return not self.slice.w.any()
 
 
 @dataclass
 class EnumerationResult:
+    """The valid regions of one level-set component in indicator-key order,
+    the number of regions taken off the worklist, the seed region's
+    indicator, what cut the walk short (``partial`` when anything did), and
+    the seed search's {"attempts", "eps"} (`find_initial_region`)."""
+
     regions: list[ValidRegion]
     visited_count: int
-    connectivity_assumed: bool = True
-    partial: bool = False
+    seed_indicator: ActivationIndicator
     errors: list[str] = field(default_factory=list)
-    seed_indicator: ActivationIndicator | None = None
+    search: dict = field(default_factory=dict)
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.errors)
+
+    @property
+    def connectivity_assumed(self) -> bool:
+        return True   # propagation reaches one component of the level set only
 
 
 def valid_test(region: Polyhedron, w: np.ndarray, b: float,
@@ -85,7 +101,7 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     keep = [j for j in sorted(first) if region.A[j].any()]
     exact = Polyhedron(region.A[keep], region.d[keep])
     if not w.any():
-        return ValidRegion(ind, exact, SlicePolyhedron(exact, w, b), degenerate=True)
+        return ValidRegion(ind, exact, SlicePolyhedron(exact, w, b))
     tops = SlicePolyhedron(exact, w, b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
     if tops.status == INFEASIBLE:
         raise NumericalFailure(f"valid region {ind.compact()} has an empty slice")
@@ -163,65 +179,53 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     """
     regions: dict[tuple, ValidRegion] = {seed.indicator.key(): seed}
     rejected: set[tuple] = set()
-    queue: deque[tuple] = deque([seed.indicator.key()])
-    visited: set[tuple] = set()
+    queue: deque[ValidRegion] = deque([seed])   # a region enters once, when found
     errors: list[str] = []
-    partial = False
+    visited = 0
+
+    def result():
+        return EnumerationResult([regions[k] for k in sorted(regions)], visited,
+                                 seed.indicator, errors)
 
     while queue:
-        key = queue.popleft()
-        if key in visited:
-            continue
-        visited.add(key)
-        region = regions[key]
+        region = queue.popleft()
+        visited += 1
         if region.degenerate:
             errors.append(f"region {region.indicator.compact()}: degenerate piece, "
                           "facet propagation skipped")
-            partial = True
             continue
         for j, point in enumerate(region.facet_points):
             try:
                 neighbours = net.feasible_indicators(point)
             except CombinatorialBlowup as exc:
                 errors.append(f"region {region.indicator.compact()} facet {j}: {exc}")
-                partial = True
                 continue
-            cap_hit = False
             for ind in neighbours:
                 k = ind.key()
                 if k in regions or k in rejected:
                     continue
                 if cfg.max_regions is not None and len(regions) >= cfg.max_regions:
-                    cap_hit = True
-                    break
+                    errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
+                    return result()
                 try:
                     neighbour = build_valid_region(net, ind, cfg)
                 except NumericalFailure as exc:
                     errors.append(f"candidate {ind.compact()}: {exc}")
-                    partial = True
                     rejected.add(k)
                     continue
                 if neighbour is not None:
                     regions[k] = neighbour
-                    queue.append(k)
+                    queue.append(neighbour)
                 else:
                     rejected.add(k)
-            if cap_hit:
-                errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
-                partial = True
-                queue.clear()
-                break
-
-    ordered = [regions[k] for k in sorted(regions)]
-    return EnumerationResult(regions=ordered, visited_count=len(visited),
-                             connectivity_assumed=True, partial=partial,
-                             errors=errors, seed_indicator=seed.indicator)
+    return result()
 
 
 def enumerate_level_set(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG
-                        ) -> tuple[EnumerationResult, dict]:
+                        ) -> EnumerationResult:
     """The valid regions of one level-set component: the seed search, then
-    boundary propagation.  Returns (EnumerationResult, seed search metadata).
+    boundary propagation.  The result's ``search`` holds the seed search's
+    {"attempts", "eps"}.
 
     Raises SearchExhausted at once when interval bound propagation shows
     that h keeps one sign on the domain box the seed search draws from,
@@ -232,7 +236,9 @@ def enumerate_level_set(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG
         raise SearchExhausted(f"h keeps one sign on the domain box: interval bound "
                               f"propagation encloses it in [{lo:.6g}, {hi:.6g}]")
     seed, meta = find_initial_region(net, cfg)
-    return boundary_propagation(net, seed, cfg), meta
+    result = boundary_propagation(net, seed, cfg)
+    result.search = meta
+    return result
 
 
 # -- exhaustive oracle ------------------------------------------------------------

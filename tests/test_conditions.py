@@ -798,10 +798,10 @@ def test_condition_order_does_not_change_verdicts(seed):
     net = random_hidden_net(np.random.default_rng(seed), n_in=2, neurons=6)
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     unsafe = parse_expression("x1 - 1", 2)
-    regions = enumerate_level_set(net)[0].regions
+    regions = enumerate_level_set(net).regions
     unsafe_first = check_unsafe_condition(net, regions, unsafe)
     inv_second = check_invariance(net, regions, sys)
-    fresh = enumerate_level_set(net)[0].regions
+    fresh = enumerate_level_set(net).regions
     assert all(r.slice.memo == {} for r in fresh) and all(r.slice.memo for r in regions)
     inv_first = check_invariance(net, fresh, sys)
     unsafe_second = check_unsafe_condition(net, fresh, unsafe)

@@ -132,7 +132,8 @@ def test_unknown_configuration_key_rejected(tmp_path, key):
 @pytest.mark.parametrize("key, value", [("tol_feas", 1e300), ("tol_margin", -1.0),
                                         ("threads", 2), ("max_attempts", 2.5),
                                         ("max_regions", 0), ("seed", -1),
-                                        ("domain_box", [["x", 3], [-3, 3]])])
+                                        ("domain_box", [["x", 3], [-3, 3]]),
+                                        ("domain_box", ((3.0, -3.0), (3.0, -3.0)))])
 def test_config_built_in_code_is_validated(key, value):
     """Direct construction and `updated` check every value as a problem
     file's values are checked (a tol_feas of 1e300 once falsified a true

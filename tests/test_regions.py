@@ -360,6 +360,17 @@ def test_propagation_deterministic():
     assert a.visited_count == b.visited_count
 
 
+def test_propagation_skips_a_degenerate_seed():
+    """A zero piece (w = 0, b = 0) has no hyperplane to cross: propagation
+    stops at it and says so."""
+    net = ReluNetwork([np.array([[1.0], [1.0]])], [np.zeros(2)],
+                      np.array([1.0, -1.0]), 0.0)
+    result = boundary_propagation(net, build_valid_region(net, ind(1, 1)))
+    assert result.partial
+    assert len(result.errors) == 1 and "degenerate piece" in result.errors[0]
+    assert result.visited_count == 1
+
+
 def test_propagation_region_cap_flags_partial():
     net = diamond_net()
     seed = build_valid_region(net, ind(1, 0, 1, 0))
