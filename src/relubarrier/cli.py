@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -81,8 +82,9 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def _invoke_solver(template: str, path: str, timeout_s: float) -> dict:
-    """Best-effort bridge to an external SMT solver binary."""
-    cmd = template.replace("{file}", str(path))
+    """Best-effort bridge to an external SMT solver binary; the query path
+    is quoted for the shell."""
+    cmd = template.replace("{file}", shlex.quote(str(path)))
     started = time.perf_counter()
     try:
         proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,

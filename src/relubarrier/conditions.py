@@ -17,10 +17,11 @@ the set function.  A g with an affine form is decided exactly by one LP;
 otherwise interval branch-and-bound (BaB) over the patch's bounding box,
 enclosing g with `interval_evaluate`, verifies or finds a witness, and a
 derivative-free falsification search runs only when BaB leaves the patch
-undecided (`unknown`, or an unbounded patch seen only inside the domain
-box).  A BaB box that may miss the patch costs one batched LP (its 2n
-coordinate bounds share one phase one); the two halves of an LP-contracted
-box both meet the patch and are only tightened by the hyperplane equation.
+open: `unknown`, or `verified` only on the part of an unbounded patch
+inside the domain box.  A BaB witness ends the ladder wherever it lies.
+A BaB box that may miss the patch costs one batched LP (its 2n coordinate
+bounds share one phase one); the two halves of an LP-contracted box both
+meet the patch and are only tightened by the hyperplane equation.
 Each search solves one batched LP too.  `verify_certificate` takes its
 regions from `regions.enumerate_level_set`, the route the SMT export and
 the plots take as well.  Every witness, whichever route produced it (the LP
@@ -59,6 +60,11 @@ UNKNOWN = "unknown"
 
 @dataclass
 class RegionVerdict:
+    """One region's answer to one condition.  ``domain_restricted`` means
+    the verdict covers only the part of the patch inside the domain box
+    (an unbounded patch clamped to it); a falsified verdict never carries
+    it, since its checked witness is a violation wherever it lies."""
+
     indicator: object
     status: str
     method: str
@@ -194,12 +200,13 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
 def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, FALSIFY_GATE).
 
-    Three stages: a point of the patch and vertices from random objectives,
-    all from one batched LP (one phase one); random convex combinations of
-    those; and a coordinate pattern search projected back onto the
-    hyperplane, where a move that leaves the region is dropped, so the
-    vertex stage's LP is the only one.  Returns a falsified verdict, or None
-    when the search found nothing (which proves nothing).
+    Two stages: a point of the patch and vertices from random objectives,
+    all from one batched LP (one phase one; the rng draws only these
+    directions); then a coordinate pattern search from the lowest checked
+    of those points, projected back onto the hyperplane, where a move that
+    leaves the region is dropped, so the vertex stage's LP is the only one.
+    Returns a falsified verdict, or None when the search found nothing
+    (which proves nothing).
     """
     sl = region.slice
     n = sl.base.dim
@@ -223,26 +230,16 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     outcomes = sl.minimize(directions, cfg.tol_feas)
     if not outcomes[0].optimal:
         return None   # the slice is empty
-    points = []
-    for out in outcomes:
-        if out.optimal:
-            points.append(out.point)
-            hit = consider(out.point)
-            if hit and hit.witness:
-                return found(hit)
-
-    arr = np.array(points)
-    for _ in range(max(4, FALSIFY_BUDGET // 3)):
-        weights = rng.random(len(points))
-        weights /= weights.sum()
-        hit = consider(weights @ arr)
+    points = np.array([out.point for out in outcomes if out.optimal])
+    for point in points:
+        hit = consider(point)
         if hit and hit.witness:
             return found(hit)
 
     if best is None:
         return None
     x, gx = best.x, best.value
-    spread = float(np.max(np.ptp(arr, axis=0))) if len(points) > 1 else 1.0
+    spread = float(np.max(np.ptp(points, axis=0))) if len(points) > 1 else 1.0
     if spread == 0.0:   # every vertex LP ended at one point, such as a ray's apex
         spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
     step = max(spread / 4.0, 1e-3)
@@ -335,8 +332,9 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
     widened by tol_feas on every side, but not past a bound that a
     single-coordinate row of the region puts on its coordinate exactly
     (`_axis_bounds`).  Unbounded coordinates of the patch are clamped to
-    the domain box; the verdict then speaks for the part of the patch
-    inside it only (``domain_restricted``).
+    the domain box; a verified or unknown verdict then speaks for the part
+    of the patch inside it only (``domain_restricted``), while a witness is
+    a violation wherever it lies.
     """
     sl = region.slice
     n = sl.base.dim
@@ -400,8 +398,7 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
 
     if hit is not None:
         return RegionVerdict(region.indicator, FALSIFIED, "interval",
-                             witness=hit.x, witness_value=hit.value,
-                             domain_restricted=restricted)
+                             witness=hit.x, witness_value=hit.value)
     if stalled:
         return RegionVerdict(region.indicator, UNKNOWN, "interval",
                              domain_restricted=restricted,
@@ -416,15 +413,15 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
 def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
     """One region's verdict: one LP when the caller hands over g's affine
     form = (coeffs, const), else BaB, then the falsification search (rng
-    ``default_rng(seed)``) only when BaB leaves the patch undecided.
+    ``default_rng(seed)``) only when BaB leaves the patch open.
 
     BaB decides both ways and is the cheaper rung on almost every patch.
-    It leaves the patch undecided when it ends `unknown` (box budget spent,
-    the width floor reached, or g undefined somewhere in a box it
-    encloses), and when the patch is unbounded, since it then looks only
-    inside the domain box and the search does not.  A witness the search
-    finds replaces BaB's verdict; otherwise BaB's verdict and its note
-    stand.
+    Its witness ends the ladder.  It leaves the patch open when it ends
+    `unknown` (box budget spent, the width floor reached, or g undefined
+    somewhere in a box it encloses), and when it verifies an unbounded
+    patch only inside the domain box (``domain_restricted``), since the
+    search is not bound to that box.  A witness the search finds replaces
+    BaB's verdict; otherwise BaB's verdict and its note stand.
     """
     if form is not None:
         return _decide_affine(region, g, form, cfg)

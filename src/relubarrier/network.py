@@ -299,16 +299,6 @@ def network_from_json(data: dict) -> ReluNetwork:
     return net
 
 
-def network_to_json(net: ReluNetwork) -> dict:
-    return {
-        "input_dim": net.input_dim,
-        "layers": [{"weights": w.tolist(), "bias": b.tolist()}
-                   for w, b in zip(net.weights, net.biases)],
-        "output_weights": net.output_weights.tolist(),
-        "output_bias": net.output_bias,
-    }
-
-
 def load_network(path) -> ReluNetwork:
     try:
         with open(path) as fh:

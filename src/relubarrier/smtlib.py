@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_CONFIG, TOL_EQ, VerifierConfig
+from .errors import NoRegions
 from .expressions import (Add, Const, Div, DynamicsSystem, Expr, Func, Mul,
                           Neg, Pow, Sub, Var, weighted_sum)
 
@@ -149,7 +150,7 @@ def export_invariance(regions, sys: DynamicsSystem,
 
     per-region mode yields one query per region; monolithic mode a single
     disjunction over all regions.  unsat everywhere means the condition
-    holds on the enumerated component.
+    holds on the enumerated component.  Raises NoRegions on an empty list.
     """
     transcendental = any(_has_transcendental(e) for e in sys.exprs)
     violation = lambda r: _violation_invariance(r, sys)
@@ -173,6 +174,8 @@ def export_set_condition(regions, set_expr: Expr, which: str, dim: int,
 def _export(regions, violation, kind, dim, transcendental, cfg, mode, domain_box):
     if mode not in ("per-region", "monolithic"):
         raise ValueError(f"mode must be 'per-region' or 'monolithic', got {mode!r}")
+    if not regions:   # an empty disjunction is false: unsat would certify nothing
+        raise NoRegions(f"{kind} export over an empty region list")
     if mode == "monolithic":
         pairs = list(enumerate(regions))
         return [_assemble(kind, pairs, violation, dim, mode, transcendental,

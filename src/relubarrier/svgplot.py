@@ -13,7 +13,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .errors import UnsupportedDimension
 from .expressions import evaluate
-from .geometry import SlicePolyhedron
 
 _SIZE = 640.0
 _MARGIN = 48.0
@@ -48,43 +47,37 @@ class _Frame:
         return f"{u:.2f},{v:.2f}"
 
 
-def _clip_vertices(A, d, tol=1e-7):
-    """Vertices of {A x <= d} in the plane by pairwise row intersection."""
-    m = A.shape[0]
-    pts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            mat = np.array([A[i], A[j]])
-            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            p = np.linalg.solve(mat, np.array([d[i], d[j]]))
-            scale = max(1.0, float(np.max(np.abs(p))))
-            if np.all(A @ p <= d + tol * scale * 10):
-                pts.append(p)
-    if not pts:
-        return []
-    uniq = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) < 1e-9 for q in uniq):
-            uniq.append(p)
-    if len(uniq) < 3:
-        return uniq
-    center = np.mean(uniq, axis=0)
-    uniq.sort(key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
-    return uniq
+def _crossings(poly, s):
+    """Per edge of poly (vertex i to i + 1): the point where s, affine along
+    it, is 0, and whether the edge changes side (s <= 0 is one side)."""
+    nxt, s_nxt = np.roll(poly, -1, axis=0), np.roll(s, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = poly + (s / (s - s_nxt))[:, None] * (nxt - poly)
+    return cut, (s <= 0.0) != (s_nxt <= 0.0)
 
 
-def _slice_segment(region, domain, tol=1e-7):
-    """Endpoints of the level-set segment inside the domain box: min and
-    max of the direction along it, one batched LP."""
+def _clip_polygon(region, domain) -> np.ndarray:
+    """Vertices of the region inside the domain box, counter-clockwise: the
+    box's corners clipped by one half-plane per region row."""
+    (x0, x1), (y0, y1) = domain
+    poly = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    for a, d in zip(region.constraints.A, region.constraints.d):
+        s = poly @ a - d
+        cut, crosses = _crossings(poly, s)
+        poly = np.stack([poly, cut], axis=1)[np.column_stack([s <= 0.0, crosses])]
+    return poly
+
+
+def _slice_segment(region, polygon):
+    """Endpoints of the level-set segment inside the clipped polygon: of the
+    points where w.x + b changes sign around it, the two extreme along it."""
     w, b = region.slice.w, region.slice.b
-    t = np.array([-w[1], w[0]])
-    if not t.any():
+    cut, crosses = _crossings(polygon, polygon @ w + b)
+    pts = cut[crosses]
+    if len(pts) == 0:
         return None
-    ends = SlicePolyhedron(region.constraints, w, b).within(domain).minimize(
-        np.array([t, -t]), tol)
-    return [out.point for out in ends] if all(out.optimal for out in ends) else None
+    along = pts @ np.array([-w[1], w[0]])
+    return [pts[np.argmin(along)], pts[np.argmax(along)]]
 
 
 def _grid_values(expr, domain, grid):
@@ -147,9 +140,8 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
     ]
 
     # region polygons clipped to the domain box
-    for idx, region in enumerate(regions):
-        clipped = region.constraints.within(domain)
-        verts = _clip_vertices(clipped.A, clipped.d)
+    polygons = [_clip_polygon(region, domain) for region in regions]
+    for idx, verts in enumerate(polygons):
         if len(verts) < 3:
             continue
         points = " ".join(frame.pt(p[0], p[1]) for p in verts)
@@ -158,8 +150,8 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
                      f'stroke-width="1"/>')
 
     # zero-level segments
-    for region in regions:
-        seg = _slice_segment(region, domain)
+    for region, verts in zip(regions, polygons):
+        seg = _slice_segment(region, verts)
         if seg is None:
             continue
         (xa, ya), (xb, yb) = seg[0], seg[1]

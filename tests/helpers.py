@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, LpProblem,
-                         Polyhedron, SlicePolyhedron, implicit_equalities, lp_solve,
-                         network_to_json)
+                         Polyhedron, SlicePolyhedron, implicit_equalities, lp_solve)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import TOL_EQ
 from relubarrier.network import ReluNetwork
@@ -319,6 +318,17 @@ def marching_squares_reference(expr, domain, grid=256):
             if len(crossings) == 4:  # saddle cell: join the second pair too
                 segments.append((crossings[2], crossings[3]))
     return segments
+
+
+def network_to_json(net: ReluNetwork) -> dict:
+    """The network-file form of net, as `network_from_json` reads it."""
+    return {
+        "input_dim": net.input_dim,
+        "layers": [{"weights": w.tolist(), "bias": b.tolist()}
+                   for w, b in zip(net.weights, net.biases)],
+        "output_weights": net.output_weights.tolist(),
+        "output_bias": net.output_bias,
+    }
 
 
 def write_problem(dirpath, net: ReluNetwork, dynamics, initial_set, unsafe_set,

@@ -242,13 +242,16 @@ def test_export_include_domain_box(tmp_path):
     assert "(<= x1 3)" in text and "(>= x2 (- 3))" in text
 
 
-def test_export_with_fake_solver_records_answers(tmp_path):
+@pytest.mark.parametrize("out_name", ["smt", "smt out"], ids=["smt", "space-in-path"])
+def test_export_with_fake_solver_records_answers(tmp_path, out_name):
+    """The fake solver answers unsat only when handed one existing file, so
+    a query path split by the shell is recorded as unknown."""
     solver = tmp_path / "fakesolver"
-    solver.write_text("#!/bin/sh\necho unsat\n")
+    solver.write_text('#!/bin/sh\n[ "$#" -eq 1 ] && [ -f "$1" ] && echo unsat || echo unknown\n')
     solver.chmod(solver.stat().st_mode | stat.S_IEXEC)
     problem = write_problem(tmp_path, diamond_net(), ["-x1", "-x2"],
                             INIT, UNSAFE)
-    out_dir = tmp_path / "smt"
+    out_dir = tmp_path / out_name
     code = main(["export-smt", "--problem", str(problem),
                  "--out-dir", str(out_dir), "--condition", "invariance",
                  "--solver-cmd", f"{solver} {{file}}"])

@@ -538,6 +538,25 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
 
+def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
+    """On the line x1 = 0, w.f = x2^2 - 1 is negative for |x2| < 1, inside
+    the domain box: BaB's checked witness is a violation wherever the patch
+    runs, so the verdict is not domain-restricted and the search does not
+    run."""
+    calls = counted_search(monkeypatch)
+    net = line_net()
+    region = build_valid_region(net, brute_force_valid_regions(net)[0])
+    sys = DynamicsSystem.parse(["x2^2 - 1", "0"], dim=2)
+    g = weighted_sum(region.slice.w, sys.exprs)
+    bab = conditions._bab(region, g, DEFAULT_CONFIG)
+    assert (bab.status, bab.domain_restricted) == (FALSIFIED, False)
+    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
+    assert calls == []
+    assert (verdict.status, verdict.method) == (FALSIFIED, "interval")
+    assert np.array_equal(verdict.witness, bab.witness)
+    assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
+
+
 def test_search_reaches_far_along_a_ray_shaped_patch():
     """h = x1 from hidden units x1, -x1, x2: with the third unit off the
     patch is the ray x1 = 0, x2 <= 0, so every vertex LP ends at its apex.

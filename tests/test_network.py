@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from relubarrier import (ActivationIndicator, CandidateIndicator,
                          CombinatorialBlowup, DimensionMismatch, MissingField,
                          ReluNetwork, expand_candidate, load_network,
-                         network_from_json, network_to_json)
+                         network_from_json)
 
-from helpers import deep_branching_net, diamond_net, random_hidden_net, scaled_output
+from helpers import (deep_branching_net, diamond_net, network_to_json, random_hidden_net,
+                     scaled_output)
 
 
 def ind(*bits):

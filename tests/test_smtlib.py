@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (ActivationIndicator, DynamicsSystem,
+from relubarrier import (ActivationIndicator, DynamicsSystem, NoRegions,
                          boundary_propagation, build_valid_region,
                          check_invariance, export_invariance,
                          export_set_condition, format_number,
@@ -195,6 +195,18 @@ def test_invalid_mode_rejected():
     regions = diamond_regions()
     with pytest.raises(ValueError):
         export_invariance(regions, MINUS_X, mode="split")
+
+
+@pytest.mark.parametrize("mode", ["per-region", "monolithic"])
+@pytest.mark.parametrize("export", [
+    lambda mode: export_invariance([], MINUS_X, mode=mode),
+    lambda mode: export_set_condition([], parse_expression("x1", 2), "initial", 2, mode=mode),
+], ids=["invariance", "set-condition"])
+def test_export_over_no_regions_raises(export, mode):
+    """A solver reads an empty disjunction as false, so its unsat would
+    certify a condition over nothing."""
+    with pytest.raises(NoRegions):
+        export(mode)
 
 
 def test_transcendental_dynamics_swap_logic_for_comment():

@@ -115,12 +115,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     """A name in `relubarrier.__all__` that only the tests read is a wrapper
     duplicating an internal route, or dead: every one must be referenced (as
     a name or an attribute) in src/ outside __init__.py, demos/ or bench/."""
-    allowed = {
-        # the tracer names them by string; ROADMAP item 1 moves them into the tests
-        "implicit_equalities", "remove_redundant",
-        # the test fixtures write networks with it
-        "network_to_json",
-    }
+    # the tracer names them by string; ROADMAP item 1 moves them into the tests
+    allowed = {"implicit_equalities", "remove_redundant"}
     files = [p for p in (ROOT / "src" / "relubarrier").glob("*.py") if p.name != "__init__.py"]
     files += list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
     referenced = set()
