@@ -26,10 +26,11 @@ Each search solves one batched LP too.  `verify_certificate` takes its
 regions from `regions.enumerate_level_set`, the route the SMT export and
 the plots take as well.  Every witness, whichever route produced it (the LP
 optimum, a point of an unbounded LP, a search point, a BaB point), passes
-the one check `_checked_witness`: it lies on the slice within tol_feas and
-g evaluated there directly (`evaluate`) is below
--max(tol_margin, FALSIFY_GATE).  An LP point that fails the check yields
-`unknown`, never an unchecked `falsified`.  Set conditions additionally
+the one check `_checked_witness`, which takes candidates as rows, a batch
+per call: a witness lies on the slice within tol_feas and g evaluated there
+directly (`evaluate`) is finite and below -max(tol_margin, FALSIFY_GATE).
+An LP point that fails the check yields `unknown`, never an unchecked
+`falsified`.  Set conditions additionally
 probe sampled points of the set against the sign of h (membership side of
 the containment/disjointness arguments); the probe is one more status in
 the same aggregation as the region verdicts, `unknown` when its draws run out.
@@ -40,7 +41,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,39 +126,44 @@ class CertificateVerdict:
 
 # -- shared by every route ------------------------------------------------------
 
+def _gate(cfg) -> float:
+    """A witness's value must lie below this."""
+    return -max(cfg.tol_margin, FALSIFY_GATE)
+
+
 def _status_from_value(value, cfg):
     """Margin semantics shared by every route."""
     if value >= -cfg.tol_margin:
         return VERIFIED
-    if value < -max(cfg.tol_margin, FALSIFY_GATE):
+    if value < _gate(cfg):
         return FALSIFIED
     return UNKNOWN  # inside the float-noise band
 
 
-class _Checked(NamedTuple):
-    x: np.ndarray
-    value: float      # g(x), evaluated directly
-    witness: bool     # value < -max(tol_margin, FALSIFY_GATE)
+def _checked_witness(sl, points, g: Expr, cfg) -> np.ndarray:
+    """g at each row of points, evaluated directly (not the value a solver
+    or a bound reports); NaN where the row is off the slice by more than
+    tol_feas, or g is undefined or not finite there (overflow: a value no
+    report can carry).
 
-
-def _checked_witness(sl, x, g: Expr, cfg) -> _Checked | None:
-    """Check a candidate point; None when it is not on the slice or g is
-    undefined or not finite there.
-
-    Every route takes its witnesses from here: a witness lies on the slice
-    within tol_feas, and g evaluated at it directly (not the value a solver
-    or a bound reports) is finite and below -max(tol_margin, FALSIFY_GATE).
+    Every route takes its witnesses from here: a witness is a row whose
+    value is below `_gate`.
     """
-    if x is None or not sl.contains(x, cfg.tol_feas):
+    points = np.reshape(points, (-1, sl.base.dim))
+    values = evaluate(g, points)
+    values[~(sl.contains(points, cfg.tol_feas) & np.isfinite(values))] = np.nan
+    return values
+
+
+def _first_witness(region, method, points, values, cfg) -> RegionVerdict | None:
+    """A falsified verdict at the first of points whose checked value is
+    below `_gate`, or None."""
+    hits = np.flatnonzero(values < _gate(cfg))
+    if not hits.size:
         return None
-    x = np.array(x, dtype=float)
-    try:
-        value = evaluate(g, x)
-    except DomainError:
-        return None
-    if not np.isfinite(value):
-        return None   # overflow: a value no report can carry
-    return _Checked(x, value, _status_from_value(value, cfg) == FALSIFIED)
+    return RegionVerdict(region.indicator, FALSIFIED, method,
+                         witness=np.array(points[hits[0]], dtype=float),
+                         witness_value=float(values[hits[0]]))
 
 
 # -- LP route (affine objectives) --------------------------------------------------
@@ -185,9 +190,10 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
         if verdict.status == UNKNOWN:
             verdict.note = "optimum inside the float-noise band"
     if verdict.status == FALSIFIED:
-        hit = _checked_witness(sl, outcome.point, g, cfg)
-        if hit is not None and hit.witness:
-            verdict.witness, verdict.witness_value = hit.x, hit.value
+        x = outcome.point if outcome.optimal else np.full(sl.base.dim, np.nan)  # fails
+        value = _checked_witness(sl, x, g, cfg)[0]
+        if value < _gate(cfg):
+            verdict.witness, verdict.witness_value = x, float(value)
         else:
             verdict.status = UNKNOWN
             verdict.note = "; ".join(filter(None, [verdict.note,
@@ -205,6 +211,10 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     directions); then a coordinate pattern search from the lowest checked
     of those points, projected back onto the hyperplane, where a move that
     leaves the region is dropped, so the vertex stage's LP is the only one.
+    Each stage checks its candidates in batches (`_checked_witness`): a
+    round of the pattern search checks its remaining moves at once, takes
+    the first that is a witness or improves, and goes on from there with
+    the moves after it, the same path as checking one move at a time.
     Returns a falsified verdict, or None when the search found nothing
     (which proves nothing).
     """
@@ -212,18 +222,7 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     n = sl.base.dim
     w, b = sl.w, sl.b
     wnorm2 = float(w @ w)
-    best = None   # the lowest checked point so far
-
-    def consider(x):
-        nonlocal best
-        checked = _checked_witness(sl, x, g, cfg)
-        if checked is not None and (best is None or checked.value < best.value):
-            best = checked
-        return checked
-
-    def found(hit):
-        return RegionVerdict(region.indicator, FALSIFIED, "search",
-                             witness=hit.x, witness_value=hit.value)
+    gate = _gate(cfg)
 
     # one batched LP: row 0 (zeros) gives the phase-one point, the others vertices
     directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, FALSIFY_BUDGET // 5), n))])
@@ -231,14 +230,13 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     if not outcomes[0].optimal:
         return None   # the slice is empty
     points = np.array([out.point for out in outcomes if out.optimal])
-    for point in points:
-        hit = consider(point)
-        if hit and hit.witness:
-            return found(hit)
+    values = _checked_witness(sl, points, g, cfg)
+    found = _first_witness(region, "search", points, values, cfg)
+    if found is not None or np.isnan(values).all():
+        return found
 
-    if best is None:
-        return None
-    x, gx = best.x, best.value
+    best = int(np.nanargmin(values))
+    x, gx = points[best], values[best]
     spread = float(np.max(np.ptp(points, axis=0))) if len(points) > 1 else 1.0
     if spread == 0.0:   # every vertex LP ended at one point, such as a ray's apex
         spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
@@ -246,21 +244,22 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0   # e_1, -e_1, ...; + 0.0 clears -0.0
     if wnorm2 > 0.0:
         moves -= np.outer(moves @ w, w) / wnorm2   # within the hyperplane
-    moves = [d for d in moves if d.any()]
+    moves = moves[moves.any(axis=1)]
     for _ in range(FALSIFY_BUDGET):
         improved = False
-        for d in moves:
-            y = x + step * d
+        rest = moves
+        while len(rest):
+            ys = x + step * rest
             if wnorm2 > 0.0:
-                y = y - w * ((w @ y) + b) / wnorm2   # exact projection back
-            hit = consider(y)
-            if hit is None:
-                continue   # the move left the region
-            if hit.witness:
-                return found(hit)
-            if hit.value < gx - 1e-15:
-                x, gx = hit.x, hit.value
-                improved = True
+                ys -= np.outer(ys @ w + b, w) / wnorm2   # exact projection back
+            values = _checked_witness(sl, ys, g, cfg)   # NaN: the move left the region
+            better = np.flatnonzero((values < gate) | (values < gx - 1e-15))
+            if not better.size:
+                break
+            j = int(better[0])
+            if values[j] < gate:
+                return _first_witness(region, "search", ys[j:j + 1], values[j:j + 1], cfg)
+            x, gx, rest, improved = ys[j], values[j], rest[j + 1:], True
         if not improved:
             step /= 2.0
             if step < 1e-9:
@@ -269,15 +268,6 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
 
 
 # -- interval branch-and-bound ------------------------------------------------------
-
-def _first_witness(sl, points, g: Expr, cfg) -> _Checked | None:
-    """The first of points that passes the witness check, or None."""
-    for x in points:
-        hit = _checked_witness(sl, x, g, cfg)
-        if hit and hit.witness:
-            return hit
-    return None
-
 
 def _axis_bounds(p) -> np.ndarray:
     """(n, 2) bounds that rows with a single nonzero coefficient put on their
@@ -349,7 +339,7 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
                              domain_restricted=True,
                              note="slice leaves the domain box entirely")
 
-    hit = _first_witness(sl, seeds, g, cfg)
+    hit = _first_witness(region, "interval", seeds, _checked_witness(sl, seeds, g, cfg), cfg)
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     exact = _axis_bounds(sl.base)
     # (box, how it is contracted): "lp" by the batched LP, "tighten" by the
@@ -371,7 +361,8 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
             if sub is None:
                 continue  # the patch does not enter this box
             cbox, cpts, _ = sub
-            hit = _first_witness(sl, cpts, g, cfg)
+            hit = _first_witness(region, "interval", cpts,
+                                 _checked_witness(sl, cpts, g, cfg), cfg)
             if hit is not None:
                 break
         elif how == "tighten":
@@ -397,8 +388,7 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
         queue.append((right, child))
 
     if hit is not None:
-        return RegionVerdict(region.indicator, FALSIFIED, "interval",
-                             witness=hit.x, witness_value=hit.value)
+        return hit
     if stalled:
         return RegionVerdict(region.indicator, UNKNOWN, "interval",
                              domain_restricted=restricted,

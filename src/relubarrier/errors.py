@@ -58,7 +58,8 @@ class VariableOutOfRange(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation outside a function's domain (log of non-positive, division by zero)."""
+    """An interval enclosure outside a function's domain (ln, division) or
+    one that overflows; `evaluate` gives NaN or inf there instead."""
 
 
 class ProblemFormatError(RelubarrierError, ValueError):

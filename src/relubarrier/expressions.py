@@ -209,51 +209,44 @@ def parse_expression(text: str, dim: int) -> Expr:
 # -- evaluation ----------------------------------------------------------------
 
 def evaluate(e: Expr, x):
-    """Evaluate at a point (n,) -> float, or at rows of (m, n) -> (m,).
+    """Evaluate over the rows of x, (m, n) -> (m,); a point (n,) is a
+    one-row batch and gives a float.
 
-    A point where e is undefined (division by zero, ln of a non-positive
-    value) raises DomainError; in a batch, such rows are NaN.
+    Wherever e is undefined (division by zero, ln of a non-positive value)
+    the value is NaN, at a point as in a batch; overflow gives inf.  No
+    RuntimeWarning escapes: every caller reads inf and NaN.
     """
     x = np.asarray(x, dtype=float)
-    batched = x.ndim == 2
-    val = _eval(e, x, batched)
-    return val if batched else float(val)
+    with np.errstate(all="ignore"):
+        val = _eval(e, np.atleast_2d(x))
+    return val if x.ndim == 2 else float(val[0])
 
 
-def _eval(e, x, batched):
+def _eval(e, x):
     if isinstance(e, Var):
-        return x[:, e.index] if batched else x[e.index]
+        return x[:, e.index]
     if isinstance(e, Const):
-        return np.full(x.shape[0], e.value) if batched else e.value
+        return np.full(x.shape[0], e.value)
     if isinstance(e, Neg):
-        return -_eval(e.arg, x, batched)
+        return -_eval(e.arg, x)
     if isinstance(e, Add):
-        return _eval(e.left, x, batched) + _eval(e.right, x, batched)
+        return _eval(e.left, x) + _eval(e.right, x)
     if isinstance(e, Sub):
-        return _eval(e.left, x, batched) - _eval(e.right, x, batched)
+        return _eval(e.left, x) - _eval(e.right, x)
     if isinstance(e, Mul):
-        return _eval(e.left, x, batched) * _eval(e.right, x, batched)
+        return _eval(e.left, x) * _eval(e.right, x)
     if isinstance(e, Div):
-        num = _eval(e.left, x, batched)
-        den = _eval(e.right, x, batched)
-        if batched:
-            return np.divide(num, den, out=np.full(len(den), np.nan), where=den != 0.0)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return num / den
+        num, den = _eval(e.left, x), _eval(e.right, x)
+        return np.divide(num, den, out=np.full(len(den), np.nan), where=den != 0.0)
     if isinstance(e, Pow):
-        base = _eval(e.base, x, batched)
-        if batched and e.exponent == 0:
+        base = _eval(e.base, x)
+        if e.exponent == 0:
             return np.where(np.isnan(base), np.nan, 1.0)   # NaN**0 is 1
         return base ** e.exponent
     if isinstance(e, Func):
-        v = _eval(e.arg, x, batched)
+        v = _eval(e.arg, x)
         if e.name == "ln":
-            if batched:
-                return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
-            if v <= 0.0:
-                raise DomainError("ln of a non-positive value")
-            return np.log(v)
+            return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
         return {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp}[e.name](v)
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -377,7 +370,16 @@ def interval_evaluate(e: Expr, box) -> Interval:
 # -- structure ----------------------------------------------------------------
 
 def _linear_form(e, dim):
-    """(coeffs, const) when e is degree <= 1, else None."""
+    """(coeffs, const) when e is degree <= 1 and every number of the form is
+    finite, else None."""
+    with np.errstate(all="ignore"):
+        form = _affine_form(e, dim)
+    return form if form is not None and np.isfinite(np.append(*form)).all() else None
+
+
+def _affine_form(e, dim):
+    """(coeffs, const) when e is degree <= 1, else None; its numbers may
+    overflow to inf or NaN."""
     if isinstance(e, Var):
         c = np.zeros(dim)
         c[e.index] = 1.0
@@ -385,19 +387,19 @@ def _linear_form(e, dim):
     if isinstance(e, Const):
         return np.zeros(dim), e.value
     if isinstance(e, Neg):
-        f = _linear_form(e.arg, dim)
+        f = _affine_form(e.arg, dim)
         return None if f is None else (-f[0], -f[1])
     if isinstance(e, (Add, Sub)):
-        a = _linear_form(e.left, dim)
-        b = _linear_form(e.right, dim)
+        a = _affine_form(e.left, dim)
+        b = _affine_form(e.right, dim)
         if a is None or b is None:
             return None
         if isinstance(e, Add):
             return a[0] + b[0], a[1] + b[1]
         return a[0] - b[0], a[1] - b[1]
     if isinstance(e, Mul):
-        a = _linear_form(e.left, dim)
-        b = _linear_form(e.right, dim)
+        a = _affine_form(e.left, dim)
+        b = _affine_form(e.right, dim)
         if a is None or b is None:
             return None
         if not a[0].any():
@@ -406,29 +408,25 @@ def _linear_form(e, dim):
             return b[1] * a[0], b[1] * a[1]
         return None
     if isinstance(e, Div):
-        a = _linear_form(e.left, dim)
-        b = _linear_form(e.right, dim)
+        a = _affine_form(e.left, dim)
+        b = _affine_form(e.right, dim)
         if a is None or b is None or b[0].any() or b[1] == 0.0:
             return None
         return a[0] / b[1], a[1] / b[1]
     if isinstance(e, Pow):
         if e.exponent == 1:
-            return _linear_form(e.base, dim)
-        f = _linear_form(e.base, dim)
+            return _affine_form(e.base, dim)
+        f = _affine_form(e.base, dim)
         if e.exponent == 0:
             return np.zeros(dim), 1.0
         if f is not None and not f[0].any():
-            return np.zeros(dim), f[1] ** e.exponent
+            return np.zeros(dim), np.float64(f[1]) ** e.exponent   # inf, not OverflowError
         return None
     if isinstance(e, Func):
-        f = _linear_form(e.arg, dim)
+        f = _affine_form(e.arg, dim)
         if f is None or f[0].any():
             return None
-        try:
-            value = evaluate(e, np.zeros(dim))
-        except DomainError:
-            return None
-        return np.zeros(dim), value
+        return np.zeros(dim), evaluate(e, np.zeros(dim))
     raise TypeError(f"not an expression node: {e!r}")
 
 

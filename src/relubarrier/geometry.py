@@ -43,10 +43,12 @@ class Polyhedron:
     def num_rows(self) -> int:
         return self.A.shape[0]
 
-    def contains(self, x, tol: float = 1e-7) -> bool:
-        if self.num_rows == 0:
-            return True
-        return bool(np.all(self.A @ np.asarray(x, dtype=float) <= self.d + tol))
+    def contains(self, x, tol: float = 1e-7):
+        """Whether each row of x, (m, n) -> (m,), obeys every row within tol;
+        a point (n,) is a one-row batch and gives a bool."""
+        x = np.asarray(x, dtype=float)
+        inside = np.all(np.atleast_2d(x) @ self.A.T <= self.d + tol, axis=1)
+        return inside if x.ndim == 2 else bool(inside[0])
 
     def with_rows(self, extra_a, extra_d) -> "Polyhedron":
         extra_a = np.atleast_2d(np.asarray(extra_a, dtype=float))
@@ -74,9 +76,12 @@ class SlicePolyhedron:
         if self.w.shape[0] != self.base.dim:
             raise ValueError("hyperplane normal does not match the polyhedron dimension")
 
-    def contains(self, x, tol: float = 1e-7) -> bool:
+    def contains(self, x, tol: float = 1e-7):
+        """`Polyhedron.contains`, and on the hyperplane within tol."""
         x = np.asarray(x, dtype=float)
-        return self.base.contains(x, tol) and abs(float(self.w @ x) + self.b) <= tol
+        rows = np.atleast_2d(x)
+        inside = self.base.contains(rows, tol) & (np.abs(rows @ self.w + self.b) <= tol)
+        return inside if x.ndim == 2 else bool(inside[0])
 
     def within(self, box) -> "SlicePolyhedron":
         """The slice cut to an (n, 2) box (see `Polyhedron.within`)."""

@@ -122,13 +122,11 @@ class ReluNetwork:
     # -- evaluation ----------------------------------------------------------
 
     def forward(self, x) -> float:
-        """h(x) for a single point."""
-        z = np.asarray(x, dtype=float)
-        if z.shape != (self.input_dim,):
-            raise DimensionMismatch(f"input shape {z.shape}, expected ({self.input_dim},)")
-        for w, b in zip(self.weights, self.biases):
-            z = np.maximum(w @ z + b, 0.0)
-        return float(self.output_weights @ z + self.output_bias)
+        """h(x) for a single point: a one-row `forward_many`."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.input_dim,):
+            raise DimensionMismatch(f"input shape {x.shape}, expected ({self.input_dim},)")
+        return float(self.forward_many(x[None])[0])
 
     def forward_many(self, xs) -> np.ndarray:
         """h over rows of xs, shape (m, n) -> (m,)."""

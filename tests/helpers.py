@@ -16,12 +16,15 @@ import sys
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, LpProblem,
-                         Polyhedron, SlicePolyhedron, implicit_equalities, lp_solve)
+                         Polyhedron, SlicePolyhedron, evaluate, implicit_equalities,
+                         lp_solve)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
-from relubarrier.config import TOL_EQ
+from relubarrier.config import FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
 from relubarrier.network import ReluNetwork
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+with open(os.path.join(BENCH, os.pardir, "docs", "report_schema.json")) as _fh:
+    SCHEMA = json.load(_fh)   # the report's JSON schema
 
 
 def load_bench_module(name):
@@ -289,6 +292,66 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
         ends.append(out.point)
     ts = np.linspace(0.0, 1.0, k)[:, None]
     return ends[0][None, :] * (1 - ts) + ends[1][None, :] * ts
+
+
+def reference_falsify(region, g, cfg, rng):
+    """The falsification search one candidate at a time: the reference for
+    `conditions._falsify`, which checks its candidates in batches.
+
+    A candidate counts when it lies on the slice within tol_feas and g,
+    evaluated there alone, is finite.  Returns (witness, value, stage) with
+    stage "vertex" or "pattern", or None when the search finds nothing.
+    """
+    sl = region.slice
+    n = sl.base.dim
+    w, b = sl.w, sl.b
+    wnorm2 = float(w @ w)
+    gate = -max(cfg.tol_margin, FALSIFY_GATE)
+
+    def value(x):
+        v = evaluate(g, x)
+        return v if sl.contains(x, cfg.tol_feas) and np.isfinite(v) else None
+
+    directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, FALSIFY_BUDGET // 5), n))])
+    outcomes = sl.minimize(directions, cfg.tol_feas)
+    if not outcomes[0].optimal:
+        return None
+    points = np.array([out.point for out in outcomes if out.optimal])
+    best = None
+    for point in points:
+        v = value(point)
+        if v is not None and v < gate:
+            return point, v, "vertex"
+        if v is not None and (best is None or v < best[1]):
+            best = (point, v)
+    if best is None:
+        return None
+    x, gx = best
+    spread = float(np.max(np.ptp(points, axis=0))) if len(points) > 1 else 1.0
+    if spread == 0.0:
+        spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    step = max(spread / 4.0, 1e-3)
+    moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0
+    if wnorm2 > 0.0:
+        moves -= np.outer(moves @ w, w) / wnorm2
+    for _ in range(FALSIFY_BUDGET):
+        improved = False
+        for d in moves[moves.any(axis=1)]:
+            y = x + step * d
+            if wnorm2 > 0.0:
+                y = y - w * ((w @ y) + b) / wnorm2
+            v = value(y)
+            if v is None:
+                continue
+            if v < gate:
+                return y, v, "pattern"
+            if v < gx - 1e-15:
+                x, gx, improved = y, v, True
+        if not improved:
+            step /= 2.0
+            if step < 1e-9:
+                break
+    return None
 
 
 def marching_squares_reference(expr, domain, grid=256):

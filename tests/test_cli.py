@@ -2,7 +2,6 @@
 environment-variable precedence, SMT export layout and SVG plotting."""
 
 import json
-import os
 import stat
 
 import jsonschema
@@ -13,13 +12,11 @@ from relubarrier import cli
 from relubarrier.cli import main
 from relubarrier.network import ReluNetwork
 
-from helpers import all_dead_net, diamond_net, write_problem
+from helpers import SCHEMA, all_dead_net, diamond_net, write_problem
 
 
 INIT = "0.04 - x1^2 - x2^2"
 UNSAFE = "1 - (x1 - 3)^2 - (x2 - 3)^2"
-SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                     "docs", "report_schema.json")))
 
 
 def run_verify(tmp_path, dynamics, net=None, name="problem", extra=()):
@@ -57,7 +54,6 @@ def test_exit_two_on_unknown(tmp_path):
     assert report["verdicts"]["overall"] == "unknown"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")   # search points overflow too
 def test_exit_two_when_the_enclosure_overflows(tmp_path, capsys):
     code, report = run_verify(tmp_path, ["-x1*exp(1000*x1)", "-x2"])
     assert code == 2

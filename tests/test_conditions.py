@@ -3,8 +3,11 @@ set conditions, and the end-to-end certificate pipeline."""
 
 import json
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ActivationIndicator, DynamicsSystem, NoRegions, Polyhedron,
@@ -18,8 +21,9 @@ from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box
 
-from helpers import (affine_system, counted_lp_solves, diamond_net, load_bench_module,
-                     random_hidden_net, slice_grid, strip_net, write_problem, CUBIC2D)
+from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
+                     load_bench_module, random_hidden_net, reference_falsify, slice_grid,
+                     strip_net, write_problem, CUBIC2D)
 
 
 def ind(*bits):
@@ -476,6 +480,50 @@ def counted_search(monkeypatch):
     return calls
 
 
+def test_batched_search_follows_the_one_at_a_time_path():
+    """h = 1 - |x1| - |x2| - |x3|; on its first-octant patch (a triangle)
+    w.f = 100 ((x1 - 0.2)^2 + (x2 - 0.5)^2) - 1 is negative only on a small
+    disc: the vertices are no witnesses, and the pattern search walks in to
+    one.  Which point it reaches depends on the order of its moves; checking
+    each round's moves as a batch takes the same steps as checking them one
+    at a time."""
+    net = ReluNetwork([np.kron(np.eye(3), [[1.0], [-1.0]])], [np.zeros(6)], -np.ones(6), 1.0)
+    region = build_valid_region(net, ind(1, 0, 1, 0, 1, 0))
+    g = w_dot_f(region, DynamicsSystem.parse(["1 - 100*((x1 - 0.2)^2 + (x2 - 0.5)^2)",
+                                              "0", "0"], dim=3))
+    for seed in range(3):
+        witness, value, stage = reference_falsify(region, g, DEFAULT_CONFIG,
+                                                  np.random.default_rng(seed))
+        assert stage == "pattern"
+        verdict = conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(seed))
+        assert (verdict.status, verdict.method) == (FALSIFIED, "search")
+        np.testing.assert_allclose(verdict.witness, witness, rtol=0, atol=1e-12)
+        assert verdict.witness_value == pytest.approx(value, rel=0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-0.25, 1.25), st.sampled_from([0.0, 3e-8, -3e-8, 1e-6, 0.2])),
+                min_size=1, max_size=8),
+       st.sampled_from([["1/(x1 - 0.5)", "0"], ["ln(x2)", "-x1"], ["exp(1000*x1)", "-x2"],
+                        ["x1*x2 - 0.3", "x1^3"]]))
+def test_batched_witness_check_is_the_per_row_definition(rows, flow):
+    """A row is a witness exactly when it lies on the slice within tol_feas
+    and g, evaluated there alone, is finite and below
+    -max(tol_margin, FALSIFY_GATE); the check returns that value, else NaN."""
+    _net, region = first_quadrant_region()
+    sl, cfg = region.slice, DEFAULT_CONFIG
+    gate = -max(cfg.tol_margin, FALSIFY_GATE)
+    g = w_dot_f(region, DynamicsSystem.parse(flow, dim=2))
+    normal = sl.w / np.linalg.norm(sl.w)
+    points = np.array([[t, 1.0 - t] + off * normal for t, off in rows])
+    values = conditions._checked_witness(sl, points, g, cfg)
+    for x, got in zip(points, values):
+        v = evaluate(g, x)
+        checked = sl.contains(x, cfg.tol_feas) and np.isfinite(v)
+        assert got == v if checked else np.isnan(got)
+        assert (got < gate) == (checked and v < gate)
+
+
 def test_search_skipped_where_bab_verifies(monkeypatch):
     """Decay flow on the diamond's bounded patches: w.f = 1 + |x|^2 there."""
     calls = counted_search(monkeypatch)
@@ -515,8 +563,10 @@ def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
     result = check_invariance(net, regions, sys)
     v = next(v for v in result.region_verdicts if v.indicator == region.indicator)
     assert (v.status, v.method) == (FALSIFIED, "interval")
-    hit = conditions._checked_witness(region.slice, v.witness, g, DEFAULT_CONFIG)
-    assert hit is not None and hit.witness and hit.value == v.witness_value
+    off = v.witness + region.slice.w   # leaves the hyperplane
+    values = conditions._checked_witness(region.slice, [v.witness, off], g, DEFAULT_CONFIG)
+    assert values[0] == v.witness_value < conditions._gate(DEFAULT_CONFIG)
+    assert np.isnan(values[1])
     assert calls == []
 
 
@@ -687,7 +737,8 @@ def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
     net, region = first_quadrant_region()
     line = line_net()
     line_region = build_valid_region(line, brute_force_valid_regions(line)[0])
-    monkeypatch.setattr(SlicePolyhedron, "contains", lambda self, x, tol=1e-7: False)
+    monkeypatch.setattr(SlicePolyhedron, "contains",
+                        lambda self, x, tol=1e-7: np.zeros(len(x), dtype=bool))
     bounded = check_invariance(net, [region], DynamicsSystem.parse(["1", "0"], dim=2))
     unbounded = check_invariance(line, [line_region],
                                  DynamicsSystem.parse(["x2", "0"], dim=2))
@@ -963,18 +1014,25 @@ def test_verify_certificate_where_g_is_undefined_on_a_patch(flow, h_init, condit
 @pytest.mark.parametrize("f1", [
     "-x1*exp(1000*x1)",                                       # math.exp overflows
     "-x1 + 1e200*x1*x1*x2*1e200 - 1e200*x1*x1*x2*1e200",      # inf - inf is NaN
+    "exp(1000)",                       # a constant that overflows has no affine form
+    "1e200^2",                         # nor does a power of one, and it raises nothing
 ])
-def test_verify_certificate_where_the_enclosure_overflows(f1):
+def test_verify_certificate_where_the_enclosure_overflows(f1, tmp_path):
     """An enclosure that overflows leaves its patch unknown with a note; it
-    never fails the run."""
-    with np.errstate(all="ignore"):   # point evaluation of the search overflows too
-        verdict = verify_certificate(diamond_net(), DynamicsSystem.parse([f1, "-x2"], dim=2),
-                                     parse_expression("0.04 - x1^2 - x2^2", 2),
-                                     parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
+    never fails the run, and the report is strict JSON that the schema
+    accepts."""
+    path = write_problem(tmp_path, diamond_net(), [f1, "-x2"], "0.04 - x1^2 - x2^2",
+                         "1 - (x1 - 3)^2 - (x2 - 3)^2")
+    problem = load_problem(path)
+    verdict = verify_certificate(problem.network, problem.system, problem.h_init,
+                                 problem.h_unsafe, problem.config)
     assert verdict.failure is None and verdict.invariance == UNKNOWN
     notes = [v.note for v in verdict.invariance_result.region_verdicts if v.status == UNKNOWN]
     assert notes and all(n.startswith("interval enclosure failed: overflow or NaN")
                          for n in notes)
+    report = build_report(problem, verdict)
+    json.dumps(report, allow_nan=False)
+    jsonschema.validate(report, SCHEMA)
 
 
 def test_overflowing_witness_value_is_no_witness(tmp_path):
@@ -984,9 +1042,8 @@ def test_overflowing_witness_value_is_no_witness(tmp_path):
     path = write_problem(tmp_path, diamond_net(), ["exp(1000*x1)", "exp(1000*x2)"],
                          "0.04 - x1^2 - x2^2", "1 - (x1 - 3)^2 - (x2 - 3)^2")
     problem = load_problem(path)
-    with np.errstate(all="ignore"):
-        verdict = verify_certificate(problem.network, problem.system, problem.h_init,
-                                     problem.h_unsafe, problem.config)
+    verdict = verify_certificate(problem.network, problem.system, problem.h_init,
+                                 problem.h_unsafe, problem.config)
     rows = {r.indicator.compact(): v for r, v in zip(verdict.enumeration.regions,
                                                       verdict.invariance_result.region_verdicts)}
     assert rows["1010"].status == UNKNOWN

@@ -92,39 +92,30 @@ def test_batch_evaluation_matches_pointwise():
     assert np.allclose(batch, single)
 
 
-def test_division_by_zero_raises():
-    e = parse_expression("1 / x1", 1)
-    with pytest.raises(DomainError):
-        evaluate(e, np.zeros(1))
+NAN_ROWS = {   # the rows x1 = -1, -0, 0, 0.5, 1, 2 where text is undefined
+    "1/x1": [0, 1, 1, 0, 0, 0],
+    "ln(x1)": [1, 1, 1, 0, 0, 0],
+    "1/ln(x1)": [1, 1, 1, 0, 1, 0],
+    "ln(x1)^0": [1, 1, 1, 0, 0, 0],   # the trap: NaN**0 is 1
+    "exp(1000*x1)": [0, 0, 0, 0, 0, 0],   # overflows to inf from x1 = 0.5 on
+}
 
 
-def test_log_domain_error():
-    e = parse_expression("ln(x1)", 1)
-    with pytest.raises(DomainError):
-        evaluate(e, np.array([-1.0]))
-    with pytest.raises(DomainError):
-        evaluate(e, np.array([0.0]))
-
-
-@pytest.mark.parametrize("text", ["1/x1", "ln(x1)", "1/ln(x1)", "ln(x1)^0"])
-def test_batch_is_nan_exactly_where_a_point_raises(text):
-    """Undefined rows of a batch are NaN, with no RuntimeWarning; the others
-    equal point evaluation.  ln(x1)^0 is the trap: NaN**0 is 1."""
+@pytest.mark.parametrize("text", list(NAN_ROWS))
+def test_a_point_is_its_one_row_batch(text):
+    """A point evaluates to its one-row batch bit for bit, NaN included;
+    the rows of a batch are NaN exactly where the expression is undefined;
+    and no warning escapes, on overflow either."""
     e = parse_expression(text, 2)
     xs = np.column_stack([[-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], np.ones(6)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        points = np.array([evaluate(e, x) for x in xs])
+        rows = np.concatenate([evaluate(e, x[None]) for x in xs])
         batch = evaluate(e, xs)
-    raised = 0
-    for x, value in zip(xs, batch):
-        try:
-            expected = evaluate(e, x)
-        except DomainError:
-            raised += 1
-            assert np.isnan(value)
-        else:
-            assert value == expected
-    assert 0 < raised < len(xs)
+    assert points.tobytes() == rows.tobytes()
+    np.testing.assert_array_equal(points, batch)   # NaN where NaN
+    assert np.isnan(batch).tolist() == [bool(v) for v in NAN_ROWS[text]]
 
 
 # -- interval enclosure ---------------------------------------------------------------
