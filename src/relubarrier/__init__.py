@@ -21,8 +21,7 @@ from .errors import (CombinatorialBlowup, DimensionMismatch, DomainError,
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, lp_solve
 from .expressions import (DynamicsSystem, Interval, evaluate, interval_evaluate,
                           parse_expression)
-from .network import (ActivationIndicator, CandidateIndicator, ReluNetwork,
-                      expand_candidate, load_network, network_from_json)
+from .network import ActivationIndicator, ReluNetwork, load_network, network_from_json
 from .geometry import (Polyhedron, SlicePolyhedron, bounding_box,
                        implicit_equalities, inscribed_radius, remove_redundant)
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
@@ -52,8 +51,7 @@ __all__ = [
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "parse_expression", "evaluate", "interval_evaluate", "Interval",
     "DynamicsSystem",
-    "ReluNetwork", "ActivationIndicator", "CandidateIndicator",
-    "expand_candidate", "network_from_json", "load_network",
+    "ReluNetwork", "ActivationIndicator", "network_from_json", "load_network",
     "Polyhedron", "SlicePolyhedron", "inscribed_radius",
     "implicit_equalities", "remove_redundant", "bounding_box",
     "valid_test", "build_valid_region", "ValidRegion",

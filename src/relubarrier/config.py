@@ -19,9 +19,8 @@ from .errors import ProblemFormatError
 TOL_EQ = 1e-7         # full-dimensional: the largest inscribed ball is wider than this
 TOL_ZERO = 1e-9       # pre-activations this close to zero branch both ways
 FALSIFY_GATE = 1e-9   # a witness needs g < -max(tol_margin, FALSIFY_GATE) (float noise)
-BRANCH_CAP = 20       # max simultaneously-ambiguous neurons before expansion refuses
+BRANCH_CAP = 20       # max simultaneously-zero neurons feasible_indicators branches
 ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
-BISECT_EPS = 1e-3     # seed-search bisection stops once the pair is this close
 FALSIFY_BUDGET = 100  # falsification-search budget per patch
 BAB_MIN_WIDTH = 1e-5  # BaB stops splitting boxes narrower than this in every coordinate
 TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent
@@ -38,7 +37,8 @@ class VerifierConfig:
     tol_margin: float = 0.0
 
     # -- budgets ---------------------------------------------------------
-    #: attempts of the sample/bisect/expand loop before giving up
+    #: seed-search attempts (one batch of draws, one bisected sign change
+    #: each) before giving up
     max_attempts: int = 50
     #: boxes processed per region by branch-and-bound before Unknown
     bab_max_boxes: int = 4000

@@ -414,12 +414,12 @@ def _affine_form(e, dim):
             return None
         return a[0] / b[1], a[1] / b[1]
     if isinstance(e, Pow):
-        if e.exponent == 1:
-            return _affine_form(e.base, dim)
         f = _affine_form(e.base, dim)
-        if e.exponent == 0:
-            return np.zeros(dim), 1.0
-        if f is not None and not f[0].any():
+        if e.exponent == 1 or f is None:
+            return f
+        if e.exponent == 0:   # 1 only where the base is defined
+            return (np.zeros(dim), 1.0) if np.isfinite(np.append(*f)).all() else None
+        if not f[0].any():
             return np.zeros(dim), np.float64(f[1]) ** e.exponent   # inf, not OverflowError
         return None
     if isinstance(e, Func):

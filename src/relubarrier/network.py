@@ -51,27 +51,6 @@ class ActivationIndicator:
         return f"<{self.compact()}>"
 
 
-@dataclass(frozen=True)
-class CandidateIndicator:
-    """Like an indicator but with -1 marking undetermined neurons; output,
-    when given, is an enclosure (lo, hi) of h over the box it came from."""
-
-    bits: tuple[tuple[int, ...], ...]
-    output: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits",
-                           tuple(tuple(int(v) for v in layer) for layer in self.bits))
-        for layer in self.bits:
-            for v in layer:
-                if v not in (-1, 0, 1):
-                    raise ValueError(f"candidate entries must be -1/0/1, got {v}")
-
-    @property
-    def num_unknown(self) -> int:
-        return sum(v == -1 for layer in self.bits for v in layer)
-
-
 class ReluNetwork:
     """Immutable scalar-output ReLU network.
 
@@ -175,7 +154,7 @@ class ReluNetwork:
         b = float(self.output_weights @ bbar + self.output_bias)
         return Polyhedron(np.vstack(rows), np.concatenate(rhs)), w, b
 
-    # -- indicators from points and boxes --------------------------------------
+    # -- indicators at a point, h's bounds over a box ---------------------------
 
     def feasible_indicators(self, x, tol_zero: float = TOL_ZERO,
                             branch_cap: int = BRANCH_CAP) -> list[ActivationIndicator]:
@@ -212,51 +191,25 @@ class ReluNetwork:
         descend(0, x, (), 0)
         return results
 
-    def ibp_candidate(self, box) -> CandidateIndicator:
-        """Interval bound propagation over an input box.
-
-        Entries: 1 where the pre-activation interval is strictly positive,
-        0 where strictly negative, -1 otherwise; the output layer's interval
-        is the candidate's enclosure of h over the box.
-        """
+    def ibp_bounds(self, box) -> tuple[float, float]:
+        """An enclosure (lo, hi) of h over an input box, by interval bound
+        propagation through the layers."""
         box = np.asarray(box, dtype=float)
         if box.shape != (self.input_dim, 2):
             raise DimensionMismatch(f"box shape {box.shape}, expected ({self.input_dim}, 2)")
-        lo, hi = box[:, 0].copy(), box[:, 1].copy()
-        layers = []
+        lo, hi = box[:, 0], box[:, 1]
         for w, b in zip(self.weights, self.biases):
             pre_lo, pre_hi = _affine_bounds(w, b, lo, hi)
-            bits = np.where(pre_lo > 0.0, 1, np.where(pre_hi < 0.0, 0, -1))
-            layers.append(tuple(int(v) for v in bits))
-            lo = np.maximum(pre_lo, 0.0)
-            hi = np.maximum(pre_hi, 0.0)
+            lo, hi = np.maximum(pre_lo, 0.0), np.maximum(pre_hi, 0.0)
         out_lo, out_hi = _affine_bounds(self.output_weights[None, :],
                                         np.array([self.output_bias]), lo, hi)
-        return CandidateIndicator(tuple(layers), (float(out_lo[0]), float(out_hi[0])))
+        return float(out_lo[0]), float(out_hi[0])
 
 
 def _affine_bounds(w, b, lo, hi):
     """Bounds of w z + b over the box lo <= z <= hi."""
     w_pos, w_neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
     return w_pos @ lo + w_neg @ hi + b, w_pos @ hi + w_neg @ lo + b
-
-
-def expand_candidate(cand: CandidateIndicator,
-                     branch_cap: int = BRANCH_CAP) -> list[ActivationIndicator]:
-    """All completions of a candidate's -1 slots, in lexicographic order
-    (slots enumerated layer-major, 0 before 1)."""
-    slots = [(i, j) for i, layer in enumerate(cand.bits)
-             for j, v in enumerate(layer) if v == -1]
-    if len(slots) > branch_cap:
-        raise CombinatorialBlowup(
-            f"{len(slots)} undetermined neurons exceed the cap of {branch_cap}")
-    out = []
-    for combo in itertools.product((0, 1), repeat=len(slots)):
-        layers = [list(layer) for layer in cand.bits]
-        for (i, j), v in zip(slots, combo):
-            layers[i][j] = v
-        out.append(ActivationIndicator(tuple(tuple(layer) for layer in layers)))
-    return out
 
 
 # -- JSON form ----------------------------------------------------------------

@@ -9,9 +9,10 @@ and its optimum is a facet point; the other rows are redundant on the slice.
 `constraints` keeps the distinct nonzero rows (the exact region), the slice
 the touching rows, which the deciders and the SMT export read.
 `enumerate_level_set` is the one enumeration route: unless interval bounds
-show that h keeps one sign on the domain box, it finds one valid region by
-batched sampling and bisection and propagates across facets from it (the
-indicators feasible at each facet point name neighbours).
+show that h keeps one sign on the domain box, it finds one valid region and
+propagates across facets from it.  Both steps name regions the same way:
+the indicators feasible at a point of the level set (a facet point, or for
+the seed a sign change bisected to float resolution).
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (BISECT_EPS, BRANCH_CAP, DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ,
-                     VerifierConfig)
+from .config import DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
 from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius, slice_charges
 from .linprog import INFEASIBLE
-from .network import ActivationIndicator, ReluNetwork, expand_candidate
+from .network import ActivationIndicator, ReluNetwork
 
 
 @dataclass
@@ -51,7 +51,7 @@ class EnumerationResult:
     """The valid regions of one level-set component in indicator-key order,
     the number of regions taken off the worklist, the seed region's
     indicator, what cut the walk short (``partial`` when anything did), and
-    the seed search's {"attempts", "eps"} (`find_initial_region`)."""
+    the seed search's {"attempts"} (`find_initial_region`)."""
 
     regions: list[ValidRegion]
     visited_count: int
@@ -114,30 +114,16 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
 
 # -- initial region search -------------------------------------------------------
 
-def _bisect_to(net, x_neg, x_pos, eps):
-    """Shrink a sign-bracketing pair to distance <= eps by midpoint steps."""
-    x_neg = np.array(x_neg, dtype=float)
-    x_pos = np.array(x_pos, dtype=float)
-    while float(np.linalg.norm(x_neg - x_pos)) > eps:
-        mid = 0.5 * (x_neg + x_pos)
-        if net.forward(mid) < 0.0:
-            x_neg = mid
-        else:
-            x_pos = mid
-    return x_neg, x_pos
-
-
 def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
                         rng: np.random.Generator | None = None):
-    """Locate one valid region by sampling a sign change and bisecting.
+    """Locate one valid region the way propagation finds a neighbour.
 
-    Returns (ValidRegion, {"attempts", "eps"}).  Each attempt draws 2000
-    points uniformly from the domain box as one batch, takes the first with
-    h < 0 and the first with h > 0, bisects until the pair is eps-close,
-    wraps it in its interval hull, propagates bounds to get a candidate
-    indicator, and runs the validity test over the candidate's completions.
-    If interval propagation leaves too many neurons undetermined, eps
-    shrinks tenfold and the bisection continues.
+    Returns (ValidRegion, {"attempts": n}).  Each attempt draws 2000 points
+    uniformly from the domain box as one batch, takes the first with h < 0
+    and the first with h > 0, and halves that pair until its midpoint equals
+    one of its ends (float resolution).  The indicators feasible at the
+    h < 0 end are then validity-tested in key order; when none is valid, or
+    more than BRANCH_CAP neurons are zero there, the next attempt draws anew.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -148,20 +134,23 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
         neg, pos = np.flatnonzero(h < 0.0), np.flatnonzero(h > 0.0)
         if not (neg.size and pos.size):
             continue  # no sign change found this attempt
-
-        eps = BISECT_EPS
-        while eps > 1e-13:
-            a, b = _bisect_to(net, xs[neg[0]], xs[pos[0]], eps)
-            hull = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-            cand = net.ibp_candidate(hull)
-            if cand.num_unknown > BRANCH_CAP:
-                eps /= 10.0
-                continue
-            for ind in expand_candidate(cand):
-                region = build_valid_region(net, ind, cfg)
-                if region is not None:
-                    return region, {"attempts": attempt, "eps": eps}
-            break  # candidates all invalid: resample a fresh pair
+        x_neg, x_pos = xs[neg[0]], xs[pos[0]]
+        while True:
+            mid = 0.5 * (x_neg + x_pos)
+            if np.array_equal(mid, x_neg) or np.array_equal(mid, x_pos):
+                break
+            if net.forward(mid) < 0.0:
+                x_neg = mid
+            else:
+                x_pos = mid
+        try:
+            candidates = net.feasible_indicators(x_neg)
+        except CombinatorialBlowup:
+            continue
+        for ind in candidates:
+            region = build_valid_region(net, ind, cfg)
+            if region is not None:
+                return region, {"attempts": attempt}
     raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts")
 
 
@@ -225,13 +214,13 @@ def enumerate_level_set(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG
                         ) -> EnumerationResult:
     """The valid regions of one level-set component: the seed search, then
     boundary propagation.  The result's ``search`` holds the seed search's
-    {"attempts", "eps"}.
+    {"attempts"}.
 
     Raises SearchExhausted at once when interval bound propagation shows
     that h keeps one sign on the domain box the seed search draws from,
     since no sign change can turn up there; also when the search fails.
     """
-    lo, hi = net.ibp_candidate(cfg.domain(net.input_dim)).output
+    lo, hi = net.ibp_bounds(cfg.domain(net.input_dim))
     if lo > cfg.tol_feas or hi < -cfg.tol_feas:
         raise SearchExhausted(f"h keeps one sign on the domain box: interval bound "
                               f"propagation encloses it in [{lo:.6g}, {hi:.6g}]")

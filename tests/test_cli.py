@@ -119,6 +119,7 @@ MALFORMED = [
     ("fractional-input-dim", {}, lambda net: {**net, "input_dim": 2.5}),
     ("string-input-dim", {}, lambda net: {**net, "input_dim": "2"}),
     ("huge-tol-feas", {"tolerances": {"tol_feas": 1e300}}, None),
+    ("deeply-nested-dynamics", {"dynamics": ["-" * 5000 + "x1", "-x2"]}, None),
 ]
 
 
@@ -126,7 +127,8 @@ MALFORMED = [
                                               for name, f, e in MALFORMED])
 def test_exit_three_on_malformed_input(tmp_path, capsys, fields, net_edit):
     """Malformed values are bad input (exit 3 with an error line), not a
-    traceback with exit 1, the code for falsified."""
+    traceback with exit 1, the code for falsified; so is input that trips
+    an exception the package does not raise itself (RecursionError)."""
     problem = write_problem(tmp_path, diamond_net(), ["-x1", "-x2"], INIT, UNSAFE)
     data = json.loads(open(problem).read())
     data.update(fields)

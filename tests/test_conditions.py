@@ -938,7 +938,7 @@ def test_verify_certificate_stops_when_ibp_shows_h_has_one_sign(tmp_path, monkey
     verdict = verify_certificate(problem.network, problem.system, problem.h_init,
                                  problem.h_unsafe, problem.config)
     assert verdict.failure["kind"] == "search-exhausted"
-    lo, hi = problem.network.ibp_candidate(problem.config.domain(2)).output
+    lo, hi = problem.network.ibp_bounds(problem.config.domain(2))
     assert hi < 0.0
     assert verdict.failure["detail"] == ("h keeps one sign on the domain box: interval "
                                          f"bound propagation encloses it in [{lo:.6g}, {hi:.6g}]")

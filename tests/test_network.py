@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (ActivationIndicator, CandidateIndicator,
-                         CombinatorialBlowup, DimensionMismatch, MissingField,
-                         ReluNetwork, expand_candidate, load_network,
-                         network_from_json)
+from relubarrier import (ActivationIndicator, CombinatorialBlowup, DimensionMismatch,
+                         MissingField, ReluNetwork, load_network, network_from_json)
 
 from helpers import (deep_branching_net, diamond_net, network_to_json, random_hidden_net,
                      scaled_output)
@@ -163,58 +161,8 @@ def test_deep_branching_recomputes_downstream():
 
 # -- interval bound propagation -------------------------------------------------------
 
-def test_ibp_tight_box_fixes_all_units():
-    net = diamond_net()
-    box = np.array([[0.9, 1.1], [0.05, 0.05]])
-    cand = net.ibp_candidate(box)
-    assert cand.bits == ((1, 0, 1, 0),)
-    assert cand.num_unknown == 0
-
-
-def test_ibp_straddling_box_leaves_unknowns():
-    net = diamond_net()
-    box = np.array([[-0.1, 0.1], [1.0, 1.0]])
-    cand = net.ibp_candidate(box)
-    assert cand.bits == ((-1, -1, 1, 0),)
-    assert cand.num_unknown == 2
-
-
-def test_ibp_point_box_matches_preactivation_signs():
-    net = diamond_net()
-    rng = np.random.default_rng(11)
-    for x in rng.uniform(-2, 2, size=(50, 2)):
-        box = np.stack([x, x], axis=1)
-        cand = net.ibp_candidate(box)
-        pre = net.preactivations(x)[0]
-        for bit, p in zip(cand.bits[0], pre):
-            if p > 0:
-                assert bit == 1
-            elif p < 0:
-                assert bit == 0
-            else:
-                assert bit == -1
-
-
-def test_ibp_soundness_on_samples():
-    """Every point of the box must agree with the candidate's fixed bits."""
-    rng = np.random.default_rng(21)
-    for seed in range(10):
-        net = random_hidden_net(np.random.default_rng(seed))
-        lo = rng.uniform(-2, 1, size=2)
-        hi = lo + rng.uniform(0, 1, size=2)
-        box = np.stack([lo, hi], axis=1)
-        cand = net.ibp_candidate(box)
-        for x in rng.uniform(lo, hi, size=(100, 2)):
-            pre = net.preactivations(x)
-            for layer_bits, p in zip(cand.bits, pre):
-                for bit, v in zip(layer_bits, p):
-                    if bit == 1:
-                        assert v >= -1e-9
-                    elif bit == 0:
-                        assert v <= 1e-9
-
-
 def test_ibp_output_encloses_h_on_samples():
+    """ibp_bounds is sound: sampled h values lie inside its enclosure."""
     rng = np.random.default_rng(23)
     nets = [random_hidden_net(np.random.default_rng(seed)) for seed in range(6)]
     nets += [ReluNetwork([rng.normal(size=(3, 2)), rng.normal(size=(3, 3))],
@@ -223,7 +171,7 @@ def test_ibp_output_encloses_h_on_samples():
     for net in nets:
         lo = rng.uniform(-2, 1, size=2)
         box = np.stack([lo, lo + rng.uniform(0, 1, size=2)], axis=1)
-        out_lo, out_hi = net.ibp_candidate(box).output
+        out_lo, out_hi = net.ibp_bounds(box)
         values = net.forward_many(rng.uniform(box[:, 0], box[:, 1], size=(200, 2)))
         assert out_lo <= values.min() and values.max() <= out_hi
 
@@ -231,33 +179,8 @@ def test_ibp_output_encloses_h_on_samples():
 def test_ibp_output_of_a_point_box_is_h():
     net = diamond_net()
     x = np.array([0.3, -1.2])
-    lo, hi = net.ibp_candidate(np.stack([x, x], axis=1)).output
+    lo, hi = net.ibp_bounds(np.stack([x, x], axis=1))
     assert lo == hi == pytest.approx(net.forward(x))
-
-
-# -- candidate expansion ----------------------------------------------------------------
-
-def test_expand_complete_candidate_identity():
-    cand = CandidateIndicator(((1, 0, 1, 0),))
-    assert expand_candidate(cand) == [ind(1, 0, 1, 0)]
-
-
-def test_expand_single_slot():
-    cand = CandidateIndicator(((-1, 0, 1, 0),))
-    assert expand_candidate(cand) == [ind(0, 0, 1, 0), ind(1, 0, 1, 0)]
-
-
-def test_expand_two_slots_lexicographic():
-    cand = CandidateIndicator(((-1, -1, 1, 0),))
-    out = expand_candidate(cand)
-    assert out == [ind(0, 0, 1, 0), ind(0, 1, 1, 0),
-                   ind(1, 0, 1, 0), ind(1, 1, 1, 0)]
-
-
-def test_expand_blowup_guard():
-    cand = CandidateIndicator((tuple([-1] * 25),))
-    with pytest.raises(CombinatorialBlowup):
-        expand_candidate(cand, branch_cap=20)
 
 
 # -- output scaling invariance ---------------------------------------------------------

@@ -288,7 +288,7 @@ def test_find_initial_region_diamond():
     region, meta = find_initial_region(net)
     assert region.indicator in DIAMOND_INDICATORS
     assert meta["attempts"] >= 1
-    assert set(meta) == {"attempts", "eps"}
+    assert set(meta) == {"attempts"}
 
 
 def test_bisection_pair_from_spec_lands_in_first_quadrant():
@@ -301,12 +301,43 @@ def test_bisection_pair_from_spec_lands_in_first_quadrant():
 
 
 def test_vertex_straddling_pair_expands_candidates():
-    """A pair bracketing the vertex (1,0) forces unknown slots; expansion
-    still finds a valid region."""
+    """The pair (2,0)/(0.5,0) bisects onto the vertex (1,0), where the units
+    x2 and -x2 are both zero: feasible_indicators branches them into four
+    candidates, and the first valid one in key order is the seed."""
     net = diamond_net()
     rng = ScriptedRng([2.0, 0.0], [0.5, 0.0])
-    region, _meta = find_initial_region(net, rng=rng)
-    assert region.indicator in DIAMOND_INDICATORS
+    region, meta = find_initial_region(net, rng=rng)
+    assert net.feasible_indicators(np.array([1.0, 0.0])) == [
+        ind(1, 0, a, b) for a in (0, 1) for b in (0, 1)]
+    assert build_valid_region(net, ind(1, 0, 0, 0)) is None
+    assert region.indicator == ind(1, 0, 0, 1)
+    assert meta == {"attempts": 1}
+
+
+def test_seed_is_feasible_at_the_bisected_crossing():
+    """On random nets the seed region's indicator is one of the indicators
+    feasible at the h < 0 end of the scripted pair, bisected here until it
+    stops moving (float resolution)."""
+    checked = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        net = random_hidden_net(rng, n_in=2 + seed % 2)
+        xs = rng.uniform(-3, 3, size=(200, net.input_dim))
+        h = net.forward_many(xs)
+        if not ((h < 0).any() and (h > 0).any()):
+            continue
+        x_neg, x_pos = xs[np.argmax(h < 0)], xs[np.argmax(h > 0)]
+        region, meta = find_initial_region(net, rng=ScriptedRng(x_neg, x_pos))
+        for _ in range(1100):   # a width of 6 halves below the least subnormal
+            mid = 0.5 * (x_neg + x_pos)
+            if net.forward(mid) < 0.0:
+                x_neg = mid
+            else:
+                x_pos = mid
+        assert region.indicator in net.feasible_indicators(x_neg)
+        assert meta == {"attempts": 1}
+        checked += 1
+    assert checked >= 8
 
 
 def test_search_exhausted_on_constant_network():

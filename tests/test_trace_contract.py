@@ -4,13 +4,16 @@ target is missing; its problem files (bench/problems.py) must load, and
 every report made from them must pass its checker (bench/checker.py),
 known answers included; every configuration knob is one that some input
 actually sets, and each command's override flags match the RELUBARRIER_*
-variables; and every public name has a caller outside the tests."""
+variables; every fixed number in config.py is read and documented; and
+every public name has a caller outside the tests."""
 
 import argparse
 import ast
 import dataclasses
 import importlib
+import json
 import pathlib
+import re
 
 import relubarrier
 from relubarrier import (DynamicsSystem, VerifierConfig, build_report, cli, conditions,
@@ -86,6 +89,27 @@ def test_override_flags_and_environment_cover_the_same_keys():
     for name in ("verify", "export-smt", "plot"):
         flags = {a.dest for a in commands[name]._actions if a.dest in fields}
         assert flags == env_keys, name
+
+
+def test_every_fixed_number_is_read_and_documented():
+    """Each upper-case number constant of config.py is read somewhere in
+    src/ beyond its assignment; the schema's configuration description names
+    exactly these constants, and the README names each of them."""
+    src = ROOT / "src" / "relubarrier"
+    constants = {target.id for node in ast.parse((src / "config.py").read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant)
+                 and isinstance(node.value.value, (int, float))
+                 for target in node.targets if target.id.isupper()}
+    assert constants
+    read = {node.id for path in src.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(constants - read) == []
+    schema = json.loads((ROOT / "docs" / "report_schema.json").read_text())
+    description = schema["properties"]["configuration"]["description"]
+    assert set(re.findall(r"\b[A-Z]+(?:_[A-Z]+)+\b", description)) == constants
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(c for c in constants if c not in readme) == []
 
 
 def test_every_bench_report_passes_the_checker(tmp_path, monkeypatch):
