@@ -214,7 +214,9 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     Each stage checks its candidates in batches (`_checked_witness`): a
     round of the pattern search checks its remaining moves at once, takes
     the first that is a witness or improves, and goes on from there with
-    the moves after it, the same path as checking one move at a time.
+    the moves after it, the same path as checking one move at a time.  A
+    round that improves nothing halves the step; the search stops once the
+    step falls below BAB_MIN_WIDTH, where BaB stops splitting too.
     Returns a falsified verdict, or None when the search found nothing
     (which proves nothing).
     """
@@ -262,7 +264,7 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
             x, gx, rest, improved = ys[j], values[j], rest[j + 1:], True
         if not improved:
             step /= 2.0
-            if step < 1e-9:
+            if step < BAB_MIN_WIDTH:
                 break
     return None
 

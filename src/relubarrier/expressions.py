@@ -4,7 +4,11 @@ The grammar covers variables x1..xn, decimal constants, + - * /, integer
 powers via ^, and the functions sin, cos, tanh, exp, ln.  Precedence is
 ^ > unary minus > * / > + - with left-associative binary operators; the
 exponent of ^ must be a non-negative integer literal.
-"""
+
+A tree has five node kinds: `Var`, `Const`, `Unary(name, arg)` for negation
+("-") and the functions, `Binary(op, left, right)` for + - * /, and
+`Pow(base, exponent)`.  A `Unary` name and a `Binary` op are also the
+node's SMT-LIB symbol."""
 
 from __future__ import annotations
 
@@ -37,30 +41,14 @@ class Const(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
+class Unary(Expr):
+    name: str           # "-" or one of FUNCTIONS
     arg: Expr
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
+class Binary(Expr):
+    op: str             # one of "+ - * /"
     left: Expr
     right: Expr
 
@@ -69,12 +57,6 @@ class Div(Expr):
 class Pow(Expr):
     base: Expr
     exponent: int
-
-
-@dataclass(frozen=True)
-class Func(Expr):
-    name: str
-    arg: Expr
 
 
 # -- parsing -------------------------------------------------------------------
@@ -135,8 +117,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
+                e = Binary(val, e, self.term())
             else:
                 return e
 
@@ -146,8 +127,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.unary()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
+                e = Binary(val, e, self.unary())
             else:
                 return e
 
@@ -155,7 +135,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
+            return Unary("-", self.unary())
         return self.power()
 
     def power(self):
@@ -185,7 +165,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return Func(val, arg)
+                return Unary(val, arg)
             m = re.fullmatch(r"x(\d+)", val)
             if m is None:
                 raise UnknownIdentifier(f"unknown identifier {val!r} at position {pos}")
@@ -222,32 +202,33 @@ def evaluate(e: Expr, x):
     return val if x.ndim == 2 else float(val[0])
 
 
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "sin": np.sin,
+           "cos": np.cos, "tanh": np.tanh, "exp": np.exp}
+
+
 def _eval(e, x):
     if isinstance(e, Var):
         return x[:, e.index]
     if isinstance(e, Const):
         return np.full(x.shape[0], e.value)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x)
-    if isinstance(e, Add):
-        return _eval(e.left, x) + _eval(e.right, x)
-    if isinstance(e, Sub):
-        return _eval(e.left, x) - _eval(e.right, x)
-    if isinstance(e, Mul):
-        return _eval(e.left, x) * _eval(e.right, x)
-    if isinstance(e, Div):
-        num, den = _eval(e.left, x), _eval(e.right, x)
-        return np.divide(num, den, out=np.full(len(den), np.nan), where=den != 0.0)
+    if isinstance(e, Binary):
+        left, right = _eval(e.left, x), _eval(e.right, x)
+        if e.op == "/":
+            return np.divide(left, right, out=np.full(len(right), np.nan),
+                             where=right != 0.0)
+        return _UFUNCS[e.op](left, right)
+    if isinstance(e, Unary):
+        v = _eval(e.arg, x)
+        if e.name == "-":
+            return -v
+        if e.name == "ln":
+            return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
+        return _UFUNCS[e.name](v)
     if isinstance(e, Pow):
         base = _eval(e.base, x)
         if e.exponent == 0:
             return np.where(np.isnan(base), np.nan, 1.0)   # NaN**0 is 1
         return base ** e.exponent
-    if isinstance(e, Func):
-        v = _eval(e.arg, x)
-        if e.name == "ln":
-            return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
-        return {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp}[e.name](v)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -261,12 +242,6 @@ class Interval:
     def __post_init__(self):
         if not (self.lo <= self.hi):
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def contains(self, v, slack: float = 0.0) -> bool:
-        return self.lo - slack <= v <= self.hi + slack
-
-    def __iter__(self):
-        return iter((self.lo, self.hi))
 
 
 _TWO_PI = 2.0 * math.pi
@@ -310,30 +285,23 @@ def _iv(e, box):
         return (box[e.index, 0], box[e.index, 1])
     if isinstance(e, Const):
         return (e.value, e.value)
-    if isinstance(e, Neg):
-        lo, hi = _iv(e.arg, box)
-        return (-hi, -lo)
-    if isinstance(e, Add):
-        a, b = _iv(e.left, box), _iv(e.right, box)
-        return (a[0] + b[0], a[1] + b[1])
-    if isinstance(e, Sub):
-        a, b = _iv(e.left, box), _iv(e.right, box)
-        return (a[0] - b[1], a[1] - b[0])
-    if isinstance(e, Mul):
+    if isinstance(e, Binary):
         (al, ah), (bl, bh) = _iv(e.left, box), _iv(e.right, box)
-        prods = (al * bl, al * bh, ah * bl, ah * bh)
-        return (min(prods), max(prods))
-    if isinstance(e, Div):
-        (al, ah), (bl, bh) = _iv(e.left, box), _iv(e.right, box)
+        if e.op == "+":
+            return (al + bl, ah + bh)
+        if e.op == "-":
+            return (al - bh, ah - bl)
+        if e.op == "*":
+            prods = (al * bl, al * bh, ah * bl, ah * bh)
+            return (min(prods), max(prods))
         if bl <= 0.0 <= bh:
             raise DomainError("interval division by an interval containing zero")
         quots = (al / bl, al / bh, ah / bl, ah / bh)
         return (min(quots), max(quots))
-    if isinstance(e, Pow):
-        lo, hi = _iv(e.base, box)
-        return _iv_pow(lo, hi, e.exponent)
-    if isinstance(e, Func):
+    if isinstance(e, Unary):
         lo, hi = _iv(e.arg, box)
+        if e.name == "-":
+            return (-hi, -lo)
         if e.name == "sin":
             return _iv_sin(lo, hi)
         if e.name == "cos":
@@ -342,10 +310,12 @@ def _iv(e, box):
             return (math.tanh(lo), math.tanh(hi))
         if e.name == "exp":
             return (math.exp(lo), math.exp(hi))
-        if e.name == "ln":
-            if lo <= 0.0:
-                raise DomainError("ln over an interval reaching <= 0")
-            return (math.log(lo), math.log(hi))
+        if lo <= 0.0:   # ln
+            raise DomainError("ln over an interval reaching <= 0")
+        return (math.log(lo), math.log(hi))
+    if isinstance(e, Pow):
+        lo, hi = _iv(e.base, box)
+        return _iv_pow(lo, hi, e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -386,33 +356,33 @@ def _affine_form(e, dim):
         return c, 0.0
     if isinstance(e, Const):
         return np.zeros(dim), e.value
-    if isinstance(e, Neg):
-        f = _affine_form(e.arg, dim)
-        return None if f is None else (-f[0], -f[1])
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, Binary):
         a = _affine_form(e.left, dim)
         b = _affine_form(e.right, dim)
         if a is None or b is None:
             return None
-        if isinstance(e, Add):
+        if e.op == "+":
             return a[0] + b[0], a[1] + b[1]
-        return a[0] - b[0], a[1] - b[1]
-    if isinstance(e, Mul):
-        a = _affine_form(e.left, dim)
-        b = _affine_form(e.right, dim)
-        if a is None or b is None:
+        if e.op == "-":
+            return a[0] - b[0], a[1] - b[1]
+        if e.op == "*":
+            if not a[0].any():
+                return a[1] * b[0], a[1] * b[1]
+            if not b[0].any():
+                return b[1] * a[0], b[1] * a[1]
             return None
-        if not a[0].any():
-            return a[1] * b[0], a[1] * b[1]
-        if not b[0].any():
-            return b[1] * a[0], b[1] * a[1]
-        return None
-    if isinstance(e, Div):
-        a = _affine_form(e.left, dim)
-        b = _affine_form(e.right, dim)
-        if a is None or b is None or b[0].any() or b[1] == 0.0:
+        if b[0].any() or b[1] == 0.0:
             return None
         return a[0] / b[1], a[1] / b[1]
+    if isinstance(e, Unary):
+        f = _affine_form(e.arg, dim)
+        if f is None:
+            return None
+        if e.name == "-":
+            return -f[0], -f[1]
+        if f[0].any():
+            return None
+        return np.zeros(dim), evaluate(e, np.zeros(dim))
     if isinstance(e, Pow):
         f = _affine_form(e.base, dim)
         if e.exponent == 1 or f is None:
@@ -422,20 +392,15 @@ def _affine_form(e, dim):
         if not f[0].any():
             return np.zeros(dim), np.float64(f[1]) ** e.exponent   # inf, not OverflowError
         return None
-    if isinstance(e, Func):
-        f = _affine_form(e.arg, dim)
-        if f is None or f[0].any():
-            return None
-        return np.zeros(dim), evaluate(e, np.zeros(dim))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def weighted_sum(coefs, exprs) -> Expr:
-    """sum_i coefs[i] * exprs[i] as one expression: Mul(Const(c), e) terms
-    joined by Add from the left.  Zero coefficients are left out; an empty
-    sum is Const(0.0)."""
-    terms = [Mul(Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
-    return functools.reduce(Add, terms) if terms else Const(0.0)
+    """sum_i coefs[i] * exprs[i] as one expression: Binary("*", Const(c), e)
+    terms joined by Binary("+") from the left.  Zero coefficients are left
+    out; an empty sum is Const(0.0)."""
+    terms = [Binary("*", Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
+    return functools.reduce(functools.partial(Binary, "+"), terms) if terms else Const(0.0)
 
 
 # -- systems -------------------------------------------------------------------

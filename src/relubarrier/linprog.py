@@ -218,7 +218,7 @@ def _phase_one(T, basis, art_cols, tol_feas):
     for i in np.flatnonzero(T[-1, basis]):
         T[-1] -= T[i] * T[-1, basis[i]]
     status = _run_simplex(T, basis)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
+    if status != OPTIMAL:  # bounded below in exact arithmetic, not under round-off
         raise NumericalFailure("phase one terminated abnormally")
     residual = -T[-1, -1]
     scale = max(1.0, float(np.max(np.abs(T[:-1, -1]))) if len(basis) else 1.0)

@@ -122,8 +122,9 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
     uniformly from the domain box as one batch, takes the first with h < 0
     and the first with h > 0, and halves that pair until its midpoint equals
     one of its ends (float resolution).  The indicators feasible at the
-    h < 0 end are then validity-tested in key order; when none is valid, or
-    more than BRANCH_CAP neurons are zero there, the next attempt draws anew.
+    h < 0 end are then validity-tested in key order, and one whose validity
+    LPs fail numerically counts as invalid; when none is valid, or more than
+    BRANCH_CAP neurons are zero there, the next attempt draws anew.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -148,7 +149,10 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
         except CombinatorialBlowup:
             continue
         for ind in candidates:
-            region = build_valid_region(net, ind, cfg)
+            try:
+                region = build_valid_region(net, ind, cfg)
+            except NumericalFailure:
+                continue   # counts as invalid, as in propagation
             if region is not None:
                 return region, {"attempts": attempt}
     raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts")

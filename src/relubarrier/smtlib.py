@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_CONFIG, TOL_EQ, VerifierConfig
 from .errors import NoRegions
-from .expressions import (Add, Const, Div, DynamicsSystem, Expr, Func, Mul,
-                          Neg, Pow, Sub, Var, weighted_sum)
+from .expressions import (Binary, Const, DynamicsSystem, Expr, Pow, Unary, Var,
+                          weighted_sum)
 
 
 @dataclass
@@ -48,30 +48,20 @@ def expr_to_smt(e: Expr) -> str:
         return f"x{e.index + 1}"
     if isinstance(e, Const):
         return format_number(e.value)
-    if isinstance(e, Neg):
-        return f"(- {expr_to_smt(e.arg)})"
-    if isinstance(e, Add):
-        return f"(+ {expr_to_smt(e.left)} {expr_to_smt(e.right)})"
-    if isinstance(e, Sub):
-        return f"(- {expr_to_smt(e.left)} {expr_to_smt(e.right)})"
-    if isinstance(e, Mul):
-        return f"(* {expr_to_smt(e.left)} {expr_to_smt(e.right)})"
-    if isinstance(e, Div):
-        return f"(/ {expr_to_smt(e.left)} {expr_to_smt(e.right)})"
+    if isinstance(e, Binary):
+        return f"({e.op} {expr_to_smt(e.left)} {expr_to_smt(e.right)})"
+    if isinstance(e, Unary):
+        return f"({e.name} {expr_to_smt(e.arg)})"
     if isinstance(e, Pow):
         return f"(^ {expr_to_smt(e.base)} {e.exponent})"
-    if isinstance(e, Func):
-        return f"({e.name} {expr_to_smt(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _has_transcendental(e: Expr) -> bool:
-    if isinstance(e, Func):
-        return True
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if isinstance(e, Binary):
         return _has_transcendental(e.left) or _has_transcendental(e.right)
-    if isinstance(e, Neg):
-        return _has_transcendental(e.arg)
+    if isinstance(e, Unary):
+        return e.name != "-" or _has_transcendental(e.arg)
     if isinstance(e, Pow):
         return _has_transcendental(e.base)
     return False

@@ -19,7 +19,7 @@ from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, LpProblem,
                          Polyhedron, SlicePolyhedron, evaluate, implicit_equalities,
                          lp_solve)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
-from relubarrier.config import FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
+from relubarrier.config import BAB_MIN_WIDTH, FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
 from relubarrier.network import ReluNetwork
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
@@ -110,6 +110,16 @@ def random_hidden_net(rng: np.random.Generator, n_in: int = 2,
     omega = rng.normal(size=neurons)
     phi = float(rng.normal())
     return ReluNetwork([w1], [b1], omega, phi)
+
+
+def ill_scaled_deep_net(seed: int) -> ReluNetwork:
+    """2-8-8-8-8 net from default_rng(seed): N(0,1) weights, those of
+    layers 2-4 scaled by 1e4, N(0,1) biases and output weights, output bias
+    0.  Some validity LPs of its regions fail numerically."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.normal(size=(8, 2))] + [rng.normal(size=(8, 8)) * 1e4 for _ in range(3)]
+    biases = [rng.normal(size=8) for _ in range(4)]
+    return ReluNetwork(weights, biases, rng.normal(size=8), 0.0)
 
 
 def scaled_output(net: ReluNetwork, k: float) -> ReluNetwork:
@@ -349,7 +359,7 @@ def reference_falsify(region, g, cfg, rng):
                 x, gx, improved = y, v, True
         if not improved:
             step /= 2.0
-            if step < 1e-9:
+            if step < BAB_MIN_WIDTH:
                 break
     return None
 

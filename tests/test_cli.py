@@ -12,7 +12,7 @@ from relubarrier import cli
 from relubarrier.cli import main
 from relubarrier.network import ReluNetwork
 
-from helpers import SCHEMA, all_dead_net, diamond_net, write_problem
+from helpers import SCHEMA, all_dead_net, diamond_net, ill_scaled_deep_net, write_problem
 
 
 INIT = "0.04 - x1^2 - x2^2"
@@ -44,6 +44,14 @@ def test_exit_one_on_falsified(tmp_path):
     assert code == 1
     assert report["verdicts"]["overall"] == "falsified"
     assert report["witnesses"]
+
+
+def test_report_written_where_validity_lps_fail_numerically(tmp_path):
+    """Some candidate regions of this net fail their validity LPs; the run
+    still ends in a verdict and writes its report."""
+    code, report = run_verify(tmp_path, ["-x1", "-x2"], net=ill_scaled_deep_net(2))
+    assert code == 1
+    assert report["verdicts"]["overall"] == "falsified"
 
 
 def test_exit_two_on_unknown(tmp_path):

@@ -22,8 +22,8 @@ from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
-                     load_bench_module, random_hidden_net, reference_falsify, slice_grid,
-                     strip_net, write_problem, CUBIC2D)
+                     ill_scaled_deep_net, load_bench_module, random_hidden_net,
+                     reference_falsify, slice_grid, strip_net, write_problem, CUBIC2D)
 
 
 def ind(*bits):
@@ -194,6 +194,29 @@ def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
     found = conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
     assert found is None
     assert len(calls) == 1
+
+
+def test_pattern_search_stops_halving_at_the_bab_width_floor(monkeypatch):
+    """w.f = 0 on the flat patch, so no move improves and every round halves
+    the step; the last round runs at the smallest step not below
+    BAB_MIN_WIDTH.  A round's moves are x + step * m for the projected
+    coordinate moves m, and the first two differ by step * 2 m_1."""
+    monkeypatch.setattr(conditions, "BAB_MIN_WIDTH", 0.05)
+    rounds = []
+    checked = conditions._checked_witness
+
+    def recorded(sl, points, g, cfg):
+        rounds.append(points)
+        return checked(sl, points, g, cfg)
+
+    monkeypatch.setattr(conditions, "_checked_witness", recorded)
+    net, region = first_quadrant_region()
+    g = w_dot_f(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2))
+    assert conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(0)) is None
+    w = region.slice.w
+    m1 = np.array([1.0, 0.0]) - w[0] * w / (w @ w)
+    steps = [np.linalg.norm(ys[0] - ys[1]) / np.linalg.norm(2.0 * m1) for ys in rounds[1:]]
+    assert steps == pytest.approx([0.25, 0.125, 0.0625])
 
 
 # -- branch and bound ------------------------------------------------------------------
@@ -910,6 +933,17 @@ def test_verify_certificate_drift_falsifies_invariance_only():
     assert verdict.invariance == FALSIFIED
     assert verdict.initial_condition == VERIFIED
     assert verdict.unsafe_condition == VERIFIED
+    assert verdict.overall == FALSIFIED
+
+
+def test_verify_certificate_where_validity_lps_fail_numerically():
+    """Candidates whose validity LPs fail, in the seed search as in
+    propagation, leave a partial enumeration and a verdict, not an error."""
+    sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
+    h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
+    h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
+    verdict = verify_certificate(ill_scaled_deep_net(2), sys, h_init, h_unsafe)
+    assert verdict.failure is None and verdict.enumeration.partial
     assert verdict.overall == FALSIFIED
 
 

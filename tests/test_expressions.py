@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (DomainError, DynamicsSystem, ExpressionSyntaxError,
-                         UnknownIdentifier, VariableOutOfRange, evaluate,
+from relubarrier import (ActivationIndicator, DomainError, DynamicsSystem,
+                         ExpressionSyntaxError, UnknownIdentifier, VariableOutOfRange,
+                         boundary_propagation, build_valid_region, evaluate,
                          interval_evaluate, parse_expression)
-from relubarrier.expressions import Add, Const, Mul, weighted_sum, _linear_form
+from relubarrier import smtlib
+from relubarrier.expressions import (FUNCTIONS, Binary, Const, Expr, Pow, Unary, Var,
+                                     weighted_sum, _linear_form)
 
-from helpers import CUBIC2D, TRANSCENDENTAL3D, DECAY6D, CASCADE4D, ALL_SYSTEMS
+from helpers import CUBIC2D, TRANSCENDENTAL3D, DECAY6D, CASCADE4D, ALL_SYSTEMS, diamond_net
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -221,14 +224,62 @@ def test_enclosure_width_shrinks_towards_zero():
     assert widths[-1] < 0.3 * widths[0]
 
 
+# -- node kinds ---------------------------------------------------------------------
+
+X1, X2 = Var(0), Var(1)
+NODES = ([X1, Const(2.5)] + [Unary(name, X1) for name in ("-",) + FUNCTIONS]
+         + [Binary(op, X1, X2) for op in "+-*/"] + [Pow(X1, k) for k in (0, 1, 2)])
+POINT = np.array([1.5, 0.5])
+VALUES = [1.5, 2.5, -1.5, np.sin(1.5), np.cos(1.5), np.tanh(1.5), np.exp(1.5), np.log(1.5),
+          2.0, 1.0, 0.75, 3.0, 1.0, 1.5, 2.25]
+SMT = ["x1", "(/ 5 2)", "(- x1)", "(sin x1)", "(cos x1)", "(tanh x1)", "(exp x1)", "(ln x1)",
+       "(+ x1 x2)", "(- x1 x2)", "(* x1 x2)", "(/ x1 x2)", "(^ x1 0)", "(^ x1 1)", "(^ x1 2)"]
+AFFINE = [([1, 0], 0), ([0, 0], 2.5), ([-1, 0], 0)] + [None] * 5 + [
+    ([1, 1], 0), ([1, -1], 0), None, None, ([0, 0], 1), ([1, 0], 0), None]
+
+
+@pytest.mark.parametrize("e, value, smt, form", zip(NODES, VALUES, SMT, AFFINE),
+                         ids=SMT)
+def test_every_walker_handles_every_node_kind(e, value, smt, form):
+    assert evaluate(e, POINT) == pytest.approx(value, rel=1e-15)
+    iv = interval_evaluate(e, np.array([[1.0, 2.0], [0.25, 1.0]]))
+    assert iv.lo <= value <= iv.hi
+    got = _linear_form(e, 2)
+    if form is None:
+        assert got is None
+    else:
+        assert np.array_equal(got[0], form[0]) and got[1] == form[1]
+    assert smtlib.expr_to_smt(e) == smt
+    transcendental = isinstance(e, Unary) and e.name != "-"
+    assert smtlib._has_transcendental(e) == transcendental
+
+
+def test_node_kinds_are_the_five_the_walkers_cover():
+    assert set(Expr.__subclasses__()) == {type(e) for e in NODES} == {
+        Var, Const, Unary, Binary, Pow}
+
+
+def test_negation_is_not_transcendental_and_a_negated_function_is():
+    net = diamond_net()
+    seed = build_valid_region(net, ActivationIndicator(((1, 0, 1, 0),)))
+    regions = boundary_propagation(net, seed).regions
+    for text, tag in (("-x1", "QF_NRA"), ("-sin(x1)", "QF_NRA+transcendental")):
+        e = parse_expression(text, 2)
+        assert smtlib._has_transcendental(e) == (tag != "QF_NRA")
+        query, = smtlib.export_set_condition(regions, e, "initial", 2, mode="monolithic")
+        assert query.logic_tag == tag
+        assert ("(set-logic QF_NRA)" in query.text) == (tag == "QF_NRA")
+
+
 # -- affine detection -----------------------------------------------------------------
 
 def test_weighted_sum_drops_zero_weights_and_nests_from_the_left():
     f = [parse_expression(t, 2) for t in ("x1", "x2^3", "sin(x1)")]
     g = weighted_sum([2.0, 0.0, -1.0], f)
-    assert g == Add(Mul(Const(2.0), f[0]), Mul(Const(-1.0), f[2]))
-    assert weighted_sum(np.array([1.0, 0.5, 3.0]), f) == Add(
-        Add(Mul(Const(1.0), f[0]), Mul(Const(0.5), f[1])), Mul(Const(3.0), f[2]))
+    assert g == Binary("+", Binary("*", Const(2.0), f[0]), Binary("*", Const(-1.0), f[2]))
+    assert weighted_sum(np.array([1.0, 0.5, 3.0]), f) == Binary(
+        "+", Binary("+", Binary("*", Const(1.0), f[0]), Binary("*", Const(0.5), f[1])),
+        Binary("*", Const(3.0), f[2]))
     assert weighted_sum([0.0, 0.0], f[:2]) == Const(0.0)
     assert weighted_sum([], []) == Const(0.0)
 
