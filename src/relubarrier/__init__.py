@@ -18,12 +18,12 @@ from .errors import (CombinatorialBlowup, DimensionMismatch, DomainError,
                      NoRegions, NumericalFailure, OracleTooLarge,
                      ProblemFormatError, RelubarrierError, SearchExhausted,
                      UnknownIdentifier, UnsupportedDimension, VariableOutOfRange)
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, lp_solve
+from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 from .expressions import (DynamicsSystem, Interval, evaluate, interval_evaluate,
                           parse_expression)
 from .network import ActivationIndicator, ReluNetwork, load_network, network_from_json
-from .geometry import (Polyhedron, SlicePolyhedron, bounding_box,
-                       implicit_equalities, inscribed_radius, remove_redundant)
+from .geometry import (Polyhedron, bounding_box, implicit_equalities, inscribed_radius,
+                       remove_redundant)
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       brute_force_valid_regions, build_valid_region,
                       enumerate_level_set, find_initial_region, valid_test)
@@ -47,12 +47,12 @@ __all__ = [
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifier",
     "VariableOutOfRange", "DomainError", "ProblemFormatError", "MissingField",
     "UnsupportedDimension",
-    "LpProblem", "LpOutcome", "lp_solve",
+    "LpOutcome", "lp_solve",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "parse_expression", "evaluate", "interval_evaluate", "Interval",
     "DynamicsSystem",
     "ReluNetwork", "ActivationIndicator", "network_from_json", "load_network",
-    "Polyhedron", "SlicePolyhedron", "inscribed_radius",
+    "Polyhedron", "inscribed_radius",
     "implicit_equalities", "remove_redundant", "bounding_box",
     "valid_test", "build_valid_region", "ValidRegion",
     "EnumerationResult", "enumerate_level_set", "find_initial_region",

@@ -122,11 +122,11 @@ def run_export_smt(args: argparse.Namespace) -> int:
     if wanted in ("invariance", "all"):
         queries += export_invariance(regions, problem.system, cfg, mode=mode,
                                      domain_box=domain_box)
-    if wanted in ("initial", "all") and problem.h_init is not None:
+    if wanted in ("initial", "all"):
         queries += export_set_condition(regions, problem.h_init, "initial",
                                         net.input_dim, cfg, mode=mode,
                                         domain_box=domain_box)
-    if wanted in ("unsafe", "all") and problem.h_unsafe is not None:
+    if wanted in ("unsafe", "all"):
         queries += export_set_condition(regions, problem.h_unsafe, "unsafe",
                                         net.input_dim, cfg, mode=mode,
                                         domain_box=domain_box)

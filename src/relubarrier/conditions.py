@@ -149,7 +149,7 @@ def _checked_witness(sl, points, g: Expr, cfg) -> np.ndarray:
     Every route takes its witnesses from here: a witness is a row whose
     value is below `_gate`.
     """
-    points = np.reshape(points, (-1, sl.base.dim))
+    points = np.reshape(points, (-1, sl.dim))
     values = evaluate(g, points)
     values[~(sl.contains(points, cfg.tol_feas) & np.isfinite(values))] = np.nan
     return values
@@ -173,14 +173,14 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
     form = (coeffs, const) is g's affine form coeffs.x + const."""
     sl = region.slice
     coeffs, const = form
-    outcome = sl.minimize(coeffs, cfg.tol_feas)
+    outcome = sl.minimize(coeffs, cfg.tol_feas)[0]
     if outcome.status == INFEASIBLE:
         return RegionVerdict(region.indicator, VERIFIED, "lp", vacuous=True,
                              note="slice empty")
     if outcome.status == UNBOUNDED:
         # g decreases without bound along the slice; exhibit a point in a big box
-        big = np.tile([-1e6, 1e6], (sl.base.dim, 1))
-        outcome = sl.within(big).minimize(coeffs, cfg.tol_feas)
+        big = np.tile([-1e6, 1e6], (sl.dim, 1))
+        outcome = sl.within(big).minimize(coeffs, cfg.tol_feas)[0]
         verdict = RegionVerdict(region.indicator, FALSIFIED, "lp",
                                 note="objective unbounded below")
     else:
@@ -190,7 +190,7 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
         if verdict.status == UNKNOWN:
             verdict.note = "optimum inside the float-noise band"
     if verdict.status == FALSIFIED:
-        x = outcome.point if outcome.optimal else np.full(sl.base.dim, np.nan)  # fails
+        x = outcome.point if outcome.optimal else np.full(sl.dim, np.nan)  # fails
         value = _checked_witness(sl, x, g, cfg)[0]
         if value < _gate(cfg):
             verdict.witness, verdict.witness_value = x, float(value)
@@ -221,7 +221,7 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     (which proves nothing).
     """
     sl = region.slice
-    n = sl.base.dim
+    n = sl.dim
     w, b = sl.w, sl.b
     wnorm2 = float(w @ w)
     gate = _gate(cfg)
@@ -329,7 +329,7 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
     a violation wherever it lies.
     """
     sl = region.slice
-    n = sl.base.dim
+    n = sl.dim
 
     root = bounding_box(sl, cfg.domain(n), cfg.tol_feas)
     if root is None:
@@ -343,7 +343,7 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
 
     hit = _first_witness(region, "interval", seeds, _checked_witness(sl, seeds, g, cfg), cfg)
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
-    exact = _axis_bounds(sl.base)
+    exact = _axis_bounds(sl)
     # (box, how it is contracted): "lp" by the batched LP, "tighten" by the
     # hyperplane equation, None when it already is the patch's bounding box
     # (a bounded root; a domain-clamped one takes the LP inside the domain box)

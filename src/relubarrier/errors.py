@@ -6,7 +6,7 @@ class RelubarrierError(Exception):
 
 
 class MalformedProblem(RelubarrierError):
-    """An LP or problem description has inconsistent shapes or senses."""
+    """An LP has inconsistent shapes or non-finite data."""
 
 
 class NumericalFailure(RelubarrierError):

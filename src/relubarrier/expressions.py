@@ -208,7 +208,7 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "sin": np.sin,
 
 def _eval(e, x):
     if isinstance(e, Var):
-        return x[:, e.index]
+        return x[:, e.index].copy()   # not a view: callers may write to the result
     if isinstance(e, Const):
         return np.full(x.shape[0], e.value)
     if isinstance(e, Binary):

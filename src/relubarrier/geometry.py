@@ -1,10 +1,12 @@
 """Polyhedra in inequality form and the operations the region tests need.
 
-A polyhedron is ``{x : A x <= d}``; `SlicePolyhedron.minimize` is where a
-level-set slice becomes an LP, all on one phase one.  The region test measures
-dimension by the largest inscribed ball (``inscribed_radius``), and enumeration
-finds the rows touching a slice with one batched `lp_solve` (`regions`);
-``implicit_equalities`` and ``remove_redundant`` are references for them.
+`Polyhedron` is the one feasible-set type: ``{x : A x <= d}``, on the
+hyperplane ``w.x + b = 0`` when w is given, and `Polyhedron.minimize` is the
+one place an LP is solved, all of one polyhedron's LPs on one phase one.  The
+region test measures dimension by the largest inscribed ball
+(``inscribed_radius``), and enumeration finds the rows touching a slice with
+one batched `minimize` (`regions`); ``implicit_equalities`` and
+``remove_redundant`` are references for them.
 """
 
 from __future__ import annotations
@@ -15,25 +17,30 @@ import numpy as np
 
 from .config import TOL_EQ
 from .errors import InfeasiblePolyhedron
-from .linprog import INFEASIBLE, UNBOUNDED, LpProblem, lp_solve
+from .linprog import INFEASIBLE, UNBOUNDED, lp_solve
 
 
 @dataclass
 class Polyhedron:
-    """{x : A x <= d}; rows may be redundant or duplicated."""
+    """{x : A x <= d}, on the hyperplane ``w.x + b = 0`` when w is given;
+    rows may be redundant or duplicated.  Its LPs share a phase one (``memo``)."""
 
     A: np.ndarray
     d: np.ndarray
+    w: np.ndarray | None = None
+    b: float = 0.0
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.d = np.atleast_1d(np.asarray(self.d, dtype=float))
         if self.A.shape[0] != self.d.shape[0]:
             raise ValueError(f"row mismatch: A has {self.A.shape[0]} rows, d has {self.d.shape[0]}")
-
-    @classmethod
-    def whole_space(cls, dim: int) -> "Polyhedron":
-        return cls(np.zeros((0, dim)), np.zeros(0))
+        self.b = float(self.b)
+        if self.w is not None:
+            self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
+            if self.w.shape[0] != self.dim:
+                raise ValueError("hyperplane normal does not match the polyhedron dimension")
 
     @property
     def dim(self) -> int:
@@ -44,55 +51,29 @@ class Polyhedron:
         return self.A.shape[0]
 
     def contains(self, x, tol: float = 1e-7):
-        """Whether each row of x, (m, n) -> (m,), obeys every row within tol;
-        a point (n,) is a one-row batch and gives a bool."""
-        x = np.asarray(x, dtype=float)
-        inside = np.all(np.atleast_2d(x) @ self.A.T <= self.d + tol, axis=1)
-        return inside if x.ndim == 2 else bool(inside[0])
-
-    def with_rows(self, extra_a, extra_d) -> "Polyhedron":
-        extra_a = np.atleast_2d(np.asarray(extra_a, dtype=float))
-        extra_d = np.atleast_1d(np.asarray(extra_d, dtype=float))
-        return Polyhedron(np.vstack([self.A, extra_a]), np.concatenate([self.d, extra_d]))
-
-    def within(self, box) -> "Polyhedron":
-        """The polyhedron cut to an (n, 2) box: rows ``x <= hi``, then ``-x <= -lo``."""
-        return self.with_rows(np.vstack([np.eye(self.dim), -np.eye(self.dim)]),
-                              np.concatenate([box[:, 1], -box[:, 0]]))
-
-
-@dataclass
-class SlicePolyhedron:
-    """A polyhedron on the hyperplane ``w.x + b = 0``; its LPs share a phase one (``memo``)."""
-
-    base: Polyhedron
-    w: np.ndarray
-    b: float
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        self.b = float(self.b)
-        if self.w.shape[0] != self.base.dim:
-            raise ValueError("hyperplane normal does not match the polyhedron dimension")
-
-    def contains(self, x, tol: float = 1e-7):
-        """`Polyhedron.contains`, and on the hyperplane within tol."""
+        """Whether each row of x, (m, n) -> (m,), obeys every row within tol,
+        and lies on the hyperplane within tol when there is one; a point (n,)
+        is a one-row batch and gives a bool."""
         x = np.asarray(x, dtype=float)
         rows = np.atleast_2d(x)
-        inside = self.base.contains(rows, tol) & (np.abs(rows @ self.w + self.b) <= tol)
+        inside = np.all(rows @ self.A.T <= self.d + tol, axis=1)
+        if self.w is not None:
+            inside &= np.abs(rows @ self.w + self.b) <= tol
         return inside if x.ndim == 2 else bool(inside[0])
 
-    def within(self, box) -> "SlicePolyhedron":
-        """The slice cut to an (n, 2) box (see `Polyhedron.within`)."""
-        return SlicePolyhedron(self.base.within(box), self.w, self.b)
+    def within(self, box) -> "Polyhedron":
+        """The polyhedron cut to an (n, 2) box: rows ``x <= hi``, then
+        ``-x <= -lo``; the same hyperplane, a fresh memo."""
+        eye = np.eye(self.dim)
+        return Polyhedron(np.vstack([self.A, eye, -eye]),
+                          np.concatenate([self.d, box[:, 1], -box[:, 0]]), self.w, self.b)
 
     def minimize(self, objective, tol_feas: float = 1e-7):
-        """min objective.x over the slice (equality handled natively); a
-        ``(k, n)`` objective is k LPs sharing one phase one."""
-        problem = LpProblem(objective, self.base.A, self.base.d,
-                            self.w[None, :], np.array([-self.b]))
-        return lp_solve(problem, tol_feas=tol_feas, memo=self.memo)
+        """min objective.x over the polyhedron (the hyperplane as an equality
+        row), one LpOutcome per row of objective; a ``(k, n)`` objective is
+        k LPs sharing one phase one."""
+        eq = (None, None) if self.w is None else (self.w[None, :], np.array([-self.b]))
+        return lp_solve(objective, self.A, self.d, *eq, tol_feas=tol_feas, memo=self.memo)
 
 
 def slice_charges(A: np.ndarray, w) -> np.ndarray:
@@ -116,16 +97,13 @@ def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
     norms = np.linalg.norm(p.A, axis=1)
     scale = np.where(norms > 0.0, norms, 1.0)
     rows = p.A / scale[:, None]
-    c, eq_a, eq_d = (norms > 0.0).astype(float), None, None
-    if w is not None:
-        c = slice_charges(p.A, w)
-        eq_a, eq_d = np.append(w, 0.0)[None, :], np.array([-float(b)])
+    c = (norms > 0.0).astype(float) if w is None else slice_charges(p.A, w)
     e_r = np.eye(p.dim + 1)[-1]
-    a_ub = np.vstack([np.column_stack([rows, c]), e_r, -e_r])
-    b_ub = np.concatenate([p.d / scale, [1.0, 0.0]])
-    outcome = lp_solve(LpProblem(e_r, a_ub, b_ub, eq_a, eq_d, sense="max"),
-                       tol_feas=tol_feas)
-    return outcome.value if outcome.optimal else None
+    ball = Polyhedron(np.vstack([np.column_stack([rows, c]), e_r, -e_r]),
+                      np.concatenate([p.d / scale, [1.0, 0.0]]),
+                      None if w is None else np.append(w, 0.0), b)
+    outcome = ball.minimize(-e_r, tol_feas)[0]   # max r
+    return -outcome.value if outcome.optimal else None
 
 
 def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
@@ -135,15 +113,14 @@ def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
     Decided by the min/max LP pair per row; a row is implicit when both
     optima exist and coincide within tol_eq (relative to the row's magnitude).
     """
-    if not lp_solve(LpProblem(np.zeros(p.dim), p.A, p.d), tol_feas=tol_feas).optimal:
+    if not p.minimize(np.zeros(p.dim), tol_feas)[0].optimal:
         raise InfeasiblePolyhedron("implicit equalities of an empty polyhedron")
     implicit = []
     for j in range(p.num_rows):
         row = p.A[j]
-        lo = lp_solve(LpProblem(row, p.A, p.d, sense="min"), tol_feas=tol_feas)
-        hi = lp_solve(LpProblem(row, p.A, p.d, sense="max"), tol_feas=tol_feas)
+        lo, neg_hi = p.minimize(row, tol_feas)[0], p.minimize(-row, tol_feas)[0]
         scale = max(1.0, float(np.max(np.abs(row))))
-        if lo.optimal and hi.optimal and hi.value - lo.value <= tol_eq * scale:
+        if lo.optimal and neg_hi.optimal and -neg_hi.value - lo.value <= tol_eq * scale:
             implicit.append(j)
     return implicit
 
@@ -155,31 +132,30 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     Rows are scanned in ascending index order against the shrinking system,
     so of k duplicate rows exactly one (the last) survives.
     """
-    if not lp_solve(LpProblem(np.zeros(p.dim), p.A, p.d), tol_feas=tol_feas).optimal:
+    if not p.minimize(np.zeros(p.dim), tol_feas)[0].optimal:
         raise InfeasiblePolyhedron("cannot reduce an empty polyhedron")
     keep = list(range(p.num_rows))
     for j in range(p.num_rows):
         others = [k for k in keep if k != j]
-        outcome = lp_solve(LpProblem(p.A[j], p.A[others], p.d[others], sense="max"),
-                           tol_feas=tol_feas)
+        outcome = Polyhedron(p.A[others], p.d[others]).minimize(-p.A[j], tol_feas)[0]
         if outcome.status == UNBOUNDED:
             continue
-        if not outcome.optimal or outcome.value <= p.d[j] + tol_feas:
+        if not outcome.optimal or -outcome.value <= p.d[j] + tol_feas:
             keep.remove(j)
     return Polyhedron(p.A[keep], p.d[keep])
 
 
-def bounding_box(sl: SlicePolyhedron, domain: np.ndarray | None = None,
+def bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,
                  tol_feas: float = 1e-7):
     """Coordinate-wise bounds of a slice: the min and max of each
-    coordinate, 2n objectives solved by one batched `lp_solve` (one phase
+    coordinate, 2n objectives solved by one batched `minimize` (one phase
     one, each phase two warm-started from the previous optimum).
 
     Returns (box (n,2), sample points, restricted) or None when infeasible;
     ``restricted`` is set when an unbounded coordinate was clamped to the
     supplied domain box.
     """
-    dim = sl.base.dim
+    dim = sl.dim
     # objectives x1, -x1, x2, -x2, ...: minimising -x_i gives max x_i
     signs = np.tile([1.0, -1.0], dim)
     outcomes = sl.minimize(np.repeat(np.eye(dim), 2, axis=0) * signs[:, None], tol_feas)

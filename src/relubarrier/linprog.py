@@ -12,10 +12,13 @@ obvious basic column.  Pivoting uses Dantzig's rule until a run of
 degenerate pivots is detected, then falls back to Bland's rule, which
 guarantees termination.
 
-Several objectives over one feasible set (a ``(k, n)`` objective) share one
-tableau and one phase one; each phase two starts from the basis the previous
-one ended in.  A single objective is the k = 1 case of the same code.  A
-memo keeps the phase one for later calls, each of which pivots a copy.
+`lp_solve` takes one LP as arrays, always minimises (a maximum is the
+negated minimum of the negated objective) and always returns one outcome
+per objective row.  Several objectives over one feasible set (a ``(k, n)``
+objective) share one tableau and one phase one; each phase two starts from
+the basis the previous one ended in.  A single objective is the k = 1 case
+of the same code.  A memo keeps the phase one for later calls, each of which
+pivots a copy.
 """
 
 from __future__ import annotations
@@ -37,39 +40,6 @@ _COST_TOL = 1e-9
 # consecutive degenerate pivots tolerated before switching to Bland's rule
 _DEGENERATE_LIMIT = 40
 _MAX_ITER = 20_000
-
-
-@dataclass
-class LpProblem:
-    """min/max ``objective . x`` s.t. ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
-
-    Variables are free (the solver handles the sign split internally).  A
-    ``(k, n)`` objective stands for k problems over the same constraints.
-    """
-
-    objective: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    sense: str = "min"
-
-    def __post_init__(self):
-        self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = self.objective.shape[-1]
-        if self.objective.ndim > 2:
-            raise MalformedProblem("objective must be a vector or a matrix of row vectors")
-        if self.sense not in ("min", "max"):
-            raise MalformedProblem(f"sense must be 'min' or 'max', got {self.sense!r}")
-        self.a_ub, self.b_ub = _normalize_system(self.a_ub, self.b_ub, n, "ub")
-        self.a_eq, self.b_eq = _normalize_system(self.a_eq, self.b_eq, n, "eq")
-        for arr in (self.objective, self.a_ub, self.b_ub, self.a_eq, self.b_eq):
-            if not np.isfinite(arr).all():
-                raise MalformedProblem("problem data must be finite")
-
-    @property
-    def num_vars(self) -> int:
-        return self.objective.shape[-1]
 
 
 @dataclass
@@ -170,14 +140,14 @@ def _run_simplex(T, basis):
     raise NumericalFailure("simplex iteration budget exhausted")
 
 
-def _build_tableau(problem):
+def _build_tableau(a_ub, b_ub, a_eq, b_eq):
     """Standard-form tableau with rhs >= 0 plus bookkeeping indices."""
-    n = problem.num_vars
-    m_ub = problem.a_ub.shape[0]
-    m_eq = problem.a_eq.shape[0]
+    n = a_ub.shape[1]
+    m_ub = a_ub.shape[0]
+    m_eq = a_eq.shape[0]
     m = m_ub + m_eq
-    a = np.vstack([problem.a_ub, problem.a_eq])
-    b = np.concatenate([problem.b_ub, problem.b_eq])
+    a = np.vstack([a_ub, a_eq])
+    b = np.concatenate([b_ub, b_eq])
     flip = b < 0
     a = np.where(flip[:, None], -a, a)
     b = np.where(flip, -b, b)
@@ -243,44 +213,50 @@ def _phase_one(T, basis, art_cols, tol_feas):
     return True, T, basis
 
 
-def lp_solve(problem: LpProblem, tol_feas: float = 1e-7,
-             memo: dict | None = None) -> LpOutcome | LpOutcomes:
-    """Solve a small dense LP; unboundedness and infeasibility are ordinary
-    outcomes, not errors.
+def lp_solve(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+             tol_feas: float = 1e-7, memo: dict | None = None) -> LpOutcomes:
+    """min ``objective . x`` s.t. ``a_ub x <= b_ub`` and ``a_eq x = b_eq``,
+    over free variables; unboundedness and infeasibility are ordinary
+    outcomes, not errors.  A maximum is the negated minimum of the negated
+    objective.
 
-    A ``(k, n)`` objective is solved as k LPs over one feasible set: one
-    tableau and one phase one, then one phase two per objective, each
-    starting from the basis the previous one ended in (optimal, or still
-    feasible where it proved unboundedness).  It returns LpOutcomes, one per
-    row; a vector objective returns its single LpOutcome.
+    Each row of a ``(k, n)`` objective is one LP over the same feasible set
+    (a vector is one row): one tableau and one phase one, then one phase two
+    per row, each starting from the basis the previous one ended in (optimal,
+    or still feasible where it proved unboundedness).  Returns LpOutcomes,
+    one per row.
 
     ``memo``, a dict owned by one fixed feasible set, keeps the phase-one
     state per tol_feas; phase two pivots a copy, as if solved cold.
     """
-    objectives = np.atleast_2d(problem.objective)
-    sign = 1.0 if problem.sense == "min" else -1.0
+    objectives = np.atleast_2d(np.asarray(objective, dtype=float))
+    if objectives.ndim > 2:
+        raise MalformedProblem("objective must be a vector or a matrix of row vectors")
+    n = objectives.shape[1]
+    a_ub, b_ub = _normalize_system(a_ub, b_ub, n, "ub")
+    a_eq, b_eq = _normalize_system(a_eq, b_eq, n, "eq")
+    for arr in (objectives, a_ub, b_ub, a_eq, b_eq):
+        if not np.isfinite(arr).all():
+            raise MalformedProblem("problem data must be finite")
 
     memo = {} if memo is None else memo
     if tol_feas not in memo:
-        T, basis, n_struct, art_cols = _build_tableau(problem)
+        T, basis, n_struct, art_cols = _build_tableau(a_ub, b_ub, a_eq, b_eq)
         feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
         # drop artificial columns (they sit at the end, so basis indices survive)
         memo[tol_feas] = feasible, np.delete(T, np.s_[n_struct:-1], axis=1), basis, n_struct
     feasible, T, basis, n_struct = memo[tol_feas]
     if not feasible:
-        outcomes = [LpOutcome(INFEASIBLE) for _ in objectives]
-    else:
-        T, basis = T.copy(), basis.copy()
-        outcomes = [_phase_two(problem, T, basis, objective, sign, n_struct, tol_feas)
-                    for objective in objectives]
-    return outcomes[0] if problem.objective.ndim == 1 else LpOutcomes(outcomes)
+        return LpOutcomes(LpOutcome(INFEASIBLE) for _ in objectives)
+    T, basis = T.copy(), basis.copy()
+    system = (a_ub, b_ub, a_eq, b_eq)
+    return LpOutcomes(_phase_two(system, T, basis, c, n_struct, tol_feas) for c in objectives)
 
 
-def _phase_two(problem, T, basis, objective, sign, n_struct, tol_feas) -> LpOutcome:
-    """min ``sign * objective . x`` from the feasible basis in (T, basis),
-    pivoting T and basis in place."""
-    n = problem.num_vars
-    c = sign * objective
+def _phase_two(system, T, basis, c, n_struct, tol_feas) -> LpOutcome:
+    """min ``c . x`` from the feasible basis in (T, basis), pivoting T and
+    basis in place."""
+    n = c.shape[0]
     c_std = np.zeros(n_struct)
     c_std[:n] = c
     c_std[n:2 * n] = -c
@@ -295,18 +271,19 @@ def _phase_two(problem, T, basis, objective, sign, n_struct, tol_feas) -> LpOutc
     x_std = np.zeros(n_struct)
     x_std[basis] = T[:-1, -1]
     x = x_std[:n] - x_std[n:2 * n]
-    value = float(objective @ x)
-    _check_feasible(problem, x, tol_feas)
+    value = float(c @ x)
+    _check_feasible(system, x, tol_feas)
     return LpOutcome(OPTIMAL, value=value, point=x)
 
 
-def _check_feasible(problem, x, tol_feas):
+def _check_feasible(system, x, tol_feas):
+    a_ub, b_ub, a_eq, b_eq = system
     scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-    if problem.a_ub.shape[0]:
-        viol = float((problem.a_ub @ x - problem.b_ub).max())
+    if a_ub.shape[0]:
+        viol = float((a_ub @ x - b_ub).max())
         if viol > 100 * tol_feas * scale:
             raise NumericalFailure(f"solver returned infeasible point (ub slack {viol:.3g})")
-    if problem.a_eq.shape[0]:
-        viol = float(np.abs(problem.a_eq @ x - problem.b_eq).max())
+    if a_eq.shape[0]:
+        viol = float(np.abs(a_eq @ x - b_eq).max())
         if viol > 100 * tol_feas * scale:
             raise NumericalFailure(f"solver returned infeasible point (eq residual {viol:.3g})")

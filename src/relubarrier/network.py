@@ -114,16 +114,6 @@ class ReluNetwork:
             z = np.maximum(z @ w.T + b, 0.0)
         return z @ self.output_weights + self.output_bias
 
-    def preactivations(self, x) -> list[np.ndarray]:
-        """Per-layer pre-activation vectors at x."""
-        z = np.asarray(x, dtype=float)
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            pre = w @ z + b
-            out.append(pre)
-            z = np.maximum(pre, 0.0)
-        return out
-
     # -- the affine piece of one indicator ------------------------------------
 
     def piece(self, ind: ActivationIndicator) -> tuple[Polyhedron, np.ndarray, float]:

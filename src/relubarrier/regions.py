@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
-from .geometry import Polyhedron, SlicePolyhedron, inscribed_radius, slice_charges
+from .geometry import Polyhedron, inscribed_radius, slice_charges
 from .linprog import INFEASIBLE
 from .network import ActivationIndicator, ReluNetwork
 
@@ -37,7 +37,7 @@ class ValidRegion:
 
     indicator: ActivationIndicator
     constraints: Polyhedron        # the region's distinct nonzero rows
-    slice: SlicePolyhedron         # the rows touching {w.x + b = 0}, on that hyperplane
+    slice: Polyhedron              # the rows touching {w.x + b = 0}, on that hyperplane
     facet_points: list[np.ndarray] = field(default_factory=list)  # one per touching row
 
     @property
@@ -101,14 +101,13 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     keep = [j for j in sorted(first) if region.A[j].any()]
     exact = Polyhedron(region.A[keep], region.d[keep])
     if not w.any():
-        return ValidRegion(ind, exact, SlicePolyhedron(exact, w, b))
-    tops = SlicePolyhedron(exact, w, b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
+        return ValidRegion(ind, exact, Polyhedron(exact.A, exact.d, w, b))
+    tops = Polyhedron(exact.A, exact.d, w, b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
     if tops.status == INFEASIBLE:
         raise NumericalFailure(f"valid region {ind.compact()} has an empty slice")
     touching = [j for j, top in enumerate(tops)
                 if top.optimal and -top.value >= exact.d[j] - cfg.tol_feas]
-    rows = Polyhedron(exact.A[touching], exact.d[touching])
-    return ValidRegion(ind, exact, SlicePolyhedron(rows, w, b),
+    return ValidRegion(ind, exact, Polyhedron(exact.A[touching], exact.d[touching], w, b),
                        facet_points=[tops[j].point for j in touching])
 
 
@@ -124,11 +123,13 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
     one of its ends (float resolution).  The indicators feasible at the
     h < 0 end are then validity-tested in key order, and one whose validity
     LPs fail numerically counts as invalid; when none is valid, or more than
-    BRANCH_CAP neurons are zero there, the next attempt draws anew.
+    BRANCH_CAP neurons are zero there, the next attempt draws anew.  The
+    SearchExhausted message counts the candidates that failed numerically.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     domain = cfg.domain(net.input_dim)
+    failed = 0
     for attempt in range(1, cfg.max_attempts + 1):
         xs = rng.uniform(domain[:, 0], domain[:, 1], size=(2000, net.input_dim))
         h = net.forward_many(xs)
@@ -152,10 +153,13 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
             try:
                 region = build_valid_region(net, ind, cfg)
             except NumericalFailure:
+                failed += 1
                 continue   # counts as invalid, as in propagation
             if region is not None:
                 return region, {"attempts": attempt}
-    raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts")
+    raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts"
+                          + (f"; {failed} candidates failed their validity LP numerically"
+                             if failed else ""))
 
 
 # -- boundary propagation ---------------------------------------------------------

@@ -76,8 +76,7 @@ def _affine_terms(coeffs, const) -> str:
 def _region_conjuncts(region, domain_box=None) -> list[str]:
     w, b = region.slice.w, region.slice.b
     conj = [f"(= {_affine_terms(w, b)} 0)"]
-    rows = region.slice.base   # the region's rows that touch the slice
-    for a, d in zip(rows.A, rows.d):
+    for a, d in zip(region.slice.A, region.slice.d):   # the rows touching the slice
         conj.append(f"(<= {_affine_terms(a, 0.0)} {format_number(d)})")
     if domain_box is not None:
         for i, (lo, hi) in enumerate(domain_box):

@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, LpProblem,
-                         Polyhedron, SlicePolyhedron, evaluate, implicit_equalities,
-                         lp_solve)
+from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, Polyhedron, evaluate,
+                         implicit_equalities, lp_solve)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import BAB_MIN_WIDTH, FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
 from relubarrier.network import ReluNetwork
@@ -206,23 +205,27 @@ def dimension(p: Polyhedron, tol_eq: float = TOL_EQ, tol_rank: float = 1e-8,
     return p.dim - matrix_rank(p.A[implicit], tol_rank=tol_rank)
 
 
+def whole_space(dim: int, w=None, b: float = 0.0) -> Polyhedron:
+    """R^dim as a polyhedron with no rows, on ``w.x + b = 0`` when w is given."""
+    return Polyhedron(np.zeros((0, dim)), np.zeros(0), w, b)
+
+
 def slice_full(sl) -> Polyhedron:
-    """A SlicePolyhedron in pure-inequality form: base rows, then
+    """A polyhedron on a hyperplane in pure-inequality form: its rows, then
     ``w.x <= -b``, then ``-w.x <= b``."""
-    return sl.base.with_rows(np.vstack([sl.w, -sl.w]), np.array([-sl.b, sl.b]))
+    return Polyhedron(np.vstack([sl.A, sl.w, -sl.w]), np.concatenate([sl.d, [-sl.b, sl.b]]))
 
 
 def feasible_point(a_ub, b_ub, a_eq=None, b_eq=None, tol_feas: float = 1e-7):
     """A point of {a_ub x <= b_ub, a_eq x = b_eq} by a zero-objective LP, or
     None when the system is empty."""
-    out = lp_solve(LpProblem(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq),
-                   tol_feas=tol_feas)
+    out = lp_solve(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq, tol_feas=tol_feas)[0]
     return out.point if out.optimal else None
 
 
 def slice_feasible_point(sl, tol_feas: float = 1e-7):
-    """A point of a SlicePolyhedron, or None when it is empty."""
-    return feasible_point(sl.base.A, sl.base.d, sl.w[None, :], np.array([-sl.b]), tol_feas)
+    """A point of a polyhedron on a hyperplane, or None when it is empty."""
+    return feasible_point(sl.A, sl.d, sl.w[None, :], np.array([-sl.b]), tol_feas)
 
 
 def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
@@ -238,7 +241,7 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
         return False
     if not w.any():
         return bool(b == 0.0)
-    sliced = slice_full(SlicePolyhedron(region, w, b))
+    sliced = slice_full(Polyhedron(region.A, region.d, w, b))
     if feasible_point(sliced.A, sliced.d, tol_feas=cfg.tol_feas) is None:
         return False
     return dimension(sliced, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) == region.dim - 1
@@ -283,9 +286,8 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
     t = np.array([-w[1], w[0]])
     a_rows, d_vals = region.constraints.A, region.constraints.d
     ends = []
-    for sense in ("min", "max"):
-        out = lp_solve(LpProblem(t, a_rows, d_vals, w[None, :],
-                                 np.array([-b]), sense=sense))
+    for direction in (t, -t):   # the two ends: min and max of t.x
+        out = lp_solve(direction, a_rows, d_vals, w[None, :], np.array([-b]))[0]
         if out.status == UNBOUNDED:
             # clamp an unbounded slice with the standard domain box (or a
             # big box when the slice misses it); the grid then covers a
@@ -294,8 +296,7 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
                 boxed_a = np.vstack([a_rows, np.eye(2), -np.eye(2)])
                 boxed_d = np.concatenate([d_vals, np.full(2, half),
                                           np.full(2, half)])
-                out = lp_solve(LpProblem(t, boxed_a, boxed_d, w[None, :],
-                                         np.array([-b]), sense=sense))
+                out = lp_solve(direction, boxed_a, boxed_d, w[None, :], np.array([-b]))[0]
                 if out.optimal:
                     break
         assert out.optimal, f"segment endpoint LP came back {out.status}"
@@ -313,7 +314,7 @@ def reference_falsify(region, g, cfg, rng):
     stage "vertex" or "pattern", or None when the search finds nothing.
     """
     sl = region.slice
-    n = sl.base.dim
+    n = sl.dim
     w, b = sl.w, sl.b
     wnorm2 = float(w @ w)
     gate = -max(cfg.tol_margin, FALSIFY_GATE)

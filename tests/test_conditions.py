@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ActivationIndicator, DynamicsSystem, NoRegions, Polyhedron,
-                         ReluNetwork, SlicePolyhedron, boundary_propagation,
+                         ReluNetwork, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_unsafe_condition, enumerate_level_set, evaluate, load_problem,
@@ -23,7 +23,8 @@ from relubarrier.geometry import bounding_box
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      ill_scaled_deep_net, load_bench_module, random_hidden_net,
-                     reference_falsify, slice_grid, strip_net, write_problem, CUBIC2D)
+                     reference_falsify, slice_grid, strip_net, whole_space, write_problem,
+                     CUBIC2D)
 
 
 def ind(*bits):
@@ -331,7 +332,7 @@ def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
     for region in regions:
         events.clear()
         conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
-        exact = conditions._axis_bounds(region.slice.base)
+        exact = conditions._axis_bounds(region.slice)
         pts = slice_grid(region, 2000)
         for (kind, cbox), (next_kind, box) in zip(events, events[1:]):
             if next_kind != "enclose":
@@ -379,7 +380,7 @@ def test_tighten_keeps_every_hyperplane_point_of_the_box():
             assert np.all((xs >= tight[:, 0]) & (xs <= tight[:, 1]))
             checked += len(xs)
             if n == 2:
-                line = SlicePolyhedron(Polyhedron.whole_space(2), w, b).within(box)
+                line = whole_space(2, w, b).within(box)
                 lp_box, _points, _restricted = bounding_box(line, tol_feas=tol)
                 np.testing.assert_allclose(tight, lp_box, rtol=0.0, atol=tol)
     assert checked >= 20_000
@@ -440,9 +441,9 @@ def test_bab_lp_count_on_the_flat_patch(monkeypatch):
 
     def logged(sl, domain=None, tol_feas=DEFAULT_CONFIG.tol_feas):
         out = original(sl, domain, tol_feas)
-        n = sl.base.dim
+        n = sl.dim
         given = None if domain is not None else np.column_stack(
-            [-sl.base.d[-n:], sl.base.d[-2 * n:-n]])   # rows x <= hi, then -x <= -lo
+            [-sl.d[-n:], sl.d[-2 * n:-n]])   # rows x <= hi, then -x <= -lo
         calls.append((given, None if out is None else out[0]))
         return out
 
@@ -760,7 +761,7 @@ def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
     net, region = first_quadrant_region()
     line = line_net()
     line_region = build_valid_region(line, brute_force_valid_regions(line)[0])
-    monkeypatch.setattr(SlicePolyhedron, "contains",
+    monkeypatch.setattr(Polyhedron, "contains",
                         lambda self, x, tol=1e-7: np.zeros(len(x), dtype=bool))
     bounded = check_invariance(net, [region], DynamicsSystem.parse(["1", "0"], dim=2))
     unbounded = check_invariance(line, [line_region],
@@ -945,6 +946,19 @@ def test_verify_certificate_where_validity_lps_fail_numerically():
     verdict = verify_certificate(ill_scaled_deep_net(2), sys, h_init, h_unsafe)
     assert verdict.failure is None and verdict.enumeration.partial
     assert verdict.overall == FALSIFIED
+
+
+def test_search_exhausted_counts_the_candidates_that_failed_numerically():
+    """A seed search whose candidates are invalid or fail their validity LP
+    says how many failed, rather than only that no region was found."""
+    sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
+    h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
+    h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
+    verdict = verify_certificate(ill_scaled_deep_net(1), sys, h_init, h_unsafe)
+    assert verdict.failure == {
+        "kind": "search-exhausted",
+        "detail": "no valid region found in 50 attempts; "
+                  "18 candidates failed their validity LP numerically"}
 
 
 def test_verify_certificate_constant_network_structured_failure():

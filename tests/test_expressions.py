@@ -95,6 +95,16 @@ def test_batch_evaluation_matches_pointwise():
     assert np.allclose(batch, single)
 
 
+def test_evaluate_returns_a_fresh_array_never_a_view_of_the_rows():
+    """A caller may write to the values (the witness check marks rows NaN)
+    without changing the rows it passed in."""
+    xs = np.array([[1.0, 2.0], [3.0, 4.0]])
+    values = evaluate(parse_expression("x1", 2), xs)
+    assert not np.shares_memory(values, xs)
+    values[:] = np.nan
+    assert xs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 NAN_ROWS = {   # the rows x1 = -1, -0, 0, 0.5, 1, 2 where text is undefined
     "1/x1": [0, 1, 1, 0, 0, 0],
     "ln(x1)": [1, 1, 1, 0, 0, 0],

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relubarrier import InfeasiblePolyhedron
-from relubarrier.geometry import (Polyhedron, SlicePolyhedron, bounding_box,
-                                  implicit_equalities, inscribed_radius,
-                                  remove_redundant)
-from relubarrier.linprog import INFEASIBLE, OPTIMAL, LpProblem, lp_solve
+from relubarrier.geometry import (Polyhedron, bounding_box, implicit_equalities,
+                                  inscribed_radius, remove_redundant)
+from relubarrier.linprog import INFEASIBLE, OPTIMAL, lp_solve
 
-from helpers import dimension, slice_feasible_point, slice_full
+from helpers import dimension, slice_feasible_point, slice_full, whole_space
 
 QUADRANT = Polyhedron(-np.eye(2), np.zeros(2))
 DIAMOND_SLICE = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0],
@@ -44,7 +43,7 @@ def test_implicit_added_pair_detected():
     both new rows implicit."""
     w = np.array([1.0, 2.0])
     c = float(w @ np.array([0.5, 0.5]))
-    p = QUADRANT.with_rows(np.stack([w, -w]), np.array([c, -c]))
+    p = Polyhedron(np.vstack([QUADRANT.A, w, -w]), np.concatenate([QUADRANT.d, [c, -c]]))
     implicit = implicit_equalities(p)
     assert 2 in implicit and 3 in implicit
 
@@ -64,7 +63,7 @@ def test_dimension_point():
 
 
 def test_dimension_whole_space():
-    assert dimension(Polyhedron.whole_space(3)) == 3
+    assert dimension(whole_space(3)) == 3
 
 
 def test_remove_redundant_duplicates():
@@ -83,7 +82,7 @@ def test_remove_redundant_dominated():
 
 def test_remove_redundant_slack_row_dropped():
     # first quadrant plus x1 + x2 >= -1: the extra row cannot bind
-    p = QUADRANT.with_rows(np.array([[-1.0, -1.0]]), np.array([1.0]))
+    p = Polyhedron(np.vstack([QUADRANT.A, [-1.0, -1.0]]), np.append(QUADRANT.d, 1.0))
     reduced = remove_redundant(p)
     assert reduced.num_rows == 2
 
@@ -109,7 +108,7 @@ def test_inscribed_radius_region_and_slice():
 
 
 def test_slice_of_diamond_quadrant():
-    sl = SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0)
+    sl = Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0)
     full = slice_full(sl)
     assert full.num_rows == 4
     assert implicit_equalities(full) == [2, 3]
@@ -117,7 +116,7 @@ def test_slice_of_diamond_quadrant():
 
 
 def test_slice_of_whole_space_is_axis():
-    sl = SlicePolyhedron(Polyhedron.whole_space(2), np.array([1.0, 0.0]), 0.0)
+    sl = whole_space(2, np.array([1.0, 0.0]), 0.0)
     assert dimension(slice_full(sl)) == 1
     x = slice_feasible_point(sl)
     assert x is not None
@@ -125,21 +124,33 @@ def test_slice_of_whole_space_is_axis():
 
 
 def test_slice_of_empty_base_infeasible():
-    base = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
-    sl = SlicePolyhedron(base, np.array([0.0, 1.0]), 0.0)
+    sl = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]),
+                    np.array([0.0, 1.0]), 0.0)
     assert slice_feasible_point(sl) is None
 
 
 def test_slice_minimize():
-    sl = SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0)
-    out = sl.minimize(np.array([1.0, 0.0]))
+    sl = Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0)
+    out = sl.minimize(np.array([1.0, 0.0]))[0]
     assert out.status == "optimal"
     assert out.value == pytest.approx(0.0, abs=1e-9)
 
 
+def test_a_hyperplane_adds_one_test_to_contains_and_survives_within():
+    sl = Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0)
+    xs = np.array([[0.5, 0.5], [0.25, 0.25], [-0.5, 1.5]])
+    assert QUADRANT.contains(xs).tolist() == [True, True, False]
+    assert sl.contains(xs).tolist() == [True, False, False]
+    sl.minimize(np.array([1.0, 0.0]))
+    assert set(sl.memo) == {1e-7}   # the phase one kept for the next call
+    cut = sl.within(np.array([[0.0, 0.25], [0.0, 1.0]]))
+    assert cut.memo == {} and np.array_equal(cut.w, sl.w) and cut.b == sl.b
+    assert cut.minimize(np.array([0.0, 1.0]))[0].value == pytest.approx(0.75)
+
+
 def test_bounding_box_segment():
     box, samples, restricted = bounding_box(
-        SlicePolyhedron(QUADRANT, np.array([-1.0, -1.0]), 1.0),
+        Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0),
         domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert not restricted
     assert box[:, 0] == pytest.approx([0.0, 0.0], abs=1e-7)
@@ -151,7 +162,7 @@ def test_bounding_box_unbounded_sides_clamp_to_domain():
     # half-plane x1 <= 0 with no other bounds (a zero hyperplane normal cuts
     # nothing): x2 sides come from the domain
     box, _samples, restricted = bounding_box(
-        SlicePolyhedron(Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0])), np.zeros(2), 0.0),
+        Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]), np.zeros(2), 0.0),
         domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert restricted
     assert box[0, 0] == pytest.approx(-3.0)
@@ -161,7 +172,7 @@ def test_bounding_box_unbounded_sides_clamp_to_domain():
 
 def test_bounding_box_infeasible_returns_none():
     empty = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
-    out = bounding_box(SlicePolyhedron(empty, np.zeros(2), 0.0),
+    out = bounding_box(Polyhedron(empty.A, empty.d, np.zeros(2), 0.0),
                        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert out is None
 
@@ -172,7 +183,7 @@ def test_bounded_sides_never_clamped():
     a = np.array([[1.0, 0.0], [-1.0, 0.0]])
     d = np.array([7.0, -5.0])
     box, _samples, _restricted = bounding_box(
-        SlicePolyhedron(Polyhedron(a, d), np.array([0.0, 1.0]), 0.0),
+        Polyhedron(a, d, np.array([0.0, 1.0]), 0.0),
         domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert box[0, 0] == pytest.approx(5.0, abs=1e-7)
     assert box[0, 1] == pytest.approx(7.0, abs=1e-7)
@@ -190,9 +201,8 @@ def test_bounding_box_matches_per_coordinate_lps():
         d = rng.normal(size=a.shape[0]) + (1.0 if trial % 4 else -1.0)
         w = rng.normal(size=(1, n))
         b = rng.normal(size=1)
-        out = bounding_box(SlicePolyhedron(Polyhedron(a, d), w[0], -b[0]), domain=domain[:n])
-        singles = [lp_solve(LpProblem(unit, a, d, w, b, sense=sense))
-                   for unit in np.eye(n) for sense in ("min", "max")]
+        out = bounding_box(Polyhedron(a, d, w[0], -b[0]), domain=domain[:n])
+        singles = [lp_solve(sign * unit, a, d, w, b)[0] for unit in np.eye(n) for sign in (1, -1)]
         if out is None:
             assert all(o.status == INFEASIBLE for o in singles)
             outcomes.add("empty")
@@ -203,10 +213,10 @@ def test_bounding_box_matches_per_coordinate_lps():
         assert len(points) == len(optima)
         for k, single in enumerate(singles):
             i, side = divmod(k, 2)
-            want = single.value if single.status == OPTIMAL else domain[i, side]
+            want = (1, -1)[side] * single.value if single.status == OPTIMAL else domain[i, side]
             assert box[i, side] == pytest.approx(want, abs=1e-7)
         for x in points:
-            assert SlicePolyhedron(Polyhedron(a, d), w[0], -b[0]).contains(x, 1e-7)
+            assert Polyhedron(a, d, w[0], -b[0]).contains(x, 1e-7)
         outcomes.add("clamped" if restricted else "bounded")
     assert outcomes == {"empty", "clamped", "bounded"}
 
@@ -244,5 +254,5 @@ def test_dimension_stable_under_reduction_and_redundant_rows(case):
     dim_before = dimension(p)
     assert dimension(remove_redundant(p)) == dim_before
     # append a row implied by an existing one (relaxed copy of row 0)
-    extra = p.with_rows(p.A[[0]], p.d[[0]] + 1.0)
+    extra = Polyhedron(np.vstack([p.A, p.A[0]]), np.append(p.d, p.d[0] + 1.0))
     assert dimension(extra) == dim_before

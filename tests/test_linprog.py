@@ -1,20 +1,23 @@
 """Simplex solver tests against frozen values and a vertex-enumeration oracle."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from relubarrier import NumericalFailure
-from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcomes, LpProblem,
-                                 lp_solve)
+from relubarrier.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcomes, lp_solve
 
 from helpers import matrix_rank, vertex_minimum
 
 
 def test_box_minimum():
-    # min x1 subject to 0 <= x1 <= 1
-    out = lp_solve(LpProblem(np.array([1.0]),
-                             a_ub=np.array([[1.0], [-1.0]]),
-                             b_ub=np.array([1.0, 0.0])))
+    # min x1 subject to 0 <= x1 <= 1; a vector objective is one row
+    outcomes = lp_solve(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
+                        b_ub=np.array([1.0, 0.0]))
+    assert isinstance(outcomes, LpOutcomes) and len(outcomes) == 1
+    out = outcomes[0]
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(0.0, abs=1e-9)
     assert out.point[0] == pytest.approx(0.0, abs=1e-9)
@@ -22,35 +25,30 @@ def test_box_minimum():
 
 def test_contradictory_bounds_infeasible():
     # x1 <= 0 and x1 >= 1 cannot hold together
-    out = lp_solve(LpProblem(np.array([1.0]),
-                             a_ub=np.array([[1.0], [-1.0]]),
-                             b_ub=np.array([0.0, -1.0])))
+    out = lp_solve(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
+                   b_ub=np.array([0.0, -1.0]))[0]
     assert out.status == INFEASIBLE
     assert out.point is None
 
 
 def test_unbounded_ray():
-    out = lp_solve(LpProblem(np.array([1.0]),
-                             a_ub=np.array([[1.0]]),
-                             b_ub=np.array([0.0])))
+    out = lp_solve(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]))[0]
     assert out.status == UNBOUNDED
 
 
 def test_segment_optimum():
     # min x1 + x2 on the segment x1 + x2 = 1, x >= 0: constant value 1
-    out = lp_solve(LpProblem(np.array([1.0, 1.0]),
-                             a_ub=-np.eye(2), b_ub=np.zeros(2),
-                             a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])))
+    out = lp_solve(np.array([1.0, 1.0]), a_ub=-np.eye(2), b_ub=np.zeros(2),
+                   a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))[0]
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_maximize_sense():
-    out = lp_solve(LpProblem(np.array([1.0]),
-                             a_ub=np.array([[1.0], [-1.0]]),
-                             b_ub=np.array([2.0, 0.0]), sense="max"))
+def test_maximum_is_the_negated_minimum_of_the_negated_objective():
+    out = lp_solve(-np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
+                   b_ub=np.array([2.0, 0.0]))[0]
     assert out.status == OPTIMAL
-    assert out.value == pytest.approx(2.0, abs=1e-9)
+    assert -out.value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_optimal_point_satisfies_constraints():
@@ -63,12 +61,10 @@ def test_optimal_point_satisfies_constraints():
         d = a @ x0 + rng.uniform(0.1, 1.0, size=m)  # x0 strictly feasible
         box_a = np.vstack([np.eye(n), -np.eye(n)])
         box_d = np.full(2 * n, 10.0 + np.abs(x0).max())
-        prob = LpProblem(rng.normal(size=n),
-                         a_ub=np.vstack([a, box_a]),
-                         b_ub=np.concatenate([d, box_d]))
-        out = lp_solve(prob)
+        a_ub, b_ub = np.vstack([a, box_a]), np.concatenate([d, box_d])
+        out = lp_solve(rng.normal(size=n), a_ub, b_ub)[0]
         assert out.status == OPTIMAL
-        slack = prob.a_ub @ out.point - prob.b_ub
+        slack = a_ub @ out.point - b_ub
         assert slack.max() <= 1e-7
 
 
@@ -86,11 +82,10 @@ def test_vertex_oracle_equivalence():
         a_all = np.vstack([a, box_a])
         d_all = np.concatenate([d, box_d])
         oracle = vertex_minimum(rng.normal(size=n), a_all, d_all)
-        prob = LpProblem(rng.normal(size=n), a_ub=a_all, b_ub=d_all)
         # reuse the same objective for both routes
-        prob = LpProblem(prob.objective, a_ub=a_all, b_ub=d_all)
-        oracle = vertex_minimum(prob.objective, a_all, d_all)
-        out = lp_solve(prob)
+        c = rng.normal(size=n)
+        oracle = vertex_minimum(c, a_all, d_all)
+        out = lp_solve(c, a_all, d_all)[0]
         if oracle is None:
             assert out.status == INFEASIBLE
         else:
@@ -109,7 +104,7 @@ def test_vertex_oracle_with_equalities():
         b_eq = np.array([rng.normal() * 0.5])
         c = rng.normal(size=n)
         oracle = vertex_minimum(c, a_ub, b_ub, a_eq, b_eq)
-        out = lp_solve(LpProblem(c, a_ub, b_ub, a_eq, b_eq))
+        out = lp_solve(c, a_ub, b_ub, a_eq, b_eq)[0]
         if oracle is None:
             assert out.status == INFEASIBLE
         else:
@@ -123,20 +118,19 @@ def test_degenerate_lp_terminates():
     angles = np.linspace(0.0, np.pi, 12)[1:-1]
     a = np.stack([-np.cos(angles), -np.sin(angles)], axis=1)
     d = np.zeros(a.shape[0])  # all rows tight at the origin
-    out = lp_solve(LpProblem(np.array([0.0, 1.0]),
-                             a_ub=np.vstack([a, -np.eye(n)]),
-                             b_ub=np.concatenate([d, np.ones(n)])))
+    out = lp_solve(np.array([0.0, 1.0]), a_ub=np.vstack([a, -np.eye(n)]),
+                   b_ub=np.concatenate([d, np.ones(n)]))[0]
     assert out.status in (OPTIMAL, UNBOUNDED)
 
 
 # -- several objectives over one feasible set -----------------------------------------
 
-def assert_batch_matches_single(objectives, a_ub, b_ub, a_eq=None, b_eq=None, sense="min"):
+def assert_batch_matches_single(objectives, a_ub, b_ub, a_eq=None, b_eq=None):
     """Each objective of one batched solve agrees with its own lp_solve."""
-    batch = lp_solve(LpProblem(objectives, a_ub, b_ub, a_eq, b_eq, sense=sense))
+    batch = lp_solve(objectives, a_ub, b_ub, a_eq, b_eq)
     assert isinstance(batch, LpOutcomes) and len(batch) == len(objectives)
     for c, got in zip(objectives, batch):
-        want = lp_solve(LpProblem(c, a_ub, b_ub, a_eq, b_eq, sense=sense))
+        want = lp_solve(c, a_ub, b_ub, a_eq, b_eq)[0]
         assert got.status == want.status
         if want.optimal:
             assert got.value == pytest.approx(want.value, abs=1e-7)
@@ -157,9 +151,8 @@ def test_batched_objectives_match_single_solves():
         a = rng.normal(size=(m, n))
         d = rng.normal(size=m)
         eq = (rng.normal(size=(1, n)), rng.normal(size=1)) if trial % 3 == 0 else (None, None)
-        objectives = rng.normal(size=(int(rng.integers(1, 6)), n))
-        batch = assert_batch_matches_single(objectives, a, d, *eq,
-                                            sense="max" if trial % 2 else "min")
+        objectives = rng.normal(size=(int(rng.integers(1, 6)), n)) * (-1.0) ** trial
+        batch = assert_batch_matches_single(objectives, a, d, *eq)
         statuses = {o.status for o in batch}
         assert batch.status == next(st for st in (INFEASIBLE, UNBOUNDED, OPTIMAL)
                                     if st in statuses)
@@ -200,17 +193,19 @@ def test_memo_backed_solves_equal_cold_solves_in_any_order():
         m = int(rng.integers(1, 7))
         a, d = rng.normal(size=(m, n)), rng.normal(size=m)
         eq = (rng.normal(size=(1, n)), rng.normal(size=1)) if trial % 3 == 0 else (None, None)
-        calls = [(rng.normal(size=(int(rng.integers(1, 4)), n)) if k % 2 else rng.normal(size=n),
-                  "max" if rng.random() < 0.5 else "min", (1e-7, 1e-9)[k % 3 == 0])
-                 for k in range(6)]
-        problems = [LpProblem(c, a, d, *eq, sense=sense) for c, sense, _ in calls]
-        cold = [lp_solve(p, tol_feas=tol) for p, (_, _, tol) in zip(problems, calls)]
+        calls = []
+        for k in range(6):
+            c = rng.normal(size=(int(rng.integers(1, 4)), n)) if k % 2 else rng.normal(size=n)
+            # a negated objective stands for a maximum
+            calls.append((-c if rng.random() < 0.5 else c, (1e-7, 1e-9)[k % 3 == 0]))
+        cold = [lp_solve(c, a, d, *eq, tol_feas=tol) for c, tol in calls]
         for order in (range(6), range(5, -1, -1), rng.permutation(6)):
             memo = {}
             for k in order:
-                got = lp_solve(problems[k], tol_feas=calls[k][2], memo=memo)
-                batch = isinstance(cold[k], LpOutcomes)
-                for g, w in zip(got if batch else [got], cold[k] if batch else [cold[k]]):
+                c, tol = calls[k]
+                got = lp_solve(c, a, d, *eq, tol_feas=tol, memo=memo)
+                assert len(got) == len(cold[k])
+                for g, w in zip(got, cold[k]):
                     assert_same_outcome(g, w)
                     seen.add(w.status)
             assert set(memo) == {1e-7, 1e-9}
@@ -218,21 +213,21 @@ def test_memo_backed_solves_equal_cold_solves_in_any_order():
 
 
 def test_zero_objective_lp_finds_a_segment_point():
-    out = lp_solve(LpProblem(np.zeros(2), -np.eye(2), np.zeros(2),
-                             np.array([[1.0, 1.0]]), np.array([1.0])))
+    out = lp_solve(np.zeros(2), -np.eye(2), np.zeros(2),
+                   np.array([[1.0, 1.0]]), np.array([1.0]))[0]
     assert out.optimal
     assert out.point.min() >= -1e-9
     assert out.point.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_objective_lp_detects_a_contradiction():
-    out = lp_solve(LpProblem(np.zeros(1), np.array([[1.0]]), np.array([0.0]),
-                             np.array([[1.0]]), np.array([1.0])))
+    out = lp_solve(np.zeros(1), np.array([[1.0]]), np.array([0.0]),
+                   np.array([[1.0]]), np.array([1.0]))[0]
     assert out.status == INFEASIBLE
 
 
 def test_zero_objective_lp_unconstrained():
-    out = lp_solve(LpProblem(np.zeros(2)))
+    out = lp_solve(np.zeros(2))[0]
     assert out.optimal and out.point.shape == (2,)
 
 
@@ -275,7 +270,25 @@ def test_iteration_cap_raises():
     lpmod._MAX_ITER = 0
     try:
         with pytest.raises(NumericalFailure):
-            lp_solve(LpProblem(np.array([1.0, 1.0]),
-                               a_ub=-np.eye(2), b_ub=-np.ones(2)))
+            lp_solve(np.array([1.0, 1.0]), a_ub=-np.eye(2), b_ub=-np.ones(2))
     finally:
         lpmod._MAX_ITER = old
+
+
+def _lp_solve_readers(tree, scope=""):
+    """The qualified names of the functions of tree that read lp_solve."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield from _lp_solve_readers(node, f"{scope}{node.name}.")
+        elif any(isinstance(n, ast.Name) and n.id == "lp_solve"
+                 or isinstance(n, ast.Attribute) and n.attr == "lp_solve"
+                 for n in ast.walk(node)):
+            yield scope.rstrip(".")
+
+
+def test_polyhedron_minimize_is_the_one_caller_of_lp_solve():
+    """Outside linprog, src/ solves every LP through `Polyhedron.minimize`."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "relubarrier"
+    readers = {(path.name, reader) for path in src.glob("*.py") if path.name != "linprog.py"
+               for reader in _lp_solve_readers(ast.parse(path.read_text()))}
+    assert readers == {("geometry.py", "Polyhedron.minimize")}

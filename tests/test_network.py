@@ -35,14 +35,6 @@ def test_forward_many_matches_forward():
     assert np.allclose(batch, [net.forward(x) for x in xs])
 
 
-def test_preactivations_frozen_values():
-    net = diamond_net()
-    pre = net.preactivations(np.array([0.0, 1.0]))
-    assert np.allclose(pre[0], [0.0, 0.0, 1.0, -1.0])
-    pre = net.preactivations(np.array([1.0, 1.0]))
-    assert np.allclose(pre[0], [1.0, -1.0, 1.0, -1.0])
-
-
 # -- affine pieces --------------------------------------------------------------------
 
 def test_affine_map_first_quadrant():

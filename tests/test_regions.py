@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from relubarrier import (ActivationIndicator, LpProblem, OracleTooLarge, ReluNetwork,
-                         SearchExhausted, SlicePolyhedron, boundary_propagation,
+from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNetwork,
+                         SearchExhausted, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region, lp_solve,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
@@ -214,17 +214,16 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
     tol = DEFAULT_CONFIG.tol_feas
     dropped = 0
     for region in random_regions:
-        full, touching = region.constraints, _row_set(region.slice.base)
+        full, touching = region.constraints, _row_set(region.slice)
         w, b = region.slice.w, region.slice.b
         for a, d in zip(full.A, full.d):
             if tuple(np.append(a, d)) in touching:
                 continue
-            top = lp_solve(LpProblem(a, full.A, full.d, w[None, :], np.array([-b]),
-                                     sense="max"))
-            assert top.optimal and top.value < d - tol
+            top = lp_solve(-a, full.A, full.d, w[None, :], np.array([-b]))[0]   # max a.x
+            assert top.optimal and -top.value < d - tol
             dropped += 1
         # the rows of an irredundant system of the full slice all touch it
-        reference = remove_redundant(slice_full(SlicePolyhedron(full, w, b)))
+        reference = remove_redundant(slice_full(Polyhedron(full.A, full.d, w, b)))
         hyperplane = {tuple(np.append(w, -b)), tuple(np.append(-w, b))}
         assert _row_set(reference) <= touching | hyperplane
     assert dropped > 0
@@ -233,8 +232,9 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
 def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
     tol = DEFAULT_CONFIG.tol_feas
     for region in random_regions:
-        full = SlicePolyhedron(region.constraints, region.slice.w, region.slice.b)
-        rows = region.slice.base
+        full = Polyhedron(region.constraints.A, region.constraints.d,
+                          region.slice.w, region.slice.b)
+        rows = region.slice
         assert len(region.facet_points) == rows.num_rows
         for point, a, d in zip(region.facet_points, rows.A, rows.d):
             assert full.contains(point, tol=tol)
@@ -246,7 +246,7 @@ def test_touching_rows_cut_out_the_same_slice(random_regions):
     tol = DEFAULT_CONFIG.tol_feas
     hits = 0
     for region in random_regions:
-        full, rows = region.constraints, region.slice.base
+        full, rows = region.constraints, region.slice
         w, b = region.slice.w, region.slice.b
         xs = rng.uniform(-3.0, 3.0, size=(400, full.dim))
         xs -= np.outer(xs @ w + b, w) / (w @ w)   # onto the hyperplane

@@ -136,13 +136,14 @@ def test_every_bench_report_passes_the_checker(tmp_path, monkeypatch):
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """A name in `relubarrier.__all__` that only the tests read is a wrapper
-    duplicating an internal route, or dead: every one must be referenced (as
-    a name or an attribute) in src/ outside __init__.py, demos/ or bench/."""
+    """A name in `relubarrier.__all__`, or a public method of a class in
+    src/, that only the tests read is a wrapper duplicating an internal
+    route, or dead: every one must be referenced (as a name or an
+    attribute) in src/ outside __init__.py, demos/ or bench/."""
     # the tracer names them by string; ROADMAP item 1 moves them into the tests
     allowed = {"implicit_equalities", "remove_redundant"}
-    files = [p for p in (ROOT / "src" / "relubarrier").glob("*.py") if p.name != "__init__.py"]
-    files += list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+    sources = [p for p in (ROOT / "src" / "relubarrier").glob("*.py") if p.name != "__init__.py"]
+    files = sources + list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
     referenced = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -152,4 +153,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 referenced.add(node.attr)
     uncalled = [name for name in relubarrier.__all__
                 if name != "__version__" and name not in referenced | allowed]
+    uncalled += [f"{cls.name}.{fn.name}" for path in sources
+                 for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and not fn.name.startswith("_") and fn.name not in referenced]
     assert uncalled == []
