@@ -1,7 +1,8 @@
 """Deciding the flow condition when the dynamics are not affine.
 
-For affine flows one LP per region settles inf w.f exactly.  Anything
-nonlinear climbs the rest of the same ladder, cheapest sound rung first:
+For affine flows each patch's vertices and rays settle inf w.f exactly.
+Anything nonlinear climbs the rest of the same ladder, cheapest sound rung
+first:
 
   * interval branch-and-bound over the patch's bounding box, which can
     certify the infimum from below or find a checked witness, and

@@ -13,9 +13,10 @@ every rung reads g with the expression module's own routes.  Whether g is
 affine depends on the flow and the set function, never on the region, so
 each check takes the affine forms (`_linear_form`) once: of each flow
 component (w.f is affine where every component of nonzero weight is) or of
-the set function.  A g with an affine form is decided exactly by one LP;
-otherwise interval branch-and-bound (BaB) over the patch's bounding box,
-enclosing g with `interval_evaluate`, verifies or finds a witness, and a
+the set function.  A g with an affine form is decided exactly, with no LP,
+off the patch's vertices and rays (`regions.ValidRegion`); otherwise
+interval branch-and-bound (BaB) over the patch's bounding box, enclosing g
+with `interval_evaluate`, verifies or finds a witness, and a
 derivative-free falsification search runs only when BaB leaves the patch
 open: `unknown`, or `verified` only on the part of an unbounded patch
 inside the domain box.  A BaB witness ends the ladder wherever it lies.
@@ -24,16 +25,18 @@ bounds share one phase one); the two halves of an LP-contracted box both
 meet the patch and are only tightened by the hyperplane equation.
 Each search solves one batched LP too.  `verify_certificate` takes its
 regions from `regions.enumerate_level_set`, the route the SMT export and
-the plots take as well.  Every witness, whichever route produced it (the LP
-optimum, a point of an unbounded LP, a search point, a BaB point), passes
-the one check `_checked_witness`, which takes candidates as rows, a batch
-per call: a witness lies on the slice within tol_feas and g evaluated there
-directly (`evaluate`) is finite and below -max(tol_margin, FALSIFY_GATE).
-An LP point that fails the check yields `unknown`, never an unchecked
-`falsified`.  Set conditions additionally
-probe sampled points of the set against the sign of h (membership side of
-the containment/disjointness arguments); the probe is one more status in
-the same aggregation as the region verdicts, `unknown` when its draws run out.
+the plots take as well.  Every witness, whichever route produced it (a
+least vertex, a point out along a descending ray, a search or BaB point),
+passes the one check `_checked_witness`, which takes candidates as rows, a
+batch per call: a witness lies on the slice within tol_feas and g
+evaluated there directly (`evaluate`) is finite and below
+-max(tol_margin, FALSIFY_GATE).  A point that fails the check yields
+`unknown`, never an unchecked `falsified`, as does an LP that fails
+numerically in BaB; a condition verified over a partial enumeration is
+`unknown` too.  Set conditions additionally probe sampled points of the
+set against the sign of h (membership side of the containment/disjointness
+arguments); the probe is one more status in the same aggregation as the
+region verdicts, `unknown` when its draws run out.
 """
 
 from __future__ import annotations
@@ -46,11 +49,10 @@ import numpy as np
 
 from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE,
                      VerifierConfig)
-from .errors import DomainError, NoRegions, SearchExhausted
+from .errors import DomainError, NoRegions, NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           weighted_sum, _linear_form)
 from .geometry import bounding_box
-from .linprog import INFEASIBLE, UNBOUNDED
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
 VERIFIED = "verified"
@@ -166,34 +168,32 @@ def _first_witness(region, method, points, values, cfg) -> RegionVerdict | None:
                          witness_value=float(values[hits[0]]))
 
 
-# -- LP route (affine objectives) --------------------------------------------------
+# -- LP route: affine objectives, read off the frame ------------------------------
 
 def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
-    """Exact decision of min g over the slice by one LP, where
-    form = (coeffs, const) is g's affine form coeffs.x + const."""
-    sl = region.slice
+    """Exact min of g = coeffs.x + const (form) over the patch: its least
+    vertex value, or -inf when a ray descends; a witness candidate then goes
+    from the least vertex v along the steepest ray r to v + s r, where
+    s = 1 + 2 max(0, g(v) - gate) / -coeffs.r puts g past the gate."""
     coeffs, const = form
-    outcome = sl.minimize(coeffs, cfg.tol_feas)[0]
-    if outcome.status == INFEASIBLE:
-        return RegionVerdict(region.indicator, VERIFIED, "lp", vacuous=True,
-                             note="slice empty")
-    if outcome.status == UNBOUNDED:
-        # g decreases without bound along the slice; exhibit a point in a big box
-        big = np.tile([-1e6, 1e6], (sl.dim, 1))
-        outcome = sl.within(big).minimize(coeffs, cfg.tol_feas)[0]
+    values = region.vertices @ coeffs + const
+    x = region.vertices[int(np.argmin(values))]
+    slopes = region.rays @ coeffs
+    if slopes.min(initial=0.0) < -1e-12 * np.linalg.norm(coeffs):
+        r = int(np.argmin(slopes))
+        x = x + (1.0 + 2.0 * max(0.0, values.min() - _gate(cfg)) / -slopes[r]) * region.rays[r]
         verdict = RegionVerdict(region.indicator, FALSIFIED, "lp",
                                 note="objective unbounded below")
     else:
-        value = outcome.value + const
+        value = float(values.min())
         verdict = RegionVerdict(region.indicator, _status_from_value(value, cfg), "lp",
                                 bound=value)
         if verdict.status == UNKNOWN:
             verdict.note = "optimum inside the float-noise band"
     if verdict.status == FALSIFIED:
-        x = outcome.point if outcome.optimal else np.full(sl.dim, np.nan)  # fails
-        value = _checked_witness(sl, x, g, cfg)[0]
+        value = _checked_witness(region.slice, x, g, cfg)[0]
         if value < _gate(cfg):
-            verdict.witness, verdict.witness_value = x, float(value)
+            verdict.witness, verdict.witness_value = np.array(x), float(value)
         else:
             verdict.status = UNKNOWN
             verdict.note = "; ".join(filter(None, [verdict.note,
@@ -403,9 +403,9 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
 # -- the ladder, and assembling the three conditions ---------------------------------
 
 def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
-    """One region's verdict: one LP when the caller hands over g's affine
-    form = (coeffs, const), else BaB, then the falsification search (rng
-    ``default_rng(seed)``) only when BaB leaves the patch open.
+    """One region's verdict: off the patch's frame when the caller hands
+    over g's affine form = (coeffs, const), else BaB, then the falsification
+    search (rng ``default_rng(seed)``) only when BaB leaves the patch open.
 
     BaB decides both ways and is the cheaper rung on almost every patch.
     Its witness ends the ladder.  It leaves the patch open when it ends
@@ -413,7 +413,8 @@ def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
     somewhere in a box it encloses), and when it verifies an unbounded
     patch only inside the domain box (``domain_restricted``), since the
     search is not bound to that box.  A witness the search finds replaces
-    BaB's verdict; otherwise BaB's verdict and its note stand.
+    BaB's verdict; otherwise BaB's verdict and its note stand.  An LP that
+    fails numerically in BaB ends the ladder in `unknown`.
     """
     if form is not None:
         return _decide_affine(region, g, form, cfg)
@@ -422,6 +423,9 @@ def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
     except DomainError as exc:
         verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
                                 note=f"interval enclosure failed: {exc}")
+    except NumericalFailure as exc:   # the search's LPs share the slice's phase one
+        return RegionVerdict(region.indicator, UNKNOWN, "interval",
+                             note=f"an LP failed numerically: {exc}")
     if verdict.status != UNKNOWN and not verdict.domain_restricted:
         return verdict
     found = _falsify(region, g, cfg, np.random.default_rng(seed))
@@ -572,6 +576,9 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
                 VERIFIED, [], note=f"no {label} set given; condition vacuous")
         else:
             results[label] = check(net, enum.regions, target, cfg)
+            if enum.partial and results[label].status == VERIFIED:   # regions may be missing
+                results[label].status = UNKNOWN
+                results[label].note = "enumeration partial: " + "; ".join(enum.errors)
             if label != "invariance" and results[label].probe is None:
                 caveats.append(f"{label}-set sampling exhausted: {results[label].note}")
         timings[f"{label}_s"] = time.perf_counter() - t

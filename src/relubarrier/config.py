@@ -21,6 +21,7 @@ TOL_ZERO = 1e-9       # pre-activations this close to zero branch both ways
 FALSIFY_GATE = 1e-9   # a witness needs g < -max(tol_margin, FALSIFY_GATE) (float noise)
 BRANCH_CAP = 20       # max simultaneously-zero neurons feasible_indicators branches
 ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
+FRAME_CAP = 1_000_000  # max row subsets geometry.frame scans for a patch's first vertex
 FALSIFY_BUDGET = 100  # falsification-search budget per patch
 BAB_MIN_WIDTH = 1e-5  # BaB stops splitting boxes narrower than this in every coordinate
 TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent

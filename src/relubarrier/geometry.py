@@ -4,19 +4,22 @@
 hyperplane ``w.x + b = 0`` when w is given, and `Polyhedron.minimize` is the
 one place an LP is solved, all of one polyhedron's LPs on one phase one.  The
 region test measures dimension by the largest inscribed ball
-(``inscribed_radius``), and enumeration finds the rows touching a slice with
-one batched `minimize` (`regions`); ``implicit_equalities`` and
+(``inscribed_radius``); ``frame`` gives a slice's vertices and rays, off
+which enumeration reads the rows touching it (`regions`) and the affine
+route its minima (`conditions`), with no LP.  ``implicit_equalities`` and
 ``remove_redundant`` are references for them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL_EQ
-from .errors import InfeasiblePolyhedron
+from .config import FRAME_CAP, TOL_EQ
+from .errors import CombinatorialBlowup, InfeasiblePolyhedron
 from .linprog import INFEASIBLE, UNBOUNDED, lp_solve
 
 
@@ -104,6 +107,82 @@ def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
                       None if w is None else np.append(w, 0.0), b)
     outcome = ball.minimize(-e_r, tol_feas)[0]   # max r
     return -outcome.value if outcome.optimal else None
+
+
+def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
+    """(vertices, rays, bases) of p on its hyperplane w.x + b = 0, as rows:
+    the hull of the vertices plus the cone of the unit rays; each vertex
+    solves the rows its basis names.  In x = x0 + N t (N an orthonormal
+    basis of w's null space, I for w = 0), a row with under 1e-12 of its
+    norm along the hyperplane is constant and defines no vertex; the other
+    rows span k dimensions, and what they leave is lineality (two opposite
+    rays each).  A basis is k rows whose solution keeps every unit-scaled
+    row within tol_feas.  The first basis is the one met in k straight
+    steps from the point near (each along the rows met so far, to the next
+    row).  Without near, when one batch of 512 holds every k-subset, or
+    when the steps end off p, a scan of the k-subsets finds it instead and
+    raises CombinatorialBlowup past FRAME_CAP.  The rest come from walking
+    edges to the next row they meet and trying the k-subsets of the rows
+    tight there.  Edges that meet no row are rays."""
+    x0 = -p.b * p.w / (p.w @ p.w) if p.w.any() else 0.0 * p.w
+    _, s, vt = np.linalg.svd(p.w[None, :])
+    N = vt[int(s[0] > 0.0):].T
+    M = p.A @ N
+    scale = np.linalg.norm(p.A, axis=1)
+    live = np.linalg.norm(M, axis=1) > 1e-12 * scale
+    norms = np.linalg.norm(M[live], axis=1)[:, None]
+    _, s, vt = np.linalg.svd(M[live] / norms)
+    k = int(np.sum(s > 1e-12))
+    B, lineal = N @ vt[:k].T, N @ vt[k:].T    # the pointed part's axes, the lineality
+    rows = M[live] @ vt[:k].T / norms         # unit rows over u, x = x0 + B u
+    rhs = (p.d[live] - p.A[live] @ x0) / norms[:, 0]
+    unit = Polyhedron(p.A / scale[:, None], p.d / scale)
+
+    def reach(u, D):   # per direction in D and row: how far from u it goes to meet the row
+        slope = D @ rows.T
+        return np.divide(np.maximum(rhs - u @ rows.T, 0.0)[..., None, :], slope,
+                         out=np.full(slope.shape, np.inf), where=slope > 1e-12)
+
+    def bases_of(subsets):
+        S = np.array(sorted(subsets), dtype=int).reshape(len(subsets), k)
+        S = S[np.abs(np.linalg.det(rows[S])) > 1e-12]
+        u = np.linalg.solve(rows[S], rhs[S][..., None])[..., 0]
+        return S[unit.contains(x0 + u @ B.T, tol_feas)]
+
+    small = math.comb(len(rows), k) <= 512    # one scan batch holds every k-subset
+    met, u = [], None if near is None or small else B.T @ (near - x0)
+    while u is not None and len(met) < k:
+        d = np.linalg.svd(np.vstack([rows[met], np.zeros(k)]))[2][-1]   # along the rows met
+        t = reach(u, (d := d if (rows @ d > 1e-12).any() else -d)[None])[0]
+        met.append(int(np.argmin(t)))
+        u = u + t[met[-1]] * d if np.isfinite(t[met[-1]]) else None
+    batch = [] if u is None else [tuple(sorted(met))]
+    scan = itertools.combinations(range(len(rows)), k)
+    for _ in range(0, FRAME_CAP + 512, 512):
+        if len(front := bases_of(batch)) or not (batch := list(itertools.islice(scan, 512))):
+            break
+    else:
+        raise CombinatorialBlowup(f"no vertex among the first {FRAME_CAP} row subsets")
+    whole = next(scan, None) is None          # the scan has tried every k-subset
+    seen, rays = set(), [lineal.T, -lineal.T]
+    vertices, bases = [np.empty((0, p.dim))], [np.empty((0, k), dtype=int)]
+    while len(front):
+        seen.update(map(tuple, front))
+        inv = np.linalg.inv(rows[front])
+        u = (inv @ rhs[front][..., None])[..., 0]
+        vertices.append(x0 + u @ B.T)
+        bases.append(np.flatnonzero(live)[front])
+        edges = -inv.transpose(0, 2, 1)       # edge i leaves row i
+        edges /= np.linalg.norm(edges, axis=2, keepdims=True)
+        meets = np.isfinite(t := reach(u, edges).min(axis=2, initial=np.inf))
+        rays.append(edges[~meets] @ B.T)
+        if whole:
+            break
+        ends = u[np.nonzero(meets)[0]] + t[meets][:, None] * edges[meets]
+        tight = np.unique(ends @ rows.T >= rhs - tol_feas, axis=0)   # the rows at each end
+        front = bases_of({S for on in tight
+                          for S in itertools.combinations(np.flatnonzero(on).tolist(), k)} - seen)
+    return np.vstack(vertices), np.vstack(rays), np.vstack(bases)
 
 
 def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,

@@ -3,16 +3,19 @@
 A region is *valid* when it is full-dimensional and its intersection with
 the hyperplane of its own affine piece (its *slice*) has dimension n-1:
 inscribed balls wider than TOL_EQ, mostly settled by the slice's LP alone.
-A valid region then costs one batched LP, max A_j.x over the slice for each
-distinct row j: a row whose maximum reaches d_j - tol_feas touches the slice
-and its optimum is a facet point; the other rows are redundant on the slice.
+A valid region then costs no LP: a row on the basis of one of its patch's
+vertices (`geometry.frame`), or within tol_feas of d_j at one, touches the
+slice, and the mean of the vertices on its basis is its facet point; the
+other rows are redundant there.
 `constraints` keeps the distinct nonzero rows (the exact region), the slice
 the touching rows, which the deciders and the SMT export read.
 `enumerate_level_set` is the one enumeration route: unless interval bounds
 show that h keeps one sign on the domain box, it finds one valid region and
 propagates across facets from it.  Both steps name regions the same way:
 the indicators feasible at a point of the level set (a facet point, or for
-the seed a sign change bisected to float resolution).
+the seed a sign change bisected to float resolution), which also starts
+the region's frame.  A facet point past which no valid region continues
+the level set is an error of the walk, so the enumeration is partial.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
-from .geometry import Polyhedron, inscribed_radius, slice_charges
-from .linprog import INFEASIBLE
+from .geometry import Polyhedron, frame, inscribed_radius, slice_charges
 from .network import ActivationIndicator, ReluNetwork
 
 
@@ -38,7 +40,9 @@ class ValidRegion:
     indicator: ActivationIndicator
     constraints: Polyhedron        # the region's distinct nonzero rows
     slice: Polyhedron              # the rows touching {w.x + b = 0}, on that hyperplane
-    facet_points: list[np.ndarray] = field(default_factory=list)  # one per touching row
+    vertices: np.ndarray           # the patch's vertices and rays, as rows (`frame`)
+    rays: np.ndarray
+    facet_points: list[np.ndarray]  # one per touching row
 
     @property
     def degenerate(self) -> bool:
@@ -90,25 +94,27 @@ def valid_test(region: Polyhedron, w: np.ndarray, b: float,
 
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
-                       cfg: VerifierConfig = DEFAULT_CONFIG) -> ValidRegion | None:
-    """Validate ind and construct its ValidRegion, or None when it is not valid.
-    A degenerate piece (w = 0) has no hyperplane: it keeps every row and
-    has no facet points."""
+                       cfg: VerifierConfig = DEFAULT_CONFIG, near=None) -> ValidRegion | None:
+    """Validate ind and construct its ValidRegion, or None when it is not
+    valid; near, a point of the patch if given, starts its frame.  A
+    degenerate piece (w = 0) has the whole region for its patch."""
     region, w, b = net.piece(ind)
     if not valid_test(region, w, b, cfg):
         return None
     _, first = np.unique(np.column_stack([region.A, region.d]), axis=0, return_index=True)
     keep = [j for j in sorted(first) if region.A[j].any()]
     exact = Polyhedron(region.A[keep], region.d[keep])
-    if not w.any():
-        return ValidRegion(ind, exact, Polyhedron(exact.A, exact.d, w, b))
-    tops = Polyhedron(exact.A, exact.d, w, b).minimize(-exact.A, cfg.tol_feas)  # max A_j.x
-    if tops.status == INFEASIBLE:
-        raise NumericalFailure(f"valid region {ind.compact()} has an empty slice")
-    touching = [j for j, top in enumerate(tops)
-                if top.optimal and -top.value >= exact.d[j] - cfg.tol_feas]
+    vertices, rays, bases = frame(Polyhedron(exact.A, exact.d, w, b), cfg.tol_feas, near)
+    span = np.vstack([vertices[1:] - vertices[:1], rays])
+    if not len(vertices) or np.linalg.matrix_rank(span) < len(w) - w.any():
+        raise NumericalFailure(f"valid region {ind.compact()}: its frame spans fewer "
+                               "dimensions than its patch")
+    on = (bases[:, :, None] == np.arange(exact.num_rows)).any(axis=1)   # a vertex's basis rows
+    tight = on | (vertices @ exact.A.T >= exact.d - cfg.tol_feas)
+    on = np.where(on.any(axis=0), on, tight)      # a row on no basis: its tight vertices
+    touching = np.flatnonzero(tight.any(axis=0))
     return ValidRegion(ind, exact, Polyhedron(exact.A[touching], exact.d[touching], w, b),
-                       facet_points=[tops[j].point for j in touching])
+                       vertices, rays, [vertices[on[:, j]].mean(axis=0) for j in touching])
 
 
 # -- initial region search -------------------------------------------------------
@@ -121,10 +127,11 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
     uniformly from the domain box as one batch, takes the first with h < 0
     and the first with h > 0, and halves that pair until its midpoint equals
     one of its ends (float resolution).  The indicators feasible at the
-    h < 0 end are then validity-tested in key order, and one whose validity
-    LPs fail numerically counts as invalid; when none is valid, or more than
-    BRANCH_CAP neurons are zero there, the next attempt draws anew.  The
-    SearchExhausted message counts the candidates that failed numerically.
+    h < 0 end are then validity-tested in key order, and one that fails
+    numerically (a validity LP, or its patch's frame) or reaches FRAME_CAP
+    counts as invalid; when none is valid, or more than BRANCH_CAP neurons
+    are zero there, the next attempt draws anew.  The SearchExhausted
+    message counts the candidates that failed so.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -151,14 +158,14 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
             continue
         for ind in candidates:
             try:
-                region = build_valid_region(net, ind, cfg)
-            except NumericalFailure:
+                region = build_valid_region(net, ind, cfg, x_neg)
+            except (NumericalFailure, CombinatorialBlowup):
                 failed += 1
                 continue   # counts as invalid, as in propagation
             if region is not None:
                 return region, {"attempts": attempt}
     raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts"
-                          + (f"; {failed} candidates failed their validity LP numerically"
+                          + (f"; {failed} candidates failed numerically or at FRAME_CAP"
                              if failed else ""))
 
 
@@ -169,7 +176,9 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     """Grow the set of valid regions across shared facets from a seed.
 
     FIFO worklist; at each facet point of a known region (one per row
-    touching its slice) the feasible indicators are validity-tested.  Output
+    touching its slice) the feasible indicators are validity-tested; a
+    facet point where none but the region itself is valid is an error, as
+    the level set goes on past a facet, so some region there is missing.  Output
     is sorted by indicator key, so the result does not depend on worklist
     scheduling.  Completeness rests on the level set being connected,
     which is assumed, not verified.
@@ -205,8 +214,8 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                     errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
                     return result()
                 try:
-                    neighbour = build_valid_region(net, ind, cfg)
-                except NumericalFailure as exc:
+                    neighbour = build_valid_region(net, ind, cfg, point)
+                except (NumericalFailure, CombinatorialBlowup) as exc:
                     errors.append(f"candidate {ind.compact()}: {exc}")
                     rejected.add(k)
                     continue
@@ -215,6 +224,9 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                     queue.append(neighbour)
                 else:
                     rejected.add(k)
+            if not any(i.key() in regions for i in neighbours if i != region.indicator):
+                errors.append(f"region {region.indicator.compact()} facet {j}: no valid "
+                              "region continues the level set there")
     return result()
 
 

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from relubarrier import (DEFAULT_CONFIG, UNBOUNDED, DynamicsSystem, Polyhedron, evaluate,
-                         implicit_equalities, lp_solve)
+from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem, Polyhedron,
+                         evaluate, implicit_equalities, lp_solve)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import BAB_MIN_WIDTH, FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
 from relubarrier.network import ReluNetwork
@@ -273,6 +273,22 @@ def boundary_is_connected(regions, tol_feas: float = 1e-7) -> bool:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == n
+
+
+def lp_slice_answers(region, objectives, tol_feas: float = 1e-7):
+    """By LP over the region's whole slice (`Polyhedron.minimize`), what its
+    frame answers: the indices of the rows of region.constraints whose max
+    A_j.x over the slice reaches d_j - tol_feas, and per row of objectives
+    min c.x, -inf where it is unbounded below."""
+    full = Polyhedron(region.constraints.A, region.constraints.d, region.slice.w,
+                      region.slice.b)
+    tops = full.minimize(-full.A, tol_feas)   # max A_j.x
+    assert tops.status != INFEASIBLE
+    touching = [j for j, top in enumerate(tops)
+                if top.optimal and -top.value >= full.d[j] - tol_feas]
+    minima = full.minimize(objectives, tol_feas)
+    assert minima.status != INFEASIBLE
+    return touching, [out.value if out.optimal else -np.inf for out in minima]
 
 
 def slice_grid(region, k: int = 10_000) -> np.ndarray:

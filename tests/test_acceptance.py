@@ -111,7 +111,7 @@ def test_acceptance_3_disconnected_boundary_reported_as_assumption():
 
 
 def test_acceptance_4_affine_lp_agrees_with_dense_grid():
-    """100 random (affine flow, network) pairs: the one-LP region verdicts
+    """100 random (affine flow, network) pairs: the affine-route verdicts
     agree with a 10^4-point slice grid whenever the optimum is more than
     1e-5 from zero; 120 s."""
     with Stopwatch() as clock:

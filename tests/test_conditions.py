@@ -19,7 +19,7 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
-from relubarrier.geometry import bounding_box
+from relubarrier.geometry import bounding_box, inscribed_radius
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      ill_scaled_deep_net, load_bench_module, random_hidden_net,
@@ -112,7 +112,7 @@ def test_affine_route_rejects_a_nonaffine_weighted_flow():
 def test_weighted_flow_affine_where_the_flow_is_not_is_decided_by_lp(flow, status):
     """h = 1 - |x1| has w = (-+1, 0) on its two patches, the lines x1 = +-1:
     the nonlinear second component carries weight 0, so w.f is affine there
-    and one LP decides the patch exactly, in agreement with a slice grid."""
+    and the patch's frame decides it exactly, in agreement with a slice grid."""
     net = strip_net()
     regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
     sys = DynamicsSystem.parse(flow, dim=2)
@@ -886,14 +886,16 @@ def test_affine_set_expression_uses_lp_route():
 @pytest.mark.parametrize("seed", [0, 2])
 def test_condition_order_does_not_change_verdicts(seed):
     """A region's slice keeps its phase one across the conditions' LPs (the
-    LP route here, the search and BaB under the cubic flow).  Unsafe then
-    invariance on one region list gives the verdicts of invariance then
-    unsafe on a fresh enumeration: same route, bound and witness."""
+    search and BaB under the cubic flow; the affine route reads the frame
+    and solves none).  Unsafe then invariance on one region list gives the
+    verdicts of invariance then unsafe on a fresh enumeration: same route,
+    bound and witness."""
     net = random_hidden_net(np.random.default_rng(seed), n_in=2, neurons=6)
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     unsafe = parse_expression("x1 - 1", 2)
     regions = enumerate_level_set(net).regions
     unsafe_first = check_unsafe_condition(net, regions, unsafe)
+    assert all(r.slice.memo == {} for r in regions)
     inv_second = check_invariance(net, regions, sys)
     fresh = enumerate_level_set(net).regions
     assert all(r.slice.memo == {} for r in fresh) and all(r.slice.memo for r in regions)
@@ -946,11 +948,86 @@ def test_verify_certificate_where_validity_lps_fail_numerically():
     verdict = verify_certificate(ill_scaled_deep_net(2), sys, h_init, h_unsafe)
     assert verdict.failure is None and verdict.enumeration.partial
     assert verdict.overall == FALSIFIED
+    # BaB's LP fails numerically on the set conditions' region: unknown, and why
+    failed = [v for res in (verdict.initial_result, verdict.unsafe_result)
+              for v in res.region_verdicts]
+    assert failed and all((v.status, v.method) == (UNKNOWN, "interval") for v in failed)
+    assert all(v.note.startswith("an LP failed numerically: ") for v in failed)
+
+
+def test_a_partial_enumeration_never_verifies():
+    """A condition whose rows all verify over a partial enumeration is
+    unknown, its note naming the enumeration's errors: the diamond cut at
+    two regions, and ill_scaled_deep_net(3), whose one region's neighbours
+    fail their validity LPs numerically."""
+    sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
+    h_init = parse_expression("0.01 - x1^2 - x2^2", 2)
+    h_unsafe = parse_expression("x1 - 2.5", 2)
+    assert verify_certificate(diamond_net(), sys, h_init, h_unsafe).overall == VERIFIED
+    cut = verify_certificate(diamond_net(), sys, h_init, h_unsafe,
+                             DEFAULT_CONFIG.updated(max_regions=2))
+    for res in (cut.invariance_result, cut.initial_result, cut.unsafe_result):
+        assert [v.status for v in res.region_verdicts] == [VERIFIED] * 2
+        assert res.status == UNKNOWN
+        assert res.note == "enumeration partial: region cap 2 reached; enumeration stopped"
+    deep = verify_certificate(ill_scaled_deep_net(3), sys,
+                              parse_expression("0.04 - x1^2 - x2^2", 2),
+                              parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
+    assert len(deep.enumeration.regions) == 1
+    assert deep.enumeration.errors[0].startswith("candidate ")
+    assert [v.status for v in deep.invariance_result.region_verdicts] == [VERIFIED]
+    assert deep.invariance == UNKNOWN and deep.overall == UNKNOWN
+    errors = deep.enumeration.errors
+    assert deep.invariance_result.note == "enumeration partial: " + "; ".join(errors)
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_a_walk_that_cannot_cross_a_facet_is_partial(seed):
+    """On ill_scaled_deep_net(5) and (9) (rows of norm up to 1e13) the seed
+    patch is a segment: both vertices survive the unit-row feasibility test.
+    Where no valid region continues the level set past a facet point (the
+    neighbours' validity LPs fail, or the pre-activation at the point is
+    float noise far above TOL_ZERO and names only the region itself), the
+    walk records that, so invariance is never `verified` over the regions
+    it did reach."""
+    net = ill_scaled_deep_net(seed)
+    sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
+    verdict = verify_certificate(net, sys, parse_expression("0.01 - x1^2 - x2^2", 2),
+                                 parse_expression("x1 - 2.5", 2))
+    seed_region = [r for r in verdict.enumeration.regions
+                   if r.indicator == verdict.enumeration.seed_indicator][0]
+    assert len(seed_region.vertices) == 2 and not len(seed_region.rays)
+    errors = verdict.enumeration.errors
+    assert any(e.endswith("no valid region continues the level set there") for e in errors)
+    assert verdict.invariance != VERIFIED and verdict.overall != VERIFIED
+
+
+def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
+    """Under an affine flow with half-space sets, every lp_solve call of
+    verify_certificate is a validity LP (`inscribed_radius`): the facet
+    points and the affine minima come off each patch's vertices and rays."""
+    net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
+    F = -np.eye(3) + 0.5 * np.random.default_rng(100).normal(size=(3, 3))
+    inside = []
+    calls = counted_lp_solves(monkeypatch)
+
+    def counted_radius(*args, **kwargs):
+        before = len(calls)
+        out = inscribed_radius(*args, **kwargs)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr("relubarrier.regions.inscribed_radius", counted_radius)
+    verdict = verify_certificate(net, affine_system(F, np.zeros(3)),
+                                 parse_expression("-x1 - 1.5", 3),
+                                 parse_expression("x2 - 1.5", 3))
+    assert len(verdict.enumeration.regions) > 20
+    assert sum(inside) == len(calls) > 0
 
 
 def test_search_exhausted_counts_the_candidates_that_failed_numerically():
-    """A seed search whose candidates are invalid or fail their validity LP
-    says how many failed, rather than only that no region was found."""
+    """A seed search whose candidates are invalid or fail numerically says
+    how many failed, rather than only that no region was found."""
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
@@ -958,7 +1035,7 @@ def test_search_exhausted_counts_the_candidates_that_failed_numerically():
     assert verdict.failure == {
         "kind": "search-exhausted",
         "detail": "no valid region found in 50 attempts; "
-                  "18 candidates failed their validity LP numerically"}
+                  "18 candidates failed numerically or at FRAME_CAP"}
 
 
 def test_verify_certificate_constant_network_structured_failure():

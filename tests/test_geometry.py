@@ -1,12 +1,14 @@
 """Polyhedron analysis tests: implicit equalities, dimension, redundancy."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import InfeasiblePolyhedron
-from relubarrier.geometry import (Polyhedron, bounding_box, implicit_equalities,
+from relubarrier import CombinatorialBlowup, InfeasiblePolyhedron
+from relubarrier.geometry import (Polyhedron, bounding_box, frame, implicit_equalities,
                                   inscribed_radius, remove_redundant)
 from relubarrier.linprog import INFEASIBLE, OPTIMAL, lp_solve
 
@@ -256,3 +258,60 @@ def test_dimension_stable_under_reduction_and_redundant_rows(case):
     # append a row implied by an existing one (relaxed copy of row 0)
     extra = Polyhedron(np.vstack([p.A, p.A[0]]), np.append(p.d, p.d[0] + 1.0))
     assert dimension(extra) == dim_before
+
+
+def _scanned_bases(p: Polyhedron, tol: float = 1e-7) -> set:
+    """Every k-subset of p's rows (k = dim, p full-dimensional, no
+    hyperplane) whose solution keeps every unit-scaled row within tol."""
+    unit = Polyhedron(p.A / np.linalg.norm(p.A, axis=1)[:, None],
+                      p.d / np.linalg.norm(p.A, axis=1))
+    found = set()
+    for S in itertools.combinations(range(p.num_rows), p.dim):
+        if abs(np.linalg.det(unit.A[list(S)])) > 1e-12:
+            x = np.linalg.solve(unit.A[list(S)], unit.d[list(S)])
+            found.update([S] if unit.contains(x, tol) else [])
+    return found
+
+
+PYRAMID = (np.array([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], dtype=float),
+           np.array([0, 1, 1, 1, 1], dtype=float))       # apex (0, 0, 1) on four rows
+OCTAHEDRON = (np.array(list(itertools.product([-1.0, 1.0], repeat=3))), np.ones(8))
+
+
+@pytest.mark.parametrize("start", ["scan", "inside", "vertex", "outside"])
+@pytest.mark.parametrize("shape", [PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
+def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start):
+    """Degenerate vertices (the pyramid's apex, each octahedron vertex on
+    four rows) and 30 redundant rows after them.  The first basis comes
+    from a scan (no point given: its first 512 subsets hold only bases with
+    row 0), or from k steps from a point inside, from the vertex (0, 0, 1),
+    or from a point outside (the scan takes over when the steps end off
+    the polytope); the walk finds the rest.  Every way, the bases are
+    exactly those a scan of every 3-subset keeps."""
+    rng = np.random.default_rng(3)
+    normals = rng.normal(size=(30, 3))
+    A = np.vstack([shape[0], normals])
+    d = np.concatenate([shape[1], 5.0 * np.linalg.norm(normals, axis=1)])
+    p = Polyhedron(A, d, np.zeros(3), 0.0)
+    near = {"scan": None, "inside": np.array([0.1, -0.05, 0.2]),
+            "vertex": np.array([0.0, 0.0, 1.0]), "outside": np.full(3, 7.0)}[start]
+    vertices, rays, bases = frame(p, near=near)
+    assert set(map(tuple, bases.tolist())) == _scanned_bases(Polyhedron(A, d))
+    assert not len(rays)
+    for x, S in zip(vertices, bases):
+        assert np.allclose(A[S] @ x, d[S], atol=1e-12) and p.contains(x)
+
+
+def test_frame_scan_for_a_first_vertex_stops_at_frame_cap(monkeypatch):
+    """The unit square behind 40 redundant rows: its first basis is subset
+    (40, 42) of the 946 pairs, past a cap of 512, so frame raises
+    CombinatorialBlowup rather than scan on; under the cap it finds all
+    four vertices."""
+    A = np.vstack([np.column_stack([np.ones(40), np.zeros(40)]),
+                   [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+    d = np.concatenate([10.0 + np.arange(40), [1.0, 0.0, 1.0, 0.0]])
+    p = Polyhedron(A, d, np.zeros(2), 0.0)
+    assert len(np.unique(frame(p)[0].round(12), axis=0)) == 4
+    monkeypatch.setattr("relubarrier.geometry.FRAME_CAP", 512)
+    with pytest.raises(CombinatorialBlowup, match="first 512 row subsets"):
+        frame(p)

@@ -11,10 +11,12 @@ from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNe
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region, lp_solve,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
-from relubarrier import regions
+from relubarrier import (NumericalFailure, conditions, geometry, network_from_json,
+                         parse_expression, regions)
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
-                     diamond_net, one_d_ramp_net, random_hidden_net,
+                     diamond_net, load_bench_module, lp_slice_answers, one_d_ramp_net,
+                     random_hidden_net,
                      reference_valid, scaled_output, slice_feasible_point,
                      slice_full, strip_net)
 
@@ -191,7 +193,7 @@ def test_brute_force_cap():
         brute_force_valid_regions(net)
 
 
-# -- the batched slice LP ---------------------------------------------------------------
+# -- the patch's frame: touching rows and facet points ----------------------------------
 
 @pytest.fixture(scope="module")
 def random_regions():
@@ -230,6 +232,10 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
 
 
 def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
+    """A touching row's facet point is the mean of the patch's vertices
+    whose basis holds the row, so it lies on the row to float precision, not
+    only within tol_feas: the walk's neighbour test (`feasible_indicators`)
+    branches a neuron only within TOL_ZERO."""
     tol = DEFAULT_CONFIG.tol_feas
     for region in random_regions:
         full = Polyhedron(region.constraints.A, region.constraints.d,
@@ -238,7 +244,65 @@ def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
         assert len(region.facet_points) == rows.num_rows
         for point, a, d in zip(region.facet_points, rows.A, rows.d):
             assert full.contains(point, tol=tol)
-            assert abs(a @ point - d) <= tol
+            scale = np.linalg.norm(a) * np.linalg.norm(point) + abs(d)
+            assert abs(a @ point - d) <= 1e-13 * scale
+
+
+def frame_nets():
+    """Random 2-5-D nets, the strip net (lineality), the bench's polytope
+    nets, a net with zero pieces (w = 0) and the first 30 nets that
+    acceptance 4 draws from default_rng(42), some of whose rows are constant
+    on a slice while not quite parallel to it."""
+    nets = [random_hidden_net(np.random.default_rng([7, n, s]), n_in=n, neurons=6)
+            for n in (2, 3, 4, 5) for s in range(3)]
+    nets.append(strip_net())
+    nets += [network_from_json(p.net)
+             for p in load_bench_module("problems").build_workload("decide-nonlinear", 1)
+             if p.family in ("polytope-2d", "polytope-3d", "drift-2d")]
+    nets.append(ReluNetwork([np.array([[1.0, 0.0], [1.0, 0.0]])], [np.zeros(2)],
+                            np.array([1.0, -1.0]), 0.0))   # h = 0 on both sides of x1 = 0
+    rng = np.random.default_rng(42)
+    while len(nets) < 50:   # acceptance 4's draws: a net, then a flow once it has regions
+        net = random_hidden_net(rng, neurons=int(rng.integers(4, 7)))
+        regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+        if any(not r.degenerate for r in regions):
+            nets.append(net)
+            rng.normal(size=(2, 2)), rng.normal(size=2)
+    return nets
+
+
+def test_frame_answers_what_the_lps_answer():
+    """On every valid region: its vertices lie on the slice within tol_feas;
+    its touching rows are those whose max over the slice by LP reaches
+    d_j - tol_feas; and for random affine objectives the affine route is
+    unbounded exactly where the LP is, and otherwise its bound is the LP's
+    minimum within 1e-9 relative."""
+    tol = DEFAULT_CONFIG.tol_feas
+    rng = np.random.default_rng(5)
+    counts = Counter()
+    for net in frame_nets():
+        for indicator in brute_force_valid_regions(net):
+            region = build_valid_region(net, indicator)
+            full = Polyhedron(region.constraints.A, region.constraints.d,
+                              region.slice.w, region.slice.b)
+            assert full.contains(region.vertices, tol).all()
+            objectives = rng.normal(size=(3, net.input_dim))
+            touching, minima = lp_slice_answers(region, objectives, tol)
+            assert np.array_equal(full.A[touching], region.slice.A)
+            for c, lp_min in zip(objectives, minima):
+                g = parse_expression(" + ".join(f"{float(v)!r}*x{i + 1}" for i, v in enumerate(c)),
+                                     net.input_dim)
+                verdict = conditions._decide_affine(region, g, (c, 0.0), DEFAULT_CONFIG)
+                if lp_min == -np.inf:
+                    assert verdict.note.startswith("objective unbounded below")
+                    counts["unbounded"] += 1
+                else:
+                    assert verdict.bound == pytest.approx(lp_min, rel=1e-9, abs=1e-12)
+            counts["regions"] += 1
+            counts["lineality"] += int(len(region.vertices) == 1 and len(region.rays) >= 2)
+            counts["degenerate"] += int(region.degenerate)
+    assert counts["regions"] > 300 and counts["unbounded"] > 50
+    assert counts["lineality"] and counts["degenerate"]
 
 
 def test_touching_rows_cut_out_the_same_slice(random_regions):
@@ -258,8 +322,9 @@ def test_touching_rows_cut_out_the_same_slice(random_regions):
     assert hits > 1000
 
 
-def test_build_valid_region_solves_at_most_three_lps(monkeypatch):
-    """Two validity LPs and one batched LP over the slice."""
+def test_build_valid_region_solves_only_its_validity_lps(monkeypatch):
+    """At most two validity LPs; the touching rows and facet points come off
+    the patch's frame."""
     nets = [diamond_net(), random_hidden_net(np.random.default_rng(3), n_in=3, neurons=5)]
     calls = counted_lp_solves(monkeypatch)
     built = 0
@@ -267,8 +332,26 @@ def test_build_valid_region_solves_at_most_three_lps(monkeypatch):
         for indicator in _all_indicators(net):
             calls.clear()
             built += build_valid_region(net, indicator) is not None
-            assert len(calls) <= 3
+            assert len(calls) <= 2
     assert built >= 4
+
+
+
+def test_a_frame_that_spans_too_few_dimensions_is_a_numerical_failure(monkeypatch):
+    """valid_test has shown an (n-1)-ball in the patch, so a frame whose
+    vertices and rays span fewer dimensions lost some: build_valid_region
+    raises NumericalFailure (propagation records it), never a region read
+    off a partial frame.  Here the frame keeps one vertex of a segment."""
+    net, indicator = diamond_net(), ind(1, 0, 1, 0)
+    assert build_valid_region(net, indicator) is not None
+
+    def one_vertex(p, tol, near):
+        vertices, rays, bases = geometry.frame(p, tol, near)
+        return vertices[:1], rays[:0], bases[:1]
+
+    monkeypatch.setattr("relubarrier.regions.frame", one_vertex)
+    with pytest.raises(NumericalFailure, match="frame spans fewer dimensions than its patch"):
+        build_valid_region(net, indicator)
 
 
 # -- initial region search ---------------------------------------------------------------
