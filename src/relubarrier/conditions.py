@@ -13,30 +13,28 @@ every rung reads g with the expression module's own routes.  Whether g is
 affine depends on the flow and the set function, never on the region, so
 each check takes the affine forms (`_linear_form`) once: of each flow
 component (w.f is affine where every component of nonzero weight is) or of
-the set function.  A g with an affine form is decided exactly, with no LP,
-off the patch's vertices and rays (`regions.ValidRegion`); otherwise
-interval branch-and-bound (BaB) over the patch's bounding box, enclosing g
-with `interval_evaluate`, verifies or finds a witness, and a
-derivative-free falsification search runs only when BaB leaves the patch
-open: `unknown`, or `verified` only on the part of an unbounded patch
-inside the domain box.  A BaB witness ends the ladder wherever it lies.
-A BaB box that may miss the patch costs one batched LP (its 2n coordinate
-bounds share one phase one); the two halves of an LP-contracted box both
-meet the patch and are only tightened by the hyperplane equation.
-Each search solves one batched LP too.  `verify_certificate` takes its
-regions from `regions.enumerate_level_set`, the route the SMT export and
-the plots take as well.  Every witness, whichever route produced it (a
-least vertex, a point out along a descending ray, a search or BaB point),
-passes the one check `_checked_witness`, which takes candidates as rows, a
-batch per call: a witness lies on the slice within tol_feas and g
-evaluated there directly (`evaluate`) is finite and below
--max(tol_margin, FALSIFY_GATE).  A point that fails the check yields
-`unknown`, never an unchecked `falsified`, as does an LP that fails
-numerically in BaB; a condition verified over a partial enumeration is
-`unknown` too.  Set conditions additionally probe sampled points of the
-set against the sign of h (membership side of the containment/disjointness
-arguments); the probe is one more status in the same aggregation as the
-region verdicts, `unknown` when its draws run out.
+the set function.  A g with an affine form is decided exactly off the
+patch's vertices and rays (`regions.ValidRegion`); otherwise interval
+branch-and-bound (BaB) over simplices cut from the patch's vertices,
+enclosing g with `interval_evaluate`, verifies or finds a witness, and a
+derivative-free falsification search from the patch's vertices runs only
+when BaB leaves the patch open: `unknown`, or `verified` only on the part
+of an unbounded patch inside the domain box.  A BaB witness ends the
+ladder wherever it lies.  No rung solves an LP: every simplex lies in the
+patch, and every search point is checked against the patch's rows.
+`verify_certificate` takes its regions from `regions.enumerate_level_set`,
+the route the SMT export and the plots take as well.  Every witness,
+whichever route produced it (a least vertex, a point out along a
+descending ray, a search or BaB point), passes the one check
+`_checked_witness`, which takes candidates as rows, a batch per call: a
+witness lies on the slice within tol_feas and g evaluated there directly
+(`evaluate`) is finite and below -max(tol_margin, FALSIFY_GATE).  A point
+that fails the check yields `unknown`, never an unchecked `falsified`;
+a condition verified over a partial enumeration is `unknown` too.  Set
+conditions additionally probe sampled points of the set against the sign
+of h (membership side of the containment/disjointness arguments); the
+probe is one more status in the same aggregation as the region verdicts,
+`unknown` when its draws run out.
 """
 
 from __future__ import annotations
@@ -49,10 +47,10 @@ import numpy as np
 
 from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE,
                      VerifierConfig)
-from .errors import DomainError, NoRegions, NumericalFailure, SearchExhausted
+from .errors import CombinatorialBlowup, DomainError, NoRegions, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           weighted_sum, _linear_form)
-from .geometry import bounding_box
+from .geometry import bounding_box, frame, triangulate
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
 VERIFIED = "verified"
@@ -203,14 +201,15 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
 
 # -- falsification search ----------------------------------------------------------
 
-def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
+def _falsify(region: ValidRegion, g: Expr, cfg) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, FALSIFY_GATE).
 
-    Two stages: a point of the patch and vertices from random objectives,
-    all from one batched LP (one phase one; the rng draws only these
-    directions); then a coordinate pattern search from the lowest checked
-    of those points, projected back onto the hyperplane, where a move that
-    leaves the region is dropped, so the vertex stage's LP is the only one.
+    Two stages, with no LP: the patch's vertices and the points out along
+    each ray from each vertex at 1, 2, 4, 8 and 16 domain-box widths, then
+    a coordinate pattern search from the lowest checked of those, with a
+    first step of a quarter of the vertices' spread (of the domain box's
+    width when they are one point, such as a ray's apex), projected back
+    onto the hyperplane, where a move that leaves the region is dropped.
     Each stage checks its candidates in batches (`_checked_witness`): a
     round of the pattern search checks its remaining moves at once, takes
     the first that is a witness or improves, and goes on from there with
@@ -226,12 +225,10 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     wnorm2 = float(w @ w)
     gate = _gate(cfg)
 
-    # one batched LP: row 0 (zeros) gives the phase-one point, the others vertices
-    directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, FALSIFY_BUDGET // 5), n))])
-    outcomes = sl.minimize(directions, cfg.tol_feas)
-    if not outcomes[0].optimal:
-        return None   # the slice is empty
-    points = np.array([out.point for out in outcomes if out.optimal])
+    vertices = region.vertices
+    width = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    points = np.vstack([vertices] + [vertices + width * 2.0 ** k * ray
+                                     for k in range(5) for ray in region.rays])
     values = _checked_witness(sl, points, g, cfg)
     found = _first_witness(region, "search", points, values, cfg)
     if found is not None or np.isnan(values).all():
@@ -239,9 +236,7 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
 
     best = int(np.nanargmin(values))
     x, gx = points[best], values[best]
-    spread = float(np.max(np.ptp(points, axis=0))) if len(points) > 1 else 1.0
-    if spread == 0.0:   # every vertex LP ended at one point, such as a ray's apex
-        spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    spread = float(np.max(np.ptp(vertices, axis=0))) or width
     step = max(spread / 4.0, 1e-3)
     moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0   # e_1, -e_1, ...; + 0.0 clears -0.0
     if wnorm2 > 0.0:
@@ -269,7 +264,7 @@ def _falsify(region: ValidRegion, g: Expr, cfg, rng) -> RegionVerdict | None:
     return None
 
 
-# -- interval branch-and-bound ------------------------------------------------------
+# -- interval branch-and-bound over simplices of the patch ---------------------------
 
 def _axis_bounds(p) -> np.ndarray:
     """(n, 2) bounds that rows with a single nonzero coefficient put on their
@@ -289,108 +284,86 @@ def _axis_bounds(p) -> np.ndarray:
     return bounds
 
 
-def _tighten(box, w, b) -> np.ndarray:
-    """The box cut down by one interval propagation of ``w.x + b = 0``:
-    coordinate j (w_j != 0) keeps only -(b + sum_{k != j} w_k x_k) / w_j
-    over the box.  Every point of the box on the hyperplane stays inside
-    (the sums are widened by their rounding-error bound and the quotients
-    rounded outward), and the result is never empty; in 2-D it is the
-    bounding box of the line cut to the box."""
-    terms = np.sort(w[:, None] * box, axis=1)            # w_k x_k over [lo_k, hi_k]
-    err = (w.size + 2) * np.finfo(float).eps * (abs(b) + np.abs(terms).sum())
-    rest = b + terms.sum(axis=0) - terms                 # b + sum over k != j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.sort(-(rest + [-err, err]) / w[:, None], axis=1)
-    q = np.where(w[:, None] != 0.0, np.nextafter(q, [-np.inf, np.inf]), [-np.inf, np.inf])
-    out = np.column_stack([np.maximum(box[:, 0], q[:, 0]), np.minimum(box[:, 1], q[:, 1])])
-    # a box that misses the hyperplane (a half of an LP-contracted box can,
-    # by the LP's rounding only) is kept whole rather than emptied
-    return box if np.any(out[:, 0] > out[:, 1]) else out
+def _simplices(region: ValidRegion, cfg):
+    """(simplices (s, d + 1, n), restricted): a triangulation of the patch
+    (`triangulate`), or of an unbounded patch cut to its box
+    (`bounding_box`), whose sides along its rays are the domain box's;
+    ``restricted`` says which.  None for the simplices when the cut is
+    empty.  The cut's frame starts from a patch vertex inside the box, if
+    one is."""
+    sl, vertices = region.slice, region.vertices
+    box, restricted = bounding_box(vertices, region.rays, cfg.domain(sl.dim))
+    if restricted:
+        if np.any(box[:, 0] > box[:, 1]):
+            return None, True
+        sl = sl.within(box)
+        inside = vertices[np.all((vertices >= box[:, 0]) & (vertices <= box[:, 1]), axis=1)]
+        vertices = frame(sl, cfg.tol_feas, inside[0] if len(inside) else None)[0]
+        if not len(vertices):
+            return None, True
+    return triangulate(sl, vertices, cfg.tol_feas), restricted
 
 
 def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
     """Certify min g >= -tol_margin over the patch, or find a witness.
 
-    A box is contracted to the bounding box of the patch inside it by one
-    batched LP over 2n coordinate objectives, sharing one phase one; boxes
-    without slice points are pruned, and the LP optima are witness
-    candidates.  The patch is convex and reaches both ends of such a box's
-    split coordinate, so both halves meet it: an LP could shrink a half but
-    never prune it, and a half is only tightened by interval propagation of
-    the hyperplane equation (`_tighten`; in 2-D that is the LP's box).  Its
-    own halves may miss the patch and take the LP again.  LP optima are
-    only accurate to tol_feas, and a witness may sit tol_feas off the
-    slice, so the interval enclosure is taken over the contracted box
-    widened by tol_feas on every side, but not past a bound that a
-    single-coordinate row of the region puts on its coordinate exactly
-    (`_axis_bounds`).  Unbounded coordinates of the patch are clamped to
-    the domain box; a verified or unknown verdict then speaks for the part
-    of the patch inside it only (``domain_restricted``), while a witness is
-    a violation wherever it lies.
+    The patch's own vertices are checked first, as witness seeds.  Then
+    each simplex of the patch (`_simplices`) is enclosed by
+    `interval_evaluate` over its vertex box; a simplex that the enclosure
+    does not certify has its vertices and centroid checked as witnesses,
+    then its longest edge bisected.  No LP is solved: every simplex lies in
+    the patch, up to rounding.  A witness may sit tol_feas off the slice,
+    so the enclosure is taken over the box widened by tol_feas on every
+    side, but not past a bound that a single-coordinate row of the region
+    puts on its coordinate exactly (`_axis_bounds`).  An unbounded patch is
+    cut to the domain box first; a verified or unknown verdict then speaks
+    for the part of the patch inside the domain box only
+    (``domain_restricted``), while a witness is a violation wherever it
+    lies.  ``bab_max_boxes`` counts simplices.
     """
     sl = region.slice
-    n = sl.dim
-
-    root = bounding_box(sl, cfg.domain(n), cfg.tol_feas)
-    if root is None:
-        return RegionVerdict(region.indicator, VERIFIED, "interval", vacuous=True,
-                             note="slice empty")
-    box0, seeds, restricted = root
-    if np.any(box0[:, 0] > box0[:, 1]):
+    hit = _first_witness(region, "interval", region.vertices,
+                         _checked_witness(sl, region.vertices, g, cfg), cfg)
+    if hit is not None:
+        return hit
+    simplices, restricted = _simplices(region, cfg)
+    if simplices is None:
         return RegionVerdict(region.indicator, VERIFIED, "interval", vacuous=True,
                              domain_restricted=True,
                              note="slice leaves the domain box entirely")
 
-    hit = _first_witness(region, "interval", seeds, _checked_witness(sl, seeds, g, cfg), cfg)
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     exact = _axis_bounds(sl)
-    # (box, how it is contracted): "lp" by the batched LP, "tighten" by the
-    # hyperplane equation, None when it already is the patch's bounding box
-    # (a bounded root; a domain-clamped one takes the LP inside the domain box)
-    queue = deque([(box0, "lp" if restricted else None)])
+    queue = deque(simplices)
     certified = np.inf
     stalled = False
     processed = 0
-    while queue and hit is None:
+    while queue:
         processed += 1
         if processed > cfg.bab_max_boxes:
             return RegionVerdict(region.indicator, UNKNOWN, "interval",
                                  domain_restricted=restricted,
                                  note=f"box budget {cfg.bab_max_boxes} exhausted")
-        cbox, how = queue.popleft()
-        if how == "lp":
-            sub = bounding_box(sl.within(cbox), tol_feas=cfg.tol_feas)
-            if sub is None:
-                continue  # the patch does not enter this box
-            cbox, cpts, _ = sub
-            hit = _first_witness(region, "interval", cpts,
-                                 _checked_witness(sl, cpts, g, cfg), cfg)
-            if hit is not None:
-                break
-        elif how == "tighten":
-            cbox = _tighten(cbox, sl.w, sl.b)
-        lo = interval_evaluate(g, np.clip(cbox + pad, exact[:, :1], exact[:, 1:])).lo
+        simplex = queue.popleft()
+        box = np.column_stack([simplex.min(axis=0), simplex.max(axis=0)])
+        lo = interval_evaluate(g, np.clip(box + pad, exact[:, :1], exact[:, 1:])).lo
         if lo >= -cfg.tol_margin:
             certified = min(certified, lo)
             continue
-        widths = cbox[:, 1] - cbox[:, 0]
-        widest = int(np.argmax(widths))
-        if widths[widest] < BAB_MIN_WIDTH:
+        points = np.vstack([simplex, simplex.mean(axis=0)])
+        hit = _first_witness(region, "interval", points,
+                             _checked_witness(sl, points, g, cfg), cfg)
+        if hit is not None:
+            return hit
+        edges = np.linalg.norm(simplex[:, None] - simplex[None], axis=2)
+        i, j = np.unravel_index(np.argmax(edges), edges.shape)
+        if edges[i, j] < BAB_MIN_WIDTH:
             stalled = True
             continue
-        mid = 0.5 * (cbox[widest, 0] + cbox[widest, 1])
-        left = cbox.copy()
-        left[widest, 1] = mid
-        right = cbox.copy()
-        right[widest, 0] = mid
-        # the patch spans an LP-contracted box, so both its halves meet the
-        # patch and need no LP; their own halves may miss it
-        child = "lp" if how == "tighten" else "tighten"
-        queue.append((left, child))
-        queue.append((right, child))
+        left, right = simplex.copy(), simplex.copy()
+        left[j] = right[i] = 0.5 * (simplex[i] + simplex[j])
+        queue.extend([left, right])
 
-    if hit is not None:
-        return hit
     if stalled:
         return RegionVerdict(region.indicator, UNKNOWN, "interval",
                              domain_restricted=restricted,
@@ -402,19 +375,19 @@ def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
 
 # -- the ladder, and assembling the three conditions ---------------------------------
 
-def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
+def _decide(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
     """One region's verdict: off the patch's frame when the caller hands
     over g's affine form = (coeffs, const), else BaB, then the falsification
-    search (rng ``default_rng(seed)``) only when BaB leaves the patch open.
+    search only when BaB leaves the patch open.  No rung solves an LP.
 
     BaB decides both ways and is the cheaper rung on almost every patch.
     Its witness ends the ladder.  It leaves the patch open when it ends
-    `unknown` (box budget spent, the width floor reached, or g undefined
-    somewhere in a box it encloses), and when it verifies an unbounded
-    patch only inside the domain box (``domain_restricted``), since the
-    search is not bound to that box.  A witness the search finds replaces
-    BaB's verdict; otherwise BaB's verdict and its note stand.  An LP that
-    fails numerically in BaB ends the ladder in `unknown`.
+    `unknown` (simplex budget spent, the width floor reached, g undefined
+    somewhere in a box it encloses, or no frame for an unbounded patch cut
+    to the domain box), and when it verifies an unbounded patch only
+    inside the domain box (``domain_restricted``), since the search is not
+    bound to that box.  A witness the search finds replaces BaB's verdict;
+    otherwise BaB's verdict and its note stand.
     """
     if form is not None:
         return _decide_affine(region, g, form, cfg)
@@ -423,20 +396,18 @@ def _decide(region: ValidRegion, g: Expr, form, cfg, seed) -> RegionVerdict:
     except DomainError as exc:
         verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
                                 note=f"interval enclosure failed: {exc}")
-    except NumericalFailure as exc:   # the search's LPs share the slice's phase one
-        return RegionVerdict(region.indicator, UNKNOWN, "interval",
-                             note=f"an LP failed numerically: {exc}")
+    except CombinatorialBlowup as exc:
+        verdict = RegionVerdict(region.indicator, UNKNOWN, "interval", domain_restricted=True,
+                                note=f"no frame for the patch cut to the domain box: {exc}")
     if verdict.status != UNKNOWN and not verdict.domain_restricted:
         return verdict
-    found = _falsify(region, g, cfg, np.random.default_rng(seed))
+    found = _falsify(region, g, cfg)
     return found if found is not None else verdict
 
 
-def _decide_regions(regions, objective_of, cfg, salt: int) -> list[RegionVerdict]:
-    """`_decide` on every region, with (g, form) = objective_of(region);
-    region i searches with seed (cfg.seed, salt, i)."""
-    return [_decide(region, *objective_of(region), cfg, [cfg.seed, salt, i])
-            for i, region in enumerate(regions)]
+def _decide_regions(regions, objective_of, cfg) -> list[RegionVerdict]:
+    """`_decide` on every region, with (g, form) = objective_of(region)."""
+    return [_decide(region, *objective_of(region), cfg) for region in regions]
 
 
 def _aggregate(statuses) -> str:
@@ -464,7 +435,7 @@ def check_invariance(net, regions, sys: DynamicsSystem,
         form = (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None
         return weighted_sum(w, sys.exprs), form
 
-    verdicts = _decide_regions(regions, objective, cfg, salt=101)
+    verdicts = _decide_regions(regions, objective, cfg)
     return ConditionResult(_aggregate([v.status for v in verdicts]), verdicts)
 
 
@@ -515,7 +486,7 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
         raise NoRegions("set condition over an empty region list")
     g = weighted_sum([-1.0], [set_expr])
     objective = (g, _linear_form(g, net.input_dim))
-    verdicts = _decide_regions(regions, lambda _region: objective, cfg, salt)
+    verdicts = _decide_regions(regions, lambda _region: objective, cfg)
     rng = np.random.default_rng([cfg.seed, salt, 7919])
     probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
     if probe is None:

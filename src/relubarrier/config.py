@@ -23,7 +23,7 @@ BRANCH_CAP = 20       # max simultaneously-zero neurons feasible_indicators bran
 ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
 FRAME_CAP = 1_000_000  # max row subsets geometry.frame scans for a patch's first vertex
 FALSIFY_BUDGET = 100  # falsification-search budget per patch
-BAB_MIN_WIDTH = 1e-5  # BaB stops splitting boxes narrower than this in every coordinate
+BAB_MIN_WIDTH = 1e-5  # BaB stops splitting simplices whose longest edge is shorter
 TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent
                       # checker (bench/checker.py, _PATCH_TOL) allows 1e-6 there
 
@@ -41,7 +41,7 @@ class VerifierConfig:
     #: seed-search attempts (one batch of draws, one bisected sign change
     #: each) before giving up
     max_attempts: int = 50
-    #: boxes processed per region by branch-and-bound before Unknown
+    #: simplices processed per region by branch-and-bound before Unknown
     bab_max_boxes: int = 4000
     #: rejection-sampling budget for set-membership probes
     membership_samples: int = 100_000

@@ -5,9 +5,10 @@ hyperplane ``w.x + b = 0`` when w is given, and `Polyhedron.minimize` is the
 one place an LP is solved, all of one polyhedron's LPs on one phase one.  The
 region test measures dimension by the largest inscribed ball
 (``inscribed_radius``); ``frame`` gives a slice's vertices and rays, off
-which enumeration reads the rows touching it (`regions`) and the affine
-route its minima (`conditions`), with no LP.  ``implicit_equalities`` and
-``remove_redundant`` are references for them.
+which enumeration reads the rows touching it (`regions`), and the affine
+route its minima and branch-and-bound its box (``bounding_box``) and
+simplices (``triangulate``, `conditions`), with no LP.
+``implicit_equalities`` and ``remove_redundant`` are references for them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .config import FRAME_CAP, TOL_EQ
 from .errors import CombinatorialBlowup, InfeasiblePolyhedron
-from .linprog import INFEASIBLE, UNBOUNDED, lp_solve
+from .linprog import UNBOUNDED, lp_solve
 
 
 @dataclass
@@ -224,33 +225,43 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     return Polyhedron(p.A[keep], p.d[keep])
 
 
-def bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,
-                 tol_feas: float = 1e-7):
-    """Coordinate-wise bounds of a slice: the min and max of each
-    coordinate, 2n objectives solved by one batched `minimize` (one phase
-    one, each phase two warm-started from the previous optimum).
+def bounding_box(vertices: np.ndarray, rays: np.ndarray, domain: np.ndarray):
+    """(box (n, 2), restricted) of a patch given by its vertices and unit
+    rays (`frame`), with no LP: each coordinate runs from the vertices' min
+    to their max, and a side along which a ray has a component above 1e-12
+    is clamped to the domain box instead, which sets ``restricted``."""
+    box = np.column_stack([vertices.min(axis=0), vertices.max(axis=0)])
+    clamped = np.column_stack([(rays < -1e-12).any(axis=0), (rays > 1e-12).any(axis=0)])
+    box[clamped] = domain[clamped]
+    return box, bool(clamped.any())
 
-    Returns (box (n,2), sample points, restricted) or None when infeasible;
-    ``restricted`` is set when an unbounded coordinate was clamped to the
-    supplied domain box.
-    """
-    dim = sl.dim
-    # objectives x1, -x1, x2, -x2, ...: minimising -x_i gives max x_i
-    signs = np.tile([1.0, -1.0], dim)
-    outcomes = sl.minimize(np.repeat(np.eye(dim), 2, axis=0) * signs[:, None], tol_feas)
-    if outcomes.status == INFEASIBLE:
-        return None
-    box = np.empty((dim, 2))
-    points = []
-    restricted = False
-    for k, outcome in enumerate(outcomes):
-        i, side = divmod(k, 2)
-        if outcome.optimal:
-            box[i, side] = signs[k] * outcome.value
-            points.append(outcome.point)
-        elif domain is None:
-            raise InfeasiblePolyhedron("unbounded slice and no domain box to restrict to")
-        else:
-            box[i, side] = domain[i, side]
-            restricted = True
-    return box, points, restricted
+
+def triangulate(p: Polyhedron, vertices: np.ndarray, tol_feas: float = 1e-7) -> np.ndarray:
+    """A pulling triangulation of the bounded polyhedron p from its
+    vertices: an (s, d + 1, n) array of simplices, d the dimension of p
+    (on its hyperplane).  A vertex is tight on the rows of p it meets
+    within tol_feas (rows scaled to unit norm), and vertices tight on the
+    same rows are one point (a degenerate vertex that `frame` gives once
+    per basis).  A face is triangulated by coning its first vertex over
+    the triangulations of its facets that do not hold it; a facet is the
+    set of the face's vertices tight on one row, of one dimension less."""
+    scale = np.linalg.norm(p.A, axis=1)
+    tight = vertices @ (p.A / scale[:, None]).T >= p.d / scale - tol_feas
+    keep = np.sort(np.unique(tight, axis=0, return_index=True)[1])
+    points, tight = vertices[keep], tight[keep]
+
+    def dim(face):
+        if len(face) <= 2:
+            return len(face) - 1
+        spread = np.linalg.svd(points[face[1:]] - points[face[0]], compute_uv=False)
+        return int(np.sum(spread > tol_feas))
+
+    def pull(face, d):
+        if len(face) == d + 1:
+            return [face]
+        facets = np.unique(tight[face][:, ~tight[face[0]]], axis=1).T   # rows off the apex
+        return [[face[0], *s] for on in facets if dim(face[on]) == d - 1
+                for s in pull(face[on], d - 1)]
+
+    face = np.arange(len(points))
+    return points[np.array(pull(face, dim(face)))]

@@ -15,8 +15,10 @@ import sys
 
 import numpy as np
 
-from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem, Polyhedron,
-                         evaluate, implicit_equalities, lp_solve)
+from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
+                         InfeasiblePolyhedron, Polyhedron, brute_force_valid_regions,
+                         build_valid_region, evaluate, implicit_equalities, lp_solve,
+                         network_from_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import BAB_MIN_WIDTH, FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
 from relubarrier.network import ReluNetwork
@@ -119,6 +121,29 @@ def ill_scaled_deep_net(seed: int) -> ReluNetwork:
     weights = [rng.normal(size=(8, 2))] + [rng.normal(size=(8, 8)) * 1e4 for _ in range(3)]
     biases = [rng.normal(size=8) for _ in range(4)]
     return ReluNetwork(weights, biases, rng.normal(size=8), 0.0)
+
+
+def frame_nets():
+    """Random 2-5-D nets, the strip net (lineality), the bench's polytope
+    nets, a net with zero pieces (w = 0) and the first 30 nets that
+    acceptance 4 draws from default_rng(42), some of whose rows are constant
+    on a slice while not quite parallel to it."""
+    nets = [random_hidden_net(np.random.default_rng([7, n, s]), n_in=n, neurons=6)
+            for n in (2, 3, 4, 5) for s in range(3)]
+    nets.append(strip_net())
+    nets += [network_from_json(p.net)
+             for p in load_bench_module("problems").build_workload("decide-nonlinear", 1)
+             if p.family in ("polytope-2d", "polytope-3d", "drift-2d")]
+    nets.append(ReluNetwork([np.array([[1.0, 0.0], [1.0, 0.0]])], [np.zeros(2)],
+                            np.array([1.0, -1.0]), 0.0))   # h = 0 on both sides of x1 = 0
+    rng = np.random.default_rng(42)
+    while len(nets) < 50:   # acceptance 4's draws: a net, then a flow once it has regions
+        net = random_hidden_net(rng, neurons=int(rng.integers(4, 7)))
+        regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+        if any(not r.degenerate for r in regions):
+            nets.append(net)
+            rng.normal(size=(2, 2)), rng.normal(size=2)
+    return nets
 
 
 def scaled_output(net: ReluNetwork, k: float) -> ReluNetwork:
@@ -321,7 +346,19 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
     return ends[0][None, :] * (1 - ts) + ends[1][None, :] * ts
 
 
-def reference_falsify(region, g, cfg, rng):
+def patch_samples(region, domain, rng, k: int = 4000) -> np.ndarray:
+    """Points of the patch inside the domain box, drawn without its frame:
+    k uniform points of the box projected onto the hyperplane, kept where
+    they stay in the box and obey every row of the region exactly."""
+    w = region.slice.w
+    xs = rng.uniform(domain[:, 0], domain[:, 1], size=(k, len(w)))
+    if w.any():
+        xs -= np.outer(xs @ w + region.slice.b, w) / (w @ w)
+    inside = np.all((xs >= domain[:, 0]) & (xs <= domain[:, 1]), axis=1)
+    return xs[inside & region.constraints.contains(xs, 0.0)]
+
+
+def reference_falsify(region, g, cfg):
     """The falsification search one candidate at a time: the reference for
     `conditions._falsify`, which checks its candidates in batches.
 
@@ -339,11 +376,10 @@ def reference_falsify(region, g, cfg, rng):
         v = evaluate(g, x)
         return v if sl.contains(x, cfg.tol_feas) and np.isfinite(v) else None
 
-    directions = np.vstack([np.zeros(n), rng.standard_normal((max(4, FALSIFY_BUDGET // 5), n))])
-    outcomes = sl.minimize(directions, cfg.tol_feas)
-    if not outcomes[0].optimal:
-        return None
-    points = np.array([out.point for out in outcomes if out.optimal])
+    vertices = region.vertices
+    width = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    points = list(vertices) + [v + width * 2.0 ** k * ray
+                               for k in range(5) for ray in region.rays for v in vertices]
     best = None
     for point in points:
         v = value(point)
@@ -354,9 +390,7 @@ def reference_falsify(region, g, cfg, rng):
     if best is None:
         return None
     x, gx = best
-    spread = float(np.max(np.ptp(points, axis=0))) if len(points) > 1 else 1.0
-    if spread == 0.0:
-        spread = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    spread = float(np.max(np.ptp(vertices, axis=0))) or width
     step = max(spread / 4.0, 1e-3)
     moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0
     if wnorm2 > 0.0:
@@ -379,6 +413,38 @@ def reference_falsify(region, g, cfg, rng):
             if step < BAB_MIN_WIDTH:
                 break
     return None
+
+
+def lp_bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,
+                    tol_feas: float = 1e-7):
+    """Coordinate-wise bounds of a slice by LP: the min and max of each
+    coordinate, 2n objectives solved by one batched `minimize`; the
+    reference for `geometry.bounding_box`, which reads them off the frame.
+
+    Returns (box (n,2), sample points, restricted) or None when infeasible;
+    ``restricted`` is set when an unbounded coordinate was clamped to the
+    supplied domain box.
+    """
+    dim = sl.dim
+    # objectives x1, -x1, x2, -x2, ...: minimising -x_i gives max x_i
+    signs = np.tile([1.0, -1.0], dim)
+    outcomes = sl.minimize(np.repeat(np.eye(dim), 2, axis=0) * signs[:, None], tol_feas)
+    if outcomes.status == INFEASIBLE:
+        return None
+    box = np.empty((dim, 2))
+    points = []
+    restricted = False
+    for k, outcome in enumerate(outcomes):
+        i, side = divmod(k, 2)
+        if outcome.optimal:
+            box[i, side] = signs[k] * outcome.value
+            points.append(outcome.point)
+        elif domain is None:
+            raise InfeasiblePolyhedron("unbounded slice and no domain box to restrict to")
+        else:
+            box[i, side] = domain[i, side]
+            restricted = True
+    return box, points, restricted
 
 
 def marching_squares_reference(expr, domain, grid=256):

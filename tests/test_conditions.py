@@ -2,6 +2,8 @@
 set conditions, and the end-to-end certificate pipeline."""
 
 import json
+import math
+from collections import Counter, deque
 
 import jsonschema
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
-                         ActivationIndicator, DynamicsSystem, NoRegions, Polyhedron,
-                         ReluNetwork, boundary_propagation,
+                         ActivationIndicator, CombinatorialBlowup, DynamicsSystem, NoRegions,
+                         Polyhedron, ReluNetwork, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_unsafe_condition, enumerate_level_set, evaluate, load_problem,
@@ -19,12 +21,12 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
-from relubarrier.geometry import bounding_box, inscribed_radius
+from relubarrier.geometry import bounding_box, frame, inscribed_radius
 
-from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
-                     ill_scaled_deep_net, load_bench_module, random_hidden_net,
-                     reference_falsify, slice_grid, strip_net, whole_space, write_problem,
-                     CUBIC2D)
+from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net, frame_nets,
+                     ill_scaled_deep_net, load_bench_module, patch_samples, random_hidden_net,
+                     reference_falsify, slice_grid, strip_net, write_problem,
+                     CUBIC2D, TRANSCENDENTAL3D)
 
 
 def ind(*bits):
@@ -151,8 +153,7 @@ def test_affine_forms_are_taken_once_per_flow_component_or_set_function(monkeypa
 def test_falsify_finds_witness_for_constant_negative():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
-                              np.random.default_rng(0))
+    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG)
     assert hit is not None
     assert hit.status == FALSIFIED
     assert region.slice.contains(hit.witness, tol=1e-6)
@@ -162,8 +163,7 @@ def test_falsify_finds_witness_for_constant_negative():
 def test_falsify_absent_for_stable_flow():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    assert conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
-                               np.random.default_rng(0)) is None
+    assert conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG) is None
 
 
 def test_falsify_sign_change_matches_grid_oracle():
@@ -173,8 +173,7 @@ def test_falsify_sign_change_matches_grid_oracle():
     pts = slice_grid(region, 10_000)
     w = region.slice.w
     grid_vals = np.array([w @ sys(p) for p in pts[::10]])
-    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG,
-                              np.random.default_rng(0))
+    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG)
     if grid_vals.min() < -1e-6:
         assert hit is not None
         assert hit.witness_value < -1e-9
@@ -184,17 +183,17 @@ def test_falsify_sign_change_matches_grid_oracle():
         assert hit is None
 
 
-def test_falsify_solves_lps_only_in_its_vertex_stage(monkeypatch):
-    """w.f = 0 on the flat patch, so the search walks its whole budget:
-    its feasible point and max(4, FALSIFY_BUDGET // 5) vertices come from one
-    batched LP, and the pattern moves that leave the patch solve none."""
+def test_falsify_solves_no_lp(monkeypatch):
+    """w.f = 0 on the flat patch, so the search walks its whole budget from
+    the patch's vertices, and the pattern moves that leave the patch are
+    dropped by the witness check: no LP anywhere."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
     calls = counted_lp_solves(monkeypatch)
-    found = conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(0))
+    found = conditions._falsify(region, g, DEFAULT_CONFIG)
     assert found is None
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_pattern_search_stops_halving_at_the_bab_width_floor(monkeypatch):
@@ -213,7 +212,7 @@ def test_pattern_search_stops_halving_at_the_bab_width_floor(monkeypatch):
     monkeypatch.setattr(conditions, "_checked_witness", recorded)
     net, region = first_quadrant_region()
     g = w_dot_f(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2))
-    assert conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(0)) is None
+    assert conditions._falsify(region, g, DEFAULT_CONFIG) is None
     w = region.slice.w
     m1 = np.array([1.0, 0.0]) - w[0] * w / (w @ w)
     steps = [np.linalg.norm(ys[0] - ys[1]) / np.linalg.norm(2.0 * m1) for ys in rounds[1:]]
@@ -287,195 +286,117 @@ def test_margin_monotonicity_never_flips_verified_to_falsified():
             assert large.status == VERIFIED
 
 
-def record_bab_boxes(monkeypatch):
-    """Run-time log of _bab: ("box", contracted box) for every bounding_box
-    result, ("tighten", (half, tightened half)) for every `_tighten` call and
-    ("enclose", box) for every box `interval_evaluate` sees."""
-    events = []
-    original_bounding_box, original_tighten = conditions.bounding_box, conditions._tighten
-    original_interval = conditions.interval_evaluate
-
-    def logged_bounding_box(*args, **kwargs):
-        out = original_bounding_box(*args, **kwargs)
-        if out is not None:
-            events.append(("box", out[0].copy()))
-        return out
-
-    def logged_tighten(box, w, b):
-        out = original_tighten(box, w, b)
-        events.append(("tighten", (box.copy(), out.copy())))
-        return out
-
-    def logged_interval(g, box):
-        events.append(("enclose", np.array(box, dtype=float)))
-        return original_interval(g, box)
-
-    monkeypatch.setattr(conditions, "bounding_box", logged_bounding_box)
-    monkeypatch.setattr(conditions, "_tighten", logged_tighten)
-    monkeypatch.setattr(conditions, "interval_evaluate", logged_interval)
-    return events
-
-
-def test_bab_encloses_each_contracted_box_widened_by_tol_feas(monkeypatch):
-    """LP-contracted boxes are only accurate to tol_feas, so the enclosure
-    covers each one widened by tol_feas on every side.  A half of such a
-    box is tightened by the hyperplane equation instead of an LP: the
-    enclosure covers the tightened half widened alike (not past an exact
-    axis bound), and the tightened half keeps every slice-grid point of
-    the half."""
-    net = random_hidden_net(np.random.default_rng(0), neurons=6)
-    regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
-    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
-    tol = DEFAULT_CONFIG.tol_feas
-    enclosed = tightened = kept = 0
-    events = record_bab_boxes(monkeypatch)
-    for region in regions:
-        events.clear()
-        conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
-        exact = conditions._axis_bounds(region.slice)
-        pts = slice_grid(region, 2000)
-        for (kind, cbox), (next_kind, box) in zip(events, events[1:]):
-            if next_kind != "enclose":
-                continue
-            if kind == "box":
-                assert np.all(box[:, 0] <= cbox[:, 0] - tol)
-                assert np.all(box[:, 1] >= cbox[:, 1] + tol)
-                enclosed += 1
-                continue
-            assert kind == "tighten"
-            half, tbox = cbox
-            assert np.all(box[:, 0] <= np.maximum(tbox[:, 0] - tol, exact[:, 0]))
-            assert np.all(box[:, 1] >= np.minimum(tbox[:, 1] + tol, exact[:, 1]))
-            inside = pts[np.all((pts >= half[:, 0]) & (pts <= half[:, 1]), axis=1)]
-            assert np.all((inside >= tbox[:, 0]) & (inside <= tbox[:, 1]))
-            tightened += 1
-            kept += len(inside)
-    assert enclosed >= 20 and tightened >= 20 and kept >= 1000
-
-
-def test_tighten_keeps_every_hyperplane_point_of_the_box():
-    """Seeded boxes and hyperplanes that meet them, in 2-D and 3-D (some
-    parallel to an axis): sampled points of box and hyperplane lie in the
-    tightened box, and in 2-D it is the LP bounding box of the line cut to
-    the box, within tol_feas."""
-    rng = np.random.default_rng(5)
-    tol = DEFAULT_CONFIG.tol_feas
-    checked = 0
-    for n in (2, 3):
-        for trial in range(200):
-            lo = rng.uniform(-3.0, 2.0, n)
-            box = np.column_stack([lo, lo + rng.uniform(0.01, 2.0, n)])
-            w = rng.normal(size=n)
-            if trial % 5 == 0:
-                w[rng.integers(n)] = 0.0
-            b = -float(w @ rng.uniform(box[:, 0], box[:, 1]))
-            tight = conditions._tighten(box, w, b)
-            assert np.all(tight[:, 0] <= tight[:, 1])
-            # points of the box solved onto the hyperplane along its largest |w_j|
-            j = int(np.argmax(np.abs(w)))
-            rest = np.delete(np.arange(n), j)
-            xs = rng.uniform(box[:, 0], box[:, 1], size=(500, n))
-            xs[:, j] = -(b + xs[:, rest] @ w[rest]) / w[j]
-            xs = xs[np.all((xs >= box[:, 0]) & (xs <= box[:, 1]), axis=1)]
-            assert np.all((xs >= tight[:, 0]) & (xs <= tight[:, 1]))
-            checked += len(xs)
-            if n == 2:
-                line = whole_space(2, w, b).within(box)
-                lp_box, _points, _restricted = bounding_box(line, tol_feas=tol)
-                np.testing.assert_allclose(tight, lp_box, rtol=0.0, atol=tol)
-    assert checked >= 20_000
-    # a box the hyperplane misses comes back whole, never empty
-    box = np.array([[0.0, 1.0], [1.0 + 1e-12, 1.0 + 1e-12]])
-    assert np.array_equal(conditions._tighten(box, np.array([0.0, 1.0]), -1.0), box)
-
-
-def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
-    """Each slice-grid point of a patch that BaB verifies lies in some
-    enclosed box whose lower bound certified: no part of the patch escapes
-    the proof, on the diamond's patches and those of random nets."""
-    flows = [DynamicsSystem.parse(flow, dim=2) for flow in (
-        ["-x1^3", "-x2^3"], ["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], CUBIC2D)]
-    _net, patches = diamond_regions()
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        net = random_hidden_net(rng, neurons=5)
-        patches += [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
-    certified = []
+def record_enclosures(monkeypatch):
+    """Run-time log of the boxes `_bab` hands `interval_evaluate`, each with
+    its enclosure's lower bound."""
+    enclosures = []
     original = conditions.interval_evaluate
 
     def logged(g, box):
         iv = original(g, box)
-        if iv.lo >= -DEFAULT_CONFIG.tol_margin:
-            certified.append(np.array(box, dtype=float))
+        enclosures.append((np.array(box, dtype=float), iv.lo))
         return iv
 
     monkeypatch.setattr(conditions, "interval_evaluate", logged)
-    verified = 0
+    return enclosures
+
+
+def test_bab_encloses_each_simplex_box_widened_by_tol_feas(monkeypatch):
+    """Simplex vertices lie on the slice only up to rounding, and a witness
+    may sit tol_feas off it, so each enclosure covers a simplex's vertex box
+    widened by tol_feas on every side, clipped only at an exact
+    single-coordinate bound.  Replayed from the patch's simplices, breadth
+    first: a simplex its enclosure does not certify is split at the
+    midpoint of its longest edge."""
+    net = random_hidden_net(np.random.default_rng(0), neurons=6)
+    regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
+    cfg = DEFAULT_CONFIG
+    enclosures = record_enclosures(monkeypatch)
+    split = 0
+    for region in regions:
+        enclosures.clear()
+        conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), cfg)
+        exact = conditions._axis_bounds(region.slice)
+        queue = deque(conditions._simplices(region, cfg)[0] if enclosures else [])
+        for box, lo in enclosures:
+            simplex = queue.popleft()
+            want = np.column_stack([simplex.min(axis=0) - cfg.tol_feas,
+                                    simplex.max(axis=0) + cfg.tol_feas])
+            assert np.array_equal(box, np.clip(want, exact[:, :1], exact[:, 1:]))
+            if lo >= -cfg.tol_margin:
+                continue
+            edges = np.linalg.norm(simplex[:, None] - simplex[None], axis=2)
+            i, j = np.unravel_index(np.argmax(edges), edges.shape)
+            left, right = simplex.copy(), simplex.copy()
+            left[j] = right[i] = 0.5 * (simplex[i] + simplex[j])
+            queue.extend([left, right])
+            split += 1
+    assert split >= 20
+
+
+def test_bab_simplex_vertices_lie_on_the_slice(monkeypatch):
+    """Every simplex vertex lies on the slice within tol_feas: those of the
+    patch's triangulation, on bounded and domain-clamped patches of 2-D and
+    3-D nets, and every point BaB checks as a witness (a simplex's vertices
+    and centroid) down to the budget on the diamond's flat patch."""
+    checked = []
+    original = conditions._checked_witness
+
+    def logged(sl, points, g, cfg):
+        checked.append((sl, np.array(points, dtype=float)))
+        return original(sl, points, g, cfg)
+
+    monkeypatch.setattr(conditions, "_checked_witness", logged)
+    net, region = first_quadrant_region()
+    conditions._bab(region, w_dot_f(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)),
+                    DEFAULT_CONFIG.updated(bab_max_boxes=200))
+    rng = np.random.default_rng(9)
+    restricted = 0
+    for n in (2, 2, 3, 3):
+        net = random_hidden_net(rng, n_in=n, neurons=5)
+        for region in (build_valid_region(net, c) for c in brute_force_valid_regions(net)):
+            simplices, clamped = conditions._simplices(region, DEFAULT_CONFIG)
+            if simplices is not None:
+                checked.append((region.slice, simplices.reshape(-1, n)))
+                restricted += clamped
+    assert restricted >= 5 and sum(len(points) for _sl, points in checked) > 500
+    for sl, points in checked:
+        assert sl.contains(points, DEFAULT_CONFIG.tol_feas).all()
+
+
+def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
+    """Each sampled point of a patch that BaB verifies lies in some enclosed
+    box whose lower bound certified: no part of the patch escapes the
+    proof, on the diamond's patches and those of random 2-D and 3-D nets,
+    bounded and clamped to the domain box (sampled inside it only)."""
+    flows = {2: [DynamicsSystem.parse(flow, dim=2) for flow in (
+        ["-x1^3", "-x2^3"], ["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], CUBIC2D)],
+             3: [DynamicsSystem.parse(flow, dim=3) for flow in (
+        ["-x1^3", "-x2^3", "-x3^3"], TRANSCENDENTAL3D)]}
+    _net, patches = diamond_regions()
+    rng = np.random.default_rng(4)
+    for n in (2, 2, 2, 3, 3):
+        net = random_hidden_net(rng, n_in=n, neurons=5)
+        patches += [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    enclosures = record_enclosures(monkeypatch)
+    verified = Counter()
     for region in patches:
-        pts = slice_grid(region, 1000)
-        for sys in flows:
-            certified.clear()
+        n = region.slice.dim
+        pts = patch_samples(region, DEFAULT_CONFIG.domain(n), rng)
+        for sys in flows[n]:
+            enclosures.clear()
             verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs),
                                       DEFAULT_CONFIG)
             if verdict.status != VERIFIED or verdict.vacuous:
                 continue
-            boxes = np.array(certified)
+            boxes = np.array([box for box, lo in enclosures if lo >= -DEFAULT_CONFIG.tol_margin])
             inside = np.all((pts[:, None] >= boxes[None, :, :, 0])
                             & (pts[:, None] <= boxes[None, :, :, 1]), axis=2)
             assert inside.any(axis=1).all()
-            verified += 1
-    assert verified >= 20
-
-
-def test_bab_lp_count_on_the_flat_patch(monkeypatch):
-    """w.f = 0 on the flat first-quadrant patch, so BaB splits until its
-    budget or the margin stops it.  No bounding_box call receives a half of
-    a contracted box (both halves meet the patch; they are tightened by the
-    hyperplane equation instead), which caps the LPs: at most 330 of 500
-    boxes, and at most 1,600 where tol_margin = 1e-3 verifies the patch
-    (2,959 when every box took an LP, for the same bound)."""
-    net, region = first_quadrant_region()
-    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    calls = []   # (the box a call is cut to, or None at the root; contracted box)
-    original = conditions.bounding_box
-
-    def logged(sl, domain=None, tol_feas=DEFAULT_CONFIG.tol_feas):
-        out = original(sl, domain, tol_feas)
-        n = sl.dim
-        given = None if domain is not None else np.column_stack(
-            [-sl.d[-n:], sl.d[-2 * n:-n]])   # rows x <= hi, then -x <= -lo
-        calls.append((given, None if out is None else out[0]))
-        return out
-
-    monkeypatch.setattr(conditions, "bounding_box", logged)
-    for cfg, cap in ((DEFAULT_CONFIG.updated(bab_max_boxes=500), 330),
-                     (DEFAULT_CONFIG.updated(tol_margin=1e-3), 1600)):
-        calls.clear()
-        verdict = conditions._bab(region, w_dot_f(region, sys), cfg)
-        assert len(calls) <= cap
-        halves = set()
-        for _given, box in calls:
-            if box is None:
-                continue
-            widest = int(np.argmax(box[:, 1] - box[:, 0]))
-            mid = 0.5 * (box[widest, 0] + box[widest, 1])
-            left, right = box.copy(), box.copy()
-            left[widest, 1] = right[widest, 0] = mid
-            halves.update((left.tobytes(), right.tobytes()))
-        assert not any(given is not None and given.tobytes() in halves for given, _box in calls)
-    assert (verdict.status, verdict.bound) == (VERIFIED, pytest.approx(-9.999479489327e-4,
-                                                                      rel=1e-12))
-
-
-def test_bab_contracts_a_bounded_root_once(monkeypatch):
-    """The decay flow is certified on the first-quadrant patch at the root
-    box: one bounding_box call, which the root box is taken from."""
-    net, region = first_quadrant_region()
-    sys = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
-    events = record_bab_boxes(monkeypatch)
-    verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
-    assert (verdict.status, verdict.domain_restricted) == (VERIFIED, False)
-    assert [kind for kind, _box in events] == ["box", "enclose"]
+            verified[n, verdict.domain_restricted] += len(pts) > 0
+    assert verified[2, False] >= 15 and verified[3, False] >= 10
+    assert verified[2, True] >= 3 and verified[3, True] >= 3
 
 
 def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
@@ -485,11 +406,57 @@ def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
     net, regions = diamond_regions()
     region = next(r for r in regions if r.indicator == ind(0, 1, 1, 0))
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    events = record_bab_boxes(monkeypatch)
+    enclosures = record_enclosures(monkeypatch)
     verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
     assert (verdict.status, verdict.bound) == (VERIFIED, 0.0)
-    boxes = [box for kind, box in events if kind == "enclose"]
-    assert boxes and all(box[0, 1] == 0.0 and box[1, 0] == 0.0 for box in boxes)
+    assert enclosures and all(box[0, 1] == 0.0 and box[1, 0] == 0.0 for box, _lo in enclosures)
+
+
+def test_simplices_tile_the_patch():
+    """On the regions of random 2-5-D nets, the bench's polytope nets (with
+    degenerate vertices: one point from several bases), lineality and zero
+    pieces: the simplices' k-volumes sum to the patch's (the hull of its
+    vertices, or of the vertices of its cut to the domain box), and
+    sampled points of the patch (convex combinations of its vertices, and
+    points of the hyperplane inside the domain box that obey every row)
+    fall in at least one simplex."""
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(17)
+    cfg = DEFAULT_CONFIG
+    counts = Counter()
+    for net in frame_nets():
+        for indicator in brute_force_valid_regions(net):
+            region = build_valid_region(net, indicator)
+            simplices, restricted = conditions._simplices(region, cfg)
+            if simplices is None:
+                counts["outside"] += 1
+                continue
+            if restricted:
+                box, _ = bounding_box(region.vertices, region.rays, cfg.domain(net.input_dim))
+                vertices = frame(region.slice.within(box), cfg.tol_feas)[0]
+            else:
+                vertices = region.vertices
+            k = simplices.shape[1] - 1
+            origin = vertices[0]
+            basis = np.linalg.svd(vertices - origin)[2][:k].T    # the patch's own axes
+            coords = (simplices - origin) @ basis
+            volumes = np.abs(np.linalg.det(coords[:, 1:] - coords[:, :1])) / math.factorial(k)
+            hull = (vertices - origin) @ basis
+            whole = (np.ptp(hull) if k == 1 else spatial.ConvexHull(hull).volume) if k else 1.0
+            assert volumes.sum() == pytest.approx(whole, rel=1e-9, abs=1e-12)
+            weights = rng.dirichlet(np.ones(len(vertices)), size=200)
+            points = np.vstack([weights @ vertices, patch_samples(region, cfg.domain(net.input_dim), rng)])
+            if k:
+                inverse = np.linalg.inv(coords[:, 1:] - coords[:, :1])   # rows: barycentric map
+                local = np.einsum("pk,skj->psj", (points - origin) @ basis, inverse) \
+                    - np.einsum("sk,skj->sj", coords[:, 0], inverse)[None]
+                bary = np.concatenate([1.0 - local.sum(axis=2, keepdims=True), local], axis=2)
+                assert (bary >= -1e-9).all(axis=2).any(axis=1).all()
+            counts["restricted" if restricted else "bounded"] += 1
+            counts[k] += 1
+            counts["degenerate"] += len(vertices) > len(np.unique(np.round(vertices, 9), axis=0))
+    assert counts["bounded"] > 100 and counts["restricted"] > 100
+    assert counts[1] and counts[2] and counts[3] and counts[4] and counts["degenerate"]
 
 
 def counted_search(monkeypatch):
@@ -506,20 +473,19 @@ def counted_search(monkeypatch):
 
 def test_batched_search_follows_the_one_at_a_time_path():
     """h = 1 - |x1| - |x2| - |x3|; on its first-octant patch (a triangle)
-    w.f = 100 ((x1 - 0.2)^2 + (x2 - 0.5)^2) - 1 is negative only on a small
+    w.f = 100 ((x1 - c1)^2 + (x2 - c2)^2) - 1 is negative only on a small
     disc: the vertices are no witnesses, and the pattern search walks in to
     one.  Which point it reaches depends on the order of its moves; checking
     each round's moves as a batch takes the same steps as checking them one
     at a time."""
     net = ReluNetwork([np.kron(np.eye(3), [[1.0], [-1.0]])], [np.zeros(6)], -np.ones(6), 1.0)
     region = build_valid_region(net, ind(1, 0, 1, 0, 1, 0))
-    g = w_dot_f(region, DynamicsSystem.parse(["1 - 100*((x1 - 0.2)^2 + (x2 - 0.5)^2)",
-                                              "0", "0"], dim=3))
-    for seed in range(3):
-        witness, value, stage = reference_falsify(region, g, DEFAULT_CONFIG,
-                                                  np.random.default_rng(seed))
+    for c1, c2 in ((0.2, 0.5), (0.5, 0.2), (0.3, 0.3)):
+        g = w_dot_f(region, DynamicsSystem.parse([f"1 - 100*((x1 - {c1})^2 + (x2 - {c2})^2)",
+                                                  "0", "0"], dim=3))
+        witness, value, stage = reference_falsify(region, g, DEFAULT_CONFIG)
         assert stage == "pattern"
-        verdict = conditions._falsify(region, g, DEFAULT_CONFIG, np.random.default_rng(seed))
+        verdict = conditions._falsify(region, g, DEFAULT_CONFIG)
         assert (verdict.status, verdict.method) == (FALSIFIED, "search")
         np.testing.assert_allclose(verdict.witness, witness, rtol=0, atol=1e-12)
         assert verdict.witness_value == pytest.approx(value, rel=0, abs=1e-12)
@@ -565,7 +531,7 @@ def test_search_runs_once_when_bab_runs_out_of_boxes(monkeypatch):
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)   # w.f = 0 on the patch
     cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
-    verdict = conditions._decide(region, w_dot_f(region, sys), None, cfg, 0)
+    verdict = conditions._decide(region, w_dot_f(region, sys), None, cfg)
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (UNKNOWN, "interval")
     assert verdict.note == "box budget 5 exhausted"
@@ -605,7 +571,7 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     g = weighted_sum(region.slice.w, sys.exprs)
     inside = conditions._bab(region, g, DEFAULT_CONFIG)
     assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
-    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
+    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert abs(verdict.witness[1]) > 4.0
@@ -624,11 +590,31 @@ def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
     g = weighted_sum(region.slice.w, sys.exprs)
     bab = conditions._bab(region, g, DEFAULT_CONFIG)
     assert (bab.status, bab.domain_restricted) == (FALSIFIED, False)
-    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
+    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
     assert calls == []
     assert (verdict.status, verdict.method) == (FALSIFIED, "interval")
     assert np.array_equal(verdict.witness, bab.witness)
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
+
+
+def test_no_frame_for_the_cut_patch_leaves_the_row_to_the_search(monkeypatch):
+    """When the frame of an unbounded patch cut to the domain box gives up
+    (CombinatorialBlowup past FRAME_CAP), BaB's row is unknown and
+    domain-restricted, with the reason in its note, and the search still
+    runs: on the line x1 = 0 it finds w.f = 16 - x2^2 < 0 beyond the box."""
+    def blowup(*args, **kwargs):
+        raise CombinatorialBlowup("no vertex among the first 1000000 row subsets")
+
+    monkeypatch.setattr(conditions, "frame", blowup)
+    net = line_net()
+    region = build_valid_region(net, brute_force_valid_regions(net)[0])
+    for flow, status in ((["16 - x2^2", "0"], FALSIFIED), (["1 + x2^2", "0"], UNKNOWN)):
+        g = weighted_sum(region.slice.w, DynamicsSystem.parse(flow, dim=2).exprs)
+        verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
+        assert verdict.status == status
+        if status == UNKNOWN:
+            assert verdict.domain_restricted and verdict.note.startswith(
+                "no frame for the patch cut to the domain box: no vertex among")
 
 
 def test_search_reaches_far_along_a_ray_shaped_patch():
@@ -640,7 +626,7 @@ def test_search_reaches_far_along_a_ray_shaped_patch():
     region = build_valid_region(net, ind(1, 0, 0))
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
-    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG, 0)
+    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert verdict.witness[1] < -4.0
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
@@ -881,33 +867,37 @@ def test_affine_set_expression_uses_lp_route():
         assert v.method == "lp"
 
 
-# -- the slice's shared phase one --------------------------------------------------------
+# -- condition order ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_condition_order_does_not_change_verdicts(seed):
-    """A region's slice keeps its phase one across the conditions' LPs (the
-    search and BaB under the cubic flow; the affine route reads the frame
-    and solves none).  Unsafe then invariance on one region list gives the
-    verdicts of invariance then unsafe on a fresh enumeration: same route,
-    bound and witness."""
+    """No condition solves an LP on a region's slice (BaB and the search
+    under the radial flows x (|x|^2 - 20) and its reverse, and the affine
+    route, read the frame), so its LP memo stays empty.  Unsafe then
+    invariance on one region list gives the verdicts of invariance then
+    unsafe on a fresh enumeration: same route, bound and witness."""
     net = random_hidden_net(np.random.default_rng(seed), n_in=2, neurons=6)
-    sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     unsafe = parse_expression("x1 - 1", 2)
-    regions = enumerate_level_set(net).regions
-    unsafe_first = check_unsafe_condition(net, regions, unsafe)
-    assert all(r.slice.memo == {} for r in regions)
-    inv_second = check_invariance(net, regions, sys)
-    fresh = enumerate_level_set(net).regions
-    assert all(r.slice.memo == {} for r in fresh) and all(r.slice.memo for r in regions)
-    inv_first = check_invariance(net, fresh, sys)
-    unsafe_second = check_unsafe_condition(net, fresh, unsafe)
-    pairs = list(zip(inv_second.region_verdicts + unsafe_first.region_verdicts,
-                     inv_first.region_verdicts + unsafe_second.region_verdicts))
-    assert {a.method for a, _ in pairs} == {"lp", "search", "interval"}
-    for a, b in pairs:
-        assert (a.status, a.method, a.bound, a.witness_value, a.note) == \
-            (b.status, b.method, b.bound, b.witness_value, b.note)
-        assert (a.witness is None and b.witness is None) or np.array_equal(a.witness, b.witness)
+    methods = set()
+    for sign in ("", "-"):
+        sys = DynamicsSystem.parse([f"{sign}x1*(x1^2 + x2^2 - 20)",
+                                    f"{sign}x2*(x1^2 + x2^2 - 20)"], dim=2)
+        regions = enumerate_level_set(net).regions
+        unsafe_first = check_unsafe_condition(net, regions, unsafe)
+        inv_second = check_invariance(net, regions, sys)
+        fresh = enumerate_level_set(net).regions
+        inv_first = check_invariance(net, fresh, sys)
+        unsafe_second = check_unsafe_condition(net, fresh, unsafe)
+        assert all(r.slice.memo == {} for r in fresh + regions)
+        pairs = list(zip(inv_second.region_verdicts + unsafe_first.region_verdicts,
+                         inv_first.region_verdicts + unsafe_second.region_verdicts))
+        methods |= {a.method for a, _ in pairs}
+        for a, b in pairs:
+            assert (a.status, a.method, a.bound, a.witness_value, a.note) == \
+                (b.status, b.method, b.bound, b.witness_value, b.note)
+            assert (a.witness is None and b.witness is None) or np.array_equal(a.witness,
+                                                                               b.witness)
+    assert methods == {"lp", "search", "interval"}
 
 
 # -- end-to-end --------------------------------------------------------------------------
@@ -948,11 +938,13 @@ def test_verify_certificate_where_validity_lps_fail_numerically():
     verdict = verify_certificate(ill_scaled_deep_net(2), sys, h_init, h_unsafe)
     assert verdict.failure is None and verdict.enumeration.partial
     assert verdict.overall == FALSIFIED
-    # BaB's LP fails numerically on the set conditions' region: unknown, and why
-    failed = [v for res in (verdict.initial_result, verdict.unsafe_result)
-              for v in res.region_verdicts]
-    assert failed and all((v.status, v.method) == (UNKNOWN, "interval") for v in failed)
-    assert all(v.note.startswith("an LP failed numerically: ") for v in failed)
+    # BaB solves no LP, so the set conditions' region is decided; the
+    # condition it verifies stays unknown over the partial enumeration
+    rows = [v for res in (verdict.initial_result, verdict.unsafe_result)
+            for v in res.region_verdicts]
+    assert rows and all((v.status, v.method) == (VERIFIED, "interval") for v in rows)
+    assert verdict.unsafe_condition == UNKNOWN
+    assert verdict.unsafe_result.note.startswith("enumeration partial: ")
 
 
 def test_a_partial_enumeration_never_verifies():
@@ -1002,12 +994,9 @@ def test_a_walk_that_cannot_cross_a_facet_is_partial(seed):
     assert verdict.invariance != VERIFIED and verdict.overall != VERIFIED
 
 
-def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
-    """Under an affine flow with half-space sets, every lp_solve call of
-    verify_certificate is a validity LP (`inscribed_radius`): the facet
-    points and the affine minima come off each patch's vertices and rays."""
-    net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
-    F = -np.eye(3) + 0.5 * np.random.default_rng(100).normal(size=(3, 3))
+def validity_lps_and_all_lps(monkeypatch, net, sys, h_init, h_unsafe):
+    """(LPs solved inside `inscribed_radius`, all LPs) of one
+    verify_certificate, and its verdict."""
     inside = []
     calls = counted_lp_solves(monkeypatch)
 
@@ -1018,11 +1007,41 @@ def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
         return out
 
     monkeypatch.setattr("relubarrier.regions.inscribed_radius", counted_radius)
-    verdict = verify_certificate(net, affine_system(F, np.zeros(3)),
-                                 parse_expression("-x1 - 1.5", 3),
-                                 parse_expression("x2 - 1.5", 3))
+    verdict = verify_certificate(net, sys, h_init, h_unsafe)
+    return sum(inside), len(calls), verdict
+
+
+def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
+    """Under an affine flow with half-space sets, every lp_solve call of
+    verify_certificate is a validity LP (`inscribed_radius`): the facet
+    points and the affine minima come off each patch's vertices and rays."""
+    net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
+    F = -np.eye(3) + 0.5 * np.random.default_rng(100).normal(size=(3, 3))
+    validity, lps, verdict = validity_lps_and_all_lps(
+        monkeypatch, net, affine_system(F, np.zeros(3)),
+        parse_expression("-x1 - 1.5", 3), parse_expression("x2 - 1.5", 3))
     assert len(verdict.enumeration.regions) > 20
-    assert sum(inside) == len(calls) > 0
+    assert validity == lps > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
+    """Nonlinear flows and ball sets, so every patch goes to branch-and-bound
+    over its simplices and, where that leaves it open, to the search: still
+    every lp_solve call is a validity LP.  The cubic flow on the diamond,
+    and the transcendental flow on a random 3-D net with unbounded patches."""
+    if n == 2:
+        net, flow = diamond_net(), CUBIC2D
+    else:
+        net, flow = random_hidden_net(np.random.default_rng(2), n_in=3, neurons=6), TRANSCENDENTAL3D
+    ball = " - ".join(["0.25"] + [f"x{i + 1}^2" for i in range(n)])
+    validity, lps, verdict = validity_lps_and_all_lps(
+        monkeypatch, net, DynamicsSystem.parse(flow, dim=n), parse_expression(ball, n),
+        parse_expression(f"1 - (x1 - 2.5)^2 - {ball.replace('0.25 - x1^2', '0')}", n))
+    rows = [v for res in (verdict.invariance_result, verdict.initial_result,
+                          verdict.unsafe_result) for v in res.region_verdicts]
+    assert rows and all(v.method != "lp" for v in rows)
+    assert validity == lps > 0
 
 
 def test_search_exhausted_counts_the_candidates_that_failed_numerically():
@@ -1129,7 +1148,7 @@ def test_verify_certificate_where_g_is_undefined_on_a_patch(flow, h_init, condit
     rows = getattr(verdict, condition).region_verdicts
     touched = 0
     for region, row in zip(verdict.enumeration.regions, rows):
-        box, _points, _restricted = bounding_box(region.slice)
+        box, _restricted = bounding_box(region.vertices, region.rays, DEFAULT_CONFIG.domain(2))
         if undefined(*box[axis]):
             touched += 1
             assert row.status != VERIFIED

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import CombinatorialBlowup, InfeasiblePolyhedron
+from relubarrier import (CombinatorialBlowup, InfeasiblePolyhedron, brute_force_valid_regions,
+                         build_valid_region)
 from relubarrier.geometry import (Polyhedron, bounding_box, frame, implicit_equalities,
                                   inscribed_radius, remove_redundant)
 from relubarrier.linprog import INFEASIBLE, OPTIMAL, lp_solve
 
-from helpers import dimension, slice_feasible_point, slice_full, whole_space
+from helpers import (dimension, lp_bounding_box, random_hidden_net, slice_feasible_point,
+                     slice_full, whole_space)
 
 QUADRANT = Polyhedron(-np.eye(2), np.zeros(2))
 DIAMOND_SLICE = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0],
@@ -151,31 +153,29 @@ def test_a_hyperplane_adds_one_test_to_contains_and_survives_within():
 
 
 def test_bounding_box_segment():
-    box, samples, restricted = bounding_box(
-        Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0),
-        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+    sl = Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0)
+    vertices, rays, _bases = frame(sl)
+    box, restricted = bounding_box(vertices, rays, np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert not restricted
-    assert box[:, 0] == pytest.approx([0.0, 0.0], abs=1e-7)
-    assert box[:, 1] == pytest.approx([1.0, 1.0], abs=1e-7)
-    assert len(samples) >= 1
+    assert box[:, 0] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert box[:, 1] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_bounding_box_unbounded_sides_clamp_to_domain():
     # half-plane x1 <= 0 with no other bounds (a zero hyperplane normal cuts
-    # nothing): x2 sides come from the domain
-    box, _samples, restricted = bounding_box(
-        Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]), np.zeros(2), 0.0),
-        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+    # nothing): its ray -e1 and lineality +-e2 take those sides from the domain
+    vertices, rays, _bases = frame(Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]),
+                                              np.zeros(2), 0.0))
+    box, restricted = bounding_box(vertices, rays, np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert restricted
-    assert box[0, 0] == pytest.approx(-3.0)
-    assert box[0, 1] == pytest.approx(0.0, abs=1e-7)
-    assert box[1] == pytest.approx([-3.0, 3.0])
+    assert box.tolist() == [[-3.0, 0.0], [-3.0, 3.0]]
 
 
 def test_bounding_box_infeasible_returns_none():
+    """The LP reference of `bounding_box` reports an empty slice as None."""
     empty = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
-    out = bounding_box(Polyhedron(empty.A, empty.d, np.zeros(2), 0.0),
-                       domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+    out = lp_bounding_box(Polyhedron(empty.A, empty.d, np.zeros(2), 0.0),
+                          domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert out is None
 
 
@@ -184,16 +184,36 @@ def test_bounded_sides_never_clamped():
     # must be reported so the caller can detect the empty intersection
     a = np.array([[1.0, 0.0], [-1.0, 0.0]])
     d = np.array([7.0, -5.0])
-    box, _samples, _restricted = bounding_box(
-        Polyhedron(a, d, np.array([0.0, 1.0]), 0.0),
-        domain=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
-    assert box[0, 0] == pytest.approx(5.0, abs=1e-7)
-    assert box[0, 1] == pytest.approx(7.0, abs=1e-7)
+    vertices, rays, _bases = frame(Polyhedron(a, d, np.array([0.0, 1.0]), 0.0))
+    box, restricted = bounding_box(vertices, rays, np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+    assert not restricted
+    assert box.tolist() == [[5.0, 7.0], [0.0, 0.0]]
+
+
+def test_bounding_box_off_the_frame_matches_the_lp_reference():
+    """On bounded and unbounded patches of random 2-D to 4-D nets, the box
+    read off the vertices and rays equals the LP reference's within 1e-9,
+    with the same ``restricted`` flag."""
+    rng = np.random.default_rng(12)
+    kinds = set()
+    for n in (2, 3, 4):
+        domain = np.array([[-3.0, 3.0]] * n)
+        for _ in range(3):
+            net = random_hidden_net(rng, n_in=n, neurons=6)
+            for ind in brute_force_valid_regions(net):
+                region = build_valid_region(net, ind)
+                box, restricted = bounding_box(region.vertices, region.rays, domain)
+                lp_box, _points, lp_restricted = lp_bounding_box(region.slice, domain)
+                assert restricted == lp_restricted
+                np.testing.assert_allclose(box, lp_box, rtol=0.0, atol=1e-9)
+                kinds.add(restricted)
+    assert kinds == {False, True}
 
 
 def test_bounding_box_matches_per_coordinate_lps():
-    """One batched solve per box gives the optima of 2n separate LPs, on
-    random bounded, unbounded (clamped to the domain) and empty slices."""
+    """The LP reference's one batched solve per box gives the optima of 2n
+    separate LPs, on random bounded, unbounded (clamped to the domain) and
+    empty slices."""
     rng = np.random.default_rng(31)
     domain = np.array([[-9.0, 9.0]] * 3)
     outcomes = set()
@@ -203,7 +223,7 @@ def test_bounding_box_matches_per_coordinate_lps():
         d = rng.normal(size=a.shape[0]) + (1.0 if trial % 4 else -1.0)
         w = rng.normal(size=(1, n))
         b = rng.normal(size=1)
-        out = bounding_box(Polyhedron(a, d, w[0], -b[0]), domain=domain[:n])
+        out = lp_bounding_box(Polyhedron(a, d, w[0], -b[0]), domain=domain[:n])
         singles = [lp_solve(sign * unit, a, d, w, b)[0] for unit in np.eye(n) for sign in (1, -1)]
         if out is None:
             assert all(o.status == INFEASIBLE for o in singles)

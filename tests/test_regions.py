@@ -11,11 +11,10 @@ from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNe
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region, lp_solve,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
-from relubarrier import (NumericalFailure, conditions, geometry, network_from_json,
-                         parse_expression, regions)
+from relubarrier import NumericalFailure, conditions, geometry, parse_expression, regions
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
-                     diamond_net, load_bench_module, lp_slice_answers, one_d_ramp_net,
+                     diamond_net, frame_nets, lp_slice_answers, one_d_ramp_net,
                      random_hidden_net,
                      reference_valid, scaled_output, slice_feasible_point,
                      slice_full, strip_net)
@@ -246,29 +245,6 @@ def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
             assert full.contains(point, tol=tol)
             scale = np.linalg.norm(a) * np.linalg.norm(point) + abs(d)
             assert abs(a @ point - d) <= 1e-13 * scale
-
-
-def frame_nets():
-    """Random 2-5-D nets, the strip net (lineality), the bench's polytope
-    nets, a net with zero pieces (w = 0) and the first 30 nets that
-    acceptance 4 draws from default_rng(42), some of whose rows are constant
-    on a slice while not quite parallel to it."""
-    nets = [random_hidden_net(np.random.default_rng([7, n, s]), n_in=n, neurons=6)
-            for n in (2, 3, 4, 5) for s in range(3)]
-    nets.append(strip_net())
-    nets += [network_from_json(p.net)
-             for p in load_bench_module("problems").build_workload("decide-nonlinear", 1)
-             if p.family in ("polytope-2d", "polytope-3d", "drift-2d")]
-    nets.append(ReluNetwork([np.array([[1.0, 0.0], [1.0, 0.0]])], [np.zeros(2)],
-                            np.array([1.0, -1.0]), 0.0))   # h = 0 on both sides of x1 = 0
-    rng = np.random.default_rng(42)
-    while len(nets) < 50:   # acceptance 4's draws: a net, then a flow once it has regions
-        net = random_hidden_net(rng, neurons=int(rng.integers(4, 7)))
-        regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
-        if any(not r.degenerate for r in regions):
-            nets.append(net)
-            rng.normal(size=(2, 2)), rng.normal(size=2)
-    return nets
 
 
 def test_frame_answers_what_the_lps_answer():
