@@ -3,10 +3,10 @@
 The package takes a small feedforward network with rectifier activations
 whose scalar output h defines a candidate invariant set {h >= 0} for a
 continuous-time system x' = f(x), enumerates the linear regions crossed by
-the zero level set, and decides — per region, by linear programming,
-interval branch-and-bound, and local falsification search — whether the
-certificate conditions hold, producing witnesses or exportable SMT-LIB
-queries when they do not.
+the zero level set, and decides — per region, from the patch's vertices
+and rays, by interval branch-and-bound, and by local falsification search —
+whether the certificate conditions hold, producing witnesses or exportable
+SMT-LIB queries when they do not.
 """
 
 __version__ = "0.1.0"

@@ -2,12 +2,12 @@
 
 `Polyhedron` is the one feasible-set type: ``{x : A x <= d}``, on the
 hyperplane ``w.x + b = 0`` when w is given, and `Polyhedron.minimize` is the
-one place an LP is solved, all of one polyhedron's LPs on one phase one.  The
-region test measures dimension by the largest inscribed ball
-(``inscribed_radius``); ``frame`` gives a slice's vertices and rays, off
-which enumeration reads the rows touching it (`regions`), and the affine
-route its minima and branch-and-bound its box (``bounding_box``) and
-simplices (``triangulate``, `conditions`), with no LP.
+one place an LP is solved, one objective per call.  The region test
+measures dimension by the largest inscribed ball (``inscribed_radius``);
+``frame`` gives a slice's vertices and rays, off which enumeration reads
+the rows touching it (`regions`), and the affine route its minima and
+branch-and-bound its box (``bounding_box``) and simplices
+(``triangulate``, `conditions`), with no LP.
 ``implicit_equalities`` and ``remove_redundant`` are references for them.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,12 @@ from .linprog import UNBOUNDED, lp_solve
 @dataclass
 class Polyhedron:
     """{x : A x <= d}, on the hyperplane ``w.x + b = 0`` when w is given;
-    rows may be redundant or duplicated.  Its LPs share a phase one (``memo``)."""
+    rows may be redundant or duplicated."""
 
     A: np.ndarray
     d: np.ndarray
     w: np.ndarray | None = None
     b: float = 0.0
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -67,17 +66,16 @@ class Polyhedron:
 
     def within(self, box) -> "Polyhedron":
         """The polyhedron cut to an (n, 2) box: rows ``x <= hi``, then
-        ``-x <= -lo``; the same hyperplane, a fresh memo."""
+        ``-x <= -lo``, on the same hyperplane."""
         eye = np.eye(self.dim)
         return Polyhedron(np.vstack([self.A, eye, -eye]),
                           np.concatenate([self.d, box[:, 1], -box[:, 0]]), self.w, self.b)
 
     def minimize(self, objective, tol_feas: float = 1e-7):
         """min objective.x over the polyhedron (the hyperplane as an equality
-        row), one LpOutcome per row of objective; a ``(k, n)`` objective is
-        k LPs sharing one phase one."""
+        row) for an ``(n,)`` objective, as one LpOutcome."""
         eq = (None, None) if self.w is None else (self.w[None, :], np.array([-self.b]))
-        return lp_solve(objective, self.A, self.d, *eq, tol_feas=tol_feas, memo=self.memo)
+        return lp_solve(objective, self.A, self.d, *eq, tol_feas=tol_feas)
 
 
 def slice_charges(A: np.ndarray, w) -> np.ndarray:
@@ -106,7 +104,7 @@ def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
     ball = Polyhedron(np.vstack([np.column_stack([rows, c]), e_r, -e_r]),
                       np.concatenate([p.d / scale, [1.0, 0.0]]),
                       None if w is None else np.append(w, 0.0), b)
-    outcome = ball.minimize(-e_r, tol_feas)[0]   # max r
+    outcome = ball.minimize(-e_r, tol_feas)   # max r
     return -outcome.value if outcome.optimal else None
 
 
@@ -193,12 +191,12 @@ def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
     Decided by the min/max LP pair per row; a row is implicit when both
     optima exist and coincide within tol_eq (relative to the row's magnitude).
     """
-    if not p.minimize(np.zeros(p.dim), tol_feas)[0].optimal:
+    if not p.minimize(np.zeros(p.dim), tol_feas).optimal:
         raise InfeasiblePolyhedron("implicit equalities of an empty polyhedron")
     implicit = []
     for j in range(p.num_rows):
         row = p.A[j]
-        lo, neg_hi = p.minimize(row, tol_feas)[0], p.minimize(-row, tol_feas)[0]
+        lo, neg_hi = p.minimize(row, tol_feas), p.minimize(-row, tol_feas)
         scale = max(1.0, float(np.max(np.abs(row))))
         if lo.optimal and neg_hi.optimal and -neg_hi.value - lo.value <= tol_eq * scale:
             implicit.append(j)
@@ -212,12 +210,12 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     Rows are scanned in ascending index order against the shrinking system,
     so of k duplicate rows exactly one (the last) survives.
     """
-    if not p.minimize(np.zeros(p.dim), tol_feas)[0].optimal:
+    if not p.minimize(np.zeros(p.dim), tol_feas).optimal:
         raise InfeasiblePolyhedron("cannot reduce an empty polyhedron")
     keep = list(range(p.num_rows))
     for j in range(p.num_rows):
         others = [k for k in keep if k != j]
-        outcome = Polyhedron(p.A[others], p.d[others]).minimize(-p.A[j], tol_feas)[0]
+        outcome = Polyhedron(p.A[others], p.d[others]).minimize(-p.A[j], tol_feas)
         if outcome.status == UNBOUNDED:
             continue
         if not outcome.optimal or -outcome.value <= p.d[j] + tol_feas:

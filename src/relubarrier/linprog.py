@@ -13,12 +13,8 @@ degenerate pivots is detected, then falls back to Bland's rule, which
 guarantees termination.
 
 `lp_solve` takes one LP as arrays, always minimises (a maximum is the
-negated minimum of the negated objective) and always returns one outcome
-per objective row.  Several objectives over one feasible set (a ``(k, n)``
-objective) share one tableau and one phase one; each phase two starts from
-the basis the previous one ended in.  A single objective is the k = 1 case
-of the same code.  A memo keeps the phase one for later calls, each of which
-pivots a copy.
+negated minimum of the negated objective) and returns one `LpOutcome`:
+one tableau, one phase one, then phase two on the same tableau.
 """
 
 from __future__ import annotations
@@ -54,20 +50,6 @@ class LpOutcome:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-class LpOutcomes(list):
-    """The outcomes of one solve over several objectives, in objective order."""
-
-    @property
-    def status(self) -> str:
-        """INFEASIBLE when the shared feasible set is empty, UNBOUNDED when
-        some objective is unbounded, OPTIMAL when every optimum exists."""
-        statuses = {o.status for o in self}
-        for status in (INFEASIBLE, UNBOUNDED):
-            if status in statuses:
-                return status
-        return OPTIMAL
 
 
 def _normalize_system(a, b, n, tag):
@@ -175,6 +157,15 @@ def _build_tableau(a_ub, b_ub, a_eq, b_eq):
     return T, basis, n_struct, art_cols
 
 
+def _price(T, basis, cols, costs):
+    """Set the cost row to costs on cols (zero elsewhere) and price out the
+    basic columns."""
+    T[-1, :] = 0.0
+    T[-1, cols] = costs
+    for i in np.flatnonzero(T[-1, basis]):
+        T[-1] -= T[i] * T[-1, basis[i]]
+
+
 def _phase_one(T, basis, art_cols, tol_feas):
     """Minimize the sum of artificials.
 
@@ -183,10 +174,7 @@ def _phase_one(T, basis, art_cols, tol_feas):
     """
     if art_cols.size == 0:
         return True, T, basis
-    T[-1, :] = 0.0
-    T[-1, art_cols] = 1.0
-    for i in np.flatnonzero(T[-1, basis]):
-        T[-1] -= T[i] * T[-1, basis[i]]
+    _price(T, basis, art_cols, 1.0)
     status = _run_simplex(T, basis)
     if status != OPTIMAL:  # bounded below in exact arithmetic, not under round-off
         raise NumericalFailure("phase one terminated abnormally")
@@ -214,70 +202,40 @@ def _phase_one(T, basis, art_cols, tol_feas):
 
 
 def lp_solve(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-             tol_feas: float = 1e-7, memo: dict | None = None) -> LpOutcomes:
+             tol_feas: float = 1e-7) -> LpOutcome:
     """min ``objective . x`` s.t. ``a_ub x <= b_ub`` and ``a_eq x = b_eq``,
-    over free variables; unboundedness and infeasibility are ordinary
-    outcomes, not errors.  A maximum is the negated minimum of the negated
-    objective.
-
-    Each row of a ``(k, n)`` objective is one LP over the same feasible set
-    (a vector is one row): one tableau and one phase one, then one phase two
-    per row, each starting from the basis the previous one ended in (optimal,
-    or still feasible where it proved unboundedness).  Returns LpOutcomes,
-    one per row.
-
-    ``memo``, a dict owned by one fixed feasible set, keeps the phase-one
-    state per tol_feas; phase two pivots a copy, as if solved cold.
+    over free variables, for an ``(n,)`` objective; unboundedness and
+    infeasibility are ordinary outcomes, not errors.  A maximum is the
+    negated minimum of the negated objective.
     """
-    objectives = np.atleast_2d(np.asarray(objective, dtype=float))
-    if objectives.ndim > 2:
-        raise MalformedProblem("objective must be a vector or a matrix of row vectors")
-    n = objectives.shape[1]
+    c = np.asarray(objective, dtype=float)
+    if c.ndim != 1:
+        raise MalformedProblem(f"objective must be a vector, not of shape {c.shape}")
+    n = c.shape[0]
     a_ub, b_ub = _normalize_system(a_ub, b_ub, n, "ub")
     a_eq, b_eq = _normalize_system(a_eq, b_eq, n, "eq")
-    for arr in (objectives, a_ub, b_ub, a_eq, b_eq):
+    for arr in (c, a_ub, b_ub, a_eq, b_eq):
         if not np.isfinite(arr).all():
             raise MalformedProblem("problem data must be finite")
 
-    memo = {} if memo is None else memo
-    if tol_feas not in memo:
-        T, basis, n_struct, art_cols = _build_tableau(a_ub, b_ub, a_eq, b_eq)
-        feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
-        # drop artificial columns (they sit at the end, so basis indices survive)
-        memo[tol_feas] = feasible, np.delete(T, np.s_[n_struct:-1], axis=1), basis, n_struct
-    feasible, T, basis, n_struct = memo[tol_feas]
+    T, basis, n_struct, art_cols = _build_tableau(a_ub, b_ub, a_eq, b_eq)
+    feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
     if not feasible:
-        return LpOutcomes(LpOutcome(INFEASIBLE) for _ in objectives)
-    T, basis = T.copy(), basis.copy()
-    system = (a_ub, b_ub, a_eq, b_eq)
-    return LpOutcomes(_phase_two(system, T, basis, c, n_struct, tol_feas) for c in objectives)
-
-
-def _phase_two(system, T, basis, c, n_struct, tol_feas) -> LpOutcome:
-    """min ``c . x`` from the feasible basis in (T, basis), pivoting T and
-    basis in place."""
-    n = c.shape[0]
-    c_std = np.zeros(n_struct)
-    c_std[:n] = c
-    c_std[n:2 * n] = -c
-    T[-1, :] = 0.0
-    T[-1, :n_struct] = c_std
-    for i in np.flatnonzero(T[-1, basis]):
-        T[-1] -= T[i] * T[-1, basis[i]]
-    status = _run_simplex(T, basis)
-    if status == UNBOUNDED:
+        return LpOutcome(INFEASIBLE)
+    # drop artificial columns (they sit at the end, so basis indices survive)
+    T = np.delete(T, np.s_[n_struct:-1], axis=1)
+    _price(T, basis, np.s_[:2 * n], np.concatenate([c, -c]))   # x = x+ - x-
+    if _run_simplex(T, basis) == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
     x_std = np.zeros(n_struct)
     x_std[basis] = T[:-1, -1]
     x = x_std[:n] - x_std[n:2 * n]
-    value = float(c @ x)
-    _check_feasible(system, x, tol_feas)
-    return LpOutcome(OPTIMAL, value=value, point=x)
+    _check_feasible(a_ub, b_ub, a_eq, b_eq, x, tol_feas)
+    return LpOutcome(OPTIMAL, value=float(c @ x), point=x)
 
 
-def _check_feasible(system, x, tol_feas):
-    a_ub, b_ub, a_eq, b_eq = system
+def _check_feasible(a_ub, b_ub, a_eq, b_eq, x, tol_feas):
     scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
     if a_ub.shape[0]:
         viol = float((a_ub @ x - b_ub).max())

@@ -244,7 +244,7 @@ def slice_full(sl) -> Polyhedron:
 def feasible_point(a_ub, b_ub, a_eq=None, b_eq=None, tol_feas: float = 1e-7):
     """A point of {a_ub x <= b_ub, a_eq x = b_eq} by a zero-objective LP, or
     None when the system is empty."""
-    out = lp_solve(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq, tol_feas=tol_feas)[0]
+    out = lp_solve(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq, tol_feas=tol_feas)
     return out.point if out.optimal else None
 
 
@@ -307,12 +307,11 @@ def lp_slice_answers(region, objectives, tol_feas: float = 1e-7):
     min c.x, -inf where it is unbounded below."""
     full = Polyhedron(region.constraints.A, region.constraints.d, region.slice.w,
                       region.slice.b)
-    tops = full.minimize(-full.A, tol_feas)   # max A_j.x
-    assert tops.status != INFEASIBLE
+    tops = [full.minimize(-a, tol_feas) for a in full.A]   # max A_j.x
+    minima = [full.minimize(c, tol_feas) for c in objectives]
+    assert all(out.status != INFEASIBLE for out in tops + minima)
     touching = [j for j, top in enumerate(tops)
                 if top.optimal and -top.value >= full.d[j] - tol_feas]
-    minima = full.minimize(objectives, tol_feas)
-    assert minima.status != INFEASIBLE
     return touching, [out.value if out.optimal else -np.inf for out in minima]
 
 
@@ -328,7 +327,7 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
     a_rows, d_vals = region.constraints.A, region.constraints.d
     ends = []
     for direction in (t, -t):   # the two ends: min and max of t.x
-        out = lp_solve(direction, a_rows, d_vals, w[None, :], np.array([-b]))[0]
+        out = lp_solve(direction, a_rows, d_vals, w[None, :], np.array([-b]))
         if out.status == UNBOUNDED:
             # clamp an unbounded slice with the standard domain box (or a
             # big box when the slice misses it); the grid then covers a
@@ -337,7 +336,7 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
                 boxed_a = np.vstack([a_rows, np.eye(2), -np.eye(2)])
                 boxed_d = np.concatenate([d_vals, np.full(2, half),
                                           np.full(2, half)])
-                out = lp_solve(direction, boxed_a, boxed_d, w[None, :], np.array([-b]))[0]
+                out = lp_solve(direction, boxed_a, boxed_d, w[None, :], np.array([-b]))
                 if out.optimal:
                     break
         assert out.optimal, f"segment endpoint LP came back {out.status}"
@@ -418,7 +417,7 @@ def reference_falsify(region, g, cfg):
 def lp_bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,
                     tol_feas: float = 1e-7):
     """Coordinate-wise bounds of a slice by LP: the min and max of each
-    coordinate, 2n objectives solved by one batched `minimize`; the
+    coordinate, 2n objectives solved by one `minimize` each; the
     reference for `geometry.bounding_box`, which reads them off the frame.
 
     Returns (box (n,2), sample points, restricted) or None when infeasible;
@@ -428,8 +427,9 @@ def lp_bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,
     dim = sl.dim
     # objectives x1, -x1, x2, -x2, ...: minimising -x_i gives max x_i
     signs = np.tile([1.0, -1.0], dim)
-    outcomes = sl.minimize(np.repeat(np.eye(dim), 2, axis=0) * signs[:, None], tol_feas)
-    if outcomes.status == INFEASIBLE:
+    objectives = np.repeat(np.eye(dim), 2, axis=0) * signs[:, None]
+    outcomes = [sl.minimize(c, tol_feas) for c in objectives]
+    if outcomes[0].status == INFEASIBLE:
         return None
     box = np.empty((dim, 2))
     points = []

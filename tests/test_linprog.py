@@ -6,18 +6,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from relubarrier import NumericalFailure
-from relubarrier.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcomes, lp_solve
+from relubarrier import MalformedProblem, NumericalFailure
+from relubarrier.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 
 from helpers import matrix_rank, vertex_minimum
 
 
 def test_box_minimum():
-    # min x1 subject to 0 <= x1 <= 1; a vector objective is one row
-    outcomes = lp_solve(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
-                        b_ub=np.array([1.0, 0.0]))
-    assert isinstance(outcomes, LpOutcomes) and len(outcomes) == 1
-    out = outcomes[0]
+    # min x1 subject to 0 <= x1 <= 1
+    out = lp_solve(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
+                   b_ub=np.array([1.0, 0.0]))
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(0.0, abs=1e-9)
     assert out.point[0] == pytest.approx(0.0, abs=1e-9)
@@ -26,27 +24,27 @@ def test_box_minimum():
 def test_contradictory_bounds_infeasible():
     # x1 <= 0 and x1 >= 1 cannot hold together
     out = lp_solve(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
-                   b_ub=np.array([0.0, -1.0]))[0]
+                   b_ub=np.array([0.0, -1.0]))
     assert out.status == INFEASIBLE
     assert out.point is None
 
 
 def test_unbounded_ray():
-    out = lp_solve(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]))[0]
+    out = lp_solve(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]))
     assert out.status == UNBOUNDED
 
 
 def test_segment_optimum():
     # min x1 + x2 on the segment x1 + x2 = 1, x >= 0: constant value 1
     out = lp_solve(np.array([1.0, 1.0]), a_ub=-np.eye(2), b_ub=np.zeros(2),
-                   a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))[0]
+                   a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_maximum_is_the_negated_minimum_of_the_negated_objective():
     out = lp_solve(-np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
-                   b_ub=np.array([2.0, 0.0]))[0]
+                   b_ub=np.array([2.0, 0.0]))
     assert out.status == OPTIMAL
     assert -out.value == pytest.approx(2.0, abs=1e-9)
 
@@ -62,7 +60,7 @@ def test_optimal_point_satisfies_constraints():
         box_a = np.vstack([np.eye(n), -np.eye(n)])
         box_d = np.full(2 * n, 10.0 + np.abs(x0).max())
         a_ub, b_ub = np.vstack([a, box_a]), np.concatenate([d, box_d])
-        out = lp_solve(rng.normal(size=n), a_ub, b_ub)[0]
+        out = lp_solve(rng.normal(size=n), a_ub, b_ub)
         assert out.status == OPTIMAL
         slack = a_ub @ out.point - b_ub
         assert slack.max() <= 1e-7
@@ -85,7 +83,7 @@ def test_vertex_oracle_equivalence():
         # reuse the same objective for both routes
         c = rng.normal(size=n)
         oracle = vertex_minimum(c, a_all, d_all)
-        out = lp_solve(c, a_all, d_all)[0]
+        out = lp_solve(c, a_all, d_all)
         if oracle is None:
             assert out.status == INFEASIBLE
         else:
@@ -104,7 +102,7 @@ def test_vertex_oracle_with_equalities():
         b_eq = np.array([rng.normal() * 0.5])
         c = rng.normal(size=n)
         oracle = vertex_minimum(c, a_ub, b_ub, a_eq, b_eq)
-        out = lp_solve(c, a_ub, b_ub, a_eq, b_eq)[0]
+        out = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
         if oracle is None:
             assert out.status == INFEASIBLE
         else:
@@ -119,102 +117,23 @@ def test_degenerate_lp_terminates():
     a = np.stack([-np.cos(angles), -np.sin(angles)], axis=1)
     d = np.zeros(a.shape[0])  # all rows tight at the origin
     out = lp_solve(np.array([0.0, 1.0]), a_ub=np.vstack([a, -np.eye(n)]),
-                   b_ub=np.concatenate([d, np.ones(n)]))[0]
+                   b_ub=np.concatenate([d, np.ones(n)]))
     assert out.status in (OPTIMAL, UNBOUNDED)
 
 
-# -- several objectives over one feasible set -----------------------------------------
-
-def assert_batch_matches_single(objectives, a_ub, b_ub, a_eq=None, b_eq=None):
-    """Each objective of one batched solve agrees with its own lp_solve."""
-    batch = lp_solve(objectives, a_ub, b_ub, a_eq, b_eq)
-    assert isinstance(batch, LpOutcomes) and len(batch) == len(objectives)
-    for c, got in zip(objectives, batch):
-        want = lp_solve(c, a_ub, b_ub, a_eq, b_eq)[0]
-        assert got.status == want.status
-        if want.optimal:
-            assert got.value == pytest.approx(want.value, abs=1e-7)
-            assert got.value == pytest.approx(c @ got.point, abs=1e-12)
-            assert (a_ub @ got.point - b_ub).max() <= 1e-7
-    return batch
-
-
-def test_batched_objectives_match_single_solves():
-    """Random systems, bounded or not, feasible or not, with and without an
-    equality row: every status occurs, and each batched objective agrees
-    with a one-at-a-time solve."""
-    rng = np.random.default_rng(2024)
-    seen = set()
-    for trial in range(120):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 7))
-        a = rng.normal(size=(m, n))
-        d = rng.normal(size=m)
-        eq = (rng.normal(size=(1, n)), rng.normal(size=1)) if trial % 3 == 0 else (None, None)
-        objectives = rng.normal(size=(int(rng.integers(1, 6)), n)) * (-1.0) ** trial
-        batch = assert_batch_matches_single(objectives, a, d, *eq)
-        statuses = {o.status for o in batch}
-        assert batch.status == next(st for st in (INFEASIBLE, UNBOUNDED, OPTIMAL)
-                                    if st in statuses)
-        seen |= statuses
-    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
-
-
-def test_batched_solve_warm_starts_after_an_unbounded_objective():
-    # x1 <= 0, 0 <= x2 <= 1: min x1 is unbounded, the rest are attained
-    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    d = np.array([0.0, 1.0, 0.0])
-    objectives = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
-    batch = assert_batch_matches_single(objectives, a, d)
-    assert [o.status for o in batch] == [UNBOUNDED, OPTIMAL, OPTIMAL, OPTIMAL, UNBOUNDED]
-    assert [o.value for o in batch[1:4]] == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
-    assert batch.status == UNBOUNDED
-
-
-def assert_same_outcome(got, want):
-    """Bit for bit: status, value and point."""
-    assert got.status == want.status
-    assert got.value == want.value
-    assert (got.point is None) == (want.point is None)
-    if want.point is not None:
-        assert np.array_equal(got.point, want.point)
-
-
-def test_memo_backed_solves_equal_cold_solves_in_any_order():
-    """A memo carries one feasible set's phase one from call to call; each
-    memo-backed solve still gives exactly the cold solve's status, value and
-    point, whatever was solved with the memo before it.  Random systems,
-    empty ones among them, vector and (k, n) objectives, some unbounded,
-    under two tol_feas keys."""
-    rng = np.random.default_rng(4242)
-    seen = set()
-    for trial in range(60):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 7))
-        a, d = rng.normal(size=(m, n)), rng.normal(size=m)
-        eq = (rng.normal(size=(1, n)), rng.normal(size=1)) if trial % 3 == 0 else (None, None)
-        calls = []
-        for k in range(6):
-            c = rng.normal(size=(int(rng.integers(1, 4)), n)) if k % 2 else rng.normal(size=n)
-            # a negated objective stands for a maximum
-            calls.append((-c if rng.random() < 0.5 else c, (1e-7, 1e-9)[k % 3 == 0]))
-        cold = [lp_solve(c, a, d, *eq, tol_feas=tol) for c, tol in calls]
-        for order in (range(6), range(5, -1, -1), rng.permutation(6)):
-            memo = {}
-            for k in order:
-                c, tol = calls[k]
-                got = lp_solve(c, a, d, *eq, tol_feas=tol, memo=memo)
-                assert len(got) == len(cold[k])
-                for g, w in zip(got, cold[k]):
-                    assert_same_outcome(g, w)
-                    seen.add(w.status)
-            assert set(memo) == {1e-7, 1e-9}
-    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+def test_one_objective_gives_one_outcome_and_a_matrix_objective_is_malformed():
+    a, d = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    out = lp_solve(np.array([1.0, -1.0]), a, d)
+    assert isinstance(out, LpOutcome) and not isinstance(out, list)
+    assert out.value == pytest.approx(-2.0, abs=1e-9)
+    for objective in (np.eye(2), np.array([[1.0, -1.0]])):   # (2, n) and (1, n)
+        with pytest.raises(MalformedProblem):
+            lp_solve(objective, a, d)
 
 
 def test_zero_objective_lp_finds_a_segment_point():
     out = lp_solve(np.zeros(2), -np.eye(2), np.zeros(2),
-                   np.array([[1.0, 1.0]]), np.array([1.0]))[0]
+                   np.array([[1.0, 1.0]]), np.array([1.0]))
     assert out.optimal
     assert out.point.min() >= -1e-9
     assert out.point.sum() == pytest.approx(1.0, abs=1e-9)
@@ -222,12 +141,12 @@ def test_zero_objective_lp_finds_a_segment_point():
 
 def test_zero_objective_lp_detects_a_contradiction():
     out = lp_solve(np.zeros(1), np.array([[1.0]]), np.array([0.0]),
-                   np.array([[1.0]]), np.array([1.0]))[0]
+                   np.array([[1.0]]), np.array([1.0]))
     assert out.status == INFEASIBLE
 
 
 def test_zero_objective_lp_unconstrained():
-    out = lp_solve(np.zeros(2))[0]
+    out = lp_solve(np.zeros(2))
     assert out.optimal and out.point.shape == (2,)
 
 

@@ -220,7 +220,7 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
         for a, d in zip(full.A, full.d):
             if tuple(np.append(a, d)) in touching:
                 continue
-            top = lp_solve(-a, full.A, full.d, w[None, :], np.array([-b]))[0]   # max a.x
+            top = lp_solve(-a, full.A, full.d, w[None, :], np.array([-b]))   # max a.x
             assert top.optimal and -top.value < d - tol
             dropped += 1
         # the rows of an irredundant system of the full slice all touch it
