@@ -22,7 +22,7 @@ from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 from .expressions import (DynamicsSystem, Interval, evaluate, interval_evaluate,
                           parse_expression)
 from .network import ActivationIndicator, ReluNetwork, load_network, network_from_json
-from .geometry import (Polyhedron, bounding_box, implicit_equalities, inscribed_radius,
+from .geometry import (Polyhedron, bounding_box, implicit_equalities, inscribed_ball,
                        remove_redundant)
 from .regions import (EnumerationResult, ValidRegion, boundary_propagation,
                       brute_force_valid_regions, build_valid_region,
@@ -52,7 +52,7 @@ __all__ = [
     "parse_expression", "evaluate", "interval_evaluate", "Interval",
     "DynamicsSystem",
     "ReluNetwork", "ActivationIndicator", "network_from_json", "load_network",
-    "Polyhedron", "inscribed_radius",
+    "Polyhedron", "inscribed_ball",
     "implicit_equalities", "remove_redundant", "bounding_box",
     "valid_test", "build_valid_region", "ValidRegion",
     "EnumerationResult", "enumerate_level_set", "find_initial_region",

@@ -291,17 +291,16 @@ def _simplices(region: ValidRegion, cfg):
     ``restricted`` says which.  None for the simplices when the cut is
     empty.  The cut's frame starts from a patch vertex inside the box, if
     one is."""
-    sl, vertices = region.slice, region.vertices
+    sl, vertices, tight = region.slice, region.vertices, region.tight
     box, restricted = bounding_box(vertices, region.rays, cfg.domain(sl.dim))
     if restricted:
         if np.any(box[:, 0] > box[:, 1]):
             return None, True
-        sl = sl.within(box)
         inside = vertices[np.all((vertices >= box[:, 0]) & (vertices <= box[:, 1]), axis=1)]
-        vertices = frame(sl, cfg.tol_feas, inside[0] if len(inside) else None)[0]
+        vertices, _, tight = frame(sl.within(box), cfg.tol_feas, inside[0] if len(inside) else None)
         if not len(vertices):
             return None, True
-    return triangulate(sl, vertices, cfg.tol_feas), restricted
+    return triangulate(vertices, tight, cfg.tol_feas), restricted
 
 
 def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:

@@ -2,12 +2,13 @@
 
 `Polyhedron` is the one feasible-set type: ``{x : A x <= d}``, on the
 hyperplane ``w.x + b = 0`` when w is given, and `Polyhedron.minimize` is the
-one place an LP is solved, one objective per call.  The region test
-measures dimension by the largest inscribed ball (``inscribed_radius``);
-``frame`` gives a slice's vertices and rays, off which enumeration reads
-the rows touching it (`regions`), and the affine route its minima and
-branch-and-bound its box (``bounding_box``) and simplices
-(``triangulate``, `conditions`), with no LP.
+one place an LP is solved, one objective per call.  All work on a
+hyperplane is done in its ``chart`` x = x0 + N t: the LPs of ``minimize``,
+the region test's largest inscribed ball (``inscribed_ball``) and
+``frame``, which gives a slice's vertices, rays and the rows each vertex
+meets, off which enumeration reads the rows touching it (`regions`), and
+the affine route its minima and branch-and-bound its box
+(``bounding_box``) and simplices (``triangulate``, `conditions`), no LP.
 ``implicit_equalities`` and ``remove_redundant`` are references for them.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import FRAME_CAP, TOL_EQ
 from .errors import CombinatorialBlowup, InfeasiblePolyhedron
-from .linprog import UNBOUNDED, lp_solve
+from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 
 
 @dataclass
@@ -71,61 +72,62 @@ class Polyhedron:
         return Polyhedron(np.vstack([self.A, eye, -eye]),
                           np.concatenate([self.d, box[:, 1], -box[:, 0]]), self.w, self.b)
 
+    def chart(self):
+        """(x0, N): x = x0 + N t maps R^k onto the hyperplane, N (n, k) with
+        orthonormal columns spanning w's null space; (0, I) with no
+        hyperplane (N is I for w = 0 too)."""
+        if self.w is None:
+            return np.zeros(self.dim), np.eye(self.dim)
+        x0 = -self.b * self.w / (self.w @ self.w) if self.w.any() else 0.0 * self.w
+        _, s, vt = np.linalg.svd(self.w[None, :])
+        return x0, vt[int(s[0] > 0.0):].T
+
     def minimize(self, objective, tol_feas: float = 1e-7):
-        """min objective.x over the polyhedron (the hyperplane as an equality
-        row) for an ``(n,)`` objective, as one LpOutcome."""
-        eq = (None, None) if self.w is None else (self.w[None, :], np.array([-self.b]))
-        return lp_solve(objective, self.A, self.d, *eq, tol_feas=tol_feas)
+        """min objective.x over the polyhedron for an ``(n,)`` objective, as
+        one LpOutcome: solved over t in its `chart`, the point mapped back to
+        x and its value taken there.  ``0 = b != 0`` (w = 0) is infeasible."""
+        if self.w is not None and not self.w.any() and self.b != 0.0:
+            return LpOutcome(INFEASIBLE)
+        (x0, N), c = self.chart(), np.asarray(objective, dtype=float)
+        out = lp_solve(c @ N, self.A @ N, self.d - self.A @ x0, tol_feas)
+        x = x0 + N @ out.point if out.optimal else None
+        return out if x is None else LpOutcome(OPTIMAL, float(c @ x), x)
 
 
-def slice_charges(A: np.ndarray, w) -> np.ndarray:
-    """Per row, the norm of its unit normal's component along ``w.x = 0`` (0
-    for a zero row): what a ball centred on that hyperplane is charged."""
-    norms = np.linalg.norm(A, axis=1)
-    rows = A / np.where(norms > 0.0, norms, 1.0)[:, None]
-    u = np.asarray(w, dtype=float) / np.linalg.norm(w)
-    return np.linalg.norm(rows - np.outer(rows @ u, u), axis=1)
-
-
-def inscribed_radius(p: Polyhedron, w=None, b: float = 0.0,
-                     tol_feas: float = 1e-7) -> float | None:
-    """Radius (capped at 1) of the largest ball inside p; None when p is empty.
-
-    Given a hyperplane ``w.x + b = 0``, the ball is centred on it and only
-    its part within the hyperplane must fit, so each unit row normal is charged
-    just its component along the hyperplane (`slice_charges`).  One Chebyshev-centre
-    LP over (x, r): max r s.t. ``(a_i/|a_i|).x + c_i r <= d_i/|a_i|``, 0 <= r <= 1.
-    """
-    norms = np.linalg.norm(p.A, axis=1)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    rows = p.A / scale[:, None]
-    c = (norms > 0.0).astype(float) if w is None else slice_charges(p.A, w)
-    e_r = np.eye(p.dim + 1)[-1]
-    ball = Polyhedron(np.vstack([np.column_stack([rows, c]), e_r, -e_r]),
-                      np.concatenate([p.d / scale, [1.0, 0.0]]),
-                      None if w is None else np.append(w, 0.0), b)
-    outcome = ball.minimize(-e_r, tol_feas)   # max r
-    return -outcome.value if outcome.optimal else None
+def inscribed_ball(p: Polyhedron, tol_feas: float = 1e-7):
+    """(centre, radius) of the largest ball inside p, its radius capped at 1,
+    or None when p is empty.  On p's hyperplane the ball lies in it: one
+    Chebyshev-centre LP over (t, r) in p's `chart` x = x0 + N t, max r s.t.
+    ``(a_i N/|a_i|).t + |a_i N|/|a_i| r <= (d_i - a_i.x0)/|a_i|``, 0 <= r <= 1."""
+    if p.w is not None and not p.w.any() and p.b != 0.0:
+        return None
+    x0, N = p.chart()
+    scale = np.linalg.norm(p.A, axis=1)
+    scale[scale == 0.0] = 1.0
+    M, e_r = p.A @ N, np.eye(N.shape[1] + 1)[-1]
+    rows = np.column_stack([M, np.linalg.norm(M, axis=1)]) / scale[:, None]
+    ball = Polyhedron(np.vstack([rows, e_r, -e_r]), np.append((p.d - p.A @ x0) / scale, [1.0, 0.0]))
+    out = ball.minimize(-e_r, tol_feas)   # max r
+    return (x0 + N @ out.point[:-1], -out.value) if out.optimal else None
 
 
 def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
-    """(vertices, rays, bases) of p on its hyperplane w.x + b = 0, as rows:
-    the hull of the vertices plus the cone of the unit rays; each vertex
-    solves the rows its basis names.  In x = x0 + N t (N an orthonormal
-    basis of w's null space, I for w = 0), a row with under 1e-12 of its
-    norm along the hyperplane is constant and defines no vertex; the other
-    rows span k dimensions, and what they leave is lineality (two opposite
-    rays each).  A basis is k rows whose solution keeps every unit-scaled
-    row within tol_feas.  The first basis is the one met in k straight
-    steps from the point near (each along the rows met so far, to the next
-    row).  Without near, when one batch of 512 holds every k-subset, or
-    when the steps end off p, a scan of the k-subsets finds it instead and
-    raises CombinatorialBlowup past FRAME_CAP.  The rest come from walking
-    edges to the next row they meet and trying the k-subsets of the rows
-    tight there.  Edges that meet no row are rays."""
-    x0 = -p.b * p.w / (p.w @ p.w) if p.w.any() else 0.0 * p.w
-    _, s, vt = np.linalg.svd(p.w[None, :])
-    N = vt[int(s[0] > 0.0):].T
+    """(vertices, rays, tight) of p on its hyperplane, as rows: the hull of
+    the vertices plus the cone of the unit rays, and per vertex the mask of
+    the rows of p it meets within tol_feas (rows scaled to unit norm).  In
+    p's `chart` x = x0 + N t, a row with under 1e-12 of its norm along the
+    hyperplane is constant and defines no vertex; the other rows span k
+    dimensions, and what they leave is lineality (two opposite rays each).
+    A basis is k rows whose solution keeps every unit-scaled row within
+    tol_feas, and each vertex solves one basis (a degenerate vertex comes
+    once per basis).  The first basis is the one met in k straight steps
+    from the point near (each along the rows met so far, to the next row).
+    Without near, when one batch of 512 holds every k-subset, or when the
+    steps end off p, a scan of the k-subsets finds it instead and raises
+    CombinatorialBlowup past FRAME_CAP.  The rest come from walking edges
+    to the next row they meet and trying the k-subsets of the rows tight
+    there.  Edges that meet no row are rays."""
+    x0, N = p.chart()
     M = p.A @ N
     scale = np.linalg.norm(p.A, axis=1)
     live = np.linalg.norm(M, axis=1) > 1e-12 * scale
@@ -163,14 +165,12 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
     else:
         raise CombinatorialBlowup(f"no vertex among the first {FRAME_CAP} row subsets")
     whole = next(scan, None) is None          # the scan has tried every k-subset
-    seen, rays = set(), [lineal.T, -lineal.T]
-    vertices, bases = [np.empty((0, p.dim))], [np.empty((0, k), dtype=int)]
+    seen, rays, vertices = set(), [lineal.T, -lineal.T], [np.empty((0, p.dim))]
     while len(front):
         seen.update(map(tuple, front))
         inv = np.linalg.inv(rows[front])
         u = (inv @ rhs[front][..., None])[..., 0]
         vertices.append(x0 + u @ B.T)
-        bases.append(np.flatnonzero(live)[front])
         edges = -inv.transpose(0, 2, 1)       # edge i leaves row i
         edges /= np.linalg.norm(edges, axis=2, keepdims=True)
         meets = np.isfinite(t := reach(u, edges).min(axis=2, initial=np.inf))
@@ -178,10 +178,11 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
         if whole:
             break
         ends = u[np.nonzero(meets)[0]] + t[meets][:, None] * edges[meets]
-        tight = np.unique(ends @ rows.T >= rhs - tol_feas, axis=0)   # the rows at each end
-        front = bases_of({S for on in tight
+        on_rows = np.unique(ends @ rows.T >= rhs - tol_feas, axis=0)   # the rows at each end
+        front = bases_of({S for on in on_rows
                           for S in itertools.combinations(np.flatnonzero(on).tolist(), k)} - seen)
-    return np.vstack(vertices), np.vstack(rays), np.vstack(bases)
+    vertices = np.vstack(vertices)
+    return vertices, np.vstack(rays), vertices @ unit.A.T >= unit.d - tol_feas
 
 
 def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
@@ -234,17 +235,14 @@ def bounding_box(vertices: np.ndarray, rays: np.ndarray, domain: np.ndarray):
     return box, bool(clamped.any())
 
 
-def triangulate(p: Polyhedron, vertices: np.ndarray, tol_feas: float = 1e-7) -> np.ndarray:
-    """A pulling triangulation of the bounded polyhedron p from its
-    vertices: an (s, d + 1, n) array of simplices, d the dimension of p
-    (on its hyperplane).  A vertex is tight on the rows of p it meets
-    within tol_feas (rows scaled to unit norm), and vertices tight on the
-    same rows are one point (a degenerate vertex that `frame` gives once
-    per basis).  A face is triangulated by coning its first vertex over
-    the triangulations of its facets that do not hold it; a facet is the
-    set of the face's vertices tight on one row, of one dimension less."""
-    scale = np.linalg.norm(p.A, axis=1)
-    tight = vertices @ (p.A / scale[:, None]).T >= p.d / scale - tol_feas
+def triangulate(vertices: np.ndarray, tight: np.ndarray, tol_feas: float = 1e-7) -> np.ndarray:
+    """A pulling triangulation of a bounded polyhedron from its vertices and
+    their tight rows (`frame`): an (s, d + 1, n) array of simplices, d the
+    dimension of the polyhedron (on its hyperplane).  Vertices tight on the
+    same rows are one point (a degenerate vertex that `frame` gives once per
+    basis).  A face is triangulated by coning its first vertex over the
+    triangulations of its facets that do not hold it; a facet is the set of
+    the face's vertices tight on one row, of one dimension less."""
     keep = np.sort(np.unique(tight, axis=0, return_index=True)[1])
     points, tight = vertices[keep], tight[keep]
 

@@ -6,15 +6,17 @@ infeasibility) feed geometric decisions, so we want full control over
 tolerances and determinism rather than whatever an external solver's
 defaults happen to be.
 
-Free variables are split into positive/negative parts, inequality rows get
-slacks, and phase one introduces artificial variables for rows without an
-obvious basic column.  Pivoting uses Dantzig's rule until a run of
-degenerate pivots is detected, then falls back to Bland's rule, which
-guarantees termination.
+Free variables are split into positive/negative parts, every row gets a
+slack, and phase one introduces artificial variables for the rows with a
+negative right-hand side (their slack cannot start basic).  Pivoting uses
+Dantzig's rule until a run of degenerate pivots is detected, then falls
+back to Bland's rule, which guarantees termination.
 
-`lp_solve` takes one LP as arrays, always minimises (a maximum is the
-negated minimum of the negated objective) and returns one `LpOutcome`:
-one tableau, one phase one, then phase two on the same tableau.
+`lp_solve` takes one LP in inequality form as arrays, always minimises (a
+maximum is the negated minimum of the negated objective) and returns one
+`LpOutcome`: one tableau, one phase one, then phase two on the same
+tableau.  It has no equality rows: an LP on a hyperplane is solved in the
+hyperplane's own coordinates (`geometry.Polyhedron.minimize`).
 """
 
 from __future__ import annotations
@@ -52,16 +54,16 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
-def _normalize_system(a, b, n, tag):
+def _normalize_system(a, b, n):
     if a is None and b is None:
         return np.zeros((0, n)), np.zeros(0)
     if a is None or b is None:
-        raise MalformedProblem(f"a_{tag} and b_{tag} must be given together")
+        raise MalformedProblem("a_ub and b_ub must be given together")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (b.shape[0], n):
         raise MalformedProblem(
-            f"{tag} system shapes {a.shape}/{b.shape} do not fit {n} variables")
+            f"system shapes {a.shape}/{b.shape} do not fit {n} variables")
     return a, b
 
 
@@ -122,37 +124,30 @@ def _run_simplex(T, basis):
     raise NumericalFailure("simplex iteration budget exhausted")
 
 
-def _build_tableau(a_ub, b_ub, a_eq, b_eq):
+def _build_tableau(a_ub, b_ub):
     """Standard-form tableau with rhs >= 0 plus bookkeeping indices."""
-    n = a_ub.shape[1]
-    m_ub = a_ub.shape[0]
-    m_eq = a_eq.shape[0]
-    m = m_ub + m_eq
-    a = np.vstack([a_ub, a_eq])
-    b = np.concatenate([b_ub, b_eq])
-    flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
-    slack_sign = np.where(flip[:m_ub], -1.0, 1.0)
+    m, n = a_ub.shape
+    flip = b_ub < 0
+    a = np.where(flip[:, None], -a_ub, a_ub)
+    b = np.where(flip, -b_ub, b_ub)
 
     n_split = 2 * n
-    n_struct = n_split + m_ub
-    # rows needing an artificial: flipped ub rows (slack is -1) and all eq rows
-    need_art = np.concatenate([flip[:m_ub], np.ones(m_eq, dtype=bool)])
-    art_rows = np.flatnonzero(need_art)
+    n_struct = n_split + m
+    # a flipped row's slack is -1, so it needs an artificial
+    art_rows = np.flatnonzero(flip)
     n_art = art_rows.size
 
     T = np.zeros((m + 1, n_struct + n_art + 1))
     T[:m, :n] = a
     T[:m, n:n_split] = -a
-    ub_rows = np.arange(m_ub)
-    T[ub_rows, n_split + ub_rows] = slack_sign
+    rows = np.arange(m)
+    T[rows, n_split + rows] = np.where(flip, -1.0, 1.0)
     art_cols = n_struct + np.arange(n_art)
     T[art_rows, art_cols] = 1.0
     T[:m, -1] = b
 
     # a row's slack is basic, or its artificial where it needs one
-    basis = n_split + np.arange(m)
+    basis = n_split + rows
     basis[art_rows] = art_cols
     return T, basis, n_struct, art_cols
 
@@ -166,14 +161,15 @@ def _price(T, basis, cols, costs):
         T[-1] -= T[i] * T[-1, basis[i]]
 
 
-def _phase_one(T, basis, art_cols, tol_feas):
-    """Minimize the sum of artificials.
+def _phase_one(T, basis, art_cols, tol_feas) -> bool:
+    """Minimize the sum of artificials; whether the LP is feasible.
 
-    Returns (feasible, T, basis); rows whose artificial cannot be pivoted
-    out are redundant and get dropped.
+    Every row keeps its slack among the structural columns, so an
+    artificial left basic at zero can always be pivoted out; a row whose
+    structural entries all round to zero raises NumericalFailure.
     """
     if art_cols.size == 0:
-        return True, T, basis
+        return True
     _price(T, basis, art_cols, 1.0)
     status = _run_simplex(T, basis)
     if status != OPTIMAL:  # bounded below in exact arithmetic, not under round-off
@@ -181,46 +177,34 @@ def _phase_one(T, basis, art_cols, tol_feas):
     residual = -T[-1, -1]
     scale = max(1.0, float(np.max(np.abs(T[:-1, -1]))) if len(basis) else 1.0)
     if residual > tol_feas * scale:
-        return False, T, basis
-    # pivot remaining artificials out of the basis where possible
-    art_set = set(int(c) for c in art_cols)
+        return False
     struct_end = int(art_cols.min())
-    drop_rows = []
-    for i in range(len(basis)):
-        if int(basis[i]) in art_set:
-            row = T[i, :struct_end]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > _PIVOT_TOL:
-                _pivot(T, basis, i, j)
-            else:
-                drop_rows.append(i)  # redundant constraint row
-    if drop_rows:
-        keep = [i for i in range(len(basis)) if i not in set(drop_rows)]
-        T = T[keep + [-1], :]
-        basis = basis[keep]
-    return True, T, basis
+    for i in np.flatnonzero(basis >= struct_end):
+        row = T[i, :struct_end]
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) <= _PIVOT_TOL:
+            raise NumericalFailure("phase one left an artificial it cannot pivot out")
+        _pivot(T, basis, i, j)
+    return True
 
 
-def lp_solve(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-             tol_feas: float = 1e-7) -> LpOutcome:
-    """min ``objective . x`` s.t. ``a_ub x <= b_ub`` and ``a_eq x = b_eq``,
-    over free variables, for an ``(n,)`` objective; unboundedness and
-    infeasibility are ordinary outcomes, not errors.  A maximum is the
-    negated minimum of the negated objective.
+def lp_solve(objective, a_ub=None, b_ub=None, tol_feas: float = 1e-7) -> LpOutcome:
+    """min ``objective . x`` s.t. ``a_ub x <= b_ub``, over free variables,
+    for an ``(n,)`` objective; unboundedness and infeasibility are ordinary
+    outcomes, not errors.  A maximum is the negated minimum of the negated
+    objective.
     """
     c = np.asarray(objective, dtype=float)
     if c.ndim != 1:
         raise MalformedProblem(f"objective must be a vector, not of shape {c.shape}")
     n = c.shape[0]
-    a_ub, b_ub = _normalize_system(a_ub, b_ub, n, "ub")
-    a_eq, b_eq = _normalize_system(a_eq, b_eq, n, "eq")
-    for arr in (c, a_ub, b_ub, a_eq, b_eq):
+    a_ub, b_ub = _normalize_system(a_ub, b_ub, n)
+    for arr in (c, a_ub, b_ub):
         if not np.isfinite(arr).all():
             raise MalformedProblem("problem data must be finite")
 
-    T, basis, n_struct, art_cols = _build_tableau(a_ub, b_ub, a_eq, b_eq)
-    feasible, T, basis = _phase_one(T, basis, art_cols, tol_feas)
-    if not feasible:
+    T, basis, n_struct, art_cols = _build_tableau(a_ub, b_ub)
+    if not _phase_one(T, basis, art_cols, tol_feas):
         return LpOutcome(INFEASIBLE)
     # drop artificial columns (they sit at the end, so basis indices survive)
     T = np.delete(T, np.s_[n_struct:-1], axis=1)
@@ -231,17 +215,12 @@ def lp_solve(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     x_std = np.zeros(n_struct)
     x_std[basis] = T[:-1, -1]
     x = x_std[:n] - x_std[n:2 * n]
-    _check_feasible(a_ub, b_ub, a_eq, b_eq, x, tol_feas)
+    _check_feasible(a_ub, b_ub, x, tol_feas)
     return LpOutcome(OPTIMAL, value=float(c @ x), point=x)
 
 
-def _check_feasible(a_ub, b_ub, a_eq, b_eq, x, tol_feas):
+def _check_feasible(a_ub, b_ub, x, tol_feas):
     scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-    if a_ub.shape[0]:
-        viol = float((a_ub @ x - b_ub).max())
-        if viol > 100 * tol_feas * scale:
-            raise NumericalFailure(f"solver returned infeasible point (ub slack {viol:.3g})")
-    if a_eq.shape[0]:
-        viol = float(np.abs(a_eq @ x - b_eq).max())
-        if viol > 100 * tol_feas * scale:
-            raise NumericalFailure(f"solver returned infeasible point (eq residual {viol:.3g})")
+    viol = float((a_ub @ x - b_ub).max(initial=-np.inf))
+    if viol > 100 * tol_feas * scale:
+        raise NumericalFailure(f"solver returned infeasible point (ub slack {viol:.3g})")

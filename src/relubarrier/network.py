@@ -146,15 +146,14 @@ class ReluNetwork:
 
     # -- indicators at a point, h's bounds over a box ---------------------------
 
-    def feasible_indicators(self, x, tol_zero: float = TOL_ZERO,
-                            branch_cap: int = BRANCH_CAP) -> list[ActivationIndicator]:
+    def feasible_indicators(self, x) -> list[ActivationIndicator]:
         """All indicators whose region contains x.
 
-        Neurons with |pre-activation| <= tol_zero are branched both ways,
+        Neurons with |pre-activation| <= TOL_ZERO are branched both ways,
         recomputing downstream pre-activations per branch since the mask
         changes what later layers see.  The depth-first walk branches in bit
         order, so the indicators come out distinct and in key order.  Raises
-        CombinatorialBlowup when more than branch_cap neurons along one
+        CombinatorialBlowup when more than BRANCH_CAP neurons along one
         branch are ambiguous.
         """
         x = np.asarray(x, dtype=float)
@@ -165,12 +164,12 @@ class ReluNetwork:
                 results.append(ActivationIndicator(prefix))
                 return
             pre = self.weights[layer] @ z + self.biases[layer]
-            ambiguous = np.flatnonzero(np.abs(pre) <= tol_zero)
-            if branched + ambiguous.size > branch_cap:
+            ambiguous = np.flatnonzero(np.abs(pre) <= TOL_ZERO)
+            if branched + ambiguous.size > BRANCH_CAP:
                 raise CombinatorialBlowup(
                     f"{branched + ambiguous.size} simultaneously-zero neurons "
-                    f"exceed the cap of {branch_cap}")
-            base = (pre > tol_zero).astype(int)
+                    f"exceed the cap of {BRANCH_CAP}")
+            base = (pre > TOL_ZERO).astype(int)
             for combo in itertools.product((0, 1), repeat=ambiguous.size):
                 bits = base.copy()
                 bits[ambiguous] = combo

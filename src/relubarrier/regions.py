@@ -3,10 +3,10 @@
 A region is *valid* when it is full-dimensional and its intersection with
 the hyperplane of its own affine piece (its *slice*) has dimension n-1:
 inscribed balls wider than TOL_EQ, mostly settled by the slice's LP alone.
-A valid region then costs no LP: a row on the basis of one of its patch's
-vertices (`geometry.frame`), or within tol_feas of d_j at one, touches the
-slice, and the mean of the vertices on its basis is its facet point; the
-other rows are redundant there.
+A valid region then costs no LP: a row that one of its patch's vertices
+meets within tol_feas (`geometry.frame`) touches the slice, and the mean
+of the vertices that meet it is its facet point; the other rows are
+redundant there.
 `constraints` keeps the distinct nonzero rows (the exact region), the slice
 the touching rows, which the deciders and the SMT export read.
 `enumerate_level_set` is the one enumeration route: unless interval bounds
@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
-from .geometry import Polyhedron, frame, inscribed_radius, slice_charges
+from .geometry import Polyhedron, frame, inscribed_ball
 from .network import ActivationIndicator, ReluNetwork
 
 
@@ -42,7 +42,11 @@ class ValidRegion:
     slice: Polyhedron              # the rows touching {w.x + b = 0}, on that hyperplane
     vertices: np.ndarray           # the patch's vertices and rays, as rows (`frame`)
     rays: np.ndarray
-    facet_points: list[np.ndarray]  # one per touching row
+    tight: np.ndarray              # per vertex, the touching rows it meets
+
+    @property
+    def facet_points(self) -> list[np.ndarray]:   # per touching row, its vertices' mean
+        return [self.vertices[on].mean(axis=0) for on in self.tight.T]
 
     @property
     def degenerate(self) -> bool:
@@ -79,18 +83,18 @@ def valid_test(region: Polyhedron, w: np.ndarray, b: float,
 
     The largest balls in the region and in its slice on w.x + b = 0 have
     diameter > TOL_EQ (w = 0: valid but degenerate if b = 0, else no slice).
-    A slice ball of radius r holds a region ball of radius c r, c the least
-    charge of a nonzero row (`slice_charges`), so the region's LP runs only
-    for w = 0 or where c r is within tol_feas of TOL_EQ / 2."""
+    The slice ball's centre lies in the region, so the region holds the
+    ball about it out to its nearest nonzero row: the region's LP runs
+    only for w = 0 or where that distance is within tol_feas of TOL_EQ / 2."""
     if w.any():
-        radius = inscribed_radius(region, w, b, tol_feas=cfg.tol_feas)
-        if radius is None or 2.0 * radius <= TOL_EQ:
+        ball = inscribed_ball(Polyhedron(region.A, region.d, w, b), cfg.tol_feas)
+        if ball is None or 2.0 * ball[1] <= TOL_EQ:
             return False
-        charge = slice_charges(region.A[region.A.any(axis=1)], w).min(initial=1.0)
-        if charge * radius > TOL_EQ / 2.0 + cfg.tol_feas:
+        A, d = region.A[nz := region.A.any(axis=1)], region.d[nz]
+        if np.all(d - A @ ball[0] > (TOL_EQ / 2.0 + cfg.tol_feas) * np.linalg.norm(A, axis=1)):
             return True
-    radius = inscribed_radius(region, tol_feas=cfg.tol_feas)
-    return radius is not None and 2.0 * radius > TOL_EQ and bool(w.any() or b == 0.0)
+    ball = inscribed_ball(region, cfg.tol_feas)
+    return ball is not None and 2.0 * ball[1] > TOL_EQ and bool(w.any() or b == 0.0)
 
 
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
@@ -104,17 +108,14 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     _, first = np.unique(np.column_stack([region.A, region.d]), axis=0, return_index=True)
     keep = [j for j in sorted(first) if region.A[j].any()]
     exact = Polyhedron(region.A[keep], region.d[keep])
-    vertices, rays, bases = frame(Polyhedron(exact.A, exact.d, w, b), cfg.tol_feas, near)
+    vertices, rays, tight = frame(Polyhedron(exact.A, exact.d, w, b), cfg.tol_feas, near)
     span = np.vstack([vertices[1:] - vertices[:1], rays])
     if not len(vertices) or np.linalg.matrix_rank(span) < len(w) - w.any():
         raise NumericalFailure(f"valid region {ind.compact()}: its frame spans fewer "
                                "dimensions than its patch")
-    on = (bases[:, :, None] == np.arange(exact.num_rows)).any(axis=1)   # a vertex's basis rows
-    tight = on | (vertices @ exact.A.T >= exact.d - cfg.tol_feas)
-    on = np.where(on.any(axis=0), on, tight)      # a row on no basis: its tight vertices
     touching = np.flatnonzero(tight.any(axis=0))
     return ValidRegion(ind, exact, Polyhedron(exact.A[touching], exact.d[touching], w, b),
-                       vertices, rays, [vertices[on[:, j]].mean(axis=0) for j in touching])
+                       vertices, rays, tight[:, touching])
 
 
 # -- initial region search -------------------------------------------------------

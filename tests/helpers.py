@@ -16,12 +16,13 @@ import sys
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
-                         InfeasiblePolyhedron, Polyhedron, brute_force_valid_regions,
+                         InfeasiblePolyhedron, NumericalFailure, Polyhedron,
+                         brute_force_valid_regions,
                          build_valid_region, evaluate, implicit_equalities, lp_solve,
                          network_from_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import BAB_MIN_WIDTH, FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
-from relubarrier.network import ReluNetwork
+from relubarrier.network import ActivationIndicator, ReluNetwork
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
 with open(os.path.join(BENCH, os.pardir, "docs", "report_schema.json")) as _fh:
@@ -121,6 +122,11 @@ def ill_scaled_deep_net(seed: int) -> ReluNetwork:
     weights = [rng.normal(size=(8, 2))] + [rng.normal(size=(8, 8)) * 1e4 for _ in range(3)]
     biases = [rng.normal(size=8) for _ in range(4)]
     return ReluNetwork(weights, biases, rng.normal(size=8), 0.0)
+
+
+def indicator_of(compact: str) -> ActivationIndicator:
+    """The indicator whose `ActivationIndicator.compact` is compact."""
+    return ActivationIndicator(tuple(tuple(map(int, layer)) for layer in compact.split(".")))
 
 
 def frame_nets():
@@ -241,16 +247,38 @@ def slice_full(sl) -> Polyhedron:
     return Polyhedron(np.vstack([sl.A, sl.w, -sl.w]), np.concatenate([sl.d, [-sl.b, sl.b]]))
 
 
-def feasible_point(a_ub, b_ub, a_eq=None, b_eq=None, tol_feas: float = 1e-7):
-    """A point of {a_ub x <= b_ub, a_eq x = b_eq} by a zero-objective LP, or
-    None when the system is empty."""
-    out = lp_solve(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq, tol_feas=tol_feas)
+def feasible_point(a_ub, b_ub, tol_feas: float = 1e-7):
+    """A point of {a_ub x <= b_ub} by a zero-objective LP, or None when the
+    system is empty."""
+    out = lp_solve(np.zeros(a_ub.shape[1]), a_ub, b_ub, tol_feas=tol_feas)
     return out.point if out.optimal else None
 
 
 def slice_feasible_point(sl, tol_feas: float = 1e-7):
     """A point of a polyhedron on a hyperplane, or None when it is empty."""
-    return feasible_point(sl.A, sl.d, sl.w[None, :], np.array([-sl.b]), tol_feas)
+    full = slice_full(sl)
+    return feasible_point(full.A, full.d, tol_feas)
+
+
+def failing_validity_lps(monkeypatch, seed_failures: int = 0):
+    """Make validity LPs (`regions.inscribed_ball`) fail numerically: the
+    seed search's first seed_failures, and every one of boundary
+    propagation."""
+    ball, walk = regions.inscribed_ball, regions.boundary_propagation
+    state = {"calls": 0, "walking": False}
+
+    def failing(*args, **kwargs):
+        state["calls"] += 1
+        if state["walking"] or state["calls"] <= seed_failures:
+            raise NumericalFailure("injected validity LP failure")
+        return ball(*args, **kwargs)
+
+    def walking(*args, **kwargs):
+        state["walking"] = True
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "inscribed_ball", failing)
+    monkeypatch.setattr(regions, "boundary_propagation", walking)
 
 
 def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
@@ -274,11 +302,10 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
 
 def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:
     """Do two regions' level-set patches share a point?"""
-    a_ub = np.vstack([r1.constraints.A, r2.constraints.A])
-    b_ub = np.concatenate([r1.constraints.d, r2.constraints.d])
-    a_eq = np.vstack([r1.slice.w[None, :], r2.slice.w[None, :]])
-    b_eq = np.array([-r1.slice.b, -r2.slice.b])
-    return feasible_point(a_ub, b_ub, a_eq, b_eq, tol_feas) is not None
+    full = [slice_full(Polyhedron(r.constraints.A, r.constraints.d, r.slice.w, r.slice.b))
+            for r in (r1, r2)]
+    return feasible_point(np.vstack([p.A for p in full]), np.concatenate([p.d for p in full]),
+                          tol_feas) is not None
 
 
 def boundary_is_connected(regions, tol_feas: float = 1e-7) -> bool:
@@ -324,19 +351,16 @@ def slice_grid(region, k: int = 10_000) -> np.ndarray:
     """
     w, b = region.slice.w, region.slice.b
     t = np.array([-w[1], w[0]])
-    a_rows, d_vals = region.constraints.A, region.constraints.d
+    full = Polyhedron(region.constraints.A, region.constraints.d, w, b)
     ends = []
     for direction in (t, -t):   # the two ends: min and max of t.x
-        out = lp_solve(direction, a_rows, d_vals, w[None, :], np.array([-b]))
+        out = full.minimize(direction)
         if out.status == UNBOUNDED:
             # clamp an unbounded slice with the standard domain box (or a
             # big box when the slice misses it); the grid then covers a
             # finite stretch of the segment
             for half in (3.0, 1e6):
-                boxed_a = np.vstack([a_rows, np.eye(2), -np.eye(2)])
-                boxed_d = np.concatenate([d_vals, np.full(2, half),
-                                          np.full(2, half)])
-                out = lp_solve(direction, boxed_a, boxed_d, w[None, :], np.array([-b]))
+                out = full.within(np.array([[-half, half]] * 2)).minimize(direction)
                 if out.optimal:
                     break
         assert out.optimal, f"segment endpoint LP came back {out.status}"

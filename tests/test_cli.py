@@ -12,7 +12,8 @@ from relubarrier import cli
 from relubarrier.cli import main
 from relubarrier.network import ReluNetwork
 
-from helpers import SCHEMA, all_dead_net, diamond_net, ill_scaled_deep_net, write_problem
+from helpers import (SCHEMA, all_dead_net, diamond_net, failing_validity_lps,
+                     ill_scaled_deep_net, write_problem)
 
 
 INIT = "0.04 - x1^2 - x2^2"
@@ -46,9 +47,11 @@ def test_exit_one_on_falsified(tmp_path):
     assert report["witnesses"]
 
 
-def test_report_written_where_validity_lps_fail_numerically(tmp_path):
-    """Some candidate regions of this net fail their validity LPs; the run
-    still ends in a verdict and writes its report."""
+def test_report_written_where_validity_lps_fail_numerically(tmp_path, monkeypatch):
+    """Some candidate regions of this net fail their validity LPs (the seed
+    search's first, and every one in propagation); the run still ends in a
+    verdict and writes its report."""
+    failing_validity_lps(monkeypatch, seed_failures=1)
     code, report = run_verify(tmp_path, ["-x1", "-x2"], net=ill_scaled_deep_net(2))
     assert code == 1
     assert report["verdicts"]["overall"] == "falsified"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          ActivationIndicator, CombinatorialBlowup, DynamicsSystem, NoRegions,
-                         Polyhedron, ReluNetwork, boundary_propagation,
+                         NumericalFailure, Polyhedron, ReluNetwork, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
                          check_unsafe_condition, enumerate_level_set, evaluate, load_problem,
@@ -21,10 +21,10 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
-from relubarrier.geometry import bounding_box, frame, inscribed_radius
+from relubarrier.geometry import bounding_box, frame, inscribed_ball
 
-from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net, frame_nets,
-                     ill_scaled_deep_net, load_bench_module, patch_samples, random_hidden_net,
+from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
+                     failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
                      reference_falsify, slice_grid, strip_net, write_problem,
                      CUBIC2D, TRANSCENDENTAL3D)
 
@@ -943,9 +943,11 @@ def test_verify_certificate_drift_falsifies_invariance_only():
     assert verdict.overall == FALSIFIED
 
 
-def test_verify_certificate_where_validity_lps_fail_numerically():
-    """Candidates whose validity LPs fail, in the seed search as in
-    propagation, leave a partial enumeration and a verdict, not an error."""
+def test_verify_certificate_where_validity_lps_fail_numerically(monkeypatch):
+    """Candidates whose validity LPs fail (the seed search's first, and
+    every one in propagation) leave a partial enumeration and a verdict,
+    not an error."""
+    failing_validity_lps(monkeypatch, seed_failures=1)
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
@@ -961,11 +963,11 @@ def test_verify_certificate_where_validity_lps_fail_numerically():
     assert verdict.unsafe_result.note.startswith("enumeration partial: ")
 
 
-def test_a_partial_enumeration_never_verifies():
+def test_a_partial_enumeration_never_verifies(monkeypatch):
     """A condition whose rows all verify over a partial enumeration is
     unknown, its note naming the enumeration's errors: the diamond cut at
-    two regions, and ill_scaled_deep_net(3), whose one region's neighbours
-    fail their validity LPs numerically."""
+    two regions, and ill_scaled_deep_net(3) where propagation's validity
+    LPs fail numerically, so one region is found."""
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0.01 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("x1 - 2.5", 2)
@@ -976,6 +978,7 @@ def test_a_partial_enumeration_never_verifies():
         assert [v.status for v in res.region_verdicts] == [VERIFIED] * 2
         assert res.status == UNKNOWN
         assert res.note == "enumeration partial: region cap 2 reached; enumeration stopped"
+    failing_validity_lps(monkeypatch)
     deep = verify_certificate(ill_scaled_deep_net(3), sys,
                               parse_expression("0.04 - x1^2 - x2^2", 2),
                               parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
@@ -987,47 +990,47 @@ def test_a_partial_enumeration_never_verifies():
     assert deep.invariance_result.note == "enumeration partial: " + "; ".join(errors)
 
 
-@pytest.mark.parametrize("seed", [5, 9])
-def test_a_walk_that_cannot_cross_a_facet_is_partial(seed):
-    """On ill_scaled_deep_net(5) and (9) (rows of norm up to 1e13) the seed
-    patch is a segment: both vertices survive the unit-row feasibility test.
-    Where no valid region continues the level set past a facet point (the
-    neighbours' validity LPs fail, or the pre-activation at the point is
-    float noise far above TOL_ZERO and names only the region itself), the
-    walk records that, so invariance is never `verified` over the regions
-    it did reach."""
+@pytest.mark.parametrize("seed, segment", [(5, "01111010.00000110.10011011.00001111"),
+                                           (9, "11110101.10010110.11000011.00111010")],
+                         ids=["5", "9"])
+def test_a_walk_that_cannot_cross_a_facet_is_partial(seed, segment):
+    """On ill_scaled_deep_net(5) and (9) (rows of norm up to 1e13) the
+    patch of region ``segment`` is a segment: both vertices survive the
+    unit-row feasibility test.  Where no valid region continues the level
+    set past a facet point (the pre-activation at the point is float noise
+    far above TOL_ZERO and names only the region itself), the walk records
+    that, so invariance is never `verified` over the regions it did reach."""
     net = ill_scaled_deep_net(seed)
+    region = build_valid_region(net, indicator_of(segment))
+    assert len(region.vertices) == 2 and not len(region.rays)
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     verdict = verify_certificate(net, sys, parse_expression("0.01 - x1^2 - x2^2", 2),
                                  parse_expression("x1 - 2.5", 2))
-    seed_region = [r for r in verdict.enumeration.regions
-                   if r.indicator == verdict.enumeration.seed_indicator][0]
-    assert len(seed_region.vertices) == 2 and not len(seed_region.rays)
     errors = verdict.enumeration.errors
     assert any(e.endswith("no valid region continues the level set there") for e in errors)
     assert verdict.invariance != VERIFIED and verdict.overall != VERIFIED
 
 
 def validity_lps_and_all_lps(monkeypatch, net, sys, h_init, h_unsafe):
-    """(LPs solved inside `inscribed_radius`, all LPs) of one
+    """(LPs solved inside `inscribed_ball`, all LPs) of one
     verify_certificate, and its verdict."""
     inside = []
     calls = counted_lp_solves(monkeypatch)
 
-    def counted_radius(*args, **kwargs):
+    def counted_ball(*args, **kwargs):
         before = len(calls)
-        out = inscribed_radius(*args, **kwargs)
+        out = inscribed_ball(*args, **kwargs)
         inside.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr("relubarrier.regions.inscribed_radius", counted_radius)
+    monkeypatch.setattr("relubarrier.regions.inscribed_ball", counted_ball)
     verdict = verify_certificate(net, sys, h_init, h_unsafe)
     return sum(inside), len(calls), verdict
 
 
 def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
     """Under an affine flow with half-space sets, every lp_solve call of
-    verify_certificate is a validity LP (`inscribed_radius`): the facet
+    verify_certificate is a validity LP (`inscribed_ball`): the facet
     points and the affine minima come off each patch's vertices and rays."""
     net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
     F = -np.eye(3) + 0.5 * np.random.default_rng(100).normal(size=(3, 3))
@@ -1058,9 +1061,13 @@ def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
     assert validity == lps > 0
 
 
-def test_search_exhausted_counts_the_candidates_that_failed_numerically():
-    """A seed search whose candidates are invalid or fail numerically says
-    how many failed, rather than only that no region was found."""
+def test_search_exhausted_counts_the_candidates_that_failed_numerically(monkeypatch):
+    """A seed search whose candidates fail numerically (every validity LP
+    here) says how many failed, rather than only that no region was found."""
+    def failing(*args, **kwargs):
+        raise NumericalFailure("injected validity LP failure")
+
+    monkeypatch.setattr("relubarrier.regions.inscribed_ball", failing)
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
@@ -1068,7 +1075,7 @@ def test_search_exhausted_counts_the_candidates_that_failed_numerically():
     assert verdict.failure == {
         "kind": "search-exhausted",
         "detail": "no valid region found in 50 attempts; "
-                  "18 candidates failed numerically or at FRAME_CAP"}
+                  "50 candidates failed numerically or at FRAME_CAP"}
 
 
 def test_verify_certificate_constant_network_structured_failure():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from relubarrier import (CombinatorialBlowup, InfeasiblePolyhedron, brute_force_valid_regions,
                          build_valid_region)
 from relubarrier.geometry import (Polyhedron, bounding_box, frame, implicit_equalities,
-                                  inscribed_radius, remove_redundant)
-from relubarrier.linprog import INFEASIBLE, OPTIMAL, lp_solve
+                                  inscribed_ball, remove_redundant)
+from relubarrier.linprog import INFEASIBLE, OPTIMAL
 
 from helpers import (dimension, lp_bounding_box, random_hidden_net, slice_feasible_point,
                      slice_full, whole_space)
@@ -98,17 +98,27 @@ def test_remove_redundant_keeps_unbounded_rows():
     assert reduced.num_rows == 1
 
 
-def test_inscribed_radius_region_and_slice():
+def radius(p):
+    ball = inscribed_ball(p)
+    return None if ball is None else ball[1]
+
+
+def test_inscribed_ball_region_and_slice():
     square = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([2.0, 2.0, 0.0, 0.0]))
-    assert inscribed_radius(square) == pytest.approx(1.0)      # capped at 1
-    assert inscribed_radius(Polyhedron(2 * square.A, square.d)) == pytest.approx(0.5)
-    assert inscribed_radius(QUADRANT) == pytest.approx(1.0)    # unbounded
+    assert radius(square) == pytest.approx(1.0)      # capped at 1
+    assert radius(Polyhedron(2 * square.A, square.d)) == pytest.approx(0.5)
+    assert inscribed_ball(Polyhedron(2 * square.A, square.d))[0] == pytest.approx([0.5, 0.5])
+    assert radius(QUADRANT) == pytest.approx(1.0)    # unbounded
     # the segment x1 + x2 = 1 in the quadrant has length sqrt(2)
-    assert inscribed_radius(QUADRANT, np.array([-1.0, -1.0]), 1.0) == pytest.approx(0.5 ** 0.5)
+    centre, r = inscribed_ball(Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0))
+    assert r == pytest.approx(0.5 ** 0.5) and centre == pytest.approx([0.5, 0.5])
     # a row parallel to the hyperplane carries no radius term
-    assert inscribed_radius(DIAMOND_SLICE, np.array([1.0, 1.0]), -1.0) == pytest.approx(0.5 ** 0.5)
-    assert inscribed_radius(Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                       np.array([0.0, -1.0]))) is None
+    assert radius(Polyhedron(DIAMOND_SLICE.A, DIAMOND_SLICE.d, np.array([1.0, 1.0]), -1.0)
+                  ) == pytest.approx(0.5 ** 0.5)
+    assert radius(Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))) is None
+    # on 0 = b != 0 there is no slice; on 0 = 0 the slice is the region
+    assert radius(Polyhedron(square.A, square.d, np.zeros(2), 1.0)) is None
+    assert radius(Polyhedron(square.A, square.d, np.zeros(2), 0.0)) == pytest.approx(1.0)
 
 
 def test_slice_of_diamond_quadrant():
@@ -152,7 +162,7 @@ def test_a_hyperplane_adds_one_test_to_contains_and_survives_within():
 
 def test_bounding_box_segment():
     sl = Polyhedron(QUADRANT.A, QUADRANT.d, np.array([-1.0, -1.0]), 1.0)
-    vertices, rays, _bases = frame(sl)
+    vertices, rays, _tight = frame(sl)
     box, restricted = bounding_box(vertices, rays, np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert not restricted
     assert box[:, 0] == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -162,7 +172,7 @@ def test_bounding_box_segment():
 def test_bounding_box_unbounded_sides_clamp_to_domain():
     # half-plane x1 <= 0 with no other bounds (a zero hyperplane normal cuts
     # nothing): its ray -e1 and lineality +-e2 take those sides from the domain
-    vertices, rays, _bases = frame(Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]),
+    vertices, rays, _tight = frame(Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]),
                                               np.zeros(2), 0.0))
     box, restricted = bounding_box(vertices, rays, np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert restricted
@@ -182,7 +192,7 @@ def test_bounded_sides_never_clamped():
     # must be reported so the caller can detect the empty intersection
     a = np.array([[1.0, 0.0], [-1.0, 0.0]])
     d = np.array([7.0, -5.0])
-    vertices, rays, _bases = frame(Polyhedron(a, d, np.array([0.0, 1.0]), 0.0))
+    vertices, rays, _tight = frame(Polyhedron(a, d, np.array([0.0, 1.0]), 0.0))
     box, restricted = bounding_box(vertices, rays, np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     assert not restricted
     assert box.tolist() == [[5.0, 7.0], [0.0, 0.0]]
@@ -222,7 +232,8 @@ def test_bounding_box_matches_per_coordinate_lps():
         w = rng.normal(size=(1, n))
         b = rng.normal(size=1)
         out = lp_bounding_box(Polyhedron(a, d, w[0], -b[0]), domain=domain[:n])
-        singles = [lp_solve(sign * unit, a, d, w, b) for unit in np.eye(n) for sign in (1, -1)]
+        singles = [Polyhedron(a, d, w[0], -b[0]).minimize(sign * unit)
+                   for unit in np.eye(n) for sign in (1, -1)]
         if out is None:
             assert all(o.status == INFEASIBLE for o in singles)
             outcomes.add("empty")
@@ -304,8 +315,9 @@ def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start):
     from a scan (no point given: its first 512 subsets hold only bases with
     row 0), or from k steps from a point inside, from the vertex (0, 0, 1),
     or from a point outside (the scan takes over when the steps end off
-    the polytope); the walk finds the rest.  Every way, the bases are
-    exactly those a scan of every 3-subset keeps."""
+    the polytope); the walk finds the rest.  Every way, the vertices are
+    exactly those of the bases a scan of every 3-subset keeps, one per
+    basis, each tight on its basis's rows."""
     rng = np.random.default_rng(3)
     normals = rng.normal(size=(30, 3))
     A = np.vstack([shape[0], normals])
@@ -313,11 +325,16 @@ def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start):
     p = Polyhedron(A, d, np.zeros(3), 0.0)
     near = {"scan": None, "inside": np.array([0.1, -0.05, 0.2]),
             "vertex": np.array([0.0, 0.0, 1.0]), "outside": np.full(3, 7.0)}[start]
-    vertices, rays, bases = frame(p, near=near)
-    assert set(map(tuple, bases.tolist())) == _scanned_bases(Polyhedron(A, d))
-    assert not len(rays)
-    for x, S in zip(vertices, bases):
-        assert np.allclose(A[S] @ x, d[S], atol=1e-12) and p.contains(x)
+    vertices, rays, tight = frame(p, near=near)
+    bases = sorted(_scanned_bases(Polyhedron(A, d)))
+    scanned = [np.linalg.solve(A[list(S)], d[list(S)]) for S in bases]
+    assert len(vertices) == len(bases)
+    np.testing.assert_allclose(sorted(map(tuple, vertices.round(9))),
+                               sorted(map(tuple, np.round(scanned, 9))), atol=1e-12)
+    assert not len(rays) and p.contains(vertices).all()
+    for S, x in zip(bases, scanned):
+        assert any(np.allclose(v, x, atol=1e-12) and on[list(S)].all()
+                   for v, on in zip(vertices, tight))
 
 
 def test_frame_scan_for_a_first_vertex_stops_at_frame_cap(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from relubarrier import MalformedProblem, NumericalFailure
+from relubarrier.geometry import Polyhedron
 from relubarrier.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 
 from helpers import matrix_rank, vertex_minimum
@@ -36,10 +37,12 @@ def test_unbounded_ray():
 
 def test_segment_optimum():
     # min x1 + x2 on the segment x1 + x2 = 1, x >= 0: constant value 1
-    out = lp_solve(np.array([1.0, 1.0]), a_ub=-np.eye(2), b_ub=np.zeros(2),
-                   a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+    c, w = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+    out = Polyhedron(-np.eye(2), np.zeros(2), w, -1.0).minimize(c)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
+    assert out.value == pytest.approx(vertex_minimum(c, -np.eye(2), np.zeros(2), w[None, :],
+                                                     np.array([1.0]))[0], abs=1e-9)
 
 
 def test_maximum_is_the_negated_minimum_of_the_negated_objective():
@@ -102,7 +105,7 @@ def test_vertex_oracle_with_equalities():
         b_eq = np.array([rng.normal() * 0.5])
         c = rng.normal(size=n)
         oracle = vertex_minimum(c, a_ub, b_ub, a_eq, b_eq)
-        out = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+        out = Polyhedron(a_ub, b_ub, a_eq[0], -b_eq[0]).minimize(c)
         if oracle is None:
             assert out.status == INFEASIBLE
         else:
@@ -132,17 +135,28 @@ def test_one_objective_gives_one_outcome_and_a_matrix_objective_is_malformed():
 
 
 def test_zero_objective_lp_finds_a_segment_point():
-    out = lp_solve(np.zeros(2), -np.eye(2), np.zeros(2),
-                   np.array([[1.0, 1.0]]), np.array([1.0]))
+    out = Polyhedron(-np.eye(2), np.zeros(2), np.array([1.0, 1.0]), -1.0).minimize(np.zeros(2))
     assert out.optimal
     assert out.point.min() >= -1e-9
     assert out.point.sum() == pytest.approx(1.0, abs=1e-9)
+    assert out.value == vertex_minimum(np.zeros(2), -np.eye(2), np.zeros(2),
+                                       np.array([[1.0, 1.0]]), np.array([1.0]))[0]
 
 
 def test_zero_objective_lp_detects_a_contradiction():
-    out = lp_solve(np.zeros(1), np.array([[1.0]]), np.array([0.0]),
-                   np.array([[1.0]]), np.array([1.0]))
+    out = Polyhedron(np.array([[1.0]]), np.array([0.0]), np.array([1.0]), -1.0).minimize(np.zeros(1))
     assert out.status == INFEASIBLE
+    assert vertex_minimum(np.zeros(1), np.array([[1.0]]), np.array([0.0]),
+                          np.array([[1.0]]), np.array([1.0])) is None
+
+
+def test_a_zero_normal_with_a_nonzero_offset_is_infeasible():
+    """w = 0 puts the polyhedron on 0 = -b: empty for b != 0, the whole
+    region for b = 0."""
+    a, d = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    assert Polyhedron(a, d, np.zeros(2), 0.5).minimize(np.zeros(2)).status == INFEASIBLE
+    whole = Polyhedron(a, d, np.zeros(2), 0.0).minimize(np.array([1.0, 1.0]))
+    assert whole.value == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_zero_objective_lp_unconstrained():

@@ -126,17 +126,18 @@ def test_feasible_indicators_boundary_point_branches():
     assert inds == sorted(inds, key=lambda c: c.key())
 
 
-def test_feasible_indicators_blowup_guard():
+def test_feasible_indicators_blowup_guard(monkeypatch):
     net = diamond_net()
+    monkeypatch.setattr("relubarrier.network.BRANCH_CAP", 1)
     with pytest.raises(CombinatorialBlowup):
-        net.feasible_indicators(np.array([0.0, 0.0]), branch_cap=1)
+        net.feasible_indicators(np.array([0.0, 0.0]))
 
 
 def test_deep_branching_recomputes_downstream():
     """Masking a zero-tolerance unit must flip the next layer's sign."""
     net = deep_branching_net()
     x = np.array([1e-10, 1.0])
-    inds = net.feasible_indicators(x, tol_zero=1e-9)
+    inds = net.feasible_indicators(x)   # TOL_ZERO = 1e-9
     assert len(inds) == 2
     second_layer_bits = {c.bits[1] for c in inds}
     assert second_layer_bits == {(0,), (1,)}

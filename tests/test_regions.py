@@ -9,13 +9,14 @@ import pytest
 from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNetwork,
                          SearchExhausted, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
-                         enumerate_level_set, find_initial_region, lp_solve,
+                         enumerate_level_set, find_initial_region,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
 from relubarrier import NumericalFailure, conditions, geometry, parse_expression, regions
+from relubarrier.geometry import inscribed_ball
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
                      diamond_net, frame_nets, lp_slice_answers, one_d_ramp_net,
-                     random_hidden_net,
+                     ill_scaled_deep_net, indicator_of, random_hidden_net,
                      reference_valid, scaled_output, slice_feasible_point,
                      slice_full, strip_net)
 
@@ -137,17 +138,19 @@ def test_strip_sliver_valid_iff_wider_than_tol_eq(width, expected):
 
 
 def test_slice_ball_settles_the_region_ball_unless_rows_run_along_w(monkeypatch):
-    """A slice ball clear of TOL_EQ shows that the region's ball is too, so
-    most valid regions of the random nets skip the region-ball LP; the strip
-    slivers, whose rows are parallel to w (charge 0), still take it."""
+    """A slice ball whose centre is farther than TOL_EQ / 2 + tol_feas from
+    every row shows that the region's ball is wide enough too, so most
+    valid regions of the random nets skip the region-ball LP; the strip
+    slivers, whose rows are parallel to w, take it where their half-width
+    is within that distance, and the 1e-6 strip skips it."""
     region_balls = []
-    original = regions.inscribed_radius
+    original = regions.inscribed_ball
 
-    def logged(p, w=None, *args, **kwargs):
-        region_balls.append(w is None)
-        return original(p, w, *args, **kwargs)
+    def logged(p, *args, **kwargs):
+        region_balls.append(p.w is None)
+        return original(p, *args, **kwargs)
 
-    monkeypatch.setattr(regions, "inscribed_radius", logged)
+    monkeypatch.setattr(regions, "inscribed_ball", logged)
     valid = skipped = 0
     for net in random_nets(np.random.default_rng(11)):
         for indicator in _all_indicators(net):
@@ -156,12 +159,28 @@ def test_slice_ball_settles_the_region_ball_unless_rows_run_along_w(monkeypatch)
                 valid += 1
                 skipped += region_balls == [False]
     assert skipped > 0.75 * valid   # 107 of 131
-    for width in (5e-8, 1.1e-7, 1e-6):
+    for width, balls in ((5e-8, [False, True]), (1.1e-7, [False, True]), (1e-6, [False])):
         net = ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0]])], [np.array([0.0, width])],
                           np.array([1.0, 0.0]), -width / 2)
         region_balls.clear()
         valid_test(*net.piece(ind(1, 1)))
-        assert region_balls == [False, True]
+        assert region_balls == balls
+
+
+@pytest.mark.parametrize("candidate, radius", [("01011010.00000110.10011011.00001111", 0.0193),
+                                               ("01111010.00001110.10011011.00001111", 0.513)])
+def test_slice_balls_of_ill_scaled_pieces(candidate, radius):
+    """On ill_scaled_deep_net(5) the two regions that continue the level set
+    past the ends of one segment patch have pieces with |w| of 1.8e12 and
+    1.0e13.  Solved in the hyperplane's own coordinates, their slice LPs
+    find balls of radius about 0.0193 and 0.513, and both are valid."""
+    region, w, b = ill_scaled_deep_net(5).piece(indicator_of(candidate))
+    centre, r = inscribed_ball(Polyhedron(region.A, region.d, w, b))
+    assert r == pytest.approx(radius, rel=0.01)
+    scale = np.linalg.norm(region.A, axis=1)
+    assert np.all(region.A @ centre - region.d <= 1e-7 * scale)
+    assert abs(w @ centre + b) <= 1e-7 * np.linalg.norm(w)
+    assert valid_test(region, w, b)
 
 
 def test_slice_on_a_facet_stays_valid():
@@ -220,7 +239,7 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
         for a, d in zip(full.A, full.d):
             if tuple(np.append(a, d)) in touching:
                 continue
-            top = lp_solve(-a, full.A, full.d, w[None, :], np.array([-b]))   # max a.x
+            top = Polyhedron(full.A, full.d, w, b).minimize(-a)   # max a.x
             assert top.optimal and -top.value < d - tol
             dropped += 1
         # the rows of an irredundant system of the full slice all touch it
@@ -232,8 +251,8 @@ def test_rows_dropped_from_the_slice_never_reach_it(random_regions):
 
 def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
     """A touching row's facet point is the mean of the patch's vertices
-    whose basis holds the row, so it lies on the row to float precision, not
-    only within tol_feas: the walk's neighbour test (`feasible_indicators`)
+    that meet the row, and it lies on the row to float precision, not only
+    within tol_feas: the walk's neighbour test (`feasible_indicators`)
     branches a neuron only within TOL_ZERO."""
     tol = DEFAULT_CONFIG.tol_feas
     for region in random_regions:
@@ -322,8 +341,8 @@ def test_a_frame_that_spans_too_few_dimensions_is_a_numerical_failure(monkeypatc
     assert build_valid_region(net, indicator) is not None
 
     def one_vertex(p, tol, near):
-        vertices, rays, bases = geometry.frame(p, tol, near)
-        return vertices[:1], rays[:0], bases[:1]
+        vertices, rays, tight = geometry.frame(p, tol, near)
+        return vertices[:1], rays[:0], tight[:1]
 
     monkeypatch.setattr("relubarrier.regions.frame", one_vertex)
     with pytest.raises(NumericalFailure, match="frame spans fewer dimensions than its patch"):
