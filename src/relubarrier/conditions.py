@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE,
                      VerifierConfig)
-from .errors import CombinatorialBlowup, DomainError, NoRegions, SearchExhausted
+from .errors import DomainError, NoRegions, NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           weighted_sum, _linear_form)
 from .geometry import bounding_box, frame, triangulate
@@ -290,14 +290,15 @@ def _simplices(region: ValidRegion, cfg):
     (`bounding_box`), whose sides along its rays are the domain box's;
     ``restricted`` says which.  None for the simplices when the cut is
     empty.  The cut's frame starts from a patch vertex inside the box, if
-    one is."""
+    one is; its NumericalFailure is re-raised naming the cut."""
     sl, vertices, tight = region.slice, region.vertices, region.tight
     box, restricted = bounding_box(vertices, region.rays, cfg.domain(sl.dim))
     if restricted:
-        if np.any(box[:, 0] > box[:, 1]):
-            return None, True
         inside = vertices[np.all((vertices >= box[:, 0]) & (vertices <= box[:, 1]), axis=1)]
-        vertices, _, tight = frame(sl.within(box), cfg.tol_feas, inside[0] if len(inside) else None)
+        try:
+            vertices, _, tight = frame(sl.within(box), cfg.tol_feas, inside[0] if len(inside) else None)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"no frame for the patch cut to the domain box: {exc}") from exc
         if not len(vertices):
             return None, True
     return triangulate(vertices, tight, cfg.tol_feas), restricted
@@ -382,9 +383,9 @@ def _decide(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
     BaB decides both ways and is the cheaper rung on almost every patch.
     Its witness ends the ladder.  It leaves the patch open when it ends
     `unknown` (simplex budget spent, the width floor reached, g undefined
-    somewhere in a box it encloses, or no frame for an unbounded patch cut
-    to the domain box), and when it verifies an unbounded patch only
-    inside the domain box (``domain_restricted``), since the search is not
+    somewhere in a box it encloses, or a NumericalFailure of its simplices,
+    domain-restricted when the patch has rays), and when it verifies an
+    unbounded patch only inside the domain box, since the search is not
     bound to that box.  A witness the search finds replaces BaB's verdict;
     otherwise BaB's verdict and its note stand.
     """
@@ -395,9 +396,9 @@ def _decide(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
     except DomainError as exc:
         verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
                                 note=f"interval enclosure failed: {exc}")
-    except CombinatorialBlowup as exc:
-        verdict = RegionVerdict(region.indicator, UNKNOWN, "interval", domain_restricted=True,
-                                note=f"no frame for the patch cut to the domain box: {exc}")
+    except NumericalFailure as exc:
+        verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
+                                domain_restricted=bool(len(region.rays)), note=str(exc))
     if verdict.status != UNKNOWN and not verdict.domain_restricted:
         return verdict
     found = _falsify(region, g, cfg)

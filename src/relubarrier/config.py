@@ -17,11 +17,11 @@ from .errors import ProblemFormatError
 
 # -- fixed numbers ---------------------------------------------------------
 TOL_EQ = 1e-7         # full-dimensional: the largest inscribed ball is wider than this
-TOL_ZERO = 1e-9       # pre-activations this close to zero branch both ways
+TOL_ZERO = 1e-9       # pre-activations within TOL_ZERO * max(1, |W_j|.|z| + |b_j|)
+                      # of zero (relative to their summed terms) branch both ways
 FALSIFY_GATE = 1e-9   # a witness needs g < -max(tol_margin, FALSIFY_GATE) (float noise)
 BRANCH_CAP = 20       # max simultaneously-zero neurons feasible_indicators branches
 ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
-FRAME_CAP = 1_000_000  # max row subsets geometry.frame scans for a patch's first vertex
 FALSIFY_BUDGET = 100  # falsification-search budget per patch
 BAB_MIN_WIDTH = 1e-5  # BaB stops splitting simplices whose longest edge is shorter
 TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent

@@ -5,10 +5,11 @@ hyperplane ``w.x + b = 0`` when w is given, and `Polyhedron.minimize` is the
 one place an LP is solved, one objective per call.  All work on a
 hyperplane is done in its ``chart`` x = x0 + N t: the LPs of ``minimize``,
 the region test's largest inscribed ball (``inscribed_ball``) and
-``frame``, which gives a slice's vertices, rays and the rows each vertex
-meets, off which enumeration reads the rows touching it (`regions`), and
-the affine route its minima and branch-and-bound its box
-(``bounding_box``) and simplices (``triangulate``, `conditions`), no LP.
+``frame``, the one vertex routine: a slice's vertices, rays and the rows
+each vertex meets, off which enumeration reads the rows touching it
+(`regions`), the plot its polygons and lines (`svgplot`), the affine route
+its minima and branch-and-bound its box (``bounding_box``) and simplices
+(``triangulate``, `conditions`), with no LP unless ``frame`` needs a start.
 ``implicit_equalities`` and ``remove_redundant`` are references for them.
 """
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FRAME_CAP, TOL_EQ
-from .errors import CombinatorialBlowup, InfeasiblePolyhedron
+from .config import TOL_EQ
+from .errors import InfeasiblePolyhedron, NumericalFailure
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 
 
@@ -119,14 +120,13 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
     hyperplane is constant and defines no vertex; the other rows span k
     dimensions, and what they leave is lineality (two opposite rays each).
     A basis is k rows whose solution keeps every unit-scaled row within
-    tol_feas, and each vertex solves one basis (a degenerate vertex comes
-    once per basis).  The first basis is the one met in k straight steps
-    from the point near (each along the rows met so far, to the next row).
-    Without near, when one batch of 512 holds every k-subset, or when the
-    steps end off p, a scan of the k-subsets finds it instead and raises
-    CombinatorialBlowup past FRAME_CAP.  The rest come from walking edges
-    to the next row they meet and trying the k-subsets of the rows tight
-    there.  Edges that meet no row are rays."""
+    tol_feas.  One batch gives every basis when it holds all k-subsets (at
+    most 512).  Otherwise the first is met in k straight steps (each along
+    the rows met so far, to the next row) from near, or from the centre of
+    `inscribed_ball` (one LP; none: p is empty) without near or when its
+    steps end off p, and off p from there too raises NumericalFailure; the
+    rest come from walking edges to the next row they meet, edges that meet
+    none being rays.  Bases meeting the same rows are one vertex, kept once."""
     x0, N = p.chart()
     M = p.A @ N
     scale = np.linalg.norm(p.A, axis=1)
@@ -150,21 +150,21 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
         u = np.linalg.solve(rows[S], rhs[S][..., None])[..., 0]
         return S[unit.contains(x0 + u @ B.T, tol_feas)]
 
-    small = math.comb(len(rows), k) <= 512    # one scan batch holds every k-subset
-    met, u = [], None if near is None or small else B.T @ (near - x0)
-    while u is not None and len(met) < k:
-        d = np.linalg.svd(np.vstack([rows[met], np.zeros(k)]))[2][-1]   # along the rows met
-        t = reach(u, (d := d if (rows @ d > 1e-12).any() else -d)[None])[0]
-        met.append(int(np.argmin(t)))
-        u = u + t[met[-1]] * d if np.isfinite(t[met[-1]]) else None
-    batch = [] if u is None else [tuple(sorted(met))]
-    scan = itertools.combinations(range(len(rows)), k)
-    for _ in range(0, FRAME_CAP + 512, 512):
-        if len(front := bases_of(batch)) or not (batch := list(itertools.islice(scan, 512))):
-            break
-    else:
-        raise CombinatorialBlowup(f"no vertex among the first {FRAME_CAP} row subsets")
-    whole = next(scan, None) is None          # the scan has tried every k-subset
+    def steps(x):      # the basis met in k straight steps from x, if any
+        met, u = [], None if x is None else B.T @ (x - x0)
+        while u is not None and len(met) < k:
+            d = np.linalg.svd(np.vstack([rows[met], np.zeros(k)]))[2][-1]   # along the rows met
+            t = reach(u, (d := d if (rows @ d > 1e-12).any() else -d)[None])[0]
+            met.append(int(np.argmin(t)))
+            u = u + t[met[-1]] * d if np.isfinite(t[met[-1]]) else None
+        return bases_of([] if u is None else [tuple(sorted(met))])
+
+    whole = math.comb(len(rows), k) <= 512    # one batch holds every k-subset
+    front = bases_of(list(itertools.combinations(range(len(rows)), k))) if whole else steps(near)
+    if not (whole or len(front)) and (ball := inscribed_ball(p, tol_feas)) is not None \
+            and not len(front := steps(ball[0])):
+        raise NumericalFailure("the steps from the centre of the polyhedron's largest ball "
+                               "end off it")
     seen, rays, vertices = set(), [lineal.T, -lineal.T], [np.empty((0, p.dim))]
     while len(front):
         seen.update(map(tuple, front))
@@ -182,7 +182,11 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
         front = bases_of({S for on in on_rows
                           for S in itertools.combinations(np.flatnonzero(on).tolist(), k)} - seen)
     vertices = np.vstack(vertices)
-    return vertices, np.vstack(rays), vertices @ unit.A.T >= unit.d - tol_feas
+    tight = vertices @ unit.A.T >= unit.d - tol_feas
+    if (tight.sum(axis=1) > k).any():   # two bases meet only at a point on more than k rows
+        once = np.sort(np.unique(tight, axis=0, return_index=True)[1])
+        vertices, tight = vertices[once], tight[once]
+    return vertices, np.vstack(rays), tight
 
 
 def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
@@ -237,19 +241,16 @@ def bounding_box(vertices: np.ndarray, rays: np.ndarray, domain: np.ndarray):
 
 def triangulate(vertices: np.ndarray, tight: np.ndarray, tol_feas: float = 1e-7) -> np.ndarray:
     """A pulling triangulation of a bounded polyhedron from its vertices and
-    their tight rows (`frame`): an (s, d + 1, n) array of simplices, d the
-    dimension of the polyhedron (on its hyperplane).  Vertices tight on the
-    same rows are one point (a degenerate vertex that `frame` gives once per
-    basis).  A face is triangulated by coning its first vertex over the
-    triangulations of its facets that do not hold it; a facet is the set of
-    the face's vertices tight on one row, of one dimension less."""
-    keep = np.sort(np.unique(tight, axis=0, return_index=True)[1])
-    points, tight = vertices[keep], tight[keep]
-
+    their tight rows (`frame`, which gives each point once): an (s, d + 1, n)
+    array of simplices, d the dimension of the polyhedron (on its
+    hyperplane), or NumericalFailure when there is none.  A face is
+    triangulated by coning its first vertex over the triangulations of its
+    facets that do not hold it; a facet is the set of the face's vertices
+    tight on one row, of one dimension less."""
     def dim(face):
         if len(face) <= 2:
             return len(face) - 1
-        spread = np.linalg.svd(points[face[1:]] - points[face[0]], compute_uv=False)
+        spread = np.linalg.svd(vertices[face[1:]] - vertices[face[0]], compute_uv=False)
         return int(np.sum(spread > tol_feas))
 
     def pull(face, d):
@@ -259,5 +260,7 @@ def triangulate(vertices: np.ndarray, tight: np.ndarray, tol_feas: float = 1e-7)
         return [[face[0], *s] for on in facets if dim(face[on]) == d - 1
                 for s in pull(face[on], d - 1)]
 
-    face = np.arange(len(points))
-    return points[np.array(pull(face, dim(face)))]
+    face = np.arange(len(vertices))
+    if not (simplices := pull(face, dim(face))):
+        raise NumericalFailure(f"no simplex in the pulling triangulation of {len(vertices)} vertices")
+    return vertices[np.array(simplices)]

@@ -149,10 +149,11 @@ class ReluNetwork:
     def feasible_indicators(self, x) -> list[ActivationIndicator]:
         """All indicators whose region contains x.
 
-        Neurons with |pre-activation| <= TOL_ZERO are branched both ways,
-        recomputing downstream pre-activations per branch since the mask
-        changes what later layers see.  The depth-first walk branches in bit
-        order, so the indicators come out distinct and in key order.  Raises
+        A neuron whose |W_j.z + b_j| <= TOL_ZERO * max(1, |W_j|.|z| + |b_j|)
+        (relative to the terms it sums) branches both ways, recomputing
+        downstream pre-activations per branch since the mask changes what
+        later layers see.  The depth-first walk branches in bit order, so the
+        indicators come out distinct and in key order.  Raises
         CombinatorialBlowup when more than BRANCH_CAP neurons along one
         branch are ambiguous.
         """
@@ -164,12 +165,13 @@ class ReluNetwork:
                 results.append(ActivationIndicator(prefix))
                 return
             pre = self.weights[layer] @ z + self.biases[layer]
-            ambiguous = np.flatnonzero(np.abs(pre) <= TOL_ZERO)
+            size = np.abs(self.weights[layer]) @ np.abs(z) + np.abs(self.biases[layer])
+            ambiguous = np.flatnonzero(np.abs(pre) <= TOL_ZERO * np.maximum(1.0, size))
             if branched + ambiguous.size > BRANCH_CAP:
                 raise CombinatorialBlowup(
                     f"{branched + ambiguous.size} simultaneously-zero neurons "
                     f"exceed the cap of {BRANCH_CAP}")
-            base = (pre > TOL_ZERO).astype(int)
+            base = (pre > 0.0).astype(int)
             for combo in itertools.product((0, 1), repeat=ambiguous.size):
                 bits = base.copy()
                 bits[ambiguous] = combo

@@ -14,8 +14,9 @@ show that h keeps one sign on the domain box, it finds one valid region and
 propagates across facets from it.  Both steps name regions the same way:
 the indicators feasible at a point of the level set (a facet point, or for
 the seed a sign change bisected to float resolution), which also starts
-the region's frame.  A facet point past which no valid region continues
-the level set is an error of the walk, so the enumeration is partial.
+the region's frame.  A NumericalFailure (validity LP or frame) rejects a
+candidate, and a facet point past which no valid region continues the
+level set is an error of the walk, so the enumeration is partial.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
     and the first with h > 0, and halves that pair until its midpoint equals
     one of its ends (float resolution).  The indicators feasible at the
     h < 0 end are then validity-tested in key order, and one that fails
-    numerically (a validity LP, or its patch's frame) or reaches FRAME_CAP
-    counts as invalid; when none is valid, or more than BRANCH_CAP neurons
-    are zero there, the next attempt draws anew.  The SearchExhausted
+    numerically (a validity LP, or its patch's frame) counts as invalid;
+    when none is valid, or more than BRANCH_CAP neurons are zero there, the
+    next attempt draws anew.  The SearchExhausted
     message counts the candidates that failed so.
     """
     if rng is None:
@@ -160,13 +161,13 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
         for ind in candidates:
             try:
                 region = build_valid_region(net, ind, cfg, x_neg)
-            except (NumericalFailure, CombinatorialBlowup):
+            except NumericalFailure:
                 failed += 1
                 continue   # counts as invalid, as in propagation
             if region is not None:
                 return region, {"attempts": attempt}
     raise SearchExhausted(f"no valid region found in {cfg.max_attempts} attempts"
-                          + (f"; {failed} candidates failed numerically or at FRAME_CAP"
+                          + (f"; {failed} candidates failed numerically"
                              if failed else ""))
 
 
@@ -216,7 +217,7 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                     return result()
                 try:
                     neighbour = build_valid_region(net, ind, cfg, point)
-                except (NumericalFailure, CombinatorialBlowup) as exc:
+                except NumericalFailure as exc:
                     errors.append(f"candidate {ind.compact()}: {exc}")
                     rejected.add(k)
                     continue

@@ -1,8 +1,9 @@
 """Hand-rolled SVG rendering of a 2-D verification run.
 
-Draws the domain box, every valid region clipped to it, the zero-level
-slice segments, marching-squares contours of the initial/unsafe set
-functions, and any falsification witnesses.  Output is plain SVG 1.1 text
+Draws the domain box, every valid region cut to it, the zero-level slice
+segments (both from `geometry.frame` of the region, or of its slice, cut to
+the box), marching-squares contours of the initial/unsafe set functions,
+and any falsification witnesses.  Output is plain SVG 1.1 text
 with deterministic coordinates and colors.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .errors import UnsupportedDimension
 from .expressions import evaluate
+from .geometry import frame
 
 _SIZE = 640.0
 _MARGIN = 48.0
@@ -47,37 +49,27 @@ class _Frame:
         return f"{u:.2f},{v:.2f}"
 
 
-def _crossings(poly, s):
-    """Per edge of poly (vertex i to i + 1): the point where s, affine along
-    it, is 0, and whether the edge changes side (s <= 0 is one side)."""
-    nxt, s_nxt = np.roll(poly, -1, axis=0), np.roll(s, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = poly + (s / (s - s_nxt))[:, None] * (nxt - poly)
-    return cut, (s <= 0.0) != (s_nxt <= 0.0)
+def _polygon(region, domain) -> np.ndarray:
+    """Vertices of the region cut to the domain box (`frame`), in angular
+    order about their mean (counter-clockwise); none when the cut is empty."""
+    vertices = frame(region.constraints.within(domain))[0]
+    if not len(vertices):
+        return vertices
+    off = vertices - vertices.mean(axis=0)
+    return vertices[np.argsort(np.arctan2(off[:, 1], off[:, 0]))]
 
 
-def _clip_polygon(region, domain) -> np.ndarray:
-    """Vertices of the region inside the domain box, counter-clockwise: the
-    box's corners clipped by one half-plane per region row."""
-    (x0, x1), (y0, y1) = domain
-    poly = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    for a, d in zip(region.constraints.A, region.constraints.d):
-        s = poly @ a - d
-        cut, crosses = _crossings(poly, s)
-        poly = np.stack([poly, cut], axis=1)[np.column_stack([s <= 0.0, crosses])]
-    return poly
-
-
-def _slice_segment(region, polygon):
-    """Endpoints of the level-set segment inside the clipped polygon: of the
-    points where w.x + b changes sign around it, the two extreme along it."""
-    w, b = region.slice.w, region.slice.b
-    cut, crosses = _crossings(polygon, polygon @ w + b)
-    pts = cut[crosses]
-    if len(pts) == 0:
+def _level_line(region, domain):
+    """Ends of the level-set segment in the domain box: the two extreme
+    vertices, along it, of the slice cut to the box (`frame`); None when
+    the cut is a point or empty, or the piece is zero."""
+    if region.degenerate:
         return None
-    along = pts @ np.array([-w[1], w[0]])
-    return [pts[np.argmin(along)], pts[np.argmax(along)]]
+    ends = frame(region.slice.within(domain))[0]
+    if len(ends) < 2:
+        return None
+    along = ends @ np.array([-region.slice.w[1], region.slice.w[0]])
+    return ends[np.argmin(along)], ends[np.argmax(along)]
 
 
 def _grid_values(expr, domain, grid):
@@ -130,7 +122,7 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
     if domain is None:
         domain = DEFAULT_CONFIG.domain(2)
     domain = np.asarray(domain, dtype=float)
-    frame = _Frame(domain)
+    canvas = _Frame(domain)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -139,24 +131,24 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
         f'<rect x="0" y="0" width="{_SIZE:.0f}" height="{_SIZE:.0f}" fill="white"/>',
     ]
 
-    # region polygons clipped to the domain box
-    polygons = [_clip_polygon(region, domain) for region in regions]
-    for idx, verts in enumerate(polygons):
+    # region polygons cut to the domain box
+    for idx, region in enumerate(regions):
+        verts = _polygon(region, domain)
         if len(verts) < 3:
             continue
-        points = " ".join(frame.pt(p[0], p[1]) for p in verts)
+        points = " ".join(canvas.pt(p[0], p[1]) for p in verts)
         parts.append(f'<polygon class="region" points="{points}" '
                      f'fill="{_region_color(idx)}" stroke="{_region_edge(idx)}" '
                      f'stroke-width="1"/>')
 
     # zero-level segments
-    for region, verts in zip(regions, polygons):
-        seg = _slice_segment(region, verts)
+    for region in regions:
+        seg = _level_line(region, domain)
         if seg is None:
             continue
         (xa, ya), (xb, yb) = seg[0], seg[1]
-        ax, ay = frame.px(xa, ya)
-        bx, by = frame.px(xb, yb)
+        ax, ay = canvas.px(xa, ya)
+        bx, by = canvas.px(xb, yb)
         parts.append(f'<line class="level-set" x1="{ax:.2f}" y1="{ay:.2f}" '
                      f'x2="{bx:.2f}" y2="{by:.2f}" stroke="#1a1a1a" stroke-width="2.2"/>')
 
@@ -166,8 +158,8 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
         if expr is None:
             continue
         for pa, pb in _marching_squares(expr, domain):
-            ax, ay = frame.px(pa[0], pa[1])
-            bx, by = frame.px(pb[0], pb[1])
+            ax, ay = canvas.px(pa[0], pa[1])
+            bx, by = canvas.px(pb[0], pb[1])
             parts.append(f'<line class="{klass}" x1="{ax:.2f}" y1="{ay:.2f}" '
                          f'x2="{bx:.2f}" y2="{by:.2f}" stroke="{color}" '
                          f'stroke-width="1.4" stroke-dasharray="5,3"/>')
@@ -175,7 +167,7 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
     # domain box on top
     corners = [(domain[0, 0], domain[1, 0]), (domain[0, 1], domain[1, 0]),
                (domain[0, 1], domain[1, 1]), (domain[0, 0], domain[1, 1])]
-    points = " ".join(frame.pt(x, y) for x, y in corners)
+    points = " ".join(canvas.pt(x, y) for x, y in corners)
     parts.append(f'<polygon class="domain" points="{points}" fill="none" '
                  f'stroke="#444" stroke-width="1.5"/>')
 
@@ -184,7 +176,7 @@ def render_plot(network, regions, h_init, h_unsafe, witnesses,
         p = wit.get("point")
         if p is None or len(p) != 2:
             continue
-        ux, uy = frame.px(float(p[0]), float(p[1]))
+        ux, uy = canvas.px(float(p[0]), float(p[1]))
         parts.append(f'<circle class="witness-marker" cx="{ux:.2f}" cy="{uy:.2f}" '
                      f'r="5" fill="#c0392b" stroke="white" stroke-width="1.5"/>')
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
-                         ActivationIndicator, CombinatorialBlowup, DynamicsSystem, NoRegions,
+                         ActivationIndicator, DynamicsSystem, NoRegions,
                          NumericalFailure, Polyhedron, ReluNetwork, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
@@ -22,6 +22,7 @@ from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box, frame, inscribed_ball
+from relubarrier.regions import ValidRegion
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
@@ -414,7 +415,7 @@ def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
 
 def test_simplices_tile_the_patch():
     """On the regions of random 2-5-D nets, the bench's polytope nets (with
-    degenerate vertices: one point from several bases), lineality and zero
+    degenerate vertices: one point on more than k rows), lineality and zero
     pieces: the simplices' k-volumes sum to the patch's (the hull of its
     vertices, or of the vertices of its cut to the domain box), and
     sampled points of the patch (convex combinations of its vertices, and
@@ -433,9 +434,9 @@ def test_simplices_tile_the_patch():
                 continue
             if restricted:
                 box, _ = bounding_box(region.vertices, region.rays, cfg.domain(net.input_dim))
-                vertices = frame(region.slice.within(box), cfg.tol_feas)[0]
+                vertices, _, tight = frame(region.slice.within(box), cfg.tol_feas)
             else:
-                vertices = region.vertices
+                vertices, tight = region.vertices, region.tight
             k = simplices.shape[1] - 1
             origin = vertices[0]
             basis = np.linalg.svd(vertices - origin)[2][:k].T    # the patch's own axes
@@ -454,7 +455,7 @@ def test_simplices_tile_the_patch():
                 assert (bary >= -1e-9).all(axis=2).any(axis=1).all()
             counts["restricted" if restricted else "bounded"] += 1
             counts[k] += 1
-            counts["degenerate"] += len(vertices) > len(np.unique(np.round(vertices, 9), axis=0))
+            counts["degenerate"] += bool((tight.sum(axis=1) > k).any())
     assert counts["bounded"] > 100 and counts["restricted"] > 100
     assert counts[1] and counts[2] and counts[3] and counts[4] and counts["degenerate"]
 
@@ -598,14 +599,16 @@ def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
 
 
 def test_no_frame_for_the_cut_patch_leaves_the_row_to_the_search(monkeypatch):
-    """When the frame of an unbounded patch cut to the domain box gives up
-    (CombinatorialBlowup past FRAME_CAP), BaB's row is unknown and
-    domain-restricted, with the reason in its note, and the search still
-    runs: on the line x1 = 0 it finds w.f = 16 - x2^2 < 0 beyond the box."""
-    def blowup(*args, **kwargs):
-        raise CombinatorialBlowup("no vertex among the first 1000000 row subsets")
+    """When the frame of an unbounded patch cut to the domain box fails
+    (NumericalFailure: the steps from its largest ball's centre end off
+    it), BaB's row is unknown and domain-restricted, with the reason in its
+    note, and the search still runs: on the line x1 = 0 it finds
+    w.f = 16 - x2^2 < 0 beyond the box."""
+    def failing(*args, **kwargs):
+        raise NumericalFailure("the steps from the centre of the polyhedron's largest "
+                               "ball end off it")
 
-    monkeypatch.setattr(conditions, "frame", blowup)
+    monkeypatch.setattr(conditions, "frame", failing)
     net = line_net()
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     for flow, status in ((["16 - x2^2", "0"], FALSIFIED), (["1 + x2^2", "0"], UNKNOWN)):
@@ -614,7 +617,44 @@ def test_no_frame_for_the_cut_patch_leaves_the_row_to_the_search(monkeypatch):
         assert verdict.status == status
         if status == UNKNOWN:
             assert verdict.domain_restricted and verdict.note.startswith(
-                "no frame for the patch cut to the domain box: no vertex among")
+                "no frame for the patch cut to the domain box: the steps from the centre")
+
+
+def test_the_cut_of_a_ray_patch_with_no_vertex_in_the_box_starts_at_its_ball(monkeypatch):
+    """The wedge x2 >= -x1, x2 >= x1 - 10 on the plane x3 = 0, with 15
+    relaxed copies of each row: its apex (5, -5, 0) lies outside its root
+    box [-3, 3] x [-5, 3] x [0, 0], and the cut has C(36, 2) = 630 > 512
+    pairs of rows on the plane, so its frame starts from the centre of the
+    cut's largest ball (one LP).  The simplices tile the cut, the triangle
+    (3, -3), (3, 3), (-3, 3) of area 18."""
+    A = np.tile([[1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]], (16, 1))
+    d = np.concatenate([[10.0 + j, float(j)] for j in range(16)])
+    sl = Polyhedron(A, d, np.array([0.0, 0.0, 1.0]), 0.0)
+    region = ValidRegion(ind(0), Polyhedron(A, d), sl, *frame(sl))
+    assert np.allclose(region.vertices, [[5.0, -5.0, 0.0]])
+    balls = []
+    monkeypatch.setattr("relubarrier.geometry.inscribed_ball",
+                        lambda *args: balls.append(1) or inscribed_ball(*args))
+    simplices, restricted = conditions._simplices(region, DEFAULT_CONFIG)
+    assert restricted and len(balls) == 1
+    areas = np.abs(np.linalg.det(simplices[:, 1:, :2] - simplices[:, :1, :2])) / 2.0
+    assert areas.sum() == pytest.approx(18.0) and np.allclose(simplices[..., 2], 0.0)
+
+
+def test_a_patch_with_no_simplex_leaves_its_row_unknown():
+    """On ill_scaled_deep_net(2) this valid region's patch is a segment of
+    five frame vertices, the first within tol_feas of every row, so the
+    pulling triangulation meets no facet below it and yields no simplex:
+    the row is unknown with the reason in its note, not an IndexError."""
+    net = ill_scaled_deep_net(2)
+    region = build_valid_region(net, indicator_of("01010010.00110000.11001110.01010101"))
+    assert len(region.vertices) == 5 and not len(region.rays) and region.tight[0].all()
+    spread = np.linalg.svd(region.vertices[1:] - region.vertices[0], compute_uv=False)
+    assert spread[1] <= 1e-9 * spread[0]   # on one line
+    result = check_initial_condition(net, [region], parse_expression("0.01 - x1^2 - x2^2", 2))
+    (verdict,) = result.region_verdicts
+    assert (verdict.status, verdict.method, verdict.domain_restricted) == (UNKNOWN, "interval", False)
+    assert verdict.note.startswith("no simplex in the pulling triangulation of 5 vertices")
 
 
 def test_search_reaches_far_along_a_ray_shaped_patch():
@@ -1063,7 +1103,8 @@ def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
 
 def test_search_exhausted_counts_the_candidates_that_failed_numerically(monkeypatch):
     """A seed search whose candidates fail numerically (every validity LP
-    here) says how many failed, rather than only that no region was found."""
+    here) says how many failed, rather than only that no region was found:
+    two candidates at each of the 50 crossings, whose neuron at zero branches."""
     def failing(*args, **kwargs):
         raise NumericalFailure("injected validity LP failure")
 
@@ -1075,7 +1116,7 @@ def test_search_exhausted_counts_the_candidates_that_failed_numerically(monkeypa
     assert verdict.failure == {
         "kind": "search-exhausted",
         "detail": "no valid region found in 50 attempts; "
-                  "50 candidates failed numerically or at FRAME_CAP"}
+                  "100 candidates failed numerically"}
 
 
 def test_verify_certificate_constant_network_structured_failure():

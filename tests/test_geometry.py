@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (CombinatorialBlowup, InfeasiblePolyhedron, brute_force_valid_regions,
-                         build_valid_region)
+from relubarrier import InfeasiblePolyhedron, brute_force_valid_regions, build_valid_region
 from relubarrier.geometry import (Polyhedron, bounding_box, frame, implicit_equalities,
                                   inscribed_ball, remove_redundant)
 from relubarrier.linprog import INFEASIBLE, OPTIMAL
@@ -307,46 +306,36 @@ PYRAMID = (np.array([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], 
 OCTAHEDRON = (np.array(list(itertools.product([-1.0, 1.0], repeat=3))), np.ones(8))
 
 
-@pytest.mark.parametrize("start", ["scan", "inside", "vertex", "outside"])
+@pytest.mark.parametrize("start", ["none", "inside", "vertex", "outside"])
 @pytest.mark.parametrize("shape", [PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
-def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start):
+def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start, monkeypatch):
     """Degenerate vertices (the pyramid's apex, each octahedron vertex on
-    four rows) and 30 redundant rows after them.  The first basis comes
-    from a scan (no point given: its first 512 subsets hold only bases with
-    row 0), or from k steps from a point inside, from the vertex (0, 0, 1),
-    or from a point outside (the scan takes over when the steps end off
-    the polytope); the walk finds the rest.  Every way, the vertices are
-    exactly those of the bases a scan of every 3-subset keeps, one per
-    basis, each tight on its basis's rows."""
+    four rows) and 30 redundant rows after them, so C(35, 3) > 512 and
+    frame walks.  The first basis comes from k steps from a point inside
+    or from the vertex (0, 0, 1), or, with no point or from a point
+    outside (whose steps end off the polytope), from the centre of its
+    largest ball, the one LP; the walk finds the rest.  Every way, the
+    vertices are the distinct points of the bases a scan of every 3-subset
+    keeps, once each, and each is tight on every basis at its point."""
+    balls = []
+    monkeypatch.setattr("relubarrier.geometry.inscribed_ball",
+                        lambda *args: balls.append(1) or inscribed_ball(*args))
     rng = np.random.default_rng(3)
     normals = rng.normal(size=(30, 3))
     A = np.vstack([shape[0], normals])
     d = np.concatenate([shape[1], 5.0 * np.linalg.norm(normals, axis=1)])
     p = Polyhedron(A, d, np.zeros(3), 0.0)
-    near = {"scan": None, "inside": np.array([0.1, -0.05, 0.2]),
+    near = {"none": None, "inside": np.array([0.1, -0.05, 0.2]),
             "vertex": np.array([0.0, 0.0, 1.0]), "outside": np.full(3, 7.0)}[start]
     vertices, rays, tight = frame(p, near=near)
+    assert len(balls) == (start in ("none", "outside"))
     bases = sorted(_scanned_bases(Polyhedron(A, d)))
-    scanned = [np.linalg.solve(A[list(S)], d[list(S)]) for S in bases]
-    assert len(vertices) == len(bases)
+    scanned = np.array([np.linalg.solve(A[list(S)], d[list(S)]) for S in bases])
+    points = np.unique(scanned.round(9), axis=0)
+    assert len(bases) > len(points) == len(vertices)
     np.testing.assert_allclose(sorted(map(tuple, vertices.round(9))),
-                               sorted(map(tuple, np.round(scanned, 9))), atol=1e-12)
+                               sorted(map(tuple, points)), atol=1e-12)
     assert not len(rays) and p.contains(vertices).all()
     for S, x in zip(bases, scanned):
         assert any(np.allclose(v, x, atol=1e-12) and on[list(S)].all()
                    for v, on in zip(vertices, tight))
-
-
-def test_frame_scan_for_a_first_vertex_stops_at_frame_cap(monkeypatch):
-    """The unit square behind 40 redundant rows: its first basis is subset
-    (40, 42) of the 946 pairs, past a cap of 512, so frame raises
-    CombinatorialBlowup rather than scan on; under the cap it finds all
-    four vertices."""
-    A = np.vstack([np.column_stack([np.ones(40), np.zeros(40)]),
-                   [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
-    d = np.concatenate([10.0 + np.arange(40), [1.0, 0.0, 1.0, 0.0]])
-    p = Polyhedron(A, d, np.zeros(2), 0.0)
-    assert len(np.unique(frame(p)[0].round(12), axis=0)) == 4
-    monkeypatch.setattr("relubarrier.geometry.FRAME_CAP", 512)
-    with pytest.raises(CombinatorialBlowup, match="first 512 row subsets"):
-        frame(p)

@@ -152,6 +152,16 @@ def test_deep_branching_recomputes_downstream():
         assert c.bits[1][0] == expected_bit
 
 
+def test_zero_tolerance_is_relative_to_the_terms_a_pre_activation_sums():
+    """1e4 x - 1e4 sums terms of size 2e4, so it branches within 2e-5 of
+    zero (TOL_ZERO = 1e-9 of that): at x = 1 + 1e-10 (about 1e-6) both
+    ways, at x = 1 + 1e-8 (about 1e-4) only on."""
+    net = ReluNetwork([np.array([[1e4]])], [np.array([-1e4])], np.array([1.0]), 0.0)
+    assert [c.bits for c in net.feasible_indicators(np.array([1.0 + 1e-10]))] == \
+        [((0,),), ((1,),)]
+    assert [c.bits for c in net.feasible_indicators(np.array([1.0 + 1e-8]))] == [((1,),)]
+
+
 # -- interval bound propagation -------------------------------------------------------
 
 def test_ibp_output_encloses_h_on_samples():

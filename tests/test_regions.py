@@ -183,6 +183,16 @@ def test_slice_balls_of_ill_scaled_pieces(candidate, radius):
     assert valid_test(region, w, b)
 
 
+def test_a_walk_crosses_facets_whose_pre_activations_are_float_noise():
+    """On ill_scaled_deep_net(0) the deep pre-activations sum terms of size
+    up to about 1e12, so at a facet point they are float noise far above
+    1e-9 yet within TOL_ZERO of those terms: the neuron branches and the
+    walk crosses every facet, six regions and no error (one region and a
+    dead end with an absolute 1e-9)."""
+    result = enumerate_level_set(ill_scaled_deep_net(0))
+    assert len(result.regions) == 6 and result.errors == []
+
+
 def test_slice_on_a_facet_stays_valid():
     # h = relu(-x1): on the region x1 <= 0 the level set x1 = 0 is its facet
     net = ReluNetwork([np.array([[-1.0, 0.0]])], [np.array([0.0])],
@@ -253,7 +263,7 @@ def test_facet_points_lie_on_the_slice_and_their_row(random_regions):
     """A touching row's facet point is the mean of the patch's vertices
     that meet the row, and it lies on the row to float precision, not only
     within tol_feas: the walk's neighbour test (`feasible_indicators`)
-    branches a neuron only within TOL_ZERO."""
+    branches a neuron only within TOL_ZERO of the terms it sums."""
     tol = DEFAULT_CONFIG.tol_feas
     for region in random_regions:
         full = Polyhedron(region.constraints.A, region.constraints.d,
