@@ -17,11 +17,12 @@ the set function.  A g with an affine form is decided exactly off the
 patch's vertices and rays (`regions.ValidRegion`); otherwise interval
 branch-and-bound (BaB) over simplices cut from the patch's vertices,
 enclosing g with `interval_evaluate`, verifies or finds a witness, and a
-derivative-free falsification search from the patch's vertices runs only
-when BaB leaves the patch open: `unknown`, or `verified` only on the part
-of an unbounded patch inside the domain box.  A BaB witness ends the
-ladder wherever it lies.  No rung solves an LP: every simplex lies in the
-patch, and every search point is checked against the patch's rows.
+falsification search, one batched check of the patch's vertices and of
+points out along its rays, runs only when BaB leaves the patch open:
+`unknown`, or `verified` only on the part of an unbounded patch inside the
+domain box.  A BaB witness ends the ladder wherever it lies.  No rung
+solves an LP: every simplex lies in the patch, and every search point is
+checked against the patch's rows.
 `verify_certificate` takes its regions from `regions.enumerate_level_set`,
 the route the SMT export and the plots take as well.  Every witness,
 whichever route produced it (a least vertex, a point out along a
@@ -45,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_BUDGET, FALSIFY_GATE,
-                     VerifierConfig)
+from .config import BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_GATE, VerifierConfig
 from .errors import DomainError, NoRegions, NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           weighted_sum, _linear_form)
@@ -204,64 +204,18 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
 def _falsify(region: ValidRegion, g: Expr, cfg) -> RegionVerdict | None:
     """Hunt for a slice point with g < -max(tol_margin, FALSIFY_GATE).
 
-    Two stages, with no LP: the patch's vertices and the points out along
-    each ray from each vertex at 1, 2, 4, 8 and 16 domain-box widths, then
-    a coordinate pattern search from the lowest checked of those, with a
-    first step of a quarter of the vertices' spread (of the domain box's
-    width when they are one point, such as a ray's apex), projected back
-    onto the hyperplane, where a move that leaves the region is dropped.
-    Each stage checks its candidates in batches (`_checked_witness`): a
-    round of the pattern search checks its remaining moves at once, takes
-    the first that is a witness or improves, and goes on from there with
-    the moves after it, the same path as checking one move at a time.  A
-    round that improves nothing halves the step; the search stops once the
-    step falls below BAB_MIN_WIDTH, where BaB stops splitting too.
-    Returns a falsified verdict, or None when the search found nothing
-    (which proves nothing).
+    One batch, with no LP: the patch's vertices and the points out along
+    each ray from each vertex at 1, 2, 4, 8 and 16 domain-box widths,
+    checked in one `_checked_witness` call.  Returns a falsified verdict at
+    the first witness among them, or None when there is none (which proves
+    nothing).
     """
-    sl = region.slice
-    n = sl.dim
-    w, b = sl.w, sl.b
-    wnorm2 = float(w @ w)
-    gate = _gate(cfg)
-
     vertices = region.vertices
-    width = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    width = float(np.max(np.ptp(cfg.domain(region.slice.dim), axis=1)))
     points = np.vstack([vertices] + [vertices + width * 2.0 ** k * ray
                                      for k in range(5) for ray in region.rays])
-    values = _checked_witness(sl, points, g, cfg)
-    found = _first_witness(region, "search", points, values, cfg)
-    if found is not None or np.isnan(values).all():
-        return found
-
-    best = int(np.nanargmin(values))
-    x, gx = points[best], values[best]
-    spread = float(np.max(np.ptp(vertices, axis=0))) or width
-    step = max(spread / 4.0, 1e-3)
-    moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0   # e_1, -e_1, ...; + 0.0 clears -0.0
-    if wnorm2 > 0.0:
-        moves -= np.outer(moves @ w, w) / wnorm2   # within the hyperplane
-    moves = moves[moves.any(axis=1)]
-    for _ in range(FALSIFY_BUDGET):
-        improved = False
-        rest = moves
-        while len(rest):
-            ys = x + step * rest
-            if wnorm2 > 0.0:
-                ys -= np.outer(ys @ w + b, w) / wnorm2   # exact projection back
-            values = _checked_witness(sl, ys, g, cfg)   # NaN: the move left the region
-            better = np.flatnonzero((values < gate) | (values < gx - 1e-15))
-            if not better.size:
-                break
-            j = int(better[0])
-            if values[j] < gate:
-                return _first_witness(region, "search", ys[j:j + 1], values[j:j + 1], cfg)
-            x, gx, rest, improved = ys[j], values[j], rest[j + 1:], True
-        if not improved:
-            step /= 2.0
-            if step < BAB_MIN_WIDTH:
-                break
-    return None
+    return _first_witness(region, "search", points,
+                          _checked_witness(region.slice, points, g, cfg), cfg)
 
 
 # -- interval branch-and-bound over simplices of the patch ---------------------------
@@ -385,9 +339,10 @@ def _decide(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
     `unknown` (simplex budget spent, the width floor reached, g undefined
     somewhere in a box it encloses, or a NumericalFailure of its simplices,
     domain-restricted when the patch has rays), and when it verifies an
-    unbounded patch only inside the domain box, since the search is not
-    bound to that box.  A witness the search finds replaces BaB's verdict;
-    otherwise BaB's verdict and its note stand.
+    unbounded patch only inside the domain box, since the search's ray
+    points reach past that box.  A witness the search finds replaces BaB's
+    verdict; otherwise BaB's verdict and its note stand, a domain-restricted
+    `verified` speaking for the part of the patch inside the box only.
     """
     if form is not None:
         return _decide_affine(region, g, form, cfg)

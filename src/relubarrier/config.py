@@ -22,7 +22,6 @@ TOL_ZERO = 1e-9       # pre-activations within TOL_ZERO * max(1, |W_j|.|z| + |b_
 FALSIFY_GATE = 1e-9   # a witness needs g < -max(tol_margin, FALSIFY_GATE) (float noise)
 BRANCH_CAP = 20       # max simultaneously-zero neurons feasible_indicators branches
 ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
-FALSIFY_BUDGET = 100  # falsification-search budget per patch
 BAB_MIN_WIDTH = 1e-5  # BaB stops splitting simplices whose longest edge is shorter
 TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent
                       # checker (bench/checker.py, _PATCH_TOL) allows 1e-6 there

@@ -18,10 +18,10 @@ import numpy as np
 from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
                          InfeasiblePolyhedron, NumericalFailure, Polyhedron,
                          brute_force_valid_regions,
-                         build_valid_region, evaluate, implicit_equalities, lp_solve,
+                         build_valid_region, implicit_equalities, lp_solve,
                          network_from_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
-from relubarrier.config import BAB_MIN_WIDTH, FALSIFY_BUDGET, FALSIFY_GATE, TOL_EQ
+from relubarrier.config import TOL_EQ
 from relubarrier.network import ActivationIndicator, ReluNetwork
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
@@ -379,63 +379,6 @@ def patch_samples(region, domain, rng, k: int = 4000) -> np.ndarray:
         xs -= np.outer(xs @ w + region.slice.b, w) / (w @ w)
     inside = np.all((xs >= domain[:, 0]) & (xs <= domain[:, 1]), axis=1)
     return xs[inside & region.constraints.contains(xs, 0.0)]
-
-
-def reference_falsify(region, g, cfg):
-    """The falsification search one candidate at a time: the reference for
-    `conditions._falsify`, which checks its candidates in batches.
-
-    A candidate counts when it lies on the slice within tol_feas and g,
-    evaluated there alone, is finite.  Returns (witness, value, stage) with
-    stage "vertex" or "pattern", or None when the search finds nothing.
-    """
-    sl = region.slice
-    n = sl.dim
-    w, b = sl.w, sl.b
-    wnorm2 = float(w @ w)
-    gate = -max(cfg.tol_margin, FALSIFY_GATE)
-
-    def value(x):
-        v = evaluate(g, x)
-        return v if sl.contains(x, cfg.tol_feas) and np.isfinite(v) else None
-
-    vertices = region.vertices
-    width = float(np.max(np.ptp(cfg.domain(n), axis=1)))
-    points = list(vertices) + [v + width * 2.0 ** k * ray
-                               for k in range(5) for ray in region.rays for v in vertices]
-    best = None
-    for point in points:
-        v = value(point)
-        if v is not None and v < gate:
-            return point, v, "vertex"
-        if v is not None and (best is None or v < best[1]):
-            best = (point, v)
-    if best is None:
-        return None
-    x, gx = best
-    spread = float(np.max(np.ptp(vertices, axis=0))) or width
-    step = max(spread / 4.0, 1e-3)
-    moves = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0
-    if wnorm2 > 0.0:
-        moves -= np.outer(moves @ w, w) / wnorm2
-    for _ in range(FALSIFY_BUDGET):
-        improved = False
-        for d in moves[moves.any(axis=1)]:
-            y = x + step * d
-            if wnorm2 > 0.0:
-                y = y - w * ((w @ y) + b) / wnorm2
-            v = value(y)
-            if v is None:
-                continue
-            if v < gate:
-                return y, v, "pattern"
-            if v < gx - 1e-15:
-                x, gx, improved = y, v, True
-        if not improved:
-            step /= 2.0
-            if step < BAB_MIN_WIDTH:
-                break
-    return None
 
 
 def lp_bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,

@@ -26,7 +26,7 @@ from relubarrier.regions import ValidRegion
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
-                     reference_falsify, slice_grid, strip_net, write_problem,
+                     slice_grid, strip_net, write_problem,
                      CUBIC2D, TRANSCENDENTAL3D)
 
 
@@ -185,9 +185,8 @@ def test_falsify_sign_change_matches_grid_oracle():
 
 
 def test_falsify_solves_no_lp(monkeypatch):
-    """w.f = 0 on the flat patch, so the search walks its whole budget from
-    the patch's vertices, and the pattern moves that leave the patch are
-    dropped by the witness check: no LP anywhere."""
+    """w.f = 0 on the flat patch, so the search checks every one of its
+    points and finds no witness, with no LP anywhere."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
@@ -197,27 +196,21 @@ def test_falsify_solves_no_lp(monkeypatch):
     assert calls == []
 
 
-def test_pattern_search_stops_halving_at_the_bab_width_floor(monkeypatch):
-    """w.f = 0 on the flat patch, so no move improves and every round halves
-    the step; the last round runs at the smallest step not below
-    BAB_MIN_WIDTH.  A round's moves are x + step * m for the projected
-    coordinate moves m, and the first two differ by step * 2 m_1."""
-    monkeypatch.setattr(conditions, "BAB_MIN_WIDTH", 0.05)
-    rounds = []
+def test_falsify_checks_its_points_in_one_call(monkeypatch):
+    """w.f = 0 on the flat patch, so no point is a witness: the search checks
+    all of them (the segment's two vertices; it has no rays) in one batch."""
+    batches = []
     checked = conditions._checked_witness
 
     def recorded(sl, points, g, cfg):
-        rounds.append(points)
+        batches.append(len(points))
         return checked(sl, points, g, cfg)
 
     monkeypatch.setattr(conditions, "_checked_witness", recorded)
     net, region = first_quadrant_region()
     g = w_dot_f(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2))
     assert conditions._falsify(region, g, DEFAULT_CONFIG) is None
-    w = region.slice.w
-    m1 = np.array([1.0, 0.0]) - w[0] * w / (w @ w)
-    steps = [np.linalg.norm(ys[0] - ys[1]) / np.linalg.norm(2.0 * m1) for ys in rounds[1:]]
-    assert steps == pytest.approx([0.25, 0.125, 0.0625])
+    assert batches == [len(region.vertices)]
 
 
 # -- branch and bound ------------------------------------------------------------------
@@ -472,24 +465,24 @@ def counted_search(monkeypatch):
     return calls
 
 
-def test_batched_search_follows_the_one_at_a_time_path():
+def test_a_witness_inside_a_bounded_patch_comes_from_bab():
     """h = 1 - |x1| - |x2| - |x3|; on its first-octant patch (a triangle)
     w.f = 100 ((x1 - c1)^2 + (x2 - c2)^2) - 1 is negative only on a small
-    disc: the vertices are no witnesses, and the pattern search walks in to
-    one.  Which point it reaches depends on the order of its moves; checking
-    each round's moves as a batch takes the same steps as checking them one
-    at a time."""
+    disc: neither the vertices nor any ray point (the patch has no rays) is
+    a witness, so the search finds none, and BaB's simplices reach into the
+    disc."""
     net = ReluNetwork([np.kron(np.eye(3), [[1.0], [-1.0]])], [np.zeros(6)], -np.ones(6), 1.0)
     region = build_valid_region(net, ind(1, 0, 1, 0, 1, 0))
     for c1, c2 in ((0.2, 0.5), (0.5, 0.2), (0.3, 0.3)):
-        g = w_dot_f(region, DynamicsSystem.parse([f"1 - 100*((x1 - {c1})^2 + (x2 - {c2})^2)",
-                                                  "0", "0"], dim=3))
-        witness, value, stage = reference_falsify(region, g, DEFAULT_CONFIG)
-        assert stage == "pattern"
-        verdict = conditions._falsify(region, g, DEFAULT_CONFIG)
-        assert (verdict.status, verdict.method) == (FALSIFIED, "search")
-        np.testing.assert_allclose(verdict.witness, witness, rtol=0, atol=1e-12)
-        assert verdict.witness_value == pytest.approx(value, rel=0, abs=1e-12)
+        sys = DynamicsSystem.parse([f"1 - 100*((x1 - {c1})^2 + (x2 - {c2})^2)", "0", "0"],
+                                   dim=3)
+        g = w_dot_f(region, sys)
+        assert conditions._falsify(region, g, DEFAULT_CONFIG) is None
+        result = check_invariance(net, [region], sys)
+        verdict, = result.region_verdicts
+        assert (result.status, verdict.status, verdict.method) == (FALSIFIED, FALSIFIED, "interval")
+        assert np.hypot(verdict.witness[0] - c1, verdict.witness[1] - c2) < 0.1
+        assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,6 +570,25 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert abs(verdict.witness[1]) > 4.0
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
+
+
+def test_a_violation_between_the_ray_points_leaves_a_domain_restricted_verified():
+    """h = 1 - relu(x1) - relu(x2); its patch for x1 > 0 > x2 is the half-line
+    x1 = 1, x2 <= 0, and w.f = (x2 + 35)^2 / 25 - 1 is negative only for
+    -40 < x2 < -30, outside the default [-3, 3]^2 domain box and between the
+    search's ray points at 4 and 8 box widths (x2 = -24 and -48).  BaB
+    verifies the part inside the box, the search finds no witness, and the
+    verified row speaks for that part only."""
+    net = ReluNetwork([np.eye(2)], [np.zeros(2)], -np.ones(2), 1.0)
+    region = build_valid_region(net, ind(1, 0))
+    np.testing.assert_allclose(region.rays, [[0.0, -1.0]], atol=1e-12)
+    sys = DynamicsSystem.parse(["1 - (x2 + 35)^2 / 25", "0"], dim=2)
+    g = w_dot_f(region, sys)
+    stretch = evaluate(g, np.array([[1.0, -24.0], [1.0, -35.0], [1.0, -48.0]]))
+    assert stretch[0] > 0.0 > stretch[1] and stretch[2] > 0.0
+    verdict, = check_invariance(net, [region], sys).region_verdicts
+    assert (verdict.status, verdict.method, verdict.domain_restricted) == (VERIFIED, "interval", True)
+    assert verdict.witness is None
 
 
 def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
