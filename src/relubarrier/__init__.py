@@ -12,15 +12,14 @@ SMT-LIB queries when they do not.
 __version__ = "0.1.0"
 
 from .config import DEFAULT_CONFIG, VerifierConfig
-from .errors import (CombinatorialBlowup, DimensionMismatch, DomainError,
+from .errors import (CombinatorialBlowup, DimensionMismatch,
                      ExpressionError, ExpressionSyntaxError,
                      InfeasiblePolyhedron, MalformedProblem, MissingField,
                      NoRegions, NumericalFailure, OracleTooLarge,
                      ProblemFormatError, RelubarrierError, SearchExhausted,
                      UnknownIdentifier, UnsupportedDimension, VariableOutOfRange)
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
-from .expressions import (DynamicsSystem, Interval, evaluate, interval_evaluate,
-                          parse_expression)
+from .expressions import DynamicsSystem, evaluate, interval_evaluate, parse_expression
 from .network import ActivationIndicator, ReluNetwork, load_network, network_from_json
 from .geometry import (Polyhedron, bounding_box, implicit_equalities, inscribed_ball,
                        remove_redundant)
@@ -45,11 +44,11 @@ __all__ = [
     "DimensionMismatch", "CombinatorialBlowup", "InfeasiblePolyhedron",
     "OracleTooLarge", "SearchExhausted", "NoRegions",
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifier",
-    "VariableOutOfRange", "DomainError", "ProblemFormatError", "MissingField",
+    "VariableOutOfRange", "ProblemFormatError", "MissingField",
     "UnsupportedDimension",
     "LpOutcome", "lp_solve",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
-    "parse_expression", "evaluate", "interval_evaluate", "Interval",
+    "parse_expression", "evaluate", "interval_evaluate",
     "DynamicsSystem",
     "ReluNetwork", "ActivationIndicator", "network_from_json", "load_network",
     "Polyhedron", "inscribed_ball",

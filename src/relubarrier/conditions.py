@@ -1,22 +1,23 @@
 """Deciding the certificate conditions region by region.
 
 Every per-region question is phrased as "is min g(x) over the region's
-level-set patch >= -tol_margin?", with g one expression built by
-`expressions.weighted_sum`:
+level-set patch >= -tol_margin?", with g = weighted_sum(coefs, exprs) from
+the condition's expressions and the region's row of coefficients:
 
-* invariance: g = w . f   (the piece's gradient against the field)
+* invariance: g = w . f   (the flow's components, weighted by the piece's w)
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
 * unsafe set:   g = -h_U
 
-All three go through one ladder, `_decide`, cheapest sound rung first, and
-every rung reads g with the expression module's own routes.  Whether g is
-affine depends on the flow and the set function, never on the region, so
-each check takes the affine forms (`_linear_form`) once: of each flow
-component (w.f is affine where every component of nonzero weight is) or of
-the set function.  A g with an affine form is decided exactly off the
+All three go through one ladder, `_decide_regions`, cheapest sound rung
+first, and every rung reads g with the expression module's own routes.
+Whether g is affine depends on the flow and the set function, never on the
+region, so each check takes the affine forms (`_linear_form`) once: of each
+flow component (w.f is affine where every component of nonzero weight is)
+or of the set function.  A g with an affine form is decided exactly off the
 patch's vertices and rays (`regions.ValidRegion`); otherwise interval
-branch-and-bound (BaB) over simplices cut from the patch's vertices,
-enclosing g with `interval_evaluate`, verifies or finds a witness, and a
+branch-and-bound (BaB) over simplices cut from the patch's vertices, run
+over all such patches at once a level at a time, enclosing each expression
+once per level with `interval_evaluate`, verifies or finds a witness, and a
 falsification search, one batched check of the patch's vertices and of
 points out along its rays, runs only when BaB leaves the patch open:
 `unknown`, or `verified` only on the part of an unbounded patch inside the
@@ -29,7 +30,8 @@ whichever route produced it (a least vertex, a point out along a
 descending ray, a search or BaB point), passes the one check
 `_checked_witness`, which takes candidates as rows, a batch per call: a
 witness lies on the slice within tol_feas and g evaluated there directly
-(`evaluate`) is finite and below -max(tol_margin, FALSIFY_GATE).  A point
+(`evaluate`; BaB combines each expression's values into the same floats)
+is finite and below -max(tol_margin, FALSIFY_GATE).  A point
 that fails the check yields `unknown`, never an unchecked `falsified`;
 a condition verified over a partial enumeration is `unknown` too.  Set
 conditions additionally probe sampled points of the set against the sign
@@ -41,15 +43,14 @@ probe is one more status in the same aggregation as the region verdicts,
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_GATE, VerifierConfig
-from .errors import DomainError, NoRegions, NumericalFailure, SearchExhausted
+from .errors import NoRegions, NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
-                          weighted_sum, _linear_form)
+                          weighted_sum, _linear_form, _weighted_enclosure)
 from .geometry import bounding_box, frame, triangulate
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
@@ -140,17 +141,14 @@ def _status_from_value(value, cfg):
     return UNKNOWN  # inside the float-noise band
 
 
-def _checked_witness(sl, points, g: Expr, cfg) -> np.ndarray:
-    """g at each row of points, evaluated directly (not the value a solver
-    or a bound reports); NaN where the row is off the slice by more than
-    tol_feas, or g is undefined or not finite there (overflow: a value no
-    report can carry).
-
-    Every route takes its witnesses from here: a witness is a row whose
-    value is below `_gate`.
+def _checked_witness(sl, points, values, cfg) -> np.ndarray:
+    """values, g at each row of points evaluated directly (not a solver's or
+    a bound's number), NaN where the row is off the slice by more than
+    tol_feas or the value is not finite (overflow: no report can carry it).
+    Every route takes its witnesses from here: rows with values below `_gate`.
     """
     points = np.reshape(points, (-1, sl.dim))
-    values = evaluate(g, points)
+    values = np.array(values, dtype=float).reshape(-1)
     values[~(sl.contains(points, cfg.tol_feas) & np.isfinite(values))] = np.nan
     return values
 
@@ -189,7 +187,7 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
         if verdict.status == UNKNOWN:
             verdict.note = "optimum inside the float-noise band"
     if verdict.status == FALSIFIED:
-        value = _checked_witness(region.slice, x, g, cfg)[0]
+        value = _checked_witness(region.slice, x, evaluate(g, x), cfg)[0]
         if value < _gate(cfg):
             verdict.witness, verdict.witness_value = np.array(x), float(value)
         else:
@@ -215,7 +213,7 @@ def _falsify(region: ValidRegion, g: Expr, cfg) -> RegionVerdict | None:
     points = np.vstack([vertices] + [vertices + width * 2.0 ** k * ray
                                      for k in range(5) for ray in region.rays])
     return _first_witness(region, "search", points,
-                          _checked_witness(region.slice, points, g, cfg), cfg)
+                          _checked_witness(region.slice, points, evaluate(g, points), cfg), cfg)
 
 
 # -- interval branch-and-bound over simplices of the patch ---------------------------
@@ -225,11 +223,9 @@ def _axis_bounds(p) -> np.ndarray:
     coordinate; every point of p obeys them exactly (quotients are rounded
     outward).  Coordinates without such a row are unbounded."""
     bounds = np.tile([-np.inf, np.inf], (p.dim, 1))
-    for a, d in zip(p.A, p.d):
-        nonzero = np.flatnonzero(a)
-        if nonzero.size != 1:
-            continue
-        j = int(nonzero[0])
+    single = np.count_nonzero(p.A, axis=1) == 1
+    for a, d in zip(p.A[single], p.d[single]):
+        j = int(np.flatnonzero(a)[0])
         q = d / a[j]
         if a[j] > 0.0:
             bounds[j, 1] = min(bounds[j, 1], q if d == 0.0 else np.nextafter(q, np.inf))
@@ -258,111 +254,162 @@ def _simplices(region: ValidRegion, cfg):
     return triangulate(vertices, tight, cfg.tol_feas), restricted
 
 
-def _bab(region: ValidRegion, g: Expr, cfg) -> RegionVerdict:
-    """Certify min g >= -tol_margin over the patch, or find a witness.
+def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
+    """Per region, `_first_witness` among its points (one array and one row
+    of coefs each), evaluating each expression once over all of them; a
+    region with no value below `_gate` goes no further."""
+    counts, rows = [len(p) for p in points], np.concatenate(points)
+    parts = np.stack([evaluate(e, rows) for e in exprs], axis=1)
+    values = _weighted_enclosure(np.repeat(coefs, counts, axis=0),
+                                 np.stack([parts, parts], axis=2))[:, 0]
+    return [_first_witness(region, "interval", p, _checked_witness(region.slice, p, v, cfg), cfg)
+            if (v < _gate(cfg)).any() else None
+            for region, p, v in zip(regions, points, np.split(values, np.cumsum(counts)[:-1]))]
 
-    The patch's own vertices are checked first, as witness seeds.  Then
-    each simplex of the patch (`_simplices`) is enclosed by
-    `interval_evaluate` over its vertex box; a simplex that the enclosure
-    does not certify has its vertices and centroid checked as witnesses,
-    then its longest edge bisected.  No LP is solved: every simplex lies in
-    the patch, up to rounding.  A witness may sit tol_feas off the slice,
-    so the enclosure is taken over the box widened by tol_feas on every
-    side, but not past a bound that a single-coordinate row of the region
-    puts on its coordinate exactly (`_axis_bounds`).  An unbounded patch is
-    cut to the domain box first; a verified or unknown verdict then speaks
-    for the part of the patch inside the domain box only
-    (``domain_restricted``), while a witness is a violation wherever it
-    lies.  ``bab_max_boxes`` counts simplices.
+
+def _split(simplices):
+    """(children, stalled): each simplex cut at the midpoint of its longest
+    edge into [left, right], in order, but for one whose longest edge is
+    below BAB_MIN_WIDTH, which ``stalled`` reports."""
+    m, k, n = simplices.shape
+    if not m:
+        return simplices, False
+    edges = np.linalg.norm(simplices[:, :, None] - simplices[:, None], axis=3).reshape(m, k * k)
+    longest = edges.argmax(axis=1)
+    cut = edges[np.arange(m), longest] >= BAB_MIN_WIDTH
+    (i, j), kept = np.divmod(longest[cut], k), simplices[cut]
+    left, right, rows = kept.copy(), kept.copy(), np.arange(len(kept))
+    left[rows, j] = right[rows, i] = 0.5 * (kept[rows, i] + kept[rows, j])
+    return np.stack([left, right], axis=1).reshape(-1, k, n), not cut.all()
+
+
+@dataclass
+class _Run:
+    """A patch under BaB: regions[index], its current level of simplices."""
+    index: int
+    queue: np.ndarray
+    restricted: bool
+    exact: np.ndarray
+    processed: int = 0
+    certified: float = np.inf
+    stalled: bool = False
+
+
+def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
+    """Certify min g >= -tol_margin over each patch, g = weighted_sum(coefs[i],
+    exprs) on regions[i], or find a witness.
+
+    The vertices are checked first, as witness seeds.  Then each patch is
+    cut into simplices (`_simplices`; a NumericalFailure leaves it unknown)
+    and all run in lockstep a level at a time, each in its queue order: each
+    expression is enclosed once over all the level's simplex vertex boxes;
+    a simplex whose enclosure of g does not certify has its vertices and
+    centroid checked as witnesses, then its longest edge bisected.  In a
+    patch the first witness, or before it the first failed enclosure
+    (unknown), ends the run.  No LP is solved.  Each box is widened by
+    tol_feas, where a witness may sit, but not past a single-coordinate
+    row's exact bound (`_axis_bounds`).  An unbounded patch is cut to the
+    domain box first; a verified or unknown verdict then speaks only for its
+    part inside (``domain_restricted``), while a witness is a violation
+    wherever it lies.  ``bab_max_boxes`` counts each patch's simplices.
     """
-    sl = region.slice
-    hit = _first_witness(region, "interval", region.vertices,
-                         _checked_witness(sl, region.vertices, g, cfg), cfg)
-    if hit is not None:
-        return hit
-    simplices, restricted = _simplices(region, cfg)
-    if simplices is None:
-        return RegionVerdict(region.indicator, VERIFIED, "interval", vacuous=True,
-                             domain_restricted=True,
-                             note="slice leaves the domain box entirely")
+    if not regions:
+        return []
+    coefs = np.array(coefs, dtype=float)
+    interval = lambda i, status, **kw: RegionVerdict(regions[i].indicator, status, "interval", **kw)
+    verdicts = _first_witnesses(regions, coefs, [r.vertices for r in regions], exprs, cfg)
+    runs = []
+    for i, region in enumerate(regions):
+        if verdicts[i] is not None:
+            continue
+        try:
+            simplices, restricted = _simplices(region, cfg)
+        except NumericalFailure as exc:
+            verdicts[i] = interval(i, UNKNOWN, domain_restricted=bool(len(region.rays)),
+                                   note=str(exc))
+            continue
+        if simplices is None:
+            verdicts[i] = interval(i, VERIFIED, vacuous=True, domain_restricted=True,
+                                   note="slice leaves the domain box entirely")
+        else:
+            runs.append(_Run(i, simplices, restricted, _axis_bounds(region.slice)))
 
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
-    exact = _axis_bounds(sl)
-    queue = deque(simplices)
-    certified = np.inf
-    stalled = False
-    processed = 0
-    while queue:
-        processed += 1
-        if processed > cfg.bab_max_boxes:
-            return RegionVerdict(region.indicator, UNKNOWN, "interval",
-                                 domain_restricted=restricted,
-                                 note=f"box budget {cfg.bab_max_boxes} exhausted")
-        simplex = queue.popleft()
-        box = np.column_stack([simplex.min(axis=0), simplex.max(axis=0)])
-        lo = interval_evaluate(g, np.clip(box + pad, exact[:, :1], exact[:, 1:])).lo
-        if lo >= -cfg.tol_margin:
-            certified = min(certified, lo)
-            continue
-        points = np.vstack([simplex, simplex.mean(axis=0)])
-        hit = _first_witness(region, "interval", points,
-                             _checked_witness(sl, points, g, cfg), cfg)
-        if hit is not None:
-            return hit
-        edges = np.linalg.norm(simplex[:, None] - simplex[None], axis=2)
-        i, j = np.unravel_index(np.argmax(edges), edges.shape)
-        if edges[i, j] < BAB_MIN_WIDTH:
-            stalled = True
-            continue
-        left, right = simplex.copy(), simplex.copy()
-        left[j] = right[i] = 0.5 * (simplex[i] + simplex[j])
-        queue.extend([left, right])
-
-    if stalled:
-        return RegionVerdict(region.indicator, UNKNOWN, "interval",
-                             domain_restricted=restricted,
-                             note="interval refinement stalled at the width floor")
-    bound = None if not np.isfinite(certified) else float(certified)
-    return RegionVerdict(region.indicator, VERIFIED, "interval", bound=bound,
-                         domain_restricted=restricted)
+    while runs:
+        levels = [run.queue[:cfg.bab_max_boxes - run.processed] for run in runs]
+        counts, run_coefs = [len(level) for level in levels], coefs[[run.index for run in runs]]
+        exact = np.repeat([run.exact for run in runs], counts, axis=0)
+        boxes = np.stack([np.concatenate([level.min(axis=1) for level in levels]),
+                          np.concatenate([level.max(axis=1) for level in levels])], axis=2)
+        boxes = np.clip(boxes + pad, exact[..., :1], exact[..., 1:])
+        lows = np.split(_weighted_enclosure(
+            np.repeat(run_coefs, counts, axis=0),
+            np.stack([interval_evaluate(e, boxes) for e in exprs], axis=1))[:, 0],
+            np.cumsum(counts)[:-1])
+        open_ = [~(lo >= -cfg.tol_margin) for lo in lows]
+        opened = [r for r, o in enumerate(open_) if o.any()]
+        checked = [levels[r][open_[r] & ~np.logical_or.accumulate(np.isnan(lows[r]))]
+                   for r in opened]      # up to the first box whose enclosure fails
+        hits = dict(zip(opened, _first_witnesses(
+            [regions[runs[r].index] for r in opened], run_coefs[opened],
+            [np.concatenate([c, c.mean(axis=1, keepdims=True)], axis=1).reshape(-1, c.shape[2])
+             for c in checked], exprs, cfg) if opened else []))
+        unfinished = []
+        for r, (run, level, lo, o) in enumerate(zip(runs, levels, lows, open_)):
+            verdict = hits.get(r)
+            if verdict is None and r in hits and np.isnan(lo).any():
+                verdict = interval(run.index, UNKNOWN, note="interval enclosure failed: overflow "
+                                   "or NaN in the enclosure, or g undefined on a box")
+            elif verdict is None:
+                run.processed += len(level)
+                run.certified = min([run.certified, *lo[~o].tolist()])
+                children, stalled = _split(level[o])
+                over = len(run.queue) > len(level) or len(children)
+                run.queue, run.stalled = children, run.stalled or stalled
+                if over and run.processed == cfg.bab_max_boxes:
+                    verdict = interval(run.index, UNKNOWN, domain_restricted=run.restricted,
+                                       note=f"box budget {cfg.bab_max_boxes} exhausted")
+                elif len(children):
+                    unfinished.append(run)
+                    continue
+                elif run.stalled:
+                    verdict = interval(run.index, UNKNOWN, domain_restricted=run.restricted,
+                                       note="interval refinement stalled at the width floor")
+                else:
+                    verdict = interval(run.index, VERIFIED, domain_restricted=run.restricted,
+                                       bound=run.certified if np.isfinite(run.certified) else None)
+            verdicts[run.index] = verdict
+        runs = unfinished
+    return verdicts
 
 
 # -- the ladder, and assembling the three conditions ---------------------------------
 
-def _decide(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
-    """One region's verdict: off the patch's frame when the caller hands
-    over g's affine form = (coeffs, const), else BaB, then the falsification
-    search only when BaB leaves the patch open.  No rung solves an LP.
+def _decide_regions(regions, exprs, objective_of, cfg) -> list[RegionVerdict]:
+    """Each region's verdict on g = weighted_sum(coefs, exprs), with
+    (coefs, form) = objective_of(region): off the patch's frame when g's
+    affine form (coeffs, const) is given, else BaB over all such patches at
+    once, then the falsification search only where BaB leaves the patch
+    open.  No rung solves an LP.
 
-    BaB decides both ways and is the cheaper rung on almost every patch.
-    Its witness ends the ladder.  It leaves the patch open when it ends
-    `unknown` (simplex budget spent, the width floor reached, g undefined
-    somewhere in a box it encloses, or a NumericalFailure of its simplices,
-    domain-restricted when the patch has rays), and when it verifies an
-    unbounded patch only inside the domain box, since the search's ray
-    points reach past that box.  A witness the search finds replaces BaB's
-    verdict; otherwise BaB's verdict and its note stand, a domain-restricted
-    `verified` speaking for the part of the patch inside the box only.
+    BaB's witness ends the ladder.  It leaves the patch open when it ends
+    `unknown` (budget spent, width floor, failed enclosure, NumericalFailure
+    of its simplices) or verifies an unbounded patch only inside the domain
+    box, which the search's ray points reach past.  A witness the search
+    finds replaces BaB's verdict; otherwise BaB's verdict and note stand.
     """
-    if form is not None:
-        return _decide_affine(region, g, form, cfg)
-    try:
-        verdict = _bab(region, g, cfg)
-    except DomainError as exc:
-        verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
-                                note=f"interval enclosure failed: {exc}")
-    except NumericalFailure as exc:
-        verdict = RegionVerdict(region.indicator, UNKNOWN, "interval",
-                                domain_restricted=bool(len(region.rays)), note=str(exc))
-    if verdict.status != UNKNOWN and not verdict.domain_restricted:
-        return verdict
-    found = _falsify(region, g, cfg)
-    return found if found is not None else verdict
-
-
-def _decide_regions(regions, objective_of, cfg) -> list[RegionVerdict]:
-    """`_decide` on every region, with (g, form) = objective_of(region)."""
-    return [_decide(region, *objective_of(region), cfg) for region in regions]
+    objectives = [objective_of(region) for region in regions]
+    verdicts = [None if form is None else
+                _decide_affine(region, weighted_sum(coefs, exprs), form, cfg)
+                for region, (coefs, form) in zip(regions, objectives)]
+    rest = [i for i, v in enumerate(verdicts) if v is None]
+    bab = _bab([regions[i] for i in rest], exprs, [objectives[i][0] for i in rest], cfg)
+    for i, verdict in zip(rest, bab):
+        if verdict.status == UNKNOWN or verdict.domain_restricted:
+            found = _falsify(regions[i], weighted_sum(objectives[i][0], exprs), cfg)
+            verdict = found if found is not None else verdict
+        verdicts[i] = verdict
+    return verdicts
 
 
 def _aggregate(statuses) -> str:
@@ -387,10 +434,9 @@ def check_invariance(net, regions, sys: DynamicsSystem,
 
     def objective(region):
         w = region.slice.w
-        form = (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None
-        return weighted_sum(w, sys.exprs), form
+        return w, (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None
 
-    verdicts = _decide_regions(regions, objective, cfg)
+    verdicts = _decide_regions(regions, sys.exprs, objective, cfg)
     return ConditionResult(_aggregate([v.status for v in verdicts]), verdicts)
 
 
@@ -439,9 +485,8 @@ def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
     """
     if not regions:
         raise NoRegions("set condition over an empty region list")
-    g = weighted_sum([-1.0], [set_expr])
-    objective = (g, _linear_form(g, net.input_dim))
-    verdicts = _decide_regions(regions, lambda _region: objective, cfg)
+    objective = ([-1.0], _linear_form(weighted_sum([-1.0], [set_expr]), net.input_dim))
+    verdicts = _decide_regions(regions, [set_expr], lambda _region: objective, cfg)
     rng = np.random.default_rng([cfg.seed, salt, 7919])
     probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
     if probe is None:

@@ -57,11 +57,6 @@ class VariableOutOfRange(ExpressionError):
     """A variable index outside 1..dim."""
 
 
-class DomainError(ExpressionError):
-    """An interval enclosure outside a function's domain (ln, division) or
-    one that overflows; `evaluate` gives NaN or inf there instead."""
-
-
 class ProblemFormatError(RelubarrierError, ValueError):
     """A problem or network file failed to parse or validate (a ValueError,
     as ``json.JSONDecodeError`` is)."""

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, ExpressionSyntaxError, UnknownIdentifier,
-                     VariableOutOfRange)
+from .errors import ExpressionSyntaxError, UnknownIdentifier, VariableOutOfRange
 
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "ln")
 
@@ -234,107 +233,90 @@ def _eval(e, x):
 
 # -- interval arithmetic ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (self.lo <= self.hi):
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-
 _TWO_PI = 2.0 * math.pi
 
 
-def _has_multiple_of(period_offset, lo, hi):
-    """Is there an integer k with period_offset + 2*pi*k in [lo, hi]?"""
-    k_lo = math.ceil((lo - period_offset) / _TWO_PI)
-    return period_offset + _TWO_PI * k_lo <= hi
+def _first(better, *xs):
+    """Python's min (better = np.less) or max (np.greater) of each box's xs."""
+    out = xs[0]
+    for x in xs[1:]:
+        out = np.where(better(x, out), x, out)
+    return out
 
 
-def _iv_sin(lo, hi):
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    out_hi = 1.0 if _has_multiple_of(math.pi / 2.0, lo, hi) else max(math.sin(lo), math.sin(hi))
-    out_lo = -1.0 if _has_multiple_of(-math.pi / 2.0, lo, hi) else min(math.sin(lo), math.sin(hi))
-    return (out_lo, out_hi)
+def _failed(lo, hi):
+    """(lo, hi), NaN at each box where an end is not finite; later nodes keep the NaN."""
+    ok = np.isfinite(lo) & np.isfinite(hi)
+    return np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)
 
 
-def _iv_cos(lo, hi):
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    out_hi = 1.0 if _has_multiple_of(0.0, lo, hi) else max(math.cos(lo), math.cos(hi))
-    out_lo = -1.0 if _has_multiple_of(math.pi, lo, hi) else min(math.cos(lo), math.cos(hi))
-    return (out_lo, out_hi)
+def _reaches(offset, lo, hi):
+    """Does [lo, hi] hold offset + 2 pi k for some integer k?"""
+    return offset + _TWO_PI * np.ceil((lo - offset) / _TWO_PI) <= hi
 
 
-def _iv_pow(lo, hi, k):
-    if k == 0:
-        return (1.0, 1.0)
-    if k % 2 == 1:
-        return (lo ** k, hi ** k)
-    top = max(lo ** k, hi ** k)
-    if lo <= 0.0 <= hi:
-        return (0.0, top)
-    return (min(lo ** k, hi ** k), top)
+def _iv_periodic(f, lo, hi, peak, trough):
+    full = hi - lo >= _TWO_PI
+    ends = f(lo), f(hi)
+    return (np.where(full | _reaches(trough, lo, hi), -1.0, _first(np.less, *ends)),
+            np.where(full | _reaches(peak, lo, hi), 1.0, _first(np.greater, *ends)))
 
 
-def _iv(e, box):
+def _iv(e, boxes):
+    """(lo, hi) of e over each box, NaN where the enclosure fails."""
     if isinstance(e, Var):
-        return (box[e.index, 0], box[e.index, 1])
+        return boxes[:, e.index, 0], boxes[:, e.index, 1]
     if isinstance(e, Const):
-        return (e.value, e.value)
+        value = np.full(len(boxes), e.value)
+        return value, value
     if isinstance(e, Binary):
-        (al, ah), (bl, bh) = _iv(e.left, box), _iv(e.right, box)
+        (al, ah), (bl, bh) = _iv(e.left, boxes), _iv(e.right, boxes)
         if e.op == "+":
-            return (al + bl, ah + bh)
+            return _failed(al + bl, ah + bh)
         if e.op == "-":
-            return (al - bh, ah - bl)
-        if e.op == "*":
-            prods = (al * bl, al * bh, ah * bl, ah * bh)
-            return (min(prods), max(prods))
-        if bl <= 0.0 <= bh:
-            raise DomainError("interval division by an interval containing zero")
-        quots = (al / bl, al / bh, ah / bl, ah / bh)
-        return (min(quots), max(quots))
+            return _failed(al - bh, ah - bl)
+        if e.op == "/":
+            bl = np.where((bl <= 0.0) & (bh >= 0.0), np.nan, bl)
+        f = np.divide if e.op == "/" else np.multiply
+        ends = (f(al, bl), f(al, bh), f(ah, bl), f(ah, bh))
+        return _failed(_first(np.less, *ends), _first(np.greater, *ends))   # NaN where al or bl is
     if isinstance(e, Unary):
-        lo, hi = _iv(e.arg, box)
+        lo, hi = _iv(e.arg, boxes)
         if e.name == "-":
-            return (-hi, -lo)
+            return -hi, -lo
         if e.name == "sin":
-            return _iv_sin(lo, hi)
+            return _iv_periodic(np.sin, lo, hi, math.pi / 2.0, -math.pi / 2.0)
         if e.name == "cos":
-            return _iv_cos(lo, hi)
-        if e.name == "tanh":
-            return (math.tanh(lo), math.tanh(hi))
-        if e.name == "exp":
-            return (math.exp(lo), math.exp(hi))
-        if lo <= 0.0:   # ln
-            raise DomainError("ln over an interval reaching <= 0")
-        return (math.log(lo), math.log(hi))
+            return _iv_periodic(np.cos, lo, hi, 0.0, math.pi)
+        f = _UFUNCS.get(e.name, np.log)
+        if e.name == "ln":
+            lo = np.where(lo > 0.0, lo, np.nan)
+        return _failed(f(lo), f(hi))
     if isinstance(e, Pow):
-        lo, hi = _iv(e.base, box)
-        return _iv_pow(lo, hi, e.exponent)
+        lo, hi = _iv(e.base, boxes)
+        if e.exponent == 0:
+            one = np.where(np.isnan(lo), np.nan, 1.0)
+            return one, one
+        ends = lo ** e.exponent, hi ** e.exponent
+        if e.exponent % 2 == 1:
+            return _failed(*ends)
+        return _failed(np.where((lo <= 0.0) & (hi >= 0.0), 0.0, _first(np.less, *ends)),
+                       _first(np.greater, *ends))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def interval_evaluate(e: Expr, box) -> Interval:
-    """Natural interval extension of e over a box given as an (n, 2) array.
-
-    Monotone functions use exact endpoint images; sin/cos detect interior
-    extrema; even powers account for the minimum at zero.  An enclosure
-    that overflows or turns NaN (inf - inf, 0 * inf) raises DomainError.
+def interval_evaluate(e: Expr, boxes) -> np.ndarray:
+    """Natural interval extension of e over boxes (s, n, 2): the (s, 2)
+    enclosures [lo, hi], one array operation per node.  Monotone functions
+    use exact endpoint images; sin/cos detect interior extrema; even powers
+    account for the minimum at zero.  A box's enclosure is NaN where a node
+    overflows or turns NaN (inf - inf, 0 * inf) there, even if a later node
+    would hide it (tanh of inf), divides by an interval holding 0, or takes
+    ln of one reaching <= 0.  No RuntimeWarning escapes.
     """
-    box = np.asarray(box, dtype=float)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            lo, hi = _iv(e, box)
-    except (OverflowError, FloatingPointError, ValueError) as exc:
-        raise DomainError(f"overflow or NaN in the enclosure ({exc})") from None
-    if not lo <= hi:
-        raise DomainError(f"overflow or NaN in the enclosure ([{lo}, {hi}])")
-    return Interval(float(lo), float(hi))
+    boxes = np.asarray(boxes, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.column_stack(_iv(e, boxes))
 
 
 # -- structure ----------------------------------------------------------------
@@ -401,6 +383,23 @@ def weighted_sum(coefs, exprs) -> Expr:
     out; an empty sum is Const(0.0)."""
     terms = [Binary("*", Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
     return functools.reduce(functools.partial(Binary, "+"), terms) if terms else Const(0.0)
+
+
+def _weighted_enclosure(coefs, parts) -> np.ndarray:
+    """`interval_evaluate` of weighted_sum(coefs[j], exprs) over box j, float
+    for float, from parts[j, i], that of exprs[i]: (s, k) coefs and (s, k, 2)
+    parts give (s, 2).  Values v at points, entered as [v, v], give
+    `evaluate`'s value of the sum there, or NaN where it is not finite."""
+    lo, hi = np.zeros(len(parts)), np.zeros(len(parts))   # the empty sum
+    started = np.zeros(len(parts), dtype=bool)
+    with np.errstate(all="ignore"):
+        for c, part in zip(np.transpose(coefs), np.moveaxis(parts, 1, 0)):
+            ends, use = (c * part[:, 0], c * part[:, 1]), c != 0.0
+            least, most = _first(np.less, *ends), _first(np.greater, *ends)
+            lo = np.where(use, np.where(started, lo + least, least), lo)
+            hi = np.where(use, np.where(started, hi + most, most), hi)
+            started |= use
+    return np.column_stack(_failed(lo, hi))
 
 
 # -- systems -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -22,6 +23,7 @@ from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
                          network_from_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
 from relubarrier.config import TOL_EQ
+from relubarrier.expressions import Binary, Const, Pow, Unary, Var
 from relubarrier.network import ActivationIndicator, ReluNetwork
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
@@ -498,6 +500,68 @@ CUBIC2D = ["x1 - x1^3 + x2 - x1*x2^2",
 TRANSCENDENTAL3D = ["-x1*(1 + sin(x2)^2 + exp(-x3^2))",
                     "-x2*(1 + cos(x3)^2 + tanh(x1^2))",
                     "-x3*(1 + ln(1 + x1^2 + x2^2))"]
+
+def reference_enclosure(e, box):
+    """The natural interval extension of e over one (n, 2) box, one node at
+    a time in Python floats with the C library's functions, as the scalar
+    code that `interval_evaluate` replaced computed it: (lo, hi), or None
+    where a node's enclosure is not finite, divides by an interval holding
+    0 or takes ln of one reaching <= 0."""
+    two_pi = 2.0 * math.pi
+
+    def reaches(offset, lo, hi):
+        return offset + two_pi * math.ceil((lo - offset) / two_pi) <= hi
+
+    def walk(e):
+        if isinstance(e, Var):
+            lo, hi = float(box[e.index, 0]), float(box[e.index, 1])
+        elif isinstance(e, Const):
+            lo = hi = float(e.value)
+        elif isinstance(e, Pow):
+            a, b = walk(e.base)
+            ends = (a ** e.exponent, b ** e.exponent)
+            if e.exponent == 0:
+                lo, hi = 1.0, 1.0
+            elif e.exponent % 2:
+                lo, hi = ends
+            else:
+                lo, hi = (0.0 if a <= 0.0 <= b else min(ends)), max(ends)
+        elif isinstance(e, Unary):
+            a, b = walk(e.arg)
+            if e.name == "-":
+                lo, hi = -b, -a
+            elif e.name in ("sin", "cos"):
+                f, peak, trough = ((math.sin, math.pi / 2, -math.pi / 2) if e.name == "sin"
+                                   else (math.cos, 0.0, math.pi))
+                full = b - a >= two_pi
+                lo = -1.0 if full or reaches(trough, a, b) else min(f(a), f(b))
+                hi = 1.0 if full or reaches(peak, a, b) else max(f(a), f(b))
+            elif e.name == "ln" and a <= 0.0:
+                raise ValueError("ln of an interval reaching <= 0")
+            else:
+                f = {"tanh": math.tanh, "exp": math.exp, "ln": math.log}[e.name]
+                lo, hi = f(a), f(b)
+        else:
+            (al, ah), (bl, bh) = walk(e.left), walk(e.right)
+            if e.op == "+":
+                lo, hi = al + bl, ah + bh
+            elif e.op == "-":
+                lo, hi = al - bh, ah - bl
+            elif e.op == "/" and bl <= 0.0 <= bh:
+                raise ValueError("division by an interval holding 0")
+            else:
+                ends = ((al * bl, al * bh, ah * bl, ah * bh) if e.op == "*"
+                        else (al / bl, al / bh, ah / bl, ah / bh))
+                lo, hi = min(ends), max(ends)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise OverflowError("an enclosure that is not finite")
+        return lo, hi
+
+    try:
+        return walk(e)
+    except (OverflowError, ValueError):   # Python's float ** and math.exp raise OverflowError
+        return None
+
 
 CASCADE4D = ["-x1",
              "x1 - 2*x2",

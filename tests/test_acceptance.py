@@ -165,13 +165,13 @@ def test_acceptance_5_interval_enclosure_soundness_100k_triples():
             half = rng.uniform(0, 1.5, size=dim) * rng.random() + 1e-9
             lo = np.maximum(centre - half, -3.0)
             hi = np.minimum(centre + half, 3.0)
-            iv = interval_evaluate(e, np.stack([lo, hi], axis=1))
+            (ilo, ihi), = interval_evaluate(e, np.stack([lo, hi], axis=1)[None])
             pts = rng.uniform(lo, hi, size=(100, dim))
             vals = np.array([evaluate(e, p) for p in pts])
-            slack = 1e-9 * max(1.0, abs(iv.lo), abs(iv.hi))
-            assert vals.min() >= iv.lo - slack, \
+            slack = 1e-9 * max(1.0, abs(ilo), abs(ihi))
+            assert vals.min() >= ilo - slack, \
                 f"{comp}: value below enclosure on box {lo}..{hi}"
-            assert vals.max() <= iv.hi + slack, \
+            assert vals.max() <= ihi + slack, \
                 f"{comp}: value above enclosure on box {lo}..{hi}"
             checked += 100
         assert checked == 100_000

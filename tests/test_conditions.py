@@ -1,6 +1,7 @@
 """Per-region condition checks: LP route, falsification, branch-and-bound,
 set conditions, and the end-to-end certificate pipeline."""
 
+import dataclasses
 import json
 import math
 from collections import Counter, deque
@@ -16,7 +17,8 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          NumericalFailure, Polyhedron, ReluNetwork, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
-                         check_unsafe_condition, enumerate_level_set, evaluate, load_problem,
+                         check_unsafe_condition, enumerate_level_set, evaluate,
+                         interval_evaluate, load_problem,
                          parse_expression, verify_certificate)
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
@@ -27,7 +29,7 @@ from relubarrier.regions import ValidRegion
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
                      slice_grid, strip_net, write_problem,
-                     CUBIC2D, TRANSCENDENTAL3D)
+                     ALL_SYSTEMS, CUBIC2D, TRANSCENDENTAL3D)
 
 
 def ind(*bits):
@@ -48,6 +50,12 @@ def first_quadrant_region():
 def w_dot_f(region, sys):
     """The region's invariance objective g = w.f."""
     return weighted_sum(region.slice.w, sys.exprs)
+
+
+def bab(region, sys, cfg=DEFAULT_CONFIG):
+    """BaB's verdict on the region's invariance objective w.f, the region
+    run alone."""
+    return conditions._bab([region], sys.exprs, [region.slice.w], cfg)[0]
 
 
 # -- affine route ------------------------------------------------------------------
@@ -202,9 +210,9 @@ def test_falsify_checks_its_points_in_one_call(monkeypatch):
     batches = []
     checked = conditions._checked_witness
 
-    def recorded(sl, points, g, cfg):
+    def recorded(sl, points, values, cfg):
         batches.append(len(points))
-        return checked(sl, points, g, cfg)
+        return checked(sl, points, values, cfg)
 
     monkeypatch.setattr(conditions, "_checked_witness", recorded)
     net, region = first_quadrant_region()
@@ -218,7 +226,7 @@ def test_falsify_checks_its_points_in_one_call(monkeypatch):
 def test_bab_certifies_stable_flow():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
+    verdict = bab(region, sys)
     assert verdict.status == VERIFIED
     assert verdict.bound is not None and verdict.bound >= -1e-9
 
@@ -226,7 +234,7 @@ def test_bab_certifies_stable_flow():
 def test_bab_falsifies_constant_negative():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
+    verdict = bab(region, sys)
     assert verdict.status == FALSIFIED
     assert verdict.witness is not None
     assert region.slice.contains(verdict.witness, tol=1e-6)
@@ -235,7 +243,7 @@ def test_bab_falsifies_constant_negative():
 def test_bab_cubic_inward_verified():
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["-x1^3", "-x2^3"], dim=2)
-    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
+    verdict = bab(region, sys)
     assert verdict.status == VERIFIED
 
 
@@ -246,11 +254,11 @@ def test_bab_flat_case_margin_semantics():
     # w = (-1,-1): w.f = -(x2^3) - (-x2^3) = 0 pointwise, but the interval
     # enclosure of the difference never collapses
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
+    verdict = bab(region, sys)
     assert verdict.status == UNKNOWN
     # a margin above the residual enclosure width at the minimum box size
     cfg = DEFAULT_CONFIG.updated(tol_margin=1e-3)
-    verdict = conditions._bab(region, w_dot_f(region, sys), cfg)
+    verdict = bab(region, sys, cfg)
     assert verdict.status == VERIFIED
 
 
@@ -261,7 +269,7 @@ def test_bab_verified_never_contradicted_by_sampling():
                DynamicsSystem.parse(CUBIC2D, dim=2)]
     for sys in systems:
         for region in regions:
-            verdict = conditions._bab(region, w_dot_f(region, sys), DEFAULT_CONFIG)
+            verdict = bab(region, sys)
             if verdict.status != VERIFIED:
                 continue
             pts = slice_grid(region, 10_000)
@@ -273,26 +281,35 @@ def test_margin_monotonicity_never_flips_verified_to_falsified():
     net, regions = diamond_regions()
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     for region in regions:
-        g = w_dot_f(region, sys)
-        small = conditions._bab(region, g, DEFAULT_CONFIG.updated(tol_margin=0.0))
-        large = conditions._bab(region, g, DEFAULT_CONFIG.updated(tol_margin=0.5))
+        small = bab(region, sys, DEFAULT_CONFIG.updated(tol_margin=0.0))
+        large = bab(region, sys, DEFAULT_CONFIG.updated(tol_margin=0.5))
         if small.status == VERIFIED:
             assert large.status == VERIFIED
 
 
 def record_enclosures(monkeypatch):
-    """Run-time log of the boxes `_bab` hands `interval_evaluate`, each with
-    its enclosure's lower bound."""
-    enclosures = []
+    """Run-time log of the (expression, boxes) batches `_bab` hands
+    `interval_evaluate`."""
+    log = []
     original = conditions.interval_evaluate
 
-    def logged(g, box):
-        iv = original(g, box)
-        enclosures.append((np.array(box, dtype=float), iv.lo))
-        return iv
+    def logged(e, boxes):
+        log.append((e, np.array(boxes, dtype=float)))
+        return original(e, boxes)
 
     monkeypatch.setattr(conditions, "interval_evaluate", logged)
-    return enclosures
+    return log
+
+
+def enclosed(log, sys, g):
+    """(box, lower bound of g's enclosure there) for every box BaB enclosed,
+    level by level: every flow component is enclosed over the same batch,
+    and BaB reads g's enclosure off theirs float for float (as
+    test_weighted_enclosure_is_the_enclosure_of_the_weighted_sum checks)."""
+    first = [boxes for e, boxes in log if e is sys.exprs[0]]
+    assert [boxes.tobytes() for e, boxes in log] == [
+        boxes.tobytes() for boxes in first for _ in sys.exprs]
+    return [(box, lo) for boxes in first for box, lo in zip(boxes, interval_evaluate(g, boxes)[:, 0])]
 
 
 def test_bab_encloses_each_simplex_box_widened_by_tol_feas(monkeypatch):
@@ -306,14 +323,14 @@ def test_bab_encloses_each_simplex_box_widened_by_tol_feas(monkeypatch):
     regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
     sys = DynamicsSystem.parse(CUBIC2D, dim=2)
     cfg = DEFAULT_CONFIG
-    enclosures = record_enclosures(monkeypatch)
+    log = record_enclosures(monkeypatch)
     split = 0
     for region in regions:
-        enclosures.clear()
-        conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), cfg)
+        log.clear()
+        bab(region, sys, cfg)
         exact = conditions._axis_bounds(region.slice)
-        queue = deque(conditions._simplices(region, cfg)[0] if enclosures else [])
-        for box, lo in enclosures:
+        queue = deque(conditions._simplices(region, cfg)[0] if log else [])
+        for box, lo in enclosed(log, sys, w_dot_f(region, sys)):
             simplex = queue.popleft()
             want = np.column_stack([simplex.min(axis=0) - cfg.tol_feas,
                                     simplex.max(axis=0) + cfg.tol_feas])
@@ -334,17 +351,18 @@ def test_bab_simplex_vertices_lie_on_the_slice(monkeypatch):
     patch's triangulation, on bounded and domain-clamped patches of 2-D and
     3-D nets, and every point BaB checks as a witness (a simplex's vertices
     and centroid) down to the budget on the diamond's flat patch."""
-    checked = []
-    original = conditions._checked_witness
+    points = []
+    original = conditions._first_witnesses
 
-    def logged(sl, points, g, cfg):
-        checked.append((sl, np.array(points, dtype=float)))
-        return original(sl, points, g, cfg)
+    def logged(regions, coefs, batch, exprs, cfg):
+        points.extend(np.array(p, dtype=float) for p in batch)
+        return original(regions, coefs, batch, exprs, cfg)
 
-    monkeypatch.setattr(conditions, "_checked_witness", logged)
+    monkeypatch.setattr(conditions, "_first_witnesses", logged)
     net, region = first_quadrant_region()
-    conditions._bab(region, w_dot_f(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)),
-                    DEFAULT_CONFIG.updated(bab_max_boxes=200))
+    bab(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2),
+        DEFAULT_CONFIG.updated(bab_max_boxes=200))
+    checked = [(region.slice, p) for p in points]
     rng = np.random.default_rng(9)
     restricted = 0
     for n in (2, 2, 3, 3):
@@ -373,18 +391,18 @@ def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
     for n in (2, 2, 2, 3, 3):
         net = random_hidden_net(rng, n_in=n, neurons=5)
         patches += [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
-    enclosures = record_enclosures(monkeypatch)
+    log = record_enclosures(monkeypatch)
     verified = Counter()
     for region in patches:
         n = region.slice.dim
         pts = patch_samples(region, DEFAULT_CONFIG.domain(n), rng)
         for sys in flows[n]:
-            enclosures.clear()
-            verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs),
-                                      DEFAULT_CONFIG)
+            log.clear()
+            verdict = bab(region, sys)
             if verdict.status != VERIFIED or verdict.vacuous:
                 continue
-            boxes = np.array([box for box, lo in enclosures if lo >= -DEFAULT_CONFIG.tol_margin])
+            boxes = np.array([box for box, lo in enclosed(log, sys, w_dot_f(region, sys))
+                              if lo >= -DEFAULT_CONFIG.tol_margin])
             inside = np.all((pts[:, None] >= boxes[None, :, :, 0])
                             & (pts[:, None] <= boxes[None, :, :, 1]), axis=2)
             assert inside.any(axis=1).all()
@@ -400,10 +418,11 @@ def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
     net, regions = diamond_regions()
     region = next(r for r in regions if r.indicator == ind(0, 1, 1, 0))
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    enclosures = record_enclosures(monkeypatch)
-    verdict = conditions._bab(region, weighted_sum(region.slice.w, sys.exprs), DEFAULT_CONFIG)
+    log = record_enclosures(monkeypatch)
+    verdict = bab(region, sys)
     assert (verdict.status, verdict.bound) == (VERIFIED, 0.0)
-    assert enclosures and all(box[0, 1] == 0.0 and box[1, 0] == 0.0 for box, _lo in enclosures)
+    assert log and all(box[0, 1] == 0.0 and box[1, 0] == 0.0
+                       for box, _lo in enclosed(log, sys, w_dot_f(region, sys)))
 
 
 def test_simplices_tile_the_patch():
@@ -500,7 +519,7 @@ def test_batched_witness_check_is_the_per_row_definition(rows, flow):
     g = w_dot_f(region, DynamicsSystem.parse(flow, dim=2))
     normal = sl.w / np.linalg.norm(sl.w)
     points = np.array([[t, 1.0 - t] + off * normal for t, off in rows])
-    values = conditions._checked_witness(sl, points, g, cfg)
+    values = conditions._checked_witness(sl, points, evaluate(g, points), cfg)
     for x, got in zip(points, values):
         v = evaluate(g, x)
         checked = sl.contains(x, cfg.tol_feas) and np.isfinite(v)
@@ -525,7 +544,7 @@ def test_search_runs_once_when_bab_runs_out_of_boxes(monkeypatch):
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)   # w.f = 0 on the patch
     cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
-    verdict = conditions._decide(region, w_dot_f(region, sys), None, cfg)
+    verdict, = check_invariance(net, [region], sys, cfg).region_verdicts
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (UNKNOWN, "interval")
     assert verdict.note == "box budget 5 exhausted"
@@ -548,7 +567,8 @@ def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
     v = next(v for v in result.region_verdicts if v.indicator == region.indicator)
     assert (v.status, v.method) == (FALSIFIED, "interval")
     off = v.witness + region.slice.w   # leaves the hyperplane
-    values = conditions._checked_witness(region.slice, [v.witness, off], g, DEFAULT_CONFIG)
+    values = conditions._checked_witness(region.slice, [v.witness, off],
+                                         evaluate(g, np.array([v.witness, off])), DEFAULT_CONFIG)
     assert values[0] == v.witness_value < conditions._gate(DEFAULT_CONFIG)
     assert np.isnan(values[1])
     assert calls == []
@@ -563,9 +583,9 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
-    inside = conditions._bab(region, g, DEFAULT_CONFIG)
+    inside = bab(region, sys)
     assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
-    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
+    verdict, = check_invariance(net, [region], sys).region_verdicts
     assert len(calls) == 1
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert abs(verdict.witness[1]) > 4.0
@@ -601,12 +621,12 @@ def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     sys = DynamicsSystem.parse(["x2^2 - 1", "0"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
-    bab = conditions._bab(region, g, DEFAULT_CONFIG)
-    assert (bab.status, bab.domain_restricted) == (FALSIFIED, False)
-    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
+    alone = bab(region, sys)
+    assert (alone.status, alone.domain_restricted) == (FALSIFIED, False)
+    verdict, = check_invariance(net, [region], sys).region_verdicts
     assert calls == []
     assert (verdict.status, verdict.method) == (FALSIFIED, "interval")
-    assert np.array_equal(verdict.witness, bab.witness)
+    assert np.array_equal(verdict.witness, alone.witness)
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
 
@@ -624,8 +644,7 @@ def test_no_frame_for_the_cut_patch_leaves_the_row_to_the_search(monkeypatch):
     net = line_net()
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     for flow, status in ((["16 - x2^2", "0"], FALSIFIED), (["1 + x2^2", "0"], UNKNOWN)):
-        g = weighted_sum(region.slice.w, DynamicsSystem.parse(flow, dim=2).exprs)
-        verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
+        verdict, = check_invariance(net, [region], DynamicsSystem.parse(flow, dim=2)).region_verdicts
         assert verdict.status == status
         if status == UNKNOWN:
             assert verdict.domain_restricted and verdict.note.startswith(
@@ -678,7 +697,7 @@ def test_search_reaches_far_along_a_ray_shaped_patch():
     region = build_valid_region(net, ind(1, 0, 0))
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
-    verdict = conditions._decide(region, g, None, DEFAULT_CONFIG)
+    verdict, = check_invariance(net, [region], sys).region_verdicts
     assert (verdict.status, verdict.method) == (FALSIFIED, "search")
     assert verdict.witness[1] < -4.0
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
@@ -1270,6 +1289,56 @@ def test_overflowing_witness_value_is_no_witness(tmp_path):
     assert all(np.isfinite(v.witness_value) for v in rows.values()
                if v.witness_value is not None)
     json.dumps(build_report(problem, verdict), allow_nan=False)
+
+
+def row(v):
+    """A region verdict as plain values, arrays as lists."""
+    return tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in dataclasses.astuple(v))
+
+
+OVERFLOWING_FLOWS = [[f1, "-x2"] for f1 in (
+    "-x1*exp(1000*x1)", "-x1 + 1e200*x1*x1*x2*1e200 - 1e200*x1*x1*x2*1e200",
+    "exp(1000)", "1e200^2")]
+
+
+def test_batched_bab_gives_each_region_its_verdict_alone():
+    """BaB runs all of a condition's patches in lockstep, a level at a time;
+    each patch's verdict (status, method, bound, witness, note, ...) is the
+    one it gets checked alone, on the diamond under the flows whose
+    enclosures overflow and the flat flow, and on the acceptance and bench
+    polytope nets (`frame_nets`) under the reference flows."""
+    cases = [(diamond_net(), DynamicsSystem.parse(flow, dim=2))
+             for flow in OVERFLOWING_FLOWS + [["x2^3", "-x2^3"], CUBIC2D]]
+    cases += [(net, DynamicsSystem.parse(ALL_SYSTEMS[net.input_dim], dim=net.input_dim))
+              for net in frame_nets() if net.input_dim in (2, 3)]
+    cfg = DEFAULT_CONFIG.updated(bab_max_boxes=300)
+    methods = Counter()
+    for net, sys in cases:
+        regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+        if not regions:
+            continue
+        together = check_invariance(net, regions, sys, cfg).region_verdicts
+        for region, v in zip(regions, together):
+            assert row(v) == row(check_invariance(net, [region], sys, cfg).region_verdicts[0])
+            methods[v.status, v.note.split(":")[0]] += 1
+    assert methods[VERIFIED, ""] > 50 and methods[FALSIFIED, ""] > 5
+    assert methods[UNKNOWN, "interval enclosure failed"] >= 4
+
+
+def test_bab_encloses_each_flow_component_once_per_level(monkeypatch):
+    """The bench's flat diamond: under (x2^3, -x2^3), w.f = 0 on two of the
+    diamond's four patches, which spend a budget of 500 simplices each.
+    The invariance check encloses each flow component once per level over
+    every open patch's boxes: (levels reached) x 2 calls for over 1000
+    simplices, not one call per simplex."""
+    net, regions = diamond_regions()
+    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
+    log = record_enclosures(monkeypatch)
+    result = check_invariance(net, regions, sys, DEFAULT_CONFIG.updated(bab_max_boxes=500))
+    assert [v.note for v in result.region_verdicts].count("box budget 500 exhausted") == 2
+    levels = [boxes for e, boxes in log if e is sys.exprs[0]]
+    assert sum(len(boxes) for boxes in levels) > 1000
+    assert len(log) == 2 * len(levels) <= 2 * 10
 
 
 def test_verify_certificate_unknown_flat_case():
