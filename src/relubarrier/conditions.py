@@ -305,8 +305,9 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     expression is enclosed once over all the level's simplex vertex boxes;
     a simplex whose enclosure of g does not certify has its vertices and
     centroid checked as witnesses, then its longest edge bisected.  In a
-    patch the first witness, or before it the first failed enclosure
-    (unknown), ends the run.  No LP is solved.  Each box is widened by
+    patch the first witness, up to and including the first simplex whose
+    enclosure fails, ends the run; failing that, such a simplex ends it
+    unknown.  No LP is solved.  Each box is widened by
     tol_feas, where a witness may sit, but not past a single-coordinate
     row's exact bound (`_axis_bounds`).  An unbounded patch is cut to the
     domain box first; a verified or unknown verdict then speaks only for its
@@ -348,8 +349,8 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
             np.cumsum(counts)[:-1])
         open_ = [~(lo >= -cfg.tol_margin) for lo in lows]
         opened = [r for r, o in enumerate(open_) if o.any()]
-        checked = [levels[r][open_[r] & ~np.logical_or.accumulate(np.isnan(lows[r]))]
-                   for r in opened]      # up to the first box whose enclosure fails
+        checked = [levels[r][open_[r] & (np.cumsum(np.isnan(lows[r])) <= np.isnan(lows[r]))]
+                   for r in opened]      # up to and including the first failed enclosure
         hits = dict(zip(opened, _first_witnesses(
             [regions[runs[r].index] for r in opened], run_coefs[opened],
             [np.concatenate([c, c.mean(axis=1, keepdims=True)], axis=1).reshape(-1, c.shape[2])
@@ -444,30 +445,34 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
     """Rejection-sampled points of {set_expr > 0}, checked against sign(h);
     None when no draw lands in the set.
 
-    Every set point of the first batch that holds any is checked.
-    want_inside demands h > 0 strictly at each; otherwise h < 0 strictly.
-    Equality with zero never passes: a sample on the boundary is evidence
-    against the condition, not for it.  The probe reports the first failing
-    point, or else the first set point.
+    Every set point of the first batch of 2048 draws that holds any is
+    checked.  want_inside demands h > 0 strictly at each; otherwise h < 0
+    strictly.  Equality with zero never passes: a sample on the boundary is
+    evidence against the condition, not for it.  The probe reports the
+    first failing point, or else the first set point.  The draws are those
+    of `rng.uniform` over the domain box, made 2048 rows first and 8192 at a
+    time after that, in one buffer scaled in place.
     """
     domain = cfg.domain(net.input_dim)
-    n = net.input_dim
-    batch = 2048
+    buffer = np.empty((8192, net.input_dim))
     seen = 0
     while seen < cfg.membership_samples:
-        k = min(batch, cfg.membership_samples - seen)
-        xs = rng.uniform(domain[:, 0], domain[:, 1], size=(k, n))
+        xs = buffer[:min(8192 if seen else 2048, cfg.membership_samples - seen)]
+        rng.random(out=xs)
+        xs *= domain[:, 1] - domain[:, 0]
+        xs += domain[:, 0]
         values = evaluate(set_expr, xs)   # NaN where set_expr is undefined
         idx = np.flatnonzero(values > 0.0)
         if idx.size:
+            idx = idx[idx < idx[0] // 2048 * 2048 + 2048]   # its batch of 2048 draws
             h = net.forward_many(xs[idx])
             good = h > 0.0 if want_inside else h < 0.0
             j = int(np.argmin(good))      # the first failing point, else 0
             i = int(idx[j])
-            return MembershipProbe(point=xs[i], set_value=float(values[i]),
+            return MembershipProbe(point=xs[i].copy(), set_value=float(values[i]),
                                    h_value=float(h[j]), ok=bool(good.all()),
                                    samples=seen + i + 1)
-        seen += k
+        seen += len(xs)
     return None
 
 

@@ -256,6 +256,6 @@ def write_report(report: dict, path) -> None:
 
 
 def report_bytes_without_timings(report: dict) -> bytes:
-    """Serialized report with the timings block removed (determinism checks)."""
+    """The report without its timings block, as compact JSON (determinism checks)."""
     stripped = {k: v for k, v in report.items() if k != "timings"}
-    return json.dumps(stripped, indent=2).encode()
+    return json.dumps(stripped).encode()

@@ -2,7 +2,8 @@
 
 A region is *valid* when it is full-dimensional and its intersection with
 the hyperplane of its own affine piece (its *slice*) has dimension n-1:
-inscribed balls wider than TOL_EQ, mostly settled by the slice's LP alone.
+inscribed balls wider than TOL_EQ, mostly settled by the slice's LP alone,
+and with no LP where two opposite rows bound a slab no wider than TOL_EQ.
 A valid region then costs no LP: a row that one of its patch's vertices
 meets within tol_feas (`geometry.frame`) touches the slice, and the mean
 of the vertices that meet it is its facet point; the other rows are
@@ -80,19 +81,26 @@ class EnumerationResult:
 def valid_test(region: Polyhedron, w: np.ndarray, b: float,
                cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
     """Decide whether the piece w.x + b on region (`ReluNetwork.piece`)
-    makes a valid region, mostly with one LP.
+    makes a valid region, mostly with one LP, and a flat one with none.
 
     The largest balls in the region and in its slice on w.x + b = 0 have
     diameter > TOL_EQ (w = 0: valid but degenerate if b = 0, else no slice).
+    No such ball fits between rows a.x <= d_i and -a.x <= d_j (exactly
+    opposite) with d_i + d_j <= TOL_EQ |a|, so that flat region is rejected
+    before any LP; rows only nearly opposite are left to the LPs.
     The slice ball's centre lies in the region, so the region holds the
     ball about it out to its nearest nonzero row: the region's LP runs
     only for w = 0 or where that distance is within tol_feas of TOL_EQ / 2."""
+    A, d = region.A[nz := region.A.any(axis=1)], region.d[nz]
+    norms, sums = np.linalg.norm(A, axis=1), A.sum(axis=1)
+    i, j = np.nonzero(sums[:, None] == -sums)   # negating a row negates its sum exactly
+    if i.size and np.any(np.all(A[i] == -A[j], axis=1) & (d[i] + d[j] <= TOL_EQ * norms[i])):
+        return False
     if w.any():
         ball = inscribed_ball(Polyhedron(region.A, region.d, w, b), cfg.tol_feas)
         if ball is None or 2.0 * ball[1] <= TOL_EQ:
             return False
-        A, d = region.A[nz := region.A.any(axis=1)], region.d[nz]
-        if np.all(d - A @ ball[0] > (TOL_EQ / 2.0 + cfg.tol_feas) * np.linalg.norm(A, axis=1)):
+        if np.all(d - A @ ball[0] > (TOL_EQ / 2.0 + cfg.tol_feas) * norms):
             return True
     ball = inscribed_ball(region, cfg.tol_feas)
     return ball is not None and 2.0 * ball[1] > TOL_EQ and bool(w.any() or b == 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
                          InfeasiblePolyhedron, NumericalFailure, Polyhedron,
-                         brute_force_valid_regions,
+                         brute_force_valid_regions, evaluate,
                          build_valid_region, implicit_equalities, lp_solve,
                          network_from_json)
 from relubarrier import conditions, geometry, linprog, regions, svgplot
@@ -300,6 +300,30 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
     if feasible_point(sliced.A, sliced.d, tol_feas=cfg.tol_feas) is None:
         return False
     return dimension(sliced, tol_eq=TOL_EQ, tol_feas=cfg.tol_feas) == region.dim - 1
+
+
+def reference_probe(net: ReluNetwork, set_expr, cfg, rng, want_inside: bool):
+    """The membership probe drawn in batches of 2048 rows of `rng.uniform`,
+    as `conditions._membership_probe` drew it before its draws were made in
+    one scaled buffer: every set point of the first batch holding any is
+    checked, and the first failing one, else the first, is reported."""
+    domain = cfg.domain(net.input_dim)
+    seen = 0
+    while seen < cfg.membership_samples:
+        k = min(2048, cfg.membership_samples - seen)
+        xs = rng.uniform(domain[:, 0], domain[:, 1], size=(k, net.input_dim))
+        values = evaluate(set_expr, xs)
+        idx = np.flatnonzero(values > 0.0)
+        if idx.size:
+            h = net.forward_many(xs[idx])
+            good = h > 0.0 if want_inside else h < 0.0
+            j = int(np.argmin(good))
+            i = int(idx[j])
+            return conditions.MembershipProbe(point=xs[i], set_value=float(values[i]),
+                                              h_value=float(h[j]), ok=bool(good.all()),
+                                              samples=seen + i + 1)
+        seen += k
+    return None
 
 
 def slices_intersect(r1, r2, tol_feas: float = 1e-7) -> bool:

@@ -28,7 +28,7 @@ from relubarrier.regions import ValidRegion
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
-                     slice_grid, strip_net, write_problem,
+                     reference_probe, slice_grid, strip_net, write_problem,
                      ALL_SYSTEMS, CUBIC2D, TRANSCENDENTAL3D)
 
 
@@ -1221,6 +1221,48 @@ def test_patch_witnesses_stand_when_sampling_runs_out():
         assert evaluate(h_init, v.witness) == -v.witness_value > FALSIFY_GATE
 
 
+PROBE_BOX = ((-3.0, 2.0), (-0.5, 4.25))   # not a cube
+
+
+def balls_about(points):
+    """A set function positive exactly within 1e-6 of one of one or two points."""
+    terms = [f"(1e-12 - (x1 - {float(p[0])!r})^2 - (x2 - {float(p[1])!r})^2)" for p in points]
+    return parse_expression(("-" if len(terms) == 2 else "") + "*".join(terms), 2)
+
+
+@pytest.mark.parametrize("samples", [1000, 10_000, 1_000_000])
+@pytest.mark.parametrize("hits", [(), (1,), (1, 7), (2048,), (2048, 2049), (2049, 4000),
+                                  (4096, 4097), (5000, 6000), (12_000, 12_300)],
+                         ids=lambda hits: "-".join(map(str, hits)) or "none")
+def test_membership_probe_matches_the_batched_reference(samples, hits):
+    """The probe draws 2048 rows, then 8192 at a time, into one buffer; it
+    gives field for field what the 2048-row batches of `rng.uniform` gave
+    (`reference_probe`) for set points at the given draws (1-based), in one
+    2048-draw batch or across a batch boundary, where the second point, if
+    checked, would flip the outcome: its h has the other sign."""
+    net, cfg = diamond_net(), DEFAULT_CONFIG.updated(domain_box=PROBE_BOX,
+                                                     membership_samples=samples)
+    draws = np.random.default_rng(5).uniform(*np.array(PROBE_BOX).T, size=(13_000, 2))
+    sign = np.sign(net.forward_many(draws))
+    picked = [hits[0] - 1] if hits else []
+    if len(hits) == 2:   # the first draw from hits[1] on where h has the other sign
+        picked.append(hits[1] - 1 + int(np.argmax(sign[hits[1] - 1:] != sign[picked[0]])))
+        assert picked[1] // 2048 == (hits[1] - 1) // 2048
+    set_expr = balls_about(draws[picked]) if picked else parse_expression("-1 - x1^2", 2)
+    for want_inside in (True, False):
+        probe = conditions._membership_probe(net, set_expr, cfg, np.random.default_rng(5),
+                                             want_inside)
+        expected = reference_probe(net, set_expr, cfg, np.random.default_rng(5), want_inside)
+        if expected is None:
+            assert probe is None and (not hits or hits[0] > samples)
+            continue
+        assert probe.samples == hits[0] or not probe.ok
+        assert probe.point.tobytes() == expected.point.tobytes()   # rng.uniform's bits
+        assert probe.point.base is None                            # not a view of the buffer
+        assert (probe.set_value, probe.h_value, probe.ok, probe.samples) == \
+            (expected.set_value, expected.h_value, expected.ok, expected.samples)
+
+
 @pytest.mark.parametrize("flow, h_init, condition, axis, undefined", [
     # ln(x1 + 0.5) is undefined where x1 <= -0.5
     (["-x1", "-x2"], "ln(x1 + 0.5) - 0.5", "initial_result", 0,
@@ -1273,9 +1315,10 @@ def test_verify_certificate_where_the_enclosure_overflows(f1, tmp_path):
 
 
 def test_overflowing_witness_value_is_no_witness(tmp_path):
-    """Under (exp(1000 x1), exp(1000 x2)) the point value of w.f on patch
-    1010 overflows; the patch stays unknown with the enclosure's note, and
-    the report is strict JSON."""
+    """Under (exp(1000 x1), exp(1000 x2)) w.f overflows at the vertices of
+    patch 1010 and its one simplex's enclosure fails, but that simplex's
+    centroid (0.5, 0.5) is checked too: w.f = -2 exp(500) there is finite,
+    so the patch is falsified with it, and the report is strict JSON."""
     path = write_problem(tmp_path, diamond_net(), ["exp(1000*x1)", "exp(1000*x2)"],
                          "0.04 - x1^2 - x2^2", "1 - (x1 - 3)^2 - (x2 - 3)^2")
     problem = load_problem(path)
@@ -1283,9 +1326,10 @@ def test_overflowing_witness_value_is_no_witness(tmp_path):
                                  problem.h_unsafe, problem.config)
     rows = {r.indicator.compact(): v for r, v in zip(verdict.enumeration.regions,
                                                       verdict.invariance_result.region_verdicts)}
-    assert rows["1010"].status == UNKNOWN
-    assert rows["1010"].witness is None
-    assert rows["1010"].note.startswith("interval enclosure failed: overflow or NaN")
+    assert rows["1010"].status == FALSIFIED
+    assert rows["1010"].method == "interval"
+    assert rows["1010"].witness == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert rows["1010"].witness_value == pytest.approx(-2.0 * math.exp(500.0), rel=1e-12)
     assert all(np.isfinite(v.witness_value) for v in rows.values()
                if v.witness_value is not None)
     json.dumps(build_report(problem, verdict), allow_nan=False)

@@ -12,6 +12,7 @@ from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNe
                          enumerate_level_set, find_initial_region,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
 from relubarrier import NumericalFailure, conditions, geometry, parse_expression, regions
+from relubarrier.config import TOL_EQ
 from relubarrier.geometry import inscribed_ball
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
@@ -142,7 +143,8 @@ def test_slice_ball_settles_the_region_ball_unless_rows_run_along_w(monkeypatch)
     every row shows that the region's ball is wide enough too, so most
     valid regions of the random nets skip the region-ball LP; the strip
     slivers, whose rows are parallel to w, take it where their half-width
-    is within that distance, and the 1e-6 strip skips it."""
+    is within that distance, and the 1e-6 strip skips it; the 5e-8 strip
+    is flat and takes no LP at all."""
     region_balls = []
     original = regions.inscribed_ball
 
@@ -159,12 +161,57 @@ def test_slice_ball_settles_the_region_ball_unless_rows_run_along_w(monkeypatch)
                 valid += 1
                 skipped += region_balls == [False]
     assert skipped > 0.75 * valid   # 107 of 131
-    for width, balls in ((5e-8, [False, True]), (1.1e-7, [False, True]), (1e-6, [False])):
+    for width, balls in ((5e-8, []), (1.1e-7, [False, True]), (1e-6, [False])):
         net = ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0]])], [np.array([0.0, width])],
                           np.array([1.0, 0.0]), -width / 2)
         region_balls.clear()
         valid_test(*net.piece(ind(1, 1)))
         assert region_balls == balls
+
+
+def flat_nets():
+    """Small nets whose pieces have exactly opposite rows (slabs), as a ±a
+    neuron pair gives at a facet point on its row, or rows opposite up to a
+    relative 1e-9."""
+    rng = np.random.default_rng(3)
+    w, c = rng.normal(size=(3, 2)), rng.normal(size=3)
+    nets = [ReluNetwork([np.vstack([w, -w[:1]])], [np.append(c, -c[0])], rng.normal(size=4), 0.3),
+            ReluNetwork([np.vstack([w, w[1:2]])], [np.append(c, c[1])], rng.normal(size=4), -0.2)]
+    near = np.vstack([w, -w[:1] * (1 + 1e-9)])    # opposite, but not exactly: the LPs decide
+    nets.append(ReluNetwork([near], [np.append(c, -c[0])], rng.normal(size=4), 0.1))
+    v = rng.normal(size=(2, 3))                   # opposite rows in the second layer
+    nets.append(ReluNetwork([w, np.vstack([v, -v[:1]])], [c, np.array([0.4, -0.1, -0.4])],
+                            rng.normal(size=3), 0.2))
+    for width in (5e-8, 1e-7, 1.1e-7):            # h = x1 - width/2 on 0 <= x1 <= width
+        nets.append(ReluNetwork([np.array([[1.0, 0.0], [-1.0, 0.0], [0.3, 1.0]])],
+                                [np.array([0.0, width, 0.5])], np.array([1.0, 0.0, 0.0]),
+                                -width / 2))
+    return nets
+
+
+def test_flat_check_settles_validity_as_the_reference_does(monkeypatch):
+    """Across every indicator of the flat nets, `valid_test` (which rejects
+    exactly opposite rows bounding a slab no wider than TOL_EQ with no LP)
+    agrees with the rank-based reference, and a flat candidate calls no
+    `inscribed_ball`."""
+    balls = []
+    original = regions.inscribed_ball
+    monkeypatch.setattr(regions, "inscribed_ball",
+                        lambda *args, **kwargs: balls.append(1) or original(*args, **kwargs))
+    flat = 0
+    for net in flat_nets():
+        for indicator in _all_indicators(net):
+            region, w, b = net.piece(indicator)
+            A, d = region.A, region.d
+            slab = any(A[i].any() and np.array_equal(A[i], -A[j])
+                       and d[i] + d[j] <= TOL_EQ * np.linalg.norm(A[i])
+                       for i in range(len(A)) for j in range(len(A)))
+            balls.clear()
+            assert valid_test(region, w, b) == reference_valid(net, indicator), \
+                indicator.compact()
+            assert not slab or balls == []
+            flat += slab
+    assert flat > 20
 
 
 @pytest.mark.parametrize("candidate, radius", [("01011010.00000110.10011011.00001111", 0.0193),
