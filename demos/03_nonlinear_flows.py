@@ -1,23 +1,18 @@
 """Deciding the flow condition when the dynamics are not affine.
 
 For affine flows each patch's vertices and rays settle inf w.f exactly.
-Anything nonlinear climbs the rest of the same ladder, cheapest sound rung
-first:
-
-  * interval branch-and-bound over the patch's bounding box, which can
-    certify the infimum from below or find a checked witness, and
-  * only where branch-and-bound leaves the patch undecided, a local
-    falsification search (sample the slice, walk downhill within the
-    patch) that can only ever prove a violation.
+Anything nonlinear goes to the ladder's second rung, interval
+branch-and-bound: it checks the patch's vertices and points out along its
+rays as witnesses, then encloses w.f over simplices cut from the patch,
+and certifies the infimum from below or finds a checked witness.
 
 `check_invariance` runs that ladder per region; each verdict names the rung
-that decided it (`method`: lp, interval or search).  The cubic system here
-is a classic benchmark flow, and the unit diamond turns out not to be a
-barrier for it: branch-and-bound exhibits outward crossings at the
-corners.  The second example is engineered so that w.f is identically zero
-on the slice, which leaves interval arithmetic stuck at [-eps, +eps]
-forever: the honest answer at zero margin is Unknown (and the search,
-which then runs, finds nothing), and a small tolerance turns it into
+that decided it (`method`: lp or interval).  The cubic system here is a
+classic benchmark flow, and the unit diamond turns out not to be a barrier
+for it: branch-and-bound exhibits outward crossings at the corners.  The
+second example is engineered so that w.f is identically zero on the slice,
+which leaves interval arithmetic stuck at [-eps, +eps] forever: the honest
+answer at zero margin is Unknown, and a small tolerance turns it into
 Verified.
 
 Run:  python3 demos/03_nonlinear_flows.py

@@ -4,8 +4,8 @@ The package takes a small feedforward network with rectifier activations
 whose scalar output h defines a candidate invariant set {h >= 0} for a
 continuous-time system x' = f(x), enumerates the linear regions crossed by
 the zero level set, and decides — per region, from the patch's vertices
-and rays, by interval branch-and-bound, and by local falsification search —
-whether the certificate conditions hold, producing witnesses or exportable
+and rays or by interval branch-and-bound — whether the certificate
+conditions hold, producing witnesses or exportable
 SMT-LIB queries when they do not.
 """
 

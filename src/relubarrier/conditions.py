@@ -8,26 +8,24 @@ the condition's expressions and the region's row of coefficients:
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
 * unsafe set:   g = -h_U
 
-All three go through one ladder, `_decide_regions`, cheapest sound rung
-first, and every rung reads g with the expression module's own routes.
-Whether g is affine depends on the flow and the set function, never on the
-region, so each check takes the affine forms (`_linear_form`) once: of each
-flow component (w.f is affine where every component of nonzero weight is)
-or of the set function.  A g with an affine form is decided exactly off the
+All three go through one ladder, `_decide_regions`, of two rungs, and
+every rung reads g with the expression module's own routes.  Whether g is
+affine depends on the flow and the set function, never on the region, so
+each check takes the affine forms (`_linear_form`) once: of each flow
+component (w.f is affine where every component of nonzero weight is) or of
+the set function.  A g with an affine form is decided exactly off the
 patch's vertices and rays (`regions.ValidRegion`); otherwise interval
-branch-and-bound (BaB) over simplices cut from the patch's vertices, run
-over all such patches at once a level at a time, enclosing each expression
-once per level with `interval_evaluate`, verifies or finds a witness, and a
-falsification search, one batched check of the patch's vertices and of
-points out along its rays, runs only when BaB leaves the patch open:
-`unknown`, or `verified` only on the part of an unbounded patch inside the
-domain box.  A BaB witness ends the ladder wherever it lies.  No rung
-solves an LP: every simplex lies in the patch, and every search point is
+branch-and-bound (BaB) decides it, run over all such patches at once: it
+first checks each patch's vertices and points out along its rays as
+witness seeds, then, a level at a time over simplices cut from the patch's
+vertices, encloses each expression once per level with
+`interval_evaluate`, and verifies or finds a witness.  Its verdict stands.
+No rung solves an LP: every simplex lies in the patch, and every seed is
 checked against the patch's rows.
 `verify_certificate` takes its regions from `regions.enumerate_level_set`,
 the route the SMT export and the plots take as well.  Every witness,
 whichever route produced it (a least vertex, a point out along a
-descending ray, a search or BaB point), passes the one check
+descending ray, a BaB seed or simplex point), passes the one check
 `_checked_witness`, which takes candidates as rows, a batch per call: a
 witness lies on the slice within tol_feas and g evaluated there directly
 (`evaluate`; BaB combines each expression's values into the same floats)
@@ -153,17 +151,6 @@ def _checked_witness(sl, points, values, cfg) -> np.ndarray:
     return values
 
 
-def _first_witness(region, method, points, values, cfg) -> RegionVerdict | None:
-    """A falsified verdict at the first of points whose checked value is
-    below `_gate`, or None."""
-    hits = np.flatnonzero(values < _gate(cfg))
-    if not hits.size:
-        return None
-    return RegionVerdict(region.indicator, FALSIFIED, method,
-                         witness=np.array(points[hits[0]], dtype=float),
-                         witness_value=float(values[hits[0]]))
-
-
 # -- LP route: affine objectives, read off the frame ------------------------------
 
 def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
@@ -195,25 +182,6 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
             verdict.note = "; ".join(filter(None, [verdict.note,
                                                    "LP point failed the witness check"]))
     return verdict
-
-
-# -- falsification search ----------------------------------------------------------
-
-def _falsify(region: ValidRegion, g: Expr, cfg) -> RegionVerdict | None:
-    """Hunt for a slice point with g < -max(tol_margin, FALSIFY_GATE).
-
-    One batch, with no LP: the patch's vertices and the points out along
-    each ray from each vertex at 1, 2, 4, 8 and 16 domain-box widths,
-    checked in one `_checked_witness` call.  Returns a falsified verdict at
-    the first witness among them, or None when there is none (which proves
-    nothing).
-    """
-    vertices = region.vertices
-    width = float(np.max(np.ptp(cfg.domain(region.slice.dim), axis=1)))
-    points = np.vstack([vertices] + [vertices + width * 2.0 ** k * ray
-                                     for k in range(5) for ray in region.rays])
-    return _first_witness(region, "search", points,
-                          _checked_witness(region.slice, points, evaluate(g, points), cfg), cfg)
 
 
 # -- interval branch-and-bound over simplices of the patch ---------------------------
@@ -255,16 +223,23 @@ def _simplices(region: ValidRegion, cfg):
 
 
 def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
-    """Per region, `_first_witness` among its points (one array and one row
-    of coefs each), evaluating each expression once over all of them; a
-    region with no value below `_gate` goes no further."""
+    """Per region, a falsified verdict at the first of its points (one array
+    and one row of coefs each) whose checked value is below `_gate`, or
+    None.  Each expression is evaluated once over all the points; only a
+    region with a value below `_gate` has its points checked."""
     counts, rows = [len(p) for p in points], np.concatenate(points)
     parts = np.stack([evaluate(e, rows) for e in exprs], axis=1)
     values = _weighted_enclosure(np.repeat(coefs, counts, axis=0),
                                  np.stack([parts, parts], axis=2))[:, 0]
-    return [_first_witness(region, "interval", p, _checked_witness(region.slice, p, v, cfg), cfg)
-            if (v < _gate(cfg)).any() else None
-            for region, p, v in zip(regions, points, np.split(values, np.cumsum(counts)[:-1]))]
+    verdicts = []
+    for region, p, v in zip(regions, points, np.split(values, np.cumsum(counts)[:-1])):
+        if (v < _gate(cfg)).any():
+            v = _checked_witness(region.slice, p, v, cfg)
+        hits = np.flatnonzero(v < _gate(cfg))
+        verdicts.append(RegionVerdict(region.indicator, FALSIFIED, "interval",
+                                      witness=np.array(p[hits[0]], dtype=float),
+                                      witness_value=float(v[hits[0]])) if hits.size else None)
+    return verdicts
 
 
 def _split(simplices):
@@ -299,26 +274,33 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     """Certify min g >= -tol_margin over each patch, g = weighted_sum(coefs[i],
     exprs) on regions[i], or find a witness.
 
-    The vertices are checked first, as witness seeds.  Then each patch is
-    cut into simplices (`_simplices`; a NumericalFailure leaves it unknown)
-    and all run in lockstep a level at a time, each in its queue order: each
-    expression is enclosed once over all the level's simplex vertex boxes;
-    a simplex whose enclosure of g does not certify has its vertices and
-    centroid checked as witnesses, then its longest edge bisected.  In a
-    patch the first witness, up to and including the first simplex whose
-    enclosure fails, ends the run; failing that, such a simplex ends it
-    unknown.  No LP is solved.  Each box is widened by
+    Witness seeds are checked first, in one batch over all patches: each
+    patch's vertices, then the points out along each ray from each vertex
+    at 1, 2, 4, 8 and 16 domain-box widths.  Each patch with no witness
+    among them is cut into simplices (`_simplices`; a NumericalFailure
+    leaves it unknown) and all run in lockstep a level at a time, each in
+    its queue order: each expression is enclosed once over all the level's
+    simplex vertex boxes; a simplex whose enclosure of g does not certify
+    has its vertices and centroid checked as witnesses, then its longest
+    edge bisected.  In a patch the first witness, up to and including the
+    first simplex whose enclosure fails, ends the run; failing that, such a
+    simplex ends it unknown.  No LP is solved.  Each box is widened by
     tol_feas, where a witness may sit, but not past a single-coordinate
     row's exact bound (`_axis_bounds`).  An unbounded patch is cut to the
     domain box first; a verified or unknown verdict then speaks only for its
-    part inside (``domain_restricted``), while a witness is a violation
-    wherever it lies.  ``bab_max_boxes`` counts each patch's simplices.
+    part inside (``domain_restricted``), while a witness, a ray point's
+    too, is a violation wherever it lies.  ``bab_max_boxes`` counts each
+    patch's simplices.
     """
     if not regions:
         return []
     coefs = np.array(coefs, dtype=float)
     interval = lambda i, status, **kw: RegionVerdict(regions[i].indicator, status, "interval", **kw)
-    verdicts = _first_witnesses(regions, coefs, [r.vertices for r in regions], exprs, cfg)
+    width = float(np.max(np.ptp(cfg.domain(regions[0].slice.dim), axis=1)))
+    verdicts = _first_witnesses(regions, coefs, [
+        np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
+                                  for k in range(5) for ray in r.rays]) for r in regions],
+        exprs, cfg)
     runs = []
     for i, region in enumerate(regions):
         if verdicts[i] is not None:
@@ -390,15 +372,7 @@ def _decide_regions(regions, exprs, objective_of, cfg) -> list[RegionVerdict]:
     """Each region's verdict on g = weighted_sum(coefs, exprs), with
     (coefs, form) = objective_of(region): off the patch's frame when g's
     affine form (coeffs, const) is given, else BaB over all such patches at
-    once, then the falsification search only where BaB leaves the patch
-    open.  No rung solves an LP.
-
-    BaB's witness ends the ladder.  It leaves the patch open when it ends
-    `unknown` (budget spent, width floor, failed enclosure, NumericalFailure
-    of its simplices) or verifies an unbounded patch only inside the domain
-    box, which the search's ray points reach past.  A witness the search
-    finds replaces BaB's verdict; otherwise BaB's verdict and note stand.
-    """
+    once.  No rung solves an LP."""
     objectives = [objective_of(region) for region in regions]
     verdicts = [None if form is None else
                 _decide_affine(region, weighted_sum(coefs, exprs), form, cfg)
@@ -406,9 +380,6 @@ def _decide_regions(regions, exprs, objective_of, cfg) -> list[RegionVerdict]:
     rest = [i for i, v in enumerate(verdicts) if v is None]
     bab = _bab([regions[i] for i in rest], exprs, [objectives[i][0] for i in rest], cfg)
     for i, verdict in zip(rest, bab):
-        if verdict.status == UNKNOWN or verdict.domain_restricted:
-            found = _falsify(regions[i], weighted_sum(objectives[i][0], exprs), cfg)
-            verdict = found if found is not None else verdict
         verdicts[i] = verdict
     return verdicts
 

@@ -1,4 +1,4 @@
-"""Per-region condition checks: LP route, falsification, branch-and-bound,
+"""Per-region condition checks: LP route, branch-and-bound and its seeds,
 set conditions, and the end-to-end certificate pipeline."""
 
 import dataclasses
@@ -157,22 +157,43 @@ def test_affine_forms_are_taken_once_per_flow_component_or_set_function(monkeypa
     assert all(v.method != "lp" for v in result.region_verdicts)
 
 
-# -- falsification search ---------------------------------------------------------------
+# -- BaB's witness seeds ---------------------------------------------------------------
+
+def seed_batches(monkeypatch):
+    """The point batches `_first_witnesses` gets, one list per call; the
+    first call is BaB's seed check."""
+    calls = []
+    original = conditions._first_witnesses
+
+    def logged(regions, coefs, points, exprs, cfg):
+        calls.append([np.array(p) for p in points])
+        return original(regions, coefs, points, exprs, cfg)
+
+    monkeypatch.setattr(conditions, "_first_witnesses", logged)
+    return calls
+
 
 def test_falsify_finds_witness_for_constant_negative():
+    """w.f = -(1 + x2^2) < 0 on the whole patch: the first vertex is a
+    witness."""
     net, region = first_quadrant_region()
-    sys = DynamicsSystem.parse(["1", "0"], dim=2)
-    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG)
-    assert hit is not None
-    assert hit.status == FALSIFIED
+    sys = DynamicsSystem.parse(["1 + x2^2", "0"], dim=2)
+    hit, = check_invariance(net, [region], sys).region_verdicts
+    assert (hit.status, hit.method) == (FALSIFIED, "interval")
+    assert np.array_equal(hit.witness, region.vertices[0])
     assert region.slice.contains(hit.witness, tol=1e-6)
     assert hit.witness_value < -1e-9
 
 
-def test_falsify_absent_for_stable_flow():
+def test_falsify_absent_for_stable_flow(monkeypatch):
+    """w.f = x1^3 + x2^3 >= 1/4 on the patch: no seed is a witness, and BaB
+    verifies."""
+    batches = seed_batches(monkeypatch)
     net, region = first_quadrant_region()
-    sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    assert conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG) is None
+    sys = DynamicsSystem.parse(["-x1^3", "-x2^3"], dim=2)
+    verdict, = check_invariance(net, [region], sys).region_verdicts
+    assert (verdict.status, verdict.method, verdict.witness) == (VERIFIED, "interval", None)
+    assert batches and np.array_equal(batches[0][0], region.vertices)
 
 
 def test_falsify_sign_change_matches_grid_oracle():
@@ -182,43 +203,48 @@ def test_falsify_sign_change_matches_grid_oracle():
     pts = slice_grid(region, 10_000)
     w = region.slice.w
     grid_vals = np.array([w @ sys(p) for p in pts[::10]])
-    hit = conditions._falsify(region, w_dot_f(region, sys), DEFAULT_CONFIG)
+    hit, = check_invariance(net, [region], sys).region_verdicts
+    assert hit.method == "interval"
     if grid_vals.min() < -1e-6:
-        assert hit is not None
+        assert hit.status == FALSIFIED
         assert hit.witness_value < -1e-9
         direct = w @ sys(np.asarray(hit.witness))
         assert hit.witness_value == pytest.approx(direct, rel=1e-9, abs=1e-12)
     else:
-        assert hit is None
+        assert hit.status != FALSIFIED
 
 
 def test_falsify_solves_no_lp(monkeypatch):
-    """w.f = 0 on the flat patch, so the search checks every one of its
-    points and finds no witness, with no LP anywhere."""
+    """w.f = 0 on the flat patch, so BaB checks its seeds and every simplex
+    up to its budget and finds no witness, with no LP anywhere."""
     net, region = first_quadrant_region()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
-    g = weighted_sum(region.slice.w, sys.exprs)
     calls = counted_lp_solves(monkeypatch)
-    found = conditions._falsify(region, g, DEFAULT_CONFIG)
-    assert found is None
+    verdict, = check_invariance(net, [region], sys,
+                                DEFAULT_CONFIG.updated(bab_max_boxes=50)).region_verdicts
+    assert (verdict.status, verdict.method, verdict.witness) == (UNKNOWN, "interval", None)
     assert calls == []
 
 
 def test_falsify_checks_its_points_in_one_call(monkeypatch):
-    """w.f = 0 on the flat patch, so no point is a witness: the search checks
-    all of them (the segment's two vertices; it has no rays) in one batch."""
-    batches = []
-    checked = conditions._checked_witness
-
-    def recorded(sl, points, values, cfg):
-        batches.append(len(points))
-        return checked(sl, points, values, cfg)
-
-    monkeypatch.setattr(conditions, "_checked_witness", recorded)
-    net, region = first_quadrant_region()
-    g = w_dot_f(region, DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2))
-    assert conditions._falsify(region, g, DEFAULT_CONFIG) is None
-    assert batches == [len(region.vertices)]
+    """h = 1 - relu(x1) - relu(x2) has a segment and two half-lines as
+    patches.  BaB's first batch holds, for all three at once, each patch's
+    vertices and then each vertex moved 1, 2, 4, 8 and 16 domain-box widths
+    along each ray (a width is 6 on the default domain box).  w.f is
+    positive on every patch (1 + x2^2, 1 + x1^2, 2 + |x|^2), so no point
+    is a witness."""
+    batches = seed_batches(monkeypatch)
+    net = ReluNetwork([np.eye(2)], [np.zeros(2)], -np.ones(2), 1.0)
+    regions = [build_valid_region(net, c) for c in brute_force_valid_regions(net)]
+    sys = DynamicsSystem.parse(["-1 - x1^2", "-1 - x2^2"], dim=2)
+    result = check_invariance(net, regions, sys)
+    assert [len(r.rays) for r in regions] == [1, 1, 0]
+    assert all(v.status == VERIFIED for v in result.region_verdicts)
+    assert len(batches[0]) == len(regions)
+    for region, seeds in zip(regions, batches[0]):
+        steps = [6.0 * 2.0 ** k * ray for k in range(5) for ray in region.rays]
+        assert np.array_equal(seeds, np.vstack([region.vertices]
+                                               + [region.vertices + s for s in steps]))
 
 
 # -- branch and bound ------------------------------------------------------------------
@@ -472,34 +498,24 @@ def test_simplices_tile_the_patch():
     assert counts[1] and counts[2] and counts[3] and counts[4] and counts["degenerate"]
 
 
-def counted_search(monkeypatch):
-    calls = []
-    original = conditions._falsify
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(conditions, "_falsify", counted)
-    return calls
-
-
-def test_a_witness_inside_a_bounded_patch_comes_from_bab():
+def test_a_witness_inside_a_bounded_patch_comes_from_bab(monkeypatch):
     """h = 1 - |x1| - |x2| - |x3|; on its first-octant patch (a triangle)
     w.f = 100 ((x1 - c1)^2 + (x2 - c2)^2) - 1 is negative only on a small
-    disc: neither the vertices nor any ray point (the patch has no rays) is
-    a witness, so the search finds none, and BaB's simplices reach into the
-    disc."""
+    disc: no seed (the vertices; the patch has no rays) is a witness, and
+    BaB's simplices reach into the disc."""
+    batches = seed_batches(monkeypatch)
     net = ReluNetwork([np.kron(np.eye(3), [[1.0], [-1.0]])], [np.zeros(6)], -np.ones(6), 1.0)
     region = build_valid_region(net, ind(1, 0, 1, 0, 1, 0))
     for c1, c2 in ((0.2, 0.5), (0.5, 0.2), (0.3, 0.3)):
         sys = DynamicsSystem.parse([f"1 - 100*((x1 - {c1})^2 + (x2 - {c2})^2)", "0", "0"],
                                    dim=3)
         g = w_dot_f(region, sys)
-        assert conditions._falsify(region, g, DEFAULT_CONFIG) is None
+        batches.clear()
         result = check_invariance(net, [region], sys)
         verdict, = result.region_verdicts
         assert (result.status, verdict.status, verdict.method) == (FALSIFIED, FALSIFIED, "interval")
+        assert np.array_equal(batches[0][0], region.vertices)
+        assert not any(np.array_equal(verdict.witness, v) for v in region.vertices)
         assert np.hypot(verdict.witness[0] - c1, verdict.witness[1] - c2) < 0.1
         assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
@@ -527,33 +543,40 @@ def test_batched_witness_check_is_the_per_row_definition(rows, flow):
         assert (got < gate) == (checked and v < gate)
 
 
-def test_search_skipped_where_bab_verifies(monkeypatch):
+def test_bab_verifies_the_decay_flow_on_bounded_patches():
     """Decay flow on the diamond's bounded patches: w.f = 1 + |x|^2 there."""
-    calls = counted_search(monkeypatch)
     net, regions = diamond_regions()
     sys = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
     result = check_invariance(net, regions, sys)
     assert result.status == VERIFIED
-    assert all((v.method, v.domain_restricted) == ("interval", False)
+    assert all((v.method, v.domain_restricted, v.witness) == ("interval", False, None)
                for v in result.region_verdicts)
-    assert calls == []
 
 
-def test_search_runs_once_when_bab_runs_out_of_boxes(monkeypatch):
-    calls = counted_search(monkeypatch)
+def test_a_patch_bab_leaves_open_has_its_vertices_evaluated_once(monkeypatch):
+    """w.f = 0 on the flat patch, so BaB runs out of boxes.  The patch's
+    vertices are evaluated once, in the seed check, one call per flow
+    component, and never again as a batch of their own."""
     net, region = first_quadrant_region()
-    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)   # w.f = 0 on the patch
+    sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
+    at_vertices, original = [], conditions.evaluate
+
+    def logged(e, x):
+        if np.array_equal(np.reshape(x, (-1, 2)), region.vertices):
+            at_vertices.append(e)
+        return original(e, x)
+
+    monkeypatch.setattr(conditions, "evaluate", logged)
     cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
     verdict, = check_invariance(net, [region], sys, cfg).region_verdicts
-    assert len(calls) == 1
     assert (verdict.status, verdict.method) == (UNKNOWN, "interval")
     assert verdict.note == "box budget 5 exhausted"
+    assert at_vertices == list(sys.exprs)
 
 
-def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
+def test_drift_region_falsified_by_bab_with_checked_witness():
     """Decay flow plus a drift d = (2t(1 + t^2) + 1) u: at x = t u on the
     diamond's first-quadrant patch (t = 1 / (u1 + u2)), w.f < 0."""
-    calls = counted_search(monkeypatch)
     u = np.array([0.6, 0.8])
     t = 1.0 / u.sum()
     d = (2.0 * t * (1.0 + t * t) + 1.0) * u
@@ -571,23 +594,25 @@ def test_drift_region_falsified_by_bab_with_checked_witness(monkeypatch):
                                          evaluate(g, np.array([v.witness, off])), DEFAULT_CONFIG)
     assert values[0] == v.witness_value < conditions._gate(DEFAULT_CONFIG)
     assert np.isnan(values[1])
-    assert calls == []
 
 
-def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(monkeypatch):
+def test_a_ray_point_witness_ends_the_patch_before_any_simplex_is_cut(monkeypatch):
     """On the line x1 = 0, w.f = 16 - x2^2 is positive inside the default
-    [-3, 3]^2 domain box and negative for |x2| > 4: BaB verifies inside the
-    box, and the search, not bound to the box, finds the witness outside."""
-    calls = counted_search(monkeypatch)
+    [-3, 3]^2 domain box and negative for |x2| > 4: the seeds out along the
+    line's rays, not bound to the box, give the witness, so BaB cuts no
+    simplex and the verdict is not domain-restricted."""
+    cuts = []
+    original = conditions._simplices
+    monkeypatch.setattr(conditions, "_simplices",
+                        lambda *args: cuts.append(1) or original(*args))
     net = line_net()
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
-    inside = bab(region, sys)
-    assert (inside.status, inside.domain_restricted) == (VERIFIED, True)
     verdict, = check_invariance(net, [region], sys).region_verdicts
-    assert len(calls) == 1
-    assert (verdict.status, verdict.method) == (FALSIFIED, "search")
+    assert cuts == []
+    assert (verdict.status, verdict.method, verdict.domain_restricted) == \
+        (FALSIFIED, "interval", False)
     assert abs(verdict.witness[1]) > 4.0
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
@@ -595,10 +620,10 @@ def test_search_runs_where_bab_sees_an_unbounded_patch_inside_the_domain_only(mo
 def test_a_violation_between_the_ray_points_leaves_a_domain_restricted_verified():
     """h = 1 - relu(x1) - relu(x2); its patch for x1 > 0 > x2 is the half-line
     x1 = 1, x2 <= 0, and w.f = (x2 + 35)^2 / 25 - 1 is negative only for
-    -40 < x2 < -30, outside the default [-3, 3]^2 domain box and between the
-    search's ray points at 4 and 8 box widths (x2 = -24 and -48).  BaB
-    verifies the part inside the box, the search finds no witness, and the
-    verified row speaks for that part only."""
+    -40 < x2 < -30, outside the default [-3, 3]^2 domain box and between
+    BaB's ray seeds at 4 and 8 box widths (x2 = -24 and -48).  No seed is
+    a witness, BaB verifies the part inside the box, and the verified row
+    speaks for that part only."""
     net = ReluNetwork([np.eye(2)], [np.zeros(2)], -np.ones(2), 1.0)
     region = build_valid_region(net, ind(1, 0))
     np.testing.assert_allclose(region.rays, [[0.0, -1.0]], atol=1e-12)
@@ -611,12 +636,11 @@ def test_a_violation_between_the_ray_points_leaves_a_domain_restricted_verified(
     assert verdict.witness is None
 
 
-def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
+def test_bab_witness_on_an_unbounded_patch_ends_the_ladder():
     """On the line x1 = 0, w.f = x2^2 - 1 is negative for |x2| < 1, inside
     the domain box: BaB's checked witness is a violation wherever the patch
-    runs, so the verdict is not domain-restricted and the search does not
-    run."""
-    calls = counted_search(monkeypatch)
+    runs, so the verdict is not domain-restricted, and check_invariance
+    gives BaB's verdict as it is."""
     net = line_net()
     region = build_valid_region(net, brute_force_valid_regions(net)[0])
     sys = DynamicsSystem.parse(["x2^2 - 1", "0"], dim=2)
@@ -624,7 +648,6 @@ def test_bab_witness_on_an_unbounded_patch_ends_the_ladder(monkeypatch):
     alone = bab(region, sys)
     assert (alone.status, alone.domain_restricted) == (FALSIFIED, False)
     verdict, = check_invariance(net, [region], sys).region_verdicts
-    assert calls == []
     assert (verdict.status, verdict.method) == (FALSIFIED, "interval")
     assert np.array_equal(verdict.witness, alone.witness)
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
@@ -634,8 +657,8 @@ def test_no_frame_for_the_cut_patch_leaves_the_row_to_the_search(monkeypatch):
     """When the frame of an unbounded patch cut to the domain box fails
     (NumericalFailure: the steps from its largest ball's centre end off
     it), BaB's row is unknown and domain-restricted, with the reason in its
-    note, and the search still runs: on the line x1 = 0 it finds
-    w.f = 16 - x2^2 < 0 beyond the box."""
+    note, unless its seeds, checked before any cut, hold a witness: on the
+    line x1 = 0 the ray seeds find w.f = 16 - x2^2 < 0 beyond the box."""
     def failing(*args, **kwargs):
         raise NumericalFailure("the steps from the centre of the polyhedron's largest "
                                "ball end off it")
@@ -688,7 +711,7 @@ def test_a_patch_with_no_simplex_leaves_its_row_unknown():
     assert verdict.note.startswith("no simplex in the pulling triangulation of 5 vertices")
 
 
-def test_search_reaches_far_along_a_ray_shaped_patch():
+def test_ray_seeds_reach_far_along_a_ray_shaped_patch():
     """h = x1 from hidden units x1, -x1, x2: with the third unit off the
     patch is the ray x1 = 0, x2 <= 0, so every vertex LP ends at its apex.
     w.f = 16 - x2^2 is negative only for x2 < -4, beyond the domain box."""
@@ -698,7 +721,7 @@ def test_search_reaches_far_along_a_ray_shaped_patch():
     sys = DynamicsSystem.parse(["16 - x2^2", "0"], dim=2)
     g = weighted_sum(region.slice.w, sys.exprs)
     verdict, = check_invariance(net, [region], sys).region_verdicts
-    assert (verdict.status, verdict.method) == (FALSIFIED, "search")
+    assert (verdict.status, verdict.method) == (FALSIFIED, "interval")
     assert verdict.witness[1] < -4.0
     assert_checked_witness(region, verdict, lambda x: evaluate(g, x))
 
@@ -954,8 +977,8 @@ def test_affine_set_expression_uses_lp_route():
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_condition_order_does_not_change_verdicts(seed, monkeypatch):
-    """No condition solves an LP (BaB and the search under the radial flows
-    x (|x|^2 - 20) and its reverse, and the affine route, read the frame):
+    """No condition solves an LP (BaB under the radial flows x (|x|^2 - 20)
+    and its reverse, and the affine route, read the frame):
     the four checks make no lp_solve call.  Unsafe then invariance on one
     region list gives the verdicts of invariance then unsafe on a fresh
     enumeration: same route, bound and witness."""
@@ -982,7 +1005,7 @@ def test_condition_order_does_not_change_verdicts(seed, monkeypatch):
                 (b.status, b.method, b.bound, b.witness_value, b.note)
             assert (a.witness is None and b.witness is None) or np.array_equal(a.witness,
                                                                                b.witness)
-    assert methods == {"lp", "search", "interval"}
+    assert methods == {"lp", "interval"}
 
 
 # -- end-to-end --------------------------------------------------------------------------
@@ -1115,9 +1138,9 @@ def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
     """Nonlinear flows and ball sets, so every patch goes to branch-and-bound
-    over its simplices and, where that leaves it open, to the search: still
-    every lp_solve call is a validity LP.  The cubic flow on the diamond,
-    and the transcendental flow on a random 3-D net with unbounded patches."""
+    over its simplices: still every lp_solve call is a validity LP.  The
+    cubic flow on the diamond, and the transcendental flow on a random 3-D
+    net with unbounded patches."""
     if n == 2:
         net, flow = diamond_net(), CUBIC2D
     else:
