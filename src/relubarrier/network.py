@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,18 +30,19 @@ class ActivationIndicator:
     """One 0/1 entry per hidden neuron, grouped by layer."""
 
     bits: tuple[tuple[int, ...], ...]
+    _key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bits",
-                           tuple(tuple(int(v) for v in layer) for layer in self.bits))
-        for layer in self.bits:
-            for v in layer:
-                if v not in (0, 1):
-                    raise ValueError(f"indicator entries must be 0/1, got {v}")
+        bits = tuple(tuple(map(int, layer)) for layer in self.bits)
+        key = sum(bits, ())
+        if not {0, 1}.issuperset(key):
+            raise ValueError("indicator entries must be 0/1, got "
+                             f"{next(v for v in key if v not in (0, 1))}")
+        self.__dict__.update(bits=bits, _key=key)   # frozen: no __setattr__
 
     def key(self) -> tuple[int, ...]:
         """Flattened layer-major bit tuple; the canonical sort key."""
-        return tuple(v for layer in self.bits for v in layer)
+        return self._key
 
     def compact(self) -> str:
         """Human-readable form, layers joined by '.': e.g. '1010' or '10.01'."""
@@ -176,7 +177,7 @@ class ReluNetwork:
                 bits = base.copy()
                 bits[ambiguous] = combo
                 z_next = np.where(bits == 1, pre, 0.0)
-                descend(layer + 1, z_next, prefix + (tuple(int(v) for v in bits),),
+                descend(layer + 1, z_next, prefix + (tuple(bits.tolist()),),
                         branched + ambiguous.size)
 
         descend(0, x, (), 0)

@@ -2,12 +2,12 @@
 
 A region is *valid* when it is full-dimensional and its intersection with
 the hyperplane of its own affine piece (its *slice*) has dimension n-1:
-inscribed balls wider than TOL_EQ, mostly settled by the slice's LP alone,
-and with no LP where two opposite rows bound a slab no wider than TOL_EQ.
-A valid region then costs no LP: a row that one of its patch's vertices
-meets within tol_feas (`geometry.frame`) touches the slice, and the mean
-of the vertices that meet it is its facet point; the other rows are
-redundant there.
+inscribed balls wider than TOL_EQ.  A point of the patch's frame
+(`geometry.frame`) mostly shows that with no LP, the slice's LP being the
+fallback, and a slab no wider than TOL_EQ between opposite rows needs none.
+The frame gives the rest of a valid region: a row that one of its vertices
+meets within tol_feas touches the slice, and the mean of the vertices that
+meet it is its facet point; the other rows are redundant there.
 `constraints` keeps the distinct nonzero rows (the exact region), the slice
 the touching rows, which the deciders and the SMT export read.
 `enumerate_level_set` is the one enumeration route: unless interval bounds
@@ -79,28 +79,33 @@ class EnumerationResult:
 
 
 def valid_test(region: Polyhedron, w: np.ndarray, b: float,
-               cfg: VerifierConfig = DEFAULT_CONFIG) -> bool:
+               cfg: VerifierConfig = DEFAULT_CONFIG, evidence=None) -> bool:
     """Decide whether the piece w.x + b on region (`ReluNetwork.piece`)
-    makes a valid region, mostly with one LP, and a flat one with none.
+    makes a valid region, mostly with no LP.
 
     The largest balls in the region and in its slice on w.x + b = 0 have
     diameter > TOL_EQ (w = 0: valid but degenerate if b = 0, else no slice).
     No such ball fits between rows a.x <= d_i and -a.x <= d_j (exactly
     opposite) with d_i + d_j <= TOL_EQ |a|, so that flat region is rejected
     before any LP; rows only nearly opposite are left to the LPs.
-    The slice ball's centre lies in the region, so the region holds the
-    ball about it out to its nearest nonzero row: the region's LP runs
-    only for w = 0 or where that distance is within tol_feas of TOL_EQ / 2."""
+    Both balls fit about a point c of the hyperplane farther than TOL_EQ / 2
+    + tol_feas from each nonzero row, zero rows holding (|a N| <= |a| in its
+    `chart`): past the flat check, with w != 0, evidence() (a point or None)
+    is tried as c, then the slice LP's centre; the region's LP runs last."""
     A, d = region.A[nz := region.A.any(axis=1)], region.d[nz]
     norms, sums = np.linalg.norm(A, axis=1), A.sum(axis=1)
     i, j = np.nonzero(sums[:, None] == -sums)   # negating a row negates its sum exactly
     if i.size and np.any(np.all(A[i] == -A[j], axis=1) & (d[i] + d[j] <= TOL_EQ * norms[i])):
         return False
+    margin = (TOL_EQ / 2.0 + cfg.tol_feas) * norms
     if w.any():
+        c = None if evidence is None else evidence()
+        if c is not None and np.all(region.d[~nz] >= 0.0) and np.all(d - A @ c > margin):
+            return True
         ball = inscribed_ball(Polyhedron(region.A, region.d, w, b), cfg.tol_feas)
         if ball is None or 2.0 * ball[1] <= TOL_EQ:
             return False
-        if np.all(d - A @ ball[0] > (TOL_EQ / 2.0 + cfg.tol_feas) * norms):
+        if np.all(d - A @ ball[0] > margin):
             return True
     ball = inscribed_ball(region, cfg.tol_feas)
     return ball is not None and 2.0 * ball[1] > TOL_EQ and bool(w.any() or b == 0.0)
@@ -109,15 +114,29 @@ def valid_test(region: Polyhedron, w: np.ndarray, b: float,
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
                        cfg: VerifierConfig = DEFAULT_CONFIG, near=None) -> ValidRegion | None:
     """Validate ind and construct its ValidRegion, or None when it is not
-    valid; near, a point of the patch if given, starts its frame.  A
-    degenerate piece (w = 0) has the whole region for its patch."""
+    valid; near, a point of the patch if given, starts its frame.  The frame
+    is `valid_test`'s evidence (its vertices' mean plus its unit rays), so it
+    comes first; one that fails leaves validity to the LPs, and fails again
+    if they accept.  A degenerate piece (w = 0) has the whole region for its patch."""
     region, w, b = net.piece(ind)
-    if not valid_test(region, w, b, cfg):
-        return None
-    _, first = np.unique(np.column_stack([region.A, region.d]), axis=0, return_index=True)
-    keep = [j for j in sorted(first) if region.A[j].any()]
+    first, nz = {}, region.A.any(axis=1)
+    for j, row in enumerate(np.column_stack([region.A, region.d]) + 0.0):   # -0.0 keys as 0.0
+        first.setdefault(row.tobytes(), j)
+    keep = [j for j in first.values() if nz[j]]
     exact = Polyhedron(region.A[keep], region.d[keep])
-    vertices, rays, tight = frame(Polyhedron(exact.A, exact.d, w, b), cfg.tol_feas, near)
+    patch, framed = Polyhedron(exact.A, exact.d, w, b), []
+
+    def evidence():
+        try:
+            framed.append(frame(patch, cfg.tol_feas, near))
+        except NumericalFailure:
+            return None
+        vertices, rays, _ = framed[0]
+        return vertices.mean(axis=0) + rays.sum(axis=0) if len(vertices) else None
+
+    if not valid_test(region, w, b, cfg, evidence):
+        return None
+    vertices, rays, tight = framed[0] if framed else frame(patch, cfg.tol_feas, near)
     span = np.vstack([vertices[1:] - vertices[:1], rays])
     if not len(vertices) or np.linalg.matrix_rank(span) < len(w) - w.any():
         raise NumericalFailure(f"valid region {ind.compact()}: its frame spans fewer "

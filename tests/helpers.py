@@ -263,23 +263,23 @@ def slice_feasible_point(sl, tol_feas: float = 1e-7):
 
 
 def failing_validity_lps(monkeypatch, seed_failures: int = 0):
-    """Make validity LPs (`regions.inscribed_ball`) fail numerically: the
-    seed search's first seed_failures, and every one of boundary
-    propagation."""
-    ball, walk = regions.inscribed_ball, regions.boundary_propagation
+    """Make validity decisions (`regions.valid_test`) fail numerically, as
+    a failing validity LP does: the seed search's first seed_failures, and
+    every one of boundary propagation."""
+    valid, walk = regions.valid_test, regions.boundary_propagation
     state = {"calls": 0, "walking": False}
 
     def failing(*args, **kwargs):
         state["calls"] += 1
         if state["walking"] or state["calls"] <= seed_failures:
             raise NumericalFailure("injected validity LP failure")
-        return ball(*args, **kwargs)
+        return valid(*args, **kwargs)
 
     def walking(*args, **kwargs):
         state["walking"] = True
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(regions, "inscribed_ball", failing)
+    monkeypatch.setattr(regions, "valid_test", failing)
     monkeypatch.setattr(regions, "boundary_propagation", walking)
 
 

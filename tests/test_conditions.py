@@ -24,7 +24,7 @@ from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box, frame, inscribed_ball
-from relubarrier.regions import ValidRegion
+from relubarrier.regions import ValidRegion, valid_test
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
@@ -978,8 +978,9 @@ def test_affine_set_expression_uses_lp_route():
 @pytest.mark.parametrize("seed", [0, 2])
 def test_condition_order_does_not_change_verdicts(seed, monkeypatch):
     """No condition solves an LP (BaB under the radial flows x (|x|^2 - 20)
-    and its reverse, and the affine route, read the frame):
-    the four checks make no lp_solve call.  Unsafe then invariance on one
+    and its reverse, and the affine route, read the frame), and each region
+    is certified valid from its frame: the enumerations and the four checks
+    make no lp_solve call.  Unsafe then invariance on one
     region list gives the verdicts of invariance then unsafe on a fresh
     enumeration: same route, bound and witness."""
     net = random_hidden_net(np.random.default_rng(seed), n_in=2, neurons=6)
@@ -996,7 +997,7 @@ def test_condition_order_does_not_change_verdicts(seed, monkeypatch):
         inv_second = check_invariance(net, regions, sys)
         inv_first = check_invariance(net, fresh, sys)
         unsafe_second = check_unsafe_condition(net, fresh, unsafe)
-        assert enumerated > 0 and len(calls) == enumerated
+        assert len(calls) == enumerated == 0
         pairs = list(zip(inv_second.region_verdicts + unsafe_first.region_verdicts,
                          inv_first.region_verdicts + unsafe_second.region_verdicts))
         methods |= {a.method for a, _ in pairs}
@@ -1106,39 +1107,42 @@ def test_a_walk_that_cannot_cross_a_facet_is_partial(seed, segment):
 
 
 def validity_lps_and_all_lps(monkeypatch, net, sys, h_init, h_unsafe):
-    """(LPs solved inside `inscribed_ball`, all LPs) of one
-    verify_certificate, and its verdict."""
-    inside = []
+    """(LPs solved inside `valid_test`, all LPs, the LPs each accepted
+    candidate solved there) of one verify_certificate, and its verdict."""
+    tests = []
     calls = counted_lp_solves(monkeypatch)
 
-    def counted_ball(*args, **kwargs):
+    def counted_valid_test(*args, **kwargs):
         before = len(calls)
-        out = inscribed_ball(*args, **kwargs)
-        inside.append(len(calls) - before)
+        out = valid_test(*args, **kwargs)
+        tests.append((out, len(calls) - before))
         return out
 
-    monkeypatch.setattr("relubarrier.regions.inscribed_ball", counted_ball)
+    monkeypatch.setattr("relubarrier.regions.valid_test", counted_valid_test)
     verdict = verify_certificate(net, sys, h_init, h_unsafe)
-    return sum(inside), len(calls), verdict
+    return sum(n for _, n in tests), len(calls), [n for ok, n in tests if ok], verdict
 
 
 def test_an_all_affine_problem_solves_only_validity_lps(monkeypatch):
     """Under an affine flow with half-space sets, every lp_solve call of
-    verify_certificate is a validity LP (`inscribed_ball`): the facet
-    points and the affine minima come off each patch's vertices and rays."""
+    verify_certificate is a validity LP (`valid_test`), and a region
+    certified from its frame solves none: the facet points and the affine
+    minima come off each patch's vertices and rays."""
     net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
     F = -np.eye(3) + 0.5 * np.random.default_rng(100).normal(size=(3, 3))
-    validity, lps, verdict = validity_lps_and_all_lps(
+    validity, lps, accepted, verdict = validity_lps_and_all_lps(
         monkeypatch, net, affine_system(F, np.zeros(3)),
         parse_expression("-x1 - 1.5", 3), parse_expression("x2 - 1.5", 3))
     assert len(verdict.enumeration.regions) > 20
-    assert validity == lps > 0
+    assert validity == lps
+    assert accepted == [0] * len(verdict.enumeration.regions)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
     """Nonlinear flows and ball sets, so every patch goes to branch-and-bound
-    over its simplices: still every lp_solve call is a validity LP.  The
+    over its simplices: still every lp_solve call is a validity LP, and a
+    region certified from its frame solves none.  The
     cubic flow on the diamond, and the transcendental flow on a random 3-D
     net with unbounded patches."""
     if n == 2:
@@ -1146,23 +1150,25 @@ def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
     else:
         net, flow = random_hidden_net(np.random.default_rng(2), n_in=3, neurons=6), TRANSCENDENTAL3D
     ball = " - ".join(["0.25"] + [f"x{i + 1}^2" for i in range(n)])
-    validity, lps, verdict = validity_lps_and_all_lps(
+    validity, lps, accepted, verdict = validity_lps_and_all_lps(
         monkeypatch, net, DynamicsSystem.parse(flow, dim=n), parse_expression(ball, n),
         parse_expression(f"1 - (x1 - 2.5)^2 - {ball.replace('0.25 - x1^2', '0')}", n))
     rows = [v for res in (verdict.invariance_result, verdict.initial_result,
                           verdict.unsafe_result) for v in res.region_verdicts]
     assert rows and all(v.method != "lp" for v in rows)
-    assert validity == lps > 0
+    assert validity == lps
+    assert accepted == [0] * len(verdict.enumeration.regions)
 
 
 def test_search_exhausted_counts_the_candidates_that_failed_numerically(monkeypatch):
-    """A seed search whose candidates fail numerically (every validity LP
-    here) says how many failed, rather than only that no region was found:
-    two candidates at each of the 50 crossings, whose neuron at zero branches."""
+    """A seed search whose candidates fail numerically (every validity
+    decision here) says how many failed, rather than only that no region was
+    found: two candidates at each of the 50 crossings, whose neuron at zero
+    branches."""
     def failing(*args, **kwargs):
         raise NumericalFailure("injected validity LP failure")
 
-    monkeypatch.setattr("relubarrier.regions.inscribed_ball", failing)
+    monkeypatch.setattr("relubarrier.regions.valid_test", failing)
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)

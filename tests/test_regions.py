@@ -214,6 +214,48 @@ def test_flat_check_settles_validity_as_the_reference_does(monkeypatch):
     assert flat > 20
 
 
+def test_the_frame_certificate_decides_as_the_lps_do(monkeypatch):
+    """The validity verdict `build_valid_region` reaches, with a point of
+    its frame as evidence, is the verdict of `valid_test` on its LPs alone:
+    on every indicator of random 2-D and 3-D nets and of the flat nets, and
+    on every candidate the enumerations of ill_scaled_deep_net(s) meet.
+    Most valid regions are certified with no LP."""
+    calls = counted_lp_solves(monkeypatch)
+    reached = []
+
+    def recorded(region, w, b, cfg, evidence):
+        before = len(calls)
+        valid = valid_test(region, w, b, cfg, evidence)
+        reached.append((region, w, b, valid, len(calls) - before))
+        return valid
+
+    monkeypatch.setattr(regions, "valid_test", recorded)
+    for net in random_nets(np.random.default_rng(5)) + flat_nets():
+        for indicator in _all_indicators(net):
+            build_valid_region(net, indicator)
+    for seed in (0, 2, 3, 5, 7, 9):
+        enumerate_level_set(ill_scaled_deep_net(seed))
+    valid = certified = 0
+    for region, w, b, verdict, lps in reached:
+        assert verdict == valid_test(region, w, b)
+        valid += verdict
+        certified += verdict and lps == 0
+    assert valid > 250 and certified > 0.95 * valid   # 271 of 280
+
+
+def test_an_all_affine_net_enumerates_with_no_lp(monkeypatch):
+    """Every region of a seeded random 3-D net is certified valid from its
+    frame, so its enumeration solves no LP, where `valid_test` on its LPs
+    alone solves at least one per region."""
+    net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
+    calls = counted_lp_solves(monkeypatch)
+    result = enumerate_level_set(net)
+    assert len(result.regions) > 20 and result.errors == [] and calls == []
+    for region in result.regions:
+        assert valid_test(*net.piece(region.indicator))
+    assert len(calls) >= len(result.regions)
+
+
 @pytest.mark.parametrize("candidate, radius", [("01011010.00000110.10011011.00001111", 0.0193),
                                                ("01111010.00001110.10011011.00001111", 0.513)])
 def test_slice_balls_of_ill_scaled_pieces(candidate, radius):
