@@ -6,8 +6,9 @@ branch-and-bound: it checks the patch's vertices and points out along its
 rays as witnesses, then encloses w.f over simplices cut from the patch,
 and certifies the infimum from below or finds a checked witness.
 
-`check_invariance` runs that ladder per region; each verdict names the rung
-that decided it (`method`: lp or interval).  The cubic system here is a
+`check_invariance` runs that ladder per region (it is a thin wrapper over
+the one pass in which `verify_certificate` decides all three conditions);
+each verdict names the rung that decided it (`method`: lp or interval).  The cubic system here is a
 classic benchmark flow, and the unit diamond turns out not to be a barrier
 for it: branch-and-bound exhibits outward crossings at the corners.  The
 second example is engineered so that w.f is identically zero on the slice,

@@ -1,41 +1,32 @@
 """Deciding the certificate conditions region by region.
 
-Every per-region question is phrased as "is min g(x) over the region's
-level-set patch >= -tol_margin?", with g = weighted_sum(coefs, exprs) from
-the condition's expressions and the region's row of coefficients:
+All three are decided in one pass over (region, condition) pairs, each
+asking "is min g(x) over the region's level-set patch >= -tol_margin?" with
+g = weighted_sum(coefs, exprs) over the flow's components and the set
+functions, the pair's coefficients zero outside its condition:
 
 * invariance: g = w . f   (the flow's components, weighted by the piece's w)
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
 * unsafe set:   g = -h_U
 
-All three go through one ladder, `_decide_regions`, of two rungs, and
-every rung reads g with the expression module's own routes.  Whether g is
-affine depends on the flow and the set function, never on the region, so
-each check takes the affine forms (`_linear_form`) once: of each flow
-component (w.f is affine where every component of nonzero weight is) or of
-the set function.  A g with an affine form is decided exactly off the
-patch's vertices and rays (`regions.ValidRegion`); otherwise interval
-branch-and-bound (BaB) decides it, run over all such patches at once: it
-first checks each patch's vertices and points out along its rays as
-witness seeds, then, a level at a time over simplices cut from the patch's
-vertices, encloses each expression once per level with
-`interval_evaluate`, and verifies or finds a witness.  Its verdict stands.
-No rung solves an LP: every simplex lies in the patch, and every seed is
-checked against the patch's rows.
-`verify_certificate` takes its regions from `regions.enumerate_level_set`,
-the route the SMT export and the plots take as well.  Every witness,
-whichever route produced it (a least vertex, a point out along a
-descending ray, a BaB seed or simplex point), passes the one check
-`_checked_witness`, which takes candidates as rows, a batch per call: a
-witness lies on the slice within tol_feas and g evaluated there directly
+Whether g is affine depends on the flow and the set function, never on the
+region, so the pass takes the affine forms (`_linear_form`) once per flow
+component and set function.  A g with an affine form is decided exactly
+off the patch's vertices and rays (`regions.ValidRegion`); all other pairs
+go through one interval branch-and-bound (BaB) run, which checks each
+patch's vertices and points out along its rays as witness seeds, cuts each
+patch into simplices once for all its pairs, and encloses each expression
+once per level over the boxes of the pairs that weigh it.  Its verdict
+stands.  No rung solves an LP.  `verify_certificate` takes its regions from
+`regions.enumerate_level_set`, as the SMT export and the plots do.  Every
+witness passes the one check `_checked_witness`, a batch of rows per call:
+it lies on the slice within tol_feas and g evaluated there directly
 (`evaluate`; BaB combines each expression's values into the same floats)
-is finite and below -max(tol_margin, FALSIFY_GATE).  A point
-that fails the check yields `unknown`, never an unchecked `falsified`;
-a condition verified over a partial enumeration is `unknown` too.  Set
-conditions additionally probe sampled points of the set against the sign
-of h (membership side of the containment/disjointness arguments); the
-probe is one more status in the same aggregation as the region verdicts,
-`unknown` when its draws run out.
+is finite and below -max(tol_margin, FALSIFY_GATE); a point that fails
+yields `unknown`, never an unchecked `falsified`.  A condition verified
+over a partial enumeration is `unknown` too.  Set conditions also probe
+sampled set points against the sign of h, one more status in the same
+aggregation.
 """
 
 from __future__ import annotations
@@ -55,6 +46,7 @@ from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 VERIFIED = "verified"
 FALSIFIED = "falsified"
 UNKNOWN = "unknown"
+_INITIAL, _UNSAFE = (True, 211), (False, 223)   # set conditions: (want_inside, probe salt)
 
 
 @dataclass
@@ -153,11 +145,12 @@ def _checked_witness(sl, points, values, cfg) -> np.ndarray:
 
 # -- LP route: affine objectives, read off the frame ------------------------------
 
-def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
-    """Exact min of g = coeffs.x + const (form) over the patch: its least
-    vertex value, or -inf when a ray descends; a witness candidate then goes
-    from the least vertex v along the steepest ray r to v + s r, where
-    s = 1 + 2 max(0, g(v) - gate) / -coeffs.r puts g past the gate."""
+def _decide_affine(region: ValidRegion, coefs, exprs, form, cfg) -> RegionVerdict:
+    """Exact min of g = weighted_sum(coefs, exprs) = coeffs.x + const (form)
+    over the patch: its least vertex value, or -inf when a ray descends; a
+    witness candidate then goes from the least vertex v along the steepest
+    ray r to v + s r, s = 1 + 2 max(0, g(v) - gate) / -coeffs.r putting g
+    past the gate; g itself is built only to check such a candidate."""
     coeffs, const = form
     values = region.vertices @ coeffs + const
     x = region.vertices[int(np.argmin(values))]
@@ -174,7 +167,7 @@ def _decide_affine(region: ValidRegion, g: Expr, form, cfg) -> RegionVerdict:
         if verdict.status == UNKNOWN:
             verdict.note = "optimum inside the float-noise band"
     if verdict.status == FALSIFIED:
-        value = _checked_witness(region.slice, x, evaluate(g, x), cfg)[0]
+        value = _checked_witness(region.slice, x, evaluate(weighted_sum(coefs, exprs), x), cfg)[0]
         if value < _gate(cfg):
             verdict.witness, verdict.witness_value = np.array(x), float(value)
         else:
@@ -222,15 +215,34 @@ def _simplices(region: ValidRegion, cfg):
     return triangulate(vertices, tight, cfg.tol_feas), restricted
 
 
+def _parts(fn, exprs, use, rows) -> np.ndarray:
+    """(m, k, 2) parts for `_weighted_enclosure`: fn(exprs[j], rows[i]) where use[i, j]
+    (`interval_evaluate` of boxes, or `evaluate` at points as [v, v]), else 0."""
+    parts = np.zeros((len(rows), len(exprs), 2))
+    for j, e in enumerate(exprs):
+        on = use[:, j]
+        if on.any():
+            batch = rows if on.all() else rows[on]
+            parts[on, j] = np.reshape(fn(e, batch), (len(batch), -1))
+    return parts
+
+
 def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
-    """Per region, a falsified verdict at the first of its points (one array
-    and one row of coefs each) whose checked value is below `_gate`, or
-    None.  Each expression is evaluated once over all the points; only a
-    region with a value below `_gate` has its points checked."""
-    counts, rows = [len(p) for p in points], np.concatenate(points)
-    parts = np.stack([evaluate(e, rows) for e in exprs], axis=1)
+    """Per pair (one region, row of coefs and array of points each), a
+    falsified verdict at its first point whose checked value is below
+    `_gate`, or None.  Each expression is evaluated once over the points of
+    the pairs that weigh it, pairs handed one array (a region's seeds)
+    sharing it; only a pair with a value below `_gate` is checked."""
+    slot, arrays = {}, list({id(p): p for p in points}.values())   # distinct, first seen first
+    index = [slot.setdefault(id(p), len(slot)) for p in points]
+    use = np.zeros((len(arrays), len(exprs)), dtype=bool)
+    np.logical_or.at(use, index, np.asarray(coefs) != 0.0)
+    sizes = [len(p) for p in arrays]
+    parts = np.split(_parts(evaluate, exprs, np.repeat(use, sizes, axis=0),
+                            np.concatenate(arrays)), np.cumsum(sizes)[:-1])
+    counts = [len(p) for p in points]
     values = _weighted_enclosure(np.repeat(coefs, counts, axis=0),
-                                 np.stack([parts, parts], axis=2))[:, 0]
+                                 np.concatenate([parts[i] for i in index]))[:, 0]
     verdicts = []
     for region, p, v in zip(regions, points, np.split(values, np.cumsum(counts)[:-1])):
         if (v < _gate(cfg)).any():
@@ -260,7 +272,7 @@ def _split(simplices):
 
 @dataclass
 class _Run:
-    """A patch under BaB: regions[index], its current level of simplices."""
+    """A pair under BaB: its index, its current level of simplices."""
     index: int
     queue: np.ndarray
     restricted: bool
@@ -271,51 +283,53 @@ class _Run:
 
 
 def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
-    """Certify min g >= -tol_margin over each patch, g = weighted_sum(coefs[i],
-    exprs) on regions[i], or find a witness.
+    """Certify min g >= -tol_margin over each pair's patch, g =
+    weighted_sum(coefs[i], exprs) on regions[i], or find a witness; pairs
+    sharing a region share its seeds, simplices and `_axis_bounds`.
 
-    Witness seeds are checked first, in one batch over all patches: each
-    patch's vertices, then the points out along each ray from each vertex
-    at 1, 2, 4, 8 and 16 domain-box widths.  Each patch with no witness
-    among them is cut into simplices (`_simplices`; a NumericalFailure
-    leaves it unknown) and all run in lockstep a level at a time, each in
-    its queue order: each expression is enclosed once over all the level's
-    simplex vertex boxes; a simplex whose enclosure of g does not certify
-    has its vertices and centroid checked as witnesses, then its longest
-    edge bisected.  In a patch the first witness, up to and including the
-    first simplex whose enclosure fails, ends the run; failing that, such a
-    simplex ends it unknown.  No LP is solved.  Each box is widened by
-    tol_feas, where a witness may sit, but not past a single-coordinate
-    row's exact bound (`_axis_bounds`).  An unbounded patch is cut to the
-    domain box first; a verified or unknown verdict then speaks only for its
-    part inside (``domain_restricted``), while a witness, a ray point's
-    too, is a violation wherever it lies.  ``bab_max_boxes`` counts each
-    patch's simplices.
+    Seeds are checked first, in one batch: each patch's vertices, then the
+    points out along each ray from each vertex at 1, 2, 4, 8 and 16
+    domain-box widths.  A pair with no witness among them runs on its
+    patch's simplices (`_simplices`; a NumericalFailure leaves it unknown),
+    all pairs in lockstep a level at a time, each in its own queue order:
+    each expression is enclosed once over the level's boxes of the pairs
+    that weigh it; a simplex whose enclosure of g does not certify has its
+    vertices and centroid checked, then its longest edge bisected.  The
+    first witness, up to and including the first simplex whose enclosure
+    fails, ends the pair's run; failing that, such a simplex ends it
+    unknown.  Each box, a simplex's vertex box, is widened by tol_feas, but
+    not past a single-coordinate row's exact bound.  An unbounded patch is
+    cut to the domain box; a verdict without a witness then speaks only for
+    its part inside (``domain_restricted``).  ``bab_max_boxes`` counts each
+    pair's simplices.  No LP is solved.
     """
     if not regions:
         return []
     coefs = np.array(coefs, dtype=float)
     interval = lambda i, status, **kw: RegionVerdict(regions[i].indicator, status, "interval", **kw)
     width = float(np.max(np.ptp(cfg.domain(regions[0].slice.dim), axis=1)))
-    verdicts = _first_witnesses(regions, coefs, [
-        np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
-                                  for k in range(5) for ray in r.rays]) for r in regions],
-        exprs, cfg)
-    runs = []
+    seeds = {key: np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
+                                            for k in range(5) for ray in r.rays])
+             for key, r in {id(r): r for r in regions}.items()}
+    verdicts = _first_witnesses(regions, coefs, [seeds[id(r)] for r in regions], exprs, cfg)
+    runs, cuts = [], {}
     for i, region in enumerate(regions):
         if verdicts[i] is not None:
             continue
-        try:
-            simplices, restricted = _simplices(region, cfg)
-        except NumericalFailure as exc:
+        if id(region) not in cuts:
+            try:
+                cuts[id(region)] = (*_simplices(region, cfg), _axis_bounds(region.slice))
+            except NumericalFailure as exc:
+                cuts[id(region)] = exc
+        cut = cuts[id(region)]
+        if isinstance(cut, NumericalFailure):
             verdicts[i] = interval(i, UNKNOWN, domain_restricted=bool(len(region.rays)),
-                                   note=str(exc))
-            continue
-        if simplices is None:
+                                   note=str(cut))
+        elif cut[0] is None:
             verdicts[i] = interval(i, VERIFIED, vacuous=True, domain_restricted=True,
                                    note="slice leaves the domain box entirely")
         else:
-            runs.append(_Run(i, simplices, restricted, _axis_bounds(region.slice)))
+            runs.append(_Run(i, *cut))
 
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     while runs:
@@ -325,9 +339,9 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
         boxes = np.stack([np.concatenate([level.min(axis=1) for level in levels]),
                           np.concatenate([level.max(axis=1) for level in levels])], axis=2)
         boxes = np.clip(boxes + pad, exact[..., :1], exact[..., 1:])
+        box_coefs = np.repeat(run_coefs, counts, axis=0)
         lows = np.split(_weighted_enclosure(
-            np.repeat(run_coefs, counts, axis=0),
-            np.stack([interval_evaluate(e, boxes) for e in exprs], axis=1))[:, 0],
+            box_coefs, _parts(interval_evaluate, exprs, box_coefs != 0.0, boxes))[:, 0],
             np.cumsum(counts)[:-1])
         open_ = [~(lo >= -cfg.tol_margin) for lo in lows]
         opened = [r for r, o in enumerate(open_) if o.any()]
@@ -366,22 +380,17 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     return verdicts
 
 
-# -- the ladder, and assembling the three conditions ---------------------------------
+# -- the ladder, and the one pass over all three conditions ----------------------------
 
-def _decide_regions(regions, exprs, objective_of, cfg) -> list[RegionVerdict]:
-    """Each region's verdict on g = weighted_sum(coefs, exprs), with
-    (coefs, form) = objective_of(region): off the patch's frame when g's
-    affine form (coeffs, const) is given, else BaB over all such patches at
-    once.  No rung solves an LP."""
-    objectives = [objective_of(region) for region in regions]
-    verdicts = [None if form is None else
-                _decide_affine(region, weighted_sum(coefs, exprs), form, cfg)
-                for region, (coefs, form) in zip(regions, objectives)]
-    rest = [i for i, v in enumerate(verdicts) if v is None]
-    bab = _bab([regions[i] for i in rest], exprs, [objectives[i][0] for i in rest], cfg)
-    for i, verdict in zip(rest, bab):
-        verdicts[i] = verdict
-    return verdicts
+def _decide_regions(pairs, exprs, cfg) -> list[RegionVerdict]:
+    """Each (region, coefs, form) pair's verdict on g = weighted_sum(coefs,
+    exprs) over its region's patch: off the patch's frame when g's affine
+    form (coeffs, const) is given, else by one BaB run over all the other
+    pairs.  No rung solves an LP."""
+    rest = [i for i, (_region, _coefs, form) in enumerate(pairs) if form is None]
+    bab = dict(zip(rest, _bab([pairs[i][0] for i in rest], exprs, [pairs[i][1] for i in rest], cfg)))
+    return [bab[i] if form is None else _decide_affine(region, coefs, exprs, form, cfg)
+            for i, (region, coefs, form) in enumerate(pairs)]
 
 
 def _aggregate(statuses) -> str:
@@ -391,25 +400,6 @@ def _aggregate(statuses) -> str:
     if all(s == VERIFIED for s in statuses):
         return VERIFIED
     return UNKNOWN
-
-
-def check_invariance(net, regions, sys: DynamicsSystem,
-                     cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
-    """Positive invariance over every enumerated region: g = w.f, affine
-    with form (w F, w c) where every component f_i with w_i != 0 is."""
-    if not regions:
-        raise NoRegions("invariance check over an empty region list")
-    forms = [_linear_form(e, sys.dim) for e in sys.exprs]
-    affine = np.array([f is not None for f in forms])
-    F = np.array([np.zeros(sys.dim) if f is None else f[0] for f in forms])
-    c = np.array([0.0 if f is None else f[1] for f in forms])
-
-    def objective(region):
-        w = region.slice.w
-        return w, (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None
-
-    verdicts = _decide_regions(regions, sys.exprs, objective, cfg)
-    return ConditionResult(_aggregate([v.status for v in verdicts]), verdicts)
 
 
 def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipProbe | None:
@@ -447,46 +437,61 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
     return None
 
 
-def _check_set_condition(net, regions, set_expr: Expr, cfg, want_inside: bool,
-                         salt: int) -> ConditionResult:
-    """Shared body of the initial-set and unsafe-set conditions.
-
-    Part one: the set must not meet any level-set patch (sup of the set
-    function over each patch <= 0, decided like an invariance objective
-    with g = -set_expr).  Part two: sampled set points must land strictly
-    inside (initial) or strictly outside (unsafe) the sublevel region of h.
-    The probe's status joins the region verdicts' in `_aggregate`: verified,
-    falsified, or unknown when its draws run out (the reason goes in the
-    note).
-    """
+def _check_conditions(net, regions, sys, sets, cfg) -> list[ConditionResult]:
+    """A ConditionResult for invariance under sys (unless None), then one for
+    each (set_expr, want_inside, salt) of sets, from one `_decide_regions`
+    over all (region, condition) pairs.  Invariance weighs the flow columns
+    by w (affine, with form (w F, w c), where every component of nonzero
+    weight is); a set condition puts -1 on its own column, and its probe's
+    status joins its rows' (unknown when the draws run out: see the note)."""
     if not regions:
-        raise NoRegions("set condition over an empty region list")
-    objective = ([-1.0], _linear_form(weighted_sum([-1.0], [set_expr]), net.input_dim))
-    verdicts = _decide_regions(regions, [set_expr], lambda _region: objective, cfg)
-    rng = np.random.default_rng([cfg.seed, salt, 7919])
-    probe = _membership_probe(net, set_expr, cfg, rng, want_inside)
-    if probe is None:
-        probe_status = UNKNOWN
-        note = (f"no point with a positive set function in {cfg.membership_samples} "
-                "draws; the set may be empty or outside the domain box")
-    else:
-        probe_status, note = (VERIFIED if probe.ok else FALSIFIED), ""
-    status = _aggregate([v.status for v in verdicts] + [probe_status])
-    return ConditionResult(status, verdicts, probe=probe, note=note)
+        raise NoRegions("condition check over an empty region list")
+    flow = list(sys.exprs) if sys is not None else []
+    exprs = flow + [set_expr for set_expr, _inside, _salt in sets]
+    pairs = []
+    if sys is not None:
+        forms = [_linear_form(e, sys.dim) for e in flow]
+        affine = np.array([f is not None for f in forms])
+        F = np.array([np.zeros(sys.dim) if f is None else f[0] for f in forms])
+        c = np.array([0.0 if f is None else f[1] for f in forms])
+        for region in regions:
+            w = region.slice.w
+            pairs.append((region, np.append(w, np.zeros(len(sets))),
+                          (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None))
+    for j, (set_expr, _inside, _salt) in enumerate(sets, len(flow)):
+        coefs = np.where(np.arange(len(exprs)) == j, -1.0, 0.0)
+        form = _linear_form(weighted_sum([-1.0], [set_expr]), net.input_dim)
+        pairs += [(region, coefs, form) for region in regions]
+    verdicts = _decide_regions(pairs, exprs, cfg)
+    chunks = [verdicts[k:k + len(regions)] for k in range(0, len(verdicts), len(regions))]
+    results = [ConditionResult(_aggregate([v.status for v in chunks[0]]), chunks[0])] if flow else []
+    for rows, (set_expr, want_inside, salt) in zip(chunks[len(results):], sets):
+        probe = _membership_probe(net, set_expr, cfg, np.random.default_rng([cfg.seed, salt, 7919]),
+                                  want_inside)
+        note = "" if probe else (f"no point with a positive set function in {cfg.membership_samples} "
+                                 "draws; the set may be empty or outside the domain box")
+        probed = UNKNOWN if probe is None else VERIFIED if probe.ok else FALSIFIED
+        results.append(ConditionResult(_aggregate([v.status for v in rows] + [probed]),
+                                       rows, probe=probe, note=note))
+    return results
+
+
+def check_invariance(net, regions, sys: DynamicsSystem,
+                     cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
+    """Positive invariance over every region: g = w.f (`_check_conditions`)."""
+    return _check_conditions(net, regions, sys, [], cfg)[0]
 
 
 def check_initial_condition(net, regions, h_init: Expr,
                             cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
-    """S_I must sit inside the h > 0 side: no patch contact plus an inside
-    sample."""
-    return _check_set_condition(net, regions, h_init, cfg, want_inside=True, salt=211)
+    """S_I inside the h > 0 side: no patch contact, an inside sample."""
+    return _check_conditions(net, regions, None, [(h_init, *_INITIAL)], cfg)[0]
 
 
 def check_unsafe_condition(net, regions, h_unsafe: Expr,
                            cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
-    """S_U must avoid the closed h >= 0 side: no patch contact plus an
-    outside sample."""
-    return _check_set_condition(net, regions, h_unsafe, cfg, want_inside=False, salt=223)
+    """S_U outside the closed h >= 0 side: no patch contact, an outside sample."""
+    return _check_conditions(net, regions, None, [(h_unsafe, *_UNSAFE)], cfg)[0]
 
 
 # -- end-to-end -----------------------------------------------------------------------
@@ -511,24 +516,21 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
     if enum.partial:
         caveats.append("enumeration returned partial results: " + "; ".join(enum.errors))
 
-    # the checks are looked up here, at call time, so that rebinding them
-    # (as instrumentation does) takes effect
+    t = time.perf_counter()
+    sets = [s for s in ((h_init, *_INITIAL), (h_unsafe, *_UNSAFE)) if s[0] is not None]
+    decided = iter(_check_conditions(net, enum.regions, sys, sets, cfg))
     results = {}
-    for label, check, target in (("invariance", check_invariance, sys),
-                                 ("initial", check_initial_condition, h_init),
-                                 ("unsafe", check_unsafe_condition, h_unsafe)):
-        t = time.perf_counter()
-        if target is None and label != "invariance":
-            results[label] = ConditionResult(
-                VERIFIED, [], note=f"no {label} set given; condition vacuous")
-        else:
-            results[label] = check(net, enum.regions, target, cfg)
-            if enum.partial and results[label].status == VERIFIED:   # regions may be missing
-                results[label].status = UNKNOWN
-                results[label].note = "enumeration partial: " + "; ".join(enum.errors)
-            if label != "invariance" and results[label].probe is None:
-                caveats.append(f"{label}-set sampling exhausted: {results[label].note}")
-        timings[f"{label}_s"] = time.perf_counter() - t
+    for label, target in (("invariance", sys), ("initial", h_init), ("unsafe", h_unsafe)):
+        if target is None:
+            results[label] = ConditionResult(VERIFIED, [], note=f"no {label} set given; condition vacuous")
+            continue
+        results[label] = result = next(decided)
+        if enum.partial and result.status == VERIFIED:   # regions may be missing
+            result.status = UNKNOWN
+            result.note = "enumeration partial: " + "; ".join(enum.errors)
+        if label != "invariance" and result.probe is None:
+            caveats.append(f"{label}-set sampling exhausted: {result.note}")
+    timings["conditions_s"] = time.perf_counter() - t
     timings["total_s"] = time.perf_counter() - t0
 
     verdicts = [v for res in results.values() for v in res.region_verdicts]

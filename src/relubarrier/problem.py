@@ -227,9 +227,7 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
         "caveats": list(verdict.caveats),
         "timings": {
             "enumeration_s": round(timings.get("enumeration_s", 0.0), 2),
-            "invariance_s": round(timings.get("invariance_s", 0.0), 2),
-            "initial_s": round(timings.get("initial_s", 0.0), 2),
-            "unsafe_s": round(timings.get("unsafe_s", 0.0), 2),
+            "conditions_s": round(timings.get("conditions_s", 0.0), 2),
             "total_s": round(timings.get("total_s", 0.0), 2),
         },
     }

@@ -865,22 +865,110 @@ def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
     assert unbounded.note == "objective unbounded below; LP point failed the witness check"
 
 
-def test_verify_certificate_looks_up_the_checks_when_called(monkeypatch):
-    calls = []
-    for name in ("check_invariance", "check_initial_condition", "check_unsafe_condition"):
-        original = getattr(conditions, name)
+def assert_same_condition(a, b):
+    """Two ConditionResults agree field for field, probe and rows included."""
+    assert (a.status, a.note, a.probe is None) == (b.status, b.note, b.probe is None)
+    if a.probe is not None:
+        assert np.array_equal(a.probe.point, b.probe.point)
+        assert (a.probe.set_value, a.probe.h_value, a.probe.ok, a.probe.samples) == \
+            (b.probe.set_value, b.probe.h_value, b.probe.ok, b.probe.samples)
+    assert len(a.region_verdicts) == len(b.region_verdicts)
+    for u, v in zip(a.region_verdicts, b.region_verdicts):
+        assert (u.indicator, u.status, u.method, u.bound, u.witness_value, u.note, u.vacuous,
+                u.domain_restricted) == (v.indicator, v.status, v.method, v.bound,
+                                         v.witness_value, v.note, v.vacuous, v.domain_restricted)
+        assert (u.witness is None and v.witness is None) or np.array_equal(u.witness, v.witness)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(conditions, name, counted)
-    net = diamond_net()
-    verify_certificate(net, DynamicsSystem.parse(["-x1", "-x2"], dim=2),
-                       parse_expression("0.04 - x1^2 - x2^2", 2),
-                       parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
-    assert calls == ["check_invariance", "check_initial_condition",
-                     "check_unsafe_condition"]
+CIRCLES = ("0.04 - x1^2 - x2^2", "1 - (x1 - 3)^2 - (x2 - 3)^2")
+
+
+@pytest.mark.parametrize("case", ["diamond", "budget", "unbounded", "no-unsafe-set",
+                                  "no-simplices"])
+def test_one_pass_decides_as_the_three_checks_do(case, monkeypatch):
+    """verify_certificate decides all three conditions in one pass over the
+    (region, condition) pairs; its results equal, field for field, those of
+    check_invariance, check_initial_condition and check_unsafe_condition
+    called one by one on the same regions: on the diamond under the cubic
+    flow, with BaB's budget run out on its flat patches, on the half-lines
+    of h = 1 - relu(x1) - relu(x2) (domain-restricted rows), without an
+    unsafe set, and with `_simplices` failing on one region, which leaves
+    each of that region's pairs that reach the cut unknown."""
+    net, flow, cfg = diamond_net(), CUBIC2D, DEFAULT_CONFIG
+    h_init, h_unsafe = (parse_expression(text, 2) for text in CIRCLES)
+    if case == "budget":
+        flow, cfg = ["x2^3", "-x2^3"], cfg.updated(bab_max_boxes=50)
+    elif case == "unbounded":
+        net, flow = ReluNetwork([np.eye(2)], [np.zeros(2)], -np.ones(2), 1.0), ["-x1^3", "-x2^3"]
+    elif case == "no-unsafe-set":
+        h_unsafe = None
+    elif case == "no-simplices":
+        original, failing = conditions._simplices, ind(1, 0, 1, 0)
+
+        def cut(region, cfg):
+            if region.indicator == failing:
+                raise NumericalFailure("injected")
+            return original(region, cfg)
+
+        monkeypatch.setattr(conditions, "_simplices", cut)
+    sys = DynamicsSystem.parse(flow, dim=2)
+    verdict = verify_certificate(net, sys, h_init, h_unsafe, cfg)
+    regions = verdict.enumeration.regions
+    assert not verdict.enumeration.partial
+    assert_same_condition(verdict.invariance_result, check_invariance(net, regions, sys, cfg))
+    assert_same_condition(verdict.initial_result,
+                          check_initial_condition(net, regions, h_init, cfg))
+    if h_unsafe is None:
+        assert (verdict.unsafe_condition, verdict.unsafe_result.region_verdicts) == (VERIFIED, [])
+    else:
+        assert_same_condition(verdict.unsafe_result,
+                              check_unsafe_condition(net, regions, h_unsafe, cfg))
+    rows = [v for res in (verdict.invariance_result, verdict.initial_result,
+                          verdict.unsafe_result) for v in res.region_verdicts]
+    notes = Counter(v.note for v in rows)
+    if case == "diamond":
+        assert {v.method for v in rows} == {"interval"} and verdict.invariance == FALSIFIED
+    elif case == "budget":
+        assert notes["box budget 50 exhausted"] == 2
+    elif case == "unbounded":
+        assert any(v.domain_restricted for v in rows)
+    elif case == "no-simplices":
+        assert notes["injected"] >= 2
+
+
+def test_verify_certificate_cuts_each_patch_into_simplices_once(monkeypatch):
+    """With a non-affine flow and non-affine set functions every region has
+    three pairs for BaB, and `_simplices` runs at most once per distinct
+    region, and exactly once on each region none of whose pairs ended at a
+    seed (every row verified or unknown by BaB): on the diamond under the
+    decay flow, 4 calls for 12 pairs, and on random nets under the cubic
+    flow."""
+    cuts = Counter()
+    original = conditions._simplices
+    monkeypatch.setattr(conditions, "_simplices",
+                        lambda region, cfg: cuts.update([id(region)]) or original(region, cfg))
+    h_init, h_unsafe = (parse_expression(text, 2) for text in CIRCLES)
+    decay = DynamicsSystem.parse(["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], dim=2)
+    rng = np.random.default_rng(12)
+    problems = [(diamond_net(), decay)] + [(random_hidden_net(rng, neurons=6),
+                                           DynamicsSystem.parse(CUBIC2D, dim=2))
+                                          for _ in range(4)]
+    reached = 0
+    for net, sys in problems:
+        cuts.clear()
+        verdict = verify_certificate(net, sys, h_init, h_unsafe)
+        if verdict.enumeration is None:
+            continue
+        results = (verdict.invariance_result, verdict.initial_result, verdict.unsafe_result)
+        assert max(cuts.values(), default=0) <= 1
+        for i, region in enumerate(verdict.enumeration.regions):
+            rows = [res.region_verdicts[i] for res in results]
+            if all(v.method == "interval" and v.status != FALSIFIED for v in rows):
+                assert cuts[id(region)] == 1
+                reached += 1
+        if net.input_dim == 2 and sys is decay:
+            assert sum(cuts.values()) == len(verdict.enumeration.regions) == 4
+    assert reached > 4
 
 
 # -- set conditions ---------------------------------------------------------------------
@@ -1440,6 +1528,5 @@ def test_verify_certificate_timings_and_seeds_stable():
                       b.invariance_result.region_verdicts):
         assert va.status == vb.status
         assert va.bound == vb.bound
-    assert set(a.timings) >= {"enumeration_s", "invariance_s",
-                              "initial_s", "unsafe_s", "total_s"}
+    assert set(a.timings) >= {"enumeration_s", "conditions_s", "total_s"}
 

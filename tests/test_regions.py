@@ -386,7 +386,7 @@ def test_frame_answers_what_the_lps_answer():
             for c, lp_min in zip(objectives, minima):
                 g = parse_expression(" + ".join(f"{float(v)!r}*x{i + 1}" for i, v in enumerate(c)),
                                      net.input_dim)
-                verdict = conditions._decide_affine(region, g, (c, 0.0), DEFAULT_CONFIG)
+                verdict = conditions._decide_affine(region, [1.0], [g], (c, 0.0), DEFAULT_CONFIG)
                 if lp_min == -np.inf:
                     assert verdict.note.startswith("objective unbounded below")
                     counts["unbounded"] += 1
