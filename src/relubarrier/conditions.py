@@ -2,8 +2,8 @@
 
 All three are decided in one pass over (region, condition) pairs, each
 asking "is min g(x) over the region's level-set patch >= -tol_margin?" with
-g = weighted_sum(coefs, exprs) over the flow's components and the set
-functions, the pair's coefficients zero outside its condition:
+g = coefs . exprs over the flow's components and the set functions, the
+pair's coefficients zero outside its condition:
 
 * invariance: g = w . f   (the flow's components, weighted by the piece's w)
 * initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
@@ -11,22 +11,24 @@ functions, the pair's coefficients zero outside its condition:
 
 Whether g is affine depends on the flow and the set function, never on the
 region, so the pass takes the affine forms (`_linear_form`) once per flow
-component and set function.  A g with an affine form is decided exactly
-off the patch's vertices and rays (`regions.ValidRegion`); all other pairs
-go through one interval branch-and-bound (BaB) run, which checks each
-patch's vertices and points out along its rays as witness seeds, cuts each
-patch into simplices once for all its pairs, and encloses each expression
-once per level over the boxes of the pairs that weigh it.  Its verdict
-stands.  No rung solves an LP.  `verify_certificate` takes its regions from
+component and set function (a set condition's is the set function's,
+negated).  A g with an affine form is decided exactly off the patch's
+vertices and rays (`regions.ValidRegion`); all other pairs go through one
+interval branch-and-bound (BaB) run, which checks each patch's vertices and
+points out along its rays as witness seeds, cuts each patch into simplices
+once for all its pairs, and encloses each expression once per level over
+the boxes of the pairs that weigh it.  Its verdict stands.  No rung solves
+an LP.  `verify_certificate` takes its regions from
 `regions.enumerate_level_set`, as the SMT export and the plots do.  Every
-witness passes the one check `_checked_witness`, a batch of rows per call:
-it lies on the slice within tol_feas and g evaluated there directly
-(`evaluate`; BaB combines each expression's values into the same floats)
-is finite and below -max(tol_margin, FALSIFY_GATE); a point that fails
-yields `unknown`, never an unchecked `falsified`.  A condition verified
-over a partial enumeration is `unknown` too.  Set conditions also probe
-sampled set points against the sign of h, one more status in the same
-aggregation.
+witness passes the one check `_checked_witness` in `_first_witnesses`,
+which evaluates each expression once per batch of points (BaB's seeds, each
+BaB level, all of the affine route's candidates) and combines the values
+into the floats `evaluate` gives for g: the point lies on the slice within
+tol_feas and g there is finite and below -max(tol_margin, FALSIFY_GATE); a
+point that fails yields `unknown`, never an unchecked `falsified`.  A
+condition verified over a partial enumeration is `unknown` too.  Set
+conditions also probe sampled set points against the sign of h, one more
+status in the same aggregation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .config import BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_GATE, VerifierConfig
 from .errors import NoRegions, NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
-                          weighted_sum, _linear_form, _weighted_enclosure)
+                          _linear_form, _weighted_enclosure)
 from .geometry import bounding_box, frame, triangulate
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
@@ -145,12 +147,12 @@ def _checked_witness(sl, points, values, cfg) -> np.ndarray:
 
 # -- LP route: affine objectives, read off the frame ------------------------------
 
-def _decide_affine(region: ValidRegion, coefs, exprs, form, cfg) -> RegionVerdict:
-    """Exact min of g = weighted_sum(coefs, exprs) = coeffs.x + const (form)
-    over the patch: its least vertex value, or -inf when a ray descends; a
-    witness candidate then goes from the least vertex v along the steepest
-    ray r to v + s r, s = 1 + 2 max(0, g(v) - gate) / -coeffs.r putting g
-    past the gate; g itself is built only to check such a candidate."""
+def _decide_affine(region: ValidRegion, form, cfg):
+    """(verdict, candidate) for the exact min of g = coeffs.x + const (form)
+    over the patch: its least vertex value, or -inf when a ray descends.
+    The candidate, a falsified verdict's witness once `_decide_regions` has
+    checked it, is the least vertex v, or v + s r along the steepest ray r,
+    s = 1 + 2 max(0, g(v) - gate) / -coeffs.r putting g past the gate."""
     coeffs, const = form
     values = region.vertices @ coeffs + const
     x = region.vertices[int(np.argmin(values))]
@@ -158,23 +160,12 @@ def _decide_affine(region: ValidRegion, coefs, exprs, form, cfg) -> RegionVerdic
     if slopes.min(initial=0.0) < -1e-12 * np.linalg.norm(coeffs):
         r = int(np.argmin(slopes))
         x = x + (1.0 + 2.0 * max(0.0, values.min() - _gate(cfg)) / -slopes[r]) * region.rays[r]
-        verdict = RegionVerdict(region.indicator, FALSIFIED, "lp",
-                                note="objective unbounded below")
-    else:
-        value = float(values.min())
-        verdict = RegionVerdict(region.indicator, _status_from_value(value, cfg), "lp",
-                                bound=value)
-        if verdict.status == UNKNOWN:
-            verdict.note = "optimum inside the float-noise band"
-    if verdict.status == FALSIFIED:
-        value = _checked_witness(region.slice, x, evaluate(weighted_sum(coefs, exprs), x), cfg)[0]
-        if value < _gate(cfg):
-            verdict.witness, verdict.witness_value = np.array(x), float(value)
-        else:
-            verdict.status = UNKNOWN
-            verdict.note = "; ".join(filter(None, [verdict.note,
-                                                   "LP point failed the witness check"]))
-    return verdict
+        return RegionVerdict(region.indicator, FALSIFIED, "lp", note="objective unbounded below"), x
+    value = float(values.min())
+    verdict = RegionVerdict(region.indicator, _status_from_value(value, cfg), "lp", bound=value)
+    if verdict.status == UNKNOWN:
+        verdict.note = "optimum inside the float-noise band"
+    return verdict, x
 
 
 # -- interval branch-and-bound over simplices of the patch ---------------------------
@@ -228,11 +219,13 @@ def _parts(fn, exprs, use, rows) -> np.ndarray:
 
 
 def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
-    """Per pair (one region, row of coefs and array of points each), a
-    falsified verdict at its first point whose checked value is below
-    `_gate`, or None.  Each expression is evaluated once over the points of
-    the pairs that weigh it, pairs handed one array (a region's seeds)
-    sharing it; only a pair with a value below `_gate` is checked."""
+    """Per pair (one region, row of coefs and array of points each), the
+    (point, value) of its first point whose checked value is below `_gate`,
+    or None.  Each expression is evaluated once over the points of the pairs
+    that weigh it, pairs handed one array (a region's seeds) sharing it;
+    only a pair with a value below `_gate` is checked."""
+    if not points:
+        return []
     slot, arrays = {}, list({id(p): p for p in points}.values())   # distinct, first seen first
     index = [slot.setdefault(id(p), len(slot)) for p in points]
     use = np.zeros((len(arrays), len(exprs)), dtype=bool)
@@ -243,15 +236,14 @@ def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
     counts = [len(p) for p in points]
     values = _weighted_enclosure(np.repeat(coefs, counts, axis=0),
                                  np.concatenate([parts[i] for i in index]))[:, 0]
-    verdicts = []
+    hits = []
     for region, p, v in zip(regions, points, np.split(values, np.cumsum(counts)[:-1])):
         if (v < _gate(cfg)).any():
             v = _checked_witness(region.slice, p, v, cfg)
-        hits = np.flatnonzero(v < _gate(cfg))
-        verdicts.append(RegionVerdict(region.indicator, FALSIFIED, "interval",
-                                      witness=np.array(p[hits[0]], dtype=float),
-                                      witness_value=float(v[hits[0]])) if hits.size else None)
-    return verdicts
+        first = np.flatnonzero(v < _gate(cfg))
+        hits.append((np.array(p[first[0]], dtype=float), float(v[first[0]]))
+                    if first.size else None)
+    return hits
 
 
 def _split(simplices):
@@ -284,7 +276,7 @@ class _Run:
 
 def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     """Certify min g >= -tol_margin over each pair's patch, g =
-    weighted_sum(coefs[i], exprs) on regions[i], or find a witness; pairs
+    coefs[i] . exprs on regions[i], or find a witness; pairs
     sharing a region share its seeds, simplices and `_axis_bounds`.
 
     Seeds are checked first, in one batch: each patch's vertices, then the
@@ -307,11 +299,13 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
         return []
     coefs = np.array(coefs, dtype=float)
     interval = lambda i, status, **kw: RegionVerdict(regions[i].indicator, status, "interval", **kw)
+    falsified = lambda i, hit: hit and interval(i, FALSIFIED, witness=hit[0], witness_value=hit[1])
     width = float(np.max(np.ptp(cfg.domain(regions[0].slice.dim), axis=1)))
     seeds = {key: np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
                                             for k in range(5) for ray in r.rays])
              for key, r in {id(r): r for r in regions}.items()}
-    verdicts = _first_witnesses(regions, coefs, [seeds[id(r)] for r in regions], exprs, cfg)
+    verdicts = [falsified(i, hit) for i, hit in enumerate(
+        _first_witnesses(regions, coefs, [seeds[id(r)] for r in regions], exprs, cfg))]
     runs, cuts = [], {}
     for i, region in enumerate(regions):
         if verdicts[i] is not None:
@@ -350,10 +344,10 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
         hits = dict(zip(opened, _first_witnesses(
             [regions[runs[r].index] for r in opened], run_coefs[opened],
             [np.concatenate([c, c.mean(axis=1, keepdims=True)], axis=1).reshape(-1, c.shape[2])
-             for c in checked], exprs, cfg) if opened else []))
+             for c in checked], exprs, cfg)))
         unfinished = []
         for r, (run, level, lo, o) in enumerate(zip(runs, levels, lows, open_)):
-            verdict = hits.get(r)
+            verdict = falsified(run.index, hits.get(r))
             if verdict is None and r in hits and np.isnan(lo).any():
                 verdict = interval(run.index, UNKNOWN, note="interval enclosure failed: overflow "
                                    "or NaN in the enclosure, or g undefined on a box")
@@ -383,14 +377,26 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
 # -- the ladder, and the one pass over all three conditions ----------------------------
 
 def _decide_regions(pairs, exprs, cfg) -> list[RegionVerdict]:
-    """Each (region, coefs, form) pair's verdict on g = weighted_sum(coefs,
-    exprs) over its region's patch: off the patch's frame when g's affine
-    form (coeffs, const) is given, else by one BaB run over all the other
-    pairs.  No rung solves an LP."""
+    """Each (region, coefs, form) pair's verdict on g = coefs . exprs over
+    its region's patch: off the patch's frame when g's affine form (coeffs,
+    const) is given, its falsified candidates checked in one
+    `_first_witnesses` call, else by one BaB run over all the other pairs.
+    No rung solves an LP."""
     rest = [i for i, (_region, _coefs, form) in enumerate(pairs) if form is None]
     bab = dict(zip(rest, _bab([pairs[i][0] for i in rest], exprs, [pairs[i][1] for i in rest], cfg)))
-    return [bab[i] if form is None else _decide_affine(region, coefs, exprs, form, cfg)
-            for i, (region, coefs, form) in enumerate(pairs)]
+    affine = {i: _decide_affine(region, form, cfg)
+              for i, (region, _coefs, form) in enumerate(pairs) if form is not None}
+    checked = [i for i, (verdict, _x) in affine.items() if verdict.status == FALSIFIED]
+    hits = _first_witnesses([pairs[i][0] for i in checked], [pairs[i][1] for i in checked],
+                            [affine[i][1][None] for i in checked], exprs, cfg)
+    for i, hit in zip(checked, hits):
+        verdict = affine[i][0]
+        if hit is None:
+            verdict.status = UNKNOWN
+            verdict.note = "; ".join(filter(None, [verdict.note, "LP point failed the witness check"]))
+        else:
+            verdict.witness, verdict.witness_value = hit
+    return [bab[i] if i in bab else affine[i][0] for i in range(len(pairs))]
 
 
 def _aggregate(statuses) -> str:
@@ -460,7 +466,8 @@ def _check_conditions(net, regions, sys, sets, cfg) -> list[ConditionResult]:
                           (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None))
     for j, (set_expr, _inside, _salt) in enumerate(sets, len(flow)):
         coefs = np.where(np.arange(len(exprs)) == j, -1.0, 0.0)
-        form = _linear_form(weighted_sum([-1.0], [set_expr]), net.input_dim)
+        form = _linear_form(set_expr, net.input_dim)
+        form = None if form is None else (-form[0], -form[1])
         pairs += [(region, coefs, form) for region in regions]
     verdicts = _decide_regions(pairs, exprs, cfg)
     chunks = [verdicts[k:k + len(regions)] for k in range(0, len(verdicts), len(regions))]

@@ -55,10 +55,6 @@ class LpOutcome:
 
 
 def _normalize_system(a, b, n):
-    if a is None and b is None:
-        return np.zeros((0, n)), np.zeros(0)
-    if a is None or b is None:
-        raise MalformedProblem("a_ub and b_ub must be given together")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (b.shape[0], n):
@@ -188,10 +184,11 @@ def _phase_one(T, basis, art_cols, tol_feas) -> bool:
     return True
 
 
-def lp_solve(objective, a_ub=None, b_ub=None, tol_feas: float = 1e-7) -> LpOutcome:
+def lp_solve(objective, a_ub, b_ub, tol_feas: float = 1e-7) -> LpOutcome:
     """min ``objective . x`` s.t. ``a_ub x <= b_ub``, over free variables,
-    for an ``(n,)`` objective; unboundedness and infeasibility are ordinary
-    outcomes, not errors.  A maximum is the negated minimum of the negated
+    for an ``(n,)`` objective, ``(m, n)`` rows and ``(m,)`` bounds (m = 0
+    for no rows); unboundedness and infeasibility are ordinary outcomes,
+    not errors.  A maximum is the negated minimum of the negated
     objective.
     """
     c = np.asarray(objective, dtype=float)

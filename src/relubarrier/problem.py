@@ -4,14 +4,15 @@ A problem file bundles a network path, dynamics expression strings, the
 initial/unsafe set functions, and optional domain/tolerance/budget/seed
 overrides.  Reports serialize a CertificateVerdict into a stable JSON
 layout; everything except the timings block is deterministic for a fixed
-problem and seed.
+problem and seed.  Its verdict and membership rows are the fields of the
+`RegionVerdict` and `MembershipProbe` records, in declaration order (`_row`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,29 +120,14 @@ def _jsonable(value):
     return value
 
 
-def _verdict_row(v) -> dict:
-    return {
-        "status": v.status,
-        "method": v.method,
-        "bound": _jsonable(v.bound),
-        "witness": _jsonable(v.witness),
-        "witness_value": _jsonable(v.witness_value),
-        "vacuous": v.vacuous,
-        "domain_restricted": v.domain_restricted,
-        "note": v.note,
-    }
-
-
-def _probe_row(probe) -> dict | None:
-    if probe is None:
+def _row(record) -> dict | None:
+    """A region verdict or membership probe as its dataclass fields, in
+    declaration order, but the indicator (its region row names it); None
+    for None."""
+    if record is None:
         return None
-    return {
-        "point": _jsonable(probe.point),
-        "set_value": _jsonable(probe.set_value),
-        "h_value": _jsonable(probe.h_value),
-        "ok": probe.ok,
-        "samples": probe.samples,
-    }
+    return {f.name: _jsonable(getattr(record, f.name))
+            for f in fields(record) if f.name != "indicator"}
 
 
 def _collect_witnesses(verdict: CertificateVerdict) -> list[dict]:
@@ -173,7 +159,7 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
     def condition_of(result: ConditionResult | None, idx: int):
         if result is None or idx >= len(result.region_verdicts):
             return None
-        return _verdict_row(result.region_verdicts[idx])
+        return _row(result.region_verdicts[idx])
 
     region_rows = []
     for i, r in enumerate(regions):
@@ -218,10 +204,8 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
         },
         "regions": region_rows,
         "membership": {
-            "initial": _probe_row(verdict.initial_result.probe
-                                  if verdict.initial_result else None),
-            "unsafe": _probe_row(verdict.unsafe_result.probe
-                                 if verdict.unsafe_result else None),
+            "initial": _row(getattr(verdict.initial_result, "probe", None)),
+            "unsafe": _row(getattr(verdict.unsafe_result, "probe", None)),
         },
         "witnesses": _collect_witnesses(verdict),
         "caveats": list(verdict.caveats),

@@ -3,7 +3,8 @@
 Each query asks a solver for a point on one region's level-set patch where
 the condition under test fails strictly; unsat over all regions certifies
 the condition on the enumerated component.  No solver is invoked here;
-emission is pure text so the files can be archived or fed to any engine.
+emission is pure text so the files can be archived or fed to any engine;
+one renderer, `_export`, writes every query of both conditions.
 
 Numbers are emitted exactly: integers as decimal literals, everything else
 as the dyadic rational p/q of the double, so the formulas mean precisely
@@ -85,52 +86,6 @@ def _region_conjuncts(region, domain_box=None) -> list[str]:
     return conj
 
 
-def _violation_invariance(region, sys: DynamicsSystem) -> str:
-    return f"(< {expr_to_smt(weighted_sum(region.slice.w, sys.exprs))} 0)"
-
-
-def _violation_set(set_expr: Expr) -> str:
-    return f"(> {expr_to_smt(set_expr)} 0)"
-
-
-def _header(kind, mode, region_label, transcendental, cfg, domain_flag):
-    lines = [
-        f"; relubarrier {__version__} {kind} query",
-        f"; mode: {mode}",
-        f"; regions: {region_label}",
-        f"; tolerances: tol_feas={cfg.tol_feas:g} tol_eq={TOL_EQ:g} "
-        f"tol_margin={cfg.tol_margin:g}",
-    ]
-    if domain_flag:
-        lines.append("; domain box asserted as additional constraints")
-    if transcendental:
-        lines.append("; logic: QF_NRA extended with transcendental functions "
-                     "(sin cos tanh exp ln); use a delta-capable solver")
-    else:
-        lines.append("(set-logic QF_NRA)")
-    return lines
-
-
-def _assemble(kind, regions_with_ids, violation_of, dim, mode, transcendental,
-              cfg, domain_box, filename) -> SmtQuery:
-    region_label = ",".join(r.indicator.compact() for _, r in regions_with_ids)
-    lines = _header(kind, mode, region_label, transcendental, cfg,
-                    domain_box is not None)
-    for i in range(dim):
-        lines.append(f"(declare-fun x{i + 1} () Real)")
-    disjuncts = []
-    for _, region in regions_with_ids:
-        conj = _region_conjuncts(region, domain_box) + [violation_of(region)]
-        disjuncts.append(f"(and {' '.join(conj)})")
-    body = disjuncts[0] if len(disjuncts) == 1 else f"(or {' '.join(disjuncts)})"
-    lines.append(f"(assert {body})")
-    lines.append("(check-sat)")
-    logic = ("QF_NRA" if not transcendental
-             else "QF_NRA+transcendental")
-    return SmtQuery(text="\n".join(lines) + "\n", mode=mode, logic_tag=logic,
-                    region_ids=[i for i, _ in regions_with_ids], filename=filename)
-
-
 def export_invariance(regions, sys: DynamicsSystem,
                       cfg: VerifierConfig = DEFAULT_CONFIG,
                       mode: str = "per-region",
@@ -142,7 +97,7 @@ def export_invariance(regions, sys: DynamicsSystem,
     holds on the enumerated component.  Raises NoRegions on an empty list.
     """
     transcendental = any(_has_transcendental(e) for e in sys.exprs)
-    violation = lambda r: _violation_invariance(r, sys)
+    violation = lambda r: f"(< {expr_to_smt(weighted_sum(r.slice.w, sys.exprs))} 0)"
     return _export(regions, violation, "invariance", sys.dim, transcendental,
                    cfg, mode, domain_box)
 
@@ -154,24 +109,41 @@ def export_set_condition(regions, set_expr: Expr, which: str, dim: int,
     """Violation queries for patch contact with {set_expr > 0}."""
     if which not in ("initial", "unsafe"):
         raise ValueError(f"which must be 'initial' or 'unsafe', got {which!r}")
-    transcendental = _has_transcendental(set_expr)
-    violation = lambda r: _violation_set(set_expr)
-    return _export(regions, violation, which, dim, transcendental, cfg, mode,
-                   domain_box)
+    violation = f"(> {expr_to_smt(set_expr)} 0)"
+    return _export(regions, lambda _r: violation, which, dim,
+                   _has_transcendental(set_expr), cfg, mode, domain_box)
 
 
 def _export(regions, violation, kind, dim, transcendental, cfg, mode, domain_box):
+    """The queries of one export: the preamble (tolerances, domain-box note,
+    logic, declarations) built once, each region's (and ...) body, its
+    conjuncts then violation(region), built once, and either one query per
+    region or one disjunction over all of them.  A set condition's violation
+    is the same text for every region, rendered once per call."""
     if mode not in ("per-region", "monolithic"):
         raise ValueError(f"mode must be 'per-region' or 'monolithic', got {mode!r}")
     if not regions:   # an empty disjunction is false: unsat would certify nothing
         raise NoRegions(f"{kind} export over an empty region list")
+    preamble = [f"; tolerances: tol_feas={cfg.tol_feas:g} tol_eq={TOL_EQ:g} "
+                f"tol_margin={cfg.tol_margin:g}"]
+    if domain_box is not None:
+        preamble.append("; domain box asserted as additional constraints")
+    preamble.append("; logic: QF_NRA extended with transcendental functions (sin cos tanh exp "
+                    "ln); use a delta-capable solver" if transcendental else "(set-logic QF_NRA)")
+    preamble += [f"(declare-fun x{i + 1} () Real)" for i in range(dim)]
+    bodies = [f"(and {' '.join(_region_conjuncts(r, domain_box) + [violation(r)])})"
+              for r in regions]
+    labels = [r.indicator.compact() for r in regions]
+    logic = "QF_NRA+transcendental" if transcendental else "QF_NRA"
+
+    def query(ids, body, filename):
+        label = ",".join(labels[i] for i in ids)
+        lines = [f"; relubarrier {__version__} {kind} query", f"; mode: {mode}",
+                 f"; regions: {label}", *preamble, f"(assert {body})", "(check-sat)"]
+        return SmtQuery(text="\n".join(lines) + "\n", mode=mode, logic_tag=logic,
+                        region_ids=list(ids), filename=filename)
+
     if mode == "monolithic":
-        pairs = list(enumerate(regions))
-        return [_assemble(kind, pairs, violation, dim, mode, transcendental,
-                          cfg, domain_box, f"{kind}.smt2")]
-    out = []
-    for i, region in enumerate(regions):
-        out.append(_assemble(kind, [(i, region)], violation, dim, mode,
-                             transcendental, cfg, domain_box,
-                             f"{kind}_region_{i:03d}.smt2"))
-    return out
+        body = bodies[0] if len(bodies) == 1 else f"(or {' '.join(bodies)})"
+        return [query(range(len(regions)), body, f"{kind}.smt2")]
+    return [query([i], body, f"{kind}_region_{i:03d}.smt2") for i, body in enumerate(bodies)]

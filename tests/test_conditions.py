@@ -865,6 +865,32 @@ def test_lp_point_failing_the_witness_check_gives_unknown(monkeypatch):
     assert unbounded.note == "objective unbounded below; LP point failed the witness check"
 
 
+def test_the_affine_route_checks_its_witnesses_in_one_batch(monkeypatch):
+    """On an all-affine problem with falsified rows in every condition, the
+    condition pass evaluates each expression once for its witnesses, all
+    candidates in one batch, and each witness value is the float `evaluate`
+    gives for g there.  The membership probes, which draw their own points,
+    are left out."""
+    net, regions = diamond_regions()
+    sys = DynamicsSystem.parse(["1", "0"], dim=2)
+    h_init, h_unsafe = parse_expression("x1 + 2", 2), parse_expression("x2 + 2", 2)
+    calls = []
+    monkeypatch.setattr(conditions, "evaluate", lambda e, x: calls.append(e) or evaluate(e, x))
+    monkeypatch.setattr(conditions, "_membership_probe", lambda *args: None)
+    inv, init, unsafe = conditions._check_conditions(
+        net, regions, sys, [(h_init, *conditions._INITIAL), (h_unsafe, *conditions._UNSAFE)],
+        DEFAULT_CONFIG)
+    exprs = [*sys.exprs, h_init, h_unsafe]
+    assert len(calls) == len(exprs) and all(a is b for a, b in zip(calls, exprs))
+    checks = [(v, w_dot_f(r, sys)) for r, v in zip(regions, inv.region_verdicts)]
+    checks += [(v, weighted_sum([-1.0], [h])) for result, h in ((init, h_init), (unsafe, h_unsafe))
+               for v in result.region_verdicts]
+    falsified = [(v, g) for v, g in checks if v.status == FALSIFIED]
+    assert len(falsified) == 2 + 4 + 4 and all(v.method == "lp" for v, _g in checks)
+    for v, g in falsified:
+        assert v.witness_value == evaluate(g, v.witness)
+
+
 def assert_same_condition(a, b):
     """Two ConditionResults agree field for field, probe and rows included."""
     assert (a.status, a.note, a.probe is None) == (b.status, b.note, b.probe is None)

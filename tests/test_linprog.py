@@ -160,7 +160,7 @@ def test_a_zero_normal_with_a_nonzero_offset_is_infeasible():
 
 
 def test_zero_objective_lp_unconstrained():
-    out = lp_solve(np.zeros(2))
+    out = lp_solve(np.zeros(2), np.zeros((0, 2)), np.zeros(0))
     assert out.optimal and out.point.shape == (2,)
 
 

@@ -181,6 +181,20 @@ def test_report_layout(tmp_path):
     json.dumps(report)  # everything must be JSON-serializable
 
 
+def test_report_rows_keep_the_record_field_order(tmp_path):
+    """A region's condition rows and the membership rows list their record's
+    fields in declaration order, the region verdict's indicator left out
+    (the region row names it)."""
+    report = run_and_report(tmp_path, dynamics=("1", "0"))
+    for row in report["regions"]:
+        for label in ("invariance", "initial", "unsafe"):
+            assert list(row[label]) == ["status", "method", "bound", "witness", "witness_value",
+                                        "vacuous", "domain_restricted", "note"]
+    for label in ("initial", "unsafe"):
+        assert list(report["membership"][label]) == ["point", "set_value", "h_value", "ok",
+                                                     "samples"]
+
+
 def test_report_region_rows_in_canonical_order(tmp_path):
     report = run_and_report(tmp_path)
     indicators = [row["indicator"] for row in report["regions"]]

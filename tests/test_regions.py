@@ -11,7 +11,7 @@ from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNe
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
-from relubarrier import NumericalFailure, conditions, geometry, parse_expression, regions
+from relubarrier import NumericalFailure, conditions, geometry, regions
 from relubarrier.config import TOL_EQ
 from relubarrier.geometry import inscribed_ball
 
@@ -384,9 +384,7 @@ def test_frame_answers_what_the_lps_answer():
             touching, minima = lp_slice_answers(region, objectives, tol)
             assert np.array_equal(full.A[touching], region.slice.A)
             for c, lp_min in zip(objectives, minima):
-                g = parse_expression(" + ".join(f"{float(v)!r}*x{i + 1}" for i, v in enumerate(c)),
-                                     net.input_dim)
-                verdict = conditions._decide_affine(region, [1.0], [g], (c, 0.0), DEFAULT_CONFIG)
+                verdict, _candidate = conditions._decide_affine(region, (c, 0.0), DEFAULT_CONFIG)
                 if lp_min == -np.inf:
                     assert verdict.note.startswith("objective unbounded below")
                     counts["unbounded"] += 1

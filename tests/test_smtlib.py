@@ -2,6 +2,8 @@
 with the LP route on affine fixtures (decided by evaluating the emitted
 text at candidate points)."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (ActivationIndicator, DynamicsSystem, NoRegions,
+from relubarrier import (__version__, smtlib, ActivationIndicator, DynamicsSystem, NoRegions,
                          boundary_propagation, build_valid_region,
                          check_invariance, export_invariance,
                          export_set_condition, format_number,
@@ -226,6 +228,35 @@ def test_domain_box_rows_added_when_requested():
     assert "(>= x1 (- 3))" in q.text
     assert "(<= x2 3)" in q.text
     assert "; domain box asserted" in q.text
+
+
+def test_diamond_export_matches_its_golden_texts():
+    """Every byte of the diamond's invariance and initial-set queries, one
+    per region and one disjunction, with a domain box asserted."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "diamond_export.json").read_text())
+    regions = diamond_regions()
+    flow = DynamicsSystem.parse(["-x1", "x1 - x2^3"], dim=2)
+    h_init = parse_expression("0.04 - x1^2 - (x2 - 0.5)^2", 2)
+    box = ((-3.0, 3.0), (-2.0, 2.5))
+    queries = [q for mode in ("per-region", "monolithic")
+               for q in export_invariance(regions, flow, mode=mode, domain_box=box)
+               + export_set_condition(regions, h_init, "initial", 2, mode=mode, domain_box=box)]
+    assert {q.filename: q.text for q in queries} == {
+        name: text.replace("{version}", __version__) for name, text in golden.items()}
+
+
+def test_set_condition_export_renders_the_set_function_once(monkeypatch):
+    """The set function's text is the same in every region's violation, so
+    one export renders it once, in either mode."""
+    h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
+    calls = []
+    render = smtlib.expr_to_smt
+    monkeypatch.setattr(smtlib, "expr_to_smt", lambda e: calls.append(e) or render(e))
+    for mode in ("per-region", "monolithic"):
+        calls.clear()
+        assert len(export_set_condition(diamond_regions(), h_init, "initial", 2, mode=mode)) \
+            == (4 if mode == "per-region" else 1)
+        assert sum(e is h_init for e in calls) == 1
 
 
 def test_export_is_byte_deterministic():

@@ -17,7 +17,7 @@ import re
 
 import relubarrier
 from relubarrier import (DynamicsSystem, VerifierConfig, build_report, cli, conditions,
-                         load_problem, parse_expression)
+                         enumerate_level_set, load_problem, parse_expression, smtlib)
 
 from helpers import BENCH, diamond_net, load_bench_module
 
@@ -62,6 +62,36 @@ def test_bench_tracer_reads_a_verify_pass():
     assert metrics["regions.find_initial_region.attempts"] >= 1
     assert metrics["regions.regions_found"] == 4
     assert all(isinstance(value, (int, float)) for value in metrics.values())
+
+
+def test_bench_tracer_reads_an_export():
+    """A traced export, as the bench runs it (invariance, then both set
+    conditions), records both export spans, and `smtlib.export.bytes` is
+    the text length of the queries an untraced export returns."""
+    tracing = load_bench_module("tracing")
+    net = diamond_net()
+    regions = enumerate_level_set(net).regions
+    flow = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
+    h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
+    h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
+
+    def export():
+        return (smtlib.export_invariance(regions, flow)
+                + smtlib.export_set_condition(regions, h_init, "initial", 2)
+                + smtlib.export_set_condition(regions, h_unsafe, "unsafe", 2))
+
+    untraced = export()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = export()
+    finally:
+        tracer.uninstall()
+    assert [q.text for q in traced] == [q.text for q in untraced]
+    assert [span[1] for span in sorted(tracer.spans)] == [
+        "smtlib.export_invariance", "smtlib.export_set_condition", "smtlib.export_set_condition"]
+    bytes_metric = tracing.LAYER_METRICS["smtlib.export.bytes"][1]
+    assert bytes_metric(tracer) == sum(len(q.text) for q in untraced) > 0
 
 
 def test_every_configuration_field_is_set_by_some_input():
