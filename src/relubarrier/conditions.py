@@ -417,17 +417,20 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
     strictly.  Equality with zero never passes: a sample on the boundary is
     evidence against the condition, not for it.  The probe reports the
     first failing point, or else the first set point.  The draws are those
-    of `rng.uniform` over the domain box, made 2048 rows first and 8192 at a
-    time after that, in one buffer scaled in place.
+    of `rng.uniform` over the domain box, 2048 rows and then 8192 at a time,
+    each batch scaled in place in one contiguous pass by tiled widths and offsets.
     """
-    domain = cfg.domain(net.input_dim)
-    buffer = np.empty((8192, net.input_dim))
-    seen = 0
+    domain, n = cfg.domain(net.input_dim), net.input_dim
+    buffer, seen = np.empty((0, n)), 0
     while seen < cfg.membership_samples:
-        xs = buffer[:min(8192 if seen else 2048, cfg.membership_samples - seen)]
+        m = min(8192 if seen else 2048, cfg.membership_samples - seen)
+        if m > len(buffer):   # sized to the longest batch so far: every row is drawn
+            buffer = np.empty((m, n))
+            scale, offset = np.tile(domain[:, 1] - domain[:, 0], (m, 1)), np.tile(domain[:, 0], (m, 1))
+        xs = buffer[:m]
         rng.random(out=xs)
-        xs *= domain[:, 1] - domain[:, 0]
-        xs += domain[:, 0]
+        xs *= scale[:m]
+        xs += offset[:m]
         values = evaluate(set_expr, xs)   # NaN where set_expr is undefined
         idx = np.flatnonzero(values > 0.0)
         if idx.size:

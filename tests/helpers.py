@@ -304,9 +304,11 @@ def reference_valid(net: ReluNetwork, ind, cfg=DEFAULT_CONFIG) -> bool:
 
 def reference_probe(net: ReluNetwork, set_expr, cfg, rng, want_inside: bool):
     """The membership probe drawn in batches of 2048 rows of `rng.uniform`,
-    as `conditions._membership_probe` drew it before its draws were made in
-    one scaled buffer: every set point of the first batch holding any is
-    checked, and the first failing one, else the first, is reported."""
+    each batch a fresh array: the points and the checks that
+    `conditions._membership_probe` must reproduce bit for bit from the
+    buffer it reuses and scales in place.  Every set point of the first
+    batch holding any is checked, and the first failing one, else the
+    first, is reported."""
     domain = cfg.domain(net.input_dim)
     seen = 0
     while seen < cfg.membership_samples:

@@ -1365,33 +1365,31 @@ def test_patch_witnesses_stand_when_sampling_runs_out():
 
 
 PROBE_BOX = ((-3.0, 2.0), (-0.5, 4.25))   # not a cube
+PROBE_HITS = pytest.mark.parametrize(
+    "hits", [(), (1,), (1, 7), (2048,), (2048, 2049), (2049, 4000), (4096, 4097), (5000, 6000),
+             (10_240, 10_241), (12_000, 12_300)],
+    ids=lambda hits: "-".join(map(str, hits)) or "none")
 
 
 def balls_about(points):
     """A set function positive exactly within 1e-6 of one of one or two points."""
-    terms = [f"(1e-12 - (x1 - {float(p[0])!r})^2 - (x2 - {float(p[1])!r})^2)" for p in points]
-    return parse_expression(("-" if len(terms) == 2 else "") + "*".join(terms), 2)
+    terms = ["(1e-12 - " + " - ".join(f"(x{k + 1} - {float(c)!r})^2" for k, c in enumerate(p)) + ")"
+             for p in points]
+    return parse_expression(("-" if len(terms) == 2 else "") + "*".join(terms), len(points[0]))
 
 
-@pytest.mark.parametrize("samples", [1000, 10_000, 1_000_000])
-@pytest.mark.parametrize("hits", [(), (1,), (1, 7), (2048,), (2048, 2049), (2049, 4000),
-                                  (4096, 4097), (5000, 6000), (12_000, 12_300)],
-                         ids=lambda hits: "-".join(map(str, hits)) or "none")
-def test_membership_probe_matches_the_batched_reference(samples, hits):
-    """The probe draws 2048 rows, then 8192 at a time, into one buffer; it
-    gives field for field what the 2048-row batches of `rng.uniform` gave
-    (`reference_probe`) for set points at the given draws (1-based), in one
-    2048-draw batch or across a batch boundary, where the second point, if
-    checked, would flip the outcome: its h has the other sign."""
-    net, cfg = diamond_net(), DEFAULT_CONFIG.updated(domain_box=PROBE_BOX,
-                                                     membership_samples=samples)
-    draws = np.random.default_rng(5).uniform(*np.array(PROBE_BOX).T, size=(13_000, 2))
+def check_probe_against_reference(net, box, samples, hits):
+    """The probe gives field for field what `reference_probe` gives, with a
+    set of balls about the draws at `hits` (1-based), for both signs."""
+    n = net.input_dim
+    cfg = DEFAULT_CONFIG.updated(domain_box=box, membership_samples=samples)
+    draws = np.random.default_rng(5).uniform(*np.array(box).T, size=(13_000, n))
     sign = np.sign(net.forward_many(draws))
     picked = [hits[0] - 1] if hits else []
     if len(hits) == 2:   # the first draw from hits[1] on where h has the other sign
         picked.append(hits[1] - 1 + int(np.argmax(sign[hits[1] - 1:] != sign[picked[0]])))
         assert picked[1] // 2048 == (hits[1] - 1) // 2048
-    set_expr = balls_about(draws[picked]) if picked else parse_expression("-1 - x1^2", 2)
+    set_expr = balls_about(draws[picked]) if picked else parse_expression("-1 - x1^2", n)
     for want_inside in (True, False):
         probe = conditions._membership_probe(net, set_expr, cfg, np.random.default_rng(5),
                                              want_inside)
@@ -1404,6 +1402,44 @@ def test_membership_probe_matches_the_batched_reference(samples, hits):
         assert probe.point.base is None                            # not a view of the buffer
         assert (probe.set_value, probe.h_value, probe.ok, probe.samples) == \
             (expected.set_value, expected.h_value, expected.ok, expected.samples)
+
+
+@pytest.mark.parametrize("samples", [1000, 10_000, 1_000_000])
+@PROBE_HITS
+def test_membership_probe_matches_the_batched_reference(samples, hits):
+    """The probe draws 2048 rows, then 8192 at a time, into a reused buffer; it
+    gives field for field what the 2048-row batches of `rng.uniform` gave
+    (`reference_probe`) for set points at the given draws, in one 2048-draw
+    batch or across a batch boundary of either size, where the second
+    point, if checked, would flip the outcome: its h has the other sign."""
+    check_probe_against_reference(diamond_net(), PROBE_BOX, samples, hits)
+
+
+@pytest.mark.parametrize("samples", [1000, 10_000, 1_000_000])
+@PROBE_HITS
+def test_membership_probe_matches_the_reference_on_a_3d_box(samples, hits):
+    """As above for a 3-D net on a box of three unequal widths, where a
+    widths or offsets vector tiled in the wrong order (each coordinate's
+    value repeated, or the columns swapped) would move every point."""
+    net = random_hidden_net(np.random.default_rng(4), n_in=3)   # h > 0 on about 22% of the box
+    check_probe_against_reference(net, ((-3.0, 2.0), (-0.5, 4.25), (1.0, 7.0)), samples, hits)
+
+
+@pytest.mark.parametrize("samples, batches", [(20_000, [2048, 8192, 8192, 1568]),
+                                              (5000, [2048, 2952]), (1000, [1000])])
+def test_membership_probe_batch_schedule(monkeypatch, samples, batches):
+    """A probe that never hits evaluates the set function once per batch:
+    2048 rows, then 8192 at a time, the last cut at the budget.  The rule
+    that only the first 2048-draw batch holding a set point is checked
+    rests on this schedule.  The draws share one buffer, as long as the
+    longest batch so far, so no row of it goes undrawn."""
+    shapes = []
+    monkeypatch.setattr(conditions, "evaluate",
+                        lambda e, xs: shapes.append((len(xs), xs.base.shape)) or evaluate(e, xs))
+    cfg = DEFAULT_CONFIG.updated(membership_samples=samples)
+    assert conditions._membership_probe(diamond_net(), parse_expression("-1 - x1^2", 2), cfg,
+                                        np.random.default_rng(5), True) is None
+    assert shapes == [(k, (max(batches[:i + 1]), 2)) for i, k in enumerate(batches)]
 
 
 @pytest.mark.parametrize("flow, h_init, condition, axis, undefined", [
