@@ -124,15 +124,6 @@ def _gate(cfg) -> float:
     return -max(cfg.tol_margin, FALSIFY_GATE)
 
 
-def _status_from_value(value, cfg):
-    """Margin semantics shared by every route."""
-    if value >= -cfg.tol_margin:
-        return VERIFIED
-    if value < _gate(cfg):
-        return FALSIFIED
-    return UNKNOWN  # inside the float-noise band
-
-
 def _checked_witness(sl, points, values, cfg) -> np.ndarray:
     """values, g at each row of points evaluated directly (not a solver's or
     a bound's number), NaN where the row is off the slice by more than
@@ -146,6 +137,16 @@ def _checked_witness(sl, points, values, cfg) -> np.ndarray:
 
 
 # -- LP route: affine objectives, read off the frame ------------------------------
+
+def _status_from_value(value, cfg):
+    """The status of an exact minimum of g over a patch: verified at or above
+    -tol_margin, falsified below the witness gate, else unknown."""
+    if value >= -cfg.tol_margin:
+        return VERIFIED
+    if value < _gate(cfg):
+        return FALSIFIED
+    return UNKNOWN  # inside the float-noise band
+
 
 def _decide_affine(region: ValidRegion, form, cfg):
     """(verdict, candidate) for the exact min of g = coeffs.x + const (form)

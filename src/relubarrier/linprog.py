@@ -8,9 +8,9 @@ defaults happen to be.
 
 Free variables are split into positive/negative parts, every row gets a
 slack, and phase one introduces artificial variables for the rows with a
-negative right-hand side (their slack cannot start basic).  Pivoting uses
-Dantzig's rule until a run of degenerate pivots is detected, then falls
-back to Bland's rule, which guarantees termination.
+negative right-hand side (their slack cannot start basic).  Every pivot
+follows Bland's rule (Bland 1977), which rules out cycling on degenerate
+vertices in exact arithmetic; `_MAX_ITER` bounds each phase under round-off.
 
 `lp_solve` takes one LP in inequality form as arrays, always minimises (a
 maximum is the negated minimum of the negated objective) and returns one
@@ -35,8 +35,6 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-11
 # reduced-cost threshold for entering-variable selection
 _COST_TOL = 1e-9
-# consecutive degenerate pivots tolerated before switching to Bland's rule
-_DEGENERATE_LIMIT = 40
 _MAX_ITER = 20_000
 
 
@@ -76,24 +74,18 @@ def _pivot(T, basis, row, col):
 
 
 def _run_simplex(T, basis):
-    """Minimize the objective encoded in the last tableau row.
+    """Minimize the objective encoded in the last tableau row by Bland's
+    rule: the first column of negative reduced cost enters, and of the rows
+    tied for the least ratio the one with the smallest basic index leaves.
 
     Returns "optimal" or "unbounded"; raises NumericalFailure if the
-    iteration budget is exhausted even under Bland's rule.
+    iteration budget is exhausted.
     """
-    bland = False
-    degenerate_streak = 0
     for _ in range(_MAX_ITER):
-        costs = T[-1, :-1]
-        if bland:
-            candidates = (costs < -_COST_TOL).nonzero()[0]
-            if candidates.size == 0:
-                return OPTIMAL
-            col = int(candidates[0])
-        else:
-            col = int(costs.argmin())
-            if costs[col] >= -_COST_TOL:
-                return OPTIMAL
+        candidates = (T[-1, :-1] < -_COST_TOL).nonzero()[0]
+        if candidates.size == 0:
+            return OPTIMAL
+        col = int(candidates[0])
         column = T[:-1, col]
         eligible = (column > _PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
@@ -101,22 +93,8 @@ def _run_simplex(T, basis):
         ratios = T[:-1, -1][eligible] / column[eligible]
         best = ratios.min()
         ties = eligible[ratios <= best + 1e-9 * max(1.0, abs(best))]
-        if ties.size == 1:
-            row = int(ties[0])
-        elif bland:
-            # smallest basis index among ties (termination guarantee)
-            row = int(ties[np.argmin(basis[ties])])
-        else:
-            # largest pivot magnitude among ties (stability)
-            row = int(ties[np.argmax(column[ties])])
-        before = T[-1, -1]
+        row = int(ties[0]) if ties.size == 1 else int(ties[np.argmin(basis[ties])])
         _pivot(T, basis, row, col)
-        if abs(T[-1, -1] - before) <= 1e-12 * max(1.0, abs(before)):
-            degenerate_streak += 1
-            if degenerate_streak > _DEGENERATE_LIMIT:
-                bland = True
-        else:
-            degenerate_streak = 0
     raise NumericalFailure("simplex iteration budget exhausted")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .conditions import CertificateVerdict, ConditionResult
+from .conditions import FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict, ConditionResult
 from .config import VerifierConfig
 from .errors import (DimensionMismatch, MissingField, ProblemFormatError,
                      RelubarrierError)
@@ -219,16 +219,11 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
 
 
 def exit_code(report: dict) -> int:
+    """EXIT_FAILURE for a failure report, else the code of its overall verdict."""
     if report.get("failure"):
         return EXIT_FAILURE
-    verdicts = report["verdicts"]
-    statuses = (verdicts["invariance"], verdicts["initial_condition"],
-                verdicts["unsafe_condition"])
-    if "falsified" in statuses:
-        return EXIT_FALSIFIED
-    if "unknown" in statuses:
-        return EXIT_UNKNOWN
-    return EXIT_VERIFIED
+    return {FALSIFIED: EXIT_FALSIFIED, UNKNOWN: EXIT_UNKNOWN,
+            VERIFIED: EXIT_VERIFIED}[report["verdicts"]["overall"]]
 
 
 def write_report(report: dict, path) -> None:

@@ -6,11 +6,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from relubarrier import MalformedProblem, NumericalFailure
+from relubarrier import MalformedProblem, NumericalFailure, brute_force_valid_regions, geometry
 from relubarrier.geometry import Polyhedron
-from relubarrier.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
+from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, _run_simplex,
+                                 lp_solve)
 
-from helpers import matrix_rank, vertex_minimum
+from helpers import matrix_rank, random_hidden_net, vertex_minimum
 
 
 def test_box_minimum():
@@ -114,14 +115,36 @@ def test_vertex_oracle_with_equalities():
 
 
 def test_degenerate_lp_terminates():
-    # many redundant rows through one vertex: cycling guard must kick in
+    # many redundant rows through one vertex
     n = 2
     angles = np.linspace(0.0, np.pi, 12)[1:-1]
     a = np.stack([-np.cos(angles), -np.sin(angles)], axis=1)
     d = np.zeros(a.shape[0])  # all rows tight at the origin
     out = lp_solve(np.array([0.0, 1.0]), a_ub=np.vstack([a, -np.eye(n)]),
                    b_ub=np.concatenate([d, np.ones(n)]))
-    assert out.status in (OPTIMAL, UNBOUNDED)
+    assert out.status == OPTIMAL
+    assert out.value == pytest.approx(0.0, abs=1e-9)
+    assert out.point == pytest.approx(np.zeros(n), abs=1e-9)
+
+
+def test_beales_cycling_lp():
+    """Beale's LP, as rows and as its textbook tableau (x >= 0, slacks
+    basic), on which the largest-coefficient rule with ties left to the
+    smallest index cycles; the simplex reaches the optimum from both."""
+    c = np.array([-3 / 4, 150.0, -1 / 50, 6.0])
+    rows = np.array([[1 / 4, -60.0, -1 / 25, 9.0], [1 / 2, -90.0, -1 / 50, 3.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+    rhs = np.array([0.0, 0.0, 1.0])
+    out = lp_solve(c, np.vstack([rows, -np.eye(4)]), np.concatenate([rhs, np.zeros(4)]))
+    assert out.status == OPTIMAL
+    assert out.value == pytest.approx(-0.05, abs=1e-9)
+    assert out.point == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-9)
+
+    T = np.block([[rows, np.eye(3), rhs[:, None]], [c, np.zeros(4)]])
+    basis = np.arange(4, 7)
+    assert _run_simplex(T, basis) == OPTIMAL
+    assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-9)
+    assert sorted(basis) == [0, 2, 4]
 
 
 def test_one_objective_gives_one_outcome_and_a_matrix_objective_is_malformed():
@@ -194,6 +217,56 @@ def test_rank_invariances():
         scales = np.where(rng.random(m) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 100.0, m)
         assert matrix_rank(mat * scales[:, None]) == r
         assert r == np.linalg.matrix_rank(mat)
+
+
+def _degenerate_lps(rng):
+    """Random LPs with rows through one point, duplicated rows,
+    contradictory pairs or open directions."""
+    for kind in range(4):
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            a = rng.normal(size=(int(rng.integers(n, 3 * n)), n))
+            if kind == 0:     # every row tight at one point
+                b = a @ rng.normal(size=n)
+            elif kind == 1:   # each row repeated, some scaled
+                b = a @ rng.normal(size=n) + rng.uniform(0.0, 1.0, len(a))
+                scale = rng.uniform(0.5, 2.0, len(a))[:, None]
+                a, b = np.vstack([a, a * scale]), np.concatenate([b, b * scale[:, 0]])
+            elif kind == 2:   # a row and its negation a unit apart
+                b = a @ rng.normal(size=n) + rng.uniform(0.0, 1.0, len(a))
+                a, b = np.vstack([a, -a[:1]]), np.concatenate([b, -b[:1] - 1.0])
+            else:             # rows that all leave the direction u open
+                u = rng.normal(size=n)
+                a -= np.outer(np.maximum(a @ u, 0.0) + rng.uniform(0.0, 1.0, len(a)), u) / (u @ u)
+                b = rng.uniform(-1.0, 1.0, len(a))
+            yield rng.normal(size=n), a, b, 1e-7
+
+
+def test_outcomes_match_highs_on_validity_lps_and_degenerate_lps(monkeypatch):
+    """Every LP the oracle enumeration solves on seeded random 2-D and 3-D
+    nets, and random degenerate LPs, get HiGHS's status (presolve off) and,
+    when optimal, its value."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lps = []
+
+    def spy(c, a, b, tol_feas=1e-7):
+        lps.append((c, a, b, tol_feas))
+        return lp_solve(c, a, b, tol_feas)
+
+    monkeypatch.setattr(geometry, "lp_solve", spy)
+    for n in (2, 3):
+        for s in range(2):
+            brute_force_valid_regions(random_hidden_net(np.random.default_rng([5, n, s]), n_in=n))
+    assert len(lps) > 100
+    lps += _degenerate_lps(np.random.default_rng(17))
+    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    for c, a, b, tol_feas in lps:
+        out = lp_solve(c, a, b, tol_feas)
+        ref = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs",
+                      options={"presolve": False})
+        assert out.status == statuses[ref.status]
+        if out.optimal:
+            assert abs(out.value - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
 
 def test_iteration_cap_raises():

@@ -1,6 +1,7 @@
 """Problem-file loading, report layout, exit codes and the determinism
 serialization used to compare runs."""
 
+import itertools
 import json
 import os
 
@@ -13,6 +14,7 @@ from relubarrier import (DEFAULT_CONFIG, DimensionMismatch, MissingField, Proble
                          report_bytes_without_timings, verify_certificate,
                          write_report, EXIT_FALSIFIED, EXIT_FAILURE,
                          EXIT_UNKNOWN, EXIT_VERIFIED)
+from relubarrier.conditions import _aggregate
 
 from helpers import CUBIC2D, diamond_net, write_problem
 
@@ -213,21 +215,19 @@ def test_report_witnesses_on_falsified_run(tmp_path):
 
 
 def test_exit_code_mapping():
-    def fake(overall_triplet, failure=None):
-        inv, init, unsafe = overall_triplet
+    """Every status triple exits by its overall verdict (`_aggregate`):
+    falsified 1 over unknown 2 over verified 0; a failure exits 3."""
+    def fake(triple, failure=None):
+        inv, init, unsafe = triple
         return {"failure": failure,
                 "verdicts": {"invariance": inv, "initial_condition": init,
-                             "unsafe_condition": unsafe, "overall": "x"}}
-    assert exit_code(fake(("verified",) * 3)) == EXIT_VERIFIED == 0
-    assert exit_code(fake(("falsified", "verified", "verified"))) == \
-        EXIT_FALSIFIED == 1
-    assert exit_code(fake(("verified", "unknown", "verified"))) == \
-        EXIT_UNKNOWN == 2
-    # falsified dominates unknown
-    assert exit_code(fake(("unknown", "falsified", "verified"))) == 1
-    assert exit_code(fake(("verified",) * 3,
-                          failure={"kind": "search-exhausted"})) == \
-        EXIT_FAILURE == 3
+                             "unsafe_condition": unsafe, "overall": _aggregate(triple)}}
+    codes = {"verified": EXIT_VERIFIED, "falsified": EXIT_FALSIFIED, "unknown": EXIT_UNKNOWN}
+    assert (EXIT_VERIFIED, EXIT_FALSIFIED, EXIT_UNKNOWN, EXIT_FAILURE) == (0, 1, 2, 3)
+    for triple in itertools.product(codes, repeat=3):
+        expected = 1 if "falsified" in triple else 2 if "unknown" in triple else 0
+        assert exit_code(fake(triple)) == codes[_aggregate(triple)] == expected
+    assert exit_code(fake(("verified",) * 3, failure={"kind": "search-exhausted"})) == 3
 
 
 def test_write_report_and_determinism_serialization(tmp_path):
