@@ -11,6 +11,8 @@ SMT-LIB queries when they do not.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .config import DEFAULT_CONFIG, VerifierConfig
 from .errors import (CombinatorialBlowup, DimensionMismatch,
                      ExpressionError, ExpressionSyntaxError,
@@ -37,32 +39,5 @@ from .problem import (EXIT_FAILURE, EXIT_FALSIFIED, EXIT_UNKNOWN,
                       exit_code, load_problem, report_bytes_without_timings,
                       write_report)
 
-__all__ = [
-    "__version__",
-    "VerifierConfig", "DEFAULT_CONFIG",
-    "RelubarrierError", "MalformedProblem", "NumericalFailure",
-    "DimensionMismatch", "CombinatorialBlowup", "InfeasiblePolyhedron",
-    "OracleTooLarge", "SearchExhausted", "NoRegions",
-    "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifier",
-    "VariableOutOfRange", "ProblemFormatError", "MissingField",
-    "UnsupportedDimension",
-    "LpOutcome", "lp_solve",
-    "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
-    "parse_expression", "evaluate", "interval_evaluate",
-    "DynamicsSystem",
-    "ReluNetwork", "ActivationIndicator", "network_from_json", "load_network",
-    "Polyhedron", "inscribed_ball",
-    "implicit_equalities", "remove_redundant", "bounding_box",
-    "valid_test", "build_valid_region", "ValidRegion",
-    "EnumerationResult", "enumerate_level_set", "find_initial_region",
-    "boundary_propagation", "brute_force_valid_regions",
-    "VERIFIED", "FALSIFIED", "UNKNOWN", "RegionVerdict", "ConditionResult",
-    "CertificateVerdict", "check_invariance", "check_initial_condition",
-    "check_unsafe_condition", "verify_certificate",
-    "SmtQuery", "export_invariance", "export_set_condition",
-    "expr_to_smt",
-    "format_number",
-    "ProblemSpec", "LoadedProblem", "load_problem", "build_report",
-    "exit_code", "report_bytes_without_timings", "write_report",
-    "EXIT_VERIFIED", "EXIT_FALSIFIED", "EXIT_UNKNOWN", "EXIT_FAILURE",
-]
+__all__ = ["__version__"] + [name for name, value in globals().items()
+                             if not name.startswith("_") and not isinstance(value, _ModuleType)]

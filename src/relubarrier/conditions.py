@@ -19,16 +19,17 @@ points out along its rays as witness seeds, cuts each patch into simplices
 once for all its pairs, and encloses each expression once per level over
 the boxes of the pairs that weigh it.  Its verdict stands.  No rung solves
 an LP.  `verify_certificate` takes its regions from
-`regions.enumerate_level_set`, as the SMT export and the plots do.  Every
-witness passes the one check `_checked_witness` in `_first_witnesses`,
-which evaluates each expression once per batch of points (BaB's seeds, each
-BaB level, all of the affine route's candidates) and combines the values
-into the floats `evaluate` gives for g: the point lies on the slice within
-tol_feas and g there is finite and below -max(tol_margin, FALSIFY_GATE); a
-point that fails yields `unknown`, never an unchecked `falsified`.  A
-condition verified over a partial enumeration is `unknown` too.  Set
-conditions also probe sampled set points against the sign of h, one more
-status in the same aggregation.
+`regions.enumerate_level_set`, as the SMT export and the plots do.  One
+weighted-sum step, `expressions._weighted`, gives g at points and over
+boxes, each expression evaluated once per batch over the rows that weigh
+it.  Every witness passes the one check `_checked_witness` in
+`_first_witnesses`, which takes g per batch of points (BaB's seeds, each
+BaB level, all of the affine route's candidates) as the floats `evaluate`
+gives for it: the point lies on the slice within tol_feas and g there is
+finite and below -max(tol_margin, FALSIFY_GATE); a point that fails yields
+`unknown`, never an unchecked `falsified`.  A condition verified over a
+partial enumeration is `unknown` too.  Set conditions also probe sampled
+set points against the sign of h, one more status in the same aggregation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .config import BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_GATE, VerifierConfig
 from .errors import NoRegions, NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
-                          _linear_form, _weighted_enclosure)
+                          _linear_form, _weighted)
 from .geometry import bounding_box, frame, triangulate
 from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 
@@ -207,38 +208,17 @@ def _simplices(region: ValidRegion, cfg):
     return triangulate(vertices, tight, cfg.tol_feas), restricted
 
 
-def _parts(fn, exprs, use, rows) -> np.ndarray:
-    """(m, k, 2) parts for `_weighted_enclosure`: fn(exprs[j], rows[i]) where use[i, j]
-    (`interval_evaluate` of boxes, or `evaluate` at points as [v, v]), else 0."""
-    parts = np.zeros((len(rows), len(exprs), 2))
-    for j, e in enumerate(exprs):
-        on = use[:, j]
-        if on.any():
-            batch = rows if on.all() else rows[on]
-            parts[on, j] = np.reshape(fn(e, batch), (len(batch), -1))
-    return parts
-
-
 def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
     """Per pair (one region, row of coefs and array of points each), the
     (point, value) of its first point whose checked value is below `_gate`,
-    or None.  Each expression is evaluated once over the points of the pairs
-    that weigh it, pairs handed one array (a region's seeds) sharing it;
+    or None.  The values of g come from one `_weighted` call, each
+    expression evaluated once over the points of the pairs that weigh it;
     only a pair with a value below `_gate` is checked."""
     if not points:
         return []
-    slot, arrays = {}, list({id(p): p for p in points}.values())   # distinct, first seen first
-    index = [slot.setdefault(id(p), len(slot)) for p in points]
-    use = np.zeros((len(arrays), len(exprs)), dtype=bool)
-    np.logical_or.at(use, index, np.asarray(coefs) != 0.0)
-    sizes = [len(p) for p in arrays]
-    parts = np.split(_parts(evaluate, exprs, np.repeat(use, sizes, axis=0),
-                            np.concatenate(arrays)), np.cumsum(sizes)[:-1])
-    counts = [len(p) for p in points]
-    values = _weighted_enclosure(np.repeat(coefs, counts, axis=0),
-                                 np.concatenate([parts[i] for i in index]))[:, 0]
     hits = []
-    for region, p, v in zip(regions, points, np.split(values, np.cumsum(counts)[:-1])):
+    for region, p, v in zip(regions, points, _weighted(evaluate, exprs, coefs, points)):
+        v = v[:, 0]
         if (v < _gate(cfg)).any():
             v = _checked_witness(region.slice, p, v, cfg)
         first = np.flatnonzero(v < _gate(cfg))
@@ -278,7 +258,7 @@ class _Run:
 def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     """Certify min g >= -tol_margin over each pair's patch, g =
     coefs[i] . exprs on regions[i], or find a witness; pairs
-    sharing a region share its seeds, simplices and `_axis_bounds`.
+    sharing a region share its simplices and `_axis_bounds`.
 
     Seeds are checked first, in one batch: each patch's vertices, then the
     points out along each ray from each vertex at 1, 2, 4, 8 and 16
@@ -302,11 +282,10 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     interval = lambda i, status, **kw: RegionVerdict(regions[i].indicator, status, "interval", **kw)
     falsified = lambda i, hit: hit and interval(i, FALSIFIED, witness=hit[0], witness_value=hit[1])
     width = float(np.max(np.ptp(cfg.domain(regions[0].slice.dim), axis=1)))
-    seeds = {key: np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
-                                            for k in range(5) for ray in r.rays])
-             for key, r in {id(r): r for r in regions}.items()}
+    seeds = [np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
+                                       for k in range(5) for ray in r.rays]) for r in regions]
     verdicts = [falsified(i, hit) for i, hit in enumerate(
-        _first_witnesses(regions, coefs, [seeds[id(r)] for r in regions], exprs, cfg))]
+        _first_witnesses(regions, coefs, seeds, exprs, cfg))]
     runs, cuts = [], {}
     for i, region in enumerate(regions):
         if verdicts[i] is not None:
@@ -329,15 +308,10 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     pad = np.array([-cfg.tol_feas, cfg.tol_feas])
     while runs:
         levels = [run.queue[:cfg.bab_max_boxes - run.processed] for run in runs]
-        counts, run_coefs = [len(level) for level in levels], coefs[[run.index for run in runs]]
-        exact = np.repeat([run.exact for run in runs], counts, axis=0)
-        boxes = np.stack([np.concatenate([level.min(axis=1) for level in levels]),
-                          np.concatenate([level.max(axis=1) for level in levels])], axis=2)
-        boxes = np.clip(boxes + pad, exact[..., :1], exact[..., 1:])
-        box_coefs = np.repeat(run_coefs, counts, axis=0)
-        lows = np.split(_weighted_enclosure(
-            box_coefs, _parts(interval_evaluate, exprs, box_coefs != 0.0, boxes))[:, 0],
-            np.cumsum(counts)[:-1])
+        run_coefs = coefs[[run.index for run in runs]]
+        boxes = [np.clip(np.stack([level.min(axis=1), level.max(axis=1)], axis=2) + pad,
+                         run.exact[:, :1], run.exact[:, 1:]) for run, level in zip(runs, levels)]
+        lows = [lo[:, 0] for lo in _weighted(interval_evaluate, exprs, run_coefs, boxes)]
         open_ = [~(lo >= -cfg.tol_margin) for lo in lows]
         opened = [r for r, o in enumerate(open_) if o.any()]
         checked = [levels[r][open_[r] & (np.cumsum(np.isnan(lows[r])) <= np.isnan(lows[r]))]
@@ -349,7 +323,7 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
         unfinished = []
         for r, (run, level, lo, o) in enumerate(zip(runs, levels, lows, open_)):
             verdict = falsified(run.index, hits.get(r))
-            if verdict is None and r in hits and np.isnan(lo).any():
+            if verdict is None and np.isnan(lo).any():
                 verdict = interval(run.index, UNKNOWN, note="interval enclosure failed: overflow "
                                    "or NaN in the enclosure, or g undefined on a box")
             elif verdict is None:

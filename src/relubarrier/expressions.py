@@ -110,25 +110,21 @@ class _Parser:
             raise ExpressionSyntaxError(f"unexpected {val!r}", pos)
         return e
 
-    def expr(self):
-        e = self.term()
+    def left_assoc(self, ops, operand):
+        """operand (op operand)* over ops, joined from the left."""
+        e = operand()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                e = Binary(val, e, self.term())
-            else:
+            if kind != "op" or val not in ops:
                 return e
+            self.advance()
+            e = Binary(val, e, operand())
+
+    def expr(self):
+        return self.left_assoc("+-", self.term)
 
     def term(self):
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                e = Binary(val, e, self.unary())
-            else:
-                return e
+        return self.left_assoc("*/", self.unary)
 
     def unary(self):
         kind, val, _ = self.peek()
@@ -385,21 +381,28 @@ def weighted_sum(coefs, exprs) -> Expr:
     return functools.reduce(functools.partial(Binary, "+"), terms) if terms else Const(0.0)
 
 
-def _weighted_enclosure(coefs, parts) -> np.ndarray:
-    """`interval_evaluate` of weighted_sum(coefs[j], exprs) over box j, float
-    for float, from parts[j, i], that of exprs[i]: (s, k) coefs and (s, k, 2)
-    parts give (s, 2).  Values v at points, entered as [v, v], give
-    `evaluate`'s value of the sum there, or NaN where it is not finite."""
-    lo, hi = np.zeros(len(parts)), np.zeros(len(parts))   # the empty sum
-    started = np.zeros(len(parts), dtype=bool)
+def _weighted(fn, exprs, coefs, batches) -> list:
+    """Per batch i, the (m, 2) values of weighted_sum(coefs[i], exprs) over
+    batches[i]: fn is `interval_evaluate` over boxes, or `evaluate` at
+    points, each value v entered as [v, v].  Each expression is evaluated
+    once, over the rows whose coefficient on it is nonzero; terms are added
+    from the left, zero coefficients skipped, so each row gets float for
+    float what fn gives for the sum, or NaN where that is not finite."""
+    sizes = [len(b) for b in batches]
+    rows, coefs = np.concatenate(batches), np.repeat(coefs, sizes, axis=0)
+    lo, hi = np.zeros(len(rows)), np.zeros(len(rows))   # the empty sum
+    started = np.zeros(len(rows), dtype=bool)
     with np.errstate(all="ignore"):
-        for c, part in zip(np.transpose(coefs), np.moveaxis(parts, 1, 0)):
-            ends, use = (c * part[:, 0], c * part[:, 1]), c != 0.0
-            least, most = _first(np.less, *ends), _first(np.greater, *ends)
-            lo = np.where(use, np.where(started, lo + least, least), lo)
-            hi = np.where(use, np.where(started, hi + most, most), hi)
-            started |= use
-    return np.column_stack(_failed(lo, hi))
+        for e, c in zip(exprs, np.transpose(coefs)):
+            use = c != 0.0
+            if use.any():
+                part = fn(e, rows if use.all() else rows[use]).reshape(np.count_nonzero(use), -1)
+                ends = c[use] * part[:, 0], c[use] * part[:, -1]
+                least, most = _first(np.less, *ends), _first(np.greater, *ends)
+                lo[use] = np.where(started[use], lo[use] + least, least)
+                hi[use] = np.where(started[use], hi[use] + most, most)
+                started |= use
+    return np.split(np.column_stack(_failed(lo, hi)), np.cumsum(sizes)[:-1])
 
 
 # -- systems -------------------------------------------------------------------

@@ -196,6 +196,36 @@ def test_falsify_absent_for_stable_flow(monkeypatch):
     assert batches and np.array_equal(batches[0][0], region.vertices)
 
 
+def test_the_seed_batch_evaluates_each_expression_over_the_rows_that_weigh_it(monkeypatch):
+    """On the diamond under (-x1^3, -x2^3) with both ball sets, BaB's seed
+    batch evaluates each expression once, over exactly the seed rows of
+    the pairs whose coefficient on it is nonzero (a flow component over
+    the invariance pairs', a set function over its own pairs'), not over
+    every row of the batch."""
+    calls, evaluated = [], []
+    first_witnesses, evaluate = conditions._first_witnesses, conditions.evaluate
+
+    def logged(regions, coefs, points, exprs, cfg):
+        start = len(evaluated)
+        hits = first_witnesses(regions, coefs, points, exprs, cfg)
+        calls.append((np.array(coefs), [len(p) for p in points], exprs, evaluated[start:]))
+        return hits
+
+    monkeypatch.setattr(conditions, "_first_witnesses", logged)
+    monkeypatch.setattr(conditions, "evaluate",
+                        lambda e, x: evaluated.append((e, len(x))) or evaluate(e, x))
+    net, regions = diamond_regions()
+    sets = [(parse_expression("0.04 - x1^2 - x2^2", 2), *conditions._INITIAL),
+            (parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2), *conditions._UNSAFE)]
+    conditions._check_conditions(net, regions, DynamicsSystem.parse(["-x1^3", "-x2^3"], dim=2),
+                                 sets, DEFAULT_CONFIG)
+    coefs, sizes, exprs, seen = calls[0]
+    assert len(coefs) == 3 * len(regions) and len(exprs) == 4
+    want = [(e, sum(m for m, c in zip(sizes, coefs[:, j]) if c != 0.0)) for j, e in enumerate(exprs)]
+    assert all(0 < rows < sum(sizes) for _e, rows in want)
+    assert [(id(e), rows) for e, rows in seen] == [(id(e), rows) for e, rows in want]
+
+
 def test_falsify_sign_change_matches_grid_oracle():
     """Cubic flow whose w.f changes sign along the slice segment."""
     net, region = first_quadrant_region()
@@ -331,7 +361,7 @@ def enclosed(log, sys, g):
     """(box, lower bound of g's enclosure there) for every box BaB enclosed,
     level by level: every flow component is enclosed over the same batch,
     and BaB reads g's enclosure off theirs float for float (as
-    test_weighted_enclosure_is_the_enclosure_of_the_weighted_sum checks)."""
+    test_weighted_is_the_enclosure_of_the_weighted_sum checks)."""
     first = [boxes for e, boxes in log if e is sys.exprs[0]]
     assert [boxes.tobytes() for e, boxes in log] == [
         boxes.tobytes() for boxes in first for _ in sys.exprs]

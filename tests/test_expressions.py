@@ -13,7 +13,7 @@ from relubarrier import (ActivationIndicator, DynamicsSystem,
                          interval_evaluate, parse_expression)
 from relubarrier import smtlib
 from relubarrier.expressions import (FUNCTIONS, Binary, Const, Expr, Pow, Unary, Var,
-                                     weighted_sum, _linear_form, _weighted_enclosure)
+                                     weighted_sum, _linear_form, _weighted)
 
 from helpers import (CUBIC2D, TRANSCENDENTAL3D, DECAY6D, CASCADE4D, ALL_SYSTEMS, diamond_net,
                      reference_enclosure)
@@ -273,28 +273,30 @@ def test_each_box_of_a_batch_is_enclosed_as_it_is_alone(e, boxes):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(trees(2), min_size=1, max_size=3), box_batches(2), st.data())
-def test_weighted_enclosure_is_the_enclosure_of_the_weighted_sum(exprs, boxes, data):
-    """Combining each expression's enclosure by rows of coefficients gives,
-    float for float, the enclosure of weighted_sum(row, exprs), NaN where
-    that fails; fed the values at points as [v, v], it gives `evaluate`'s
-    values of the sum where they are finite, and NaN elsewhere."""
+def test_weighted_is_the_enclosure_of_the_weighted_sum(exprs, boxes, data):
+    """Split into batches (of several rows, and of one row each), each with
+    its own row of coefficients, boxes get from `_weighted`, float for
+    float, the enclosure of weighted_sum(row, exprs), NaN where that
+    fails; at points, `evaluate`'s values of the sum where they are
+    finite, entered as [v, v], and NaN elsewhere."""
     weights = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 1e300])
-    coefs = np.array(data.draw(st.lists(st.lists(weights, min_size=len(exprs),
-                                                 max_size=len(exprs)),
-                                        min_size=len(boxes), max_size=len(boxes))))
-    parts = np.stack([interval_evaluate(e, boxes) for e in exprs], axis=1)
-    got = _weighted_enclosure(coefs, parts)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(boxes) - 1))) if len(boxes) > 1 else [])
     points = boxes[:, :, 0]
-    values = np.stack([evaluate(e, points) for e in exprs], axis=1)
-    at_points = _weighted_enclosure(coefs, np.stack([values, values], axis=2))
-    for j, row in enumerate(coefs):
-        g = weighted_sum(row, exprs)
-        assert got[j].tobytes() == interval_evaluate(g, boxes[j:j + 1])[0].tobytes()
-        want = evaluate(g, points[j])
-        if np.isfinite(want):
-            assert at_points[j].tobytes() == np.array([want, want]).tobytes()
-        else:
-            assert np.isnan(at_points[j]).all()
+    for splits in (cuts, range(1, len(boxes))):
+        coefs = np.array(data.draw(st.lists(st.lists(weights, min_size=len(exprs),
+                                                     max_size=len(exprs)),
+                                            min_size=len(splits) + 1, max_size=len(splits) + 1)))
+        got = _weighted(interval_evaluate, exprs, coefs, np.split(boxes, splits))
+        at_points = _weighted(evaluate, exprs, coefs, np.split(points, splits))
+        for row, box_batch, point_batch, encl, vals in zip(
+                coefs, np.split(boxes, splits), np.split(points, splits), got, at_points):
+            g = weighted_sum(row, exprs)
+            assert encl.tobytes() == interval_evaluate(g, box_batch).tobytes()
+            for want, v in zip(evaluate(g, point_batch), vals):
+                if np.isfinite(want):
+                    assert v.tobytes() == np.array([want, want]).tobytes()
+                else:
+                    assert np.isnan(v).all()
 
 
 @settings(max_examples=150, deadline=None)
