@@ -24,7 +24,7 @@ def show(verdict, title):
     print(f"\n== {title} ==")
     print(f"regions enumerated: {len(verdict.enumeration.regions)}")
     for region, v in zip(verdict.enumeration.regions,
-                         verdict.invariance_result.region_verdicts):
+                         verdict.results["invariance"].region_verdicts):
         line = (f"  region {region.indicator.compact()}  w={region.slice.w}"
                 f"  b={region.slice.b:+.1f}  ->  {v.status}")
         if v.bound is not None:
@@ -32,9 +32,9 @@ def show(verdict, title):
         if v.witness is not None:
             line += f"  witness {np.round(v.witness, 6)}"
         print(line)
-    print(f"invariance: {verdict.invariance}")
-    print(f"initial set contained: {verdict.initial_condition}")
-    print(f"unsafe set avoided:    {verdict.unsafe_condition}")
+    print(f"invariance: {verdict.status('invariance')}")
+    print(f"initial set contained: {verdict.status('initial')}")
+    print(f"unsafe set avoided:    {verdict.status('unsafe')}")
     print(f"overall: {verdict.overall}")
 
 

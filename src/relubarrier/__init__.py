@@ -35,7 +35,7 @@ from .conditions import (FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict,
 from .smtlib import (SmtQuery, export_invariance, export_set_condition,
                      expr_to_smt, format_number)
 from .problem import (EXIT_FAILURE, EXIT_FALSIFIED, EXIT_UNKNOWN,
-                      EXIT_VERIFIED, LoadedProblem, ProblemSpec, build_report,
+                      EXIT_VERIFIED, LoadedProblem, build_report,
                       exit_code, load_problem, report_bytes_without_timings,
                       write_report)
 

@@ -16,7 +16,7 @@ import subprocess
 import sys
 import time
 
-from .conditions import verify_certificate
+from .conditions import CONDITIONS, verify_certificate
 from .errors import RelubarrierError
 from .problem import (EXIT_FAILURE, build_report, exit_code, load_problem,
                       write_report)
@@ -117,19 +117,12 @@ def run_export_smt(args: argparse.Namespace) -> int:
 
     mode = "monolithic" if args.monolithic else "per-region"
     domain_box = cfg.domain(net.input_dim) if args.include_domain_box else None
-    wanted = args.condition
     queries = []
-    if wanted in ("invariance", "all"):
-        queries += export_invariance(regions, problem.system, cfg, mode=mode,
-                                     domain_box=domain_box)
-    if wanted in ("initial", "all"):
-        queries += export_set_condition(regions, problem.h_init, "initial",
-                                        net.input_dim, cfg, mode=mode,
-                                        domain_box=domain_box)
-    if wanted in ("unsafe", "all"):
-        queries += export_set_condition(regions, problem.h_unsafe, "unsafe",
-                                        net.input_dim, cfg, mode=mode,
-                                        domain_box=domain_box)
+    for name, target in zip(CONDITIONS, (problem.system, problem.h_init, problem.h_unsafe)):
+        if args.condition in (name, "all"):
+            queries += (export_invariance(regions, target, cfg, mode=mode, domain_box=domain_box)
+                        if name == "invariance" else export_set_condition(
+                            regions, target, name, net.input_dim, cfg, mode=mode, domain_box=domain_box))
 
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = {
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="one disjunctive query per condition instead "
                                "of one file per region")
     p_export.add_argument("--condition", default="all",
-                          choices=("invariance", "initial", "unsafe", "all"))
+                          choices=(*CONDITIONS, "all"))
     p_export.add_argument("--include-domain-box", action="store_true",
                           help="conjoin the analysis box onto every query")
     p_export.add_argument("--solver-cmd", default=None,

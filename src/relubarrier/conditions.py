@@ -1,13 +1,15 @@
 """Deciding the certificate conditions region by region.
 
-All three are decided in one pass over (region, condition) pairs, each
-asking "is min g(x) over the region's level-set patch >= -tol_margin?" with
-g = coefs . exprs over the flow's components and the set functions, the
-pair's coefficients zero outside its condition:
+`CONDITIONS` names the three, in the order of every table keyed by them
+(a verdict's `results`, the report's rows, the SMT export).  All three are
+decided in one pass over (region, condition) pairs, each asking "is min
+g(x) over the region's level-set patch >= -tol_margin?" with g = coefs .
+exprs over the flow's components and the set functions, the pair's
+coefficients zero outside its condition:
 
 * invariance: g = w . f   (the flow's components, weighted by the piece's w)
-* initial set:  g = -h_I  (the set function must stay <= 0 on the patch)
-* unsafe set:   g = -h_U
+* initial:    g = -h_I    (the set function must stay <= 0 on the patch)
+* unsafe:     g = -h_U
 
 Whether g is affine depends on the flow and the set function, never on the
 region, so the pass takes the affine forms (`_linear_form`) once per flow
@@ -49,7 +51,8 @@ from .regions import EnumerationResult, ValidRegion, enumerate_level_set
 VERIFIED = "verified"
 FALSIFIED = "falsified"
 UNKNOWN = "unknown"
-_INITIAL, _UNSAFE = (True, 211), (False, 223)   # set conditions: (want_inside, probe salt)
+CONDITIONS = ("invariance", "initial", "unsafe")
+_SETS = {"initial": (True, 211), "unsafe": (False, 223)}   # (want_inside, probe salt)
 
 
 @dataclass
@@ -89,33 +92,23 @@ class ConditionResult:
 
 @dataclass
 class CertificateVerdict:
-    """The three condition results (None after a failure, read as
-    `unknown`), the enumeration they ran over, caveats, the failure record
-    and timings; the statuses and the overall verdict derive from the results."""
+    """The condition results by name, in `CONDITIONS` order (empty after a
+    failure, each status then read as `unknown`), the enumeration they ran
+    over, caveats, the failure record and timings; the statuses and the
+    overall verdict derive from the results."""
 
-    invariance_result: ConditionResult | None = None
-    initial_result: ConditionResult | None = None
-    unsafe_result: ConditionResult | None = None
+    results: dict[str, ConditionResult] = field(default_factory=dict)
     enumeration: EnumerationResult | None = None
     caveats: list[str] = field(default_factory=list)
     failure: dict | None = None
     timings: dict = field(default_factory=dict)
 
-    @property
-    def invariance(self) -> str:
-        return getattr(self.invariance_result, "status", UNKNOWN)
-
-    @property
-    def initial_condition(self) -> str:
-        return getattr(self.initial_result, "status", UNKNOWN)
-
-    @property
-    def unsafe_condition(self) -> str:
-        return getattr(self.unsafe_result, "status", UNKNOWN)
+    def status(self, name: str) -> str:
+        return getattr(self.results.get(name), "status", UNKNOWN)
 
     @property
     def overall(self) -> str:
-        return _aggregate([self.invariance, self.initial_condition, self.unsafe_condition])
+        return _aggregate([self.status(name) for name in CONDITIONS])
 
 
 # -- shared by every route ------------------------------------------------------
@@ -421,17 +414,20 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
     return None
 
 
-def _check_conditions(net, regions, sys, sets, cfg) -> list[ConditionResult]:
-    """A ConditionResult for invariance under sys (unless None), then one for
-    each (set_expr, want_inside, salt) of sets, from one `_decide_regions`
-    over all (region, condition) pairs.  Invariance weighs the flow columns
-    by w (affine, with form (w F, w c), where every component of nonzero
-    weight is); a set condition puts -1 on its own column, and its probe's
-    status joins its rows' (unknown when the draws run out: see the note)."""
+def _check_conditions(net, regions, targets, cfg) -> dict[str, ConditionResult]:
+    """{name: ConditionResult} in `CONDITIONS` order for targets {name:
+    target} (the DynamicsSystem for invariance, the set function for a set
+    condition; None skips it), from one `_decide_regions` over all (region,
+    condition) pairs.  Invariance weighs the flow columns by w (affine, with
+    form (w F, w c), where every component of nonzero weight is); a set
+    condition puts -1 on its own column, and its probe's status joins its
+    rows' (unknown when the draws run out: see the note)."""
     if not regions:
         raise NoRegions("condition check over an empty region list")
+    names = [name for name in CONDITIONS if targets.get(name) is not None]
+    sys, sets = targets.get("invariance"), [name for name in names if name in _SETS]
     flow = list(sys.exprs) if sys is not None else []
-    exprs = flow + [set_expr for set_expr, _inside, _salt in sets]
+    exprs = flow + [targets[name] for name in sets]
     pairs = []
     if sys is not None:
         forms = [_linear_form(e, sys.dim) for e in flow]
@@ -442,41 +438,44 @@ def _check_conditions(net, regions, sys, sets, cfg) -> list[ConditionResult]:
             w = region.slice.w
             pairs.append((region, np.append(w, np.zeros(len(sets))),
                           (w @ F, float(w @ c)) if np.all(affine | (w == 0.0)) else None))
-    for j, (set_expr, _inside, _salt) in enumerate(sets, len(flow)):
+    for j, name in enumerate(sets, len(flow)):
         coefs = np.where(np.arange(len(exprs)) == j, -1.0, 0.0)
-        form = _linear_form(set_expr, net.input_dim)
+        form = _linear_form(targets[name], net.input_dim)
         form = None if form is None else (-form[0], -form[1])
         pairs += [(region, coefs, form) for region in regions]
     verdicts = _decide_regions(pairs, exprs, cfg)
-    chunks = [verdicts[k:k + len(regions)] for k in range(0, len(verdicts), len(regions))]
-    results = [ConditionResult(_aggregate([v.status for v in chunks[0]]), chunks[0])] if flow else []
-    for rows, (set_expr, want_inside, salt) in zip(chunks[len(results):], sets):
-        probe = _membership_probe(net, set_expr, cfg, np.random.default_rng([cfg.seed, salt, 7919]),
-                                  want_inside)
-        note = "" if probe else (f"no point with a positive set function in {cfg.membership_samples} "
-                                 "draws; the set may be empty or outside the domain box")
-        probed = UNKNOWN if probe is None else VERIFIED if probe.ok else FALSIFIED
-        results.append(ConditionResult(_aggregate([v.status for v in rows] + [probed]),
-                                       rows, probe=probe, note=note))
+    results = {}
+    for k, name in enumerate(names):
+        rows = verdicts[k * len(regions):(k + 1) * len(regions)]
+        statuses = [v.status for v in rows]
+        probe, note = None, ""
+        if name in _SETS:
+            want_inside, salt = _SETS[name]
+            probe = _membership_probe(net, targets[name], cfg,
+                                      np.random.default_rng([cfg.seed, salt, 7919]), want_inside)
+            note = "" if probe else (f"no point with a positive set function in {cfg.membership_samples} "
+                                     "draws; the set may be empty or outside the domain box")
+            statuses.append(UNKNOWN if probe is None else VERIFIED if probe.ok else FALSIFIED)
+        results[name] = ConditionResult(_aggregate(statuses), rows, probe=probe, note=note)
     return results
 
 
 def check_invariance(net, regions, sys: DynamicsSystem,
                      cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
     """Positive invariance over every region: g = w.f (`_check_conditions`)."""
-    return _check_conditions(net, regions, sys, [], cfg)[0]
+    return _check_conditions(net, regions, {"invariance": sys}, cfg)["invariance"]
 
 
 def check_initial_condition(net, regions, h_init: Expr,
                             cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
     """S_I inside the h > 0 side: no patch contact, an inside sample."""
-    return _check_conditions(net, regions, None, [(h_init, *_INITIAL)], cfg)[0]
+    return _check_conditions(net, regions, {"initial": h_init}, cfg)["initial"]
 
 
 def check_unsafe_condition(net, regions, h_unsafe: Expr,
                            cfg: VerifierConfig = DEFAULT_CONFIG) -> ConditionResult:
     """S_U outside the closed h >= 0 side: no patch contact, an outside sample."""
-    return _check_conditions(net, regions, None, [(h_unsafe, *_UNSAFE)], cfg)[0]
+    return _check_conditions(net, regions, {"unsafe": h_unsafe}, cfg)["unsafe"]
 
 
 # -- end-to-end -----------------------------------------------------------------------
@@ -502,19 +501,19 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
         caveats.append("enumeration returned partial results: " + "; ".join(enum.errors))
 
     t = time.perf_counter()
-    sets = [s for s in ((h_init, *_INITIAL), (h_unsafe, *_UNSAFE)) if s[0] is not None]
-    decided = iter(_check_conditions(net, enum.regions, sys, sets, cfg))
+    targets = dict(zip(CONDITIONS, (sys, h_init, h_unsafe)))
+    decided = _check_conditions(net, enum.regions, targets, cfg)
     results = {}
-    for label, target in (("invariance", sys), ("initial", h_init), ("unsafe", h_unsafe)):
+    for name, target in targets.items():
         if target is None:
-            results[label] = ConditionResult(VERIFIED, [], note=f"no {label} set given; condition vacuous")
+            results[name] = ConditionResult(VERIFIED, [], note=f"no {name} set given; condition vacuous")
             continue
-        results[label] = result = next(decided)
+        results[name] = result = decided[name]
         if enum.partial and result.status == VERIFIED:   # regions may be missing
             result.status = UNKNOWN
             result.note = "enumeration partial: " + "; ".join(enum.errors)
-        if label != "invariance" and result.probe is None:
-            caveats.append(f"{label}-set sampling exhausted: {result.note}")
+        if name in _SETS and result.probe is None:
+            caveats.append(f"{name}-set sampling exhausted: {result.note}")
     timings["conditions_s"] = time.perf_counter() - t
     timings["total_s"] = time.perf_counter() - t0
 
@@ -527,5 +526,4 @@ def verify_certificate(net, sys: DynamicsSystem, h_init: Expr, h_unsafe: Expr,
         caveats.append("set membership is probed at sampled points; full-set "
                        "containment in this component is not separately certified")
 
-    return CertificateVerdict(*results.values(), enumeration=enum, caveats=caveats,
-                              timings=timings)
+    return CertificateVerdict(results, enumeration=enum, caveats=caveats, timings=timings)

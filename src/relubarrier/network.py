@@ -48,9 +48,6 @@ class ActivationIndicator:
         """Human-readable form, layers joined by '.': e.g. '1010' or '10.01'."""
         return ".".join("".join(str(v) for v in layer) for layer in self.bits)
 
-    def __str__(self):
-        return f"<{self.compact()}>"
-
 
 class ReluNetwork:
     """Immutable scalar-output ReLU network.

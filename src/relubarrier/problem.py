@@ -2,10 +2,12 @@
 
 A problem file bundles a network path, dynamics expression strings, the
 initial/unsafe set functions, and optional domain/tolerance/budget/seed
-overrides.  Reports serialize a CertificateVerdict into a stable JSON
-layout; everything except the timings block is deterministic for a fixed
-problem and seed.  Its verdict and membership rows are the fields of the
-`RegionVerdict` and `MembershipProbe` records, in declaration order (`_row`).
+overrides; `LoadedProblem` holds its texts and what they parse to.  Reports
+serialize a CertificateVerdict into a stable JSON layout; everything except
+the timings block is deterministic for a fixed problem and seed.  Its
+region, membership and witness blocks follow `conditions.CONDITIONS`, and
+its verdict and membership rows are the fields of the `RegionVerdict` and
+`MembershipProbe` records, in declaration order (`_row`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .conditions import FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict, ConditionResult
+from .conditions import CONDITIONS, FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict
 from .config import VerifierConfig
 from .errors import (DimensionMismatch, MissingField, ProblemFormatError,
                      RelubarrierError)
@@ -31,19 +33,14 @@ EXIT_FAILURE = 3
 
 
 @dataclass
-class ProblemSpec:
-    """The problem texts a report echoes; the settings are `LoadedProblem.config`."""
+class LoadedProblem:
+    """A parsed problem: the texts its report echoes, what they build, the settings."""
 
+    path: str
     network_path: str
     dynamics: list[str]
     initial_set: str
     unsafe_set: str
-    path: str | None = None
-
-
-@dataclass
-class LoadedProblem:
-    spec: ProblemSpec
     network: ReluNetwork
     system: DynamicsSystem
     h_init: Expr
@@ -71,43 +68,35 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
     if not isinstance(data, dict):
         raise ProblemFormatError(f"{path}: problem file must hold a JSON object")
 
-    spec = ProblemSpec(
-        network_path=_require(data, "network_path", path),
-        dynamics=_require(data, "dynamics", path),
-        initial_set=_require(data, "initial_set", path),
-        unsafe_set=_require(data, "unsafe_set", path),
-        path=str(path),
-    )
-    texts = [spec.network_path, spec.initial_set, spec.unsafe_set]
-    if not (isinstance(spec.dynamics, list) and all(isinstance(t, str)
-                                                    for t in texts + spec.dynamics)):
+    network_path, dynamics, initial_set, unsafe_set = (_require(data, key, path) for key in (
+        "network_path", "dynamics", "initial_set", "unsafe_set"))
+    if not (isinstance(dynamics, list) and all(isinstance(t, str) for t in
+                                               [network_path, initial_set, unsafe_set, *dynamics])):
         raise ProblemFormatError(f"{path}: network_path, each dynamics entry and "
                                  "each set function must be a string")
     tolerances, budgets = data.get("tolerances", {}), data.get("budgets", {})
     if not (isinstance(tolerances, dict) and isinstance(budgets, dict)):
         raise ProblemFormatError(f"{path}: tolerances and budgets must be JSON objects")
 
-    net_path = spec.network_path
-    if not os.path.isabs(net_path):
-        net_path = os.path.join(os.path.dirname(os.path.abspath(path)), net_path)
-    network = load_network(net_path)
+    # relative to the problem file; join keeps an absolute network_path as it is
+    network = load_network(os.path.join(os.path.dirname(os.path.abspath(path)), network_path))
     n = network.input_dim
 
-    if len(spec.dynamics) != n:
+    if len(dynamics) != n:
         raise DimensionMismatch(
-            f"{path}: {len(spec.dynamics)} dynamics components for an "
+            f"{path}: {len(dynamics)} dynamics components for an "
             f"{n}-input network")
-    system = DynamicsSystem.parse(spec.dynamics, n)
-    h_init = parse_expression(spec.initial_set, n)
-    h_unsafe = parse_expression(spec.unsafe_set, n)
+    system = DynamicsSystem.parse(dynamics, n)
+    h_init = parse_expression(initial_set, n)
+    h_unsafe = parse_expression(unsafe_set, n)
 
     extra: dict = {"seed": data.get("seed", 0), "domain_box": data.get("domain_box")}
     extra.update({k: v for k, v in (overrides or {}).items() if v is not None})
     cfg = VerifierConfig.from_dicts(tolerances, budgets, **extra)
     if cfg.domain_box is not None and len(cfg.domain_box) != n:
         raise DimensionMismatch(f"{path}: domain_box must hold {n} [lo,hi] pairs")
-    return LoadedProblem(spec=spec, network=network, system=system,
-                         h_init=h_init, h_unsafe=h_unsafe, config=cfg)
+    return LoadedProblem(str(path), network_path, dynamics, initial_set, unsafe_set,
+                         network, system, h_init, h_unsafe, cfg)
 
 
 # -- report building ------------------------------------------------------------
@@ -132,12 +121,7 @@ def _row(record) -> dict | None:
 
 def _collect_witnesses(verdict: CertificateVerdict) -> list[dict]:
     out = []
-    pairs = [("invariance", verdict.invariance_result),
-             ("initial", verdict.initial_result),
-             ("unsafe", verdict.unsafe_result)]
-    for label, result in pairs:
-        if result is None:
-            continue
+    for label, result in verdict.results.items():
         for v in result.region_verdicts:
             if v.status == "falsified" and v.witness is not None:
                 out.append({"condition": label,
@@ -156,10 +140,9 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
     n = problem.network.input_dim
     regions = verdict.enumeration.regions if verdict.enumeration else []
 
-    def condition_of(result: ConditionResult | None, idx: int):
-        if result is None or idx >= len(result.region_verdicts):
-            return None
-        return _row(result.region_verdicts[idx])
+    def condition_of(name: str, idx: int):
+        rows = getattr(verdict.results.get(name), "region_verdicts", [])
+        return _row(rows[idx]) if idx < len(rows) else None
 
     region_rows = []
     for i, r in enumerate(regions):
@@ -170,26 +153,24 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
             "b": _jsonable(r.slice.b),
             "slice_dimension": n if r.degenerate else n - 1,
             "degenerate": r.degenerate,
-            "invariance": condition_of(verdict.invariance_result, i),
-            "initial": condition_of(verdict.initial_result, i),
-            "unsafe": condition_of(verdict.unsafe_result, i),
+            **{name: condition_of(name, i) for name in CONDITIONS},
         })
 
     timings = dict(verdict.timings)
     report = {
         "tool": {"name": "relubarrier", "version": __version__},
         "problem": {
-            "path": problem.spec.path,
-            "network_path": problem.spec.network_path,
-            "dynamics": list(problem.spec.dynamics),
-            "initial_set": problem.spec.initial_set,
-            "unsafe_set": problem.spec.unsafe_set,
+            "path": problem.path,
+            "network_path": problem.network_path,
+            "dynamics": list(problem.dynamics),
+            "initial_set": problem.initial_set,
+            "unsafe_set": problem.unsafe_set,
         },
         "configuration": problem.config.as_dict(),
         "verdicts": {
-            "invariance": verdict.invariance,
-            "initial_condition": verdict.initial_condition,
-            "unsafe_condition": verdict.unsafe_condition,
+            "invariance": verdict.status("invariance"),
+            "initial_condition": verdict.status("initial"),
+            "unsafe_condition": verdict.status("unsafe"),
             "overall": verdict.overall,
         },
         "failure": verdict.failure,
@@ -203,10 +184,8 @@ def build_report(problem: LoadedProblem, verdict: CertificateVerdict) -> dict:
             "search": verdict.enumeration.search,
         },
         "regions": region_rows,
-        "membership": {
-            "initial": _row(getattr(verdict.initial_result, "probe", None)),
-            "unsafe": _row(getattr(verdict.unsafe_result, "probe", None)),
-        },
+        "membership": {name: _row(getattr(verdict.results.get(name), "probe", None))
+                       for name in CONDITIONS[1:]},   # the set conditions
         "witnesses": _collect_witnesses(verdict),
         "caveats": list(verdict.caveats),
         "timings": {

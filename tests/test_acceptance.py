@@ -78,16 +78,16 @@ def test_acceptance_2_diamond_end_to_end():
         verdict = verify_certificate(net, sys, h_init, h_unsafe)
         assert verdict.overall == VERIFIED
         assert len(verdict.enumeration.regions) == 4
-        for v in verdict.invariance_result.region_verdicts:
+        for v in verdict.results["invariance"].region_verdicts:
             assert v.status == VERIFIED
             assert abs(v.bound - 1.0) <= 1e-6
 
         drift = DynamicsSystem.parse(["1", "0"], dim=2)
         verdict = verify_certificate(net, drift, h_init, h_unsafe)
-        assert verdict.invariance == FALSIFIED
+        assert verdict.status("invariance") == FALSIFIED
         quadrant = {r.indicator.bits[0]: r
                     for r in verdict.enumeration.regions}[(1, 0, 1, 0)]
-        v = next(v for v in verdict.invariance_result.region_verdicts
+        v = next(v for v in verdict.results["invariance"].region_verdicts
                  if v.indicator == quadrant.indicator)
         assert v.status == FALSIFIED
         x = np.asarray(v.witness)
@@ -188,13 +188,13 @@ def test_acceptance_6_set_conditions_and_shifted_ball_witness():
         h_init = parse_expression(INIT, 2)
         h_unsafe = parse_expression(UNSAFE, 2)
         verdict = verify_certificate(net, sys, h_init, h_unsafe)
-        assert verdict.initial_condition == VERIFIED
-        assert verdict.unsafe_condition == VERIFIED
+        assert verdict.status("initial") == VERIFIED
+        assert verdict.status("unsafe") == VERIFIED
 
         shifted = parse_expression("0.01 - (x1 - 1)^2 - x2^2", 2)
         verdict = verify_certificate(net, sys, shifted, h_unsafe)
-        assert verdict.initial_condition == FALSIFIED
-        hits = [v for v in verdict.initial_result.region_verdicts
+        assert verdict.status("initial") == FALSIFIED
+        hits = [v for v in verdict.results["initial"].region_verdicts
                 if v.status == FALSIFIED]
         assert hits
         regions = {r.indicator: r for r in verdict.enumeration.regions}
@@ -285,8 +285,8 @@ def test_acceptance_8_determinism_and_output_scaling(tmp_path):
         for rb, rs in zip(base_regions, scaled_regions):
             assert np.allclose(rs.slice.w, 7.0 * rb.slice.w)
             assert rs.slice.b == pytest.approx(7.0 * rb.slice.b)
-        for vb, vs in zip(base.invariance_result.region_verdicts,
-                          scaled.invariance_result.region_verdicts):
+        for vb, vs in zip(base.results["invariance"].region_verdicts,
+                          scaled.results["invariance"].region_verdicts):
             assert vb.status == vs.status
             if vs.witness is not None:
                 region = next(r for r in base_regions

@@ -89,6 +89,23 @@ def test_affine_route_zero_field_verified():
     assert verdict.bound == pytest.approx(0.0, abs=1e-12)
 
 
+def test_affine_route_minimum_inside_the_float_noise_band_is_unknown():
+    """A patch minimum between the witness gate and -tol_margin is neither
+    verified nor a witness: the affine route leaves it unknown with its
+    bound.  g = 0.9999999995 - x1 reaches -5e-10 at (1, 0) on the x1 > 0
+    patches, above the gate -1e-9 and below -tol_margin = 0."""
+    net, regions = diamond_regions()
+    result = check_initial_condition(net, regions, parse_expression("x1 - 0.9999999995", 2))
+    rows = {v.indicator.compact(): v for v in result.region_verdicts}
+    assert {v.method for v in rows.values()} == {"lp"}
+    assert rows["0101"].status == rows["0110"].status == VERIFIED
+    for compact in ("1001", "1010"):
+        v = rows[compact]
+        assert (v.status, v.note, v.witness) == (UNKNOWN, "optimum inside the float-noise band", None)
+        assert -FALSIFY_GATE < v.bound < -DEFAULT_CONFIG.tol_margin
+        assert v.bound == pytest.approx(-5.0e-10, rel=1e-5)
+
+
 def test_affine_route_completeness_against_grid():
     net, regions = diamond_regions()
     rng = np.random.default_rng(8)
@@ -215,10 +232,10 @@ def test_the_seed_batch_evaluates_each_expression_over_the_rows_that_weigh_it(mo
     monkeypatch.setattr(conditions, "evaluate",
                         lambda e, x: evaluated.append((e, len(x))) or evaluate(e, x))
     net, regions = diamond_regions()
-    sets = [(parse_expression("0.04 - x1^2 - x2^2", 2), *conditions._INITIAL),
-            (parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2), *conditions._UNSAFE)]
-    conditions._check_conditions(net, regions, DynamicsSystem.parse(["-x1^3", "-x2^3"], dim=2),
-                                 sets, DEFAULT_CONFIG)
+    targets = {"invariance": DynamicsSystem.parse(["-x1^3", "-x2^3"], dim=2),
+               "initial": parse_expression("0.04 - x1^2 - x2^2", 2),
+               "unsafe": parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)}
+    conditions._check_conditions(net, regions, targets, DEFAULT_CONFIG)
     coefs, sizes, exprs, seen = calls[0]
     assert len(coefs) == 3 * len(regions) and len(exprs) == 4
     want = [(e, sum(m for m, c in zip(sizes, coefs[:, j]) if c != 0.0)) for j, e in enumerate(exprs)]
@@ -864,11 +881,11 @@ def test_lp_witnesses_of_affine_drift_pass_the_check():
         verdict = verify_certificate(net, sys, h_init, h_unsafe)
         if verdict.enumeration is None:
             continue
-        for result, g_of in ((verdict.invariance_result,
+        for result, g_of in ((verdict.results["invariance"],
                               lambda r: (lambda x: r.slice.w @ sys(x))),
-                             (verdict.initial_result,
+                             (verdict.results["initial"],
                               lambda r: (lambda x: -evaluate(h_init, x))),
-                             (verdict.unsafe_result,
+                             (verdict.results["unsafe"],
                               lambda r: (lambda x: -evaluate(h_unsafe, x)))):
             for region, v in zip(verdict.enumeration.regions, result.region_verdicts):
                 assert v.method == "lp"
@@ -908,8 +925,8 @@ def test_the_affine_route_checks_its_witnesses_in_one_batch(monkeypatch):
     monkeypatch.setattr(conditions, "evaluate", lambda e, x: calls.append(e) or evaluate(e, x))
     monkeypatch.setattr(conditions, "_membership_probe", lambda *args: None)
     inv, init, unsafe = conditions._check_conditions(
-        net, regions, sys, [(h_init, *conditions._INITIAL), (h_unsafe, *conditions._UNSAFE)],
-        DEFAULT_CONFIG)
+        net, regions, {"invariance": sys, "initial": h_init, "unsafe": h_unsafe},
+        DEFAULT_CONFIG).values()
     exprs = [*sys.exprs, h_init, h_unsafe]
     assert len(calls) == len(exprs) and all(a is b for a, b in zip(calls, exprs))
     checks = [(v, w_dot_f(r, sys)) for r, v in zip(regions, inv.region_verdicts)]
@@ -971,19 +988,20 @@ def test_one_pass_decides_as_the_three_checks_do(case, monkeypatch):
     verdict = verify_certificate(net, sys, h_init, h_unsafe, cfg)
     regions = verdict.enumeration.regions
     assert not verdict.enumeration.partial
-    assert_same_condition(verdict.invariance_result, check_invariance(net, regions, sys, cfg))
-    assert_same_condition(verdict.initial_result,
+    assert_same_condition(verdict.results["invariance"], check_invariance(net, regions, sys, cfg))
+    assert_same_condition(verdict.results["initial"],
                           check_initial_condition(net, regions, h_init, cfg))
     if h_unsafe is None:
-        assert (verdict.unsafe_condition, verdict.unsafe_result.region_verdicts) == (VERIFIED, [])
+        assert verdict.status("unsafe") == VERIFIED
+        assert verdict.results["unsafe"].region_verdicts == []
     else:
-        assert_same_condition(verdict.unsafe_result,
+        assert_same_condition(verdict.results["unsafe"],
                               check_unsafe_condition(net, regions, h_unsafe, cfg))
-    rows = [v for res in (verdict.invariance_result, verdict.initial_result,
-                          verdict.unsafe_result) for v in res.region_verdicts]
+    rows = [v for res in verdict.results.values() for v in res.region_verdicts]
     notes = Counter(v.note for v in rows)
     if case == "diamond":
-        assert {v.method for v in rows} == {"interval"} and verdict.invariance == FALSIFIED
+        assert {v.method for v in rows} == {"interval"}
+        assert verdict.status("invariance") == FALSIFIED
     elif case == "budget":
         assert notes["box budget 50 exhausted"] == 2
     elif case == "unbounded":
@@ -1015,7 +1033,7 @@ def test_verify_certificate_cuts_each_patch_into_simplices_once(monkeypatch):
         verdict = verify_certificate(net, sys, h_init, h_unsafe)
         if verdict.enumeration is None:
             continue
-        results = (verdict.invariance_result, verdict.initial_result, verdict.unsafe_result)
+        results = verdict.results.values()
         assert max(cuts.values(), default=0) <= 1
         for i, region in enumerate(verdict.enumeration.regions):
             rows = [res.region_verdicts[i] for res in results]
@@ -1100,8 +1118,8 @@ def test_probe_checks_every_sampled_set_point(tmp_path):
     problem = load_problem(spec[0].path)
     verdict = verify_certificate(problem.network, problem.system, problem.h_init,
                                  problem.h_unsafe, problem.config)
-    assert verdict.initial_condition == FALSIFIED
-    probe = verdict.initial_result.probe
+    assert verdict.status("initial") == FALSIFIED
+    probe = verdict.results["initial"].probe
     assert not probe.ok
     x = np.asarray(probe.point)
     assert spec[0].g_init(x[None, :])[0] > 0.0
@@ -1161,9 +1179,9 @@ def test_verify_certificate_all_verified():
     h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
     verdict = verify_certificate(net, sys, h_init, h_unsafe)
-    assert verdict.invariance == VERIFIED
-    assert verdict.initial_condition == VERIFIED
-    assert verdict.unsafe_condition == VERIFIED
+    assert verdict.status("invariance") == VERIFIED
+    assert verdict.status("initial") == VERIFIED
+    assert verdict.status("unsafe") == VERIFIED
     assert verdict.overall == VERIFIED
     assert verdict.failure is None
     assert len(verdict.enumeration.regions) == 4
@@ -1176,9 +1194,9 @@ def test_verify_certificate_drift_falsifies_invariance_only():
     h_init = parse_expression("0.04 - x1^2 - x2^2", 2)
     h_unsafe = parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2)
     verdict = verify_certificate(net, sys, h_init, h_unsafe)
-    assert verdict.invariance == FALSIFIED
-    assert verdict.initial_condition == VERIFIED
-    assert verdict.unsafe_condition == VERIFIED
+    assert verdict.status("invariance") == FALSIFIED
+    assert verdict.status("initial") == VERIFIED
+    assert verdict.status("unsafe") == VERIFIED
     assert verdict.overall == FALSIFIED
 
 
@@ -1195,11 +1213,11 @@ def test_verify_certificate_where_validity_lps_fail_numerically(monkeypatch):
     assert verdict.overall == FALSIFIED
     # BaB solves no LP, so the set conditions' region is decided; the
     # condition it verifies stays unknown over the partial enumeration
-    rows = [v for res in (verdict.initial_result, verdict.unsafe_result)
+    rows = [v for res in (verdict.results["initial"], verdict.results["unsafe"])
             for v in res.region_verdicts]
     assert rows and all((v.status, v.method) == (VERIFIED, "interval") for v in rows)
-    assert verdict.unsafe_condition == UNKNOWN
-    assert verdict.unsafe_result.note.startswith("enumeration partial: ")
+    assert verdict.status("unsafe") == UNKNOWN
+    assert verdict.results["unsafe"].note.startswith("enumeration partial: ")
 
 
 def test_a_partial_enumeration_never_verifies(monkeypatch):
@@ -1213,7 +1231,7 @@ def test_a_partial_enumeration_never_verifies(monkeypatch):
     assert verify_certificate(diamond_net(), sys, h_init, h_unsafe).overall == VERIFIED
     cut = verify_certificate(diamond_net(), sys, h_init, h_unsafe,
                              DEFAULT_CONFIG.updated(max_regions=2))
-    for res in (cut.invariance_result, cut.initial_result, cut.unsafe_result):
+    for res in cut.results.values():
         assert [v.status for v in res.region_verdicts] == [VERIFIED] * 2
         assert res.status == UNKNOWN
         assert res.note == "enumeration partial: region cap 2 reached; enumeration stopped"
@@ -1223,10 +1241,10 @@ def test_a_partial_enumeration_never_verifies(monkeypatch):
                               parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
     assert len(deep.enumeration.regions) == 1
     assert deep.enumeration.errors[0].startswith("candidate ")
-    assert [v.status for v in deep.invariance_result.region_verdicts] == [VERIFIED]
-    assert deep.invariance == UNKNOWN and deep.overall == UNKNOWN
+    assert [v.status for v in deep.results["invariance"].region_verdicts] == [VERIFIED]
+    assert deep.status("invariance") == UNKNOWN and deep.overall == UNKNOWN
     errors = deep.enumeration.errors
-    assert deep.invariance_result.note == "enumeration partial: " + "; ".join(errors)
+    assert deep.results["invariance"].note == "enumeration partial: " + "; ".join(errors)
 
 
 @pytest.mark.parametrize("seed, segment", [(5, "01111010.00000110.10011011.00001111"),
@@ -1247,7 +1265,7 @@ def test_a_walk_that_cannot_cross_a_facet_is_partial(seed, segment):
                                  parse_expression("x1 - 2.5", 2))
     errors = verdict.enumeration.errors
     assert any(e.endswith("no valid region continues the level set there") for e in errors)
-    assert verdict.invariance != VERIFIED and verdict.overall != VERIFIED
+    assert verdict.status("invariance") != VERIFIED and verdict.overall != VERIFIED
 
 
 def validity_lps_and_all_lps(monkeypatch, net, sys, h_init, h_unsafe):
@@ -1297,8 +1315,7 @@ def test_a_nonlinear_problem_solves_only_validity_lps(monkeypatch, n):
     validity, lps, accepted, verdict = validity_lps_and_all_lps(
         monkeypatch, net, DynamicsSystem.parse(flow, dim=n), parse_expression(ball, n),
         parse_expression(f"1 - (x1 - 2.5)^2 - {ball.replace('0.25 - x1^2', '0')}", n))
-    rows = [v for res in (verdict.invariance_result, verdict.initial_result,
-                          verdict.unsafe_result) for v in res.region_verdicts]
+    rows = [v for res in verdict.results.values() for v in res.region_verdicts]
     assert rows and all(v.method != "lp" for v in rows)
     assert validity == lps
     assert accepted == [0] * len(verdict.enumeration.regions)
@@ -1362,8 +1379,8 @@ def test_verify_certificate_empty_set_reports_sampler_exhaustion():
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
     h_init = parse_expression("0 - 1 - x1^2", 2)  # empty in any domain
     verdict = verify_certificate(net, sys, h_init, None)
-    assert verdict.initial_condition == UNKNOWN
-    result = verdict.initial_result
+    assert verdict.status("initial") == UNKNOWN
+    result = verdict.results["initial"]
     assert result.probe is None
     assert len(result.region_verdicts) == len(verdict.enumeration.regions) == 4
     assert all(v.status == VERIFIED for v in result.region_verdicts)
@@ -1381,12 +1398,12 @@ def test_patch_witnesses_stand_when_sampling_runs_out():
     cfg = DEFAULT_CONFIG.updated(membership_samples=1000)
     verdict = verify_certificate(net, DynamicsSystem.parse(["-x1", "-x2"], dim=2), h_init,
                                  parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2), cfg)
-    assert verdict.initial_condition == FALSIFIED
-    assert verdict.initial_result.probe is None
+    assert verdict.status("initial") == FALSIFIED
+    assert verdict.results["initial"].probe is None
     assert any(c.startswith("initial-set sampling exhausted: no point with a positive "
                             "set function in 1000 draws") for c in verdict.caveats)
     falsified = [(r, v) for r, v in zip(verdict.enumeration.regions,
-                                        verdict.initial_result.region_verdicts)
+                                        verdict.results["initial"].region_verdicts)
                  if v.status == FALSIFIED]
     assert falsified
     for region, v in falsified:
@@ -1474,10 +1491,10 @@ def test_membership_probe_batch_schedule(monkeypatch, samples, batches):
 
 @pytest.mark.parametrize("flow, h_init, condition, axis, undefined", [
     # ln(x1 + 0.5) is undefined where x1 <= -0.5
-    (["-x1", "-x2"], "ln(x1 + 0.5) - 0.5", "initial_result", 0,
+    (["-x1", "-x2"], "ln(x1 + 0.5) - 0.5", "initial", 0,
      lambda lo, hi: lo <= -0.5),
     # -x1/(x2 + 0.5) is undefined at x2 = -0.5
-    (["-x1/(x2+0.5)", "-x2"], "0.04 - x1^2 - x2^2", "invariance_result", 1,
+    (["-x1/(x2+0.5)", "-x2"], "0.04 - x1^2 - x2^2", "invariance", 1,
      lambda lo, hi: lo <= -0.5 <= hi),
 ], ids=["initial-ln", "flow-division"])
 def test_verify_certificate_where_g_is_undefined_on_a_patch(flow, h_init, condition,
@@ -1489,7 +1506,7 @@ def test_verify_certificate_where_g_is_undefined_on_a_patch(flow, h_init, condit
                                  parse_expression(h_init, 2),
                                  parse_expression("1 - (x1 - 3)^2 - (x2 - 3)^2", 2))
     assert verdict.failure is None
-    rows = getattr(verdict, condition).region_verdicts
+    rows = verdict.results[condition].region_verdicts
     touched = 0
     for region, row in zip(verdict.enumeration.regions, rows):
         box, _restricted = bounding_box(region.vertices, region.rays, DEFAULT_CONFIG.domain(2))
@@ -1514,8 +1531,8 @@ def test_verify_certificate_where_the_enclosure_overflows(f1, tmp_path):
     problem = load_problem(path)
     verdict = verify_certificate(problem.network, problem.system, problem.h_init,
                                  problem.h_unsafe, problem.config)
-    assert verdict.failure is None and verdict.invariance == UNKNOWN
-    notes = [v.note for v in verdict.invariance_result.region_verdicts if v.status == UNKNOWN]
+    assert verdict.failure is None and verdict.status("invariance") == UNKNOWN
+    notes = [v.note for v in verdict.results["invariance"].region_verdicts if v.status == UNKNOWN]
     assert notes and all(n.startswith("interval enclosure failed: overflow or NaN")
                          for n in notes)
     report = build_report(problem, verdict)
@@ -1534,7 +1551,7 @@ def test_overflowing_witness_value_is_no_witness(tmp_path):
     verdict = verify_certificate(problem.network, problem.system, problem.h_init,
                                  problem.h_unsafe, problem.config)
     rows = {r.indicator.compact(): v for r, v in zip(verdict.enumeration.regions,
-                                                      verdict.invariance_result.region_verdicts)}
+                                                      verdict.results["invariance"].region_verdicts)}
     assert rows["1010"].status == FALSIFIED
     assert rows["1010"].method == "interval"
     assert rows["1010"].witness == pytest.approx([0.5, 0.5], abs=1e-15)
@@ -1600,9 +1617,9 @@ def test_verify_certificate_unknown_flat_case():
     net = diamond_net()
     sys = DynamicsSystem.parse(["x2^3", "-x2^3"], dim=2)
     verdict = verify_certificate(net, sys, None, None)
-    assert verdict.invariance == UNKNOWN
+    assert verdict.status("invariance") == UNKNOWN
     assert verdict.overall == UNKNOWN
-    statuses = {v.status for v in verdict.invariance_result.region_verdicts}
+    statuses = {v.status for v in verdict.results["invariance"].region_verdicts}
     assert UNKNOWN in statuses
     assert FALSIFIED not in statuses
 
@@ -1616,8 +1633,8 @@ def test_verify_certificate_timings_and_seeds_stable():
     b = verify_certificate(net, sys, h_init, h_unsafe)
     assert [r.indicator for r in a.enumeration.regions] == \
            [r.indicator for r in b.enumeration.regions]
-    for va, vb in zip(a.invariance_result.region_verdicts,
-                      b.invariance_result.region_verdicts):
+    for va, vb in zip(a.results["invariance"].region_verdicts,
+                      b.results["invariance"].region_verdicts):
         assert va.status == vb.status
         assert va.bound == vb.bound
     assert set(a.timings) >= {"enumeration_s", "conditions_s", "total_s"}

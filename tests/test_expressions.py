@@ -413,13 +413,15 @@ def test_weighted_sum_drops_zero_weights_and_nests_from_the_left():
     (["ln(x1)^0"], 1, None, None),
     (["ln(x1 - x1)^0"], 1, None, None),
     (["(1/(x1 - x1))^0"], 1, None, None),
+    (["x1*2 - 1", "(x1 + x2)*0.5"], 2, [[2.0, 0.0], [0.5, 0.5]], [-1.0, 0.0]),
 ], ids=["linear-system", "cubic", "scalar-offset", "constant-call", "zero-power",
-        "zero-power-of-a-call", "zero-power-of-ln-0", "zero-power-of-1-over-0"])
+        "zero-power-of-a-call", "zero-power-of-ln-0", "zero-power-of-1-over-0",
+        "constant-on-the-right"])
 def test_linear_form_of_flow_components(flow, dim, F, c):
     """Each component's affine form (coeffs, const), or None where some
     component is not affine: the cubic system, and a zero power whose base
     has no finite form (evaluate gives NaN where the base is undefined).
-    sin(2) folds to a constant."""
+    sin(2) folds to a constant, on either side of a product."""
     forms = [_linear_form(e, dim) for e in DynamicsSystem.parse(flow, dim=dim).exprs]
     if F is None:
         assert None in forms

@@ -34,7 +34,7 @@ def test_load_problem_round_trip(arch_problem):
     lp = load_problem(arch_problem)
     assert lp.network.input_dim == 2
     assert lp.system.dim == 2
-    assert lp.spec.dynamics == list(CUBIC2D)
+    assert lp.dynamics == list(CUBIC2D)
     x = np.array([0.3, -0.2])
     assert evaluate(lp.h_init, x) == pytest.approx(0.04 - 0.3**2 - 0.2**2)
     assert lp.config.seed == 0

@@ -586,6 +586,21 @@ def test_propagation_region_cap_flags_partial():
     assert len(result.regions) <= 2
 
 
+def test_propagation_records_a_branching_cap_hit_and_goes_on():
+    """The diamond with relu(x1) repeated 21 times (each copy weighted
+    -1/21 in h): every facet point on x1 = 0 zeroes 22 neurons, past the
+    cap of 20.  The walk records that facet's error, crosses the other
+    facet, and returns the two x1 > 0 pieces as a partial result."""
+    w1 = np.array([[1.0, 0.0]] * 21 + [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    net = ReluNetwork([w1], [np.zeros(24)], np.array([-1.0 / 21] * 21 + [-1.0] * 3), 1.0)
+    result = boundary_propagation(net, build_valid_region(net, ind(*[1] * 21, 0, 1, 0)))
+    pieces = ["1" * 21 + "001", "1" * 21 + "010"]
+    assert sorted(r.indicator.compact() for r in result.regions) == pieces
+    assert result.partial
+    assert sorted(result.errors) == [f"region {p} facet 0: 22 simultaneously-zero neurons "
+                                     "exceed the cap of 20" for p in pieces]
+
+
 def test_propagation_matches_oracle_on_random_nets():
     hits = 0
     seed = 0
