@@ -14,12 +14,8 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .config import DEFAULT_CONFIG, VerifierConfig
-from .errors import (CombinatorialBlowup, DimensionMismatch,
-                     ExpressionError, ExpressionSyntaxError,
-                     InfeasiblePolyhedron, MalformedProblem, MissingField,
-                     NoRegions, NumericalFailure, OracleTooLarge,
-                     ProblemFormatError, RelubarrierError, SearchExhausted,
-                     UnknownIdentifier, UnsupportedDimension, VariableOutOfRange)
+from .errors import (CombinatorialBlowup, ExpressionSyntaxError, NumericalFailure,
+                     ProblemFormatError, RelubarrierError, SearchExhausted)
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 from .expressions import DynamicsSystem, evaluate, interval_evaluate, parse_expression
 from .network import ActivationIndicator, ReluNetwork, load_network, network_from_json

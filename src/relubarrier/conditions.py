@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BAB_MIN_WIDTH, DEFAULT_CONFIG, FALSIFY_GATE, VerifierConfig
-from .errors import NoRegions, NumericalFailure, SearchExhausted
+from .errors import NumericalFailure, SearchExhausted
 from .expressions import (DynamicsSystem, Expr, evaluate, interval_evaluate,
                           _linear_form, _weighted)
 from .geometry import bounding_box, frame, triangulate
@@ -423,7 +423,7 @@ def _check_conditions(net, regions, targets, cfg) -> dict[str, ConditionResult]:
     condition puts -1 on its own column, and its probe's status joins its
     rows' (unknown when the draws run out: see the note)."""
     if not regions:
-        raise NoRegions("condition check over an empty region list")
+        raise ValueError("condition check over an empty region list")
     names = [name for name in CONDITIONS if targets.get(name) is not None]
     sys, sets = targets.get("invariance"), [name for name in names if name in _SETS]
     flow = list(sys.exprs) if sys is not None else []

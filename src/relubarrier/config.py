@@ -25,6 +25,8 @@ ORACLE_CAP = 16       # max total neuron count the exhaustive oracle accepts
 BAB_MIN_WIDTH = 1e-5  # BaB stops splitting simplices whose longest edge is shorter
 TOL_FEAS_MAX = 1e-6   # a witness may sit tol_feas off its patch, and the independent
                       # checker (bench/checker.py, _PATCH_TOL) allows 1e-6 there
+_BLOCKS = {"tolerances": ("tol_feas", "tol_margin"), "budgets": ("max_attempts", "bab_max_boxes",
+           "membership_samples", "max_regions", "threads")}   # seed, domain_box: top level
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class VerifierConfig:
             return np.array([[-3.0, 3.0]] * dim)
         box = np.asarray(self.domain_box, dtype=float)
         if box.shape != (dim, 2):
-            raise ValueError(f"domain box shape {box.shape} does not match dimension {dim}")
+            raise ProblemFormatError(f"domain_box must hold {dim} [lo,hi] pairs")
         return box
 
     def updated(self, **kwargs) -> "VerifierConfig":
@@ -88,12 +90,12 @@ class VerifierConfig:
     def from_dicts(cls, tolerances: dict | None = None, budgets: dict | None = None,
                    **extra) -> "VerifierConfig":
         """Build a config from the ``tolerances``/``budgets`` problem-file
-        blocks; ProblemFormatError on an unknown key or an invalid value."""
-        merged = {**(tolerances or {}), **(budgets or {}), **extra}
-        for k in merged:
-            if k not in {f.name for f in fields(cls)}:
-                raise ProblemFormatError(f"unknown configuration key: {k!r}")
-        return cls(**merged)
+        blocks, each holding only its own keys (`_BLOCKS`), and the extra
+        fields; ProblemFormatError on another key or an invalid value."""
+        for block, given in (("tolerances", tolerances or {}), ("budgets", budgets or {})):
+            if unknown := [k for k in given if k not in _BLOCKS[block]]:
+                raise ProblemFormatError(f"unknown configuration key in {block}: {unknown[0]!r}")
+        return cls(**{**(tolerances or {}), **(budgets or {}), **extra})   # extra wins
 
 
 def _finite(v) -> bool:

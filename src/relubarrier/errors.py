@@ -1,47 +1,23 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, one per way a caller handles a failure.
+
+The command line prints a `RelubarrierError` as an ``error:`` line and
+exits 3; `ProblemFormatError` is bad input (`ExpressionSyntaxError` bad
+expression text, with its position); enumeration and branch-and-bound catch
+`NumericalFailure` and `CombinatorialBlowup`; `verify_certificate` reports
+`SearchExhausted`.  A call breaking a function's contract raises ValueError.
+"""
 
 
 class RelubarrierError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MalformedProblem(RelubarrierError):
-    """An LP has inconsistent shapes or non-finite data."""
+class ProblemFormatError(RelubarrierError, ValueError):
+    """A problem or network file, or a value built from one, failed to parse
+    or validate (a ValueError, as ``json.JSONDecodeError`` is)."""
 
 
-class NumericalFailure(RelubarrierError):
-    """A numerical routine exceeded its iteration budget or lost feasibility."""
-
-
-class DimensionMismatch(RelubarrierError):
-    """Vector/matrix dimensions disagree with the network input dimension."""
-
-
-class CombinatorialBlowup(RelubarrierError):
-    """A combinatorial expansion would exceed its configured cap."""
-
-
-class InfeasiblePolyhedron(RelubarrierError):
-    """An operation required a nonempty polyhedron but got an empty one."""
-
-
-class OracleTooLarge(RelubarrierError):
-    """Exhaustive enumeration was requested for a network above the cap."""
-
-
-class SearchExhausted(RelubarrierError):
-    """The initial region search ran out of attempts."""
-
-
-class NoRegions(RelubarrierError):
-    """A certificate check was asked to run over an empty region list."""
-
-
-class ExpressionError(RelubarrierError):
-    """Base class for expression parsing/evaluation errors."""
-
-
-class ExpressionSyntaxError(ExpressionError):
+class ExpressionSyntaxError(ProblemFormatError):
     """Malformed expression text; carries the offending position."""
 
     def __init__(self, message, position):
@@ -49,22 +25,13 @@ class ExpressionSyntaxError(ExpressionError):
         self.position = position
 
 
-class UnknownIdentifier(ExpressionError):
-    """An identifier that is neither a variable x<k> nor a known function."""
+class NumericalFailure(RelubarrierError):
+    """A numerical routine exceeded its iteration budget or lost feasibility."""
 
 
-class VariableOutOfRange(ExpressionError):
-    """A variable index outside 1..dim."""
+class CombinatorialBlowup(RelubarrierError):
+    """A combinatorial expansion would exceed its configured cap."""
 
 
-class ProblemFormatError(RelubarrierError, ValueError):
-    """A problem or network file failed to parse or validate (a ValueError,
-    as ``json.JSONDecodeError`` is)."""
-
-
-class MissingField(ProblemFormatError):
-    """A required field is absent from a problem or network file."""
-
-
-class UnsupportedDimension(RelubarrierError):
-    """An operation restricted by dimension (e.g. plotting) got the wrong n."""
+class SearchExhausted(RelubarrierError):
+    """The initial region search ran out of attempts."""

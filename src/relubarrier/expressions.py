@@ -3,7 +3,9 @@
 The grammar covers variables x1..xn, decimal constants, + - * /, integer
 powers via ^, and the functions sin, cos, tanh, exp, ln.  Precedence is
 ^ > unary minus > * / > + - with left-associative binary operators; the
-exponent of ^ must be a non-negative integer literal.
+exponent of ^ must be a non-negative integer literal.  Text outside the
+grammar, an unknown identifier and a variable outside x1..xn raise
+ExpressionSyntaxError with the offending position.
 
 A tree has five node kinds: `Var`, `Const`, `Unary(name, arg)` for negation
 ("-") and the functions, `Binary(op, left, right)` for + - * /, and
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpressionSyntaxError, UnknownIdentifier, VariableOutOfRange
+from .errors import ExpressionSyntaxError
 
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "ln")
 
@@ -156,18 +158,17 @@ class _Parser:
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":
                 if val not in FUNCTIONS:
-                    raise UnknownIdentifier(f"unknown function {val!r} at position {pos}")
+                    raise ExpressionSyntaxError(f"unknown function {val!r}", pos)
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
                 return Unary(val, arg)
             m = re.fullmatch(r"x(\d+)", val)
             if m is None:
-                raise UnknownIdentifier(f"unknown identifier {val!r} at position {pos}")
+                raise ExpressionSyntaxError(f"unknown identifier {val!r}", pos)
             idx = int(m.group(1))
             if not 1 <= idx <= self.dim:
-                raise VariableOutOfRange(
-                    f"variable {val} outside x1..x{self.dim} at position {pos}")
+                raise ExpressionSyntaxError(f"variable {val} outside x1..x{self.dim}", pos)
             return Var(idx - 1)
         if kind == "op" and val == "(":
             e = self.expr()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL_EQ
-from .errors import InfeasiblePolyhedron, NumericalFailure
+from .errors import NumericalFailure
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, lp_solve
 
 
@@ -197,7 +197,7 @@ def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,
     optima exist and coincide within tol_eq (relative to the row's magnitude).
     """
     if not p.minimize(np.zeros(p.dim), tol_feas).optimal:
-        raise InfeasiblePolyhedron("implicit equalities of an empty polyhedron")
+        raise ValueError("implicit equalities of an empty polyhedron")
     implicit = []
     for j in range(p.num_rows):
         row = p.A[j]
@@ -216,7 +216,7 @@ def remove_redundant(p: Polyhedron, tol_feas: float = 1e-7) -> Polyhedron:
     so of k duplicate rows exactly one (the last) survives.
     """
     if not p.minimize(np.zeros(p.dim), tol_feas).optimal:
-        raise InfeasiblePolyhedron("cannot reduce an empty polyhedron")
+        raise ValueError("cannot reduce an empty polyhedron")
     keep = list(range(p.num_rows))
     for j in range(p.num_rows):
         others = [k for k in keep if k != j]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedProblem, NumericalFailure
+from .errors import NumericalFailure
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -56,8 +56,7 @@ def _normalize_system(a, b, n):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (b.shape[0], n):
-        raise MalformedProblem(
-            f"system shapes {a.shape}/{b.shape} do not fit {n} variables")
+        raise ValueError(f"system shapes {a.shape}/{b.shape} do not fit {n} variables")
     return a, b
 
 
@@ -171,12 +170,12 @@ def lp_solve(objective, a_ub, b_ub, tol_feas: float = 1e-7) -> LpOutcome:
     """
     c = np.asarray(objective, dtype=float)
     if c.ndim != 1:
-        raise MalformedProblem(f"objective must be a vector, not of shape {c.shape}")
+        raise ValueError(f"objective must be a vector, not of shape {c.shape}")
     n = c.shape[0]
     a_ub, b_ub = _normalize_system(a_ub, b_ub, n)
     for arr in (c, a_ub, b_ub):
         if not np.isfinite(arr).all():
-            raise MalformedProblem("problem data must be finite")
+            raise ValueError("problem data must be finite")
 
     T, basis, n_struct, art_cols = _build_tableau(a_ub, b_ub)
     if not _phase_one(T, basis, art_cols, tol_feas):

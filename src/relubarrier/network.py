@@ -9,6 +9,9 @@ activation pattern.
 The per-neuron constraint rows are the neuron's pre-activation expressed as
 an affine function of the input, obtained by pulling the (unmasked) weight
 row back through the masked affine maps of the earlier layers.
+
+An array of the wrong shape raises ProblemFormatError naming its layer; a
+point, box or indicator of the wrong shape, a caller's fault, ValueError.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BRANCH_CAP, TOL_ZERO
-from .errors import (CombinatorialBlowup, DimensionMismatch, MissingField,
-                     ProblemFormatError)
+from .errors import CombinatorialBlowup, ProblemFormatError
 from .geometry import Polyhedron
 
 
@@ -52,31 +54,36 @@ class ActivationIndicator:
 class ReluNetwork:
     """Immutable scalar-output ReLU network.
 
-    weights[i] has shape (M_i, M_{i-1}) with one row per neuron;
-    output_weights has shape (M_L,).
+    weights[i] has shape (M_i, M_{i-1}) with one row per neuron, biases[i]
+    shape (M_i,); output_weights has shape (M_L,).
     """
 
     def __init__(self, weights, biases, output_weights, output_bias):
-        self.weights = [np.atleast_2d(np.asarray(w, dtype=float)) for w in weights]
-        self.biases = [np.atleast_1d(np.asarray(b, dtype=float)) for b in biases]
-        self.output_weights = np.atleast_1d(np.asarray(output_weights, dtype=float))
+        self.weights = [np.asarray(w, dtype=float) for w in weights]
+        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        self.output_weights = np.asarray(output_weights, dtype=float)
         self.output_bias = float(output_bias)
         if len(self.weights) == 0:
             raise ProblemFormatError("network needs at least one hidden layer")
         if len(self.weights) != len(self.biases):
             raise ProblemFormatError("weights/biases layer count mismatch")
-        prev = self.weights[0].shape[1]
-        self.input_dim = prev
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[1] != prev:
-                raise DimensionMismatch(
+            if w.ndim != 2 or b.ndim != 1:
+                raise ProblemFormatError(f"layer {i}: weights must be a matrix and bias a "
+                                         f"vector, got shapes {w.shape} and {b.shape}")
+            if i and w.shape[1] != prev:
+                raise ProblemFormatError(
                     f"layer {i}: expected {prev} inputs, weight matrix has {w.shape[1]}")
             if b.shape[0] != w.shape[0]:
-                raise DimensionMismatch(f"layer {i}: bias length {b.shape[0]} vs "
-                                        f"{w.shape[0]} neurons")
+                raise ProblemFormatError(f"layer {i}: bias length {b.shape[0]} vs "
+                                         f"{w.shape[0]} neurons")
             prev = w.shape[0]
+        self.input_dim = self.weights[0].shape[1]
+        if self.output_weights.ndim != 1:
+            raise ProblemFormatError("output_weights must be a vector, got shape "
+                                     f"{self.output_weights.shape}")
         if self.output_weights.shape[0] != prev:
-            raise DimensionMismatch("output weight length does not match last layer")
+            raise ProblemFormatError("output weight length does not match last layer")
         for arr in (*self.weights, *self.biases, self.output_weights):
             if not np.all(np.isfinite(arr)):
                 raise ProblemFormatError("network parameters must be finite")
@@ -93,8 +100,8 @@ class ReluNetwork:
 
     def _check_indicator(self, ind):
         if tuple(len(layer) for layer in ind.bits) != self.layer_sizes:
-            raise DimensionMismatch(f"indicator layout {ind.bits} does not match "
-                                    f"layer sizes {self.layer_sizes}")
+            raise ValueError(f"indicator layout {ind.bits} does not match "
+                             f"layer sizes {self.layer_sizes}")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -102,7 +109,7 @@ class ReluNetwork:
         """h(x) for a single point: a one-row `forward_many`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
-            raise DimensionMismatch(f"input shape {x.shape}, expected ({self.input_dim},)")
+            raise ValueError(f"input shape {x.shape}, expected ({self.input_dim},)")
         return float(self.forward_many(x[None])[0])
 
     def forward_many(self, xs) -> np.ndarray:
@@ -185,7 +192,7 @@ class ReluNetwork:
         propagation through the layers."""
         box = np.asarray(box, dtype=float)
         if box.shape != (self.input_dim, 2):
-            raise DimensionMismatch(f"box shape {box.shape}, expected ({self.input_dim}, 2)")
+            raise ValueError(f"box shape {box.shape}, expected ({self.input_dim}, 2)")
         lo, hi = box[:, 0], box[:, 1]
         for w, b in zip(self.weights, self.biases):
             pre_lo, pre_hi = _affine_bounds(w, b, lo, hi)
@@ -213,7 +220,7 @@ def network_from_json(data: dict) -> ReluNetwork:
         raise ProblemFormatError("network file must hold a JSON object")
     for key in ("input_dim", "layers", "output_weights", "output_bias"):
         if key not in data:
-            raise MissingField(f"network description lacks {key!r}")
+            raise ProblemFormatError(f"network description lacks {key!r}")
     declared = data["input_dim"]
     if not isinstance(declared, int) or isinstance(declared, bool):
         raise ProblemFormatError(f"'input_dim' must be an integer, got {declared!r}")
@@ -223,7 +230,7 @@ def network_from_json(data: dict) -> ReluNetwork:
     weights, biases = [], []
     for i, layer in enumerate(layers):
         if not isinstance(layer, dict) or "weights" not in layer or "bias" not in layer:
-            raise MissingField(f"layer {i} lacks 'weights' or 'bias'")
+            raise ProblemFormatError(f"layer {i} lacks 'weights' or 'bias'")
         weights.append(layer["weights"])
         biases.append(layer["bias"])
     try:
@@ -234,7 +241,7 @@ def network_from_json(data: dict) -> ReluNetwork:
         raise ProblemFormatError(
             f"network arrays must be numeric and rectangular ({exc})") from exc
     if net.input_dim != declared:
-        raise DimensionMismatch(
+        raise ProblemFormatError(
             f"declared input_dim {declared} but first layer takes {net.input_dim}")
     return net
 

@@ -21,8 +21,7 @@ import numpy as np
 from . import __version__
 from .conditions import CONDITIONS, FALSIFIED, UNKNOWN, VERIFIED, CertificateVerdict
 from .config import VerifierConfig
-from .errors import (DimensionMismatch, MissingField, ProblemFormatError,
-                     RelubarrierError)
+from .errors import ProblemFormatError
 from .expressions import DynamicsSystem, Expr, parse_expression
 from .network import ReluNetwork, load_network
 
@@ -50,7 +49,7 @@ class LoadedProblem:
 
 def _require(data: dict, key: str, path):
     if key not in data:
-        raise MissingField(f"{path}: missing required field {key!r}")
+        raise ProblemFormatError(f"{path}: missing required field {key!r}")
     return data[key]
 
 
@@ -83,9 +82,8 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
     n = network.input_dim
 
     if len(dynamics) != n:
-        raise DimensionMismatch(
-            f"{path}: {len(dynamics)} dynamics components for an "
-            f"{n}-input network")
+        raise ProblemFormatError(f"{path}: {len(dynamics)} dynamics components for an "
+                                 f"{n}-input network")
     system = DynamicsSystem.parse(dynamics, n)
     h_init = parse_expression(initial_set, n)
     h_unsafe = parse_expression(unsafe_set, n)
@@ -93,8 +91,10 @@ def load_problem(path, overrides: dict | None = None) -> LoadedProblem:
     extra: dict = {"seed": data.get("seed", 0), "domain_box": data.get("domain_box")}
     extra.update({k: v for k, v in (overrides or {}).items() if v is not None})
     cfg = VerifierConfig.from_dicts(tolerances, budgets, **extra)
-    if cfg.domain_box is not None and len(cfg.domain_box) != n:
-        raise DimensionMismatch(f"{path}: domain_box must hold {n} [lo,hi] pairs")
+    try:
+        cfg.domain(n)   # the box's length, checked where the box is read
+    except ProblemFormatError as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
     return LoadedProblem(str(path), network_path, dynamics, initial_set, unsafe_set,
                          network, system, h_init, h_unsafe, cfg)
 

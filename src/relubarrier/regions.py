@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ, VerifierConfig
-from .errors import CombinatorialBlowup, NumericalFailure, OracleTooLarge, SearchExhausted
+from .errors import CombinatorialBlowup, NumericalFailure, SearchExhausted
 from .geometry import Polyhedron, frame, inscribed_ball
 from .network import ActivationIndicator, ReluNetwork
 
@@ -290,7 +290,7 @@ def brute_force_valid_regions(net: ReluNetwork,
     """
     total = net.num_neurons
     if total > ORACLE_CAP:
-        raise OracleTooLarge(f"{total} neurons exceed the oracle cap {ORACLE_CAP}")
+        raise ValueError(f"{total} neurons exceed the oracle cap {ORACLE_CAP}")
     sizes = net.layer_sizes
     out = []
     for flat in itertools.product((0, 1), repeat=total):

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_CONFIG, TOL_EQ, VerifierConfig
-from .errors import NoRegions
 from .expressions import (Binary, Const, DynamicsSystem, Expr, Pow, Unary, Var,
                           weighted_sum)
 
@@ -94,7 +93,7 @@ def export_invariance(regions, sys: DynamicsSystem,
 
     per-region mode yields one query per region; monolithic mode a single
     disjunction over all regions.  unsat everywhere means the condition
-    holds on the enumerated component.  Raises NoRegions on an empty list.
+    holds on the enumerated component.  Raises ValueError on an empty list.
     """
     transcendental = any(_has_transcendental(e) for e in sys.exprs)
     violation = lambda r: f"(< {expr_to_smt(weighted_sum(r.slice.w, sys.exprs))} 0)"
@@ -123,7 +122,7 @@ def _export(regions, violation, kind, dim, transcendental, cfg, mode, domain_box
     if mode not in ("per-region", "monolithic"):
         raise ValueError(f"mode must be 'per-region' or 'monolithic', got {mode!r}")
     if not regions:   # an empty disjunction is false: unsat would certify nothing
-        raise NoRegions(f"{kind} export over an empty region list")
+        raise ValueError(f"{kind} export over an empty region list")
     preamble = [f"; tolerances: tol_feas={cfg.tol_feas:g} tol_eq={TOL_EQ:g} "
                 f"tol_margin={cfg.tol_margin:g}"]
     if domain_box is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import UnsupportedDimension
+from .errors import ProblemFormatError
 from .expressions import evaluate
 from .geometry import frame
 
@@ -109,10 +109,9 @@ def _marching_squares(expr, domain, grid=_GRID):
 
 
 def check_plane(network) -> None:
-    """Raise UnsupportedDimension unless the network has a 2-D input space."""
+    """Raise ProblemFormatError unless the network has a 2-D input space."""
     if network.input_dim != 2:
-        raise UnsupportedDimension(f"plotting needs a 2-D input space, "
-                                   f"got {network.input_dim}")
+        raise ProblemFormatError(f"plotting needs a 2-D input space, got {network.input_dim}")
 
 
 def render_plot(network, regions, h_init, h_unsafe, witnesses,

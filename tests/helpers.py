@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
-                         InfeasiblePolyhedron, NumericalFailure, Polyhedron,
+                         NumericalFailure, Polyhedron,
                          brute_force_valid_regions, evaluate,
                          build_valid_region, implicit_equalities, lp_solve,
                          network_from_json)
@@ -435,7 +435,7 @@ def lp_bounding_box(sl: Polyhedron, domain: np.ndarray | None = None,
             box[i, side] = signs[k] * outcome.value
             points.append(outcome.point)
         elif domain is None:
-            raise InfeasiblePolyhedron("unbounded slice and no domain box to restrict to")
+            raise ValueError("unbounded slice and no domain box to restrict to")
         else:
             box[i, side] = domain[i, side]
             restricted = True

@@ -2,6 +2,7 @@
 environment-variable precedence, SMT export layout and SVG plotting."""
 
 import json
+import re
 import stat
 
 import jsonschema
@@ -131,15 +132,34 @@ MALFORMED = [
     ("string-input-dim", {}, lambda net: {**net, "input_dim": "2"}),
     ("huge-tol-feas", {"tolerances": {"tol_feas": 1e300}}, None),
     ("deeply-nested-dynamics", {"dynamics": ["-" * 5000 + "x1", "-x2"]}, None),
+    ("huge-integer-tol-margin", {"tolerances": {"tol_margin": 10 ** 400}}, None),
+    ("seed-in-budgets", {"budgets": {"seed": 5}}, None),
+    ("domain-box-in-tolerances", {"tolerances": {"domain_box": [[-1, 1], [-1, 1]]}}, None),
+    ("column-bias", {}, lambda net: {**net, "layers": [{**net["layers"][0],
+                                                        "bias": [[0], [0], [0], [0]]}]}),
+    ("column-output-weights", {}, lambda net: {**net, "output_weights": [[-1], [-1], [-1], [-1]]}),
+    ("rank-three-weights", {"dynamics": ["-x1"], "initial_set": "0.01 - x1^2",
+                            "unsafe_set": "x1 - 2", "domain_box": [[-3, 3]]},
+     lambda net: {"input_dim": 1, "layers": [{"weights": [[[1.0, 2.0]]], "bias": [0.0]}],
+                  "output_weights": [-1.0], "output_bias": 1.0}),
 ]
 
+# what the error line of these cases names (the key, its block or the array)
+NAMED = {"huge-integer-tol-margin": "invalid value for tol_margin",
+         "seed-in-budgets": "unknown configuration key in budgets: 'seed'",
+         "domain-box-in-tolerances": "unknown configuration key in tolerances: 'domain_box'",
+         "column-bias": "layer 0: weights must be a matrix and bias a vector",
+         "column-output-weights": "output_weights must be a vector",
+         "rank-three-weights": "layer 0: weights must be a matrix and bias a vector"}
 
-@pytest.mark.parametrize("fields, net_edit", [pytest.param(f, e, id=name)
-                                              for name, f, e in MALFORMED])
-def test_exit_three_on_malformed_input(tmp_path, capsys, fields, net_edit):
+
+@pytest.mark.parametrize("fields, net_edit, named", [pytest.param(f, e, NAMED.get(name), id=name)
+                                                     for name, f, e in MALFORMED])
+def test_exit_three_on_malformed_input(tmp_path, capsys, fields, net_edit, named):
     """Malformed values are bad input (exit 3 with an error line), not a
     traceback with exit 1, the code for falsified; so is input that trips
-    an exception the package does not raise itself (RecursionError)."""
+    an exception the package does not raise itself (RecursionError).  Where
+    the package checks the value, its line names it, not an exception type."""
     problem = write_problem(tmp_path, diamond_net(), ["-x1", "-x2"], INIT, UNSAFE)
     data = json.loads(open(problem).read())
     data.update(fields)
@@ -148,7 +168,19 @@ def test_exit_three_on_malformed_input(tmp_path, capsys, fields, net_edit):
         net_path = tmp_path / data["network_path"]
         net_path.write_text(json.dumps(net_edit(json.loads(net_path.read_text()))))
     assert main(["verify", "--problem", problem, "--out", str(tmp_path / "r.json")]) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if named is not None:
+        assert named in err
+        assert re.search(r"\w+(Error|Exception)\b", err) is None, err
+
+
+def test_exit_three_on_an_environment_value_that_is_no_number(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RELUBARRIER_SEED", "abc")
+    code, _ = run_verify(tmp_path, ["-x1", "-x2"])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: environment variable RELUBARRIER_SEED "
+                                       "is not a valid int: 'abc'\n")
 
 
 # -- report contract ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
-                         ActivationIndicator, DynamicsSystem, NoRegions,
+                         ActivationIndicator, DynamicsSystem,
                          NumericalFailure, Polyhedron, ReluNetwork, boundary_propagation,
                          brute_force_valid_regions, build_report, build_valid_region,
                          check_initial_condition, check_invariance,
@@ -801,7 +801,7 @@ def test_invariance_diamond_drift_falsified_with_witness():
 
 def test_invariance_empty_regions_raises():
     sys = DynamicsSystem.parse(["-x1", "-x2"], dim=2)
-    with pytest.raises(NoRegions):
+    with pytest.raises(ValueError, match="empty region list"):
         check_invariance(diamond_net(), [], sys)
 
 

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from relubarrier import MalformedProblem, NumericalFailure, brute_force_valid_regions, geometry
+from relubarrier import NumericalFailure, brute_force_valid_regions, geometry
 from relubarrier.geometry import Polyhedron
 from relubarrier.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, _run_simplex,
                                  lp_solve)
@@ -153,7 +153,7 @@ def test_one_objective_gives_one_outcome_and_a_matrix_objective_is_malformed():
     assert isinstance(out, LpOutcome) and not isinstance(out, list)
     assert out.value == pytest.approx(-2.0, abs=1e-9)
     for objective in (np.eye(2), np.array([[1.0, -1.0]])):   # (2, n) and (1, n)
-        with pytest.raises(MalformedProblem):
+        with pytest.raises(ValueError, match="objective must be a vector"):
             lp_solve(objective, a, d)
 
 

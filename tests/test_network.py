@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (ActivationIndicator, CombinatorialBlowup, DimensionMismatch,
-                         MissingField, ReluNetwork, load_network, network_from_json)
+from relubarrier import (ActivationIndicator, CombinatorialBlowup, ProblemFormatError,
+                         ReluNetwork, load_network, network_from_json)
 
 from helpers import (deep_branching_net, diamond_net, network_to_json, random_hidden_net,
                      scaled_output)
@@ -219,17 +219,17 @@ def test_json_round_trip(tmp_path):
 
 
 def test_missing_field_raises():
-    with pytest.raises(MissingField):
+    with pytest.raises(ProblemFormatError, match="network description lacks"):
         network_from_json({"weights": [[[1.0]]], "biases": [[0.0]]})
 
 
 def test_layer_shape_mismatch_raises():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ProblemFormatError, match="layer 1: expected 2 inputs"):
         ReluNetwork([np.ones((2, 2)), np.ones((2, 3))],
                     [np.zeros(2), np.zeros(2)], np.ones(2), 0.0)
 
 
 def test_indicator_layout_mismatch_raises():
     net = diamond_net()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="indicator layout"):
         net.piece(ActivationIndicator(((1, 0),)))

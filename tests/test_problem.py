@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from relubarrier import (DEFAULT_CONFIG, DimensionMismatch, MissingField, ProblemFormatError,
+from relubarrier import (DEFAULT_CONFIG, ProblemFormatError,
                          VerifierConfig,
                          build_report, evaluate, exit_code, load_problem,
                          report_bytes_without_timings, verify_certificate,
@@ -56,7 +56,7 @@ def test_relative_network_path_resolved_against_problem_file(tmp_path):
 def test_dynamics_arity_mismatch(tmp_path):
     path = write_problem(tmp_path, diamond_net(), ["-x1", "-x2", "-x1"],
                          INIT, UNSAFE)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ProblemFormatError, match="3 dynamics components for an 2-input"):
         load_problem(path)
 
 
@@ -73,7 +73,7 @@ def test_missing_field_named(tmp_path):
     data = json.loads(open(path).read())
     del data["unsafe_set"]
     open(path, "w").write(json.dumps(data))
-    with pytest.raises(MissingField) as err:
+    with pytest.raises(ProblemFormatError, match="missing required field") as err:
         load_problem(path)
     assert "unsafe_set" in str(err.value)
 
@@ -87,7 +87,7 @@ def test_domain_box_validation(tmp_path):
         load_problem(path)
     data["domain_box"] = [[-3, 3]]
     open(path, "w").write(json.dumps(data))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ProblemFormatError, match="domain_box must hold 2"):
         load_problem(path)
 
 

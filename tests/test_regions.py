@@ -2,11 +2,12 @@
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relubarrier import (ActivationIndicator, OracleTooLarge, Polyhedron, ReluNetwork,
+from relubarrier import (ActivationIndicator, Polyhedron, ReluNetwork,
                          SearchExhausted, boundary_propagation,
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region,
@@ -306,7 +307,7 @@ def test_brute_force_all_dead_empty():
 def test_brute_force_cap():
     rng = np.random.default_rng(0)
     net = random_hidden_net(rng, neurons=17)   # one above ORACLE_CAP
-    with pytest.raises(OracleTooLarge):
+    with pytest.raises(ValueError, match="exceed the oracle cap"):
         brute_force_valid_regions(net)
 
 
@@ -599,6 +600,44 @@ def test_propagation_records_a_branching_cap_hit_and_goes_on():
     assert result.partial
     assert sorted(result.errors) == [f"region {p} facet 0: 22 simultaneously-zero neurons "
                                      "exceed the cap of 20" for p in pieces]
+
+
+def test_a_failing_frame_leaves_validity_to_the_lps_and_fails_again(monkeypatch):
+    """With no frame there is no evidence: the slice LP's ball accepts
+    1010, and the frame the region needs fails a second time."""
+    frames, balls = [], []
+    original = regions.inscribed_ball
+
+    def failing(*args, **kwargs):
+        frames.append(args)
+        raise NumericalFailure("no frame")
+
+    monkeypatch.setattr(regions, "frame", failing)
+    monkeypatch.setattr(regions, "inscribed_ball",
+                        lambda *args, **kwargs: balls.append(args) or original(*args, **kwargs))
+    with pytest.raises(NumericalFailure, match="no frame"):
+        build_valid_region(diamond_net(), ind(1, 0, 1, 0))
+    assert (len(frames), len(balls)) == (2, 1)
+
+
+def test_the_seed_search_skips_a_sign_change_past_the_branching_cap():
+    """The net of the branching-cap test: the pair (0, 3) / (0, 0) bisects
+    onto (0, 1), where 22 neurons are zero, so that attempt finds nothing;
+    a second pair (3, 3) / (0, 0) bisects into the 1010 piece."""
+    w1 = np.array([[1.0, 0.0]] * 21 + [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    net = ReluNetwork([w1], [np.zeros(24)], np.array([-1.0 / 21] * 21 + [-1.0] * 3), 1.0)
+
+    def scripted(*batches):   # an rng drawing the batches in turn, the last one from then on
+        batches = list(batches)
+        return SimpleNamespace(uniform=lambda lo, hi, size: batches.pop(0)
+                               if len(batches) > 1 else batches[0])
+
+    on_the_cap, diagonal = np.array([[0.0, 3.0], [0.0, 0.0]]), np.array([[3.0, 3.0], [0.0, 0.0]])
+    cfg = DEFAULT_CONFIG.updated(max_attempts=3)
+    with pytest.raises(SearchExhausted, match="^no valid region found in 3 attempts$"):
+        find_initial_region(net, cfg, scripted(on_the_cap))
+    region, meta = find_initial_region(net, cfg, scripted(on_the_cap, diagonal))
+    assert (region.indicator.compact(), meta) == ("1" * 21 + "010", {"attempts": 2})
 
 
 def test_propagation_matches_oracle_on_random_nets():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relubarrier import (__version__, smtlib, ActivationIndicator, DynamicsSystem, NoRegions,
+from relubarrier import (__version__, smtlib, ActivationIndicator, DynamicsSystem,
                          boundary_propagation, build_valid_region,
                          check_invariance, export_invariance,
                          export_set_condition, format_number,
@@ -207,7 +207,7 @@ def test_invalid_mode_rejected():
 def test_export_over_no_regions_raises(export, mode):
     """A solver reads an empty disjunction as false, so its unsat would
     certify a condition over nothing."""
-    with pytest.raises(NoRegions):
+    with pytest.raises(ValueError, match="empty region list"):
         export(mode)
 
 

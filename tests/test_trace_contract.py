@@ -4,8 +4,9 @@ target is missing; its problem files (bench/problems.py) must load, and
 every report made from them must pass its checker (bench/checker.py),
 known answers included; every configuration knob is one that some input
 actually sets, and each command's override flags match the RELUBARRIER_*
-variables; every fixed number in config.py is read and documented; and
-every public name has a caller outside the tests."""
+variables; every fixed number in config.py is read and documented;
+every public name has a caller outside the tests; and every error type is
+caught somewhere in the package or carries an attribute."""
 
 import argparse
 import ast
@@ -191,3 +192,22 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
                  and not fn.name.startswith("_") and fn.name not in referenced]
     assert uncalled == []
+
+
+def test_every_error_type_is_caught_or_carries_an_attribute():
+    """An exception class of errors.py earns its place when an except clause
+    in src/ names it, so some caller acts on it, or when it stores an
+    attribute of its own (ExpressionSyntaxError.position); any other fault
+    raises one of these, or a builtin."""
+    src = ROOT / "src" / "relubarrier"
+    caught = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+    classes = [node for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    idle = [cls.name for cls in classes if cls.name not in caught
+            and not any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        for n in ast.walk(cls))]
+    assert classes and idle == []
