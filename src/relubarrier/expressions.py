@@ -14,7 +14,6 @@ node's SMT-LIB symbol."""
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -374,21 +373,14 @@ def _affine_form(e, dim):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def weighted_sum(coefs, exprs) -> Expr:
-    """sum_i coefs[i] * exprs[i] as one expression: Binary("*", Const(c), e)
-    terms joined by Binary("+") from the left.  Zero coefficients are left
-    out; an empty sum is Const(0.0)."""
-    terms = [Binary("*", Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
-    return functools.reduce(functools.partial(Binary, "+"), terms) if terms else Const(0.0)
-
-
 def _weighted(fn, exprs, coefs, batches) -> list:
-    """Per batch i, the (m, 2) values of weighted_sum(coefs[i], exprs) over
+    """Per batch i, the (m, 2) values of sum_j coefs[i, j] * exprs[j] over
     batches[i]: fn is `interval_evaluate` over boxes, or `evaluate` at
     points, each value v entered as [v, v].  Each expression is evaluated
     once, over the rows whose coefficient on it is nonzero; terms are added
     from the left, zero coefficients skipped, so each row gets float for
-    float what fn gives for the sum, or NaN where that is not finite."""
+    float what fn gives for the sum as one expression (``c * e`` terms
+    joined by ``+`` from the left), or NaN where that is not finite."""
     sizes = [len(b) for b in batches]
     rows, coefs = np.concatenate(batches), np.repeat(coefs, sizes, axis=0)
     lo, hi = np.zeros(len(rows)), np.zeros(len(rows))   # the empty sum

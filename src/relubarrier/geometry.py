@@ -15,6 +15,7 @@ its minima and branch-and-bound its box (``bounding_box``) and simplices
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -144,8 +145,7 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
         return np.divide(np.maximum(rhs - u @ rows.T, 0.0)[..., None, :], slope,
                          out=np.full(slope.shape, np.inf), where=slope > 1e-12)
 
-    def bases_of(subsets):
-        S = np.array(sorted(subsets), dtype=int).reshape(len(subsets), k)
+    def bases_of(S):   # the k-subsets in S, rows of indices, that are bases
         S = S[np.abs(np.linalg.det(rows[S])) > 1e-12]
         u = np.linalg.solve(rows[S], rhs[S][..., None])[..., 0]
         return S[unit.contains(x0 + u @ B.T, tol_feas)]
@@ -157,17 +157,16 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
             t = reach(u, (d := d if (rows @ d > 1e-12).any() else -d)[None])[0]
             met.append(int(np.argmin(t)))
             u = u + t[met[-1]] * d if np.isfinite(t[met[-1]]) else None
-        return bases_of([] if u is None else [tuple(sorted(met))])
+        return bases_of(np.array([] if u is None else [sorted(met)], dtype=int).reshape(-1, k))
 
     whole = math.comb(len(rows), k) <= 512    # one batch holds every k-subset
-    front = bases_of(list(itertools.combinations(range(len(rows)), k))) if whole else steps(near)
+    front = bases_of(_subsets(len(rows), k)) if whole else steps(near)
     if not (whole or len(front)) and (ball := inscribed_ball(p, tol_feas)) is not None \
             and not len(front := steps(ball[0])):
         raise NumericalFailure("the steps from the centre of the polyhedron's largest ball "
                                "end off it")
     seen, rays, vertices = set(), [lineal.T, -lineal.T], [np.empty((0, p.dim))]
     while len(front):
-        seen.update(map(tuple, front))
         inv = np.linalg.inv(rows[front])
         u = (inv @ rhs[front][..., None])[..., 0]
         vertices.append(x0 + u @ B.T)
@@ -177,16 +176,22 @@ def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
         rays.append(edges[~meets] @ B.T)
         if whole:
             break
+        seen.update(map(tuple, front))
         ends = u[np.nonzero(meets)[0]] + t[meets][:, None] * edges[meets]
         on_rows = np.unique(ends @ rows.T >= rhs - tol_feas, axis=0)   # the rows at each end
-        front = bases_of({S for on in on_rows
-                          for S in itertools.combinations(np.flatnonzero(on).tolist(), k)} - seen)
+        front = bases_of(np.array(sorted({S for on in on_rows for S in itertools.combinations(
+            np.flatnonzero(on).tolist(), k)} - seen), dtype=int).reshape(-1, k))
     vertices = np.vstack(vertices)
     tight = vertices @ unit.A.T >= unit.d - tol_feas
     if (tight.sum(axis=1) > k).any():   # two bases meet only at a point on more than k rows
         once = np.sort(np.unique(tight, axis=0, return_index=True)[1])
         vertices, tight = vertices[once], tight[once]
     return vertices, np.vstack(rays), tight
+
+
+@functools.cache   # one array per (m, k), shared by every call: index it, never write it
+def _subsets(m: int, k: int) -> np.ndarray:   # every k-subset of range(m) in order, as rows
+    return np.array(list(itertools.combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
 
 
 def implicit_equalities(p: Polyhedron, tol_eq: float = TOL_EQ,

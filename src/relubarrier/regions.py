@@ -12,12 +12,13 @@ meet it is its facet point; the other rows are redundant there.
 the touching rows, which the deciders and the SMT export read.
 `enumerate_level_set` is the one enumeration route: unless interval bounds
 show that h keeps one sign on the domain box, it finds one valid region and
-propagates across facets from it.  Both steps name regions the same way:
-the indicators feasible at a point of the level set (a facet point, or for
-the seed a sign change bisected to float resolution), which also starts
-the region's frame.  A NumericalFailure (validity LP or frame) rejects a
-candidate, and a facet point past which no valid region continues the
-level set is an error of the walk, so the enumeration is partial.
+propagates across facets from it.  The candidates at a point of the level
+set (a facet point, or the seed's sign change bisected to float resolution,
+which also starts their frames) are the indicators feasible there; at a
+simple facet, one neuron's row and the only one all its vertices meet, the
+region and that neuron flipped, with no forward pass.  A NumericalFailure
+(validity LP or frame) rejects a candidate, and a facet point past which no
+valid region continues the level set is an error: the enumeration is partial.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class ValidRegion:
     vertices: np.ndarray           # the patch's vertices and rays, as rows (`frame`)
     rays: np.ndarray
     tight: np.ndarray              # per vertex, the touching rows it meets
+    neurons: np.ndarray            # per touching row, its one neuron (flat index), else -1
 
     @property
     def facet_points(self) -> list[np.ndarray]:   # per touching row, its vertices' mean
@@ -121,8 +123,10 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     region, w, b = net.piece(ind)
     first, nz = {}, region.A.any(axis=1)
     for j, row in enumerate(np.column_stack([region.A, region.d]) + 0.0):   # -0.0 keys as 0.0
-        first.setdefault(row.tobytes(), j)
-    keep = [j for j in first.values() if nz[j]]
+        first.setdefault(row.tobytes(), []).append(j)
+    keep = [js[0] for js in first.values() if nz[js[0]]]
+    neurons = np.array([js[0] if len(js) == 1 and nz.all() else -1
+                        for js in first.values() if nz[js[0]]], dtype=int)
     exact = Polyhedron(region.A[keep], region.d[keep])
     patch, framed = Polyhedron(exact.A, exact.d, w, b), []
 
@@ -143,7 +147,7 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
                                "dimensions than its patch")
     touching = np.flatnonzero(tight.any(axis=0))
     return ValidRegion(ind, exact, Polyhedron(exact.A[touching], exact.d[touching], w, b),
-                       vertices, rays, tight[:, touching])
+                       vertices, rays, tight[:, touching], neurons[touching])
 
 
 # -- initial region search -------------------------------------------------------
@@ -175,7 +179,7 @@ def find_initial_region(net: ReluNetwork, cfg: VerifierConfig = DEFAULT_CONFIG,
         x_neg, x_pos = xs[neg[0]], xs[pos[0]]
         while True:
             mid = 0.5 * (x_neg + x_pos)
-            if np.array_equal(mid, x_neg) or np.array_equal(mid, x_pos):
+            if (mid == x_neg).all() or (mid == x_pos).all():
                 break
             if net.forward(mid) < 0.0:
                 x_neg = mid
@@ -205,7 +209,7 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     """Grow the set of valid regions across shared facets from a seed.
 
     FIFO worklist; at each facet point of a known region (one per row
-    touching its slice) the feasible indicators are validity-tested; a
+    touching its slice) its candidates are validity-tested; a
     facet point where none but the region itself is valid is an error, as
     the level set goes on past a facet, so some region there is missing.  Output
     is sorted by indicator key, so the result does not depend on worklist
@@ -230,8 +234,11 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                           "facet propagation skipped")
             continue
         for j, point in enumerate(region.facet_points):
+            n = region.neurons[j]   # a simple facet: n's row alone meets all its vertices
             try:
-                neighbours = net.feasible_indicators(point)
+                neighbours = region.indicator.branched(n) if n >= 0 and \
+                    region.tight[region.tight[:, j]].all(axis=0).sum() == 1 \
+                    else net.feasible_indicators(point)
             except CombinatorialBlowup as exc:
                 errors.append(f"region {region.indicator.compact()} facet {j}: {exc}")
                 continue

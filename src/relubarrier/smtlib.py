@@ -13,14 +13,14 @@ what the verifier computed with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .config import DEFAULT_CONFIG, TOL_EQ, VerifierConfig
-from .expressions import (Binary, Const, DynamicsSystem, Expr, Pow, Unary, Var,
-                          weighted_sum)
+from .expressions import Binary, Const, DynamicsSystem, Expr, Pow, Unary, Var
 
 
 @dataclass
@@ -96,7 +96,10 @@ def export_invariance(regions, sys: DynamicsSystem,
     holds on the enumerated component.  Raises ValueError on an empty list.
     """
     transcendental = any(_has_transcendental(e) for e in sys.exprs)
-    violation = lambda r: f"(< {expr_to_smt(weighted_sum(r.slice.w, sys.exprs))} 0)"
+    texts = [expr_to_smt(e) for e in sys.exprs]   # each component rendered once
+    def violation(r):   # w.f: nonzero terms summed from the left, the empty sum 0
+        terms = [f"(* {format_number(c)} {t})" for c, t in zip(r.slice.w, texts) if c != 0.0]
+        return f"(< {functools.reduce(lambda a, t: f'(+ {a} {t})', terms) if terms else '0'} 0)"
     return _export(regions, violation, "invariance", sys.dim, transcendental,
                    cfg, mode, domain_box)
 
@@ -117,8 +120,8 @@ def _export(regions, violation, kind, dim, transcendental, cfg, mode, domain_box
     """The queries of one export: the preamble (tolerances, domain-box note,
     logic, declarations) built once, each region's (and ...) body, its
     conjuncts then violation(region), built once, and either one query per
-    region or one disjunction over all of them.  A set condition's violation
-    is the same text for every region, rendered once per call."""
+    region or one disjunction over all of them.  A set function, and each
+    flow component of w.f, is rendered once per call."""
     if mode not in ("per-region", "monolithic"):
         raise ValueError(f"mode must be 'per-region' or 'monolithic', got {mode!r}")
     if not regions:   # an empty disjunction is false: unsat would certify nothing

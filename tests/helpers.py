@@ -7,6 +7,7 @@ direct evaluation, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -526,6 +527,15 @@ CUBIC2D = ["x1 - x1^3 + x2 - x1*x2^2",
 TRANSCENDENTAL3D = ["-x1*(1 + sin(x2)^2 + exp(-x3^2))",
                     "-x2*(1 + cos(x3)^2 + tanh(x1^2))",
                     "-x3*(1 + ln(1 + x1^2 + x2^2))"]
+
+def weighted_sum(coefs, exprs):
+    """sum_i coefs[i] * exprs[i] as one expression: Binary("*", Const(c), e)
+    terms joined by Binary("+") from the left.  Zero coefficients are left
+    out; an empty sum is Const(0.0).  The reference for
+    `expressions._weighted` and for the SMT export's w.f text."""
+    terms = [Binary("*", Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
+    return functools.reduce(functools.partial(Binary, "+"), terms) if terms else Const(0.0)
+
 
 def reference_enclosure(e, box):
     """The natural interval extension of e over one (n, 2) box, one node at

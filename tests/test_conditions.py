@@ -22,13 +22,12 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          parse_expression, verify_certificate)
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
-from relubarrier.expressions import weighted_sum
 from relubarrier.geometry import bounding_box, frame, inscribed_ball
 from relubarrier.regions import ValidRegion, valid_test
 
 from helpers import (SCHEMA, affine_system, counted_lp_solves, diamond_net,
                      failing_validity_lps, frame_nets, ill_scaled_deep_net, indicator_of, load_bench_module, patch_samples, random_hidden_net,
-                     reference_probe, slice_grid, strip_net, write_problem,
+                     reference_probe, slice_grid, strip_net, weighted_sum, write_problem,
                      ALL_SYSTEMS, CUBIC2D, TRANSCENDENTAL3D)
 
 
@@ -731,7 +730,7 @@ def test_the_cut_of_a_ray_patch_with_no_vertex_in_the_box_starts_at_its_ball(mon
     A = np.tile([[1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]], (16, 1))
     d = np.concatenate([[10.0 + j, float(j)] for j in range(16)])
     sl = Polyhedron(A, d, np.array([0.0, 0.0, 1.0]), 0.0)
-    region = ValidRegion(ind(0), Polyhedron(A, d), sl, *frame(sl))
+    region = ValidRegion(ind(0), Polyhedron(A, d), sl, *frame(sl), np.full(len(d), -1))
     assert np.allclose(region.vertices, [[5.0, -5.0, 0.0]])
     balls = []
     monkeypatch.setattr("relubarrier.geometry.inscribed_ball",

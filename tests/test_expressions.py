@@ -13,10 +13,10 @@ from relubarrier import (ActivationIndicator, DynamicsSystem,
                          interval_evaluate, parse_expression)
 from relubarrier import smtlib
 from relubarrier.expressions import (FUNCTIONS, Binary, Const, Expr, Pow, Unary, Var,
-                                     weighted_sum, _linear_form, _weighted)
+                                     _linear_form, _weighted)
 
 from helpers import (CUBIC2D, TRANSCENDENTAL3D, DECAY6D, CASCADE4D, ALL_SYSTEMS, diamond_net,
-                     reference_enclosure)
+                     reference_enclosure, weighted_sum)
 
 
 # -- parsing ------------------------------------------------------------------------

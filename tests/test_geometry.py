@@ -1,6 +1,8 @@
 """Polyhedron analysis tests: implicit equalities, dimension, redundancy."""
 
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from relubarrier.geometry import (Polyhedron, bounding_box, frame, implicit_equa
                                   inscribed_ball, remove_redundant)
 from relubarrier.linprog import INFEASIBLE, OPTIMAL
 
-from helpers import (dimension, lp_bounding_box, random_hidden_net, slice_feasible_point,
-                     slice_full, whole_space)
+from helpers import (dimension, frame_nets, lp_bounding_box, random_hidden_net,
+                     slice_feasible_point, slice_full, whole_space)
 
 QUADRANT = Polyhedron(-np.eye(2), np.zeros(2))
 DIAMOND_SLICE = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0],
@@ -339,3 +341,38 @@ def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start, monkeypatc
     for S, x in zip(bases, scanned):
         assert any(np.allclose(v, x, atol=1e-12) and on[list(S)].all()
                    for v, on in zip(vertices, tight))
+
+
+def golden_frames(net):
+    """The frames of the net's first two valid regions in key order, each as
+    {"vertices", "rays", "tight"} lists (tight rows as 0/1 strings): per
+    region, its patch, its slice cut to [-3, 3]^n and its rows cut so."""
+    box, out = np.array([[-3.0, 3.0]] * net.input_dim), []
+    for ind in brute_force_valid_regions(net)[:2]:
+        region = build_valid_region(net, ind)
+        patch = Polyhedron(region.constraints.A, region.constraints.d, region.slice.w,
+                           region.slice.b)
+        for p in (patch, region.slice.within(box), region.constraints.within(box)):
+            vertices, rays, tight = frame(p)
+            out.append({"vertices": vertices.tolist(), "rays": rays.tolist(),
+                        "tight": ["".join(map(str, row.astype(int))) for row in tight]})
+    return out
+
+
+def test_frames_of_the_seeded_nets_match_the_golden_file():
+    """`golden_frames` of each of `frame_nets`' nets as golden/frames.json
+    records them, one list per net, written with the `frame` before its
+    one-batch rewrite: 294 frames, 16 of them walked.  The touching masks
+    match exactly, vertices and rays to 1e-12, so a rewrite that keeps
+    frame's arithmetic passes on any BLAS and one that moves a vertex fails."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "frames.json").read_text())
+    nets = frame_nets()
+    assert len(golden) == len(nets)
+    for net, want in zip(nets, golden):
+        got = golden_frames(net)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g["tight"] == w["tight"]
+            for key in ("vertices", "rays"):
+                a, b = (np.array(x, dtype=float).reshape(-1, net.input_dim) for x in (g[key], w[key]))
+                assert a.shape == b.shape and np.allclose(a, b, rtol=1e-12, atol=1e-12)

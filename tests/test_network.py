@@ -126,6 +126,14 @@ def test_feasible_indicators_boundary_point_branches():
     assert inds == sorted(inds, key=lambda c: c.key())
 
 
+def test_branched_sets_one_key_bit_both_ways_in_key_order():
+    """Bit i counts across layers: bit 2 of 10.01 is the second layer's first."""
+    two = ActivationIndicator(((1, 0), (0, 1)))
+    assert two.branched(2) == [two, ActivationIndicator(((1, 0), (1, 1)))]
+    assert two.branched(0) == [ActivationIndicator(((0, 0), (0, 1))), two]
+    assert [c.compact() for c in two.branched(3)] == ["10.00", "10.01"]
+
+
 def test_feasible_indicators_blowup_guard(monkeypatch):
     net = diamond_net()
     monkeypatch.setattr("relubarrier.network.BRANCH_CAP", 1)

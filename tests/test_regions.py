@@ -602,6 +602,75 @@ def test_propagation_records_a_branching_cap_hit_and_goes_on():
                                      "exceed the cap of 20" for p in pieces]
 
 
+def _spied_walk(net, monkeypatch):
+    """Enumerate net's level set, returning the result and the points at
+    which the walk (past its seed) called `feasible_indicators`."""
+    points, original = [], ReluNetwork.feasible_indicators
+    monkeypatch.setattr(ReluNetwork, "feasible_indicators",
+                        lambda self, x: points.append(np.array(x)) or original(self, x))
+    result = enumerate_level_set(net)
+    monkeypatch.undo()
+    return result, points[1:]
+
+
+def _two_layer_net(rng, n_in, width):
+    weights = [rng.normal(size=(width, n_in)), rng.normal(size=(width, width))]
+    return ReluNetwork(weights, [rng.normal(size=width) for _ in weights],
+                       rng.normal(size=width), float(rng.normal()))
+
+
+@pytest.mark.parametrize("n_in", [2, 3])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_a_flipped_facet_has_the_neighbours_the_forward_pass_finds(n_in, layers, monkeypatch):
+    """On seeded random nets, at every facet point where the walk names
+    the neighbour by flipping the facet's neuron instead of calling
+    `feasible_indicators`, that call would give the region and its flip,
+    in key order."""
+    flips = 0
+    for s in range(8):
+        rng = np.random.default_rng([11, n_in, layers, s])
+        net = random_hidden_net(rng, n_in, 7) if layers == 1 else _two_layer_net(rng, n_in, 5)
+        try:
+            result, called = _spied_walk(net, monkeypatch)
+        except SearchExhausted:
+            continue
+        assert not result.partial
+        for region in result.regions:
+            for j, point in enumerate(region.facet_points):
+                if any(np.array_equal(point, x) for x in called):
+                    continue
+                key = list(region.indicator.key())
+                key[region.neurons[j]] ^= 1
+                flipped = ActivationIndicator((tuple(key),) if layers == 1
+                                              else (tuple(key[:5]), tuple(key[5:])))
+                assert net.feasible_indicators(point) == sorted(
+                    [region.indicator, flipped], key=ActivationIndicator.key)
+                flips += 1
+    assert flips >= 30   # 40 to 622 per case
+
+
+def test_the_walk_runs_the_forward_pass_only_at_the_seed_and_shared_facets(monkeypatch):
+    """On the seeded 3-D net of the no-LP test, `feasible_indicators` runs
+    once for the seed and once per facet that is not simple: one whose
+    row holds several neurons, or whose vertices all meet another touching
+    row too."""
+    net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
+    result, called = _spied_walk(net, monkeypatch)
+    shared = sum(region.neurons[j] < 0 or region.tight[on].all(axis=0).sum() > 1
+                 for region in result.regions for j, on in enumerate(region.tight.T))
+    facets = sum(region.tight.shape[1] for region in result.regions)
+    assert not result.partial and len(called) == shared < facets
+
+
+def test_the_walk_falls_back_where_neurons_share_a_row(monkeypatch):
+    """The diamond's units x1 and -x1 (and x2 and -x2) are zero on the same
+    row: no facet is simple, so every facet point runs the forward pass."""
+    result, called = _spied_walk(diamond_net(), monkeypatch)
+    assert [r.indicator for r in result.regions] == DIAMOND_INDICATORS
+    assert all((region.neurons == -1).all() for region in result.regions)
+    assert len(called) == sum(len(region.facet_points) for region in result.regions) == 8
+
+
 def test_a_failing_frame_leaves_validity_to_the_lps_and_fails_again(monkeypatch):
     """With no frame there is no evidence: the slice LP's ball accepts
     1010, and the frame the region needs fails a second time."""

@@ -5,6 +5,7 @@ text at candidate points)."""
 import json
 import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from relubarrier import (__version__, smtlib, ActivationIndicator, DynamicsSyste
                          boundary_propagation, build_valid_region,
                          check_invariance, export_invariance,
                          export_set_condition, format_number,
-                         parse_expression, FALSIFIED, VERIFIED)
+                         parse_expression, FALSIFIED, VERIFIED, Polyhedron)
 
-from helpers import affine_system, diamond_net, random_hidden_net, slice_grid, strip_net
+from helpers import (affine_system, diamond_net, random_hidden_net, slice_grid, strip_net,
+                     weighted_sum)
 
 
 def diamond_regions():
@@ -257,6 +259,34 @@ def test_set_condition_export_renders_the_set_function_once(monkeypatch):
         assert len(export_set_condition(diamond_regions(), h_init, "initial", 2, mode=mode)) \
             == (4 if mode == "per-region" else 1)
         assert sum(e is h_init for e in calls) == 1
+
+
+@pytest.mark.parametrize("w", [[2.5, 0.0, -1.0], [0.0, -0.1, 0.0], [0.0, 0.0, 0.0],
+                               [1.0, 3.0, 0.5]],
+                         ids=["zero-weight", "single-weight", "all-zero", "three-terms"])
+def test_invariance_violation_is_the_weighted_sum_rendered(w):
+    """A region's w.f text is the rendering of w.f built as one expression:
+    zero weights left out, (+ ...) nested from the left, the empty sum 0."""
+    sys = DynamicsSystem.parse(["x1 * x2", "sin(x3)", "-x1 + 2"], dim=3)
+    region = SimpleNamespace(indicator=ActivationIndicator(((1,),)),
+                             slice=Polyhedron(np.empty((0, 3)), np.empty(0), np.array(w), 0.5))
+    query, = export_invariance([region], sys)
+    violation = f"(< {smtlib.expr_to_smt(weighted_sum(w, sys.exprs))} 0)"
+    assert query.text.endswith(f" {violation}))\n(check-sat)\n")
+    assert (violation == "(< 0 0)") == (w == [0.0, 0.0, 0.0])
+
+
+def test_invariance_export_renders_each_flow_component_once(monkeypatch):
+    """Every region weighs the same flow components, so one export renders
+    each of them once, in either mode."""
+    calls = []
+    render = smtlib.expr_to_smt
+    monkeypatch.setattr(smtlib, "expr_to_smt", lambda e: calls.append(e) or render(e))
+    for mode in ("per-region", "monolithic"):
+        calls.clear()
+        assert len(export_invariance(diamond_regions(), MINUS_X, mode=mode)) \
+            == (4 if mode == "per-region" else 1)
+        assert [sum(e is f for e in calls) for f in MINUS_X.exprs] == [1, 1]
 
 
 def test_export_is_byte_deterministic():
