@@ -46,10 +46,10 @@ class ActivationIndicator:
         """Flattened layer-major bit tuple; the canonical sort key."""
         return self._key
 
-    def branched(self, i: int) -> list["ActivationIndicator"]:
-        """This indicator with bit i of its key set to 0, then to 1 (key order)."""
-        return [ActivationIndicator(tuple(tuple(itertools.islice(key, len(b))) for b in self.bits))
-                for key in (iter(self._key[:i] + (v,) + self._key[i + 1:]) for v in (0, 1))]
+    def flipped(self, bits) -> "ActivationIndicator":
+        """This indicator with each of the given bits of its key flipped."""
+        key = iter(v ^ (i in bits) for i, v in enumerate(self._key))
+        return ActivationIndicator(tuple(tuple(itertools.islice(key, len(b))) for b in self.bits))
 
     def compact(self) -> str:
         """Human-readable form, layers joined by '.': e.g. '1010' or '10.01'."""

@@ -15,8 +15,9 @@ show that h keeps one sign on the domain box, it finds one valid region and
 propagates across facets from it.  The candidates at a point of the level
 set (a facet point, or the seed's sign change bisected to float resolution,
 which also starts their frames) are the indicators feasible there; at a
-simple facet, one neuron's row and the only one all its vertices meet, the
-region and that neuron flipped, with no forward pass.  A NumericalFailure
+simple facet, the only row all its vertices meet, shared by neurons of one
+layer alone, the region and those neurons flipped, with no forward pass (a
+partial flip leaves a flat slab).  A NumericalFailure
 (validity LP or frame) rejects a candidate, and a facet point past which no
 valid region continues the level set is an error: the enumeration is partial.
 """
@@ -46,7 +47,7 @@ class ValidRegion:
     vertices: np.ndarray           # the patch's vertices and rays, as rows (`frame`)
     rays: np.ndarray
     tight: np.ndarray              # per vertex, the touching rows it meets
-    neurons: np.ndarray            # per touching row, its one neuron (flat index), else -1
+    neurons: list[tuple]           # per touching row, its neurons (flat indices) if of one layer
 
     @property
     def facet_points(self) -> list[np.ndarray]:   # per touching row, its vertices' mean
@@ -124,9 +125,8 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
     first, nz = {}, region.A.any(axis=1)
     for j, row in enumerate(np.column_stack([region.A, region.d]) + 0.0):   # -0.0 keys as 0.0
         first.setdefault(row.tobytes(), []).append(j)
-    keep = [js[0] for js in first.values() if nz[js[0]]]
-    neurons = np.array([js[0] if len(js) == 1 and nz.all() else -1
-                        for js in first.values() if nz[js[0]]], dtype=int)
+    groups = [js for js in first.values() if nz[js[0]]]
+    keep = [js[0] for js in groups]
     exact = Polyhedron(region.A[keep], region.d[keep])
     patch, framed = Polyhedron(exact.A, exact.d, w, b), []
 
@@ -146,8 +146,11 @@ def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
         raise NumericalFailure(f"valid region {ind.compact()}: its frame spans fewer "
                                "dimensions than its patch")
     touching = np.flatnonzero(tight.any(axis=0))
+    ends = list(itertools.accumulate(net.layer_sizes))   # neurons of one layer, else none
+    neurons = [tuple(js) if nz.all() and not any(js[0] < e <= js[-1] for e in ends)
+               else () for js in (groups[t] for t in touching)]
     return ValidRegion(ind, exact, Polyhedron(exact.A[touching], exact.d[touching], w, b),
-                       vertices, rays, tight[:, touching], neurons[touching])
+                       vertices, rays, tight[:, touching], neurons)
 
 
 # -- initial region search -------------------------------------------------------
@@ -211,7 +214,8 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     FIFO worklist; at each facet point of a known region (one per row
     touching its slice) its candidates are validity-tested; a
     facet point where none but the region itself is valid is an error, as
-    the level set goes on past a facet, so some region there is missing.  Output
+    the level set goes on past a facet, so some region there is missing; so is
+    a valid region past cfg.max_regions, which stops the walk.  Output
     is sorted by indicator key, so the result does not depend on worklist
     scheduling.  Completeness rests on the level set being connected,
     which is assumed, not verified.
@@ -236,7 +240,8 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
         for j, point in enumerate(region.facet_points):
             n = region.neurons[j]   # a simple facet: n's row alone meets all its vertices
             try:
-                neighbours = region.indicator.branched(n) if n >= 0 and \
+                neighbours = sorted([region.indicator, region.indicator.flipped(n)],
+                                    key=ActivationIndicator.key) if n and \
                     region.tight[region.tight[:, j]].all(axis=0).sum() == 1 \
                     else net.feasible_indicators(point)
             except CombinatorialBlowup as exc:
@@ -246,9 +251,6 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                 k = ind.key()
                 if k in regions or k in rejected:
                     continue
-                if cfg.max_regions is not None and len(regions) >= cfg.max_regions:
-                    errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
-                    return result()
                 try:
                     neighbour = build_valid_region(net, ind, cfg, point)
                 except NumericalFailure as exc:
@@ -256,6 +258,9 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                     rejected.add(k)
                     continue
                 if neighbour is not None:
+                    if cfg.max_regions is not None and len(regions) >= cfg.max_regions:
+                        errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
+                        return result()
                     regions[k] = neighbour
                     queue.append(neighbour)
                 else:

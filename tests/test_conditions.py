@@ -730,7 +730,7 @@ def test_the_cut_of_a_ray_patch_with_no_vertex_in_the_box_starts_at_its_ball(mon
     A = np.tile([[1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]], (16, 1))
     d = np.concatenate([[10.0 + j, float(j)] for j in range(16)])
     sl = Polyhedron(A, d, np.array([0.0, 0.0, 1.0]), 0.0)
-    region = ValidRegion(ind(0), Polyhedron(A, d), sl, *frame(sl), np.full(len(d), -1))
+    region = ValidRegion(ind(0), Polyhedron(A, d), sl, *frame(sl), [()] * len(d))
     assert np.allclose(region.vertices, [[5.0, -5.0, 0.0]])
     balls = []
     monkeypatch.setattr("relubarrier.geometry.inscribed_ball",

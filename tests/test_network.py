@@ -126,12 +126,13 @@ def test_feasible_indicators_boundary_point_branches():
     assert inds == sorted(inds, key=lambda c: c.key())
 
 
-def test_branched_sets_one_key_bit_both_ways_in_key_order():
+def test_flipped_flips_each_given_key_bit_across_layers():
     """Bit i counts across layers: bit 2 of 10.01 is the second layer's first."""
     two = ActivationIndicator(((1, 0), (0, 1)))
-    assert two.branched(2) == [two, ActivationIndicator(((1, 0), (1, 1)))]
-    assert two.branched(0) == [ActivationIndicator(((0, 0), (0, 1))), two]
-    assert [c.compact() for c in two.branched(3)] == ["10.00", "10.01"]
+    assert two.flipped((2,)) == ActivationIndicator(((1, 0), (1, 1)))
+    assert [two.flipped(bits).compact() for bits in ((0,), (0, 1), (1, 3), (0, 1, 2, 3))] \
+        == ["00.01", "01.01", "11.00", "01.10"]
+    assert two.flipped(()) == two == two.flipped((1, 2)).flipped((1, 2))
 
 
 def test_feasible_indicators_blowup_guard(monkeypatch):

@@ -12,7 +12,7 @@ from relubarrier import (ActivationIndicator, Polyhedron, ReluNetwork,
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
-from relubarrier import NumericalFailure, conditions, geometry, regions
+from relubarrier import CombinatorialBlowup, NumericalFailure, conditions, geometry, regions
 from relubarrier.config import TOL_EQ
 from relubarrier.geometry import inscribed_ball
 
@@ -588,18 +588,34 @@ def test_propagation_region_cap_flags_partial():
 
 
 def test_propagation_records_a_branching_cap_hit_and_goes_on():
+    """h = x2 + sum_k relu(x1 + k x2 / 10) / 100 - relu(x1 - 1) / 2 (k < 22):
+    its level set runs through the origin, where 22 neurons with distinct
+    rows are zero, past the cap of 20.  The walk records one error per
+    touching row through the origin, crosses the facet at x1 = 1, and
+    returns the two x1 > 0 pieces as a partial result."""
+    w1 = np.vstack([np.column_stack([np.ones(22), np.arange(22) / 10.0]),
+                    [[1.0, 0.0], [0.0, 1.0]]])
+    b1 = np.concatenate([np.zeros(22), [-1.0, 10.0]])   # relu(x2 + 10) - 10 = x2 here
+    net = ReluNetwork([w1], [b1], np.concatenate([np.full(22, 0.01), [-0.5, 1.0]]), -10.0)
+    seed = "1" * 22 + "01"
+    result = boundary_propagation(net, build_valid_region(net, indicator_of(seed)))
+    assert [r.indicator.compact() for r in result.regions] == [seed, "1" * 24]
+    assert result.errors == [f"region {seed} facet {j}: 22 simultaneously-zero neurons "
+                             "exceed the cap of 20" for j in range(22)]
+
+
+def test_propagation_flips_a_facet_that_22_neurons_share():
     """The diamond with relu(x1) repeated 21 times (each copy weighted
-    -1/21 in h): every facet point on x1 = 0 zeroes 22 neurons, past the
-    cap of 20.  The walk records that facet's error, crosses the other
-    facet, and returns the two x1 > 0 pieces as a partial result."""
+    -1/21 in h): 22 neurons share the row of x1 = 0, more than the
+    branching cap, and one flip of all 22 crosses it, so all four pieces
+    come back with no error."""
     w1 = np.array([[1.0, 0.0]] * 21 + [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     net = ReluNetwork([w1], [np.zeros(24)], np.array([-1.0 / 21] * 21 + [-1.0] * 3), 1.0)
     result = boundary_propagation(net, build_valid_region(net, ind(*[1] * 21, 0, 1, 0)))
-    pieces = ["1" * 21 + "001", "1" * 21 + "010"]
-    assert sorted(r.indicator.compact() for r in result.regions) == pieces
-    assert result.partial
-    assert sorted(result.errors) == [f"region {p} facet 0: 22 simultaneously-zero neurons "
-                                     "exceed the cap of 20" for p in pieces]
+    assert [r.indicator.compact() for r in result.regions] == [
+        "0" * 21 + "1" + p for p in ("01", "10")] + ["1" * 21 + "0" + p for p in ("01", "10")]
+    assert result.errors == [] and result.visited_count == 4
+    assert tuple(range(22)) in result.regions[0].neurons
 
 
 def _spied_walk(net, monkeypatch):
@@ -623,7 +639,7 @@ def _two_layer_net(rng, n_in, width):
 @pytest.mark.parametrize("layers", [1, 2])
 def test_a_flipped_facet_has_the_neighbours_the_forward_pass_finds(n_in, layers, monkeypatch):
     """On seeded random nets, at every facet point where the walk names
-    the neighbour by flipping the facet's neuron instead of calling
+    the neighbour by flipping the facet's neurons instead of calling
     `feasible_indicators`, that call would give the region and its flip,
     in key order."""
     flips = 0
@@ -639,36 +655,141 @@ def test_a_flipped_facet_has_the_neighbours_the_forward_pass_finds(n_in, layers,
             for j, point in enumerate(region.facet_points):
                 if any(np.array_equal(point, x) for x in called):
                     continue
-                key = list(region.indicator.key())
-                key[region.neurons[j]] ^= 1
-                flipped = ActivationIndicator((tuple(key),) if layers == 1
-                                              else (tuple(key[:5]), tuple(key[5:])))
+                assert len(region.neurons[j]) == 1
                 assert net.feasible_indicators(point) == sorted(
-                    [region.indicator, flipped], key=ActivationIndicator.key)
+                    [region.indicator, region.indicator.flipped(region.neurons[j])],
+                    key=ActivationIndicator.key)
                 flips += 1
     assert flips >= 30   # 40 to 622 per case
+
+
+def _shared_row_nets():
+    """Nets whose neurons share rows within one layer: seeded polytope nets
+    h = 1 - sum |a_i.x| (each |t| as relu(t) + relu(-t), rows permuted),
+    random nets with duplicated and negated neurons, the diamond with
+    relu(x1) repeated 5 and 21 times, and two-layer nets whose second layer
+    holds a negated pair and a duplicate."""
+    nets = {"diamond": diamond_net()}
+    for n, k in ((2, 6), (3, 4)):
+        rng = np.random.default_rng([13, n, k])
+        a = rng.standard_normal((k, n))
+        w1 = np.vstack([a, -a])[rng.permutation(2 * k)]
+        nets[f"polytope-{n}d"] = ReluNetwork([w1], [np.zeros(2 * k)], -np.ones(2 * k), 1.0)
+    for s in (0, 4):   # seeds whose nets have a level set in the domain box
+        rng = np.random.default_rng([17, s])
+        w, b = rng.normal(size=(4, 2)), rng.normal(size=4)
+        nets[f"doubled-{s}"] = ReluNetwork([np.vstack([w, w, -w[:2]])],
+                                           [np.concatenate([b, b, -b[:2]])],
+                                           rng.normal(size=10), float(rng.normal()))
+    for copies in (5, 21):
+        w1 = np.array([[1.0, 0.0]] * copies + [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        nets[f"copies-{copies}"] = ReluNetwork([w1], [np.zeros(copies + 3)],
+                                               np.array([-1.0 / copies] * copies + [-1.0] * 3),
+                                               1.0)
+    for s in (1, 3):
+        rng = np.random.default_rng([19, s])
+        w2, b2 = rng.normal(size=(3, 5)), rng.normal(size=3)
+        w2, b2 = np.vstack([w2, -w2[:1], w2[1:2]]), np.concatenate([b2, -b2[:1], b2[1:2]])
+        nets[f"two-layer-{s}"] = ReluNetwork([rng.normal(size=(5, 2)), w2],
+                                             [rng.normal(size=5), b2],
+                                             rng.normal(size=5), float(rng.normal()))
+    return nets
+
+
+@pytest.mark.parametrize("name", list(_shared_row_nets()))
+def test_a_flipped_shared_row_has_the_valid_neighbours_the_forward_pass_finds(name, monkeypatch):
+    """At every facet the walk crosses by flipping a group of neurons that
+    share its row, `feasible_indicators` holds the region and its flip,
+    and `valid_test` rejects every other indicator there with no LP: the
+    partial flips leave two exactly opposite rows with d_i + d_j = 0.  So
+    both name the same valid neighbours.  Where more than BRANCH_CAP
+    neurons share the row (21 copies), `feasible_indicators` refuses, and
+    64 seeded partial flips of the group stand in for its indicators."""
+    net = _shared_row_nets()[name]
+    result, called = _spied_walk(net, monkeypatch)
+    assert not result.partial
+    rng, calls, flips, groups = np.random.default_rng(0), counted_lp_solves(monkeypatch), 0, 0
+    for region in result.regions:
+        for j, point in enumerate(region.facet_points):
+            group = region.neurons[j]
+            if any(np.array_equal(point, x) for x in called):
+                continue
+            pair = [region.indicator, region.indicator.flipped(group)]
+            try:
+                candidates = net.feasible_indicators(point)
+            except CombinatorialBlowup:
+                candidates = pair + [region.indicator.flipped(
+                    rng.choice(group, int(rng.integers(1, len(group))), replace=False))
+                    for _ in range(64)]
+            assert set(pair) <= set(candidates)
+            for candidate in set(candidates) - set(pair):
+                assert not valid_test(*net.piece(candidate)) and calls == []
+            assert build_valid_region(net, pair[1], DEFAULT_CONFIG, point) is not None
+            flips += 1
+            groups += len(group) > 1
+    assert flips > 0 and groups > 0
 
 
 def test_the_walk_runs_the_forward_pass_only_at_the_seed_and_shared_facets(monkeypatch):
     """On the seeded 3-D net of the no-LP test, `feasible_indicators` runs
     once for the seed and once per facet that is not simple: one whose
-    row holds several neurons, or whose vertices all meet another touching
-    row too."""
+    vertices all meet another touching row too, or whose row neurons of
+    two layers share (none here)."""
     net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
     result, called = _spied_walk(net, monkeypatch)
-    shared = sum(region.neurons[j] < 0 or region.tight[on].all(axis=0).sum() > 1
+    shared = sum(not region.neurons[j] or region.tight[on].all(axis=0).sum() > 1
                  for region in result.regions for j, on in enumerate(region.tight.T))
     facets = sum(region.tight.shape[1] for region in result.regions)
     assert not result.partial and len(called) == shared < facets
 
 
-def test_the_walk_falls_back_where_neurons_share_a_row(monkeypatch):
-    """The diamond's units x1 and -x1 (and x2 and -x2) are zero on the same
-    row: no facet is simple, so every facet point runs the forward pass."""
-    result, called = _spied_walk(diamond_net(), monkeypatch)
-    assert [r.indicator for r in result.regions] == DIAMOND_INDICATORS
-    assert all((region.neurons == -1).all() for region in result.regions)
+@pytest.mark.parametrize("name", ["diamond", "polytope-2d", "polytope-3d"])
+def test_the_walk_over_a_polytope_net_runs_the_forward_pass_only_at_the_seed(name, monkeypatch):
+    """h = 1 - sum |a_i.x|: two neurons share every facet row, so the walk
+    crosses every facet by flipping both, calls `feasible_indicators`
+    once (the seed) and builds no candidate that is not valid."""
+    net = _shared_row_nets()[name]
+    built, original = [], regions.build_valid_region
+    monkeypatch.setattr(regions, "build_valid_region",
+                        lambda *args: built.append(original(*args)) or built[-1])
+    result, called = _spied_walk(net, monkeypatch)
+    assert not result.partial and called == [] and len(result.regions) > 3
+    assert None not in built and len(built) == len(result.regions)
+
+
+def _two_layer_diamond():
+    """The diamond built over two layers: layer one holds relu(+-x1) and
+    relu(+-x2), layer two relu(z1 - z2) = relu(x1) and its three siblings."""
+    w1 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    w2 = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]])
+    return ReluNetwork([w1, w2], [np.zeros(4)] * 2, -np.ones(4), 1.0)
+
+
+def test_the_walk_falls_back_where_neurons_of_two_layers_share_a_row(monkeypatch):
+    """On the two-layer diamond each facet row holds neurons of both
+    layers, so `neurons` is empty there and every facet point runs the
+    forward pass."""
+    result, called = _spied_walk(_two_layer_diamond(), monkeypatch)
+    assert [r.indicator.compact() for r in result.regions] == [
+        f"{c}.{c}" for c in ("0101", "0110", "1001", "1010")]
+    assert all(group == () for region in result.regions for group in region.neurons)
+    assert not result.partial
     assert len(called) == sum(len(region.facet_points) for region in result.regions) == 8
+
+
+@pytest.mark.parametrize("two_layers", [False, True])
+def test_the_diamond_at_its_exact_region_count_is_complete(two_layers):
+    """max_regions = 4, the diamond's region count.  One layer: every facet
+    flips to a valid neighbour.  Two layers: every facet runs the forward
+    pass, whose flat candidates are tested and rejected; only a fifth valid
+    region would pass the cap.  Either way nothing is left out."""
+    net = _two_layer_diamond() if two_layers else diamond_net()
+    seed = indicator_of("1010.1010") if two_layers else ind(1, 0, 1, 0)
+    result = boundary_propagation(net, build_valid_region(net, seed),
+                                  DEFAULT_CONFIG.updated(max_regions=4))
+    assert len(result.regions) == 4
+    assert (result.visited_count, result.errors) == (4, [])
 
 
 def test_a_failing_frame_leaves_validity_to_the_lps_and_fails_again(monkeypatch):
