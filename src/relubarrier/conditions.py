@@ -18,20 +18,21 @@ negated).  A g with an affine form is decided exactly off the patch's
 vertices and rays (`regions.ValidRegion`); all other pairs go through one
 interval branch-and-bound (BaB) run, which checks each patch's vertices and
 points out along its rays as witness seeds, cuts each patch into simplices
-once for all its pairs, and encloses each expression once per level over
-the boxes of the pairs that weigh it.  Its verdict stands.  No rung solves
-an LP.  `verify_certificate` takes its regions from
+once for all its pairs, and steps all pairs a level at a time over flat
+arrays, enclosing each expression once per level.  Its verdict stands.  No
+rung solves an LP.  `verify_certificate` takes its regions from
 `regions.enumerate_level_set`, as the SMT export and the plots do.  One
 weighted-sum step, `expressions._weighted`, gives g at points and over
-boxes, each expression evaluated once per batch over the rows that weigh
-it.  Every witness passes the one check `_checked_witness` in
-`_first_witnesses`, which takes g per batch of points (BaB's seeds, each
-BaB level, all of the affine route's candidates) as the floats `evaluate`
-gives for it: the point lies on the slice within tol_feas and g there is
-finite and below -max(tol_margin, FALSIFY_GATE); a point that fails yields
-`unknown`, never an unchecked `falsified`.  A condition verified over a
-partial enumeration is `unknown` too.  Set conditions also probe sampled
-set points against the sign of h, one more status in the same aggregation.
+boxes, a coefficient row per row, each expression evaluated once over the
+rows that weigh it.  Every witness passes the one check `_checked_witness`
+in `_first_witnesses`, which takes g per batch of points (BaB's seeds, each
+BaB level, all of the affine route's candidates; a segment of rows per pair,
+checked on its own rows) as the floats `evaluate` gives for it: the point
+lies on the slice within tol_feas and g there is finite and below
+-max(tol_margin, FALSIFY_GATE); a point that fails yields `unknown`, never
+an unchecked `falsified`.  A condition verified over a partial enumeration
+is `unknown` too.  Set conditions also probe sampled set points against the
+sign of h, one more status in the same aggregation.
 """
 
 from __future__ import annotations
@@ -201,85 +202,76 @@ def _simplices(region: ValidRegion, cfg):
     return triangulate(vertices, tight, cfg.tol_feas), restricted
 
 
-def _first_witnesses(regions, coefs, points, exprs, cfg) -> list:
-    """Per pair (one region, row of coefs and array of points each), the
-    (point, value) of its first point whose checked value is below `_gate`,
-    or None.  The values of g come from one `_weighted` call, each
-    expression evaluated once over the points of the pairs that weigh it;
-    only a pair with a value below `_gate` is checked."""
-    if not points:
-        return []
-    hits = []
-    for region, p, v in zip(regions, points, _weighted(evaluate, exprs, coefs, points)):
-        v = v[:, 0]
-        if (v < _gate(cfg)).any():
-            v = _checked_witness(region.slice, p, v, cfg)
-        first = np.flatnonzero(v < _gate(cfg))
-        hits.append((np.array(p[first[0]], dtype=float), float(v[first[0]]))
-                    if first.size else None)
+def _first_witnesses(regions, coefs, points, seg, exprs, cfg) -> dict:
+    """{s: (point, value)} for each segment s (regions[s], coefs[s] and the
+    rows of points where the sorted seg holds s) with a point whose checked
+    value is below `_gate`: its first such point.  The values of g come
+    from one `_weighted` call, each expression evaluated once over the
+    rows that weigh it; only a segment with a value below `_gate` is
+    checked, over its own rows."""
+    values = _weighted(evaluate, exprs, coefs[seg], points)[:, 0]
+    hits = {}
+    for s in set(seg[values < _gate(cfg)].tolist()):   # (np.unique would import numpy.ma)
+        rows = slice(*np.searchsorted(seg, [s, s + 1]))
+        first = np.flatnonzero(_checked_witness(regions[s].slice, points[rows],
+                                                values[rows], cfg) < _gate(cfg))
+        if first.size:
+            at = rows.start + first[0]
+            hits[s] = (np.array(points[at], dtype=float), float(values[at]))
     return hits
 
 
 def _split(simplices):
-    """(children, stalled): each simplex cut at the midpoint of its longest
-    edge into [left, right], in order, but for one whose longest edge is
-    below BAB_MIN_WIDTH, which ``stalled`` reports."""
+    """(children, cut): each simplex cut at the midpoint of its longest edge
+    into [left, right], in order, but for one whose longest edge is below
+    BAB_MIN_WIDTH, which ``cut`` marks False."""
     m, k, n = simplices.shape
-    if not m:
-        return simplices, False
     edges = np.linalg.norm(simplices[:, :, None] - simplices[:, None], axis=3).reshape(m, k * k)
     longest = edges.argmax(axis=1)
     cut = edges[np.arange(m), longest] >= BAB_MIN_WIDTH
     (i, j), kept = np.divmod(longest[cut], k), simplices[cut]
     left, right, rows = kept.copy(), kept.copy(), np.arange(len(kept))
     left[rows, j] = right[rows, i] = 0.5 * (kept[rows, i] + kept[rows, j])
-    return np.stack([left, right], axis=1).reshape(-1, k, n), not cut.all()
-
-
-@dataclass
-class _Run:
-    """A pair under BaB: its index, its current level of simplices."""
-    index: int
-    queue: np.ndarray
-    restricted: bool
-    exact: np.ndarray
-    processed: int = 0
-    certified: float = np.inf
-    stalled: bool = False
+    return np.stack([left, right], axis=1).reshape(-1, k, n), cut
 
 
 def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
     """Certify min g >= -tol_margin over each pair's patch, g =
     coefs[i] . exprs on regions[i], or find a witness; pairs
-    sharing a region share its simplices and `_axis_bounds`.
+    sharing a region share its seeds, simplices and `_axis_bounds`.
 
     Seeds are checked first, in one batch: each patch's vertices, then the
     points out along each ray from each vertex at 1, 2, 4, 8 and 16
     domain-box widths.  A pair with no witness among them runs on its
     patch's simplices (`_simplices`; a NumericalFailure leaves it unknown),
-    all pairs in lockstep a level at a time, each in its own queue order:
-    each expression is enclosed once over the level's boxes of the pairs
-    that weigh it; a simplex whose enclosure of g does not certify has its
-    vertices and centroid checked, then its longest edge bisected.  The
-    first witness, up to and including the first simplex whose enclosure
-    fails, ends the pair's run; failing that, such a simplex ends it
-    unknown.  Each box, a simplex's vertex box, is widened by tol_feas, but
-    not past a single-coordinate row's exact bound.  An unbounded patch is
-    cut to the domain box; a verdict without a witness then speaks only for
-    its part inside (``domain_restricted``).  ``bab_max_boxes`` counts each
-    pair's simplices.  No LP is solved.
+    all pairs in lockstep a level at a time, each in its own order, over
+    one array of simplices per simplex shape, each tagged with its pair (a
+    level is a fixed number of array operations): each expression is
+    enclosed once over the level's boxes of the pairs that weigh it; a
+    simplex whose enclosure of g does not certify has its vertices and
+    centroid checked, then its longest edge bisected.  The first witness, up
+    to and including the first simplex whose enclosure fails, ends the
+    pair's run; failing that, such a simplex ends it unknown.  Each box, a
+    simplex's vertex box, is widened by tol_feas, but not past a
+    single-coordinate row's exact bound.  An unbounded patch is cut to the
+    domain box; a verdict without a witness then speaks only for its part
+    inside (``domain_restricted``).  ``bab_max_boxes`` counts each pair's
+    simplices.  No LP is solved.
     """
     if not regions:
         return []
     coefs = np.array(coefs, dtype=float)
     interval = lambda i, status, **kw: RegionVerdict(regions[i].indicator, status, "interval", **kw)
-    falsified = lambda i, hit: hit and interval(i, FALSIFIED, witness=hit[0], witness_value=hit[1])
-    width = float(np.max(np.ptp(cfg.domain(regions[0].slice.dim), axis=1)))
-    seeds = [np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
-                                       for k in range(5) for ray in r.rays]) for r in regions]
-    verdicts = [falsified(i, hit) for i, hit in enumerate(
-        _first_witnesses(regions, coefs, seeds, exprs, cfg))]
-    runs, cuts = [], {}
+    falsified = lambda i, hit: interval(i, FALSIFIED, witness=hit[0], witness_value=hit[1])
+    n = regions[0].slice.dim
+    width = float(np.max(np.ptp(cfg.domain(n), axis=1)))
+    seeds = {key: np.vstack([r.vertices] + [r.vertices + width * 2.0 ** k * ray
+                                            for k in range(5) for ray in r.rays])
+             for key, r in {id(r): r for r in regions}.items()}   # one array per region
+    hits = _first_witnesses(regions, coefs, np.concatenate([seeds[id(r)] for r in regions]),
+                            np.repeat(np.arange(len(regions)), [len(seeds[id(r)]) for r in regions]),
+                            exprs, cfg)
+    verdicts, cuts = [falsified(i, hits[i]) if i in hits else None for i in range(len(regions))], {}
     for i, region in enumerate(regions):
         if verdicts[i] is not None:
             continue
@@ -295,50 +287,65 @@ def _bab(regions, exprs, coefs, cfg) -> list[RegionVerdict]:
         elif cut[0] is None:
             verdicts[i] = interval(i, VERIFIED, vacuous=True, domain_restricted=True,
                                    note="slice leaves the domain box entirely")
-        else:
-            runs.append(_Run(i, *cut))
-
-    pad = np.array([-cfg.tol_feas, cfg.tol_feas])
-    while runs:
-        levels = [run.queue[:cfg.bab_max_boxes - run.processed] for run in runs]
-        run_coefs = coefs[[run.index for run in runs]]
-        boxes = [np.clip(np.stack([level.min(axis=1), level.max(axis=1)], axis=2) + pad,
-                         run.exact[:, :1], run.exact[:, 1:]) for run, level in zip(runs, levels)]
-        lows = [lo[:, 0] for lo in _weighted(interval_evaluate, exprs, run_coefs, boxes)]
-        open_ = [~(lo >= -cfg.tol_margin) for lo in lows]
-        opened = [r for r, o in enumerate(open_) if o.any()]
-        checked = [levels[r][open_[r] & (np.cumsum(np.isnan(lows[r])) <= np.isnan(lows[r]))]
-                   for r in opened]      # up to and including the first failed enclosure
-        hits = dict(zip(opened, _first_witnesses(
-            [regions[runs[r].index] for r in opened], run_coefs[opened],
-            [np.concatenate([c, c.mean(axis=1, keepdims=True)], axis=1).reshape(-1, c.shape[2])
-             for c in checked], exprs, cfg)))
-        unfinished = []
-        for r, (run, level, lo, o) in enumerate(zip(runs, levels, lows, open_)):
-            verdict = falsified(run.index, hits.get(r))
-            if verdict is None and np.isnan(lo).any():
-                verdict = interval(run.index, UNKNOWN, note="interval enclosure failed: overflow "
-                                   "or NaN in the enclosure, or g undefined on a box")
-            elif verdict is None:
-                run.processed += len(level)
-                run.certified = min([run.certified, *lo[~o].tolist()])
-                children, stalled = _split(level[o])
-                over = len(run.queue) > len(level) or len(children)
-                run.queue, run.stalled = children, run.stalled or stalled
-                if over and run.processed == cfg.bab_max_boxes:
-                    verdict = interval(run.index, UNKNOWN, domain_restricted=run.restricted,
-                                       note=f"box budget {cfg.bab_max_boxes} exhausted")
-                elif len(children):
-                    unfinished.append(run)
-                    continue
-                elif run.stalled:
-                    verdict = interval(run.index, UNKNOWN, domain_restricted=run.restricted,
-                                       note="interval refinement stalled at the width floor")
-                else:
-                    verdict = interval(run.index, VERIFIED, domain_restricted=run.restricted,
-                                       bound=run.certified if np.isfinite(run.certified) else None)
-            verdicts[run.index] = verdict
-        runs = unfinished
+    runs = sorted((i for i, v in enumerate(verdicts) if v is None),   # run r is pair runs[r]
+                  key=lambda i: cuts[id(regions[i])][0].shape[1])
+    run_regions, run_coefs = [regions[i] for i in runs], coefs[runs]
+    cut_of = [cuts[id(r)] for r in run_regions]
+    exact = np.array([c[2] for c in cut_of])
+    owner = np.repeat(np.arange(len(runs)), [len(c[0]) for c in cut_of])
+    shapes = np.repeat([c[0].shape[1] for c in cut_of], [len(c[0]) for c in cut_of])
+    queues = [(np.concatenate([c[0] for c in cut_of if c[0].shape[1] == k]), owner[shapes == k])
+              for k in sorted(set(shapes.tolist()))]   # one per shape; end to end sorted by run
+    processed, certified = np.zeros(len(runs), dtype=int), np.full(len(runs), np.inf)
+    stalled, pad = np.zeros(len(runs), dtype=bool), np.array([-cfg.tol_feas, cfg.tol_feas])
+    while queues:
+        over = np.zeros(len(runs), dtype=bool)
+        for g, (q, o) in enumerate(queues):   # each run's first bab_max_boxes - processed
+            take = np.arange(len(o)) - np.searchsorted(o, o) < cfg.bab_max_boxes - processed[o]
+            over[o[~take]] = True
+            queues[g] = q[take], o[take]
+        by_queue = lambda mask: zip(queues, np.split(mask, np.cumsum([len(o) for _q, o in queues])))
+        owner = np.concatenate([o for _q, o in queues])
+        boxes = np.concatenate([np.stack([q.min(axis=1), q.max(axis=1)], axis=2) for q, _o in queues])
+        lo = _weighted(interval_evaluate, exprs, run_coefs[owner],
+                       np.clip(boxes + pad, exact[owner, :, :1], exact[owner, :, 1:]))[:, 0]
+        open_, nan = ~(lo >= -cfg.tol_margin), np.isnan(lo)
+        seen = np.cumsum(nan)   # up to and including each run's first failed enclosure:
+        batch = [(q[c], o[c]) for (q, o), c in
+                 by_queue(open_ & (seen - (seen - nan)[np.searchsorted(owner, owner)] <= nan))]
+        hits = _first_witnesses(run_regions, run_coefs, np.concatenate(
+            [np.concatenate([q, q.mean(axis=1, keepdims=True)], axis=1).reshape(-1, n)
+             for q, _o in batch]), np.concatenate([np.repeat(o, q.shape[1] + 1) for q, o in batch]),
+            exprs, cfg)
+        ended = np.bincount(owner[nan], minlength=len(runs)) > 0
+        ended[list(hits)] = True
+        count = np.bincount(owner, minlength=len(runs))
+        processed += count
+        ok = np.lexsort((lo, owner, open_))[:np.count_nonzero(~open_)]   # certified, by run and low
+        ok = ok[(np.diff(owner[ok], prepend=-1) != 0) & (lo[ok] < certified[owner[ok]])]
+        certified[owner[ok]] = lo[ok]   # each run's least low, the first of equals as min() takes it
+        children = []
+        for (q, o), c in by_queue(open_ & ~ended[owner]):
+            halves, cut = _split(q[c])
+            stalled[o[c][~cut]] = True
+            children.append((halves, np.repeat(o[c][cut], 2)))
+        grown = np.bincount(np.concatenate([o for _h, o in children]), minlength=len(runs)) > 0
+        exhausted = (over | grown) & (processed == cfg.bab_max_boxes)
+        for r in np.flatnonzero((count > 0) & ~(grown & ~exhausted)).tolist():
+            i = runs[r]
+            if r in hits:
+                verdicts[i] = falsified(i, hits[r])
+            elif ended[r]:
+                verdicts[i] = interval(i, UNKNOWN, note="interval enclosure failed: overflow "
+                                       "or NaN in the enclosure, or g undefined on a box")
+            else:
+                note = (f"box budget {cfg.bab_max_boxes} exhausted" if exhausted[r] else
+                        "interval refinement stalled at the width floor" if stalled[r] else "")
+                bound = float(certified[r]) if np.isfinite(certified[r]) and not note else None
+                verdicts[i] = interval(i, UNKNOWN if note else VERIFIED, bound=bound, note=note,
+                                       domain_restricted=cut_of[r][1])
+        queues = [(h[going], o[going]) for h, o in children
+                  for going in [grown[o] & ~exhausted[o]] if going.any()]
     return verdicts
 
 
@@ -355,10 +362,11 @@ def _decide_regions(pairs, exprs, cfg) -> list[RegionVerdict]:
     affine = {i: _decide_affine(region, form, cfg)
               for i, (region, _coefs, form) in enumerate(pairs) if form is not None}
     checked = [i for i, (verdict, _x) in affine.items() if verdict.status == FALSIFIED]
-    hits = _first_witnesses([pairs[i][0] for i in checked], [pairs[i][1] for i in checked],
-                            [affine[i][1][None] for i in checked], exprs, cfg)
-    for i, hit in zip(checked, hits):
-        verdict = affine[i][0]
+    hits = _first_witnesses([pairs[i][0] for i in checked], np.array([pairs[i][1] for i in checked]),
+                            np.array([affine[i][1] for i in checked]), np.arange(len(checked)),
+                            exprs, cfg)
+    for s, i in enumerate(checked):
+        verdict, hit = affine[i][0], hits.get(s)
         if hit is None:
             verdict.status = UNKNOWN
             verdict.note = "; ".join(filter(None, [verdict.note, "LP point failed the witness check"]))

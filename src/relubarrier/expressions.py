@@ -373,16 +373,14 @@ def _affine_form(e, dim):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _weighted(fn, exprs, coefs, batches) -> list:
-    """Per batch i, the (m, 2) values of sum_j coefs[i, j] * exprs[j] over
-    batches[i]: fn is `interval_evaluate` over boxes, or `evaluate` at
-    points, each value v entered as [v, v].  Each expression is evaluated
-    once, over the rows whose coefficient on it is nonzero; terms are added
-    from the left, zero coefficients skipped, so each row gets float for
-    float what fn gives for the sum as one expression (``c * e`` terms
-    joined by ``+`` from the left), or NaN where that is not finite."""
-    sizes = [len(b) for b in batches]
-    rows, coefs = np.concatenate(batches), np.repeat(coefs, sizes, axis=0)
+def _weighted(fn, exprs, coefs, rows) -> np.ndarray:
+    """The (m, 2) values of sum_j coefs[i, j] * exprs[j] over each row i of
+    rows: fn is `interval_evaluate` over boxes, or `evaluate` at points,
+    each value v entered as [v, v].  Each expression is evaluated once,
+    over the rows whose coefficient on it is nonzero; terms are added from
+    the left, zero coefficients skipped, so each row gets float for float
+    what fn gives for the sum as one expression (``c * e`` terms joined by
+    ``+`` from the left), or NaN where that is not finite."""
     lo, hi = np.zeros(len(rows)), np.zeros(len(rows))   # the empty sum
     started = np.zeros(len(rows), dtype=bool)
     with np.errstate(all="ignore"):
@@ -395,7 +393,7 @@ def _weighted(fn, exprs, coefs, batches) -> list:
                 lo[use] = np.where(started[use], lo[use] + least, least)
                 hi[use] = np.where(started[use], hi[use] + most, most)
                 started |= use
-    return np.split(np.column_stack(_failed(lo, hi)), np.cumsum(sizes)[:-1])
+    return np.column_stack(_failed(lo, hi))
 
 
 # -- systems -------------------------------------------------------------------

@@ -212,7 +212,7 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     """Grow the set of valid regions across shared facets from a seed.
 
     FIFO worklist; at each facet point of a known region (one per row
-    touching its slice) its candidates are validity-tested; a
+    touching its slice) its candidates, found once per point, are validity-tested; a
     facet point where none but the region itself is valid is an error, as
     the level set goes on past a facet, so some region there is missing; so is
     a valid region past cfg.max_regions, which stops the walk.  Output
@@ -222,6 +222,7 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
     """
     regions: dict[tuple, ValidRegion] = {seed.indicator.key(): seed}
     rejected: set[tuple] = set()
+    candidates: dict[bytes, list | None] = {}   # per facet point, which facets may share
     queue: deque[ValidRegion] = deque([seed])   # a region enters once, when found
     errors: list[str] = []
     visited = 0
@@ -238,14 +239,17 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                           "facet propagation skipped")
             continue
         for j, point in enumerate(region.facet_points):
-            n = region.neurons[j]   # a simple facet: n's row alone meets all its vertices
+            n, key = region.neurons[j], point.tobytes()   # simple: n's row alone meets its vertices
             try:
                 neighbours = sorted([region.indicator, region.indicator.flipped(n)],
                                     key=ActivationIndicator.key) if n and \
                     region.tight[region.tight[:, j]].all(axis=0).sum() == 1 \
-                    else net.feasible_indicators(point)
+                    else candidates[key] if key in candidates \
+                    else candidates.setdefault(key, net.feasible_indicators(point))
             except CombinatorialBlowup as exc:
+                neighbours = candidates[key] = None
                 errors.append(f"region {region.indicator.compact()} facet {j}: {exc}")
+            if neighbours is None:   # the point's forward pass branched past the cap
                 continue
             for ind in neighbours:
                 k = ind.key()

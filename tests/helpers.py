@@ -531,8 +531,9 @@ TRANSCENDENTAL3D = ["-x1*(1 + sin(x2)^2 + exp(-x3^2))",
 def weighted_sum(coefs, exprs):
     """sum_i coefs[i] * exprs[i] as one expression: Binary("*", Const(c), e)
     terms joined by Binary("+") from the left.  Zero coefficients are left
-    out; an empty sum is Const(0.0).  The reference for
-    `expressions._weighted` and for the SMT export's w.f text."""
+    out; an empty sum is Const(0.0).  The reference for each row of
+    `expressions._weighted` (its own row of coefficients) and for the SMT
+    export's w.f text."""
     terms = [Binary("*", Const(float(c)), e) for c, e in zip(coefs, exprs) if c != 0.0]
     return functools.reduce(functools.partial(Binary, "+"), terms) if terms else Const(0.0)
 

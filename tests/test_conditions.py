@@ -176,14 +176,14 @@ def test_affine_forms_are_taken_once_per_flow_component_or_set_function(monkeypa
 # -- BaB's witness seeds ---------------------------------------------------------------
 
 def seed_batches(monkeypatch):
-    """The point batches `_first_witnesses` gets, one list per call; the
-    first call is BaB's seed check."""
+    """The point batches `_first_witnesses` gets, one list per call (the
+    points of each segment in turn); the first call is BaB's seed check."""
     calls = []
     original = conditions._first_witnesses
 
-    def logged(regions, coefs, points, exprs, cfg):
-        calls.append([np.array(p) for p in points])
-        return original(regions, coefs, points, exprs, cfg)
+    def logged(regions, coefs, points, seg, exprs, cfg):
+        calls.append([np.array(points[seg == s]) for s in range(len(regions))])
+        return original(regions, coefs, points, seg, exprs, cfg)
 
     monkeypatch.setattr(conditions, "_first_witnesses", logged)
     return calls
@@ -221,10 +221,11 @@ def test_the_seed_batch_evaluates_each_expression_over_the_rows_that_weigh_it(mo
     calls, evaluated = [], []
     first_witnesses, evaluate = conditions._first_witnesses, conditions.evaluate
 
-    def logged(regions, coefs, points, exprs, cfg):
+    def logged(regions, coefs, points, seg, exprs, cfg):
         start = len(evaluated)
-        hits = first_witnesses(regions, coefs, points, exprs, cfg)
-        calls.append((np.array(coefs), [len(p) for p in points], exprs, evaluated[start:]))
+        hits = first_witnesses(regions, coefs, points, seg, exprs, cfg)
+        calls.append((np.array(coefs), np.bincount(seg, minlength=len(regions)).tolist(), exprs,
+                      evaluated[start:]))
         return hits
 
     monkeypatch.setattr(conditions, "_first_witnesses", logged)
@@ -426,9 +427,9 @@ def test_bab_simplex_vertices_lie_on_the_slice(monkeypatch):
     points = []
     original = conditions._first_witnesses
 
-    def logged(regions, coefs, batch, exprs, cfg):
-        points.extend(np.array(p, dtype=float) for p in batch)
-        return original(regions, coefs, batch, exprs, cfg)
+    def logged(regions, coefs, batch, seg, exprs, cfg):
+        points.extend(np.array(batch[seg == s], dtype=float) for s in range(len(regions)))
+        return original(regions, coefs, batch, seg, exprs, cfg)
 
     monkeypatch.setattr(conditions, "_first_witnesses", logged)
     net, region = first_quadrant_region()
@@ -452,7 +453,7 @@ def test_bab_simplex_vertices_lie_on_the_slice(monkeypatch):
 def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
     """Each sampled point of a patch that BaB verifies lies in some enclosed
     box whose lower bound certified: no part of the patch escapes the
-    proof, on the diamond's patches and those of random 2-D and 3-D nets,
+    proof, whose bound is the least such lower bound (a zero's sign too), on the diamond's patches and those of random 2-D and 3-D nets,
     bounded and clamped to the domain box (sampled inside it only)."""
     flows = {2: [DynamicsSystem.parse(flow, dim=2) for flow in (
         ["-x1^3", "-x2^3"], ["-x1*(1 + x1^2 + x2^2)", "-x2*(1 + x1^2 + x2^2)"], CUBIC2D)],
@@ -473,8 +474,11 @@ def test_bab_certified_boxes_cover_every_verified_patch(monkeypatch):
             verdict = bab(region, sys)
             if verdict.status != VERIFIED or verdict.vacuous:
                 continue
-            boxes = np.array([box for box, lo in enclosed(log, sys, w_dot_f(region, sys))
-                              if lo >= -DEFAULT_CONFIG.tol_margin])
+            certified = [(box, lo) for box, lo in enclosed(log, sys, w_dot_f(region, sys))
+                         if lo >= -DEFAULT_CONFIG.tol_margin]
+            least = min(lo for _box, lo in certified)   # the first of equal lows, as BaB's
+            assert np.float64(verdict.bound).tobytes() == np.float64(least).tobytes()
+            boxes = np.array([box for box, _lo in certified])
             inside = np.all((pts[:, None] >= boxes[None, :, :, 0])
                             & (pts[:, None] <= boxes[None, :, :, 1]), axis=2)
             assert inside.any(axis=1).all()
@@ -495,6 +499,94 @@ def test_bab_widening_stops_at_exact_single_coordinate_bounds(monkeypatch):
     assert (verdict.status, verdict.bound) == (VERIFIED, 0.0)
     assert log and all(box[0, 1] == 0.0 and box[1, 0] == 0.0
                        for box, _lo in enclosed(log, sys, w_dot_f(region, sys)))
+
+
+def batch_pairs():
+    """(regions, exprs, coefs) of pairs of every kind BaB meets: the
+    diamond's four segments and the three patches of h = 1 - relu(x1) -
+    relu(x2) (a segment, two half-lines) under cubic flows, a flat w.f, an
+    overflowing set function and two nonlinear ones, one negative only
+    about (0.5, 0.5), in the middle of a segment; and the degenerate half-plane
+    of h = relu(x1) - relu(x1) (w = 0, so its simplices are triangles, the
+    others' segments) under three nonlinear set functions, one negative
+    only about the centroid (2, 1) of its first triangle."""
+    _net, diamond = diamond_regions()
+    lines = ReluNetwork([np.eye(2)], [np.zeros(2)], -np.ones(2), 1.0)
+    zero = ReluNetwork([np.array([[1.0, 0.0], [1.0, 0.0]])], [np.zeros(2)],
+                       np.array([1.0, -1.0]), 0.0)
+    flat = build_valid_region(zero, ind(1, 1))
+    assert flat.degenerate
+    exprs = [parse_expression(t, 2) for t in CUBIC2D + [
+        "-x1^3", "-x2^3", "x2^3", "-x2^3", "exp(1000*x1)", "0.04 - x1^2 - x2^2",
+        "0.04 - (x1 - 1)^2 - x2^2", "-1 - x1^2", "1 - 100*((x1 - 0.5)^2 + (x2 - 0.5)^2)",
+        "0.25 - (x1 - 2)^2 - (x2 - 1)^2"]]
+    regions, coefs = [], []
+    for region in diamond + [build_valid_region(lines, c) for c in brute_force_valid_regions(lines)]:
+        w = region.slice.w
+        for row in ({0: w[0], 1: w[1]}, {2: w[0], 3: w[1]}, {4: w[0], 5: w[1]}, {6: 1.0},
+                    {10: -1.0}, {7: -1.0}):
+            regions.append(region)
+            coefs.append([row.get(j, 0.0) for j in range(len(exprs))])
+    for j in (8, 9, 11):
+        regions.append(flat)
+        coefs.append([-1.0 if k == j else 0.0 for k in range(len(exprs))])
+    return regions, exprs, coefs
+
+
+def test_bab_gives_each_pair_of_a_batch_the_verdict_it_gets_alone(monkeypatch):
+    """Batching never leaks between pairs: one `_bab` call over the pairs
+    of `batch_pairs` at a budget of 5 simplices gives each pair its verdict
+    run alone, field for field (witness bytes included).  The call covers
+    verified rows, rows falsified at a seed, inside a segment and at a
+    triangle's centroid (in the level where earlier runs' enclosures
+    fail), a spent budget, a failed
+    enclosure, patches cut to the domain box and both simplex shapes."""
+    shapes, original = set(), conditions._simplices
+
+    def logged(region, cfg):
+        simplices, restricted = original(region, cfg)
+        shapes.add(simplices.shape[1])
+        return simplices, restricted
+
+    monkeypatch.setattr(conditions, "_simplices", logged)
+    regions, exprs, coefs = batch_pairs()
+    cfg = DEFAULT_CONFIG.updated(bab_max_boxes=5)
+    together = conditions._bab(regions, exprs, coefs, cfg)
+    assert shapes == {2, 3}
+    for region, weights, got in zip(regions, coefs, together):
+        alone, = conditions._bab([region], exprs, [weights], cfg)
+        assert row(got) == row(alone)
+        assert got.witness is None or got.witness.tobytes() == alone.witness.tobytes()
+    statuses = Counter((v.status, v.note.split(":")[0], v.domain_restricted) for v in together)
+    assert statuses[VERIFIED, "", False] and statuses[FALSIFIED, "", False]
+    assert statuses[UNKNOWN, "box budget 5 exhausted", False]
+    assert statuses[UNKNOWN, "interval enclosure failed", False]
+    assert statuses[VERIFIED, "", True] and statuses[UNKNOWN, "box budget 5 exhausted", True]
+    assert any(v.witness is not None and not (v.witness == region.vertices).all(axis=1).any()
+               for region, v in zip(regions, together))
+    flat = [v for region, v in zip(regions, together) if region.degenerate]
+    assert [v.status for v in flat] == [UNKNOWN, VERIFIED, FALSIFIED]
+    assert flat[2].witness.tolist() == [2.0, 1.0]
+
+
+def test_bab_encloses_each_expression_once_per_level(monkeypatch):
+    """However many pairs weigh an expression, BaB encloses it once per
+    level: as often as the pair that weighs it and runs the most levels
+    alone encloses it."""
+    log = record_enclosures(monkeypatch)
+    regions, exprs, coefs = batch_pairs()
+    conditions._bab(regions, exprs, coefs, DEFAULT_CONFIG)
+    together = Counter(id(e) for e, _boxes in log)
+    for j, e in enumerate(exprs):
+        levels = []
+        for region, row in zip(regions, coefs):
+            if row[j] != 0.0:
+                log.clear()
+                conditions._bab([region], exprs, [row], DEFAULT_CONFIG)
+                levels.append(sum(x is e for x, _boxes in log))
+        assert together[id(e)] == max(levels)
+        if j in (4, 5):   # the flat w.f
+            assert sorted(levels) == [1, 1, 1, 12, 12, 12]
 
 
 def test_simplices_tile_the_patch():

@@ -275,10 +275,11 @@ def test_each_box_of_a_batch_is_enclosed_as_it_is_alone(e, boxes):
 @given(st.lists(trees(2), min_size=1, max_size=3), box_batches(2), st.data())
 def test_weighted_is_the_enclosure_of_the_weighted_sum(exprs, boxes, data):
     """Split into batches (of several rows, and of one row each), each with
-    its own row of coefficients, boxes get from `_weighted`, float for
-    float, the enclosure of weighted_sum(row, exprs), NaN where that
-    fails; at points, `evaluate`'s values of the sum where they are
-    finite, entered as [v, v], and NaN elsewhere."""
+    its own row of coefficients given to each of its rows, boxes get from
+    one `_weighted` call, float for float, the enclosure of
+    weighted_sum(row, exprs), NaN where that fails; at points, `evaluate`'s
+    values of the sum where they are finite, entered as [v, v], and NaN
+    elsewhere."""
     weights = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 1e300])
     cuts = sorted(data.draw(st.sets(st.integers(1, len(boxes) - 1))) if len(boxes) > 1 else [])
     points = boxes[:, :, 0]
@@ -286,8 +287,9 @@ def test_weighted_is_the_enclosure_of_the_weighted_sum(exprs, boxes, data):
         coefs = np.array(data.draw(st.lists(st.lists(weights, min_size=len(exprs),
                                                      max_size=len(exprs)),
                                             min_size=len(splits) + 1, max_size=len(splits) + 1)))
-        got = _weighted(interval_evaluate, exprs, coefs, np.split(boxes, splits))
-        at_points = _weighted(evaluate, exprs, coefs, np.split(points, splits))
+        per_row = np.repeat(coefs, np.diff([0, *splits, len(boxes)]), axis=0)
+        got = np.split(_weighted(interval_evaluate, exprs, per_row, boxes), splits)
+        at_points = np.split(_weighted(evaluate, exprs, per_row, points), splits)
         for row, box_batch, point_batch, encl, vals in zip(
                 coefs, np.split(boxes, splits), np.split(points, splits), got, at_points):
             g = weighted_sum(row, exprs)

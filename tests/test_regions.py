@@ -590,9 +590,10 @@ def test_propagation_region_cap_flags_partial():
 def test_propagation_records_a_branching_cap_hit_and_goes_on():
     """h = x2 + sum_k relu(x1 + k x2 / 10) / 100 - relu(x1 - 1) / 2 (k < 22):
     its level set runs through the origin, where 22 neurons with distinct
-    rows are zero, past the cap of 20.  The walk records one error per
-    touching row through the origin, crosses the facet at x1 = 1, and
-    returns the two x1 > 0 pieces as a partial result."""
+    rows are zero, past the cap of 20.  The 22 touching rows through the
+    origin share that facet point, so the walk records one error there, at
+    the first of them, crosses the facet at x1 = 1, and returns the two
+    x1 > 0 pieces as a partial result."""
     w1 = np.vstack([np.column_stack([np.ones(22), np.arange(22) / 10.0]),
                     [[1.0, 0.0], [0.0, 1.0]]])
     b1 = np.concatenate([np.zeros(22), [-1.0, 10.0]])   # relu(x2 + 10) - 10 = x2 here
@@ -600,8 +601,10 @@ def test_propagation_records_a_branching_cap_hit_and_goes_on():
     seed = "1" * 22 + "01"
     result = boundary_propagation(net, build_valid_region(net, indicator_of(seed)))
     assert [r.indicator.compact() for r in result.regions] == [seed, "1" * 24]
-    assert result.errors == [f"region {seed} facet {j}: 22 simultaneously-zero neurons "
-                             "exceed the cap of 20" for j in range(22)]
+    origin = [j for j, p in enumerate(result.regions[0].facet_points) if not p.any()]
+    assert origin == list(range(22))
+    assert result.errors == [f"region {seed} facet 0: 22 simultaneously-zero neurons "
+                             "exceed the cap of 20"]
 
 
 def test_propagation_flips_a_facet_that_22_neurons_share():
@@ -732,15 +735,18 @@ def test_a_flipped_shared_row_has_the_valid_neighbours_the_forward_pass_finds(na
 
 def test_the_walk_runs_the_forward_pass_only_at_the_seed_and_shared_facets(monkeypatch):
     """On the seeded 3-D net of the no-LP test, `feasible_indicators` runs
-    once for the seed and once per facet that is not simple: one whose
-    vertices all meet another touching row too, or whose row neurons of
-    two layers share (none here)."""
+    once for the seed and once per distinct facet point of the facets that
+    are not simple: one whose vertices all meet another touching row too,
+    or whose row neurons of two layers share (none here)."""
     net = random_hidden_net(np.random.default_rng(0), n_in=3, neurons=8)
     result, called = _spied_walk(net, monkeypatch)
-    shared = sum(not region.neurons[j] or region.tight[on].all(axis=0).sum() > 1
-                 for region in result.regions for j, on in enumerate(region.tight.T))
+    shared = [region.facet_points[j].tobytes()
+              for region in result.regions for j, on in enumerate(region.tight.T)
+              if not region.neurons[j] or region.tight[on].all(axis=0).sum() > 1]
     facets = sum(region.tight.shape[1] for region in result.regions)
-    assert not result.partial and len(called) == shared < facets
+    assert len(set(shared)) < len(shared) < facets     # some shared facets share a point
+    assert sorted(p.tobytes() for p in called) == sorted(set(shared))
+    assert not result.partial
 
 
 @pytest.mark.parametrize("name", ["diamond", "polytope-2d", "polytope-3d"])
@@ -768,14 +774,17 @@ def _two_layer_diamond():
 
 def test_the_walk_falls_back_where_neurons_of_two_layers_share_a_row(monkeypatch):
     """On the two-layer diamond each facet row holds neurons of both
-    layers, so `neurons` is empty there and every facet point runs the
-    forward pass."""
+    layers, so `neurons` is empty there and every distinct facet point
+    runs the forward pass once: the two facets through each vertex of the
+    diamond share it."""
     result, called = _spied_walk(_two_layer_diamond(), monkeypatch)
     assert [r.indicator.compact() for r in result.regions] == [
         f"{c}.{c}" for c in ("0101", "0110", "1001", "1010")]
     assert all(group == () for region in result.regions for group in region.neurons)
     assert not result.partial
-    assert len(called) == sum(len(region.facet_points) for region in result.regions) == 8
+    assert sum(len(region.facet_points) for region in result.regions) == 8
+    points = {p.tobytes() for region in result.regions for p in region.facet_points}
+    assert sorted(p.tobytes() for p in called) == sorted(points) and len(points) == 4
 
 
 @pytest.mark.parametrize("two_layers", [False, True])
