@@ -152,7 +152,9 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return Const(float(val))
+            if math.isinf(value := float(val)):
+                raise ExpressionSyntaxError(f"number {val} is too large for a double", pos)
+            return Const(value)
         if kind == "ident":
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":

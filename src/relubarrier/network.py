@@ -33,6 +33,7 @@ class ActivationIndicator:
 
     bits: tuple[tuple[int, ...], ...]
     _key: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _compact: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bits = tuple(tuple(map(int, layer)) for layer in self.bits)
@@ -40,7 +41,8 @@ class ActivationIndicator:
         if not {0, 1}.issuperset(key):
             raise ValueError("indicator entries must be 0/1, got "
                              f"{next(v for v in key if v not in (0, 1))}")
-        self.__dict__.update(bits=bits, _key=key)   # frozen: no __setattr__
+        compact = ".".join("".join(map(str, layer)) for layer in bits)
+        self.__dict__.update(bits=bits, _key=key, _compact=compact)   # frozen: no __setattr__
 
     def key(self) -> tuple[int, ...]:
         """Flattened layer-major bit tuple; the canonical sort key."""
@@ -53,7 +55,7 @@ class ActivationIndicator:
 
     def compact(self) -> str:
         """Human-readable form, layers joined by '.': e.g. '1010' or '10.01'."""
-        return ".".join("".join(str(v) for v in layer) for layer in self.bits)
+        return self._compact
 
 
 class ReluNetwork:

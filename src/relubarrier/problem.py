@@ -12,6 +12,7 @@ its verdict and membership rows are the fields of the `RegionVerdict` and
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, fields
@@ -115,8 +116,12 @@ def _row(record) -> dict | None:
     for None."""
     if record is None:
         return None
-    return {f.name: _jsonable(getattr(record, f.name))
-            for f in fields(record) if f.name != "indicator"}
+    return {name: _jsonable(getattr(record, name)) for name in _row_fields(type(record))}
+
+
+@functools.cache
+def _row_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "indicator")
 
 
 def _collect_witnesses(verdict: CertificateVerdict) -> list[dict]:

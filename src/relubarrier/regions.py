@@ -36,10 +36,10 @@ from .geometry import Polyhedron, frame, inscribed_ball
 from .network import ActivationIndicator, ReluNetwork
 
 
-@dataclass
+@dataclass(eq=False)
 class ValidRegion:
     """A valid region with its rows, its slice and its facet points; the
-    slice's w and b are the region's affine piece h(x) = w.x + b."""
+    slice's w and b are its piece h(x) = w.x + b.  Equal only to itself."""
 
     indicator: ActivationIndicator
     constraints: Polyhedron        # the region's distinct nonzero rows

@@ -2,9 +2,9 @@
 
 Each query asks a solver for a point on one region's level-set patch where
 the condition under test fails strictly; unsat over all regions certifies
-the condition on the enumerated component.  No solver is invoked here;
-emission is pure text so the files can be archived or fed to any engine;
-one renderer, `_export`, writes every query of both conditions.
+the condition on the enumerated component.  No solver is invoked: the text
+can be archived or fed to any engine.  One renderer, `_export`, writes every
+query; each region's conjuncts are rendered once per region object, held weakly.
 
 Numbers are emitted exactly: integers as decimal literals, everything else
 as the dyadic rational p/q of the double, so the formulas mean precisely
@@ -14,6 +14,7 @@ what the verifier computed with.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,15 +74,19 @@ def _affine_terms(coeffs, const) -> str:
     return f"(+ {' '.join(parts)})" if len(parts) > 1 else parts[0]
 
 
-def _region_conjuncts(region, domain_box=None) -> list[str]:
-    w, b = region.slice.w, region.slice.b
-    conj = [f"(= {_affine_terms(w, b)} 0)"]
-    for a, d in zip(region.slice.A, region.slice.d):   # the rows touching the slice
-        conj.append(f"(<= {_affine_terms(a, 0.0)} {format_number(d)})")
-    if domain_box is not None:
-        for i, (lo, hi) in enumerate(domain_box):
-            conj.append(f"(<= x{i + 1} {format_number(hi)})")
-            conj.append(f"(>= x{i + 1} {format_number(lo)})")
+_CONJUNCTS = weakref.WeakKeyDictionary()   # region -> its conjuncts, while the region lives
+
+
+def _region_conjuncts(region, rows: dict) -> list[str]:
+    """The region's hyperplane row, then its touching rows, rendered at its
+    first export (rows: this call's texts by (a.tobytes(), d)); never changed."""
+    if (conj := _CONJUNCTS.get(region)) is None:
+        conj = [f"(= {_affine_terms(region.slice.w, region.slice.b)} 0)"]
+        for a, d in zip(region.slice.A, region.slice.d):   # the rows touching the slice
+            if (key := (a.tobytes(), d)) not in rows:
+                rows[key] = f"(<= {_affine_terms(a, 0.0)} {format_number(d)})"
+            conj.append(rows[key])
+        _CONJUNCTS[region] = conj
     return conj
 
 
@@ -118,10 +123,11 @@ def export_set_condition(regions, set_expr: Expr, which: str, dim: int,
 
 def _export(regions, violation, kind, dim, transcendental, cfg, mode, domain_box):
     """The queries of one export: the preamble (tolerances, domain-box note,
-    logic, declarations) built once, each region's (and ...) body, its
-    conjuncts then violation(region), built once, and either one query per
-    region or one disjunction over all of them.  A set function, and each
-    flow component of w.f, is rendered once per call."""
+    logic, declarations) built once, each region's (and ...) body (its
+    conjuncts, the box rows, violation(region)) and either one query per
+    region or one disjunction.  A set function, each flow component of w.f
+    and the box rows are rendered once per call, each region's conjuncts once
+    per region object (held weakly), sharing a call's distinct touching rows."""
     if mode not in ("per-region", "monolithic"):
         raise ValueError(f"mode must be 'per-region' or 'monolithic', got {mode!r}")
     if not regions:   # an empty disjunction is false: unsat would certify nothing
@@ -133,7 +139,11 @@ def _export(regions, violation, kind, dim, transcendental, cfg, mode, domain_box
     preamble.append("; logic: QF_NRA extended with transcendental functions (sin cos tanh exp "
                     "ln); use a delta-capable solver" if transcendental else "(set-logic QF_NRA)")
     preamble += [f"(declare-fun x{i + 1} () Real)" for i in range(dim)]
-    bodies = [f"(and {' '.join(_region_conjuncts(r, domain_box) + [violation(r)])})"
+    box = [] if domain_box is None else [
+        f"({op} x{i + 1} {format_number(v)})"
+        for i, (lo, hi) in enumerate(domain_box) for op, v in (("<=", hi), (">=", lo))]
+    rows = {}
+    bodies = [f"(and {' '.join([*_region_conjuncts(r, rows), *box, violation(r)])})"
               for r in regions]
     labels = [r.indicator.compact() for r in regions]
     logic = "QF_NRA+transcendental" if transcendental else "QF_NRA"

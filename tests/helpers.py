@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +126,15 @@ def ill_scaled_deep_net(seed: int) -> ReluNetwork:
     weights = [rng.normal(size=(8, 2))] + [rng.normal(size=(8, 8)) * 1e4 for _ in range(3)]
     biases = [rng.normal(size=8) for _ in range(4)]
     return ReluNetwork(weights, biases, rng.normal(size=8), 0.0)
+
+
+@dataclass(eq=False)
+class RegionStandIn:
+    """What the SMT export reads of a region, its indicator and its slice;
+    hashed by identity and weak-referenceable, as `ValidRegion` is."""
+
+    indicator: ActivationIndicator
+    slice: Polyhedron
 
 
 def indicator_of(compact: str) -> ActivationIndicator:

@@ -135,6 +135,7 @@ MALFORMED = [
     ("huge-integer-tol-margin", {"tolerances": {"tol_margin": 10 ** 400}}, None),
     ("seed-in-budgets", {"budgets": {"seed": 5}}, None),
     ("domain-box-in-tolerances", {"tolerances": {"domain_box": [[-1, 1], [-1, 1]]}}, None),
+    ("overflowing-literal", {"initial_set": "1e400 - x1"}, None),
     ("column-bias", {}, lambda net: {**net, "layers": [{**net["layers"][0],
                                                         "bias": [[0], [0], [0], [0]]}]}),
     ("column-output-weights", {}, lambda net: {**net, "output_weights": [[-1], [-1], [-1], [-1]]}),
@@ -148,6 +149,7 @@ MALFORMED = [
 NAMED = {"huge-integer-tol-margin": "invalid value for tol_margin",
          "seed-in-budgets": "unknown configuration key in budgets: 'seed'",
          "domain-box-in-tolerances": "unknown configuration key in tolerances: 'domain_box'",
+         "overflowing-literal": "number 1e400 is too large for a double (at position 0)",
          "column-bias": "layer 0: weights must be a matrix and bias a vector",
          "column-output-weights": "output_weights must be a vector",
          "rank-three-weights": "layer 0: weights must be a matrix and bias a vector"}
@@ -173,6 +175,17 @@ def test_exit_three_on_malformed_input(tmp_path, capsys, fields, net_edit, named
     if named is not None:
         assert named in err
         assert re.search(r"\w+(Error|Exception)\b", err) is None, err
+
+
+def test_export_exits_three_on_a_literal_too_large_for_a_double(tmp_path, capsys):
+    """export-smt reads the problem as verify does: the literal is named,
+    not rendered as an SMT number."""
+    problem = write_problem(tmp_path, diamond_net(), ["-x1", "-x2"], "1e400 - x1", UNSAFE)
+    assert main(["export-smt", "--problem", problem, "--out-dir", str(tmp_path / "smt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and NAMED["overflowing-literal"] in err
+    assert re.search(r"\w+(Error|Exception)\b", err) is None, err
+    assert not (tmp_path / "smt").exists()
 
 
 def test_exit_three_on_an_environment_value_that_is_no_number(tmp_path, capsys, monkeypatch):

@@ -76,6 +76,16 @@ def test_scientific_notation():
     assert evaluate(e, np.zeros(1)) == pytest.approx(250.001)
 
 
+def test_a_literal_too_large_for_a_double_is_a_syntax_error():
+    """1e400 would parse to inf, which no SMT literal or JSON number can hold."""
+    for text, position in (("1e400 - x1", 0), ("2 * 1e309", 4), ("x1 + 1" + "0" * 400, 5)):
+        with pytest.raises(ExpressionSyntaxError, match="too large for a double") as err:
+            parse_expression(text, 1)
+        assert err.value.position == position
+    assert evaluate(parse_expression("1.7e308 - x1", 1), np.zeros(1)) == 1.7e308
+    assert evaluate(parse_expression("1e-400", 1), np.zeros(1)) == 0.0
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 def test_reference_values():

@@ -135,6 +135,22 @@ def test_flipped_flips_each_given_key_bit_across_layers():
     assert two.flipped(()) == two == two.flipped((1, 2)).flipped((1, 2))
 
 
+def test_the_stored_label_is_read_by_compact_alone():
+    """compact() is built once per indicator; equality, hash and repr read
+    the bits, never that label, and flipped indicators get their own."""
+    two = ActivationIndicator(((1, 0), (0, 1)))
+    relabelled = ActivationIndicator(((1, 0), (0, 1)))
+    object.__setattr__(relabelled, "_compact", "bogus")
+    assert relabelled.compact() == "bogus" and two.compact() == "10.01"
+    assert relabelled == two and hash(relabelled) == hash(two) and {two: 1}[relabelled] == 1
+    assert repr(relabelled) == repr(two) == "ActivationIndicator(bits=((1, 0), (0, 1)))"
+    assert ActivationIndicator(((1, 1), (0, 1))) != two
+    for bits in ((), (0,), (1, 2), (0, 1, 2, 3)):
+        flipped = relabelled.flipped(bits)
+        assert flipped.compact() == ".".join("".join(map(str, layer)) for layer in flipped.bits)
+    assert ActivationIndicator([[True, 0.0], (1,)]).compact() == "10.1"
+
+
 def test_feasible_indicators_blowup_guard(monkeypatch):
     net = diamond_net()
     monkeypatch.setattr("relubarrier.network.BRANCH_CAP", 1)

@@ -1,5 +1,6 @@
 """Valid-region test, initial region search, and boundary propagation."""
 
+import copy
 import itertools
 from collections import Counter
 from types import SimpleNamespace
@@ -29,6 +30,18 @@ def ind(*bits):
 
 DIAMOND_INDICATORS = [ind(0, 1, 0, 1), ind(0, 1, 1, 0),
                       ind(1, 0, 0, 1), ind(1, 0, 1, 0)]
+
+
+def test_regions_are_equal_and_hashed_by_identity():
+    """Array fields cannot be compared, so a region equals itself alone:
+    comparing never raises, and a region can key a dict."""
+    regions = enumerate_level_set(diamond_net()).regions
+    region = regions[0]
+    twin = copy.copy(region)
+    assert twin != region and not twin == region and region == region
+    assert regions[1] != region and regions.index(region) == 0 and twin not in regions
+    table = {r: i for i, r in enumerate(regions)}
+    assert len(table) == 4 and table[region] == 0 and twin not in table
 
 
 # -- valid test -----------------------------------------------------------------------

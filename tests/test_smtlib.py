@@ -2,10 +2,11 @@
 with the LP route on affine fixtures (decided by evaluating the emitted
 text at candidate points)."""
 
+import gc
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from hypothesis import strategies as st
 
 from relubarrier import (__version__, smtlib, ActivationIndicator, DynamicsSystem,
                          boundary_propagation, build_valid_region,
-                         check_invariance, export_invariance,
+                         check_invariance, enumerate_level_set, export_invariance,
                          export_set_condition, format_number,
                          parse_expression, FALSIFIED, VERIFIED, Polyhedron)
 
-from helpers import (affine_system, diamond_net, random_hidden_net, slice_grid, strip_net,
-                     weighted_sum)
+from helpers import (RegionStandIn, affine_system, diamond_net, random_hidden_net, slice_grid,
+                     strip_net, weighted_sum)
 
 
 def diamond_regions():
@@ -261,6 +262,85 @@ def test_set_condition_export_renders_the_set_function_once(monkeypatch):
         assert sum(e is h_init for e in calls) == 1
 
 
+# the golden random net's problem: a seeded 3-D net, a polynomial flow, a
+# polynomial initial set and a transcendental unsafe set
+RANDOM_NET_FLOW = DynamicsSystem.parse(["-x1 + x2", "-x2 - x1 * x3", "0.5 * x1 - x3^3"], dim=3)
+RANDOM_NET_INIT = parse_expression("0.25 - x1^2 - x2^2 - (x3 - 0.125)^2", 3)
+RANDOM_NET_UNSAFE = parse_expression("x1 + 0.5 * tanh(x2) - 2.75", 3)
+RANDOM_NET_BOX = ((-3.0, 3.0), (-2.5, 2.25), (-1.75, 3.5))
+BOXES = {"plain": None, "box": RANDOM_NET_BOX}
+
+
+def random_net_regions():
+    """The regions of a fresh enumeration of the golden random net (6 regions)."""
+    return enumerate_level_set(random_hidden_net(np.random.default_rng(11), n_in=3)).regions
+
+
+def random_net_export(regions, condition, mode, box):
+    if condition == "invariance":
+        return export_invariance(regions, RANDOM_NET_FLOW, mode=mode, domain_box=BOXES[box])
+    h = RANDOM_NET_INIT if condition == "initial" else RANDOM_NET_UNSAFE
+    return export_set_condition(regions, h, condition, 3, mode=mode, domain_box=BOXES[box])
+
+
+CONDITIONS = ("invariance", "initial", "unsafe")
+MODES = ("per-region", "monolithic")
+# each order makes all twelve export calls: (condition, mode, box)
+CALL_ORDERS = {
+    "box-first": [(c, m, b) for b in ("box", "plain") for m in MODES for c in CONDITIONS],
+    "box-last": [(c, m, b) for b in ("plain", "box") for m in MODES for c in CONDITIONS],
+    "monolithic-first": [(c, m, b) for m in MODES[::-1] for c in CONDITIONS
+                         for b in ("plain", "box")],
+    "sets-first": [(c, m, b) for c in CONDITIONS[::-1] for b in ("box", "plain")
+                   for m in MODES[::-1]],
+}
+
+
+@pytest.mark.parametrize("order", CALL_ORDERS)
+def test_random_net_export_matches_its_golden_texts_in_any_call_order(order):
+    """Every byte of the random net's export, all three conditions in both
+    modes with and without the domain box, from a cold region list and
+    again from the same, warm, list, whatever the order of the calls."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden"
+                         / "random_net_export.json").read_text())
+    expected = {box: {name: text.replace("{version}", __version__)
+                      for name, text in texts.items()} for box, texts in golden.items()}
+    regions = random_net_regions()
+    for _ in ("cold", "warm"):
+        texts = {box: {} for box in BOXES}
+        for condition, mode, box in CALL_ORDERS[order]:
+            texts[box].update((q.filename, q.text)
+                              for q in random_net_export(regions, condition, mode, box))
+        assert texts == expected
+
+
+def test_each_region_is_rendered_once_and_only_while_it_lives(monkeypatch):
+    """The exports over one region list share each region's conjuncts: its
+    hyperplane, and each distinct touching row, are rendered once in all.
+    The table holds a region by identity while it lives: the regions of a
+    second enumeration of the same net are rendered again, and once they
+    are dropped the table is empty."""
+    # a fresh table of the same kind, empty of the regions other tests still hold
+    monkeypatch.setattr(smtlib, "_CONJUNCTS", type(smtlib._CONJUNCTS)())
+    calls = []
+    render = smtlib._affine_terms
+    monkeypatch.setattr(smtlib, "_affine_terms",
+                        lambda c, k: calls.append((np.asarray(c).tobytes(), k)) or render(c, k))
+    for _ in ("first", "second"):
+        calls.clear()
+        regions = random_net_regions()
+        for condition, mode, box in CALL_ORDERS["box-last"]:
+            random_net_export(regions, condition, mode, box)
+        rows = {(a.tobytes(), d) for r in regions for a, d in zip(r.slice.A, r.slice.d)}
+        assert sum(len(r.slice.d) for r in regions) > len(rows)   # some rows are shared
+        assert Counter(calls) == Counter([(r.slice.w.tobytes(), r.slice.b) for r in regions]
+                                         + [(a, 0.0) for a, _ in rows])
+        assert len(smtlib._CONJUNCTS) == len(regions)
+    del regions
+    gc.collect()
+    assert len(smtlib._CONJUNCTS) == 0
+
+
 @pytest.mark.parametrize("w", [[2.5, 0.0, -1.0], [0.0, -0.1, 0.0], [0.0, 0.0, 0.0],
                                [1.0, 3.0, 0.5]],
                          ids=["zero-weight", "single-weight", "all-zero", "three-terms"])
@@ -268,8 +348,8 @@ def test_invariance_violation_is_the_weighted_sum_rendered(w):
     """A region's w.f text is the rendering of w.f built as one expression:
     zero weights left out, (+ ...) nested from the left, the empty sum 0."""
     sys = DynamicsSystem.parse(["x1 * x2", "sin(x3)", "-x1 + 2"], dim=3)
-    region = SimpleNamespace(indicator=ActivationIndicator(((1,),)),
-                             slice=Polyhedron(np.empty((0, 3)), np.empty(0), np.array(w), 0.5))
+    region = RegionStandIn(indicator=ActivationIndicator(((1,),)),
+                           slice=Polyhedron(np.empty((0, 3)), np.empty(0), np.array(w), 0.5))
     query, = export_invariance([region], sys)
     violation = f"(< {smtlib.expr_to_smt(weighted_sum(w, sys.exprs))} 0)"
     assert query.text.endswith(f" {violation}))\n(check-sat)\n")
