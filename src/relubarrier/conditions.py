@@ -386,7 +386,8 @@ def _aggregate(statuses) -> str:
 
 def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipProbe | None:
     """Rejection-sampled points of {set_expr > 0}, checked against sign(h);
-    None when no draw lands in the set.
+    None when no draw lands in the set.  A draw counts as a set point only
+    where the set value is finite, as a witness must be (`_checked_witness`).
 
     Every set point of the first batch of 2048 draws that holds any is
     checked.  want_inside demands h > 0 strictly at each; otherwise h < 0
@@ -408,7 +409,7 @@ def _membership_probe(net, set_expr, cfg, rng, want_inside: bool) -> MembershipP
         xs *= scale[:m]
         xs += offset[:m]
         values = evaluate(set_expr, xs)   # NaN where set_expr is undefined
-        idx = np.flatnonzero(values > 0.0)
+        idx = np.flatnonzero((values > 0.0) & np.isfinite(values))
         if idx.size:
             idx = idx[idx < idx[0] // 2048 * 2048 + 2048]   # its batch of 2048 draws
             h = net.forward_many(xs[idx])

@@ -194,8 +194,11 @@ def evaluate(e: Expr, x):
     RuntimeWarning escapes: every caller reads inf and NaN.
     """
     x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
     with np.errstate(all="ignore"):
-        val = _eval(e, np.atleast_2d(x))
+        val = _eval(e, rows)
+    # fresh, as callers may write to it: a Var's column is a view, a Const a scalar
+    val = np.full(len(rows), val) if np.ndim(val) == 0 else val.copy() if isinstance(e, Var) else val
     return val if x.ndim == 2 else float(val[0])
 
 
@@ -204,29 +207,30 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "sin": np.sin,
 
 
 def _eval(e, x):
+    """e over the rows of x: a Var's column as a view and a Const as a
+    scalar (every other node allocates its result), else a new array."""
     if isinstance(e, Var):
-        return x[:, e.index].copy()   # not a view: callers may write to the result
+        return x[:, e.index]
     if isinstance(e, Const):
-        return np.full(x.shape[0], e.value)
+        return np.float64(e.value)
     if isinstance(e, Binary):
         left, right = _eval(e.left, x), _eval(e.right, x)
         if e.op == "/":
-            return np.divide(left, right, out=np.full(len(right), np.nan),
-                             where=right != 0.0)
+            return np.divide(left, right, out=np.full(len(x), np.nan), where=right != 0.0)
         return _UFUNCS[e.op](left, right)
-    if isinstance(e, Unary):
-        v = _eval(e.arg, x)
-        if e.name == "-":
-            return -v
-        if e.name == "ln":
-            return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
-        return _UFUNCS[e.name](v)
+    if not isinstance(e, (Unary, Pow)):
+        raise TypeError(f"not an expression node: {e!r}")
+    v = _eval(e.arg if isinstance(e, Unary) else e.base, x)
+    v = np.full(len(x), v) if np.ndim(v) == 0 else v   # a function of constants, per row
     if isinstance(e, Pow):
-        base = _eval(e.base, x)
         if e.exponent == 0:
-            return np.where(np.isnan(base), np.nan, 1.0)   # NaN**0 is 1
-        return base ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+            return np.where(np.isnan(v), np.nan, 1.0)   # NaN**0 is 1
+        return v ** e.exponent
+    if e.name == "-":
+        return -v
+    if e.name == "ln":
+        return np.log(v, out=np.full(len(v), np.nan), where=v > 0.0)
+    return _UFUNCS[e.name](v)
 
 
 # -- interval arithmetic ---------------------------------------------------------

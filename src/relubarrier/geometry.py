@@ -78,11 +78,8 @@ class Polyhedron:
         """(x0, N): x = x0 + N t maps R^k onto the hyperplane, N (n, k) with
         orthonormal columns spanning w's null space; (0, I) with no
         hyperplane (N is I for w = 0 too)."""
-        if self.w is None:
-            return np.zeros(self.dim), np.eye(self.dim)
-        x0 = -self.b * self.w / (self.w @ self.w) if self.w.any() else 0.0 * self.w
-        _, s, vt = np.linalg.svd(self.w[None, :])
-        return x0, vt[int(s[0] > 0.0):].T
+        x0, N = _charts([self])
+        return x0[0], N[0]
 
     def minimize(self, objective, tol_feas: float = 1e-7):
         """min objective.x over the polyhedron for an ``(n,)`` objective, as
@@ -113,80 +110,179 @@ def inscribed_ball(p: Polyhedron, tol_feas: float = 1e-7):
     return (x0 + N @ out.point[:-1], -out.value) if out.optimal else None
 
 
+def _charts(ps):   # `Polyhedron.chart` of polyhedra of one kind (no w, w = 0, w != 0), stacked
+    if ps[0].w is None:
+        return np.zeros((len(ps), ps[0].dim)), np.eye(ps[0].dim)[None]
+    W, b = _stack([p.w for p in ps]), np.array([p.b for p in ps])
+    _, s, vt = np.linalg.svd(W[:, None, :])
+    x0 = -b[:, None] * W / (W[:, None, :] @ W[..., None])[..., 0] if s[0, 0] > 0.0 else 0.0 * W
+    return x0, vt[:, int(s[0, 0] > 0.0):].transpose(0, 2, 1)
+
+
+def _stack(xs) -> np.ndarray:   # the arrays xs along a new first axis (one: a view of it)
+    return xs[0][None] if len(xs) == 1 else np.stack(xs)
+
+
+def _groups(keys) -> list[list[int]]:   # the indices of keys by key, in order of first appearance
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def frame(p: Polyhedron, tol_feas: float = 1e-7, near=None):
-    """(vertices, rays, tight) of p on its hyperplane, as rows: the hull of
+    """(vertices, rays, tight) of p, its entry of `frames`; raises its NumericalFailure."""
+    out = frames([p], tol_feas, [near])[0]
+    if isinstance(out, NumericalFailure):
+        raise out
+    return out
+
+
+def frames(ps, tol_feas: float = 1e-7, nears=None) -> list:
+    """Per polyhedron p of ps (one dimension) and its start near (nears),
+    (vertices, rays, tight) of p on its hyperplane, as rows: the hull of
     the vertices plus the cone of the unit rays, and per vertex the mask of
-    the rows of p it meets within tol_feas (rows scaled to unit norm).  In
-    p's `chart` x = x0 + N t, a row with under 1e-12 of its norm along the
-    hyperplane is constant and defines no vertex; the other rows span k
-    dimensions, and what they leave is lineality (two opposite rays each).
-    A basis is k rows whose solution keeps every unit-scaled row within
-    tol_feas.  One batch gives every basis when it holds all k-subsets (at
-    most 512).  Otherwise the first is met in k straight steps (each along
-    the rows met so far, to the next row) from near, or from the centre of
-    `inscribed_ball` (one LP; none: p is empty) without near or when its
-    steps end off p, and off p from there too raises NumericalFailure; the
-    rest come from walking edges to the next row they meet, edges that meet
-    none being rays.  Bases meeting the same rows are one vertex, kept once."""
-    x0, N = p.chart()
-    M = p.A @ N
-    scale = np.linalg.norm(p.A, axis=1)
-    live = np.linalg.norm(M, axis=1) > 1e-12 * scale
-    norms = np.linalg.norm(M[live], axis=1)[:, None]
-    _, s, vt = np.linalg.svd(M[live] / norms)
-    k = int(np.sum(s > 1e-12))
-    B, lineal = N @ vt[:k].T, N @ vt[k:].T    # the pointed part's axes, the lineality
-    rows = M[live] @ vt[:k].T / norms         # unit rows over u, x = x0 + B u
-    rhs = (p.d[live] - p.A[live] @ x0) / norms[:, 0]
-    unit = Polyhedron(p.A / scale[:, None], p.d / scale)
+    the rows of p it meets within tol_feas (rows scaled to unit norm), or
+    the NumericalFailure that ends it.  In p's `chart` x = x0 + N t, a row
+    with under 1e-12 of its norm along the hyperplane is constant and
+    defines no vertex; the other rows span k dimensions, and what they
+    leave is lineality (two opposite rays each).  A basis is k rows whose
+    solution keeps every unit-scaled row within tol_feas.  One batch gives
+    every basis when it holds all k-subsets (at most 512).  Otherwise the
+    first is met in k straight steps (each along the rows met so far, to
+    the next row) from near, or from the centre of `inscribed_ball` (one
+    LP; none: p is empty) without near or when its steps end off p, and off
+    p from there too, or a failed LP, is a NumericalFailure; the rest come
+    from walking edges to the next row they meet, edges that meet none
+    being rays.  Bases meeting the same rows are one vertex, kept once.
+    Polyhedra of one shape (rows, rows along the hyperplane, k) whose
+    subsets one batch holds take each step as one stacked numpy call, which
+    runs the one-polyhedron call's kernel on each slice, so each frame is
+    bit-identical to its own (`_ragged`); the edge walk takes one at a time."""
+    nears, split = nears or [None] * len(ps), [[0]] if len(ps) == 1 else _groups(
+        [(p.A.shape, None if p.w is None else bool(p.w.any())) for p in ps])
+    if len(split) == 1:
+        (x0, N), K = _charts(ps), len(ps)
+        A, d = _stack([p.A for p in ps]), _stack([p.d for p in ps])
+        M = A @ N
+        scale, mn = np.linalg.norm(A, axis=2), np.linalg.norm(M, axis=2)
+        live = mn > 1e-12 * scale
+        split = _groups(rs := live.sum(1).tolist())
+    if len(split) == 1:
+        r, n = rs[0], A.shape[2]
+        Ml, norms = M[live].reshape(K, r, M.shape[2]), mn[live].reshape(K, r, 1)
+        _, s, vt = np.linalg.svd(Ml / norms)
+        split = _groups(ks := (s > 1e-12).sum(1).tolist())
+        if K > 1 and len(split) == 1 and math.comb(r, ks[0]) > 512:
+            split = [[i] for i in range(K)]
+    if len(split) != 1:   # each shape, and each edge walk, on its own
+        out = [None] * len(ps)
+        for g in split:
+            for i, f in zip(g, frames([ps[i] for i in g], tol_feas, [nears[i] for i in g])):
+                out[i] = f
+        return out
+    k, V = ks[0], vt.transpose(0, 2, 1)
+    B, lineal, rows = N @ V[..., :k], N @ V[..., k:], Ml @ V[..., :k] / norms
+    rhs = (d[live].reshape(K, r) - (A[live].reshape(K, r, n) @ x0[..., None])[..., 0]) / norms[..., 0]
+    chart = (x0, B, rows, rhs, (A / scale[..., None], d / scale))
 
-    def reach(u, D):   # per direction in D and row: how far from u it goes to meet the row
-        slope = D @ rows.T
-        return np.divide(np.maximum(rhs - u @ rows.T, 0.0)[..., None, :], slope,
-                         out=np.full(slope.shape, np.inf), where=slope > 1e-12)
-
-    def bases_of(S):   # the k-subsets in S, rows of indices, that are bases
-        S = S[np.abs(np.linalg.det(rows[S])) > 1e-12]
-        u = np.linalg.solve(rows[S], rhs[S][..., None])[..., 0]
-        return S[unit.contains(x0 + u @ B.T, tol_feas)]
-
-    def steps(x):      # the basis met in k straight steps from x, if any
-        met, u = [], None if x is None else B.T @ (x - x0)
+    def steps(x):      # the basis met in k straight steps from x, if any (one polyhedron)
+        met, u = [], None if x is None else B[0].T @ (x - x0[0])
         while u is not None and len(met) < k:
-            d = np.linalg.svd(np.vstack([rows[met], np.zeros(k)]))[2][-1]   # along the rows met
-            t = reach(u, (d := d if (rows @ d > 1e-12).any() else -d)[None])[0]
+            e = np.linalg.svd(np.vstack([rows[0][met], np.zeros(k)]))[2][-1]   # along the rows met
+            e = e if (rows[0] @ e > 1e-12).any() else -e
+            t = _reach(u @ rows[0].T, e[None] @ rows[0].T, rhs[0])[0]
             met.append(int(np.argmin(t)))
-            u = u + t[met[-1]] * d if np.isfinite(t[met[-1]]) else None
-        return bases_of(np.array([] if u is None else [sorted(met)], dtype=int).reshape(-1, k))
+            u = u + t[met[-1]] * e if np.isfinite(t[met[-1]]) else None
+        return _bases(np.array([] if u is None else [sorted(met)], dtype=int).reshape(-1, k),
+                      chart, tol_feas)[0]
 
-    whole = math.comb(len(rows), k) <= 512    # one batch holds every k-subset
-    front = bases_of(_subsets(len(rows), k)) if whole else steps(near)
-    if not (whole or len(front)) and (ball := inscribed_ball(p, tol_feas)) is not None \
-            and not len(front := steps(ball[0])):
-        raise NumericalFailure("the steps from the centre of the polyhedron's largest ball "
-                               "end off it")
-    seen, rays, vertices = set(), [lineal.T, -lineal.T], [np.empty((0, p.dim))]
-    while len(front):
-        inv = np.linalg.inv(rows[front])
-        u = (inv @ rhs[front][..., None])[..., 0]
-        vertices.append(x0 + u @ B.T)
-        edges = -inv.transpose(0, 2, 1)       # edge i leaves row i
-        edges /= np.linalg.norm(edges, axis=2, keepdims=True)
-        meets = np.isfinite(t := reach(u, edges).min(axis=2, initial=np.inf))
-        rays.append(edges[~meets] @ B.T)
+    if whole := math.comb(r, k) <= 512:   # one batch holds every k-subset
+        front, owner = _bases(_subsets(r, k), chart, tol_feas)
+    else:
+        try:
+            if not len(front := steps(nears[0])) and (ball := inscribed_ball(ps[0], tol_feas)) \
+                    is not None and not len(front := steps(ball[0])):
+                raise NumericalFailure("the steps from the centre of the polyhedron's largest "
+                                       "ball end off it")
+        except NumericalFailure as exc:   # the LP's too
+            return [exc]
+        owner = np.zeros(len(front), dtype=int)
+    seen, found = set(), ([], [])
+    while True:   # each step takes every basis found so far and not yet taken
+        u, vertices, edges, t = _corners(front, owner, chart)
+        miss = np.nonzero(~(meets := np.isfinite(t)))[0]
+        found[0].append((owner, vertices))
+        found[1].append((owner[miss], _ragged(edges[~meets], owner[miss], B.transpose(0, 2, 1))))
         if whole:
             break
-        seen.update(map(tuple, front))
+        seen.update(map(tuple, front.tolist()))
         ends = u[np.nonzero(meets)[0]] + t[meets][:, None] * edges[meets]
-        on_rows = np.unique(ends @ rows.T >= rhs - tol_feas, axis=0)   # the rows at each end
-        front = bases_of(np.array(sorted({S for on in on_rows for S in itertools.combinations(
-            np.flatnonzero(on).tolist(), k)} - seen), dtype=int).reshape(-1, k))
-    vertices = np.vstack(vertices)
-    tight = vertices @ unit.A.T >= unit.d - tol_feas
-    if (tight.sum(axis=1) > k).any():   # two bases meet only at a point on more than k rows
-        once = np.sort(np.unique(tight, axis=0, return_index=True)[1])
-        vertices, tight = vertices[once], tight[once]
-    return vertices, np.vstack(rays), tight
+        on_rows = ends @ rows[0].T >= rhs[0] - tol_feas   # the rows at each end
+        front, owner = _bases(np.array(sorted({S for on in on_rows for S in itertools.combinations(
+            np.flatnonzero(on).tolist(), k)} - seen), dtype=int).reshape(-1, k), chart, tol_feas)
+        if not len(front):
+            break
+    (owner, vertices), (at, rays) = (part[0] if len(part) == 1 else map(np.concatenate, zip(*part))
+                                     for part in found)
+    unit_A, unit_d = chart[4]
+    tight = _ragged(vertices, owner, unit_A.transpose(0, 2, 1)) >= _of(unit_d - tol_feas, owner)
+    out = []
+    for c, (v, w) in enumerate(zip(_blocks(owner, K), _blocks(at, K))):
+        if (tight[v].sum(axis=1) > k).any():   # two bases meet only at a point on more than k rows
+            v = v.start + np.sort(np.unique(tight[v], axis=0, return_index=True)[1])
+        out.append((vertices[v], np.vstack([lineal[c].T, -lineal[c].T, rays[w]]), tight[v]))
+    return out
+
+
+def _blocks(owner, K) -> list[slice]:   # per polyhedron, the slice of its rows (owner sorted)
+    ends = np.cumsum(np.bincount(owner, minlength=K)).tolist() if K > 1 else [len(owner)]
+    return [slice(a, e) for a, e in zip([0] + ends, ends)]
+
+
+def _ragged(X, owner, Y) -> np.ndarray:
+    """Each row of X times Y[o], o its entry of owner (sorted), as each o
+    alone gets it: one stacked product when every o owns as many rows,
+    else one product per o (numpy sends a one-row product to gemv, not gemm)."""
+    if len(Y) == 1:
+        return X @ Y[0]
+    counts = np.bincount(owner, minlength=len(Y))
+    if (counts == counts[0]).all():
+        return (X.reshape(len(Y), counts[0], X.shape[1]) @ Y).reshape(len(X), Y.shape[2])
+    return np.concatenate([X[rows] @ y for rows, y in zip(_blocks(owner, len(Y)), Y)])
+
+
+def _reach(uR, slope, rhs):   # per direction and row, how far it goes to meet the row; uR = u @ rows.T
+    return np.divide(np.maximum(rhs - uR, 0.0)[..., None, :], slope,
+                     out=np.full(slope.shape, np.inf), where=slope > 1e-12)
+
+
+def _bases(S, chart, tol_feas):
+    """(S, owner): the k-subsets S (rows of indices) that are bases of each
+    polyhedron of chart (`frames`), and whose they are, by polyhedron."""
+    x0, B, rows, rhs, (A, d) = chart
+    owner, j = np.nonzero(ok := np.abs(np.linalg.det(R := rows[:, S])) > 1e-12)
+    u = np.linalg.solve(R[ok], rhs[:, S][ok][..., None])[..., 0]
+    x = _of(x0, owner) + _ragged(u, owner, B.transpose(0, 2, 1))
+    inside = np.all(_ragged(x, owner, A.transpose(0, 2, 1)) <= _of(d + tol_feas, owner), axis=1)
+    return S[j][inside], owner[inside]
+
+
+def _of(a, owner):   # each owner's entry of a; of one polyhedron, a itself (it broadcasts)
+    return a if len(a) == 1 else a[owner]
+
+
+def _corners(front, owner, chart):
+    """At each basis of front (`_bases`): its u, vertex, unit edges (edge i
+    leaves row i) and how far each goes to meet the next row (inf: a ray)."""
+    x0, B, rows, rhs, _ = chart
+    inv = np.linalg.inv(rows[owner[:, None], front])
+    u = (inv @ rhs[owner[:, None], front][..., None])[..., 0]
+    edges = -inv.transpose(0, 2, 1)
+    edges /= np.linalg.norm(edges, axis=2, keepdims=True)
+    t = _reach(_ragged(u, owner, rows.transpose(0, 2, 1)), edges @ _of(rows, owner).transpose(0, 2, 1),
+               _of(rhs, owner)).min(axis=2, initial=np.inf)
+    return u, _of(x0, owner) + _ragged(u, owner, B.transpose(0, 2, 1)), edges, t
 
 
 @functools.cache   # one array per (m, k), shared by every call: index it, never write it

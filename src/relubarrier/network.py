@@ -130,31 +130,39 @@ class ReluNetwork:
 
     def piece(self, ind: ActivationIndicator) -> tuple[Polyhedron, np.ndarray, float]:
         """(region, w, b): the polyhedron on which the network realizes ind
-        and the affine piece ``h(x) = w.x + b`` it computes there, from one
-        pass over the layers.
+        and the affine piece ``h(x) = w.x + b`` it computes there: ind's
+        entry of `pieces`.
 
         The region has one row per neuron in layer order: active neurons
         contribute ``-a.x <= c`` (pre-activation >= 0), inactive ones
         ``a.x <= -c``.  Duplicate rows are kept; `regions.build_valid_region`
         drops them.
         """
-        self._check_indicator(ind)
+        A, d, w, b = self.pieces([ind])
+        return Polyhedron(A[0], d[0]), w[0], float(b[0])
+
+    def pieces(self, inds) -> tuple[np.ndarray, ...]:
+        """(A, d, w, b) of `piece` for each indicator, stacked along a first
+        axis, from one pass over the layers; each stacked product runs the
+        one-indicator product's kernel on each slice."""
+        for ind in inds:
+            self._check_indicator(ind)
         n = self.input_dim
-        wbar = np.eye(n)          # (n, M_prev), columns = masked pullbacks
-        bbar = np.zeros(n)
+        wbar = np.eye(n)[None]    # columns = masked pullbacks, (K, n, M_prev) after layer one
+        bbar = np.zeros((len(inds), n))
         rows, rhs = [], []
-        for w, b, layer_bits in zip(self.weights, self.biases, ind.bits):
-            mask = np.asarray(layer_bits, dtype=float)
-            a = w @ wbar.T                       # (M_i, n) unmasked pullback rows
-            c = w @ bbar + b                     # (M_i,)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            mask = np.array([ind.bits[i] for ind in inds], dtype=float).reshape(len(inds), len(b))
+            a = w @ wbar.transpose(0, 2, 1)          # (K, M_i, n) unmasked pullback rows
+            c = (w @ bbar[..., None])[..., 0] + b    # (K, M_i)
             sign = np.where(mask == 1.0, -1.0, 1.0)
-            rows.append(sign[:, None] * a)
+            rows.append(sign[..., None] * a)
             rhs.append(-sign * c)
-            wbar = a.T * mask                    # zero the inactive columns
+            wbar = a.transpose(0, 2, 1) * mask[:, None, :]   # zero the inactive columns
             bbar = c * mask
         w = wbar @ self.output_weights
-        b = float(self.output_weights @ bbar + self.output_bias)
-        return Polyhedron(np.vstack(rows), np.concatenate(rhs)), w, b
+        b = (self.output_weights @ bbar[..., None])[..., 0] + self.output_bias
+        return np.concatenate(rows, axis=1), np.concatenate(rhs, axis=1), w, b
 
     # -- indicators at a point, h's bounds over a box ---------------------------
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ORACLE_CAP, TOL_EQ, VerifierConfig
 from .errors import CombinatorialBlowup, NumericalFailure, SearchExhausted
-from .geometry import Polyhedron, frame, inscribed_ball
+from .geometry import Polyhedron, _groups, _stack, frames, inscribed_ball
 from .network import ActivationIndicator, ReluNetwork
 
 
@@ -117,40 +117,76 @@ def valid_test(region: Polyhedron, w: np.ndarray, b: float,
 def build_valid_region(net: ReluNetwork, ind: ActivationIndicator,
                        cfg: VerifierConfig = DEFAULT_CONFIG, near=None) -> ValidRegion | None:
     """Validate ind and construct its ValidRegion, or None when it is not
-    valid; near, a point of the patch if given, starts its frame.  The frame
-    is `valid_test`'s evidence (its vertices' mean plus its unit rays), so it
-    comes first; one that fails leaves validity to the LPs, and fails again
-    if they accept.  A degenerate piece (w = 0) has the whole region for its patch."""
-    region, w, b = net.piece(ind)
-    first, nz = {}, region.A.any(axis=1)
-    for j, row in enumerate(np.column_stack([region.A, region.d]) + 0.0):   # -0.0 keys as 0.0
-        first.setdefault(row.tobytes(), []).append(j)
-    groups = [js for js in first.values() if nz[js[0]]]
-    keep = [js[0] for js in groups]
-    exact = Polyhedron(region.A[keep], region.d[keep])
-    patch, framed = Polyhedron(exact.A, exact.d, w, b), []
+    valid; near, a point of the patch if given, starts its frame: the one
+    candidate's `build_level`."""
+    out = build_level(net, [(ind, near)], cfg)[0]
+    if isinstance(out, NumericalFailure):
+        raise out
+    return out
 
-    def evidence():
+
+def build_level(net: ReluNetwork, candidates, cfg: VerifierConfig = DEFAULT_CONFIG) -> list:
+    """`build_valid_region` of each (ind, near) of candidates: its
+    ValidRegion, None or its NumericalFailure, the pieces, frames and rank
+    guards of the candidates of one shape as stacked calls
+    (`ReluNetwork.pieces`, `geometry.frames`).  The frame is `valid_test`'s
+    evidence (its vertices' mean plus its unit rays); one that fails leaves
+    validity to the LPs, and is the candidate's failure if they accept.  Of
+    a level of more than one, the candidates that will ask for it are
+    framed together first: w != 0 and no two nonzero rows with opposite
+    sums, so none is flat (`valid_test`); the others are framed alone,
+    when asked or once valid.  A degenerate piece (w = 0) has the whole
+    region for its patch."""
+    A, D, W, b = net.pieces([ind for ind, _ in candidates])
+    rows, nz = np.concatenate([A, D[..., None]], axis=2) + 0.0, A.any(axis=2)   # -0.0 keys as 0.0
+    groups = [[js for js in _groups(map(bytes, r)) if z[js[0]]] for r, z in zip(rows, nz.tolist())]
+    patches = [Polyhedron(a[keep], d[keep], w, c) for a, d, w, c, keep in
+               zip(A, D, W, b, ([js[0] for js in g] for g in groups))]
+    first = []
+    if len(candidates) > 1:   # a flat region has opposite rows, and their sums are opposite
+        sums = np.where(nz, A.sum(axis=2), np.nan)
+        flat = (sums[:, :, None] == -sums[:, None]).any(axis=(1, 2))
+        first = np.flatnonzero(W.any(axis=1) & ~flat).tolist()
+    framed = dict(zip(first, frames([patches[i] for i in first], cfg.tol_feas,
+                                    [candidates[i][1] for i in first]) if first else ()))
+
+    def frame_of(i):
+        if i not in framed:
+            framed[i] = frames([patches[i]], cfg.tol_feas, [candidates[i][1]])[0]
+        return framed[i]
+
+    out = [None] * len(candidates)
+    for i in range(len(candidates)):
+        def evidence(i=i):
+            ok = isinstance(f := frame_of(i), tuple) and len(f[0])
+            return f[0].mean(axis=0) + f[1].sum(axis=0) if ok else None
         try:
-            framed.append(frame(patch, cfg.tol_feas, near))
-        except NumericalFailure:
-            return None
-        vertices, rays, _ = framed[0]
-        return vertices.mean(axis=0) + rays.sum(axis=0) if len(vertices) else None
-
-    if not valid_test(region, w, b, cfg, evidence):
-        return None
-    vertices, rays, tight = framed[0] if framed else frame(patch, cfg.tol_feas, near)
-    span = np.vstack([vertices[1:] - vertices[:1], rays])
-    if not len(vertices) or np.linalg.matrix_rank(span) < len(w) - w.any():
-        raise NumericalFailure(f"valid region {ind.compact()}: its frame spans fewer "
-                               "dimensions than its patch")
-    touching = np.flatnonzero(tight.any(axis=0))
+            out[i] = frame_of(i) if valid_test(Polyhedron(A[i], D[i]), W[i], float(b[i]), cfg,
+                                               evidence) else None
+        except NumericalFailure as exc:   # a validity LP's: this candidate's alone
+            out[i] = exc
+    spans = [np.vstack([f[0][1:] - f[0][:1], f[1]]) if isinstance(f, tuple) else None for f in out]
+    ranks = [-1] * len(out)
+    for g in _groups([None if x is None else x.shape for x in spans]):
+        if spans[g[0]] is not None:
+            for i, rank in zip(g, np.linalg.matrix_rank(_stack([spans[i] for i in g]))):
+                ranks[i] = rank
     ends = list(itertools.accumulate(net.layer_sizes))   # neurons of one layer, else none
-    neurons = [tuple(js) if nz.all() and not any(js[0] < e <= js[-1] for e in ends)
-               else () for js in (groups[t] for t in touching)]
-    return ValidRegion(ind, exact, Polyhedron(exact.A[touching], exact.d[touching], w, b),
-                       vertices, rays, tight[:, touching], neurons)
+    for i, ((ind, _), f, rows_of) in enumerate(zip(candidates, out, groups)):
+        if not isinstance(f, tuple):
+            continue
+        vertices, rays, tight = f
+        if not len(vertices) or ranks[i] < len(W[i]) - W[i].any():
+            out[i] = NumericalFailure(f"valid region {ind.compact()}: its frame spans fewer "
+                                      "dimensions than its patch")
+            continue
+        touching, exact = np.flatnonzero(tight.any(axis=0)), patches[i]
+        neurons = [tuple(js) if nz[i].all() and not any(js[0] < e <= js[-1] for e in ends)
+                   else () for js in (rows_of[t] for t in touching)]
+        out[i] = ValidRegion(ind, Polyhedron(exact.A, exact.d),
+                             Polyhedron(exact.A[touching], exact.d[touching], W[i], b[i]),
+                             vertices, rays, tight[:, touching], neurons)
+    return out
 
 
 # -- initial region search -------------------------------------------------------
@@ -211,14 +247,16 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
                          cfg: VerifierConfig = DEFAULT_CONFIG) -> EnumerationResult:
     """Grow the set of valid regions across shared facets from a seed.
 
-    FIFO worklist; at each facet point of a known region (one per row
-    touching its slice) its candidates, found once per point, are validity-tested; a
-    facet point where none but the region itself is valid is an error, as
-    the level set goes on past a facet, so some region there is missing; so is
-    a valid region past cfg.max_regions, which stops the walk.  Output
-    is sorted by indicator key, so the result does not depend on worklist
-    scheduling.  Completeness rests on the level set being connected,
-    which is assumed, not verified.
+    FIFO worklist, a level at a time: at each facet point of the level's
+    regions (one per row touching a slice) its candidates, found once per
+    point, are gathered, the new ones built together (`build_level`, each
+    from the first facet point that names it), and the outcomes read in
+    worklist order: a facet point where none but the region itself is
+    valid is an error, as the level set goes on past a facet, so some
+    region there is missing; so is a valid region past cfg.max_regions,
+    which stops the walk.  Output is sorted by indicator key, so the result
+    does not depend on worklist scheduling.  Completeness rests on the
+    level set being connected, which is assumed, not verified.
     """
     regions: dict[tuple, ValidRegion] = {seed.indicator.key(): seed}
     rejected: set[tuple] = set()
@@ -231,47 +269,60 @@ def boundary_propagation(net: ReluNetwork, seed: ValidRegion,
         return EnumerationResult([regions[k] for k in sorted(regions)], visited,
                                  seed.indicator, errors)
 
+    def new(k):
+        return not (k in regions or k in rejected or k in fresh)
+
     while queue:
-        region = queue.popleft()
-        visited += 1
-        if region.degenerate:
-            errors.append(f"region {region.indicator.compact()}: degenerate piece, "
-                          "facet propagation skipped")
-            continue
-        for j, point in enumerate(region.facet_points):
-            n, key = region.neurons[j], point.tobytes()   # simple: n's row alone meets its vertices
-            try:
-                neighbours = sorted([region.indicator, region.indicator.flipped(n)],
-                                    key=ActivationIndicator.key) if n and \
-                    region.tight[region.tight[:, j]].all(axis=0).sum() == 1 \
-                    else candidates[key] if key in candidates \
-                    else candidates.setdefault(key, net.feasible_indicators(point))
-            except CombinatorialBlowup as exc:
-                neighbours = candidates[key] = None
-                errors.append(f"region {region.indicator.compact()} facet {j}: {exc}")
-            if neighbours is None:   # the point's forward pass branched past the cap
-                continue
-            for ind in neighbours:
-                k = ind.key()
-                if k in regions or k in rejected:
-                    continue
-                try:
-                    neighbour = build_valid_region(net, ind, cfg, point)
-                except NumericalFailure as exc:
-                    errors.append(f"candidate {ind.compact()}: {exc}")
-                    rejected.add(k)
-                    continue
-                if neighbour is not None:
-                    if cfg.max_regions is not None and len(regions) >= cfg.max_regions:
+        level, fresh = [(region, []) for region in queue], {}   # fresh: new key -> (ind, point)
+        queue.clear()
+        for region, facets in level:
+            own, tight = region.indicator.key(), region.tight
+            # per touching row, whether no other row holds at every vertex on it (its facet)
+            alone = ((tight.T.astype(int) @ ~tight) == 0).sum(axis=1) == 1
+            for j, point in enumerate([] if region.degenerate else region.facet_points):
+                n, key, error = region.neurons[j], point.tobytes(), None
+                if n and alone[j]:   # n's row alone
+                    flip = list(own)
+                    for i in n:
+                        flip[i] ^= 1
+                    keys = sorted([own, flip := tuple(flip)])
+                    if new(flip):   # the indicator is built only for a new key
+                        fresh[flip] = (region.indicator.flipped(n), point)
+                else:
+                    if key not in candidates:
+                        try:
+                            candidates[key] = net.feasible_indicators(point)
+                        except CombinatorialBlowup as exc:
+                            candidates[key], error = None, exc
+                    keys = None if candidates[key] is None else [i.key() for i in candidates[key]]
+                    fresh.update((i.key(), (i, point)) for i in candidates[key] or () if new(i.key()))
+                facets.append((j, keys, error))
+        built = dict(zip(fresh, build_level(net, list(fresh.values()), cfg) if fresh else ()))
+        for region, facets in level:
+            visited, own = visited + 1, region.indicator.key()
+            if region.degenerate:
+                errors.append(f"region {region.indicator.compact()}: degenerate piece, "
+                              "facet propagation skipped")
+            for j, keys, error in facets:
+                if error is not None:
+                    errors.append(f"region {region.indicator.compact()} facet {j}: {error}")
+                for k in keys or ():   # None: the point's forward pass branched past the cap
+                    if k in regions or k in rejected:
+                        continue
+                    if isinstance(neighbour := built[k], NumericalFailure):
+                        errors.append(f"candidate {fresh[k][0].compact()}: {neighbour}")
+                        rejected.add(k)
+                    elif neighbour is None:
+                        rejected.add(k)
+                    elif cfg.max_regions is not None and len(regions) >= cfg.max_regions:
                         errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
                         return result()
-                    regions[k] = neighbour
-                    queue.append(neighbour)
-                else:
-                    rejected.add(k)
-            if not any(i.key() in regions for i in neighbours if i != region.indicator):
-                errors.append(f"region {region.indicator.compact()} facet {j}: no valid "
-                              "region continues the level set there")
+                    else:
+                        regions[k] = neighbour
+                        queue.append(neighbour)
+                if keys is not None and not any(k in regions for k in keys if k != own):
+                    errors.append(f"region {region.indicator.compact()} facet {j}: no valid "
+                                  "region continues the level set there")
     return result()
 
 

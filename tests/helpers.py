@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, DynamicsSystem,
-                         NumericalFailure, Polyhedron,
+from relubarrier import (DEFAULT_CONFIG, INFEASIBLE, UNBOUNDED, CombinatorialBlowup,
+                         DynamicsSystem, EnumerationResult, NumericalFailure, Polyhedron,
                          brute_force_valid_regions, evaluate,
                          build_valid_region, implicit_equalities, lp_solve,
                          network_from_json)
@@ -163,6 +163,62 @@ def frame_nets():
             nets.append(net)
             rng.normal(size=(2, 2)), rng.normal(size=2)
     return nets
+
+
+def sequential_walk(net: ReluNetwork, seed, cfg=DEFAULT_CONFIG) -> EnumerationResult:
+    """The reference for `regions.boundary_propagation`: the walk one
+    region and one candidate at a time, each built by `build_valid_region`
+    as soon as a facet names it, from the point of that facet."""
+    found, rejected, candidates, errors = {seed.indicator.key(): seed}, set(), {}, []
+    queue, visited = [seed], 0
+
+    def result():
+        return EnumerationResult([found[k] for k in sorted(found)], visited, seed.indicator, errors)
+
+    while queue:
+        region = queue.pop(0)
+        visited += 1
+        if region.degenerate:
+            errors.append(f"region {region.indicator.compact()}: degenerate piece, "
+                          "facet propagation skipped")
+            continue
+        for j, point in enumerate(region.facet_points):
+            n, key = region.neurons[j], point.tobytes()
+            try:
+                if n and region.tight[region.tight[:, j]].all(axis=0).sum() == 1:
+                    neighbours = sorted([region.indicator, region.indicator.flipped(n)],
+                                        key=ActivationIndicator.key)
+                else:
+                    if key not in candidates:
+                        candidates[key] = net.feasible_indicators(point)
+                    neighbours = candidates[key]
+            except CombinatorialBlowup as exc:
+                neighbours = candidates[key] = None
+                errors.append(f"region {region.indicator.compact()} facet {j}: {exc}")
+            if neighbours is None:
+                continue
+            for ind in neighbours:
+                k = ind.key()
+                if k in found or k in rejected:
+                    continue
+                try:
+                    neighbour = build_valid_region(net, ind, cfg, point)
+                except NumericalFailure as exc:
+                    errors.append(f"candidate {ind.compact()}: {exc}")
+                    rejected.add(k)
+                    continue
+                if neighbour is None:
+                    rejected.add(k)
+                    continue
+                if cfg.max_regions is not None and len(found) >= cfg.max_regions:
+                    errors.append(f"region cap {cfg.max_regions} reached; enumeration stopped")
+                    return result()
+                found[k] = neighbour
+                queue.append(neighbour)
+            if not any(i.key() in found for i in neighbours if i != region.indicator):
+                errors.append(f"region {region.indicator.compact()} facet {j}: no valid "
+                              "region continues the level set there")
+    return result()
 
 
 def scaled_output(net: ReluNetwork, k: float) -> ReluNetwork:

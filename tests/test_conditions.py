@@ -19,7 +19,7 @@ from relubarrier import (DEFAULT_CONFIG, FALSIFIED, UNKNOWN, VERIFIED,
                          check_initial_condition, check_invariance,
                          check_unsafe_condition, enumerate_level_set, evaluate,
                          interval_evaluate, load_problem,
-                         parse_expression, verify_certificate)
+                         parse_expression, verify_certificate, write_report)
 from relubarrier import conditions
 from relubarrier.config import FALSIFY_GATE
 from relubarrier.geometry import bounding_box, frame, inscribed_ball
@@ -1650,6 +1650,27 @@ def test_overflowing_witness_value_is_no_witness(tmp_path):
     assert all(np.isfinite(v.witness_value) for v in rows.values()
                if v.witness_value is not None)
     json.dumps(build_report(problem, verdict), allow_nan=False)
+
+
+def test_a_set_function_that_overflows_has_no_set_point(tmp_path):
+    """1e308*10 - x1 overflows to inf at every draw: no draw counts as a
+    point of the initial set, as no witness may carry a value that is not
+    finite, so the condition ends unknown with the sampling caveat, and the
+    report written to disk parses with every non-finite number refused."""
+    path = write_problem(tmp_path, diamond_net(), ["-x1", "-x2"], "1e308*10 - x1",
+                         "1 - (x1 - 3)^2 - (x2 - 3)^2")
+    problem = load_problem(path)
+    verdict = verify_certificate(problem.network, problem.system, problem.h_init,
+                                 problem.h_unsafe, problem.config)
+    initial = verdict.results["initial"]
+    assert initial.probe is None and verdict.status("initial") == UNKNOWN
+    assert initial.note.startswith("no point with a positive set function")
+    write_report(build_report(problem, verdict), tmp_path / "report.json")
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
 
 
 def row(v):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relubarrier import brute_force_valid_regions, build_valid_region
-from relubarrier.geometry import (Polyhedron, bounding_box, frame, implicit_equalities,
+from relubarrier import NumericalFailure
+from relubarrier.geometry import (Polyhedron, bounding_box, frame, frames, implicit_equalities,
                                   inscribed_ball, remove_redundant)
 from relubarrier.linprog import INFEASIBLE, OPTIMAL
 
@@ -341,6 +342,34 @@ def test_frame_walk_finds_every_basis_a_full_scan_finds(shape, start, monkeypatc
     for S, x in zip(bases, scanned):
         assert any(np.allclose(v, x, atol=1e-12) and on[list(S)].all()
                    for v, on in zip(vertices, tight))
+
+
+def test_frames_of_walked_polyhedra_each_match_frame_alone(monkeypatch):
+    """Shifted copies of the pyramid with 30 redundant rows (C(35, 3) > 512
+    subsets, so the edge walk), framed in one `frames` call from different
+    starts: each gives `frame`'s arrays alone, bit for bit.  When the ball
+    LP of one fails, it alone ends in that NumericalFailure."""
+    rng = np.random.default_rng(3)
+    normals = rng.normal(size=(30, 3))
+    A = np.vstack([PYRAMID[0], normals])
+    d = np.concatenate([PYRAMID[1], 5.0 * np.linalg.norm(normals, axis=1)])
+    shifts = [np.zeros(3), np.array([0.5, -0.25, 0.125]), np.array([-1.0, 2.0, 0.5])]
+    ps = [Polyhedron(A, d + A @ s, np.zeros(3), 0.0) for s in shifts]
+    nears = [None, shifts[1] + np.array([0.1, -0.05, 0.2]), shifts[2] + np.full(3, 7.0)]
+    alone = [frame(p, near=near) for p, near in zip(ps, nears)]
+    for together, want in zip(frames(ps, nears=nears), alone):
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(together, want))
+
+    def failing(p, *args):
+        if p is ps[0]:
+            raise NumericalFailure("injected LP failure")
+        return inscribed_ball(p, *args)
+
+    monkeypatch.setattr("relubarrier.geometry.inscribed_ball", failing)
+    got = frames(ps, nears=nears)
+    assert isinstance(got[0], NumericalFailure) and str(got[0]) == "injected LP failure"
+    for together, want in zip(got[1:], alone[1:]):
+        assert all(np.array_equal(a, b) for a, b in zip(together, want))
 
 
 def golden_frames(net):

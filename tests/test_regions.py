@@ -1,6 +1,7 @@
 """Valid-region test, initial region search, and boundary propagation."""
 
 import copy
+import functools
 import itertools
 from collections import Counter
 from types import SimpleNamespace
@@ -13,14 +14,15 @@ from relubarrier import (ActivationIndicator, Polyhedron, ReluNetwork,
                          brute_force_valid_regions, build_valid_region,
                          enumerate_level_set, find_initial_region,
                          remove_redundant, valid_test, DEFAULT_CONFIG)
-from relubarrier import CombinatorialBlowup, NumericalFailure, conditions, geometry, regions
+from relubarrier import (CombinatorialBlowup, NumericalFailure, conditions, geometry,
+                         network_from_json, regions)
 from relubarrier.config import TOL_EQ
 from relubarrier.geometry import inscribed_ball
 
 from helpers import (all_dead_net, boundary_is_connected, counted_lp_solves,
-                     diamond_net, frame_nets, lp_slice_answers, one_d_ramp_net,
-                     ill_scaled_deep_net, indicator_of, random_hidden_net,
-                     reference_valid, scaled_output, slice_feasible_point,
+                     diamond_net, frame_nets, load_bench_module, lp_slice_answers,
+                     one_d_ramp_net, ill_scaled_deep_net, indicator_of, random_hidden_net,
+                     reference_valid, scaled_output, sequential_walk, slice_feasible_point,
                      slice_full, strip_net)
 
 
@@ -83,16 +85,18 @@ def test_zero_piece_with_zero_bias_valid_degenerate():
 
 def test_each_candidate_costs_one_network_pass(monkeypatch):
     """Enumeration pulls each candidate indicator back through the network
-    once: as many `ReluNetwork.piece` calls as validity tests."""
+    once: as many indicators through `ReluNetwork.pieces` (a level's
+    candidates in one stacked pass) as validity tests."""
     calls = Counter()
 
-    def counted(name, fn):
+    def counted(name, fn, size=lambda args: 1):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += size(args)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ReluNetwork, "piece", counted("piece", ReluNetwork.piece))
+    monkeypatch.setattr(ReluNetwork, "pieces",
+                        counted("piece", ReluNetwork.pieces, lambda args: len(args[1])))
     monkeypatch.setattr("relubarrier.regions.valid_test", counted("valid_test", valid_test))
     enumerate_level_set(diamond_net())
     assert calls["valid_test"] >= 4
@@ -451,11 +455,11 @@ def test_a_frame_that_spans_too_few_dimensions_is_a_numerical_failure(monkeypatc
     net, indicator = diamond_net(), ind(1, 0, 1, 0)
     assert build_valid_region(net, indicator) is not None
 
-    def one_vertex(p, tol, near):
-        vertices, rays, tight = geometry.frame(p, tol, near)
-        return vertices[:1], rays[:0], tight[:1]
+    def one_vertex(ps, tol, nears):
+        return [(vertices[:1], rays[:0], tight[:1])
+                for vertices, rays, tight in geometry.frames(ps, tol, nears)]
 
-    monkeypatch.setattr("relubarrier.regions.frame", one_vertex)
+    monkeypatch.setattr("relubarrier.regions.frames", one_vertex)
     with pytest.raises(NumericalFailure, match="frame spans fewer dimensions than its patch"):
         build_valid_region(net, indicator)
 
@@ -768,9 +772,13 @@ def test_the_walk_over_a_polytope_net_runs_the_forward_pass_only_at_the_seed(nam
     crosses every facet by flipping both, calls `feasible_indicators`
     once (the seed) and builds no candidate that is not valid."""
     net = _shared_row_nets()[name]
-    built, original = [], regions.build_valid_region
-    monkeypatch.setattr(regions, "build_valid_region",
-                        lambda *args: built.append(original(*args)) or built[-1])
+    built, original = [], regions.build_level
+
+    def recorded(*args):
+        built.extend(out := original(*args))
+        return out
+
+    monkeypatch.setattr(regions, "build_level", recorded)
     result, called = _spied_walk(net, monkeypatch)
     assert not result.partial and called == [] and len(result.regions) > 3
     assert None not in built and len(built) == len(result.regions)
@@ -816,20 +824,21 @@ def test_the_diamond_at_its_exact_region_count_is_complete(two_layers):
 
 def test_a_failing_frame_leaves_validity_to_the_lps_and_fails_again(monkeypatch):
     """With no frame there is no evidence: the slice LP's ball accepts
-    1010, and the frame the region needs fails a second time."""
+    1010, and the region, which needs its frame, fails with the frame's
+    NumericalFailure; the frame is taken once."""
     frames, balls = [], []
     original = regions.inscribed_ball
 
-    def failing(*args, **kwargs):
-        frames.append(args)
-        raise NumericalFailure("no frame")
+    def failing(ps, *args, **kwargs):
+        frames.append(ps)
+        return [NumericalFailure("no frame") for _ in ps]
 
-    monkeypatch.setattr(regions, "frame", failing)
+    monkeypatch.setattr(regions, "frames", failing)
     monkeypatch.setattr(regions, "inscribed_ball",
                         lambda *args, **kwargs: balls.append(args) or original(*args, **kwargs))
     with pytest.raises(NumericalFailure, match="no frame"):
         build_valid_region(diamond_net(), ind(1, 0, 1, 0))
-    assert (len(frames), len(balls)) == (2, 1)
+    assert (len(frames), len(balls)) == (1, 1)
 
 
 def test_the_seed_search_skips_a_sign_change_past_the_branching_cap():
@@ -902,3 +911,175 @@ def test_valid_region_slice_dimension():
     point = slice_feasible_point(region.slice)
     assert point is not None
     assert abs(region.slice.w @ point + region.slice.b) <= 1e-7
+
+
+# -- the walk a level at a time ------------------------------------------------------
+
+@functools.cache
+def _walk_seeds():
+    """(net, seed region) for `frame_nets`' nets, the enum-affine bench nets
+    and two ill-scaled nets whose walks end partial, where the seed search
+    finds a seed."""
+    bench = load_bench_module("problems").build_workload("enum-affine", 1)
+    nets = frame_nets() + [ill_scaled_deep_net(2), ill_scaled_deep_net(3)] + [
+        network_from_json(p.net) for p in bench]
+    seeds = []
+    for net in nets:
+        try:
+            seeds.append((net, find_initial_region(net)[0]))
+        except SearchExhausted:
+            continue
+    return seeds
+
+
+def _levels(monkeypatch, name):
+    """Record each call of `regions.<name>` (its arguments) while running."""
+    calls, original = [], getattr(regions, name)
+    monkeypatch.setattr(regions, name, lambda *args: calls.append(args) or original(*args))
+    return calls, original
+
+
+def test_each_walk_level_frames_as_its_candidates_alone(monkeypatch):
+    """Every level of the walk, framed as one stack (`geometry.frames`),
+    gives each candidate the frame `geometry.frame` gives it alone, array
+    for array and bit for bit (or the same NumericalFailure)."""
+    levels, frames = _levels(monkeypatch, "frames")
+    for net, seed in _walk_seeds():
+        boundary_propagation(net, seed)
+    stacked = [level for level in levels if len(level[0]) > 1]
+    assert len(stacked) > 100 and max(len(level[0]) for level in stacked) > 10
+    for ps, tol, nears in stacked:
+        for p, near, together in zip(ps, nears, frames(ps, tol, nears)):
+            try:
+                alone = geometry.frame(p, tol, near)
+            except NumericalFailure as exc:
+                assert isinstance(together, NumericalFailure) and str(together) == str(exc)
+                continue
+            assert len(together) == 3
+            for a, b in zip(together, alone):
+                assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _same_walk(got, want):
+    assert [r.indicator.key() for r in got.regions] == [r.indicator.key() for r in want.regions]
+    assert (got.visited_count, got.errors) == (want.visited_count, want.errors)
+    for a, b in zip(got.regions, want.regions):
+        assert a.neurons == b.neurons
+        for x, y in ((a.vertices, b.vertices), (a.rays, b.rays), (a.tight, b.tight),
+                     (a.slice.A, b.slice.A), (a.slice.d, b.slice.d), (a.slice.w, b.slice.w)):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("cap", [None, 2, 3, 5, 8, 13, 21, 34])
+def test_the_level_walk_matches_the_sequential_walk(cap, monkeypatch):
+    """The walk a level at a time finds the regions, visit count and error
+    texts of the walk one candidate at a time (`helpers.sequential_walk`),
+    uncapped and at region caps that stop it in the middle of a level."""
+    cfg, inside = DEFAULT_CONFIG.updated(max_regions=cap), 0
+    for net, seed in _walk_seeds():
+        levels, build = _levels(monkeypatch, "build_level")
+        uncapped = boundary_propagation(net, seed)
+        monkeypatch.undo()
+        found = np.cumsum([1] + [sum(r is not None and not isinstance(r, NumericalFailure)
+                                     for r in build(*args)) for args in levels])
+        got = boundary_propagation(net, seed, cfg)
+        _same_walk(got, sequential_walk(net, seed, cfg))
+        if cap is None:
+            _same_walk(got, uncapped)
+        elif cap < found[-1] and cap not in found:   # the cap falls inside a level
+            inside += got.errors[-1] == f"region cap {cap} reached; enumeration stopped"
+    assert cap is None or inside > 0
+
+
+def test_a_level_builds_its_other_candidates_when_one_frame_fails(monkeypatch):
+    """A level in which one candidate's frame raises NumericalFailure: that
+    candidate is rejected alone, with the frame's message (the LPs accept
+    its piece), and the others are built as they are without the failure."""
+    net, seed = _walk_seeds()[-1]
+    levels, build = _levels(monkeypatch, "build_level")
+    boundary_propagation(net, seed)
+    monkeypatch.undo()
+    level = max((args[1] for args in levels), key=len)
+    assert len(level) > 2
+    want, frames = build(net, level), regions.frames
+
+    def failing(ps, *args):
+        out = frames(ps, *args)
+        out[1] = NumericalFailure("injected frame failure")
+        return out
+
+    monkeypatch.setattr(regions, "frames", failing)
+    got = build(net, level)
+    assert isinstance(got[1], NumericalFailure) and str(got[1]) == "injected frame failure"
+    assert isinstance(want[1], regions.ValidRegion)
+    for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+        assert a.indicator == b.indicator
+        assert all(np.array_equal(x, y) for x, y in ((a.vertices, b.vertices), (a.rays, b.rays),
+                                                      (a.tight, b.tight)))
+
+
+def test_a_failing_frame_lp_rejects_its_candidate_alone(monkeypatch):
+    """Regions of 17 rows on a 3-D slice (C(17, 3) > 512 subsets) are
+    framed by the edge walk, one at a time, and with no start point each
+    walk's first basis comes from the ball LP.  When that LP fails for one
+    candidate of a level, the candidate alone is rejected with the LP's
+    message (the walk's `candidate` error) and the others build as alone."""
+    rng = np.random.default_rng(5)
+    net = ReluNetwork([rng.normal(size=(17, 4))], [rng.normal(size=17)], rng.normal(size=17), 0.3)
+    seed = find_initial_region(net)[0]
+    level = [(seed.indicator.flipped(n), None) for n in dict.fromkeys(seed.neurons) if n][:3]
+    alone = [build_valid_region(net, ind) for ind, _ in level]
+    assert len(level) == 3 and all(isinstance(r, regions.ValidRegion) for r in alone)
+    bad, ball = net.piece(level[0][0])[1], geometry.inscribed_ball
+
+    def failing(p, *args):
+        if p.w is not None and np.array_equal(p.w, bad):
+            raise NumericalFailure("injected LP failure")
+        return ball(p, *args)
+
+    monkeypatch.setattr(geometry, "inscribed_ball", failing)
+    got = regions.build_level(net, level)
+    assert isinstance(got[0], NumericalFailure) and str(got[0]) == "injected LP failure"
+    for a, b in zip(got[1:], alone[1:]):
+        assert a.indicator == b.indicator
+        assert all(np.array_equal(x, y) for x, y in ((a.vertices, b.vertices), (a.rays, b.rays),
+                                                      (a.tight, b.tight)))
+    build = regions.build_level
+    monkeypatch.setattr(regions, "build_level",   # every frame from the ball LP
+                        lambda net, level, *args: build(net, [(i, None) for i, _ in level], *args))
+    walk = boundary_propagation(net, seed, DEFAULT_CONFIG.updated(max_regions=12))
+    assert f"candidate {level[0][0].compact()}: injected LP failure" in walk.errors
+
+
+def test_a_level_frames_only_the_candidates_that_valid_test_asks_for_or_accepts(monkeypatch):
+    """The diamond's 16 indicators as one level: the flat ones and the one
+    with w = 0 and b != 0, which `valid_test` rejects before it asks for
+    evidence, are never framed; the others are framed once each, and every
+    candidate builds as it does alone."""
+    net = diamond_net()
+    level = [(ind(*bits), None) for bits in itertools.product((0, 1), repeat=4)]
+
+    def key(A, w):   # a patch by its distinct nonzero rows and its w
+        return frozenset(bytes(row + 0.0) for row in A if row.any()), bytes(w + 0.0)
+
+    asks = Counter()
+    for indicator, _ in level:
+        region, w, b = net.piece(indicator)
+        asked = []
+        if valid_test(region, w, b, evidence=lambda: asked.append(1)) or asked:
+            asks[key(region.A, w)] += 1
+    framed, frames = Counter(), regions.frames
+
+    def recorded(ps, *args):
+        framed.update(key(p.A, p.w) for p in ps)
+        return frames(ps, *args)
+
+    monkeypatch.setattr(regions, "frames", recorded)
+    got = regions.build_level(net, level)
+    assert framed == asks and 4 <= sum(asks.values()) < len(level)
+    for (indicator, _), a in zip(level, got):
+        b = build_valid_region(net, indicator)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert all(np.array_equal(x, y) for x, y in ((a.vertices, b.vertices),
+                                                          (a.rays, b.rays), (a.tight, b.tight)))

@@ -7,9 +7,12 @@ Usage (from the repository root):
 SRC_DIR is the `src/` directory of the checkout under test; the problems
 come from this checkout's `bench/problems.py`, which is only read.  For the
 60 bench problems (3 workloads x seeds 1, 3, 7, 11) the digest covers
-`report_bytes_without_timings` of each report and the text of every SMT
-query of all three conditions, per region and monolithic, with and without
-the domain box.  Two trees that print the same digest wrote the same bytes.
+`report_bytes_without_timings` of each report, each enumerated region's
+indicator, frame (vertices, rays, tight masks), slice rows and facet
+neurons, and the text of every SMT query of all three conditions, per
+region and monolithic, with and without the domain box.  Two trees that
+print the same digest wrote the same bytes and enumerated the same frames,
+to the last bit of every vertex, even where a report or query never shows it.
 """
 
 import argparse
@@ -18,6 +21,8 @@ import importlib.util
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 3, 7, 11)
@@ -49,6 +54,11 @@ def digest(rb, problems_mod, work_dir) -> str:
                 regions = verdict.enumeration.regions if verdict.enumeration else []
                 if not regions:
                     continue
+                for r in regions:
+                    sha.update(f"{r.indicator.compact()} {r.neurons}".encode())
+                    for a in (r.vertices, r.rays, r.tight, r.slice.A, r.slice.d, r.slice.w,
+                              np.array([r.slice.b])):
+                        sha.update(f"{a.dtype}{a.shape}".encode() + np.ascontiguousarray(a).tobytes())
                 n, cfg = problem.network.input_dim, problem.config
                 for box in (None, cfg.domain(n)):
                     for mode in ("per-region", "monolithic"):
